@@ -1,11 +1,14 @@
 """Command-line surface: config resolution, run directories, workflows.
 
-Configuration is resolved as defaults, then the YAML config file, then
-explicit flags, rightmost wins. Every command that produces artifacts gets a
-fresh run directory under the run root (--run-root, else $WOVR_RUN_ROOT,
-else ./runs) named by the resolved-config hash plus a timestamp, and the
-resolved config is written there verbatim before any work starts. Exit codes:
-0 success, 2 configuration error, 3 runtime error, 4 invariant violation.
+Configuration is resolved as core.DEFAULTS, then the YAML config file, then
+explicit flags, rightmost wins. The resolved config is validated once
+(core.validate_config), for every command, before its run directory is
+created; an invalid config exits 2 without leaving a directory behind. Every
+command that produces artifacts gets a fresh run directory under the run
+root (--run-root, else $WOVR_RUN_ROOT, else ./runs) named by the
+resolved-config hash plus a timestamp, and the resolved config is written
+there verbatim before any work starts. Exit codes: 0 success, 2
+configuration error, 3 runtime error, 4 invariant violation.
 """
 
 from __future__ import annotations
@@ -16,77 +19,29 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import nn
-from .core import (InvariantViolation, RunConfig, TaskSpec, config_hash,
-                   derive_rng, derive_seed, params_hash, read_frames,
-                   write_frames)
+from .core import (DEFAULTS, ConfigError, InvariantViolation, TaskSpec,
+                   config_hash, deep_merge, derive_rng, derive_seed,
+                   params_hash, read_frames, validate_config, write_frames)
 from .envs import CountingEnv, get_env, replay_frames, scripted_demo
 from .evalx import EvalReport, hallucination_rate, horizon_error, success_rate
 from .grpo import ChunkPolicy
-from .pace import (PaceStagePlan, StageFailure, _rl_stage, clone_base_policy,
-                   run_pipeline)
+from .pace import StageFailure, _rl_stage, clone_base_policy, run_pipeline
 from .reward import (RewardNet, label_episode_frames, predict_success,
                      sparse_reward, train_classifier)
 from .rollout import KeyframeBuffer, read_batch, rollout_real, write_batch
-from .sched import ResidencyLedger, write_event_log
 from .worldmodel import LearnedWorldModel, WmNet, train_wm
 
 EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME, EXIT_INVARIANT = 0, 2, 3, 4
 
-DEFAULTS = {
-    "seed": 0,
-    "env": "pickplace2d",
-    "workers": 1,
-    "run": {"gamma": 1.0, "group_size": 8, "clip_eps": 0.2, "chunk": 8,
-            "context": 4, "max_episode_len": 64, "kir_fraction": 0.5,
-            "diffusion_steps": 5, "n_base": 150, "n_evo": 100},
-    "plan": {"refinements": 1, "rl_updates_per_stage": 20,
-             "groups_per_update": 4, "reset_kir_between_stages": True,
-             "refine_mix_new": 0.7},
-    "policy": {"hidden": [64, 64], "init_log_std": -1.5},
-    "demo": {"n": 16, "noise": 0.0},
-    "clone": {"epochs": 60, "batch_size": 64, "lr": 1e-3},
-    "wm": {"width": 128, "act_emb_dim": 32, "anchor_mode": "first",
-           "epochs": 40, "batch_size": 64, "lr": 1e-3, "p_noisy": 0.5},
-    "refine": {"epochs": 10, "batch_size": 64, "lr": 3e-4},
-    "reward": {"hidden": [64, 64], "epochs": 300, "batch_size": 64,
-               "lr": 3e-3, "neg_ratio": 30.0, "pos_weight": "sqrt",
-               "threshold": 0.5},
-    "rl": {"inner_epochs": 2, "lr": 3e-4, "keyframe_k": 2,
-           "reward_threshold": 0.9, "explore_log_std": None},
-    # collect.n 0 means "use run.n_base"
-    "collect": {"n": 0},
-    "eval": {"n": 20, "metric": "sr", "horizons": [8, 16, 32, 64], "task": 0},
-}
-
-
-class ConfigError(ValueError):
-    pass
-
 
 # ---------------------------------------------------------------------------
 # config resolution
-
-
-def deep_merge(base: dict, override: dict, path: str = "") -> dict:
-    """Merge override into base in place; keys absent from base are rejected."""
-    for key, value in override.items():
-        here = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigError(f"unknown config key {here!r}")
-        if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {here!r} must be a section")
-            deep_merge(base[key], value, here)
-        else:
-            base[key] = value
-    return base
 
 
 def set_by_path(tree: dict, dotted: str, value):
@@ -126,21 +81,7 @@ def resolve_config(args: argparse.Namespace, flag_paths: dict) -> dict:
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
         dotted, _, raw = item.partition("=")
         set_by_path(resolved, dotted, yaml.safe_load(raw))
-    return resolved
-
-
-def run_config_from(cfg: dict) -> RunConfig:
-    try:
-        return RunConfig(seed=cfg["seed"], **cfg["run"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def plan_from(cfg: dict, run_cfg: RunConfig) -> PaceStagePlan:
-    try:
-        return PaceStagePlan.from_config(run_cfg, **cfg["plan"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return validate_config(resolved)
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +205,10 @@ def cmd_collect(cfg, run_dir, args):
     params = nn.load_params(policy_path)
     env = CountingEnv(get_env(cfg["env"]))
     policy = build_policy(env, cfg)
-    run_cfg = run_config_from(cfg)
-    n = cfg["collect"]["n"] or run_cfg.n_base
+    run = cfg["run"]
+    n = cfg["collect"]["n"] or run["n_base"]
     trajectories, frames = collect_episodes(
-        policy, params, env, n, run_cfg.max_episode_len, run_cfg.chunk,
+        policy, params, env, n, run["max_episode_len"], run["chunk"],
         cfg["seed"], 73)
     manifest = {"policy": params_hash(params), "env": cfg["env"], "n": n,
                 "env_steps": env.steps, "config": config_hash(cfg)}
@@ -332,23 +273,16 @@ def cmd_rl(cfg, run_dir, args):
     params = nn.load_params(policy_path)
     wm_params = nn.load_params(wm_path)
     reward_params = nn.load_params(reward_path)
-    run_cfg = run_config_from(cfg)
-    plan = plan_from(cfg, run_cfg)
-    ledger = ResidencyLedger()
-    r = cfg["rl"]
     new_params, logs = _rl_stage(
         policy, params, build_wm_net(env, cfg), wm_params,
-        build_reward_net(env, cfg), reward_params, env, run_cfg, plan,
-        KeyframeBuffer(), ledger, cfg["seed"], tag=76, iteration0=0,
-        inner_epochs=r["inner_epochs"], lr=r["lr"],
-        keyframe_k=r["keyframe_k"], threshold=r["reward_threshold"])
+        build_reward_net(env, cfg), reward_params, env, cfg, KeyframeBuffer(),
+        tag=76)
     if env.steps != 0:
         raise InvariantViolation("imagined RL consumed real env steps")
     nn.save_params(run_dir / "policy.wovc", new_params)
     with open(run_dir / "rl_log.json", "w") as fh:
         json.dump(logs, fh, indent=1, default=float)
-    write_event_log(ledger, run_dir / "residency.csv")
-    print(f"ran {plan.rl_updates_per_stage} imagined updates "
+    print(f"ran {cfg['plan']['rl_updates_per_stage']} imagined updates "
           f"(0 real steps) to {run_dir}")
     return EXIT_OK
 
@@ -370,23 +304,10 @@ def cmd_pace(cfg, run_dir, args):
                                            lr=c["lr"])
     else:
         raise ConfigError("pace needs --policy or --demos")
-    run_cfg = run_config_from(cfg)
-    plan = plan_from(cfg, run_cfg)
-    w, f, r, rl = cfg["wm"], cfg["refine"], cfg["reward"], cfg["rl"]
     try:
-        artifacts = run_pipeline(
-            env, policy, base_params, build_wm_net(env, cfg),
-            build_reward_net(env, cfg), run_cfg, plan, demos=demos,
-            wm_epochs=w["epochs"], wm_batch=w["batch_size"], wm_lr=w["lr"],
-            p_noisy=w["p_noisy"], refine_epochs=f["epochs"],
-            refine_batch=f["batch_size"], refine_lr=f["lr"],
-            reward_epochs=r["epochs"], reward_batch=r["batch_size"],
-            reward_lr=r["lr"], reward_neg_ratio=r["neg_ratio"],
-            reward_pos_weight=r["pos_weight"],
-            rl_inner_epochs=rl["inner_epochs"],
-            rl_lr=rl["lr"], keyframe_k=rl["keyframe_k"],
-            reward_threshold=rl["reward_threshold"],
-            explore_log_std=rl["explore_log_std"])
+        artifacts = run_pipeline(env, policy, base_params,
+                                 build_wm_net(env, cfg),
+                                 build_reward_net(env, cfg), cfg, demos=demos)
     except StageFailure as exc:
         exc.artifacts.write(run_dir)
         print(f"pipeline aborted in stage {exc.stage!r}; "
@@ -405,8 +326,7 @@ def cmd_eval(cfg, run_dir, args):
     env = get_env(cfg["env"])
     policy = build_policy(env, cfg)
     params = nn.load_params(policy_path)
-    run_cfg = run_config_from(cfg)
-    T, H = run_cfg.max_episode_len, run_cfg.chunk
+    T, H = cfg["run"]["max_episode_len"], cfg["run"]["chunk"]
     e = cfg["eval"]
     metric, n, task_id = e["metric"], e["n"], e["task"]
     report = EvalReport(seeds=[cfg["seed"]],
@@ -417,7 +337,7 @@ def cmd_eval(cfg, run_dir, args):
         wm_params = nn.load_params(wm_path)
         report.checkpoint_hashes["wm"] = params_hash(wm_params)
         return LearnedWorldModel(build_wm_net(env, cfg), wm_params,
-                                 run_cfg.diffusion_steps)
+                                 cfg["run"]["diffusion_steps"])
 
     if metric == "sr":
         per_task = [success_rate(policy, params, env, TaskSpec(t), n, T, H,
@@ -432,7 +352,9 @@ def cmd_eval(cfg, run_dir, args):
         reward_params = nn.load_params(reward_path)
         report.checkpoint_hashes["reward"] = params_hash(reward_params)
         reward_net = build_reward_net(env, cfg)
-        threshold = cfg["reward"]["threshold"]
+        # the threshold that gates imagined RL, so the rate is the one of
+        # the simulator the policy trained in
+        threshold = cfg["rl"]["reward_threshold"]
 
         def reward_fn(frame, task):
             return sparse_reward(
@@ -537,7 +459,7 @@ COMMANDS = {
 }
 
 # flags shared by every artifact-producing command, mapped to config paths
-COMMON_PATHS = {"seed": "seed", "env": "env", "workers": "workers"}
+COMMON_PATHS = {"seed": "seed", "env": "env"}
 
 
 def _int_list(text: str) -> list[int]:
@@ -555,8 +477,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         p.add_argument("--config", help="YAML config file")
         p.add_argument("--seed", type=int)
         p.add_argument("--env", choices=("pickplace2d", "reachpoint"))
-        p.add_argument("--workers", type=int,
-                       help="reserved; all modules currently run in-process")
         p.add_argument("--run-root", dest="run_root",
                        help="run-directory root (default $WOVR_RUN_ROOT or ./runs)")
         p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",

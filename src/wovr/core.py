@@ -6,10 +6,11 @@ construction by convention and safe to share across workers.
 """
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,15 +33,6 @@ class InvariantViolation(ValueError):
     """Decoded content violates a domain invariant (e.g. reward not in {0,1})."""
 
 
-def check_state(vec: np.ndarray, dim: int) -> np.ndarray:
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.shape != (dim,):
-        raise ValueError(f"state has shape {vec.shape}, expected ({dim},)")
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("state contains non-finite entries")
-    return vec
-
-
 def one_hot(index: int, size: int) -> np.ndarray:
     if not 0 <= index < size:
         raise ValueError(f"index {index} out of range for one-hot of size {size}")
@@ -58,11 +50,6 @@ class TaskSpec:
     def __post_init__(self):
         if self.task_id < 0:
             raise ValueError("task_id must be non-negative")
-
-    def token(self, n_tasks: int) -> np.ndarray:
-        if self.task_id >= n_tasks:
-            raise ValueError(f"task_id {self.task_id} not registered (n_tasks={n_tasks})")
-        return one_hot(self.task_id, n_tasks)
 
 
 @dataclass(eq=False)
@@ -156,41 +143,99 @@ class Trajectory:
         return cls(task, start_kind, steps, success, compute_valid_len(steps, success))
 
 
-@dataclass
-class RunConfig:
-    """Run-level knobs shared across the pipeline."""
+# ---------------------------------------------------------------------------
+# Run configuration: one nested dict. DEFAULTS states every settable value
+# and its default; validate_config states every range rule.
 
-    seed: int = 0
-    gamma: float = 1.0
-    group_size: int = 8
-    clip_eps: float = 0.2
-    chunk: int = 8
-    context: int = 4
-    max_episode_len: int = 64
-    kir_fraction: float = 0.5
-    diffusion_steps: int = 5
-    n_base: int = 150
-    n_evo: int = 100
 
-    def __post_init__(self):
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must lie in (0, 1]")
-        if self.group_size < 2:
-            raise ValueError("group_size must be >= 2")
-        if self.clip_eps <= 0:
-            raise ValueError("clip_eps must be positive")
-        if not 0.0 <= self.kir_fraction <= 1.0:
-            raise ValueError("kir_fraction must lie in [0, 1]")
-        if self.diffusion_steps < 1:
-            raise ValueError("diffusion_steps must be >= 1")
-        if self.max_episode_len % self.chunk != 0:
-            raise ValueError("max_episode_len must be a multiple of the chunk length")
-        if self.n_base < 0 or self.n_evo < 0:
-            raise ValueError("rollout budgets must be non-negative")
+class ConfigError(ValueError):
+    """A config key is unknown, or a value is mistyped or out of range."""
 
-    @property
-    def total_budget(self) -> int:
-        return self.n_base + self.n_evo
+
+DEFAULTS = {
+    "seed": 0,
+    "env": "pickplace2d",
+    "run": {"gamma": 1.0, "group_size": 8, "clip_eps": 0.2, "chunk": 8,
+            "context": 4, "max_episode_len": 64, "kir_fraction": 0.5,
+            "diffusion_steps": 5, "n_base": 150, "n_evo": 100},
+    # refinements is 0 or 1: either the world model is refined once on
+    # evolved-policy data (two collections, two RL stages) or never (one
+    # collection, one RL stage against the base model)
+    "plan": {"refinements": 1, "rl_updates_per_stage": 20,
+             "groups_per_update": 4, "reset_kir_between_stages": True,
+             "refine_mix_new": 0.7},
+    "policy": {"hidden": [64, 64], "init_log_std": -1.5},
+    "demo": {"n": 16, "noise": 0.0},
+    "clone": {"epochs": 60, "batch_size": 64, "lr": 1e-3},
+    "wm": {"width": 128, "act_emb_dim": 32, "anchor_mode": "first",
+           "epochs": 40, "batch_size": 64, "lr": 1e-3, "p_noisy": 0.5},
+    "refine": {"epochs": 10, "batch_size": 64, "lr": 3e-4},
+    "reward": {"hidden": [64, 64], "epochs": 300, "batch_size": 64,
+               "lr": 3e-3, "neg_ratio": 30.0, "pos_weight": "sqrt"},
+    # reward_threshold turns the classifier's probability into the sparse
+    # reward, both in imagined RL and in `wovr eval --metric halluc`
+    "rl": {"inner_epochs": 2, "lr": 3e-4, "keyframe_k": 2,
+           "reward_threshold": 0.9, "explore_log_std": None},
+    # collect.n 0 means "use run.n_base"
+    "collect": {"n": 0},
+    "eval": {"n": 20, "metric": "sr", "horizons": [8, 16, 32, 64], "task": 0},
+}
+
+
+def deep_merge(base: dict, override: dict, path: str = "") -> dict:
+    """Merge override into base in place; keys absent from base are rejected."""
+    for key, value in override.items():
+        here = f"{path}.{key}" if path else key
+        if key not in base:
+            raise ConfigError(f"unknown config key {here!r}")
+        if isinstance(base[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key {here!r} must be a section")
+            deep_merge(base[key], value, here)
+        else:
+            base[key] = value
+    return base
+
+
+def validate_config(cfg: dict) -> dict:
+    """Raise ConfigError unless every range rule holds; returns cfg."""
+    run, plan = cfg["run"], cfg["plan"]
+    try:
+        rules = [
+            (0.0 < run["gamma"] <= 1.0, "run.gamma must lie in (0, 1]"),
+            (run["group_size"] >= 2, "run.group_size must be >= 2"),
+            (run["clip_eps"] > 0, "run.clip_eps must be positive"),
+            (0.0 <= run["kir_fraction"] <= 1.0, "run.kir_fraction must lie in [0, 1]"),
+            (run["diffusion_steps"] >= 1, "run.diffusion_steps must be >= 1"),
+            (run["chunk"] >= 1 and run["max_episode_len"] % run["chunk"] == 0,
+             "run.max_episode_len must be a multiple of a positive run.chunk"),
+            (run["n_base"] >= 1, "run.n_base must be >= 1"),
+            (run["n_evo"] >= 0, "run.n_evo must be non-negative"),
+            (plan["refinements"] in (0, 1), "plan.refinements must be 0 or 1"),
+            (plan["refinements"] == 1 or run["n_evo"] == 0,
+             "a plan without refinement cannot budget evolved rollouts"),
+            (plan["refinements"] == 0 or run["n_evo"] >= 1,
+             "a refinement stage needs evolved rollouts to train on"),
+            (plan["rl_updates_per_stage"] >= 0,
+             "plan.rl_updates_per_stage must be non-negative"),
+            (plan["groups_per_update"] >= 1, "plan.groups_per_update must be >= 1"),
+            (0.0 < plan["refine_mix_new"] <= 1.0,
+             "plan.refine_mix_new must lie in (0, 1]"),
+        ]
+    except TypeError as exc:
+        raise ConfigError(f"config value of the wrong type: {exc}") from exc
+    for ok, message in rules:
+        if not ok:
+            raise ConfigError(message)
+    return cfg
+
+
+def make_config(*overrides: dict) -> dict:
+    """DEFAULTS merged with each override in turn, then validated."""
+    cfg = copy.deepcopy(DEFAULTS)
+    for override in overrides:
+        deep_merge(cfg, override)
+    return validate_config(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +395,9 @@ class FrameEpisode:
         )
 
 
+_FRAME_HEADER = struct.Struct("<IIII")  # task_id, n_steps, d, a_dim
+
+
 def write_frames(path, episodes: list[FrameEpisode], env_name: str):
     name = env_name.encode()
     with open(path, "wb") as fh:
@@ -361,7 +409,7 @@ def write_frames(path, episodes: list[FrameEpisode], env_name: str):
         for ep in episodes:
             n_steps, a_dim = ep.actions.shape
             d = ep.states.shape[1]
-            fh.write(struct.pack("<IIII", ep.task.task_id, n_steps, d, a_dim))
+            fh.write(_FRAME_HEADER.pack(ep.task.task_id, n_steps, d, a_dim))
             fh.write(ep.states.astype("<f8").tobytes())
             fh.write(ep.actions.astype("<f8").tobytes())
 
@@ -375,25 +423,38 @@ def read_frames(path) -> tuple[list[FrameEpisode], str]:
         raise MalformedHeader(f"unsupported frame-set version {data[4]}")
     (name_len,) = struct.unpack_from("<H", data, 5)
     offset = 7
-    env_name = data[offset : offset + name_len].decode()
+    if offset + name_len + 4 > len(data):
+        raise TruncatedPayload("frame-set header ends inside the env name or episode count")
+    try:
+        env_name = data[offset : offset + name_len].decode("utf-8", errors="strict")
+    except UnicodeDecodeError as exc:
+        raise MalformedHeader(f"env name is not valid UTF-8: {exc}") from exc
     offset += name_len
     (n_eps,) = struct.unpack_from("<I", data, offset)
     offset += 4
+    if n_eps * _FRAME_HEADER.size > len(data) - offset:
+        raise TruncatedPayload(f"{n_eps} episode headers cannot fit in the remaining bytes")
     episodes = []
     for _ in range(n_eps):
-        task_id, n_steps, d, a_dim = struct.unpack_from("<IIII", data, offset)
-        offset += 16
+        if offset + _FRAME_HEADER.size > len(data):
+            raise TruncatedPayload("frame-set ends inside an episode header")
+        task_id, n_steps, d, a_dim = _FRAME_HEADER.unpack_from(data, offset)
+        offset += _FRAME_HEADER.size
         count_s = (n_steps + 1) * d
+        count_a = n_steps * a_dim
+        if 8 * (count_s + count_a) > len(data) - offset:
+            raise TruncatedPayload(
+                f"episode of {n_steps} steps (d={d}, a_dim={a_dim}) extends past end of file")
         states = np.frombuffer(data, dtype="<f8", count=count_s, offset=offset)
         offset += 8 * count_s
-        actions = np.frombuffer(data, dtype="<f8", count=n_steps * a_dim, offset=offset)
-        offset += 8 * n_steps * a_dim
+        actions = np.frombuffer(data, dtype="<f8", count=count_a, offset=offset)
+        offset += 8 * count_a
         episodes.append(
             FrameEpisode(TaskSpec(task_id), states.reshape(n_steps + 1, d).copy(),
                          actions.reshape(n_steps, a_dim).copy())
         )
     if offset != len(data):
-        raise TruncatedPayload("frame-set payload size mismatch")
+        raise MalformedHeader(f"{len(data) - offset} trailing bytes after frame-set payload")
     return episodes, env_name
 
 
@@ -417,7 +478,3 @@ def params_hash(params: dict) -> str:
         digest.update(str(arr.shape).encode())
         digest.update(arr.tobytes())
     return digest.hexdigest()
-
-
-def clone(traj: Trajectory, **changes) -> Trajectory:
-    return replace(traj, **changes)

@@ -28,18 +28,10 @@ class ChunkPolicy:
     to the action box at emission and the stored log-density is evaluated at
     the clipped value, so the behavior density of a stored chunk is exactly
     reproducible later.
-
-    aux_features, when given, is a deterministic map obs -> extra input
-    coordinates (of fixed size aux_dim) appended between the observation and
-    the task one-hot. It changes only the trunk's input layout, never the
-    recorded observations.
     """
 
     def __init__(self, obs_dim, n_tasks, horizon, a_dim, hidden=(64, 64),
-                 action_low=-2.0, action_high=2.0, init_log_std=-1.5, name="pi",
-                 aux_features=None, aux_dim: int = 0):
-        if (aux_features is None) != (aux_dim == 0):
-            raise ValueError("aux_features and aux_dim must be given together")
+                 action_low=-2.0, action_high=2.0, init_log_std=-1.5, name="pi"):
         self.obs_dim = obs_dim
         self.n_tasks = n_tasks
         self.horizon = horizon
@@ -49,9 +41,7 @@ class ChunkPolicy:
         self.action_high = action_high
         self.init_log_std = init_log_std
         self.name = name
-        self.aux_features = aux_features
-        self.aux_dim = aux_dim
-        self.trunk = Mlp(name, [obs_dim + aux_dim + n_tasks, *hidden, self.flat])
+        self.trunk = Mlp(name, [obs_dim + n_tasks, *hidden, self.flat])
 
     def init(self, rng: np.random.Generator) -> dict:
         params = self.trunk.init(rng)
@@ -59,10 +49,7 @@ class ChunkPolicy:
         return params
 
     def features(self, obs: np.ndarray, task) -> np.ndarray:
-        parts = [obs, one_hot(task.task_id, self.n_tasks)]
-        if self.aux_features is not None:
-            parts.insert(1, np.asarray(self.aux_features(obs), dtype=np.float64))
-        return np.concatenate(parts)
+        return np.concatenate([obs, one_hot(task.task_id, self.n_tasks)])
 
     def mean(self, params: dict, obs, task) -> np.ndarray:
         return self.trunk.apply(params, self.features(obs, task))
@@ -99,10 +86,6 @@ class ChunkPolicy:
             params[f"{self.name}.log_std"], LOG_STD_MIN, LOG_STD_MAX
         )
         return params
-
-
-def chunk_logprob(policy: ChunkPolicy, params: dict, obs, task, chunk) -> float:
-    return policy.logprob(params, obs, task, chunk)
 
 
 def discounted_return(traj: Trajectory, gamma: float) -> float:

@@ -12,14 +12,14 @@ from __future__ import annotations
 import json
 import logging
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import nn
-from .core import (InvariantViolation, RunConfig, TaskSpec, config_hash,
-                   derive_rng, derive_seed, params_hash)
+from .core import (InvariantViolation, TaskSpec, config_hash, derive_rng,
+                   derive_seed, params_hash)
 from .envs import CountingEnv, replay_frames
 from .grpo import ChunkPolicy, build_group, grpo_update
 from .nn import tmean, value_and_grad
@@ -27,59 +27,13 @@ from .reward import (RewardNet, label_episode_frames, predict_success,
                      sparse_reward, train_classifier)
 from .rollout import (GroupSpec, KeyframeBuffer, harvest_keyframes,
                       rollout_imagined, rollout_real, sample_start)
-from .sched import ResidencyLedger, run_iteration, write_event_log
+from .sched import run_iteration
 from .worldmodel import LearnedWorldModel, WmNet, train_wm, window_index
 
 log = logging.getLogger(__name__)
 
 STAGES = ("collect_base", "train_reward", "train_wm_base", "rl_base",
           "collect_evo", "refine_wm", "rl_evo")
-
-
-@dataclass
-class PaceStagePlan:
-    """Structure of a staged run: budgets, refinement count, RL effort.
-
-    refinements is 0 or 1: either the world model is refined once on
-    evolved-policy data (two collection stages, two RL stages) or never
-    (one collection, one RL stage against the base model).
-    """
-
-    n_base: int = 150
-    n_evo: int = 100
-    refinements: int = 1
-    rl_updates_per_stage: int = 20
-    groups_per_update: int = 4
-    reset_kir_between_stages: bool = True
-    refine_mix_new: float = 0.7
-
-    def __post_init__(self):
-        if self.refinements not in (0, 1):
-            raise ValueError("refinements must be 0 or 1")
-        if self.n_base < 1:
-            raise ValueError("n_base must be >= 1")
-        if self.n_evo < 0:
-            raise ValueError("n_evo must be non-negative")
-        if self.refinements == 0 and self.n_evo != 0:
-            raise ValueError("a plan without refinement cannot budget evolved rollouts")
-        if self.refinements == 1 and self.n_evo < 1:
-            raise ValueError("a refinement stage needs evolved rollouts to train on")
-        if self.rl_updates_per_stage < 0:
-            raise ValueError("rl_updates_per_stage must be non-negative")
-        if self.groups_per_update < 1:
-            raise ValueError("groups_per_update must be >= 1")
-        if not 0.0 < self.refine_mix_new <= 1.0:
-            raise ValueError("refine_mix_new must lie in (0, 1]")
-
-    @property
-    def total_budget(self) -> int:
-        return self.n_base + self.n_evo * self.refinements
-
-    @classmethod
-    def from_config(cls, config: RunConfig, **overrides) -> "PaceStagePlan":
-        fields = {"n_base": config.n_base, "n_evo": config.n_evo}
-        fields.update(overrides)
-        return cls(**fields)
 
 
 @dataclass
@@ -99,7 +53,6 @@ class PaceArtifacts:
     manifests: dict = field(default_factory=dict)
     logs: dict = field(default_factory=dict)
     audit: dict = field(default_factory=dict)
-    ledger: ResidencyLedger | None = None
     frames_base: list = field(default_factory=list)
     frames_evo: list = field(default_factory=list)
     trajectories: dict = field(default_factory=dict)
@@ -118,8 +71,6 @@ class PaceArtifacts:
                            ("audit", self.audit)):
             with open(out / f"{name}.json", "w") as f:
                 json.dump(blob, f, indent=1, sort_keys=True, default=_to_py)
-        if self.ledger is not None:
-            write_event_log(self.ledger, out / "residency.csv")
 
 
 def _to_py(obj):
@@ -244,31 +195,23 @@ def refine_wm(net: WmNet, base_params: dict, new_episodes, retained_episodes,
 
 
 def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
-                 reward_net: RewardNet, config: RunConfig,
-                 plan: PaceStagePlan, *,
-                 demos: list | None = None,
-                 wm_epochs: int = 40, wm_batch: int = 64, wm_lr: float = 1e-3,
-                 p_noisy: float = 0.5,
-                 refine_epochs: int = 10, refine_batch: int = 64,
-                 refine_lr: float = 3e-4,
-                 reward_epochs: int = 300, reward_batch: int = 64,
-                 reward_lr: float = 3e-3, reward_neg_ratio: float = 30.0,
-                 reward_pos_weight: float | str | None = "sqrt",
-                 rl_inner_epochs: int = 2, rl_lr: float = 3e-4,
-                 keyframe_k: int = 2, reward_threshold: float = 0.9,
-                 explore_log_std: float | None = None,
-                 ledger: ResidencyLedger | None = None) -> PaceArtifacts:
+                 reward_net: RewardNet, cfg: dict, *,
+                 demos: list | None = None) -> PaceArtifacts:
     """Run the staged pipeline end to end and return its artifacts.
 
-    Stage order is fixed: base collection, reward-classifier training, base
-    model training, imagined RL, then (with refinements=1) evolved collection
-    under the stage-one policy, model refinement, and a second RL stage. The
-    reward classifier is trained once, on the base collection, and stays
-    fixed. Real env steps may occur only in the two collection stages; every
-    other stage must leave the step counter unchanged, and the total number
-    of collected trajectories must equal the planned budget. Violations abort
-    the run. A stage that raises is wrapped in StageFailure carrying the
-    artifacts produced so far.
+    cfg is a validated config dict (see core.DEFAULTS): the stage structure
+    and budgets come from its run and plan sections, the training
+    hyperparameters from wm, refine, reward and rl. Stage order is fixed:
+    base collection, reward-classifier training, base model training,
+    imagined RL, then (with plan.refinements=1) evolved collection under the
+    stage-one policy, model refinement, and a second RL stage. The reward
+    classifier is trained once, on the base collection, and stays fixed.
+    Real env steps may occur only in the two collection stages; every other
+    stage must leave the step counter unchanged, and the total number of
+    collected trajectories must equal the budget,
+    run.n_base + run.n_evo * plan.refinements. Violations abort the run. A
+    stage that raises is wrapped in StageFailure carrying the artifacts
+    produced so far.
 
     When the cloning demos are passed in, their frames (reconstructed by
     replaying the stored actions, so no counted interaction happens) are
@@ -276,19 +219,19 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
     sliver of what a weak base policy collects, so the demos carry most of
     the positive class and nearly all of the carry-and-release dynamics.
     """
-    if plan.n_base != config.n_base or plan.n_evo != config.n_evo:
-        raise InvariantViolation("stage plan budgets disagree with the run config")
     counter = env if isinstance(env, CountingEnv) else CountingEnv(env)
-    seed = config.seed
-    T, H = config.max_episode_len, config.chunk
-    cfg_hash = config_hash({"config": asdict(config), "plan": asdict(plan)})
+    seed, run, plan = cfg["seed"], cfg["run"], cfg["plan"]
+    w, f, r, rl = cfg["wm"], cfg["refine"], cfg["reward"], cfg["rl"]
+    T, H = run["max_episode_len"], run["chunk"]
+    n_base, n_evo = run["n_base"], run["n_evo"]
+    budget = n_base + n_evo * plan["refinements"]
+    cfg_hash = config_hash(cfg)
     # replay against the unwrapped env: stored data, not new interaction
     demo_eps = [replay_frames(counter.env, d) for d in demos] if demos else []
 
     art = PaceArtifacts()
-    art.ledger = ledger if ledger is not None else ResidencyLedger()
     art.manifests["run"] = {"config": cfg_hash, "env": counter.name}
-    art.audit = {"budget": plan.total_budget, "stages": []}
+    art.audit = {"budget": budget, "stages": []}
     collected = {"n": 0}
 
     @contextmanager
@@ -308,7 +251,7 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
     def collect(params, n, tag):
         trajs, frames = [], []
         for i in range(n):
-            if collected["n"] >= plan.total_budget:
+            if collected["n"] >= budget:
                 raise InvariantViolation("real rollout budget exhausted")
             task = TaskSpec(i % counter.n_tasks)
             t, f = rollout_real(policy, params, counter, task, 1, T, H,
@@ -321,21 +264,21 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
     buffer = KeyframeBuffer()
 
     with stage("collect_base") as row:
-        trajs_base, frames_base = collect(base_params, plan.n_base, 11)
-        harvest_keyframes(trajs_base, keyframe_k, buffer)
-        row["trajectories"] = plan.n_base
+        trajs_base, frames_base = collect(base_params, n_base, 11)
+        harvest_keyframes(trajs_base, rl["keyframe_k"], buffer)
+        row["trajectories"] = n_base
     art.trajectories["base"] = trajs_base
     art.frames_base = frames_base
     art.policy_stages["base"] = base_params
     art.manifests["collect_base"] = {"policy": params_hash(base_params),
-                                     "n": plan.n_base, "config": cfg_hash}
+                                     "n": n_base, "config": cfg_hash}
 
     with stage("train_reward"):
         examples = label_episode_frames(frames_base + demo_eps, counter)
         reward_params, reward_losses = train_classifier(
-            examples, reward_net, derive_rng(seed, 12), epochs=reward_epochs,
-            batch_size=reward_batch, lr=reward_lr,
-            max_neg_ratio=reward_neg_ratio, pos_weight=reward_pos_weight)
+            examples, reward_net, derive_rng(seed, 12), epochs=r["epochs"],
+            batch_size=r["batch_size"], lr=r["lr"],
+            max_neg_ratio=r["neg_ratio"], pos_weight=r["pos_weight"])
     art.reward = reward_params
     art.logs["reward"] = reward_losses
     art.manifests["reward"] = {"params": params_hash(reward_params),
@@ -347,8 +290,8 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
     wm_corpus = frames_base + demo_eps
     with stage("train_wm_base"):
         wm_base_params, wm_base_losses = train_wm(
-            wm_corpus, wm_net, derive_rng(seed, 13), epochs=wm_epochs,
-            batch_size=wm_batch, lr=wm_lr, p_noisy=p_noisy)
+            wm_corpus, wm_net, derive_rng(seed, 13), epochs=w["epochs"],
+            batch_size=w["batch_size"], lr=w["lr"], p_noisy=w["p_noisy"])
     art.wm_base = wm_base_params
     art.logs["wm_base"] = wm_base_losses
     art.manifests["wm_base"] = {"params": params_hash(wm_base_params),
@@ -358,40 +301,38 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
 
     with stage("rl_base"):
         entry = {k: v.copy() for k, v in base_params.items()}
-        if explore_log_std is not None:
+        if rl["explore_log_std"] is not None:
             key = f"{policy.name}.log_std"
-            entry[key] = np.maximum(entry[key], explore_log_std)
+            entry[key] = np.maximum(entry[key], rl["explore_log_std"])
         params_s1, rl_logs_1 = _rl_stage(
             policy, entry, wm_net, wm_base_params, reward_net, reward_params,
-            counter, config, plan, buffer, art.ledger, seed, tag=14,
-            iteration0=0, inner_epochs=rl_inner_epochs, lr=rl_lr,
-            keyframe_k=keyframe_k, threshold=reward_threshold)
+            counter, cfg, buffer, tag=14)
     art.policy_stages["stage1"] = params_s1
     art.logs["rl"] = [rl_logs_1]
     art.manifests["policy_stage1"] = {"params": params_hash(params_s1),
                                       "wm": params_hash(wm_base_params),
                                       "config": cfg_hash}
 
-    if plan.refinements == 0:
+    if plan["refinements"] == 0:
         art.policy = params_s1
-        _finalize_audit(art, counter, plan, collected["n"])
+        _finalize_audit(art, plan, budget, collected["n"])
         return art
 
     with stage("collect_evo") as row:
-        trajs_evo, frames_evo = collect(params_s1, plan.n_evo, 15)
-        row["trajectories"] = plan.n_evo
+        trajs_evo, frames_evo = collect(params_s1, n_evo, 15)
+        row["trajectories"] = n_evo
     art.trajectories["evo"] = trajs_evo
     art.frames_evo = frames_evo
-    manifest_evo = {"policy": params_hash(params_s1), "n": plan.n_evo,
+    manifest_evo = {"policy": params_hash(params_s1), "n": n_evo,
                     "config": cfg_hash}
     art.manifests["collect_evo"] = manifest_evo
 
     with stage("refine_wm"):
         wm_evo_params, wm_evo_losses, refine_info = refine_wm(
             wm_net, wm_base_params, frames_evo, wm_corpus,
-            derive_rng(seed, 16), epochs=refine_epochs,
-            batch_size=refine_batch, lr=refine_lr, p_noisy=p_noisy,
-            mix_new=plan.refine_mix_new, manifest=manifest_evo,
+            derive_rng(seed, 16), epochs=f["epochs"],
+            batch_size=f["batch_size"], lr=f["lr"], p_noisy=w["p_noisy"],
+            mix_new=plan["refine_mix_new"], manifest=manifest_evo,
             expected_policy_hash=params_hash(params_s1))
     art.wm_evo = wm_evo_params
     art.logs["wm_evo"] = wm_evo_losses
@@ -403,15 +344,12 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
                                "config": cfg_hash}
 
     with stage("rl_evo"):
-        if plan.reset_kir_between_stages:
+        if plan["reset_kir_between_stages"]:
             buffer.clear()
-        harvest_keyframes(trajs_evo, keyframe_k, buffer)
+        harvest_keyframes(trajs_evo, rl["keyframe_k"], buffer)
         params_s2, rl_logs_2 = _rl_stage(
             policy, params_s1, wm_net, wm_evo_params, reward_net,
-            reward_params, counter, config, plan, buffer, art.ledger, seed,
-            tag=17, iteration0=plan.rl_updates_per_stage,
-            inner_epochs=rl_inner_epochs, lr=rl_lr, keyframe_k=keyframe_k,
-            threshold=reward_threshold)
+            reward_params, counter, cfg, buffer, tag=17)
     art.policy_stages["stage2"] = params_s2
     art.logs["rl"].append(rl_logs_2)
     art.manifests["policy_stage2"] = {"params": params_hash(params_s2),
@@ -419,53 +357,54 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
                                       "config": cfg_hash}
 
     art.policy = params_s2
-    _finalize_audit(art, counter, plan, collected["n"])
+    _finalize_audit(art, plan, budget, collected["n"])
     return art
 
 
-def _rl_stage(policy, params0, wm_net, wm_params, reward_net, reward_params,
-              counter, config, plan, buffer, ledger, seed, tag, iteration0,
-              inner_epochs, lr, keyframe_k, threshold):
-    """One imagined-RL stage: rl_updates_per_stage residency iterations.
+def _rl_stage(policy, params, wm_net, wm_params, reward_net, reward_params,
+              env, cfg, buffer, tag):
+    """One imagined-RL stage: plan.rl_updates_per_stage GRPO updates.
 
-    Every iteration runs its rollouts against immutable snapshots and applies
-    the policy update in the training phase; the real env is touched only to
-    draw initial start states (resets, never steps).
+    Each update runs its rollouts against immutable parameter snapshots
+    (sched.run_iteration), then applies the policy update. The real env is
+    touched only to draw initial start states (resets, never steps).
     """
-    state = {"params": params0, "opt": None}
+    seed, run, plan, rl = cfg["seed"], cfg["run"], cfg["plan"], cfg["rl"]
+    state = {"params": params, "opt": None}
     start_rng = derive_rng(seed, tag, 3)
-    n_tasks = counter.n_tasks
-    T, H = config.max_episode_len, config.chunk
+    n_tasks = env.n_tasks
+    T, H = run["max_episode_len"], run["chunk"]
+    groups_per_update = plan["groups_per_update"]
     logs = []
 
-    for u in range(plan.rl_updates_per_stage):
+    for u in range(plan["rl_updates_per_stage"]):
         def rollout_fn(pol_snap, wm_snap, rew_snap, _u=u):
-            wm = LearnedWorldModel(wm_net, wm_snap.params, config.diffusion_steps)
+            wm = LearnedWorldModel(wm_net, wm_snap.params, run["diffusion_steps"])
 
             def reward_fn(frame, task):
                 prob = predict_success(reward_net, rew_snap.params, frame, task)
-                return sparse_reward(prob, threshold)
+                return sparse_reward(prob, rl["reward_threshold"])
 
             groups, kinds = [], []
-            for g in range(plan.groups_per_update):
-                task = TaskSpec((_u * plan.groups_per_update + g) % n_tasks)
+            for g in range(groups_per_update):
+                task = TaskSpec((_u * groups_per_update + g) % n_tasks)
                 start, kind = sample_start(
-                    buffer, task, config.kir_fraction,
-                    lambda r: counter.reset_state(task, r), start_rng)
-                spec = GroupSpec(task, start, kind, config.group_size)
+                    buffer, task, run["kir_fraction"],
+                    lambda r: env.reset_state(task, r), start_rng)
+                spec = GroupSpec(task, start, kind, run["group_size"])
                 trajs = rollout_imagined(policy, pol_snap.params, wm,
                                          reward_fn, spec, T, H,
                                          derive_seed(seed, tag, _u, g))
-                harvest_keyframes(trajs, keyframe_k, buffer)
+                harvest_keyframes(trajs, rl["keyframe_k"], buffer)
                 kinds.append(kind)
-                groups.append(build_group(trajs, config.gamma))
+                groups.append(build_group(trajs, run["gamma"]))
             return groups, kinds
 
         def trainer_fn(rollouts, _u=u):
             groups, kinds = rollouts
             new_params, new_opt, glogs = grpo_update(
-                policy, state["params"], groups, config.clip_eps,
-                inner_epochs, state["opt"], lr=lr)
+                policy, state["params"], groups, run["clip_eps"],
+                rl["inner_epochs"], state["opt"], lr=rl["lr"])
             state["params"], state["opt"] = new_params, new_opt
             record = {"update": _u,
                       "mean_return": float(np.mean([g.returns.mean() for g in groups])),
@@ -476,24 +415,22 @@ def _rl_stage(policy, params0, wm_net, wm_params, reward_net, reward_params,
                 record.update(glogs[-1])
             return record
 
-        record, _ = run_iteration(state["params"], wm_params, reward_params,
-                                  rollout_fn, trainer_fn, ledger,
-                                  iteration=iteration0 + u)
-        logs.append(record)
+        logs.append(run_iteration(state["params"], wm_params, reward_params,
+                                  rollout_fn, trainer_fn))
     return state["params"], logs
 
 
-def _finalize_audit(art: PaceArtifacts, counter, plan, n_collected):
+def _finalize_audit(art: PaceArtifacts, plan: dict, budget: int, n_collected: int):
     rows = art.audit["stages"]
     for row in rows:
         if row["stage"] not in ("collect_base", "collect_evo") and row["env_steps"]:
             raise InvariantViolation(
                 f"real env steps leaked into stage {row['stage']!r}")
-    if n_collected != plan.total_budget:
+    if n_collected != budget:
         raise InvariantViolation(
-            f"collected {n_collected} trajectories, budget is {plan.total_budget}")
+            f"collected {n_collected} trajectories, budget is {budget}")
     order = [row["stage"] for row in rows]
-    expected = list(STAGES[:4]) if plan.refinements == 0 else list(STAGES)
+    expected = list(STAGES[:4]) if plan["refinements"] == 0 else list(STAGES)
     if order != expected:
         raise InvariantViolation(f"stages ran out of order: {order}")
     art.audit["trajectories_total"] = n_collected

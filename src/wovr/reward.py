@@ -1,4 +1,4 @@
-"""Learned sparse reward: a binary success classifier thresholded at 0.5.
+"""Learned sparse reward: a binary success classifier, thresholded to 0/1.
 
 The classifier maps (state, task token) to a success logit. Training data is
 labeled by the environment's own success predicate on collected frames, with

@@ -1,18 +1,15 @@
-"""Collocated phase orchestration with explicit parameter residency.
+"""Rollout/train phase alternation over hash-checked parameter snapshots.
 
-Each iteration alternates one rollout phase and one training phase. The
-ledger models accelerator memory as a resident set: components declare sizes,
-swaps (onload/offload) are legal only between phases, and the rollout phase
-reads parameter snapshots that are write-protected and hash-checked, so any
-mid-phase mutation or swap is a hard error rather than a silent race.
+Each iteration runs one rollout phase, then one training phase. The rollout
+phase reads only write-protected copies of the policy, world-model and reward
+parameters. The live parameters are hashed before and after it, so a
+mid-phase mutation is a hard error rather than a silent race.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .core import InvariantViolation, params_hash
-
-COMPONENTS = ("gen", "sim", "trainer")
 
 
 class Snapshot:
@@ -45,104 +42,20 @@ def snapshot_params(params) -> Snapshot:
     return Snapshot(params)
 
 
-class ResidencyLedger:
-    """Resident-set bookkeeping plus the boundary-only swap event log."""
-
-    def __init__(self, capacity: float | None = None):
-        self.capacity = capacity
-        self.sizes: dict[str, float] = {}
-        self.resident: dict[str, bool] = {}
-        self.events: list[tuple[int, str, str, str]] = []
-        self.phase: str | None = None
-
-    def register(self, component: str, size: float = 1.0):
-        if size < 0:
-            raise ValueError("component size must be >= 0")
-        self.sizes[component] = float(size)
-        self.resident.setdefault(component, False)
-
-    @property
-    def swap_count(self) -> int:
-        return len(self.events)
-
-    def resident_size(self) -> float:
-        return sum(self.sizes[c] for c, r in self.resident.items() if r)
-
-    def _check_boundary(self, component: str, event: str):
-        if component not in self.sizes:
-            raise KeyError(f"unregistered component {component!r}")
-        if self.phase is not None:
-            raise InvariantViolation(
-                f"{event}({component}) requested inside {self.phase} phase; "
-                "swaps are legal only at phase boundaries")
-
-    def onload(self, component: str, iteration: int, boundary: str):
-        self._check_boundary(component, "onload")
-        if self.resident[component]:
-            raise InvariantViolation(f"{component} is already resident")
-        if self.capacity is not None:
-            if self.resident_size() + self.sizes[component] > self.capacity:
-                raise InvariantViolation(
-                    f"onload({component}) exceeds capacity "
-                    f"{self.capacity}: resident {self.resident_size()}"
-                    f" + {self.sizes[component]}")
-        self.resident[component] = True
-        self.events.append((iteration, boundary, component, "onload"))
-
-    def offload(self, component: str, iteration: int, boundary: str):
-        self._check_boundary(component, "offload")
-        if not self.resident[component]:
-            raise InvariantViolation(f"{component} is not resident")
-        self.resident[component] = False
-        self.events.append((iteration, boundary, component, "offload"))
-
-    def enter_phase(self, phase: str):
-        if self.phase is not None:
-            raise InvariantViolation(f"cannot enter {phase}: already in {self.phase}")
-        self.phase = phase
-
-    def exit_phase(self):
-        if self.phase is None:
-            raise InvariantViolation("no phase to exit")
-        self.phase = None
-
-    def to_csv(self) -> str:
-        lines = ["iteration,boundary,component,event"]
-        for it, boundary, component, event in self.events:
-            lines.append(f"{it},{boundary},{component},{event}")
-        return "\n".join(lines) + "\n"
-
-
-def write_event_log(ledger: ResidencyLedger, path):
-    with open(path, "w") as fh:
-        fh.write(ledger.to_csv())
-
-
-def run_iteration(policy_params, wm_params, reward_params, rollout_fn, trainer_fn,
-                  ledger: ResidencyLedger, iteration: int = 0,
-                  persist_trainer: bool = False):
-    """One rollout phase then one training phase, with boundary-only swaps.
+def run_iteration(policy_params, wm_params, reward_params, rollout_fn, trainer_fn):
+    """One rollout phase then one training phase; returns trainer_fn's result.
 
     rollout_fn(policy_snap, wm_snap, reward_snap) runs against immutable
     snapshots and returns the rollout artifacts; trainer_fn(artifacts) applies
-    the updates and returns its result. Emits exactly six events per
-    iteration in the symmetric protocol (persist_trainer keeps the trainer
-    resident across iterations, eliding its swap events).
+    the updates. Raises InvariantViolation if the live parameters changed
+    during the rollout phase or a snapshot no longer matches them.
     """
-    for component in COMPONENTS:
-        if component not in ledger.sizes:
-            ledger.register(component)
-
-    ledger.onload("gen", iteration, "rollout_start")
-    ledger.onload("sim", iteration, "rollout_start")
     snaps = (snapshot_params(policy_params), snapshot_params(wm_params),
              snapshot_params(reward_params))
     live = (policy_params, wm_params, reward_params)
     before = tuple(params_hash(p) for p in live)
 
-    ledger.enter_phase("rollout")
     artifacts = rollout_fn(*snaps)
-    ledger.exit_phase()
 
     after = tuple(params_hash(p) for p in live)
     if before != after:
@@ -151,15 +64,4 @@ def run_iteration(policy_params, wm_params, reward_params, rollout_fn, trainer_f
         if snap.hash != h:
             raise InvariantViolation("snapshot diverged from phase-start parameters")
 
-    ledger.offload("gen", iteration, "rollout_end")
-    ledger.offload("sim", iteration, "rollout_end")
-    if not ledger.resident["trainer"]:
-        ledger.onload("trainer", iteration, "train_start")
-
-    ledger.enter_phase("train")
-    result = trainer_fn(artifacts)
-    ledger.exit_phase()
-
-    if not persist_trainer:
-        ledger.offload("trainer", iteration, "train_end")
-    return result, ledger
+    return trainer_fn(artifacts)

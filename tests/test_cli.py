@@ -88,6 +88,15 @@ def test_bad_set_value_rejected(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+def test_out_of_range_config_exits_before_run_dir(tmp_path, capsys):
+    root = tmp_path / "runs"
+    code = parse_and_dispatch(["demo-gen", "--set", "run.gamma=0",
+                               "--run-root", str(root)])
+    assert code == EXIT_CONFIG
+    assert "run.gamma" in capsys.readouterr().err
+    assert not root.exists()
+
+
 def test_invariant_violation_exit_code(tmp_path, monkeypatch, capsys):
     def boom(cfg, run_dir, args):
         raise InvariantViolation("planted")
@@ -211,7 +220,6 @@ def test_workflow_artifacts_exist(workflow):
     for key in ("demos", "policy", "frames", "wm", "reward"):
         assert workflow[key].exists()
     assert (workflow["rl_dir"] / "policy.wovc").exists()
-    assert (workflow["rl_dir"] / "residency.csv").exists()
     assert (workflow["eval_sr_dir"] / "eval.json").exists()
     assert (workflow["eval_h_dir"] / "horizon.csv").exists()
 
@@ -232,7 +240,7 @@ def test_workflow_demo_manifest(workflow):
 def test_workflow_pace_artifacts(workflow):
     d = workflow["pace_dir"]
     for name in ("policy.wovc", "wm_base.wovc", "wm_evo.wovc", "reward.wovc",
-                 "manifests.json", "logs.json", "audit.json", "residency.csv"):
+                 "manifests.json", "logs.json", "audit.json"):
         assert (d / name).exists(), name
     audit = json.loads((d / "audit.json").read_text())
     assert audit["trajectories_total"] == 16
@@ -255,6 +263,22 @@ def test_workflow_eval_missing_wm_flag(workflow, capsys):
         "--run-root", str(workflow["base"] / "runs" / "bad"),
         "--policy", str(workflow["policy"]), "--metric", "horizon"])
     assert code == EXIT_CONFIG
+
+
+def test_workflow_halluc_thresholds_at_rl_reward_threshold(workflow, capsys):
+    root = workflow["base"] / "halluc"
+    argv = ["eval", "--config", str(workflow["cfg"]), "--run-root", str(root),
+            "--policy", str(workflow["policy"]), "--metric", "halluc",
+            "--wm", str(workflow["wm"]), "--reward", str(workflow["reward"])]
+    assert parse_and_dispatch(argv + ["--set", "reward.threshold=0.5"]) \
+        == EXIT_CONFIG
+    # at threshold 0 every imagined episode succeeds on its first frame, so
+    # no real success can go missed
+    assert parse_and_dispatch(argv + ["--set", "rl.reward_threshold=0.0"]) \
+        == EXIT_OK
+    (run_dir,) = root.iterdir()
+    rep = EvalReport.from_json((run_dir / "eval.json").read_text())
+    assert rep.hallucination["missed"] == 0
 
 
 def test_workflow_report_aggregates(workflow, capsys):

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from wovr.core import (
+    DEFAULTS,
+    ConfigError,
     FrameEpisode,
     InvariantViolation,
     MalformedHeader,
@@ -14,13 +16,13 @@ from wovr.core import (
     decode_trajectory,
     derive_rng,
     encode_trajectory,
+    make_config,
     one_hot,
     params_hash,
     read_frames,
     read_store,
     write_frames,
     write_store,
-    RunConfig,
 )
 
 
@@ -185,14 +187,13 @@ def test_params_hash_orders_keys_and_sees_values():
 
 
 def test_run_config_validation():
-    RunConfig()
+    assert make_config() == DEFAULTS
+    for bad in ({"gamma": 0.0}, {"gamma": 1.2}, {"group_size": 1},
+                {"clip_eps": 0.0}, {"kir_fraction": 1.5},
+                {"diffusion_steps": 0}, {"max_episode_len": 63}, {"chunk": 0},
+                {"gamma": "high"}):
+        with pytest.raises(ConfigError):
+            make_config({"run": bad})
+    # a config error is still a ValueError
     with pytest.raises(ValueError):
-        RunConfig(gamma=0.0)
-    with pytest.raises(ValueError):
-        RunConfig(gamma=1.2)
-    with pytest.raises(ValueError):
-        RunConfig(group_size=1)
-    with pytest.raises(ValueError):
-        RunConfig(max_episode_len=63)
-    with pytest.raises(ValueError):
-        RunConfig(kir_fraction=1.5)
+        make_config({"run": {"warp_factor": 9}})

@@ -6,7 +6,6 @@ from wovr.grpo import (
     ChunkPolicy,
     GroupBatch,
     build_group,
-    chunk_logprob,
     clipped_term,
     discounted_return,
     group_advantages,
@@ -34,9 +33,9 @@ def one_step_traj(obs, chunk, reward, logp, task_id=0):
 def test_logprob_analytic_standard_normal():
     pol, params = unit_policy()
     obs = np.array([0.3, -0.1])
-    at_mean = chunk_logprob(pol, params, obs, TaskSpec(0), np.array([[0.0]]))
+    at_mean = pol.logprob(params, obs, TaskSpec(0), np.array([[0.0]]))
     assert at_mean == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-12)
-    one_std = chunk_logprob(pol, params, obs, TaskSpec(0), np.array([[1.0]]))
+    one_std = pol.logprob(params, obs, TaskSpec(0), np.array([[1.0]]))
     assert one_std == pytest.approx(at_mean - 0.5, abs=1e-12)
 
 
@@ -47,7 +46,7 @@ def test_logprob_integrates_to_one():
     mu = pol.mean(params, obs, TaskSpec(0))[0]
     sigma = np.exp(pol.log_std(params))[0]
     grid = np.linspace(mu - 8 * sigma, mu + 8 * sigma, 4001)
-    dens = [np.exp(chunk_logprob(pol, params, obs, TaskSpec(0), np.array([[a]]))) for a in grid]
+    dens = [np.exp(pol.logprob(params, obs, TaskSpec(0), np.array([[a]]))) for a in grid]
     assert np.trapezoid(dens, grid) == pytest.approx(1.0, abs=1e-3)
 
 

@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from wovr.core import (FrameEpisode, InvariantViolation, RunConfig, TaskSpec,
-                       derive_rng, params_hash)
+from wovr.core import (ConfigError, FrameEpisode, InvariantViolation,
+                       TaskSpec, derive_rng, make_config, params_hash)
 from wovr.envs import CountingEnv, get_env, scripted_demo
 from wovr.grpo import ChunkPolicy
-from wovr.pace import (STAGES, PaceArtifacts, PaceStagePlan, StageFailure,
-                       clone_base_policy, refine_wm, run_pipeline)
+from wovr.pace import (STAGES, PaceArtifacts, StageFailure, clone_base_policy,
+                       refine_wm, run_pipeline)
 from wovr.reward import RewardNet
 from wovr.worldmodel import (WmNet, build_context, sample_chunk, train_wm,
                              window_index)
@@ -21,35 +21,18 @@ H, T = 4, 16
 # stage plan
 
 
-def test_plan_budget_and_defaults():
-    plan = PaceStagePlan()
-    assert plan.total_budget == 250
-    assert PaceStagePlan(n_base=150, n_evo=0, refinements=0).total_budget == 150
-
-
 def test_plan_rejects_bad_fields():
-    with pytest.raises(ValueError):
-        PaceStagePlan(refinements=2)
-    with pytest.raises(ValueError):
-        PaceStagePlan(n_base=0)
-    with pytest.raises(ValueError):
-        PaceStagePlan(n_evo=-1)
-    with pytest.raises(ValueError):
-        PaceStagePlan(n_evo=50, refinements=0)
-    with pytest.raises(ValueError):
-        PaceStagePlan(n_evo=0, refinements=1)
-    with pytest.raises(ValueError):
-        PaceStagePlan(rl_updates_per_stage=-1)
-    with pytest.raises(ValueError):
-        PaceStagePlan(groups_per_update=0)
-    with pytest.raises(ValueError):
-        PaceStagePlan(refine_mix_new=0.0)
-
-
-def test_plan_from_config():
-    cfg = RunConfig(n_base=30, n_evo=10)
-    plan = PaceStagePlan.from_config(cfg, rl_updates_per_stage=5)
-    assert (plan.n_base, plan.n_evo, plan.rl_updates_per_stage) == (30, 10, 5)
+    for bad in ({"plan": {"refinements": 2}},
+                {"run": {"n_base": 0}},
+                {"run": {"n_evo": -1}},
+                {"run": {"n_evo": 50}, "plan": {"refinements": 0}},
+                {"run": {"n_evo": 0}, "plan": {"refinements": 1}},
+                {"plan": {"rl_updates_per_stage": -1}},
+                {"plan": {"groups_per_update": 0}},
+                {"plan": {"refine_mix_new": 0.0}}):
+        with pytest.raises(ConfigError):
+            make_config(bad)
+    make_config({"run": {"n_evo": 0}, "plan": {"refinements": 0}})
 
 
 # ---------------------------------------------------------------------------
@@ -238,21 +221,20 @@ def small_nets(env):
     return wm_net, rew_net
 
 
-def small_run(env, policy, params, n_base, n_evo, seed=3, **kw):
-    cfg = RunConfig(seed=seed, group_size=4, chunk=H, context=2,
-                    max_episode_len=T, n_base=n_base, n_evo=n_evo,
-                    diffusion_steps=3)
-    defaults = dict(refinements=1, rl_updates_per_stage=2, groups_per_update=2)
-    plan_kw = {k: kw.pop(k) for k in list(kw) if k in (
-        "refinements", "rl_updates_per_stage", "groups_per_update",
-        "reset_kir_between_stages", "refine_mix_new")}
-    defaults.update(plan_kw)
-    plan = PaceStagePlan(n_base=n_base, n_evo=n_evo, **defaults)
+SMALL = {"run": {"group_size": 4, "chunk": H, "context": 2,
+                 "max_episode_len": T, "diffusion_steps": 3},
+         "plan": {"rl_updates_per_stage": 2, "groups_per_update": 2},
+         "wm": {"epochs": 3, "batch_size": 32}, "refine": {"epochs": 2},
+         "reward": {"epochs": 15}, "rl": {"inner_epochs": 1}}
+
+
+def small_run(env, policy, params, n_base, n_evo, *overrides, seed=3,
+              demos=None):
+    cfg = make_config(SMALL, {"seed": seed,
+                              "run": {"n_base": n_base, "n_evo": n_evo}},
+                      *overrides)
     wm_net, rew_net = small_nets(env)
-    hypers = dict(wm_epochs=3, wm_batch=32, refine_epochs=2, reward_epochs=15,
-                  rl_inner_epochs=1)
-    hypers.update(kw)
-    return run_pipeline(env, policy, params, wm_net, rew_net, cfg, plan, **hypers)
+    return run_pipeline(env, policy, params, wm_net, rew_net, cfg, demos=demos)
 
 
 @pytest.fixture(scope="module")
@@ -283,13 +265,6 @@ def test_pipeline_budget_audit(pipeline_run):
         r["env_steps"] for r in pipeline_run.audit["stages"])
 
 
-def test_pipeline_residency_events(pipeline_run):
-    # 2 RL stages x 2 updates x 6 events each
-    events = pipeline_run.ledger.events
-    assert len(events) == 24
-    assert [e[0] for e in events[::6]] == [0, 1, 2, 3]
-
-
 def test_pipeline_artifact_completeness(pipeline_run):
     art = pipeline_run
     assert set(art.policy_stages) == {"base", "stage1", "stage2"}
@@ -312,15 +287,17 @@ def test_pipeline_manifest_linkage(pipeline_run):
 
 def test_pipeline_zero_rl_updates_keeps_base(reach_env, base_policy):
     policy, params = base_policy
-    art = small_run(reach_env, policy, params, 8, 4, rl_updates_per_stage=0)
+    art = small_run(reach_env, policy, params, 8, 4,
+                    {"plan": {"rl_updates_per_stage": 0}})
     assert all(np.array_equal(art.policy[k], params[k]) for k in params)
-    assert len(art.ledger.events) == 0
+    assert art.logs["rl"] == [[], []]
 
 
 def test_pipeline_explore_floor(reach_env, base_policy):
     policy, params = base_policy
-    art = small_run(reach_env, policy, params, 8, 4, rl_updates_per_stage=0,
-                    explore_log_std=-1.0)
+    art = small_run(reach_env, policy, params, 8, 4,
+                    {"plan": {"rl_updates_per_stage": 0},
+                     "rl": {"explore_log_std": -1.0}})
     s1 = art.policy_stages["stage1"]
     assert np.array_equal(s1["pi.log_std"],
                           np.maximum(params["pi.log_std"], -1.0))
@@ -330,23 +307,14 @@ def test_pipeline_explore_floor(reach_env, base_policy):
 
 def test_pipeline_without_refinement(reach_env, base_policy):
     policy, params = base_policy
-    art = small_run(reach_env, policy, params, 12, 0, refinements=0)
+    art = small_run(reach_env, policy, params, 12, 0,
+                    {"plan": {"refinements": 0}})
     assert [r["stage"] for r in art.audit["stages"]] == list(STAGES[:4])
     assert art.wm_evo is None
     assert art.audit["trajectories_total"] == 12
     assert art.policy is art.policy_stages["stage1"]
     assert "stage2" not in art.policy_stages
-    assert len(art.ledger.events) == 12
-
-
-def test_pipeline_plan_config_mismatch(reach_env, base_policy):
-    policy, params = base_policy
-    cfg = RunConfig(seed=3, chunk=H, context=2, max_episode_len=T,
-                    n_base=12, n_evo=8)
-    plan = PaceStagePlan(n_base=10, n_evo=8)
-    wm_net, rew_net = small_nets(reach_env)
-    with pytest.raises(InvariantViolation):
-        run_pipeline(reach_env, policy, params, wm_net, rew_net, cfg, plan)
+    assert [len(stage) for stage in art.logs["rl"]] == [2]
 
 
 def test_pipeline_stage_failure_preserves_artifacts(reach_env):
@@ -391,9 +359,6 @@ def test_artifacts_write(tmp_path, pipeline_run):
     for name in ("manifests", "logs", "audit"):
         with open(out / f"{name}.json") as f:
             json.load(f)
-    lines = (out / "residency.csv").read_text().strip().split("\n")
-    assert lines[0] == "iteration,boundary,component,event"
-    assert len(lines) == 25
 
 
 def test_pipeline_demo_enrichment(reach_env, reach_demos, base_policy):

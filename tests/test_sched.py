@@ -2,22 +2,12 @@ import numpy as np
 import pytest
 
 from wovr.core import InvariantViolation, params_hash
-from wovr.sched import (
-    ResidencyLedger,
-    Snapshot,
-    run_iteration,
-    snapshot_params,
-    write_event_log,
-)
+from wovr.sched import run_iteration, snapshot_params
 
 
 def toy_params(seed=0):
     rng = np.random.default_rng(seed)
     return {"w": rng.normal(size=(3, 3)), "b": rng.normal(size=3)}
-
-
-def noop_rollout(pi, wm, rw):
-    return {"trajs": []}
 
 
 def noop_trainer(artifacts):
@@ -54,55 +44,7 @@ def test_snapshot_arrays_write_protected():
         snap.params["w"][0, 0] = 1.0
 
 
-# -- ledger ---------------------------------------------------------------------
-
-
-def test_event_order_single_iteration():
-    ledger = ResidencyLedger()
-    _, ledger = run_iteration(toy_params(1), toy_params(2), toy_params(3),
-                              noop_rollout, noop_trainer, ledger, iteration=0)
-    assert len(ledger.events) == 6
-    assert [(b, c, e) for _, b, c, e in ledger.events] == [
-        ("rollout_start", "gen", "onload"),
-        ("rollout_start", "sim", "onload"),
-        ("rollout_end", "gen", "offload"),
-        ("rollout_end", "sim", "offload"),
-        ("train_start", "trainer", "onload"),
-        ("train_end", "trainer", "offload"),
-    ]
-    assert ledger.swap_count == 6
-
-
-def test_n_iterations_6n_events():
-    ledger = ResidencyLedger()
-    pi, wm, rw = toy_params(1), toy_params(2), toy_params(3)
-    for it in range(10):
-        _, ledger = run_iteration(pi, wm, rw, noop_rollout, noop_trainer,
-                                  ledger, iteration=it)
-    assert ledger.swap_count == 60
-    assert [e[0] for e in ledger.events] == [it for it in range(10) for _ in range(6)]
-
-
-def test_mid_phase_swap_rejected():
-    ledger = ResidencyLedger()
-
-    def rogue_rollout(pi, wm, rw):
-        ledger.offload("gen", 0, "rollout_mid")
-
-    with pytest.raises(InvariantViolation, match="inside rollout phase"):
-        run_iteration(toy_params(1), toy_params(2), toy_params(3),
-                      rogue_rollout, noop_trainer, ledger, iteration=0)
-
-
-def test_mid_train_swap_rejected():
-    ledger = ResidencyLedger()
-
-    def rogue_trainer(artifacts):
-        ledger.onload("gen", 0, "train_mid")
-
-    with pytest.raises(InvariantViolation, match="inside train phase"):
-        run_iteration(toy_params(1), toy_params(2), toy_params(3),
-                      noop_rollout, rogue_trainer, ledger, iteration=0)
+# -- iterations -----------------------------------------------------------------
 
 
 def test_rollout_phase_mutation_detected():
@@ -113,7 +55,7 @@ def test_rollout_phase_mutation_detected():
 
     with pytest.raises(InvariantViolation, match="changed during the rollout"):
         run_iteration(pi, toy_params(2), toy_params(3),
-                      mutating_rollout, noop_trainer, ResidencyLedger())
+                      mutating_rollout, noop_trainer)
 
 
 def test_rollout_reads_snapshots_not_live():
@@ -123,92 +65,20 @@ def test_rollout_reads_snapshots_not_live():
     def capture(psnap, wsnap, rsnap):
         seen["w"] = psnap.params["w"].copy()
 
-    run_iteration(pi, toy_params(2), toy_params(3), capture, noop_trainer,
-                  ResidencyLedger())
+    run_iteration(pi, toy_params(2), toy_params(3), capture, noop_trainer)
     assert np.array_equal(seen["w"], pi["w"])
     assert seen["w"] is not pi["w"]
 
 
-def test_capacity_rejects_oversized_plan():
-    ledger = ResidencyLedger(capacity=1.5)
-    ledger.register("gen", 1.0)
-    ledger.register("sim", 1.0)
-    ledger.register("trainer", 1.0)
-    with pytest.raises(InvariantViolation, match="exceeds capacity"):
-        run_iteration(toy_params(1), toy_params(2), toy_params(3),
-                      noop_rollout, noop_trainer, ledger)
-
-
-def test_capacity_admits_fitting_plan():
-    ledger = ResidencyLedger(capacity=2.0)
-    for name in ("gen", "sim", "trainer"):
-        ledger.register(name, 1.0)
-    _, ledger = run_iteration(toy_params(1), toy_params(2), toy_params(3),
-                              noop_rollout, noop_trainer, ledger)
-    assert ledger.swap_count == 6
-
-
-def test_double_onload_rejected():
-    ledger = ResidencyLedger()
-    ledger.register("gen")
-    ledger.onload("gen", 0, "rollout_start")
-    with pytest.raises(InvariantViolation, match="already resident"):
-        ledger.onload("gen", 0, "rollout_start")
-
-
-def test_offload_nonresident_rejected():
-    ledger = ResidencyLedger()
-    ledger.register("gen")
-    with pytest.raises(InvariantViolation, match="not resident"):
-        ledger.offload("gen", 0, "rollout_end")
-
-
-def test_unregistered_component_rejected():
-    ledger = ResidencyLedger()
-    with pytest.raises(KeyError):
-        ledger.onload("ghost", 0, "rollout_start")
-
-
-def test_persist_trainer_elides_swaps():
-    ledger = ResidencyLedger()
-    pi, wm, rw = toy_params(1), toy_params(2), toy_params(3)
-    for it in range(2):
-        _, ledger = run_iteration(pi, wm, rw, noop_rollout, noop_trainer,
-                                  ledger, iteration=it, persist_trainer=True)
-    trainer_events = [e for e in ledger.events if e[2] == "trainer"]
-    assert len(trainer_events) == 1  # one onload, never offloaded
-    assert ledger.resident["trainer"]
-
-
 def test_iteration_determinism():
     def run_once():
-        ledger = ResidencyLedger()
-        artifacts = []
         pi, wm, rw = toy_params(1), toy_params(2), toy_params(3)
 
         def rollout(psnap, wsnap, rsnap):
             rng = np.random.default_rng(42)
             return rng.normal(size=4)
 
-        for it in range(3):
-            art, ledger = run_iteration(pi, wm, rw, rollout, noop_trainer,
-                                        ledger, iteration=it)
-            artifacts.append(art)
-        return ledger.events, artifacts
+        return [run_iteration(pi, wm, rw, rollout, noop_trainer) for _ in range(3)]
 
-    ev_a, art_a = run_once()
-    ev_b, art_b = run_once()
-    assert ev_a == ev_b
+    art_a, art_b = run_once(), run_once()
     assert all(np.array_equal(x, y) for x, y in zip(art_a, art_b))
-
-
-def test_csv_event_log(tmp_path):
-    ledger = ResidencyLedger()
-    _, ledger = run_iteration(toy_params(1), toy_params(2), toy_params(3),
-                              noop_rollout, noop_trainer, ledger, iteration=4)
-    path = tmp_path / "events.csv"
-    write_event_log(ledger, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "iteration,boundary,component,event"
-    assert lines[1] == "4,rollout_start,gen,onload"
-    assert len(lines) == 7
