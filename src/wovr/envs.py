@@ -157,6 +157,18 @@ def reset(env_kind: str, task: TaskSpec, seed: int) -> np.ndarray:
     return get_env(env_kind).reset_state(task, derive_rng(seed, task.task_id))
 
 
+def step_chunks(env, states, chunks) -> np.ndarray:
+    """Step env from each of B states through its (H, a_dim) chunk; (B, H, d)."""
+    out = []
+    for state, chunk in zip(states, chunks):
+        frames = []
+        for action in chunk:
+            state, _, _ = env.step(state, action)
+            frames.append(state)
+        out.append(frames)
+    return np.array(out)
+
+
 class CountingEnv:
     """Instrumented wrapper: counts real steps and resets, delegates the rest.
 

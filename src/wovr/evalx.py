@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import TaskSpec, derive_rng, derive_seed
+from .envs import step_chunks
 from .rollout import GroupSpec, rollout_imagined, rollout_real
 from .worldmodel import build_context
 
@@ -73,10 +74,12 @@ def horizon_error(wm, policy, params, env, task: TaskSpec, horizons,
                   n: int, T: int, H: int, seed: int) -> list[tuple[int, float]]:
     """Mean squared state error of closed-loop model replay at each horizon.
 
-    Per episode: the policy runs in the real env for max(horizons) frames
-    (success does not stop the recording; every horizon needs a state), then
-    the same action chunks are replayed through the model closed-loop from
-    the same start. The curve pairs each horizon L with the mean over
+    The n episodes run together: the policy runs in the real env for
+    max(horizons) frames with one batched sample per chunk step (success does
+    not stop the recording; every horizon needs a state), then the same
+    action chunks are replayed through the model closed-loop from the same
+    starts, one batched predict_chunk per chunk step. Episode i draws from
+    derive_rng(seed, i, ·). The curve pairs each horizon L with the mean over
     episodes of the state MSE at frame L.
     """
     horizons = [int(h) for h in horizons]
@@ -91,30 +94,29 @@ def horizon_error(wm, policy, params, env, task: TaskSpec, horizons,
     if n < 1:
         raise ValueError("n must be >= 1")
     depth = horizons[-1]
-    sq_err = {h: [] for h in horizons}
-    for i in range(n):
-        start = env.reset_state(task, derive_rng(seed, i, 0))
-        policy_rng = derive_rng(seed, i, 1)
-        model_rng = derive_rng(seed, i, 2)
-        # real recording, fixed length
-        real_states = [start]
-        chunks = []
-        for _ in range(depth // H):
-            chunk, _ = policy.sample(params, real_states[-1], task, policy_rng)
-            chunks.append(chunk)
-            state = real_states[-1]
-            for action in chunk:
-                state, _, _ = env.step(state, action)
-                real_states.append(state)
-        # model replay of the same chunks, closed loop on its own frames
-        model_states = [start]
-        for chunk in chunks:
-            ctx = build_context(model_states, wm.context, task, wm.anchor_mode)
-            frames = wm.predict_chunk(ctx, chunk, model_rng)
-            model_states.extend(np.asarray(f, dtype=np.float64) for f in frames)
-        for h in horizons:
-            sq_err[h].append(np.mean((real_states[h] - model_states[h]) ** 2))
-    return [(h, float(np.mean(sq_err[h]))) for h in horizons]
+    starts = [env.reset_state(task, derive_rng(seed, i, 0)) for i in range(n)]
+    policy_rngs = [derive_rng(seed, i, 1) for i in range(n)]
+    model_rngs = [derive_rng(seed, i, 2) for i in range(n)]
+    # real recording, fixed length: one batched policy call per chunk step
+    real_states = [[s] for s in starts]
+    chunks = []
+    for _ in range(depth // H):
+        obs = np.array([states[-1] for states in real_states])
+        batch, _ = policy.sample(params, obs, task, policy_rngs)
+        chunks.append(batch)
+        for states, rows in zip(real_states, step_chunks(env, obs, batch)):
+            states.extend(rows)
+    # model replay of the same chunks, closed loop on its own frames
+    model_states = [[s] for s in starts]
+    for batch in chunks:
+        ctxs = [build_context(states, wm.context, task, wm.anchor_mode)
+                for states in model_states]
+        frames = np.asarray(wm.predict_chunk(ctxs, batch, model_rngs), dtype=np.float64)
+        for states, rows in zip(model_states, frames):
+            states.extend(rows)
+    return [(h, float(np.mean([np.mean((real[h] - model[h]) ** 2)
+                               for real, model in zip(real_states, model_states)])))
+            for h in horizons]
 
 
 @dataclass

@@ -49,7 +49,11 @@ class ChunkPolicy:
         return params
 
     def features(self, obs: np.ndarray, task) -> np.ndarray:
-        return np.concatenate([obs, one_hot(task.task_id, self.n_tasks)])
+        """(obs, task one-hot) for one row (d,) or a batch of rows (B, d)."""
+        obs = np.asarray(obs, dtype=np.float64)
+        token = np.broadcast_to(one_hot(task.task_id, self.n_tasks),
+                                obs.shape[:-1] + (self.n_tasks,))
+        return np.concatenate([obs, token], axis=-1)
 
     def mean(self, params: dict, obs, task) -> np.ndarray:
         return self.trunk.apply(params, self.features(obs, task))
@@ -57,21 +61,29 @@ class ChunkPolicy:
     def log_std(self, params: dict) -> np.ndarray:
         return np.clip(params[f"{self.name}.log_std"], LOG_STD_MIN, LOG_STD_MAX)
 
-    def sample(self, params: dict, obs, task, rng: np.random.Generator):
-        """Draw one chunk; returns (H x a_dim chunk, behavior log-density)."""
+    def _density(self, params: dict, mu: np.ndarray, flat_chunks: np.ndarray) -> np.ndarray:
+        log_sigma = self.log_std(params)
+        z = (flat_chunks - mu) / np.exp(log_sigma)
+        return -0.5 * np.sum(z * z, axis=-1) - np.sum(log_sigma) - 0.5 * self.flat * LOG_2PI
+
+    def sample(self, params: dict, obs, task, rngs: list[np.random.Generator]):
+        """One chunk per row of obs (B, d), row i drawing from rngs[i].
+
+        Returns ((B, H, a_dim) chunks, (B,) behavior log-densities). The noise
+        is drawn per row and then stacked, so a row's draws do not depend on
+        the other rows.
+        """
         mu = self.mean(params, obs, task)
         sigma = np.exp(self.log_std(params))
-        raw = mu + sigma * rng.normal(size=self.flat)
-        clipped = np.clip(raw, self.action_low, self.action_high)
-        logp = self.logprob(params, obs, task, clipped)
-        return clipped.reshape(self.horizon, self.a_dim), logp
+        noise = np.array([rng.normal(size=self.flat) for rng in rngs])
+        clipped = np.clip(mu + sigma * noise, self.action_low, self.action_high)
+        logp = self._density(params, mu, clipped)
+        return clipped.reshape(len(rngs), self.horizon, self.a_dim), logp
 
     def logprob(self, params: dict, obs, task, chunk) -> float:
-        """Log-density of a stored chunk; plain numpy, no tape."""
+        """Log-density of one stored chunk; plain numpy, no tape."""
         mu = self.mean(params, obs, task)
-        log_sigma = self.log_std(params)
-        z = (np.asarray(chunk).reshape(self.flat) - mu) / np.exp(log_sigma)
-        return float(-0.5 * np.sum(z * z) - np.sum(log_sigma) - 0.5 * self.flat * LOG_2PI)
+        return float(self._density(params, mu, np.asarray(chunk).reshape(self.flat)))
 
     def logprob_batch_t(self, leaves: dict, feats: np.ndarray, chunks: np.ndarray) -> Tensor:
         """Tape version over a batch: feats (N, obs+tasks), chunks (N, H*a_dim)."""

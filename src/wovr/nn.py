@@ -311,6 +311,7 @@ class Mlp:
         self.sizes = list(sizes)
         self.zero_init_last = zero_init_last
         self.activation = activation
+        self.keys = [(f"{name}.w{i}", f"{name}.b{i}") for i in range(len(sizes) - 1)]
 
     @property
     def n_layers(self):
@@ -318,32 +319,36 @@ class Mlp:
 
     def init(self, rng: np.random.Generator) -> dict:
         params = {}
-        for i in range(self.n_layers):
+        for i, (w, b) in enumerate(self.keys):
             fan_in, fan_out = self.sizes[i], self.sizes[i + 1]
             last = i == self.n_layers - 1
             if last and self.zero_init_last:
-                params[f"{self.name}.w{i}"] = np.zeros((fan_in, fan_out))
+                params[w] = np.zeros((fan_in, fan_out))
             else:
-                params[f"{self.name}.w{i}"] = xavier_uniform(rng, fan_in, fan_out)
-            params[f"{self.name}.b{i}"] = np.zeros(fan_out)
+                params[w] = xavier_uniform(rng, fan_in, fan_out)
+            params[b] = np.zeros(fan_out)
         return params
 
     def __call__(self, params: dict, x):
         h = as_tensor(x)
         act = tanh if self.activation == "tanh" else relu
-        for i in range(self.n_layers):
-            h = matmul(h, as_tensor(params[f"{self.name}.w{i}"]))
-            h = add(h, as_tensor(params[f"{self.name}.b{i}"]))
-            if i < self.n_layers - 1:
+        last = len(self.keys) - 1
+        for i, (w, b) in enumerate(self.keys):
+            h = add(matmul(h, as_tensor(params[w])), as_tensor(params[b]))
+            if i < last:
                 h = act(h)
         return h
 
     def apply(self, params: dict, x: np.ndarray) -> np.ndarray:
-        """Inference path: raw arrays in, raw arrays out, no tape."""
+        """Inference path: raw arrays in, raw arrays out, no tape.
+
+        x is one row (in_dim,) or a batch of rows (B, in_dim).
+        """
         h = np.asarray(x, dtype=np.float64)
-        for i in range(self.n_layers):
-            h = h @ params[f"{self.name}.w{i}"] + params[f"{self.name}.b{i}"]
-            if i < self.n_layers - 1:
+        last = len(self.keys) - 1
+        for i, (w, b) in enumerate(self.keys):
+            h = h @ params[w] + params[b]
+            if i < last:
                 h = np.tanh(h) if self.activation == "tanh" else np.maximum(h, 0.0)
         return h
 

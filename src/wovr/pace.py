@@ -367,7 +367,9 @@ def _rl_stage(policy, params, wm_net, wm_params, reward_net, reward_params,
 
     Each update runs its rollouts against immutable parameter snapshots
     (sched.run_iteration), then applies the policy update. The real env is
-    touched only to draw initial start states (resets, never steps).
+    touched only to draw initial start states (resets, never steps). Each
+    update's log record counts zero_adv_groups, the groups whose returns are
+    all equal: their advantages are all zero and they carry no gradient.
     """
     seed, run, plan, rl = cfg["seed"], cfg["run"], cfg["plan"], cfg["rl"]
     state = {"params": params, "opt": None}
@@ -410,7 +412,8 @@ def _rl_stage(policy, params, wm_net, wm_params, reward_net, reward_params,
                       "mean_return": float(np.mean([g.returns.mean() for g in groups])),
                       "imagined_success": float(np.mean(
                           [t.success for g in groups for t in g.trajectories])),
-                      "kir_groups": kinds.count("keyframe")}
+                      "kir_groups": kinds.count("keyframe"),
+                      "zero_adv_groups": sum(not np.any(g.advantages) for g in groups)}
             if glogs:
                 record.update(glogs[-1])
             return record

@@ -1,10 +1,16 @@
 """Closed-loop rollouts: policy against world model (imagined) or env (real).
 
-Both loops share the same chunk-by-chunk skeleton so that swapping the learned
-model for the true dynamics (and the learned reward for the true success
-predicate) reproduces real rollouts bit for bit under the same seeds. Keyframe
-initialized rollouts restart a fraction of groups from stored failure states
-instead of the episode start.
+One lockstep loop, _roll_group, serves both. It advances every member of a
+group together: per chunk step one batched policy sample over the members
+still running, then one batched dynamics call, which is the world model's
+predict_chunk(ctxs, chunks, rngs) -> (B, H, d) when imagined and env steps
+when real. The reward stays per frame, reward_fn(frame, task) -> 0/1, and a
+member is cut at its first reward frame. Every member draws from its own
+derive_rng(seed, i, ·) streams, so swapping the learned model for the true
+dynamics (and the learned reward for the true success predicate) reproduces
+real rollouts bit for bit under the same seeds. Keyframe initialized rollouts
+restart a fraction of groups from stored failure states instead of the
+episode start.
 """
 from __future__ import annotations
 
@@ -24,6 +30,7 @@ from .core import (
     read_store,
     write_store,
 )
+from .envs import step_chunks
 from .worldmodel import build_context
 
 log = logging.getLogger(__name__)
@@ -101,65 +108,81 @@ class GroupSpec:
                            np.asarray(self.start_state, dtype=np.float64))
 
 
-def _roll_member(policy, params, dynamics_fn, reward_fn, task, start, start_kind,
-                 T, H, policy_rng, model_rng):
-    """One closed-loop episode; dynamics_fn(history, chunk, rng) -> H frames.
+def _roll_group(policy, params, dynamics, reward_fn, task, starts, start_kind,
+                T, H, seed):
+    """Closed-loop episodes of every member of a group, advanced in lockstep.
 
-    Returns (trajectory, frame history). The history holds every executed
-    frame, cut at the success frame when the learned or true reward fires
-    mid-chunk.
+    Member i starts at starts[i] and draws from derive_rng(seed, i, 1) for the
+    policy and derive_rng(seed, i, 2) for the dynamics. Each chunk step makes
+    one batched policy.sample over the active members and one batched
+    dynamics(histories, chunks, rngs) -> (B, H, d) call; reward_fn then reads
+    a member's frames one by one and cuts the member at its first reward
+    frame. A member whose predicted frames are not all finite stops alone,
+    with one warning, keeping the steps it recorded before.
+
+    Returns (trajectories, frame histories); a history holds every executed
+    frame of its member, cut at the success frame.
     """
-    history = [np.asarray(start, dtype=np.float64)]
-    records = []
-    success = False
-    while len(records) * H < T and not success:
-        obs = history[-1]
-        chunk, logp = policy.sample(params, obs, task, policy_rng)
-        try:
-            frames = dynamics_fn(history, chunk, model_rng)
-        except FloatingPointError as exc:
-            log.warning("rollout member aborted at chunk-step %d: %s", len(records), exc)
+    n = len(starts)
+    policy_rngs = [derive_rng(seed, i, 1) for i in range(n)]
+    model_rngs = [derive_rng(seed, i, 2) for i in range(n)]
+    histories = [[np.asarray(start, dtype=np.float64)] for start in starts]
+    records = [[] for _ in range(n)]
+    active = list(range(n))
+    for k in range(T // H):
+        if not active:
             break
-        reward = 0
-        for frame in frames:
-            history.append(np.asarray(frame, dtype=np.float64))
-            if reward_fn(history[-1], task):
-                reward = 1
-                break
-        success = reward == 1
-        records.append(StepRecord(obs=obs, chunk=chunk, reward=reward,
-                                  logp_old=logp, done=success))
-    traj = Trajectory.build(task=task, start_kind=start_kind, steps=records)
-    return traj, history
+        obs = np.array([histories[i][-1] for i in active])
+        chunks, logps = policy.sample(params, obs, task, [policy_rngs[i] for i in active])
+        frames = np.asarray(dynamics([histories[i] for i in active], chunks,
+                                     [model_rngs[i] for i in active]), dtype=np.float64)
+        finite = np.isfinite(frames).reshape(len(active), -1).all(axis=1)
+        still = []
+        for row, i in enumerate(active):
+            if not finite[row]:
+                log.warning("rollout member aborted at chunk-step %d: member %d "
+                            "predicted a non-finite frame", k, i)
+                continue
+            history = histories[i]
+            reward = 0
+            for frame in frames[row]:
+                history.append(frame)
+                if reward_fn(frame, task):
+                    reward = 1
+                    break
+            records[i].append(StepRecord(obs=obs[row], chunk=chunks[row], reward=reward,
+                                         logp_old=float(logps[row]), done=reward == 1))
+            if not reward:
+                still.append(i)
+        active = still
+    trajectories = [Trajectory.build(task=task, start_kind=start_kind, steps=steps)
+                    for steps in records]
+    return trajectories, histories
 
 
 def rollout_imagined(policy, params, wm, reward_fn, group: GroupSpec,
                      T: int, H: int, seed: int) -> list[Trajectory]:
-    """G imagined trajectories from the group's shared start.
+    """G imagined trajectories from the group's shared start, in lockstep.
 
-    wm provides predict_chunk/context/anchor_mode; reward_fn(frame, task) is
-    the thresholded learned reward (or the true predicate in oracle tests).
+    wm provides context/anchor_mode and the batched
+    predict_chunk(ctxs, chunks, rngs) -> (B, H, d), one row per active
+    member; reward_fn(frame, task) -> 0/1 is called per frame (the
+    thresholded learned reward, or the true predicate in oracle tests).
     Member i draws from derive_rng(seed, i, 1) for the policy and
     derive_rng(seed, i, 2) for the model, so members are independent and
-    reproducible in isolation.
+    reproducible in isolation up to the rounding of batched rows.
     """
     if T % H != 0:
         raise ValueError("T must be a multiple of the chunk horizon")
 
-    def dynamics(history, chunk, model_rng):
-        ctx = build_context(history, wm.context, group.task, wm.anchor_mode)
-        frames = wm.predict_chunk(ctx, chunk, model_rng)
-        if not np.all(np.isfinite(frames)):
-            raise FloatingPointError("non-finite predicted frame")
-        return frames
+    def dynamics(histories, chunks, rngs):
+        ctxs = [build_context(h, wm.context, group.task, wm.anchor_mode) for h in histories]
+        return wm.predict_chunk(ctxs, chunks, rngs)
 
-    out = []
-    for i in range(group.size):
-        traj, _ = _roll_member(
-            policy, params, dynamics, reward_fn, group.task, group.start_state,
-            group.start_kind, T, H, derive_rng(seed, i, 1), derive_rng(seed, i, 2))
-        out.append(traj)
-    return out
+    trajectories, _ = _roll_group(policy, params, dynamics, reward_fn, group.task,
+                                  [group.start_state] * group.size, group.start_kind,
+                                  T, H, seed)
+    return trajectories
 
 
 def _executed_actions(traj: Trajectory, n_frames: int, H: int) -> np.ndarray:
@@ -176,45 +199,36 @@ def rollout_real(policy, params, env, task: TaskSpec, n: int, T: int, H: int,
                  seed: int, starts=None, record_frames: bool = False):
     """n real-env trajectories; evaluation and data collection only.
 
-    Episode i resets from derive_rng(seed, i, 0) unless explicit starts are
-    given; the policy stream is derive_rng(seed, i, 1), mirroring
-    rollout_imagined member streams. With record_frames, also returns one
-    (states, actions) frame episode per trajectory for model training.
+    The n episodes run through rollout_imagined's lockstep loop with the env
+    as the dynamics and env.is_success as the per-frame reward, so an
+    OracleWorldModel group reproduces them bit for bit. Episode i resets from
+    derive_rng(seed, i, 0) unless explicit starts are given; the policy
+    stream is derive_rng(seed, i, 1), mirroring rollout_imagined member
+    streams. With record_frames, also returns one (states, actions) frame
+    episode per trajectory for model training.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if T % H != 0:
         raise ValueError("T must be a multiple of the chunk horizon")
 
-    def dynamics(history, chunk, _model_rng):
-        state = history[-1]
-        frames = []
-        for action in chunk:
-            state, _, _ = env.step(state, action)
-            frames.append(state)
-        return np.array(frames)
+    def dynamics(histories, chunks, _rngs):
+        return step_chunks(env, [history[-1] for history in histories], chunks)
 
     def true_reward(frame, _task):
         return int(env.is_success(frame))
 
-    trajectories = []
-    episodes = []
-    for i in range(n):
-        if starts is not None:
-            start = np.asarray(starts[i], dtype=np.float64)
-        else:
-            start = env.reset_state(task, derive_rng(seed, i, 0))
-        traj, history = _roll_member(policy, params, dynamics, true_reward, task,
-                                     start, "initial", T, H,
-                                     derive_rng(seed, i, 1), derive_rng(seed, i, 2))
-        trajectories.append(traj)
-        if record_frames:
-            states = np.array(history)
-            actions = _executed_actions(traj, len(history) - 1, H)
-            episodes.append(FrameEpisode(task, states, actions))
-    if record_frames:
-        return trajectories, episodes
-    return trajectories
+    if starts is None:
+        starts = [env.reset_state(task, derive_rng(seed, i, 0)) for i in range(n)]
+    starts = [starts[i] for i in range(n)]
+    trajectories, histories = _roll_group(policy, params, dynamics, true_reward, task,
+                                          starts, "initial", T, H, seed)
+    if not record_frames:
+        return trajectories
+    episodes = [FrameEpisode(task, np.array(history),
+                             _executed_actions(traj, len(history) - 1, H))
+                for traj, history in zip(trajectories, histories)]
+    return trajectories, episodes
 
 
 def write_batch(path, trajectories, manifest: dict):

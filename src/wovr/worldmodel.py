@@ -16,6 +16,7 @@ import numpy as np
 
 from . import nn
 from .core import FrameEpisode, TaskSpec, one_hot
+from .envs import step_chunks
 from .nn import Mlp, as_tensor, concat as tconcat, tanh as ttanh, tmean, value_and_grad
 
 ANCHOR_MODES = ("first", "last")
@@ -167,22 +168,29 @@ class WmNet:
         h = self.condition(params, h, act_emb, tfeat, 1)
         return self.layer_out(params, h)
 
-    # -- plain numpy forward (single sample) ---------------------------------
-    def u_apply(self, params: dict, x: np.ndarray, ctx: AnchoredContext,
-                chunk: np.ndarray, t: float) -> np.ndarray:
-        act_emb = self.act_proj.apply(params, np.asarray(chunk).reshape(self.horizon * self.a_dim))
-        tfeat = time_features(t)
-        task_vec = one_hot(ctx.task.task_id, self.n_tasks)
-        trunk_in = np.concatenate([x, ctx.anchor, ctx.memory.reshape(-1), task_vec, act_emb])
+    # -- plain numpy forward (batched inference) -------------------------------
+    def u_apply(self, params: dict, x, anchors, memories, tasks, chunks,
+                t: float) -> np.ndarray:
+        """u_tape's forward in plain numpy over B rows, no tape.
+
+        x (B, H*d), anchors (B, d), memories (B, c, d), tasks (B, n_tasks)
+        one-hot rows, chunks (B, H*a_dim); returns (B, H*d) velocities.
+        """
+        b = x.shape[0]
+        act_emb = self.act_proj.apply(params, chunks)
+        tfeat = np.broadcast_to(time_features(t), (b, N_TIME_FEATS))
+        cond = np.concatenate([act_emb, tfeat], axis=1)
+        trunk_in = np.concatenate([x, anchors, memories.reshape(b, self.context * self.d),
+                                   tasks, act_emb], axis=1)
         h = np.tanh(self.layer_in.apply(params, trunk_in))
-        h = self._mod_apply(params, h, act_emb, tfeat, 0)
+        h = self._mod_apply(params, h, cond, 0)
         h = np.tanh(self.layer_mid.apply(params, h))
-        h = self._mod_apply(params, h, act_emb, tfeat, 1)
+        h = self._mod_apply(params, h, cond, 1)
         return self.layer_out.apply(params, h)
 
-    def _mod_apply(self, params, features, act_emb, tfeat, block):
-        ss = self.mods[block].apply(params, np.concatenate([act_emb, tfeat]))
-        return features * (1.0 + ss[: self.width]) + ss[self.width:]
+    def _mod_apply(self, params, features, cond, block):
+        ss = self.mods[block].apply(params, cond)
+        return features * (1.0 + ss[:, : self.width]) + ss[:, self.width:]
 
 
 def rf_loss(net: WmNet, params: dict, batch: RfBatch):
@@ -196,22 +204,38 @@ def rf_loss(net: WmNet, params: dict, batch: RfBatch):
     return tmean(err * err)
 
 
-def sample_chunk(net: WmNet, params: dict, ctx: AnchoredContext, chunk,
-                 steps: int, rng: np.random.Generator) -> np.ndarray:
-    """Euler-integrate the learned field from Gaussian noise; (H, d) frames."""
+def sample_chunk(net: WmNet, params: dict, ctxs: list[AnchoredContext], chunks,
+                 steps: int, rngs: list[np.random.Generator]) -> np.ndarray:
+    """Euler-integrate the learned field from noise for B rows; (B, H, d) frames.
+
+    Row i conditions on ctxs[i] and chunks[i] (H, a_dim) and draws its start
+    noise from rngs[i], per row before stacking, so a row's draws do not
+    depend on the other rows. Every Euler step is one batched u_apply. A
+    row that turns non-finite stays so; the caller drops it, the sampler
+    does not raise.
+    """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    x = rng.normal(size=net.out_dim)
+    b = len(ctxs)
+    anchors = np.array([ctx.anchor for ctx in ctxs])
+    memories = np.array([ctx.memory for ctx in ctxs])
+    tasks = np.array([one_hot(ctx.task.task_id, net.n_tasks) for ctx in ctxs])
+    chunks = np.asarray(chunks, dtype=np.float64).reshape(b, net.horizon * net.a_dim)
+    x = np.array([rng.normal(size=net.out_dim) for rng in rngs])
     dt = 1.0 / steps
-    for k in range(steps):
-        x = x + dt * net.u_apply(params, x, ctx, chunk, k * dt)
-        if not np.all(np.isfinite(x)):
-            raise FloatingPointError(f"non-finite state at sampler step {k}")
-    return x.reshape(net.horizon, net.d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            x = x + dt * net.u_apply(params, x, anchors, memories, tasks, chunks, k * dt)
+    return x.reshape(b, net.horizon, net.d)
 
 
 class LearnedWorldModel:
-    """Inference bundle used by rollout: net + params + sampler step count."""
+    """Inference bundle used by rollout: net + params + sampler step count.
+
+    predict_chunk(ctxs, chunks, rngs) -> (B, H, d) frames, one row per
+    context; every world model (OracleWorldModel, test doubles) keeps this
+    contract.
+    """
 
     def __init__(self, net: WmNet, params: dict, steps: int = 5):
         self.net = net
@@ -220,8 +244,8 @@ class LearnedWorldModel:
         self.anchor_mode = net.anchor_mode
         self.context = net.context
 
-    def predict_chunk(self, ctx: AnchoredContext, chunk, rng) -> np.ndarray:
-        return sample_chunk(self.net, self.params, ctx, chunk, self.steps, rng)
+    def predict_chunk(self, ctxs, chunks, rngs) -> np.ndarray:
+        return sample_chunk(self.net, self.params, ctxs, chunks, self.steps, rngs)
 
 
 class OracleWorldModel:
@@ -236,13 +260,8 @@ class OracleWorldModel:
         self.anchor_mode = "first"
         self.context = context
 
-    def predict_chunk(self, ctx: AnchoredContext, chunk, rng) -> np.ndarray:
-        state = ctx.memory[-1]
-        frames = []
-        for action in np.asarray(chunk, dtype=np.float64):
-            state, _, _ = self.env.step(state, action)
-            frames.append(state)
-        return np.array(frames)
+    def predict_chunk(self, ctxs, chunks, rngs) -> np.ndarray:
+        return step_chunks(self.env, [ctx.memory[-1] for ctx in ctxs], chunks)
 
 
 # ---------------------------------------------------------------------------

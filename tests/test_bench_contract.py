@@ -1,8 +1,9 @@
 """What the benchmark under bench/ relies on in wovr must keep existing.
 
-The traced run patches every bench/tracing.py TARGETS entry and the
-workloads pass config paths through --set; a deletion that breaks either
-would otherwise surface only when the benchmark runs.
+The traced run patches every bench/tracing.py TARGETS entry, reads call
+arguments by position in its COUNTERS, and the workloads pass config paths
+through --set; a deletion or a moved argument that breaks any of these would
+otherwise surface only when the benchmark runs.
 """
 import importlib
 import importlib.util
@@ -12,7 +13,13 @@ from pathlib import Path
 import pytest
 
 from wovr.cli import build_parser, resolve_config
-from wovr.core import DEFAULTS
+from wovr.core import DEFAULTS, START_KINDS, TaskSpec, derive_rng, make_config
+from wovr.envs import ReachPoint, replay_frames, scripted_demo
+from wovr.grpo import ChunkPolicy, GroupBatch
+from wovr.pace import _rl_stage
+from wovr.reward import RewardNet
+from wovr.rollout import KeyframeBuffer
+from wovr.worldmodel import RfBatch, WmNet, train_wm
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -59,3 +66,59 @@ def test_workload_set_paths_exist_in_defaults(name):
     for argv in workload_argvs(w):
         args = parser.parse_args(argv)
         resolve_config(args, flag_paths[args.command])
+
+
+def test_trace_counters_read_real_calls(monkeypatch):
+    """Each COUNTERS function, fed the arguments and result of a real call made
+    where the traced run wraps it, reports what the call did."""
+    tracing = load_bench("tracing")
+    names = {"rollout.rollout_imagined", "rollout.sample_start", "grpo.build_group",
+             "worldmodel.make_rf_batch"}
+    assert names <= set(tracing.COUNTERS)
+    calls = {name: [] for name in names}
+    for owner, attr, name in tracing.TARGETS:
+        if name not in names:
+            continue
+        target = importlib.import_module(owner)
+        original = target.__dict__[attr]
+
+        def record(*args, _fn=original, _name=name, **kwargs):
+            result = _fn(*args, **kwargs)
+            calls[_name].append((args, result))
+            return result
+
+        monkeypatch.setattr(target, attr, record)
+
+    env, H = ReachPoint(), 4
+    cfg = make_config({"seed": 1, "run": {"group_size": 3, "chunk": H, "context": 2,
+                                          "max_episode_len": 16, "diffusion_steps": 2},
+                       "plan": {"rl_updates_per_stage": 2, "groups_per_update": 2},
+                       "rl": {"inner_epochs": 1}})
+    policy = ChunkPolicy(env.state_dim, env.n_tasks, H, env.action_dim, hidden=(8,))
+    wm_net = WmNet(env.state_dim, env.action_dim, env.n_tasks, horizon=H, context=2,
+                   width=16, act_emb_dim=4)
+    reward_net = RewardNet(env.state_dim, env.n_tasks, hidden=(8,))
+    _rl_stage(policy, policy.init(derive_rng(2)), wm_net, wm_net.init(derive_rng(3)),
+              reward_net, reward_net.init(derive_rng(4)), env, cfg, KeyframeBuffer(), tag=5)
+    episodes = [replay_frames(env, scripted_demo(env, TaskSpec(0), 6, chunk=H, max_len=16))]
+    train_wm(episodes, wm_net, derive_rng(7), epochs=1, batch_size=4)
+
+    count = tracing.COUNTERS
+    assert len(calls["rollout.rollout_imagined"]) == 4
+    for args, trajs in calls["rollout.rollout_imagined"]:
+        assert count["rollout.rollout_imagined"](args, trajs) == {
+            "members": len(trajs), "frames": H * sum(len(t.steps) for t in trajs)}
+    assert len(calls["rollout.sample_start"]) == 4
+    for args, start in calls["rollout.sample_start"]:
+        assert start[1] in START_KINDS
+        assert count["rollout.sample_start"](args, start) == {
+            "starts": 1, "kir_starts": int(start[1] == "keyframe")}
+    assert len(calls["grpo.build_group"]) == 4
+    for args, group in calls["grpo.build_group"]:
+        assert isinstance(group, GroupBatch)
+        assert count["grpo.build_group"](args, group) == {
+            "groups": 1, "zero_adv_groups": int(not group.advantages.any())}
+    assert calls["worldmodel.make_rf_batch"]
+    for args, batch in calls["worldmodel.make_rf_batch"]:
+        assert isinstance(batch, RfBatch)
+        assert count["worldmodel.make_rf_batch"](args, batch) == {"windows": batch.x1.shape[0]}

@@ -25,14 +25,16 @@ class ExpertPolicy:
         self.env = env
         self.horizon = horizon
 
-    def sample(self, params, obs, task, rng):
-        state = np.asarray(obs, dtype=np.float64)
-        chunk = []
-        for _ in range(self.horizon):
-            action = self.env.expert_action(state)
-            state, _, _ = self.env.step(state, action)
-            chunk.append(action)
-        return np.array(chunk), 0.0
+    def sample(self, params, obs, task, rngs):
+        chunks = []
+        for state in np.asarray(obs, dtype=np.float64):
+            chunk = []
+            for _ in range(self.horizon):
+                action = self.env.expert_action(state)
+                state, _, _ = self.env.step(state, action)
+                chunk.append(action)
+            chunks.append(chunk)
+        return np.array(chunks), np.zeros(len(chunks))
 
 
 class FrozenWm:
@@ -42,8 +44,9 @@ class FrozenWm:
         self.context = context
         self.anchor_mode = "first"
 
-    def predict_chunk(self, ctx, chunk, rng):
-        return np.tile(ctx.memory[-1], (len(chunk), 1))
+    def predict_chunk(self, ctxs, chunks, rngs):
+        return np.array([np.tile(ctx.memory[-1], (len(chunk), 1))
+                         for ctx, chunk in zip(ctxs, chunks)])
 
 
 # -- success rate -----------------------------------------------------------------
@@ -165,8 +168,9 @@ def test_horizon_error_frozen_model_grows():
     env = ReachPoint()
 
     class DriftPolicy:
-        def sample(self, params, obs, task, rng):
-            return np.tile([env.step_cap, env.step_cap], (H, 1)), 0.0
+        def sample(self, params, obs, task, rngs):
+            n = len(obs)
+            return np.tile([env.step_cap, env.step_cap], (n, H, 1)), np.zeros(n)
 
     wm = FrozenWm()
     curve = horizon_error(wm, DriftPolicy(), {}, env, TaskSpec(3), [4, 8], 3,

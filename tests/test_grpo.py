@@ -54,13 +54,21 @@ def test_sample_box_determinism_and_density_consistency():
     pol = ChunkPolicy(obs_dim=3, n_tasks=2, horizon=4, a_dim=2)
     params = pol.init(np.random.default_rng(1))
     obs = np.array([0.1, 0.2, 0.3])
-    c1, lp1 = pol.sample(params, obs, TaskSpec(1), derive_rng(9))
-    c2, lp2 = pol.sample(params, obs, TaskSpec(1), derive_rng(9))
-    assert np.array_equal(c1, c2) and lp1 == lp2
-    assert c1.shape == (4, 2)
+    c1, lp1 = pol.sample(params, obs[None], TaskSpec(1), [derive_rng(9)])
+    c2, lp2 = pol.sample(params, obs[None], TaskSpec(1), [derive_rng(9)])
+    assert np.array_equal(c1, c2) and np.array_equal(lp1, lp2)
+    assert c1.shape == (1, 4, 2) and lp1.shape == (1,)
     assert np.all(c1 >= pol.action_low) and np.all(c1 <= pol.action_high)
-    # the stored density is the density of the stored (clipped) chunk
-    assert lp1 == pol.logprob(params, obs, TaskSpec(1), c1)
+    # the stored density is the density of the stored (clipped) chunk; one row
+    # takes numpy's vector path, so it is bit-identical to the 1-D logprob
+    assert lp1[0] == pol.logprob(params, obs, TaskSpec(1), c1[0])
+    # batched rows draw per row: row 1 alone matches row 1 of the batch
+    obs2 = np.stack([obs, -obs])
+    cb, lpb = pol.sample(params, obs2, TaskSpec(1), [derive_rng(9), derive_rng(10)])
+    c_alone, lp_alone = pol.sample(params, obs2[1:], TaskSpec(1), [derive_rng(10)])
+    np.testing.assert_allclose(cb[1], c_alone[0], rtol=1e-9)
+    assert lpb[1] == pytest.approx(lp_alone[0], rel=1e-9)
+    np.testing.assert_allclose(cb[0], c1[0], rtol=1e-9)
 
 
 def test_log_std_clamped():

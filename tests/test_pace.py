@@ -7,8 +7,9 @@ from wovr.core import (ConfigError, FrameEpisode, InvariantViolation,
                        TaskSpec, derive_rng, make_config, params_hash)
 from wovr.envs import CountingEnv, get_env, scripted_demo
 from wovr.grpo import ChunkPolicy
-from wovr.pace import (STAGES, PaceArtifacts, StageFailure, clone_base_policy,
-                       refine_wm, run_pipeline)
+from wovr.pace import (STAGES, PaceArtifacts, StageFailure, _rl_stage,
+                       clone_base_policy, refine_wm, run_pipeline)
+from wovr.rollout import KeyframeBuffer
 from wovr.reward import RewardNet
 from wovr.worldmodel import (WmNet, build_context, sample_chunk, train_wm,
                              window_index)
@@ -144,7 +145,7 @@ def chunk_mse(net, params, eps, seed):
         ep = eps[e]
         hist = [ep.states[i] for i in range(max(0, s - net.context + 1), s + 1)]
         ctx = build_context(hist, net.context, ep.task, net.anchor_mode)
-        pred = sample_chunk(net, params, ctx, ep.actions[s:s + H], 5, rng)
+        pred = sample_chunk(net, params, [ctx], ep.actions[None, s:s + H], 5, [rng])[0]
         errs.append(np.mean((pred - ep.states[s + 1:s + 1 + H]) ** 2))
     return float(np.mean(errs))
 
@@ -303,6 +304,23 @@ def test_pipeline_explore_floor(reach_env, base_policy):
                           np.maximum(params["pi.log_std"], -1.0))
     others = [k for k in params if k != "pi.log_std"]
     assert all(np.array_equal(s1[k], params[k]) for k in others)
+
+
+@pytest.mark.parametrize("logit_bias", [-1e3, 1e3])
+def test_rl_stage_counts_all_equal_return_groups(reach_env, base_policy, logit_bias):
+    # a reward that never (or always) fires gives every member the same
+    # return, so every group has all-zero advantages
+    policy, params = base_policy
+    cfg = make_config(SMALL, {"seed": 8})
+    wm_net, rew_net = small_nets(reach_env)
+    reward_params = rew_net.init(derive_rng(81))
+    reward_params["rw.b2"] = np.array([logit_bias])
+    _, logs = _rl_stage(policy, params, wm_net, wm_net.init(derive_rng(82)), rew_net,
+                        reward_params, reach_env, cfg, KeyframeBuffer(), tag=83)
+    assert len(logs) == SMALL["plan"]["rl_updates_per_stage"]
+    for record in logs:
+        assert record["imagined_success"] == float(logit_bias > 0)
+        assert record["zero_adv_groups"] == SMALL["plan"]["groups_per_update"]
 
 
 def test_pipeline_without_refinement(reach_env, base_policy):

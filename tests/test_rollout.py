@@ -14,7 +14,7 @@ from wovr.rollout import (
     sample_start,
     write_batch,
 )
-from wovr.worldmodel import OracleWorldModel
+from wovr.worldmodel import LearnedWorldModel, OracleWorldModel, WmNet, build_context
 
 H = 4
 T = 16
@@ -240,8 +240,8 @@ def test_rollout_imagined_aborts_on_nonfinite(caplog):
         context = 4
         anchor_mode = "first"
 
-        def predict_chunk(self, ctx, chunk, rng):
-            return np.full((H, env.state_dim), np.nan)
+        def predict_chunk(self, ctxs, chunks, rngs):
+            return np.full((len(ctxs), H, env.state_dim), np.nan)
 
     group = GroupSpec(task, start, "initial", 2)
     with caplog.at_level("WARNING"):
@@ -250,6 +250,109 @@ def test_rollout_imagined_aborts_on_nonfinite(caplog):
     assert len(trajs) == 2
     assert all(len(t.steps) == 0 and not t.success for t in trajs)
     assert any("aborted" in r.message for r in caplog.records)
+
+
+def roll_member_reference(policy, params, wm, reward_fn, task, start, T, H, seed, i):
+    """Member i of a group rolled alone: the per-member loop that the lockstep
+    loop replaced, with every batched call made on a single row."""
+    policy_rng, model_rng = derive_rng(seed, i, 1), derive_rng(seed, i, 2)
+    history = [np.asarray(start, dtype=np.float64)]
+    records = []
+    success = False
+    while len(records) * H < T and not success:
+        obs = history[-1]
+        chunks, logps = policy.sample(params, obs[None], task, [policy_rng])
+        ctx = build_context(history, wm.context, task, wm.anchor_mode)
+        frames = wm.predict_chunk([ctx], chunks, [model_rng])[0]
+        if not np.all(np.isfinite(frames)):
+            break
+        reward = 0
+        for frame in frames:
+            history.append(frame)
+            if reward_fn(frame, task):
+                reward = 1
+                break
+        success = reward == 1
+        records.append(StepRecord(obs=obs, chunk=chunks[0], reward=reward,
+                                  logp_old=float(logps[0]), done=success))
+    return Trajectory.build(task=task, start_kind="initial", steps=records)
+
+
+def test_group_member_matches_member_rolled_alone():
+    env = ReachPoint()
+    policy, params = make_policy(env)
+    net = WmNet(env.state_dim, env.action_dim, env.n_tasks, horizon=H, context=2,
+                width=32, act_emb_dim=8)
+    wm = LearnedWorldModel(net, net.init(derive_rng(20)), steps=3)
+    reward = lambda frame, task: int(frame[0] > 2.0)
+    lengths = set()
+    for seed in range(4):
+        task = TaskSpec(seed)
+        start = env.reset_state(task, derive_rng(seed))
+        group = rollout_imagined(policy, params, wm, reward,
+                                 GroupSpec(task, start, "initial", 4), 2 * T, H, seed)
+        for i, traj in enumerate(group):
+            alone = roll_member_reference(policy, params, wm, reward, task, start,
+                                          2 * T, H, seed, i)
+            lengths.add(len(traj.steps))
+            assert len(traj.steps) == len(alone.steps)
+            assert traj.success == alone.success
+            assert [r.reward for r in traj.steps] == [r.reward for r in alone.steps]
+            for a, b in zip(traj.steps, alone.steps):
+                np.testing.assert_allclose(a.obs, b.obs, rtol=1e-9)
+                np.testing.assert_allclose(a.chunk, b.chunk, rtol=1e-9)
+                assert a.logp_old == pytest.approx(b.logp_old, rel=1e-9)
+    # members finished at different chunk steps, some ran to T
+    assert len(lengths) > 2 and 2 * T // H in lengths
+
+
+class PoisonedWm(OracleWorldModel):
+    """Oracle dynamics, except that the given (call, row) pairs come back NaN."""
+
+    def __init__(self, env, poison):
+        super().__init__(env, context=4)
+        self.poison = poison
+        self.calls = 0
+
+    def predict_chunk(self, ctxs, chunks, rngs):
+        frames = super().predict_chunk(ctxs, chunks, rngs)
+        for call, row in self.poison:
+            if call == self.calls:
+                frames[row] = np.nan
+        self.calls += 1
+        return frames
+
+
+@pytest.mark.parametrize("poison", [[(2, 1)], [(0, 0), (3, 1)]])
+def test_abort_stays_with_its_member(caplog, poison):
+    env = ReachPoint()
+    expert = NoisyExpertPolicy(env, H, noise=2.0)
+    reward = lambda frame, task: int(env.is_success(frame))
+    task = TaskSpec(1)
+    start = env.reset_state(task, derive_rng(25))
+    group = GroupSpec(task, start, "initial", 4)
+    clean = rollout_imagined(expert, {}, OracleWorldModel(env, context=4), reward, group,
+                             64, H, seed=22)
+    # the member behind each poisoned row: the row-th member still running
+    aborted = {}
+    for call, row in poison:
+        running = [i for i, t in enumerate(clean)
+                   if len(t.steps) > call and i not in aborted]
+        aborted[running[row]] = call
+    with caplog.at_level("WARNING"):
+        trajs = rollout_imagined(expert, {}, PoisonedWm(env, poison), reward, group,
+                                 64, H, seed=22)
+    warnings = [r for r in caplog.records
+                if r.getMessage().startswith("rollout member aborted")]
+    assert len(warnings) == len(aborted)
+    for i, (traj, ref) in enumerate(zip(trajs, clean)):
+        if i in aborted:
+            assert len(traj.steps) == aborted[i] and not traj.success
+            assert traj.steps == ref.steps[:aborted[i]]
+        else:
+            assert traj == ref  # ran on to T or to success, untouched
+    kept = [t for i, t in enumerate(trajs) if i not in aborted]
+    assert any(t.success for t in kept) and any(len(t.steps) == 64 // H for t in kept)
 
 
 # -- real rollouts --------------------------------------------------------------------
@@ -274,14 +377,29 @@ class ExpertPolicy:
         self.env = env
         self.horizon = horizon
 
-    def sample(self, params, obs, task, rng):
-        state = np.asarray(obs, dtype=np.float64)
-        chunk = []
-        for _ in range(self.horizon):
-            action = self.env.expert_action(state)
-            state, _, _ = self.env.step(state, action)
-            chunk.append(action)
-        return np.array(chunk), 0.0
+    def sample(self, params, obs, task, rngs):
+        chunks = []
+        for state in np.asarray(obs, dtype=np.float64):
+            chunk = []
+            for _ in range(self.horizon):
+                action = self.env.expert_action(state)
+                state, _, _ = self.env.step(state, action)
+                chunk.append(action)
+            chunks.append(chunk)
+        return np.array(chunks), np.zeros(len(chunks))
+
+
+class NoisyExpertPolicy(ExpertPolicy):
+    """Expert chunks plus Gaussian action noise, row i drawing from rngs[i]."""
+
+    def __init__(self, env, horizon, noise):
+        super().__init__(env, horizon)
+        self.noise = noise
+
+    def sample(self, params, obs, task, rngs):
+        chunks, logps = super().sample(params, obs, task, rngs)
+        noise = np.array([rng.normal(scale=self.noise, size=chunks.shape[1:]) for rng in rngs])
+        return chunks + noise, logps
 
 
 def test_rollout_real_expert_succeeds():
@@ -321,18 +439,34 @@ def test_rollout_real_counts_env_steps():
 
 
 def test_oracle_substitution_bit_identical():
-    env = PickPlace2D()
-    policy, params = make_policy(env, init_log_std=-0.5)
+    for env, noise in ((PickPlace2D(), 0.3), (ReachPoint(), 2.0)):
+        learned, params = make_policy(env, init_log_std=-0.5)
+        for policy in (learned, NoisyExpertPolicy(env, H, noise)):
+            for size in (1, 4):
+                check_oracle_substitution(env, policy, params, size)
+
+
+def check_oracle_substitution(env, policy, params, size):
     wm = OracleWorldModel(env, context=4)
     reward = lambda frame, task: int(env.is_success(frame))
-    for seed in range(10):
-        task = TaskSpec(seed % 4)
+    lengths, mixed = set(), False
+    for seed in range(6):
+        task = TaskSpec(seed % env.n_tasks)
         start = env.reset_state(task, derive_rng(seed, 0, 0))
-        group = GroupSpec(task, start, "initial", 1)
-        imagined = rollout_imagined(policy, params, wm, reward, group, 64, H,
-                                    seed=seed)
-        real = rollout_real(policy, params, env, task, 1, 64, H, seed=seed)
-        assert imagined[0] == real[0]
+        group = GroupSpec(task, start, "initial", size)
+        imagined = rollout_imagined(policy, params, wm, reward, group, 64, H, seed=seed)
+        real = rollout_real(policy, params, env, task, size, 64, H, seed=seed,
+                            starts=[start] * size)
+        assert imagined == real
+        lengths.update(len(t.steps) for t in real)
+        mixed |= len({len(t.steps) for t in real}) > 1
+        if size == 1:  # default starts reset from derive_rng(seed, 0, 0)
+            assert rollout_real(policy, params, env, task, 1, 64, H, seed=seed) == real
+    if isinstance(policy, NoisyExpertPolicy):
+        # episodes end at different chunk steps, by success or at T; with
+        # G=4, the members of one group do
+        assert len(lengths) > 1 and 64 // H in lengths
+        assert mixed or size == 1
 
 
 # -- persistence -----------------------------------------------------------------------

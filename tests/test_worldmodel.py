@@ -150,12 +150,13 @@ def test_condition_discriminates_actions_after_training():
     opt = nn.adam_init(params)
     params = nn.adam_step(params, grads, opt, lr=1e-2)
 
-    state = rng.normal(size=net.out_dim)
-    ctx = AnchoredContext(rng.normal(size=D), rng.normal(size=(C, D)), TaskSpec(0))
-    chunk_a = np.full((H, A_DIM), 0.5)
-    chunk_b = np.full((H, A_DIM), -0.5)
-    out_a = net.u_apply(params, state, ctx, chunk_a, 0.3)
-    out_b = net.u_apply(params, state, ctx, chunk_b, 0.3)
+    state = rng.normal(size=(1, net.out_dim))
+    anchor, memory = rng.normal(size=(1, D)), rng.normal(size=(1, C, D))
+    task = np.ones((1, 1))
+    chunk_a = np.full((1, H * A_DIM), 0.5)
+    chunk_b = np.full((1, H * A_DIM), -0.5)
+    out_a = net.u_apply(params, state, anchor, memory, task, chunk_a, 0.3)
+    out_b = net.u_apply(params, state, anchor, memory, task, chunk_b, 0.3)
     assert not np.allclose(out_a, out_b)
 
 
@@ -201,10 +202,15 @@ def test_tape_and_numpy_forwards_agree():
     with nn.no_grad():
         tape_out = net.u_tape(params, xt, batch.anchors, batch.memories,
                               batch.tasks, batch.chunks, batch.t).data
+    numpy_out = net.u_apply(params, xt, batch.anchors, batch.memories, batch.tasks,
+                            batch.chunks, batch.t)
+    np.testing.assert_allclose(numpy_out, tape_out, rtol=0, atol=1e-12)
+    # a row alone agrees with the same row in the batch up to gemm rounding
     for i in range(3):
-        ctx = AnchoredContext(batch.anchors[i], batch.memories[i], TaskSpec(0))
-        single = net.u_apply(params, xt[i], ctx, batch.chunks[i].reshape(H, A_DIM), batch.t)
-        np.testing.assert_allclose(tape_out[i], single, rtol=0, atol=1e-12)
+        single = net.u_apply(params, xt[i:i + 1], batch.anchors[i:i + 1],
+                             batch.memories[i:i + 1], batch.tasks[i:i + 1],
+                             batch.chunks[i:i + 1], batch.t)
+        np.testing.assert_allclose(single[0], numpy_out[i], rtol=0, atol=1e-12)
 
 
 # -- sampling ------------------------------------------------------------------
@@ -217,7 +223,8 @@ def test_sample_chunk_constant_field_step_invariance():
     params["wm_out.b0"] = v_star.copy()
     ctx = AnchoredContext(np.zeros(D), np.zeros((C, D)), TaskSpec(0))
     chunk = np.zeros((H, A_DIM))
-    outs = [sample_chunk(net, params, ctx, chunk, s, derive_rng(13)) for s in (1, 5, 50)]
+    outs = [sample_chunk(net, params, [ctx], chunk[None], s, [derive_rng(13)])[0]
+            for s in (1, 5, 50)]
     x_init = derive_rng(13).normal(size=net.out_dim)
     expected = (x_init + v_star).reshape(H, D)
     np.testing.assert_array_equal(outs[0], expected)  # single step is exact
@@ -230,12 +237,17 @@ def test_sample_chunk_shape_and_determinism():
     params = net.init(derive_rng(14))
     ctx = AnchoredContext(np.zeros(D), np.zeros((C, D)), TaskSpec(0))
     chunk = np.ones((H, A_DIM)) * 0.1
-    a = sample_chunk(net, params, ctx, chunk, 5, derive_rng(15))
-    b = sample_chunk(net, params, ctx, chunk, 5, derive_rng(15))
-    assert a.shape == (H, D)
+    a = sample_chunk(net, params, [ctx, ctx], [chunk, -chunk], 5,
+                     [derive_rng(15), derive_rng(16)])
+    b = sample_chunk(net, params, [ctx, ctx], [chunk, -chunk], 5,
+                     [derive_rng(15), derive_rng(16)])
+    assert a.shape == (2, H, D)
     assert np.array_equal(a, b)
+    # row i draws its noise from rngs[i] only: alone it gives the same frames
+    alone = sample_chunk(net, params, [ctx], [-chunk], 5, [derive_rng(16)])
+    np.testing.assert_allclose(alone[0], a[1], rtol=1e-9)
     with pytest.raises(ValueError):
-        sample_chunk(net, params, ctx, chunk, 0, derive_rng(15))
+        sample_chunk(net, params, [ctx], [chunk], 0, [derive_rng(15)])
 
 
 def test_sample_chunk_does_not_mutate_context():
@@ -243,7 +255,7 @@ def test_sample_chunk_does_not_mutate_context():
     params = net.init(derive_rng(16))
     ctx = AnchoredContext(np.ones(D), np.ones((C, D)), TaskSpec(0))
     before = (ctx.anchor.tobytes(), ctx.memory.tobytes())
-    sample_chunk(net, params, ctx, np.zeros((H, A_DIM)), 3, derive_rng(17))
+    sample_chunk(net, params, [ctx], np.zeros((1, H, A_DIM)), 3, [derive_rng(17)])
     assert (ctx.anchor.tobytes(), ctx.memory.tobytes()) == before
 
 
@@ -254,12 +266,13 @@ def test_oracle_world_model_steps_real_dynamics():
     state = env.reset_state(TaskSpec(0), derive_rng(18))
     ctx = build_context([state], 4, TaskSpec(0))
     chunk = np.tile([0.05, 0.0, -1.0], (8, 1))
-    frames = oracle.predict_chunk(ctx, chunk, derive_rng(19))
-    ref = state
-    for a in chunk:
-        ref, _, _ = env.step(ref, a)
-    assert np.array_equal(frames[-1], ref)
-    assert frames.shape == (8, env.state_dim)
+    frames = oracle.predict_chunk([ctx, ctx], [chunk, -chunk], [derive_rng(19)] * 2)
+    assert frames.shape == (2, 8, env.state_dim)
+    for row, sign in zip(frames, (1, -1)):
+        ref = state
+        for a in sign * chunk:
+            ref, _, _ = env.step(ref, a)
+        assert np.array_equal(row[-1], ref)
 
 
 # -- training ------------------------------------------------------------------
@@ -323,7 +336,8 @@ def test_linear_fixture_one_chunk_mse(linear_fixture_run):
         for ep in test_eps:
             for s in (0, 5, 10):
                 ctx = build_context([ep.states[i] for i in range(s + 1)], C, ep.task)
-                pred = sample_chunk(net, params, ctx, ep.actions[s : s + H], 5, srng)
+                pred = sample_chunk(net, params, [ctx], ep.actions[None, s : s + H], 5,
+                                    [srng])[0]
                 errs.append(np.mean((pred - ep.states[s + 1 : s + 1 + H]) ** 2))
     assert np.mean(errs) < 1e-3
 
@@ -352,8 +366,10 @@ def test_linear_fixture_action_sensitivity(linear_fixture_run):
     plus = np.full((H, A_DIM), 0.6)
     minus = np.full((H, A_DIM), -0.6)
     srng = derive_rng(103)
-    pred_plus = np.mean([sample_chunk(net, params, ctx, plus, 5, srng) for _ in range(8)], axis=0)
-    pred_minus = np.mean([sample_chunk(net, params, ctx, minus, 5, srng) for _ in range(8)], axis=0)
+    pred_plus = np.mean([sample_chunk(net, params, [ctx], [plus], 5, [srng])[0]
+                         for _ in range(8)], axis=0)
+    pred_minus = np.mean([sample_chunk(net, params, [ctx], [minus], 5, [srng])[0]
+                          for _ in range(8)], axis=0)
     diff = pred_plus - pred_minus  # should be positive everywhere: +0.6 vs -0.6 drift
     assert np.all(diff[-1] > 0)
     assert np.mean(diff > 0) > 0.9
