@@ -3,7 +3,7 @@
 The policy emits an action chunk (H low-level actions) per call, so there is
 exactly one importance ratio per recorded step. Advantages are group returns
 minus the group mean, nothing else: no std normalization, no KL penalty, no
-value baseline (optional flags exist for the first two but default off).
+value baseline.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ import numpy as np
 
 from . import nn
 from .core import Trajectory, one_hot
-from .nn import Mlp, Tensor, as_tensor, clip, exp, minimum, tsum, value_and_grad
+from .nn import Mlp, Tensor, clip, exp, minimum, tsum, value_and_grad
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
@@ -56,14 +56,14 @@ class ChunkPolicy:
         return np.concatenate([obs, token], axis=-1)
 
     def mean(self, params: dict, obs, task) -> np.ndarray:
-        return self.trunk.apply(params, self.features(obs, task))
+        return self.trunk(params, self.features(obs, task))
 
     def log_std(self, params: dict) -> np.ndarray:
         return np.clip(params[f"{self.name}.log_std"], LOG_STD_MIN, LOG_STD_MAX)
 
-    def _density(self, params: dict, mu: np.ndarray, flat_chunks: np.ndarray) -> np.ndarray:
+    def _density(self, params: dict, mu, flat_chunks):
         log_sigma = self.log_std(params)
-        z = (flat_chunks - mu) / np.exp(log_sigma)
+        z = (flat_chunks - mu) * np.exp(-log_sigma)
         return -0.5 * np.sum(z * z, axis=-1) - np.sum(log_sigma) - 0.5 * self.flat * LOG_2PI
 
     def sample(self, params: dict, obs, task, rngs: list[np.random.Generator]):
@@ -80,18 +80,13 @@ class ChunkPolicy:
         logp = self._density(params, mu, clipped)
         return clipped.reshape(len(rngs), self.horizon, self.a_dim), logp
 
-    def logprob(self, params: dict, obs, task, chunk) -> float:
-        """Log-density of one stored chunk; plain numpy, no tape."""
-        mu = self.mean(params, obs, task)
-        return float(self._density(params, mu, np.asarray(chunk).reshape(self.flat)))
+    def logprob(self, params: dict, feats: np.ndarray, chunks: np.ndarray):
+        """Log-densities of stored chunks (N, H*a_dim) given features (N, obs+tasks).
 
-    def logprob_batch_t(self, leaves: dict, feats: np.ndarray, chunks: np.ndarray) -> Tensor:
-        """Tape version over a batch: feats (N, obs+tasks), chunks (N, H*a_dim)."""
-        mu = self.trunk(leaves, feats)
-        log_sigma = clip(as_tensor(leaves[f"{self.name}.log_std"]), LOG_STD_MIN, LOG_STD_MAX)
-        z = (as_tensor(chunks) - mu) * exp(-log_sigma)
-        quad = tsum(z * z, axis=1)
-        return -0.5 * quad - tsum(log_sigma) - 0.5 * self.flat * LOG_2PI
+        One row (obs+tasks,) with one flat chunk gives a scalar. A Tensor when
+        params are Tensor leaves.
+        """
+        return self._density(params, self.trunk(params, feats), chunks)
 
     def clamp(self, params: dict) -> dict:
         params[f"{self.name}.log_std"] = np.clip(
@@ -106,14 +101,11 @@ def discounted_return(traj: Trajectory, gamma: float) -> float:
     return float(sum(step.reward * gamma**t for t, step in enumerate(traj.steps)))
 
 
-def group_advantages(returns, normalize_std: bool = False) -> np.ndarray:
+def group_advantages(returns) -> np.ndarray:
     returns = np.asarray(returns, dtype=np.float64)
     if returns.size < 2:
         raise ValueError("a group needs at least 2 members")
-    adv = returns - returns.mean()
-    if normalize_std:
-        adv = adv / (returns.std() + 1e-8)
-    return adv
+    return returns - returns.mean()
 
 
 def clipped_term(rho: float, adv: float, eps: float) -> float:
@@ -137,11 +129,9 @@ class GroupBatch:
             raise ValueError("advantages must sum to zero within rounding")
 
 
-def build_group(trajectories: list[Trajectory], gamma: float,
-                normalize_std: bool = False) -> GroupBatch:
+def build_group(trajectories: list[Trajectory], gamma: float) -> GroupBatch:
     returns = np.array([discounted_return(t, gamma) for t in trajectories])
-    return GroupBatch(trajectories, returns,
-                      group_advantages(returns, normalize_std))
+    return GroupBatch(trajectories, returns, group_advantages(returns))
 
 
 def _flatten_valid_steps(policy: ChunkPolicy, groups: list[GroupBatch]):
@@ -175,28 +165,20 @@ def _flatten_valid_steps(policy: ChunkPolicy, groups: list[GroupBatch]):
 
 
 def grpo_objective(policy: ChunkPolicy, params: dict, groups: list[GroupBatch],
-                   clip_eps: float, kl_beta: float = 0.0):
+                   clip_eps: float):
     """Masked, length-normalized clipped surrogate, as a tape scalar.
 
     (1 / n_traj) * sum_i (1 / T_i_valid) * sum_{t <= T_i_valid}
         min(rho_t * A_i, clip(rho_t, 1-eps, 1+eps) * A_i)
-
-    With kl_beta > 0 each step also pays kl_beta * (rho - 1 - log rho), a
-    nonnegative sample estimate of KL(old || new) that vanishes with zero
-    gradient at the behavior parameters.
     """
     flat = _flatten_valid_steps(policy, groups)
     if flat is None:
-        return as_tensor(0.0)
+        return Tensor(0.0)
     feats, chunks, logp_old, weights, advs = flat
     if not np.all(np.isfinite(logp_old)):
         raise ValueError("missing or non-finite behavior log-density")
-    logp = policy.logprob_batch_t(params, feats, chunks)
-    delta = logp - logp_old
-    rho = exp(delta)
+    rho = exp(policy.logprob(params, feats, chunks) - logp_old)
     surrogate = minimum(rho * advs, clip(rho, 1.0 - clip_eps, 1.0 + clip_eps) * advs)
-    if kl_beta > 0.0:
-        surrogate = surrogate - kl_beta * (rho - 1.0 - delta)
     return tsum(surrogate * weights)
 
 
@@ -206,9 +188,7 @@ def ratio_stats(policy: ChunkPolicy, params: dict, groups: list[GroupBatch],
     if flat is None:
         return {"mean_ratio": 1.0, "clip_fraction": 0.0, "n_steps": 0}
     feats, chunks, logp_old, _, _ = flat
-    with nn.no_grad():
-        logp = policy.logprob_batch_t(params, feats, chunks).data
-    rho = np.exp(logp - logp_old)
+    rho = np.exp(policy.logprob(params, feats, chunks) - logp_old)
     outside = (rho < 1.0 - clip_eps) | (rho > 1.0 + clip_eps)
     return {
         "mean_ratio": float(rho.mean()),
@@ -219,7 +199,7 @@ def ratio_stats(policy: ChunkPolicy, params: dict, groups: list[GroupBatch],
 
 def grpo_update(policy: ChunkPolicy, params: dict, groups: list[GroupBatch],
                 clip_eps: float, inner_epochs: int, opt_state: dict | None = None,
-                lr: float = 3e-4, kl_beta: float = 0.0) -> tuple[dict, dict, list[dict]]:
+                lr: float = 3e-4) -> tuple[dict, dict, list[dict]]:
     """Gradient-ascent epochs on the clipped surrogate.
 
     Returns (params', opt_state, per-epoch stats). A non-finite objective or
@@ -233,8 +213,7 @@ def grpo_update(policy: ChunkPolicy, params: dict, groups: list[GroupBatch],
     logs = []
     for _ in range(inner_epochs):
         value, grads = value_and_grad(
-            lambda leaves: -grpo_objective(policy, leaves, groups, clip_eps,
-                                           kl_beta), params
+            lambda leaves: -grpo_objective(policy, leaves, groups, clip_eps), params
         )
         if not np.isfinite(value) or any(not np.all(np.isfinite(g)) for g in grads.values()):
             return original, opt_state, logs + [{"aborted": True}]

@@ -1,13 +1,20 @@
 """Minimal neural toolkit: a reverse-mode tape over float64 numpy arrays.
 
-Parameters live in flat dicts of numpy arrays. Forward functions wrap them in
-Tensor leaves per call, so training code stays functional: loss_fn(params) ->
-value_and_grad -> adam_step. No global state beyond the grad-mode flag.
+Parameters live in flat dicts of numpy arrays, and training code stays
+functional: loss_fn(params) -> value_and_grad -> adam_step.
+
+Each model's forward is written once, in plain numpy (`x @ w + b`, `np.tanh`,
+`np.concatenate`, basic slicing). On the plain-array params of inference it
+runs as plain numpy: no Tensor is built and no Python dispatch is added.
+value_and_grad passes Tensor leaves instead, and Tensor takes numpy's
+dispatch (NEP 13 `__array_ufunc__`, NEP 18 `__array_function__`), so the same
+code records the tape. A numpy call that the tables below do not map, such as
+`np.sin(t)`, raises TypeError instead of silently dropping the tape. There is
+no global state.
 """
 from __future__ import annotations
 
 import struct
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -15,19 +22,6 @@ from .core import MalformedHeader, TruncatedPayload
 
 CHECKPOINT_MAGIC = b"WOVC"
 CHECKPOINT_VERSION = 1
-
-_grad_enabled = True
-
-
-@contextmanager
-def no_grad():
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -97,10 +91,10 @@ class Tensor:
     __rmul__ = __mul__
 
     def __sub__(self, other):
-        return add(self, mul(other, -1.0))
+        return sub(self, other)
 
     def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
+        return sub(other, self)
 
     def __truediv__(self, other):
         return mul(self, power(as_tensor(other), -1))
@@ -109,13 +103,35 @@ class Tensor:
         return mul(power(self, -1), other)
 
     def __neg__(self):
-        return mul(self, -1.0)
+        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
 
+    def __rmatmul__(self, other):
+        return matmul(other, self)
+
     def __pow__(self, n):
         return power(self, n)
+
+    def __getitem__(self, key):
+        return take(self, key)
+
+    # -- numpy dispatch ------------------------------------------------------
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        fn = _UFUNCS.get(ufunc)
+        if fn is None or method != "__call__" or kwargs:
+            return NotImplemented  # numpy then raises TypeError
+        return fn(*inputs)
+
+    def __array_function__(self, func, types, args, kwargs):
+        fn = _FUNCTIONS.get(func)
+        if fn is None:
+            return NotImplemented
+        return fn(*args, **kwargs)
+
+    def __array__(self, dtype=None, copy=None):
+        raise TypeError("a Tensor does not convert to an array; read .data")
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -126,7 +142,7 @@ def as_tensor(x) -> Tensor:
 
 
 def _make(data, vjps) -> Tensor:
-    if _grad_enabled and any(p.requires_grad for p, _ in vjps):
+    if any(p.requires_grad for p, _ in vjps):
         return Tensor(data, requires_grad=True, vjps=vjps)
     return Tensor(data)
 
@@ -139,6 +155,14 @@ def add(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     return _make(a.data * b.data, [(a, lambda g: g * b.data), (b, lambda g: g * a.data)])
+
+
+def sub(a, b) -> Tensor:
+    return add(a, mul(b, -1.0))
+
+
+def neg(a) -> Tensor:
+    return mul(a, -1.0)
 
 
 def matmul(a, b) -> Tensor:
@@ -161,21 +185,10 @@ def exp(a) -> Tensor:
     return _make(out, [(a, lambda g: g * out)])
 
 
-def log(a) -> Tensor:
-    a = as_tensor(a)
-    return _make(np.log(a.data), [(a, lambda g: g / a.data)])
-
-
 def tanh(a) -> Tensor:
     a = as_tensor(a)
     out = np.tanh(a.data)
     return _make(out, [(a, lambda g: g * (1.0 - out * out))])
-
-
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    mask = a.data > 0
-    return _make(np.where(mask, a.data, 0.0), [(a, lambda g: g * mask)])
 
 
 def _sigmoid_raw(x: np.ndarray) -> np.ndarray:
@@ -185,12 +198,6 @@ def _sigmoid_raw(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    out = _sigmoid_raw(a.data)
-    return _make(out, [(a, lambda g: g * out * (1.0 - out))])
 
 
 def softplus(a) -> Tensor:
@@ -258,19 +265,39 @@ def reshape(a, shape) -> Tensor:
     return _make(a.data.reshape(shape), [(a, lambda g: g.reshape(a.data.shape))])
 
 
-def narrow(a, axis, start, length) -> Tensor:
-    """Contiguous slice [start, start+length) along one axis."""
+def take(a, key) -> Tensor:
+    """Basic indexing (ints, slices, Ellipsis, None); the gradient scatters back."""
     a = as_tensor(a)
-    sl = [slice(None)] * a.data.ndim
-    sl[axis] = slice(start, start + length)
-    sl = tuple(sl)
+    for k in key if isinstance(key, tuple) else (key,):
+        if not (k is Ellipsis or k is None or isinstance(k, (int, np.integer, slice))):
+            raise TypeError(f"Tensor indexing takes ints, slices and Ellipsis, not {k!r}")
 
-    def back(g, sl=sl):
+    def back(g):
         full = np.zeros_like(a.data)
-        full[sl] = g
+        full[key] = g
         return full
 
-    return _make(a.data[sl].copy(), [(a, back)])
+    return _make(a.data[key].copy(), [(a, back)])
+
+
+_UFUNCS = {
+    np.add: add,
+    np.subtract: sub,
+    np.multiply: mul,
+    np.negative: neg,
+    np.matmul: matmul,
+    np.tanh: tanh,
+    np.exp: exp,
+    np.minimum: minimum,
+    np.maximum: maximum,
+}
+
+_FUNCTIONS = {
+    np.concatenate: concat,
+    np.sum: tsum,
+    np.clip: clip,
+    np.reshape: reshape,
+}
 
 
 def value_and_grad(loss_fn, params: dict):
@@ -295,22 +322,19 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
 
 
 class Mlp:
-    """Plain fully connected stack, tanh hidden activations, linear output.
+    """Plain fully connected stack: tanh after each hidden layer, linear output.
 
     Holds only the architecture; weights live in an external params dict under
     keys "<name>.w{i}" / "<name>.b{i}". zero_init_last makes the final layer
     start at exactly zero, so the block initially contributes nothing.
     """
 
-    def __init__(self, name: str, sizes: list[int], zero_init_last=False, activation="tanh"):
+    def __init__(self, name: str, sizes: list[int], zero_init_last=False):
         if len(sizes) < 2:
             raise ValueError("need at least an input and an output size")
-        if activation not in ("tanh", "relu"):
-            raise ValueError(f"unsupported activation {activation!r}")
         self.name = name
         self.sizes = list(sizes)
         self.zero_init_last = zero_init_last
-        self.activation = activation
         self.keys = [(f"{name}.w{i}", f"{name}.b{i}") for i in range(len(sizes) - 1)]
 
     @property
@@ -330,27 +354,16 @@ class Mlp:
         return params
 
     def __call__(self, params: dict, x):
-        h = as_tensor(x)
-        act = tanh if self.activation == "tanh" else relu
-        last = len(self.keys) - 1
-        for i, (w, b) in enumerate(self.keys):
-            h = add(matmul(h, as_tensor(params[w])), as_tensor(params[b]))
-            if i < last:
-                h = act(h)
-        return h
+        """x is one row (in_dim,) or a batch of rows (B, in_dim).
 
-    def apply(self, params: dict, x: np.ndarray) -> np.ndarray:
-        """Inference path: raw arrays in, raw arrays out, no tape.
-
-        x is one row (in_dim,) or a batch of rows (B, in_dim).
+        Plain arrays give plain arrays; Tensor params or input record the tape.
         """
-        h = np.asarray(x, dtype=np.float64)
         last = len(self.keys) - 1
         for i, (w, b) in enumerate(self.keys):
-            h = h @ params[w] + params[b]
+            x = x @ params[w] + params[b]
             if i < last:
-                h = np.tanh(h) if self.activation == "tanh" else np.maximum(h, 0.0)
-        return h
+                x = np.tanh(x)
+        return x
 
 
 # ---------------------------------------------------------------------------

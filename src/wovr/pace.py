@@ -123,7 +123,7 @@ def clone_base_policy(demos, policy: ChunkPolicy, rng: np.random.Generator,
         for lo in range(0, n, batch_size):
             idx = order[lo:lo + batch_size]
             value, grads = value_and_grad(
-                lambda leaves: -tmean(policy.logprob_batch_t(leaves, feats[idx], chunks[idx])),
+                lambda leaves: -tmean(policy.logprob(leaves, feats[idx], chunks[idx])),
                 params)
             if not np.isfinite(value):
                 raise FloatingPointError("behavior cloning diverged")

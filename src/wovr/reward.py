@@ -11,7 +11,7 @@ import numpy as np
 
 from . import nn
 from .core import FrameEpisode, TaskSpec, one_hot
-from .nn import Mlp, as_tensor, softplus, tmean, value_and_grad
+from .nn import Mlp, softplus, tmean, value_and_grad
 
 
 class RewardNet:
@@ -30,12 +30,9 @@ class RewardNet:
         return np.concatenate([np.asarray(obs, dtype=np.float64),
                                one_hot(task.task_id, self.n_tasks)])
 
-    def logit_tape(self, params: dict, feats: np.ndarray):
-        out = self.mlp(params, feats)
-        return nn.reshape(out, (np.asarray(feats).shape[0],))
-
-    def logit(self, params: dict, obs: np.ndarray, task: TaskSpec) -> float:
-        return float(self.mlp.apply(params, self.features(obs, task))[0])
+    def logit(self, params: dict, feats: np.ndarray):
+        """Success logits of feature rows (N, obs+tasks) -> (N,); one row -> 0-d."""
+        return self.mlp(params, feats)[..., 0]
 
 
 def bce_with_logits(logits, labels: np.ndarray, pos_weight: float = 1.0):
@@ -47,15 +44,14 @@ def bce_with_logits(logits, labels: np.ndarray, pos_weight: float = 1.0):
     labels = np.asarray(labels, dtype=np.float64)
     if not np.all((labels == 0.0) | (labels == 1.0)):
         raise ValueError("labels must be 0 or 1")
-    x = as_tensor(logits)
-    pos = softplus(-x) * (pos_weight * labels)
-    neg = softplus(x) * (1.0 - labels)
+    pos = softplus(-logits) * (pos_weight * labels)
+    neg = softplus(logits) * (1.0 - labels)
     return tmean(pos + neg)
 
 
 def predict_success(net: RewardNet, params: dict, obs, task: TaskSpec) -> float:
     """Success probability: the sigmoid of the classifier logit."""
-    logit = net.logit(params, np.asarray(obs, dtype=np.float64), task)
+    logit = float(net.logit(params, net.features(obs, task)))
     if logit >= 0:
         return float(1.0 / (1.0 + np.exp(-logit)))
     e = np.exp(logit)
@@ -131,7 +127,7 @@ def train_classifier(examples: list, net: RewardNet, rng: np.random.Generator,
             fb, yb = feats[idx], labels[idx]
 
             def loss_fn(p):
-                return bce_with_logits(net.logit_tape(p, fb), yb, pos_weight)
+                return bce_with_logits(net.logit(p, fb), yb, pos_weight)
 
             value, grads = value_and_grad(loss_fn, params)
             params = nn.adam_step(params, grads, opt, lr=lr)

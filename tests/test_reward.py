@@ -72,7 +72,7 @@ def test_bce_gradcheck_through_net():
     labels = np.array([1.0, 0.0, 1.0, 0.0])
 
     def loss(p):
-        return bce_with_logits(net.logit_tape(p, feats), labels, pos_weight=2.0)
+        return bce_with_logits(net.logit(p, feats), labels, pos_weight=2.0)
 
     _, grads = value_and_grad(loss, params)
     eps = 1e-5

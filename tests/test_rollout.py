@@ -207,7 +207,7 @@ def test_rollout_imagined_logp_matches_policy_density():
     trajs = rollout_imagined(policy, params, wm, reward, group, T, H, seed=11)
     for t in trajs:
         for rec in t.steps:
-            ref = policy.logprob(params, rec.obs, t.task, rec.chunk)
+            ref = policy.logprob(params, policy.features(rec.obs, t.task), rec.chunk.reshape(-1))
             assert rec.logp_old == pytest.approx(ref, rel=1e-12)
 
 
