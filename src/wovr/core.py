@@ -1,14 +1,29 @@
-"""Shared domain types and deterministic binary serialization.
+"""Shared domain types, run configuration and the one on-disk container.
 
 State vectors are plain float64 numpy arrays; trajectories are chunk-granular
 (one StepRecord per policy call). Everything here is immutable after
 construction by convention and safe to share across workers.
+
+Every wovr file is one little-endian container, written by write_records and
+parsed by read_records, the only byte parser in wovr:
+
+    file:   magic (4 bytes), FORMAT_VERSION (u8), record count (u32), records
+    record: array count (u32), then its arrays in sorted-name order
+    array:  name length (u16), UTF-8 name, dtype code (u8: <f8, <i8 or |u1),
+            ndim (u8), shape (ndim x u32), then the C-order data
+
+A store (.wovs) holds one record per trajectory, a frame set (.wovf) an
+env-name record then one per episode, a checkpoint (.wovc) one record. Each
+kind has its own magic. On a corrupt file every reader fails only with
+MalformedHeader, TruncatedPayload or InvariantViolation.
 """
 from __future__ import annotations
 
 import copy
 import hashlib
+import itertools
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -16,7 +31,7 @@ import numpy as np
 
 STORE_MAGIC = b"WOVR"
 FRAMES_MAGIC = b"WOVF"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 START_KINDS = ("initial", "keyframe")
 
@@ -252,119 +267,135 @@ def derive_seed(seed: int, *tags: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Trajectory encoding (little-endian, fixed 64-bit floats)
+# The record container: every wovr file is a list of records, and each record
+# maps names to numpy arrays.
 
-_HEADER = struct.Struct("<IBBIIIII")  # task_id, start_kind, success, valid_len, n_steps, d, H, a_dim
-_MAX_DIM = 4096
-_MAX_STEPS = 1 << 20
-
-
-def encode_trajectory(traj: Trajectory) -> bytes:
-    """Deterministic byte encoding; decode(encode(t)) == t field-for-field."""
-    if traj.steps:
-        d = traj.steps[0].obs.shape[0]
-        horizon, a_dim = traj.steps[0].chunk.shape
-    else:
-        d, horizon, a_dim = 0, 0, 0
-    out = bytearray()
-    out += _HEADER.pack(
-        traj.task.task_id,
-        START_KINDS.index(traj.start_kind),
-        int(traj.success),
-        traj.valid_len,
-        len(traj.steps),
-        d,
-        horizon,
-        a_dim,
-    )
-    for step in traj.steps:
-        if step.obs.shape != (d,) or step.chunk.shape != (horizon, a_dim):
-            raise ValueError("ragged step shapes within one trajectory")
-        out += step.obs.astype("<f8").tobytes()
-        out += step.chunk.astype("<f8").tobytes()
-        out += struct.pack("<Bd B", step.reward, step.logp_old, int(step.done))
-    return bytes(out)
+_FILE = struct.Struct("<4sBI")   # magic, FORMAT_VERSION, record count
+_ARRAY = struct.Struct("<HBB")   # name length, dtype code, ndim
+_DTYPES = ("<f8", "<i8", "|u1")  # dtype code -> dtype
 
 
-def decode_trajectory(data: bytes) -> Trajectory:
-    if len(data) < _HEADER.size:
-        raise MalformedHeader(f"payload shorter than header ({len(data)} bytes)")
-    task_id, kind_idx, success, valid_len, n_steps, d, horizon, a_dim = _HEADER.unpack_from(data, 0)
-    if kind_idx >= len(START_KINDS):
-        raise MalformedHeader(f"unknown start_kind code {kind_idx}")
-    if success not in (0, 1):
-        raise MalformedHeader(f"success byte must be 0 or 1, got {success}")
-    if d > _MAX_DIM or a_dim > _MAX_DIM or horizon > _MAX_DIM or n_steps > _MAX_STEPS:
-        raise MalformedHeader("declared dimensions exceed sane bounds")
-    step_size = 8 * d + 8 * horizon * a_dim + struct.calcsize("<Bd B")
-    expected = _HEADER.size + n_steps * step_size
-    if len(data) < expected:
-        raise TruncatedPayload(f"need {expected} bytes, got {len(data)}")
-    if len(data) > expected:
-        raise MalformedHeader(f"{len(data) - expected} trailing bytes after payload")
+def write_records(path, magic: bytes, count: int, records):
+    """Write count records, each a dict of arrays, in sorted-name order.
 
-    offset = _HEADER.size
-    steps = []
-    for _ in range(n_steps):
-        obs = np.frombuffer(data, dtype="<f8", count=d, offset=offset).copy()
-        offset += 8 * d
-        chunk = np.frombuffer(data, dtype="<f8", count=horizon * a_dim, offset=offset)
-        chunk = chunk.reshape(horizon, a_dim).copy()
-        offset += 8 * horizon * a_dim
-        reward, logp_old, done = struct.unpack_from("<Bd B", data, offset)
-        offset += struct.calcsize("<Bd B")
-        if reward not in (0, 1):
-            raise InvariantViolation(f"reward byte must be 0 or 1, got {reward}")
-        if done not in (0, 1):
-            raise InvariantViolation(f"done byte must be 0 or 1, got {done}")
-        steps.append(StepRecord(obs, chunk, reward, logp_old, bool(done)))
+    records may be a generator: each record is written as it comes, so the
+    caller never holds more than one. Equal input gives equal bytes. count
+    must be the number of records.
+    """
+    with open(path, "wb") as fh:
+        fh.write(_FILE.pack(magic, FORMAT_VERSION, count))
+        for record in records:
+            fh.write(struct.pack("<I", len(record)))
+            for name in sorted(record):
+                # asarray, not ascontiguousarray: the latter promotes 0-d to 1-d
+                arr = np.asarray(record[name], order="C")
+                encoded = name.encode()
+                fh.write(_ARRAY.pack(len(encoded), _DTYPES.index(arr.dtype.str), arr.ndim)
+                         + encoded + struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(arr.data)
 
-    # Trajectory.__post_init__ re-verifies valid_len against a fresh scan.
-    return Trajectory(TaskSpec(task_id), START_KINDS[kind_idx], steps, bool(success), valid_len)
+
+def read_records(path, magic: bytes) -> list[dict[str, np.ndarray]]:
+    """Every record of a write_records file; each read is bounds-checked."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    view, offset = memoryview(data), 0
+
+    def take(n: int) -> memoryview:
+        nonlocal offset
+        if offset + n > len(data):
+            raise TruncatedPayload(f"need {n} bytes at offset {offset}, the file has {len(data)}")
+        offset += n
+        return view[offset - n:offset]
+
+    if len(data) < _FILE.size:
+        raise MalformedHeader(f"file shorter than its {_FILE.size}-byte header")
+    file_magic, version, count = _FILE.unpack(take(_FILE.size))
+    if file_magic != magic or version != FORMAT_VERSION:
+        raise MalformedHeader(f"header {file_magic!r} v{version}, expected {magic!r} "
+                              f"v{FORMAT_VERSION}")
+    records = []
+    for _ in range(count):
+        record = {}
+        for _ in range(*struct.unpack("<I", take(4))):
+            name_len, code, ndim = _ARRAY.unpack(take(_ARRAY.size))
+            try:
+                name = bytes(take(name_len)).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise MalformedHeader(f"array name is not valid UTF-8: {exc}") from exc
+            shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+            # numpy takes at most 32 dims on every version; a zero dim beside
+            # huge ones holds no data, yet numpy cannot shape it either
+            if (code >= len(_DTYPES) or ndim > 32 or (record and name <= next(reversed(record)))
+                    or math.prod(max(dim, 1) for dim in shape) > len(data)):
+                raise MalformedHeader(f"array {name!r}: dtype code {code}, shape {shape}, "
+                                      "or out of sorted-name order")
+            dtype = np.dtype(_DTYPES[code])
+            raw = take(math.prod(shape) * dtype.itemsize)
+            record[name] = np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+        records.append(record)
+    if offset != len(data):
+        raise MalformedHeader(f"{len(data) - offset} trailing bytes after the records")
+    return records
+
+
+def _fields(record: dict, schema: dict) -> list[np.ndarray]:
+    """The record's arrays in schema order, checked against schema's names,
+    dtypes and dims; a dim given by name takes one size in the whole record."""
+    if sorted(record) != sorted(schema):
+        raise MalformedHeader(f"record holds {sorted(record)}, expected {sorted(schema)}")
+    sizes = {}
+    for name, (dtype, dims) in schema.items():
+        arr = record[name]
+        if arr.dtype.str != dtype or arr.ndim != len(dims) or any(
+                (dim if isinstance(dim, int) else sizes.setdefault(dim, n)) != n
+                for dim, n in zip(dims, arr.shape)):
+            raise MalformedHeader(f"{name!r} is a {arr.dtype.str} array of shape "
+                                  f"{arr.shape}, expected {dtype} {dims}")
+    return [record[name] for name in schema]
 
 
 # ---------------------------------------------------------------------------
-# Append-only trajectory store: magic + version, then length-prefixed records.
+# Trajectory store: one record per trajectory.
+
+# head is (task, start kind, success, valid_len); flags is (reward, done) per step
+_STORE_SCHEMA = {"chunk": ("<f8", ("n", "H", "a")), "flags": ("|u1", ("n", 2)),
+                 "head": ("<i8", (4,)), "logp_old": ("<f8", ("n",)),
+                 "obs": ("<f8", ("n", "d"))}
+
+
+def _trajectory_record(traj: Trajectory) -> dict[str, np.ndarray]:
+    steps = traj.steps
+    # np.array raises on ragged step shapes; zero steps would give a 1-d array
+    return {"head": np.array([traj.task.task_id, START_KINDS.index(traj.start_kind),
+                              int(traj.success), traj.valid_len], dtype=np.int64),
+            "obs": np.array([s.obs for s in steps]) if steps else np.zeros((0, 0)),
+            "chunk": np.array([s.chunk for s in steps]) if steps else np.zeros((0, 0, 0)),
+            "logp_old": np.array([s.logp_old for s in steps], dtype=np.float64),
+            "flags": np.array([(s.reward, s.done) for s in steps],
+                              dtype=np.uint8).reshape(-1, 2)}
+
+
+def _trajectory(record: dict) -> Trajectory:
+    chunk, flags, head, logp_old, obs = _fields(record, _STORE_SCHEMA)
+    task_id, kind, success, valid_len = head.tolist()
+    if task_id < 0 or not 0 <= kind < len(START_KINDS) or success not in (0, 1):
+        raise MalformedHeader(f"bad trajectory head {head.tolist()}")
+    if np.any(flags > 1):
+        raise InvariantViolation("reward and done flags must be 0 or 1")
+    steps = [StepRecord(o, c, int(reward), float(logp), bool(done))
+             for o, c, logp, (reward, done) in zip(obs, chunk, logp_old, flags)]
+    # Trajectory.__post_init__ re-verifies valid_len against a fresh scan.
+    return Trajectory(TaskSpec(task_id), START_KINDS[kind], steps, bool(success), valid_len)
 
 
 def write_store(path, trajectories: list[Trajectory]):
-    with open(path, "wb") as fh:
-        fh.write(STORE_MAGIC)
-        fh.write(bytes([FORMAT_VERSION]))
-        for traj in trajectories:
-            payload = encode_trajectory(traj)
-            fh.write(struct.pack("<I", len(payload)))
-            fh.write(payload)
-
-
-def append_store(path, trajectory: Trajectory):
-    payload = encode_trajectory(trajectory)
-    with open(path, "ab") as fh:
-        fh.write(struct.pack("<I", len(payload)))
-        fh.write(payload)
+    write_records(path, STORE_MAGIC, len(trajectories),
+                  (_trajectory_record(t) for t in trajectories))
 
 
 def read_store(path) -> list[Trajectory]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 5:
-        raise MalformedHeader("store file shorter than magic + version")
-    if data[:4] != STORE_MAGIC:
-        raise MalformedHeader(f"bad magic {data[:4]!r}")
-    if data[4] != FORMAT_VERSION:
-        raise MalformedHeader(f"unsupported store version {data[4]}")
-    offset = 5
-    out = []
-    while offset < len(data):
-        if offset + 4 > len(data):
-            raise TruncatedPayload("dangling record length prefix")
-        (length,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        if offset + length > len(data):
-            raise TruncatedPayload("record extends past end of file")
-        out.append(decode_trajectory(data[offset : offset + length]))
-        offset += length
-    return out
+    return [_trajectory(record) for record in read_records(path, STORE_MAGIC)]
 
 
 # ---------------------------------------------------------------------------
@@ -395,66 +426,33 @@ class FrameEpisode:
         )
 
 
-_FRAME_HEADER = struct.Struct("<IIII")  # task_id, n_steps, d, a_dim
+_FRAMES_SCHEMA = {"actions": ("<f8", ("n", "a")), "states": ("<f8", ("s", "d")),
+                  "task": ("<i8", ())}
 
 
 def write_frames(path, episodes: list[FrameEpisode], env_name: str):
-    name = env_name.encode()
-    with open(path, "wb") as fh:
-        fh.write(FRAMES_MAGIC)
-        fh.write(bytes([FORMAT_VERSION]))
-        fh.write(struct.pack("<H", len(name)))
-        fh.write(name)
-        fh.write(struct.pack("<I", len(episodes)))
-        for ep in episodes:
-            n_steps, a_dim = ep.actions.shape
-            d = ep.states.shape[1]
-            fh.write(_FRAME_HEADER.pack(ep.task.task_id, n_steps, d, a_dim))
-            fh.write(ep.states.astype("<f8").tobytes())
-            fh.write(ep.actions.astype("<f8").tobytes())
+    """A first record naming the env, then one record per episode."""
+    head = {"env": np.frombuffer(env_name.encode(), dtype=np.uint8)}
+    records = ({"actions": ep.actions, "states": ep.states, "task": np.int64(ep.task.task_id)}
+               for ep in episodes)
+    write_records(path, FRAMES_MAGIC, len(episodes) + 1, itertools.chain([head], records))
 
 
 def read_frames(path) -> tuple[list[FrameEpisode], str]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 7 or data[:4] != FRAMES_MAGIC:
-        raise MalformedHeader("bad frame-set magic")
-    if data[4] != FORMAT_VERSION:
-        raise MalformedHeader(f"unsupported frame-set version {data[4]}")
-    (name_len,) = struct.unpack_from("<H", data, 5)
-    offset = 7
-    if offset + name_len + 4 > len(data):
-        raise TruncatedPayload("frame-set header ends inside the env name or episode count")
+    records = read_records(path, FRAMES_MAGIC)
+    if not records:
+        raise MalformedHeader("frame set lacks its env-name record")
+    (name,) = _fields(records[0], {"env": ("|u1", ("len",))})
     try:
-        env_name = data[offset : offset + name_len].decode("utf-8", errors="strict")
+        env_name = name.tobytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedHeader(f"env name is not valid UTF-8: {exc}") from exc
-    offset += name_len
-    (n_eps,) = struct.unpack_from("<I", data, offset)
-    offset += 4
-    if n_eps * _FRAME_HEADER.size > len(data) - offset:
-        raise TruncatedPayload(f"{n_eps} episode headers cannot fit in the remaining bytes")
     episodes = []
-    for _ in range(n_eps):
-        if offset + _FRAME_HEADER.size > len(data):
-            raise TruncatedPayload("frame-set ends inside an episode header")
-        task_id, n_steps, d, a_dim = _FRAME_HEADER.unpack_from(data, offset)
-        offset += _FRAME_HEADER.size
-        count_s = (n_steps + 1) * d
-        count_a = n_steps * a_dim
-        if 8 * (count_s + count_a) > len(data) - offset:
-            raise TruncatedPayload(
-                f"episode of {n_steps} steps (d={d}, a_dim={a_dim}) extends past end of file")
-        states = np.frombuffer(data, dtype="<f8", count=count_s, offset=offset)
-        offset += 8 * count_s
-        actions = np.frombuffer(data, dtype="<f8", count=count_a, offset=offset)
-        offset += 8 * count_a
-        episodes.append(
-            FrameEpisode(TaskSpec(task_id), states.reshape(n_steps + 1, d).copy(),
-                         actions.reshape(n_steps, a_dim).copy())
-        )
-    if offset != len(data):
-        raise MalformedHeader(f"{len(data) - offset} trailing bytes after frame-set payload")
+    for record in records[1:]:
+        actions, states, task = _fields(record, _FRAMES_SCHEMA)
+        if len(states) != len(actions) + 1 or task < 0:
+            raise MalformedHeader("frame episode needs task >= 0 and one more state than actions")
+        episodes.append(FrameEpisode(TaskSpec(int(task)), states, actions))
     return episodes, env_name
 
 

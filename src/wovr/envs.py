@@ -152,11 +152,6 @@ def get_env(name: str):
     return _REGISTRY[name]()
 
 
-def reset(env_kind: str, task: TaskSpec, seed: int) -> np.ndarray:
-    """Deterministic initial state for (task, seed)."""
-    return get_env(env_kind).reset_state(task, derive_rng(seed, task.task_id))
-
-
 def step_chunks(env, states, chunks) -> np.ndarray:
     """Step env from each of B states through its (H, a_dim) chunk; (B, H, d)."""
     out = []

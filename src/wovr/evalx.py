@@ -1,7 +1,7 @@
 """Evaluation: real success rate, hallucination rate, error-vs-horizon curves.
 
 The hallucination metric is the outcome mismatch between an imagined rollout
-and an open-loop replay of its actions in the real environment. The horizon
+and an open-loop replay of its executed actions in the real env. The horizon
 curve replays real action sequences through the model closed-loop and reports
 state MSE at increasing depths. Every metric vanishes when the model is the
 environment oracle, which pins the plumbing.
@@ -9,14 +9,13 @@ environment oracle, which pins the plumbing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import TaskSpec, derive_rng, derive_seed
+from .core import TaskSpec, derive_rng
 from .envs import step_chunks
-from .rollout import GroupSpec, rollout_imagined, rollout_real
-from .worldmodel import build_context
+from .rollout import _executed_actions, _imagined_dynamics, _roll_group, rollout_real
 
 
 def success_rate(policy, params, env, task: TaskSpec, n: int, T: int, H: int,
@@ -28,36 +27,26 @@ def success_rate(policy, params, env, task: TaskSpec, n: int, T: int, H: int,
     return sum(t.success for t in trajs) / n
 
 
-def _replay_actions(env, start: np.ndarray, actions) -> bool:
-    """Open-loop replay; true iff any step reaches success."""
-    state = np.asarray(start, dtype=np.float64)
-    for action in actions:
-        state, reward, _ = env.step(state, action)
-        if reward == 1:
-            return True
-    return False
-
-
 def hallucination_rate(policy, params, wm, reward_fn, env, task: TaskSpec,
                        n: int, T: int, H: int, seed: int) -> dict:
     """Imagined-vs-real outcome mismatch over n paired episodes.
 
-    Episode i: imagined closed-loop rollout from a fresh env start, then its
-    recorded actions replayed verbatim in the real env from the same start.
-    Returns rate plus the two one-sided fractions: spurious (imagined success,
-    real failure — the dangerous direction) and missed (imagined failure,
-    real success).
+    Episode i is member i of one lockstep imagined group, started from
+    derive_rng(seed, i, 0) as in rollout_real. Its executed actions, up to its
+    last imagined frame, are replayed open loop in the real env from the same
+    start. Returns rate plus the two one-sided fractions: spurious (imagined
+    success, real failure — the dangerous direction) and missed (imagined
+    failure, real success).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    starts = [env.reset_state(task, derive_rng(seed, i, 0)) for i in range(n)]
+    trajectories, histories = _roll_group(policy, params, _imagined_dynamics(wm, task),
+                                          reward_fn, task, starts, "initial", T, H, seed)
     spurious = missed = 0
-    for i in range(n):
-        start = env.reset_state(task, derive_rng(seed, i, 0))
-        group = GroupSpec(task, start, "initial", 1)
-        traj = rollout_imagined(policy, params, wm, reward_fn, group, T, H,
-                                seed=derive_seed(seed, i))[0]
-        actions = [a for rec in traj.steps for a in rec.chunk]
-        real = _replay_actions(env, start, actions)
+    for start, traj, history in zip(starts, trajectories, histories):
+        actions = _executed_actions(traj, len(history) - 1, H)
+        real = any(env.is_success(frame) for frame in step_chunks(env, [start], [actions])[0])
         if traj.success and not real:
             spurious += 1
         elif real and not traj.success:
@@ -108,10 +97,9 @@ def horizon_error(wm, policy, params, env, task: TaskSpec, horizons,
             states.extend(rows)
     # model replay of the same chunks, closed loop on its own frames
     model_states = [[s] for s in starts]
+    dynamics = _imagined_dynamics(wm, task)
     for batch in chunks:
-        ctxs = [build_context(states, wm.context, task, wm.anchor_mode)
-                for states in model_states]
-        frames = np.asarray(wm.predict_chunk(ctxs, batch, model_rngs), dtype=np.float64)
+        frames = np.asarray(dynamics(model_states, batch, model_rngs), dtype=np.float64)
         for states, rows in zip(model_states, frames):
             states.extend(rows)
     return [(h, float(np.mean([np.mean((real[h] - model[h]) ** 2)
@@ -143,15 +131,7 @@ class EvalReport:
         return self
 
     def to_json(self) -> str:
-        payload = {
-            "seeds": list(self.seeds),
-            "checkpoint_hashes": dict(self.checkpoint_hashes),
-            "success_rate": self.success_rate,
-            "sr_trials": self.sr_trials,
-            "hallucination": self.hallucination,
-            "horizon_curve": self.horizon_curve,
-        }
-        return json.dumps(payload, sort_keys=True, indent=1)
+        return json.dumps(asdict(self), sort_keys=True, indent=1)
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":

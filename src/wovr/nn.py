@@ -14,14 +14,11 @@ no global state.
 """
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
-from .core import MalformedHeader, TruncatedPayload
+from .core import MalformedHeader, read_records, write_records
 
 CHECKPOINT_MAGIC = b"WOVC"
-CHECKPOINT_VERSION = 1
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -96,12 +93,6 @@ class Tensor:
     def __rsub__(self, other):
         return sub(other, self)
 
-    def __truediv__(self, other):
-        return mul(self, power(as_tensor(other), -1))
-
-    def __rtruediv__(self, other):
-        return mul(power(self, -1), other)
-
     def __neg__(self):
         return neg(self)
 
@@ -110,9 +101,6 @@ class Tensor:
 
     def __rmatmul__(self, other):
         return matmul(other, self)
-
-    def __pow__(self, n):
-        return power(self, n)
 
     def __getitem__(self, key):
         return take(self, key)
@@ -171,12 +159,6 @@ def matmul(a, b) -> Tensor:
         out = a.data @ b.data
         return _make(out, [(a, lambda g: g @ b.data.T), (b, lambda g: np.outer(a.data, g))])
     return _make(a.data @ b.data, [(a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g)])
-
-
-def power(a, n) -> Tensor:
-    a = as_tensor(a)
-    n = int(n)
-    return _make(a.data**n, [(a, lambda g: g * n * a.data ** (n - 1))])
 
 
 def exp(a) -> Tensor:
@@ -394,51 +376,20 @@ def adam_step(params, grads, state, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: sorted-key binary dump so identical params give identical bytes.
+# Checkpoints: one record of float64 arrays in core's container, so identical
+# params give identical bytes.
 
 
 def save_params(path, params: dict):
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(bytes([CHECKPOINT_VERSION]))
-        fh.write(struct.pack("<I", len(params)))
-        for name in sorted(params):
-            # asarray, not ascontiguousarray: the latter promotes 0-d to 1-d
-            arr = np.asarray(params[name], dtype=np.float64)
-            encoded = name.encode()
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype("<f8").tobytes())
+    write_records(path, CHECKPOINT_MAGIC, 1,
+                  [{name: np.asarray(value, dtype=np.float64) for name, value in params.items()}])
 
 
 def load_params(path) -> dict:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 9 or data[:4] != CHECKPOINT_MAGIC:
-        raise MalformedHeader("bad checkpoint magic")
-    if data[4] != CHECKPOINT_VERSION:
-        raise MalformedHeader(f"unsupported checkpoint version {data[4]}")
-    (count,) = struct.unpack_from("<I", data, 5)
-    offset = 9
-    params = {}
-    try:
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", data, offset)
-            offset += 2
-            name = data[offset : offset + name_len].decode()
-            offset += name_len
-            (ndim,) = struct.unpack_from("<B", data, offset)
-            offset += 1
-            shape = struct.unpack_from(f"<{ndim}I", data, offset)
-            offset += 4 * ndim
-            size = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(data, dtype="<f8", count=size, offset=offset)
-            offset += 8 * size
-            params[name] = arr.reshape(shape).copy()
-    except (struct.error, ValueError) as exc:
-        raise TruncatedPayload(f"checkpoint ended early: {exc}") from exc
-    if offset != len(data):
-        raise MalformedHeader("trailing bytes after checkpoint payload")
+    records = read_records(path, CHECKPOINT_MAGIC)
+    if len(records) != 1:
+        raise MalformedHeader(f"checkpoint holds {len(records)} records, expected 1")
+    params = records[0]
+    if any(arr.dtype.str != "<f8" for arr in params.values()):
+        raise MalformedHeader("checkpoint arrays must be float64")
     return params

@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import (
     FrameEpisode,
+    MalformedHeader,
     StepRecord,
     TaskSpec,
     Trajectory,
@@ -123,6 +124,8 @@ def _roll_group(policy, params, dynamics, reward_fn, task, starts, start_kind,
     Returns (trajectories, frame histories); a history holds every executed
     frame of its member, cut at the success frame.
     """
+    if T % H != 0:
+        raise ValueError("T must be a multiple of the chunk horizon")
     n = len(starts)
     policy_rngs = [derive_rng(seed, i, 1) for i in range(n)]
     model_rngs = [derive_rng(seed, i, 2) for i in range(n)]
@@ -160,6 +163,16 @@ def _roll_group(policy, params, dynamics, reward_fn, task, starts, start_kind,
     return trajectories, histories
 
 
+def _imagined_dynamics(wm, task: TaskSpec):
+    """_roll_group dynamics that step every active member through wm."""
+
+    def dynamics(histories, chunks, rngs):
+        ctxs = [build_context(h, wm.context, task, wm.anchor_mode) for h in histories]
+        return wm.predict_chunk(ctxs, chunks, rngs)
+
+    return dynamics
+
+
 def rollout_imagined(policy, params, wm, reward_fn, group: GroupSpec,
                      T: int, H: int, seed: int) -> list[Trajectory]:
     """G imagined trajectories from the group's shared start, in lockstep.
@@ -172,14 +185,8 @@ def rollout_imagined(policy, params, wm, reward_fn, group: GroupSpec,
     derive_rng(seed, i, 2) for the model, so members are independent and
     reproducible in isolation up to the rounding of batched rows.
     """
-    if T % H != 0:
-        raise ValueError("T must be a multiple of the chunk horizon")
-
-    def dynamics(histories, chunks, rngs):
-        ctxs = [build_context(h, wm.context, group.task, wm.anchor_mode) for h in histories]
-        return wm.predict_chunk(ctxs, chunks, rngs)
-
-    trajectories, _ = _roll_group(policy, params, dynamics, reward_fn, group.task,
+    trajectories, _ = _roll_group(policy, params, _imagined_dynamics(wm, group.task),
+                                  reward_fn, group.task,
                                   [group.start_state] * group.size, group.start_kind,
                                   T, H, seed)
     return trajectories
@@ -209,8 +216,6 @@ def rollout_real(policy, params, env, task: TaskSpec, n: int, T: int, H: int,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if T % H != 0:
-        raise ValueError("T must be a multiple of the chunk horizon")
 
     def dynamics(histories, chunks, _rngs):
         return step_chunks(env, [history[-1] for history in histories], chunks)
@@ -239,7 +244,14 @@ def write_batch(path, trajectories, manifest: dict):
 
 
 def read_batch(path):
+    """The batch's trajectories and manifest; a corrupt manifest is MalformedHeader."""
     trajectories = read_store(path)
-    with open(str(path) + ".manifest.json") as fh:
-        manifest = json.load(fh)
+    with open(str(path) + ".manifest.json", "rb") as fh:
+        raw = fh.read()
+    try:
+        manifest = json.loads(raw.decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise MalformedHeader(f"batch manifest is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise MalformedHeader(f"batch manifest is a {type(manifest).__name__}, not an object")
     return trajectories, manifest

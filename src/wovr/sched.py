@@ -13,7 +13,7 @@ from .core import InvariantViolation, params_hash
 
 
 class Snapshot:
-    """Immutable parameter copy; the rollout phase reads only these."""
+    """Immutable copy of a param dict or of another Snapshot; rollouts read only these."""
 
     def __init__(self, params):
         src = params.params if isinstance(params, Snapshot) else params
@@ -37,11 +37,6 @@ class Snapshot:
         return isinstance(other, Snapshot) and self._hash == other._hash
 
 
-def snapshot_params(params) -> Snapshot:
-    """Immutable copy of a parameter dict (or of another snapshot)."""
-    return Snapshot(params)
-
-
 def run_iteration(policy_params, wm_params, reward_params, rollout_fn, trainer_fn):
     """One rollout phase then one training phase; returns trainer_fn's result.
 
@@ -50,8 +45,7 @@ def run_iteration(policy_params, wm_params, reward_params, rollout_fn, trainer_f
     the updates. Raises InvariantViolation if the live parameters changed
     during the rollout phase or a snapshot no longer matches them.
     """
-    snaps = (snapshot_params(policy_params), snapshot_params(wm_params),
-             snapshot_params(reward_params))
+    snaps = (Snapshot(policy_params), Snapshot(wm_params), Snapshot(reward_params))
     live = (policy_params, wm_params, reward_params)
     before = tuple(params_hash(p) for p in live)
 

@@ -11,11 +11,8 @@ from wovr.core import (
     TaskSpec,
     Trajectory,
     TruncatedPayload,
-    append_store,
     compute_valid_len,
-    decode_trajectory,
     derive_rng,
-    encode_trajectory,
     make_config,
     one_hot,
     params_hash,
@@ -88,49 +85,50 @@ def test_step_record_rejects_nonbinary_reward():
         StepRecord(rng.normal(size=4), rng.normal(size=(2, 2)), reward=2, logp_old=0.0, done=False)
 
 
-def test_roundtrip_is_exact():
+def test_roundtrip_is_exact(tmp_path):
     traj = make_traj(seed=3, n=7, succeed_at=4)
-    decoded = decode_trajectory(encode_trajectory(traj))
+    path = tmp_path / "one.wovs"
+    write_store(path, [traj])
+    (decoded,) = read_store(path)
     assert decoded == traj
     # bitwise, not just approximate
     assert decoded.steps[0].obs.tobytes() == traj.steps[0].obs.tobytes()
 
 
-def test_roundtrip_keyframe_kind():
-    traj = make_traj(seed=9, n=2)
-    traj = Trajectory(traj.task, "keyframe", traj.steps, traj.success, traj.valid_len)
-    assert decode_trajectory(encode_trajectory(traj)).start_kind == "keyframe"
+def test_decode_rejects_truncation_and_flags_offset(tmp_path):
+    path = tmp_path / "s.wovs"
+    write_store(path, [make_traj(seed=4, n=3)])
+    blob = path.read_bytes()
+    for data, error in [(blob[:-5], TruncatedPayload), (blob + b"\x00", MalformedHeader),
+                        (blob[:3], MalformedHeader)]:
+        path.write_bytes(data)
+        with pytest.raises(error):
+            read_store(path)
 
 
-def test_decode_rejects_truncation_and_flags_offset():
-    blob = encode_trajectory(make_traj(seed=4, n=3))
-    with pytest.raises(TruncatedPayload):
-        decode_trajectory(blob[:-5])
-    with pytest.raises(MalformedHeader):
-        decode_trajectory(blob + b"\x00")
-    with pytest.raises(MalformedHeader):
-        decode_trajectory(blob[:3])
-
-
-def test_decode_rejects_corrupt_reward_byte():
-    traj = make_traj(seed=5, n=1)
-    blob = bytearray(encode_trajectory(traj))
-    # reward byte sits right after obs (8 floats) + chunk (8x3 floats) in the sole step
-    header_size = len(blob) - (8 * 8 + 8 * 24 + 10)
-    reward_off = header_size + 8 * 8 + 8 * 24
-    assert blob[reward_off] == 0
+def test_decode_rejects_corrupt_reward_byte(tmp_path):
+    path = tmp_path / "s.wovs"
+    write_store(path, [make_traj(seed=5, n=1)])
+    blob = bytearray(path.read_bytes())
+    # flags holds (reward, done) of the sole step, after its name and 2-d shape
+    reward_off = blob.index(b"flags") + len(b"flags") + 4 * 2
+    assert blob[reward_off:reward_off + 2] == b"\x00\x01"
     blob[reward_off] = 7
+    path.write_bytes(bytes(blob))
     with pytest.raises(InvariantViolation):
-        decode_trajectory(bytes(blob))
+        read_store(path)
 
 
 def test_store_roundtrip(tmp_path):
     trajs = [make_traj(seed=i, n=3 + i, succeed_at=i if i % 2 else None) for i in range(1, 5)]
-    path = tmp_path / "demos.wovr"
-    write_store(path, trajs)
-    assert read_store(path) == trajs
-    append_store(path, trajs[0])
-    assert read_store(path) == trajs + [trajs[0]]
+    keyframe = make_traj(seed=9, n=2)
+    trajs.append(Trajectory(keyframe.task, "keyframe", keyframe.steps, keyframe.success,
+                            keyframe.valid_len))
+    trajs.append(Trajectory.build(TaskSpec(2), "initial", []))
+    path = tmp_path / "demos.wovs"
+    for batch in (trajs, []):
+        write_store(path, batch)
+        assert read_store(path) == batch
 
 
 def test_store_write_is_byte_deterministic(tmp_path):
@@ -168,6 +166,8 @@ def test_frames_roundtrip(tmp_path):
     loaded, env_name = read_frames(path)
     assert env_name == "pickplace2d"
     assert loaded == eps
+    write_frames(path, [], "reachpoint")
+    assert read_frames(path) == ([], "reachpoint")
 
 
 def test_derive_rng_streams_are_stable_and_distinct():

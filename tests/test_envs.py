@@ -3,7 +3,7 @@ import pytest
 
 from wovr.core import TaskSpec, derive_rng
 from wovr.envs import (CountingEnv, PickPlace2D, ReachPoint, get_env,
-                       replay_frames, reset, scripted_demo)
+                       replay_frames, scripted_demo)
 
 
 @pytest.fixture
@@ -15,10 +15,10 @@ def mk_state(gripper, grip, obj, target, held):
     return np.array([*gripper, grip, *obj, *target, held], dtype=np.float64)
 
 
-def test_reset_deterministic_and_seed_sensitive():
-    s1 = reset("pickplace2d", TaskSpec(2), seed=5)
-    s2 = reset("pickplace2d", TaskSpec(2), seed=5)
-    s3 = reset("pickplace2d", TaskSpec(2), seed=6)
+def test_reset_deterministic_and_seed_sensitive(env):
+    s1 = env.reset_state(TaskSpec(2), derive_rng(5))
+    s2 = env.reset_state(TaskSpec(2), derive_rng(5))
+    s3 = env.reset_state(TaskSpec(2), derive_rng(6))
     assert np.array_equal(s1, s2)
     assert not np.array_equal(s1[3:5], s3[3:5])
     assert s1[2] == 0.0 and s1[7] == 0.0  # open, nothing held
@@ -39,7 +39,7 @@ def test_zero_action_is_fixed_point(env):
 
 
 def test_step_is_pure(env):
-    state = reset("pickplace2d", TaskSpec(0), seed=1)
+    state = env.reset_state(TaskSpec(0), derive_rng(1))
     action = np.array([0.03, -0.02, -1.0])
     a = env.step(state, action)
     b = env.step(state, action)
@@ -103,7 +103,7 @@ def test_is_success_boundaries(env):
 
 
 def test_step_rejects_bad_actions(env):
-    state = reset("pickplace2d", TaskSpec(0), seed=0)
+    state = env.reset_state(TaskSpec(0), derive_rng(0))
     with pytest.raises(ValueError):
         env.step(state, [0.0, 0.0])
     with pytest.raises(ValueError):

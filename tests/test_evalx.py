@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from wovr.core import TaskSpec, derive_rng, derive_seed
+from wovr.core import TaskSpec, derive_rng
 from wovr.envs import PickPlace2D, ReachPoint
 from wovr.evalx import EvalReport, hallucination_rate, horizon_error, success_rate
 from wovr.grpo import ChunkPolicy
-from wovr.rollout import GroupSpec, rollout_imagined
 from wovr.worldmodel import OracleWorldModel
 
 H = 4
@@ -103,23 +102,43 @@ def test_hallucination_reward_always_one_matches_replay_failure():
     n, seed = 12, 5
     stats = hallucination_rate(policy, params, wm, always, env, TaskSpec(0),
                                n, T, H, seed=seed)
-    # imagined success is forced, so mismatches are exactly the replay failures
-    replay_success = 0
-    for i in range(n):
-        start = env.reset_state(TaskSpec(0), derive_rng(seed, i, 0))
-        group = GroupSpec(TaskSpec(0), start, "initial", 1)
-        traj = rollout_imagined(policy, params, wm, always, group, T, H,
-                                seed=derive_seed(seed, i))[0]
-        state = start
-        hit = False
-        for rec in traj.steps:
-            for action in rec.chunk:
-                state, reward, _ = env.step(state, action)
-                hit = hit or reward == 1
-        replay_success += hit
+    # imagined success is forced on every first frame, so mismatches are
+    # exactly the episodes whose first real action does not succeed
+    starts = [env.reset_state(TaskSpec(0), derive_rng(seed, i, 0)) for i in range(n)]
+    chunks, _ = policy.sample(params, np.array(starts), TaskSpec(0),
+                              [derive_rng(seed, i, 1) for i in range(n)])
+    replay_success = sum(env.step(start, chunk[0])[1] for start, chunk in zip(starts, chunks))
     assert stats["missed"] == 0.0
     assert stats["spurious"] == stats["rate"]
     assert stats["rate"] == pytest.approx(1.0 - replay_success / n)
+
+
+def test_hallucination_replays_only_the_imagined_frames():
+    """A real success after the imagined success frame is not agreement."""
+    env = ReachPoint()
+
+    class SlowExpert:
+        """Heads straight for the target, 0.02 per step."""
+
+        def sample(self, params, obs, task, rngs):
+            chunks = []
+            for state in np.asarray(obs, dtype=np.float64):
+                chunk = []
+                for _ in range(H):
+                    delta = state[2:4] - state[0:2]
+                    dist = np.linalg.norm(delta)
+                    action = delta if dist <= 0.02 else 0.02 * delta / dist
+                    state, _, _ = env.step(state, action)
+                    chunk.append(action)
+                chunks.append(chunk)
+            return np.array(chunks), np.zeros(len(chunks))
+
+    # fires at distance <= 0.08; the first such frame is over 0.06 away, so
+    # never within the env's 0.05 success radius
+    near = lambda frame, task: int(np.linalg.norm(frame[0:2] - frame[2:4]) <= 0.08)
+    stats = hallucination_rate(SlowExpert(), {}, OracleWorldModel(env, context=4), near,
+                               env, TaskSpec(0), 20, T, H, seed=3)
+    assert stats == {"rate": 1.0, "spurious": 1.0, "missed": 0.0, "n": 20}
 
 
 def test_hallucination_decomposition_sums():

@@ -2,8 +2,11 @@
 
 Each example truncates a valid file and overwrites a few of its bytes; a
 reader may accept the result or raise MalformedHeader, TruncatedPayload or
-InvariantViolation, and nothing else.
+InvariantViolation, and nothing else. The batch case corrupts the JSON
+manifest beside an intact store.
 """
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,30 +16,39 @@ from wovr import nn
 from wovr.core import (FrameEpisode, InvariantViolation, MalformedHeader,
                        StepRecord, TaskSpec, Trajectory, TruncatedPayload,
                        read_frames, read_store, write_frames, write_store)
+from wovr.rollout import read_batch, write_batch
 
 TYPED = (MalformedHeader, TruncatedPayload, InvariantViolation)
+MANIFEST = ".manifest.json"
+READERS = {"frames.wovf": read_frames, "store.wovs": read_store,
+           "params.wovc": nn.load_params,
+           "batch.wovs" + MANIFEST: lambda path: read_batch(str(path)[:-len(MANIFEST)])}
 
 
 @pytest.fixture(scope="module")
 def originals(tmp_path_factory):
-    """Reader and valid bytes of one frame set, one store and one checkpoint."""
+    """Reader and valid bytes of a frame set, a store, a checkpoint and a manifest."""
     base = tmp_path_factory.mktemp("fuzz")
     rng = np.random.default_rng(0)
     write_frames(base / "frames.wovf",
                  [FrameEpisode(TaskSpec(t), rng.normal(size=(n + 1, 3)),
                                rng.normal(size=(n, 2))) for t, n in [(0, 3), (1, 2)]],
                  "reachpoint")
-    steps = [StepRecord(rng.normal(size=3), rng.normal(size=(2, 2)), r, -1.0, r == 1)
-             for r in (0, 0, 1)]
-    write_store(base / "store.wovs", [Trajectory.build(TaskSpec(1), "initial", steps)])
-    nn.save_params(base / "params.wovc", {"a": rng.normal(size=(2, 3)), "b": np.zeros(2)})
-    readers = {"frames.wovf": read_frames, "store.wovs": read_store,
-               "params.wovc": nn.load_params}
+    trajs = [Trajectory.build(TaskSpec(t), kind, [
+        StepRecord(rng.normal(size=3), rng.normal(size=(2, 2)), r, -1.0, r == 1)
+        for r in rewards]) for t, kind, rewards in [(1, "initial", (0, 0, 1)),
+                                                    (2, "keyframe", (0, 0))]]
+    write_store(base / "store.wovs", trajs)
+    nn.save_params(base / "params.wovc",
+                   {"a": rng.normal(size=(2, 3)), "b": np.zeros(2), "s": np.array(0.5)})
+    write_batch(base / "batch.wovs", trajs, {"env": "reachpoint", "n": 2})
+    # the batch reader reads this intact store beside each corrupt manifest
+    write_store(base / "corrupt-batch.wovs", trajs)
     return base, {name: (reader, (base / name).read_bytes())
-                  for name, reader in readers.items()}
+                  for name, reader in READERS.items()}
 
 
-@pytest.mark.parametrize("name", ["frames.wovf", "store.wovs", "params.wovc"])
+@pytest.mark.parametrize("name", list(READERS))
 @settings(max_examples=150, deadline=None)
 @given(cut=st.integers(min_value=0),
        flips=st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)),
@@ -54,3 +66,23 @@ def test_corrupt_input_raises_only_typed_errors(originals, name, cut, flips):
         reader(path)
     except TYPED:
         pass
+
+
+def test_zero_dim_beside_huge_dims_is_malformed(tmp_path):
+    """Such a shape holds no data, yet numpy cannot shape it: reject it as a header fault."""
+    path = tmp_path / "p.wovc"
+    nn.save_params(path, {"z": np.zeros((0, 3, 3))})
+    data = bytearray(path.read_bytes())
+    shape_at = data.index(b"z") + 1
+    assert struct.unpack_from("<3I", data, shape_at) == (0, 3, 3)
+    struct.pack_into("<3I", data, shape_at, 0, 1735355392, 1735355392)
+    path.write_bytes(bytes(data))
+    with pytest.raises(MalformedHeader):
+        nn.load_params(path)
+
+
+def test_zero_d_entry_round_trips(originals):
+    base, _ = originals
+    loaded = nn.load_params(base / "params.wovc")
+    assert loaded["s"].shape == () and loaded["s"] == 0.5
+    assert loaded["b"].shape == (2,)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wovr.core import StepRecord, TaskSpec, Trajectory, derive_rng
+from wovr.core import MalformedHeader, StepRecord, TaskSpec, Trajectory, derive_rng
 from wovr.envs import CountingEnv, PickPlace2D, ReachPoint
 from wovr.grpo import ChunkPolicy
 from wovr.rollout import (
@@ -480,3 +480,13 @@ def test_batch_roundtrip_with_manifest(tmp_path):
     loaded, loaded_manifest = read_batch(path)
     assert loaded == trajs
     assert loaded_manifest == manifest
+
+
+@pytest.mark.parametrize("manifest", [b"\xff\xfe{}", b'{"n": 2', b"[]"],
+                         ids=["invalid-utf8", "bad-json", "not-an-object"])
+def test_read_batch_rejects_corrupt_manifest(tmp_path, manifest):
+    path = tmp_path / "batch.traj"
+    write_batch(path, [fail_traj(n=2)], {"n": 1})
+    (tmp_path / "batch.traj.manifest.json").write_bytes(manifest)
+    with pytest.raises(MalformedHeader):
+        read_batch(path)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wovr.core import InvariantViolation, params_hash
-from wovr.sched import run_iteration, snapshot_params
+from wovr.sched import Snapshot, run_iteration
 
 
 def toy_params(seed=0):
@@ -19,27 +19,27 @@ def noop_trainer(artifacts):
 
 def test_snapshot_copy_semantics():
     params = toy_params()
-    snap = snapshot_params(params)
+    snap = Snapshot(params)
     params["w"][0, 0] = 999.0
     assert snap.params["w"][0, 0] != 999.0
 
 
 def test_snapshot_of_snapshot_equal():
-    snap = snapshot_params(toy_params())
-    again = snapshot_params(snap)
+    snap = Snapshot(toy_params())
+    again = Snapshot(snap)
     assert snap == again
     assert snap.hash == again.hash
 
 
 def test_snapshot_hash_stable_across_reads():
-    snap = snapshot_params(toy_params())
+    snap = Snapshot(toy_params())
     h1 = snap.hash
     _ = snap.params["w"].sum()
     assert snap.hash == h1 == params_hash(snap.params)
 
 
 def test_snapshot_arrays_write_protected():
-    snap = snapshot_params(toy_params())
+    snap = Snapshot(toy_params())
     with pytest.raises(ValueError):
         snap.params["w"][0, 0] = 1.0
 
