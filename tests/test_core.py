@@ -95,6 +95,16 @@ def test_roundtrip_is_exact(tmp_path):
     assert decoded.steps[0].obs.tobytes() == traj.steps[0].obs.tobytes()
 
 
+def test_roundtrip_keyframe_kind(tmp_path):
+    traj = make_traj(seed=9, n=2)
+    traj = Trajectory(traj.task, "keyframe", traj.steps, traj.success, traj.valid_len)
+    path = tmp_path / "k.wovs"
+    write_store(path, [traj])
+    (decoded,) = read_store(path)
+    assert decoded.start_kind == "keyframe"
+    assert decoded == traj
+
+
 def test_decode_rejects_truncation_and_flags_offset(tmp_path):
     path = tmp_path / "s.wovs"
     write_store(path, [make_traj(seed=4, n=3)])
@@ -121,9 +131,6 @@ def test_decode_rejects_corrupt_reward_byte(tmp_path):
 
 def test_store_roundtrip(tmp_path):
     trajs = [make_traj(seed=i, n=3 + i, succeed_at=i if i % 2 else None) for i in range(1, 5)]
-    keyframe = make_traj(seed=9, n=2)
-    trajs.append(Trajectory(keyframe.task, "keyframe", keyframe.steps, keyframe.success,
-                            keyframe.valid_len))
     trajs.append(Trajectory.build(TaskSpec(2), "initial", []))
     path = tmp_path / "demos.wovs"
     for batch in (trajs, []):
