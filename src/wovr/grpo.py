@@ -108,10 +108,6 @@ def group_advantages(returns) -> np.ndarray:
     return returns - returns.mean()
 
 
-def clipped_term(rho: float, adv: float, eps: float) -> float:
-    return float(min(rho * adv, np.clip(rho, 1.0 - eps, 1.0 + eps) * adv))
-
-
 @dataclass
 class GroupBatch:
     """One rollout group with its returns and mean-subtracted advantages."""

@@ -28,7 +28,7 @@ from .reward import (RewardNet, label_episode_frames, predict_success,
 from .rollout import (GroupSpec, KeyframeBuffer, harvest_keyframes,
                       rollout_imagined, rollout_real, sample_start)
 from .sched import run_iteration
-from .worldmodel import LearnedWorldModel, WmNet, train_wm, window_index
+from .worldmodel import LearnedWorldModel, WmNet, train_wm, window_counts
 
 log = logging.getLogger(__name__)
 
@@ -164,14 +164,14 @@ def refine_wm(net: WmNet, base_params: dict, new_episodes, retained_episodes,
         raise ValueError("no evolved episodes to refine on")
     if not 0.0 < mix_new <= 1.0:
         raise ValueError("mix_new must lie in (0, 1]")
-    n_new = len(window_index(list(new_episodes), net.horizon))
+    n_new = int(window_counts(new_episodes, net.horizon).sum())
     target_old = int(round(n_new * (1.0 - mix_new) / mix_new))
     kept, n_kept = [], 0
     if target_old > 0 and retained_episodes:
+        counts = window_counts(retained_episodes, net.horizon)
         for i in rng.permutation(len(retained_episodes)):
-            ep = retained_episodes[i]
-            kept.append(ep)
-            n_kept += len(window_index([ep], net.horizon))
+            kept.append(retained_episodes[i])
+            n_kept += int(counts[i])
             if n_kept >= target_old:
                 break
     episodes = list(new_episodes) + kept

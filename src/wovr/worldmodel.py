@@ -7,6 +7,13 @@ dual-channel: the action embedding is concatenated into the trunk input, and
 a zero-initialized modulation head computes feature-wise scale/shift from the
 fused (action, time) embedding, so modulation is exactly the identity at
 init.
+
+Training flattens its episodes once into an RfCorpus and gathers each
+minibatch from it with index arrays; rollout builds one AnchoredContext per
+member with build_context. Both give a window the same context: the anchor,
+then the last c frames left-padded with the anchor. Training blends the
+memory of a random share of rows toward noise (never the anchor), so the
+model learns to tolerate its own drifting predictions in the memory.
 """
 from __future__ import annotations
 
@@ -65,17 +72,6 @@ def rf_interpolate(x0: np.ndarray, x1: np.ndarray, t: float):
     if x0.shape != x1.shape:
         raise ValueError("endpoint shapes differ")
     return (1.0 - t) * x0 + t * x1, x1 - x0
-
-
-def noisy_context(ctx: AnchoredContext, t_ctx: float, noise: np.ndarray) -> AnchoredContext:
-    """Blend memory toward noise; the anchor is never perturbed."""
-    if not 0.0 <= t_ctx <= 1.0:
-        raise ValueError("t_ctx must lie in [0, 1]")
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != ctx.memory.shape:
-        raise ValueError("noise must be memory-shaped")
-    memory = (1.0 - t_ctx) * ctx.memory + t_ctx * noise
-    return AnchoredContext(ctx.anchor.copy(), memory, ctx.task)
 
 
 def time_features(t: float) -> np.ndarray:
@@ -249,40 +245,111 @@ class OracleWorldModel:
 # Training
 
 
-def window_index(episodes: list[FrameEpisode], horizon: int):
-    """Every (episode, start) pair with a full horizon of actions ahead."""
-    index = []
-    for e, ep in enumerate(episodes):
-        for s in range(ep.actions.shape[0] - horizon + 1):
-            index.append((e, s))
-    return index
+def window_counts(episodes: list[FrameEpisode], horizon: int) -> np.ndarray:
+    """Per episode, how many starts have a full horizon of actions ahead."""
+    return np.array([max(0, ep.actions.shape[0] - horizon + 1) for ep in episodes],
+                    dtype=np.int64)
 
 
-def make_rf_batch(net: WmNet, episodes, picks, rng: np.random.Generator,
+def window_index(episodes: list[FrameEpisode], horizon: int) -> np.ndarray:
+    """Every (episode, start) pair with a full horizon of actions ahead, (N, 2)."""
+    counts = window_counts(episodes, horizon)
+    firsts = np.repeat(np.cumsum(counts) - counts, counts)
+    return np.stack([np.repeat(np.arange(len(counts)), counts),
+                     np.arange(counts.sum()) - firsts], axis=1)
+
+
+@dataclass(eq=False)
+class RfCorpus:
+    """Training episodes flattened once, so a minibatch is a few gathers.
+
+    Episode e's states are rows state_offsets[e] ... state_offsets[e] +
+    n_actions[e] of states, its actions the n_actions[e] rows from
+    action_offsets[e] of actions.
+    """
+
+    states: np.ndarray          # (sum of n_e + 1, d), episodes back to back
+    actions: np.ndarray         # (sum of n_e, a_dim)
+    state_offsets: np.ndarray   # (E,) row of each episode's first state
+    action_offsets: np.ndarray  # (E,) row of each episode's first action
+    n_actions: np.ndarray       # (E,) n_e
+    tasks: np.ndarray           # (E, n_tasks) one-hot rows
+    windows: np.ndarray         # (N, 2) window_index of the episodes
+
+
+def rf_corpus(episodes: list[FrameEpisode], net: WmNet) -> RfCorpus:
+    """Flatten the episodes and index every full-horizon window of them."""
+    if not episodes:
+        raise ValueError("empty training set")
+    for ep in episodes:
+        if ep.states.shape[1] != net.d or ep.actions.shape[1] != net.a_dim:
+            raise ValueError("episode dimensions do not match the net")
+    n_actions = np.array([ep.actions.shape[0] for ep in episodes], dtype=np.int64)
+    action_offsets = np.cumsum(n_actions) - n_actions
+    return RfCorpus(
+        states=np.concatenate([ep.states for ep in episodes]),
+        actions=np.concatenate([ep.actions for ep in episodes]),
+        state_offsets=action_offsets + np.arange(len(episodes)),
+        action_offsets=action_offsets,
+        n_actions=n_actions,
+        tasks=np.array([one_hot(ep.task.task_id, net.n_tasks) for ep in episodes]),
+        windows=window_index(episodes, net.horizon),
+    )
+
+
+def make_rf_batch(net: WmNet, corpus: RfCorpus, picks, rng: np.random.Generator,
                   p_noisy: float, t_ctx_max: float, t: float | None = None) -> RfBatch:
-    """Assemble one minibatch from (episode, start) picks."""
+    """Assemble one minibatch from (B, 2) (episode, start) picks into the corpus.
+
+    Row i conditions on the context build_context gives at step s of episode
+    e: the anchor frame, the last c frames up to s left-padded with the
+    anchor, the task. Its target is the next H frames, its chunk the H
+    actions from s. All of it is gathered from the corpus at once.
+
+    The random draws stay in per-row order: for each row a uniform that
+    picks it for context noise with probability p_noisy (no draw when
+    p_noisy is 0), then for a picked row its noise level uniform(0,
+    t_ctx_max) and its (c, d) normal noise; after all rows the x0 normals,
+    then t if it is not given. Batched draws would feed the same
+    distribution, but a different stream trains different parameters, and
+    every cached simulator built from them would change.
+    """
     h, c, d = net.horizon, net.context, net.d
-    x1, anchors, memories, tasks, chunks = [], [], [], [], []
-    for e, s in picks:
-        ep = episodes[e]
-        history = [ep.states[i] for i in range(s + 1)]
-        ctx = build_context(history, c, ep.task, net.anchor_mode)
-        if p_noisy > 0 and rng.uniform() < p_noisy:
-            t_ctx = rng.uniform(0.0, t_ctx_max)
-            ctx = noisy_context(ctx, t_ctx, rng.normal(size=ctx.memory.shape))
-        x1.append(ep.states[s + 1 : s + 1 + h].reshape(h * d))
-        anchors.append(ctx.anchor)
-        memories.append(ctx.memory)
-        tasks.append(one_hot(ep.task.task_id, net.n_tasks))
-        chunks.append(ep.actions[s : s + h].reshape(-1))
-    x1 = np.array(x1)
+    picks = np.asarray(picks, dtype=np.int64).reshape(-1, 2)
+    e, s = picks[:, 0], picks[:, 1]
+    if np.any((e < 0) | (e >= corpus.n_actions.shape[0])):
+        raise ValueError("a pick names no episode of the corpus")
+    if np.any((s < 0) | (s + h > corpus.n_actions[e])):
+        raise ValueError("a picked window runs past its episode")
+    if p_noisy > 0 and not 0.0 <= t_ctx_max <= 1.0:
+        raise ValueError("t_ctx_max must lie in [0, 1]")
+    b = picks.shape[0]
+    first = corpus.state_offsets[e]
+    now = first + s
+    anchor = first if net.anchor_mode == "first" else now
+    recent = now[:, None] + np.arange(1 - c, 1)
+    memories = corpus.states[np.where(recent < first[:, None], anchor[:, None], recent)]
+    noisy = []
+    if p_noisy > 0:
+        # random() is uniform()'s draw at a third of its call cost, and
+        # t_ctx_max * random() is uniform(0, t_ctx_max)'s, bit for bit
+        for i in range(b):
+            if rng.random() < p_noisy:
+                noisy.append((i, t_ctx_max * rng.random(), rng.normal(size=(c, d))))
+    if noisy:
+        rows, t_ctx, noise = zip(*noisy)
+        rows, t_ctx = np.array(rows), np.array(t_ctx)[:, None, None]
+        # the anchor is never perturbed: it is gathered apart from the memory
+        memories[rows] = (1.0 - t_ctx) * memories[rows] + t_ctx * np.array(noise)
+    x1 = corpus.states[now[:, None] + np.arange(1, h + 1)].reshape(b, h * d)
+    acts = (corpus.action_offsets[e] + s)[:, None] + np.arange(h)
     return RfBatch(
         x0=rng.normal(size=x1.shape),
         x1=x1,
-        anchors=np.array(anchors),
-        memories=np.array(memories),
-        tasks=np.array(tasks),
-        chunks=np.array(chunks),
+        anchors=corpus.states[anchor],
+        memories=memories,
+        tasks=corpus.tasks[e],
+        chunks=corpus.actions[acts].reshape(b, h * net.a_dim),
         t=float(rng.uniform()) if t is None else float(t),
     )
 
@@ -296,32 +363,30 @@ def train_wm(episodes: list[FrameEpisode], net: WmNet, rng: np.random.Generator,
     Passing init_params continues training from an existing checkpoint
     (refinement) instead of starting from a fresh initialization. The
     learning rate follows a cosine decay from lr down to lr_floor * lr.
+    The episodes are flattened into one RfCorpus per call; each epoch visits
+    its windows in a fresh random order, and make_rf_batch gathers every
+    minibatch from it, drawing in the per-row order its docstring gives.
     """
-    if not episodes:
-        raise ValueError("empty training set")
-    for ep in episodes:
-        if ep.states.shape[1] != net.d or ep.actions.shape[1] != net.a_dim:
-            raise ValueError("episode dimensions do not match the net")
+    corpus = rf_corpus(episodes, net)
     params = ({k: v.copy() for k, v in init_params.items()}
               if init_params is not None else net.init(rng))
-    index = window_index(episodes, net.horizon)
-    if not index:
+    if not len(corpus.windows):
         raise ValueError("no episode is long enough for a full prediction window")
     opt = nn.adam_init(params)
     losses = []
     for epoch in range(epochs):
         frac = epoch / max(1, epochs - 1)
         lr_e = lr * (lr_floor + (1.0 - lr_floor) * 0.5 * (1.0 + np.cos(np.pi * frac)))
-        order = rng.permutation(len(index))
+        order = rng.permutation(len(corpus.windows))
         n_batches = (len(order) + batch_size - 1) // batch_size
         # stratified flow time, visited in random order: marginally uniform,
         # epoch losses comparable across epochs, no within-epoch t curriculum
         strata = rng.permutation(n_batches)
         epoch_losses = []
         for j, lo in enumerate(range(0, len(order), batch_size)):
-            picks = [index[i] for i in order[lo : lo + batch_size]]
+            picks = corpus.windows[order[lo : lo + batch_size]]
             t = (strata[j] + rng.uniform()) / n_batches
-            batch = make_rf_batch(net, episodes, picks, rng, p_noisy, t_ctx_max, t=t)
+            batch = make_rf_batch(net, corpus, picks, rng, p_noisy, t_ctx_max, t=t)
             value, grads = value_and_grad(lambda p: rf_loss(net, p, batch), params)
             params = nn.adam_step(params, grads, opt, lr=lr_e)
             epoch_losses.append(value)

@@ -6,7 +6,6 @@ from wovr.grpo import (
     ChunkPolicy,
     GroupBatch,
     build_group,
-    clipped_term,
     discounted_return,
     group_advantages,
     grpo_objective,
@@ -128,17 +127,40 @@ def test_group_batch_rejects_nonzero_sum():
         GroupBatch(trajs, np.array([1.0, 0.0]), np.array([0.6, -0.5]))
 
 
+def pinned_ratio_group(pol, params, rho_pos, rho_neg):
+    """Two one-step members with advantages +1 and -1 whose ratios are pinned
+    at rho_pos and rho_neg by storing logp_old = logprob - log(rho)."""
+    obs = np.array([0.0, 0.0])
+    trajs = [one_step_traj(obs, [[chunk]], 0,
+                           logprob1(pol, params, obs, [[chunk]]) - np.log(rho))
+             for chunk, rho in ((0.3, rho_pos), (-0.3, rho_neg))]
+    return GroupBatch(trajs, np.array([1.0, -1.0]), np.array([1.0, -1.0]))
+
+
 def test_clipped_term_table():
-    assert clipped_term(1.0, 0.37, 0.2) == pytest.approx(0.37)
-    assert clipped_term(1.5, 1.0, 0.2) == pytest.approx(1.2)
-    assert clipped_term(0.5, -1.0, 0.2) == pytest.approx(-0.8)
-    # magnitude bound; holds for adv >= 0 (for adv < 0 and large rho the min
-    # deliberately keeps the unclipped, more-negative branch)
+    """Each member's term is min(rho A, clip(rho, 1-eps, 1+eps) A)."""
+    pol = ChunkPolicy(obs_dim=2, n_tasks=1, horizon=1, a_dim=1, hidden=(6,))
+    params = pol.init(np.random.default_rng(3))
+
+    def objective(rho_pos, rho_neg):
+        group = pinned_ratio_group(pol, params, rho_pos, rho_neg)
+        return float(grpo_objective(pol, params, [group], clip_eps=0.2).data)
+
+    # the objective is the two terms averaged over the group's trajectories
+    for (rho_pos, rho_neg), (term_pos, term_neg) in [
+        ((1.0, 1.0), (1.0, -1.0)),   # rho = 1: the advantage itself
+        ((1.5, 1.0), (1.2, -1.0)),   # A > 0, rho past 1 + eps: clipped
+        ((1.0, 0.5), (1.0, -0.8)),   # A < 0, rho below 1 - eps: clipped
+        ((0.5, 1.0), (0.5, -1.0)),   # A > 0, small rho: the unclipped min
+        ((1.0, 1.5), (1.0, -1.5)),   # A < 0, large rho: the unclipped, more negative
+    ]:
+        assert objective(rho_pos, rho_neg) == pytest.approx(0.5 * (term_pos + term_neg),
+                                                            abs=1e-12)
+    # magnitude bound for A >= 0: the term never exceeds (1 + eps) A
     rng = np.random.default_rng(0)
     for _ in range(100):
-        rho = float(rng.uniform(0.01, 5.0))
-        adv = float(abs(rng.normal()))
-        assert abs(clipped_term(rho, adv, 0.2)) <= adv * 1.2 + 1e-15
+        term_pos = 2.0 * objective(float(rng.uniform(0.01, 5.0)), 1.0) + 1.0
+        assert term_pos <= 1.2 + 1e-12
 
 
 def bandit_group(pol, params, chunks_rewards):

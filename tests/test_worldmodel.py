@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wovr.core import FrameEpisode, TaskSpec, derive_rng
+from wovr.core import FrameEpisode, TaskSpec, derive_rng, one_hot
 from wovr.nn import Tensor, value_and_grad
 from wovr.worldmodel import (
     AnchoredContext,
@@ -10,7 +10,7 @@ from wovr.worldmodel import (
     WmNet,
     build_context,
     make_rf_batch,
-    noisy_context,
+    rf_corpus,
     rf_interpolate,
     rf_loss,
     sample_chunk,
@@ -84,7 +84,7 @@ def test_build_context_last_anchor_mode():
     assert np.array_equal(ctx.anchor, frames[-1])
 
 
-# -- interpolation and context noise -----------------------------------------
+# -- interpolation -------------------------------------------------------------
 
 
 def test_rf_interpolate_endpoints_and_linearity():
@@ -99,22 +99,6 @@ def test_rf_interpolate_endpoints_and_linearity():
     assert np.array_equal(v, [2.0, 4.0, -6.0])
     with pytest.raises(ValueError):
         rf_interpolate(x0, x1, 1.5)
-
-
-def test_noisy_context_blend_and_anchor_immutability():
-    rng = np.random.default_rng(1)
-    ctx = build_context([rng.normal(size=2) for _ in range(5)], 3, TaskSpec(0))
-    noise = rng.normal(size=ctx.memory.shape)
-    same = noisy_context(ctx, 0.0, noise)
-    assert np.array_equal(same.memory, ctx.memory)
-    full = noisy_context(ctx, 1.0, noise)
-    assert np.array_equal(full.memory, noise)
-    mid = noisy_context(ctx, 0.2, noise)
-    np.testing.assert_allclose(mid.memory, 0.8 * ctx.memory + 0.2 * noise, atol=1e-15)
-    for out in (same, full, mid):
-        assert out.anchor.tobytes() == ctx.anchor.tobytes()
-    with pytest.raises(ValueError):
-        noisy_context(ctx, 0.1, noise[:-1])
 
 
 # -- conditioning -------------------------------------------------------------
@@ -277,9 +261,90 @@ def test_window_index_skips_short_episodes():
     rng = np.random.default_rng(20)
     long_ep = linear_episode(rng, n=6)
     short_ep = linear_episode(rng, n=2)  # shorter than H=4
-    idx = window_index([long_ep, short_ep], H)
-    assert all(e == 0 for e, _ in idx)
-    assert len(idx) == 3
+    idx = window_index([long_ep, short_ep, long_ep], H)
+    np.testing.assert_array_equal(idx, [(0, 0), (0, 1), (0, 2), (2, 0), (2, 1), (2, 2)])
+
+
+def make_rf_batch_reference(net, episodes, picks, rng, p_noisy, t_ctx_max, t=None):
+    """The per-window loop make_rf_batch replaced: one build_context per pick."""
+    h, c, d = net.horizon, net.context, net.d
+    x1, anchors, memories, tasks, chunks = [], [], [], [], []
+    for e, s in picks:
+        ep = episodes[e]
+        ctx = build_context([ep.states[i] for i in range(s + 1)], c, ep.task, net.anchor_mode)
+        memory = ctx.memory
+        if p_noisy > 0 and rng.uniform() < p_noisy:
+            t_ctx = rng.uniform(0.0, t_ctx_max)
+            memory = (1.0 - t_ctx) * memory + t_ctx * rng.normal(size=memory.shape)
+        x1.append(ep.states[s + 1 : s + 1 + h].reshape(h * d))
+        anchors.append(ctx.anchor)
+        memories.append(memory)
+        tasks.append(one_hot(ep.task.task_id, net.n_tasks))
+        chunks.append(ep.actions[s : s + h].reshape(-1))
+    x1 = np.array(x1)
+    return RfBatch(x0=rng.normal(size=x1.shape), x1=x1, anchors=np.array(anchors),
+                   memories=np.array(memories), tasks=np.array(tasks),
+                   chunks=np.array(chunks),
+                   t=float(rng.uniform()) if t is None else float(t))
+
+
+def corpus_episodes(seed=30):
+    rng = np.random.default_rng(seed)
+    eps = [linear_episode(rng, n=n) for n in (9, 4, 14, 6)]
+    return [FrameEpisode(TaskSpec(i % 3), ep.states, ep.actions) for i, ep in enumerate(eps)]
+
+
+def corpus_net(context=C, anchor_mode="first"):
+    return WmNet(D, A_DIM, n_tasks=3, horizon=H, context=context, width=8, act_emb_dim=4,
+                 anchor_mode=anchor_mode)
+
+
+@pytest.mark.parametrize("anchor_mode", ["first", "last"])
+@pytest.mark.parametrize("context", [0, 3, 7])
+@pytest.mark.parametrize("p_noisy", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("t", [None, 0.375])
+def test_make_rf_batch_matches_per_row_reference(anchor_mode, context, p_noisy, t):
+    eps = corpus_episodes()
+    net = corpus_net(context, anchor_mode)
+    corpus = rf_corpus(eps, net)
+    picks = corpus.windows[np.random.default_rng(31).permutation(len(corpus.windows))]
+    # starts 0 and 1 are shorter than every context > 1 here, so rows get padded
+    assert {0, 1} <= set(picks[:, 1].tolist())
+    rng_new, rng_ref = derive_rng(32), derive_rng(32)
+    got = make_rf_batch(net, corpus, picks, rng_new, p_noisy, 0.3, t=t)
+    want = make_rf_batch_reference(net, eps, [tuple(p) for p in picks], rng_ref, p_noisy,
+                                   0.3, t=t)
+    for name in ("x0", "x1", "anchors", "memories", "tasks", "chunks"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+        assert getattr(got, name).shape == getattr(want, name).shape, name
+    assert got.t == want.t
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_make_rf_batch_rejects_picks_outside_their_episode():
+    eps = corpus_episodes()
+    net = corpus_net()
+    corpus = rf_corpus(eps, net)
+    n1 = eps[1].actions.shape[0]
+    make_rf_batch(net, corpus, [(1, n1 - H)], derive_rng(33), 0.0, 0.2)  # last full window
+    # one frame past episode 1's end would read episode 2's first frames
+    for bad in ([(1, n1 - H + 1)], [(0, 0), (1, -1)], [(len(eps), 0)], [(-1, 0)]):
+        with pytest.raises(ValueError):
+            make_rf_batch(net, corpus, bad, derive_rng(33), 0.0, 0.2)
+
+
+def test_make_rf_batch_noise_spares_anchor_and_vanishes_at_zero_level():
+    eps = corpus_episodes()
+    for anchor_mode in ("first", "last"):
+        net = corpus_net(anchor_mode=anchor_mode)
+        corpus = rf_corpus(eps, net)
+        clean = make_rf_batch(net, corpus, corpus.windows, derive_rng(34), 0.0, 0.2)
+        noisy = make_rf_batch(net, corpus, corpus.windows, derive_rng(34), 1.0, 0.2)
+        zero = make_rf_batch(net, corpus, corpus.windows, derive_rng(34), 1.0, 0.0)
+        assert noisy.anchors.tobytes() == clean.anchors.tobytes()
+        assert not np.any(noisy.memories == clean.memories)
+        np.testing.assert_array_equal(zero.memories, clean.memories)
+        np.testing.assert_array_equal(noisy.x1, clean.x1)
 
 
 def test_train_wm_zero_epochs_returns_init():
