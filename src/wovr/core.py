@@ -222,6 +222,7 @@ def validate_config(cfg: dict) -> dict:
             (run["clip_eps"] > 0, "run.clip_eps must be positive"),
             (0.0 <= run["kir_fraction"] <= 1.0, "run.kir_fraction must lie in [0, 1]"),
             (run["diffusion_steps"] >= 1, "run.diffusion_steps must be >= 1"),
+            (run["context"] >= 0, "run.context must be non-negative"),
             (run["chunk"] >= 1 and run["max_episode_len"] % run["chunk"] == 0,
              "run.max_episode_len must be a multiple of a positive run.chunk"),
             (run["n_base"] >= 1, "run.n_base must be >= 1"),

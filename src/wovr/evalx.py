@@ -15,7 +15,13 @@ import numpy as np
 
 from .core import TaskSpec, derive_rng
 from .envs import step_chunks
-from .rollout import _executed_actions, _imagined_dynamics, _roll_group, rollout_real
+from .rollout import (
+    _executed_actions,
+    _imagined_dynamics,
+    _real_dynamics,
+    _roll_group,
+    rollout_real,
+)
 
 
 def success_rate(policy, params, env, task: TaskSpec, n: int, T: int, H: int,
@@ -63,11 +69,11 @@ def horizon_error(wm, policy, params, env, task: TaskSpec, horizons,
                   n: int, T: int, H: int, seed: int) -> list[tuple[int, float]]:
     """Mean squared state error of closed-loop model replay at each horizon.
 
-    The n episodes run together: the policy runs in the real env for
-    max(horizons) frames with one batched sample per chunk step (success does
-    not stop the recording; every horizon needs a state), then the same
-    action chunks are replayed through the model closed-loop from the same
-    starts, one batched predict_chunk per chunk step. Episode i draws from
+    The n episodes run through rollout's lockstep loop in the real env for
+    max(horizons) frames, under a reward that never fires (success does not
+    stop the recording; every horizon needs a state). The chunk each step
+    recorded is then replayed through the model closed-loop from the same
+    starts, one batched dynamics call per chunk step. Episode i draws from
     derive_rng(seed, i, ·). The curve pairs each horizon L with the mean over
     episodes of the state MSE at frame L.
     """
@@ -84,21 +90,15 @@ def horizon_error(wm, policy, params, env, task: TaskSpec, horizons,
         raise ValueError("n must be >= 1")
     depth = horizons[-1]
     starts = [env.reset_state(task, derive_rng(seed, i, 0)) for i in range(n)]
-    policy_rngs = [derive_rng(seed, i, 1) for i in range(n)]
-    model_rngs = [derive_rng(seed, i, 2) for i in range(n)]
-    # real recording, fixed length: one batched policy call per chunk step
-    real_states = [[s] for s in starts]
-    chunks = []
-    for _ in range(depth // H):
-        obs = np.array([states[-1] for states in real_states])
-        batch, _ = policy.sample(params, obs, task, policy_rngs)
-        chunks.append(batch)
-        for states, rows in zip(real_states, step_chunks(env, obs, batch)):
-            states.extend(rows)
+    trajectories, real_states = _roll_group(policy, params, _real_dynamics(env),
+                                            lambda _frame, _task: 0, task, starts,
+                                            "initial", depth, H, seed)
     # model replay of the same chunks, closed loop on its own frames
+    model_rngs = [derive_rng(seed, i, 2) for i in range(n)]
     model_states = [[s] for s in starts]
     dynamics = _imagined_dynamics(wm, task)
-    for batch in chunks:
+    for k in range(depth // H):
+        batch = np.array([traj.steps[k].chunk for traj in trajectories])
         frames = np.asarray(dynamics(model_states, batch, model_rngs), dtype=np.float64)
         for states, rows in zip(model_states, frames):
             states.extend(rows)

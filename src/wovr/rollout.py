@@ -2,15 +2,16 @@
 
 One lockstep loop, _roll_group, serves both. It advances every member of a
 group together: per chunk step one batched policy sample over the members
-still running, then one batched dynamics call, which is the world model's
-predict_chunk(ctxs, chunks, rngs) -> (B, H, d) when imagined and env steps
-when real. The reward stays per frame, reward_fn(frame, task) -> 0/1, and a
-member is cut at its first reward frame. Every member draws from its own
-derive_rng(seed, i, ·) streams, so swapping the learned model for the true
-dynamics (and the learned reward for the true success predicate) reproduces
-real rollouts bit for bit under the same seeds. Keyframe initialized rollouts
-restart a fraction of groups from stored failure states instead of the
-episode start.
+still running, then one batched dynamics call. Imagined, that is one
+build_context over the members' histories and the world model's
+predict_chunk(anchors, memories, task, chunks, rngs) -> (B, H, d); real, it
+is env steps from each member's newest frame. The reward stays per frame,
+reward_fn(frame, task) -> 0/1, and a member is cut at its first reward
+frame. Every member draws from its own derive_rng(seed, i, ·) streams, so
+swapping the learned model for the true dynamics (and the learned reward for
+the true success predicate) reproduces real rollouts bit for bit under the
+same seeds. Keyframe initialized rollouts restart a fraction of groups from
+stored failure states instead of the episode start.
 """
 from __future__ import annotations
 
@@ -167,8 +168,17 @@ def _imagined_dynamics(wm, task: TaskSpec):
     """_roll_group dynamics that step every active member through wm."""
 
     def dynamics(histories, chunks, rngs):
-        ctxs = [build_context(h, wm.context, task, wm.anchor_mode) for h in histories]
-        return wm.predict_chunk(ctxs, chunks, rngs)
+        anchors, memories = build_context(histories, wm.context, wm.anchor_mode)
+        return wm.predict_chunk(anchors, memories, task, chunks, rngs)
+
+    return dynamics
+
+
+def _real_dynamics(env):
+    """_roll_group dynamics that step every active member in env."""
+
+    def dynamics(histories, chunks, _rngs):
+        return step_chunks(env, [history[-1] for history in histories], chunks)
 
     return dynamics
 
@@ -178,9 +188,10 @@ def rollout_imagined(policy, params, wm, reward_fn, group: GroupSpec,
     """G imagined trajectories from the group's shared start, in lockstep.
 
     wm provides context/anchor_mode and the batched
-    predict_chunk(ctxs, chunks, rngs) -> (B, H, d), one row per active
-    member; reward_fn(frame, task) -> 0/1 is called per frame (the
-    thresholded learned reward, or the true predicate in oracle tests).
+    predict_chunk(anchors, memories, task, chunks, rngs) -> (B, H, d), one
+    row per active member, fed by one build_context call per chunk step;
+    reward_fn(frame, task) -> 0/1 is called per frame (the thresholded
+    learned reward, or the true predicate in oracle tests).
     Member i draws from derive_rng(seed, i, 1) for the policy and
     derive_rng(seed, i, 2) for the model, so members are independent and
     reproducible in isolation up to the rounding of batched rows.
@@ -217,17 +228,14 @@ def rollout_real(policy, params, env, task: TaskSpec, n: int, T: int, H: int,
     if n < 1:
         raise ValueError("n must be >= 1")
 
-    def dynamics(histories, chunks, _rngs):
-        return step_chunks(env, [history[-1] for history in histories], chunks)
-
     def true_reward(frame, _task):
         return int(env.is_success(frame))
 
     if starts is None:
         starts = [env.reset_state(task, derive_rng(seed, i, 0)) for i in range(n)]
     starts = [starts[i] for i in range(n)]
-    trajectories, histories = _roll_group(policy, params, dynamics, true_reward, task,
-                                          starts, "initial", T, H, seed)
+    trajectories, histories = _roll_group(policy, params, _real_dynamics(env), true_reward,
+                                          task, starts, "initial", T, H, seed)
     if not record_frames:
         return trajectories
     episodes = [FrameEpisode(task, np.array(history),

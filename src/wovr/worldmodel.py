@@ -8,10 +8,10 @@ a zero-initialized modulation head computes feature-wise scale/shift from the
 fused (action, time) embedding, so modulation is exactly the identity at
 init.
 
-Training flattens its episodes once into an RfCorpus and gathers each
-minibatch from it with index arrays; rollout builds one AnchoredContext per
-member with build_context. Both give a window the same context: the anchor,
-then the last c frames left-padded with the anchor. Training blends the
+The context rule is stated once, in context_rows: the anchor, then the last
+c frames left-padded with the anchor. Training gathers each minibatch with
+it from an RfCorpus, the episodes flattened once; rollout gathers every
+active member's context at once with build_context. Training blends the
 memory of a random share of rows toward noise (never the anchor), so the
 model learns to tolerate its own drifting predictions in the memory.
 """
@@ -30,37 +30,39 @@ ANCHOR_MODES = ("first", "last")
 N_TIME_FEATS = 5
 
 
-@dataclass(eq=False)
-class AnchoredContext:
-    """Conditioning bundle: episode anchor frame, last-c memory, task."""
+def context_rows(first, now, c: int, anchor_mode: str):
+    """The context rule: rows of the anchor and the memory at row now.
 
-    anchor: np.ndarray   # (d,)
-    memory: np.ndarray   # (c, d)
-    task: TaskSpec
-
-    def __post_init__(self):
-        self.anchor = np.asarray(self.anchor, dtype=np.float64)
-        self.memory = np.asarray(self.memory, dtype=np.float64)
-        if self.memory.ndim != 2 or (self.memory.size and self.memory.shape[1] != self.anchor.shape[0]):
-            raise ValueError("memory must be (c, d) matching the anchor dimension")
-
-
-def build_context(history: list[np.ndarray], c: int, task: TaskSpec,
-                  anchor_mode: str = "first") -> AnchoredContext:
-    """Anchor + last-c memory; short histories are left-padded with the anchor.
-
-    anchor_mode "last" is the no-reference ablation: the anchor slot is filled
-    with a repeat of the newest frame instead of the episode's first frame.
+    first and now are (B,) integer rows (or scalars) into a frame sequence:
+    the episode's first frame and the newest frame. The anchor is the first
+    frame, or under anchor_mode "last" (the no-reference ablation) the newest
+    one. The memory is the last c rows up to now; a row that falls before the
+    episode start takes the anchor row. Returns (anchor (B,), memory (B, c)).
     """
-    if not history:
-        raise ValueError("history must contain at least the initial frame")
     if anchor_mode not in ANCHOR_MODES:
         raise ValueError(f"unknown anchor_mode {anchor_mode!r}")
-    anchor = np.asarray(history[0] if anchor_mode == "first" else history[-1], dtype=np.float64)
-    recent = [np.asarray(h, dtype=np.float64) for h in history[-c:]] if c > 0 else []
-    pad = [anchor] * (c - len(recent))
-    memory = np.array(pad + recent) if c > 0 else np.zeros((0, anchor.shape[0]))
-    return AnchoredContext(anchor.copy(), memory, task)
+    first, now = np.asarray(first), np.asarray(now)
+    anchor = first if anchor_mode == "first" else now
+    recent = now[..., None] + np.arange(1 - c, 1)
+    return anchor, np.where(recent < first[..., None], anchor[..., None], recent)
+
+
+def build_context(histories, c: int, anchor_mode: str = "first"):
+    """Anchors (B, d) and memories (B, c, d) of B frame histories of one length.
+
+    The histories are the active members of a lockstep rollout, each the
+    frames from its episode start on. context_rows picks the c + 1 rows once
+    for that length, and only those frames are gathered from each history.
+    """
+    n = len(histories[0]) if len(histories) else 0
+    if n == 0 or any(len(h) != n for h in histories):
+        raise ValueError("histories must be non-empty and of one length")
+    anchor, memory = context_rows(0, n - 1, c, anchor_mode)
+    rows = [int(anchor), *memory.tolist()]
+    # one flat list converts faster than a nested one
+    frames = np.array([h[r] for h in histories for r in rows], dtype=np.float64)
+    frames = frames.reshape(len(histories), c + 1, -1)
+    return frames[:, 0], frames[:, 1:]
 
 
 def rf_interpolate(x0: np.ndarray, x1: np.ndarray, t: float):
@@ -181,22 +183,22 @@ def rf_loss(net: WmNet, params: dict, batch: RfBatch):
     return tmean(err * err)
 
 
-def sample_chunk(net: WmNet, params: dict, ctxs: list[AnchoredContext], chunks,
+def sample_chunk(net: WmNet, params: dict, anchors, memories, task: TaskSpec, chunks,
                  steps: int, rngs: list[np.random.Generator]) -> np.ndarray:
     """Euler-integrate the learned field from noise for B rows; (B, H, d) frames.
 
-    Row i conditions on ctxs[i] and chunks[i] (H, a_dim) and draws its start
-    noise from rngs[i], per row before stacking, so a row's draws do not
-    depend on the other rows. Every Euler step is one batched u_apply. A
-    row that turns non-finite stays so; the caller drops it, the sampler
-    does not raise.
+    Row i conditions on anchors[i] (d,), memories[i] (c, d), the task and
+    chunks[i] (H, a_dim), and draws its start noise from rngs[i], per row
+    before stacking, so a row's draws do not depend on the other rows. Every
+    Euler step is one batched u_apply. A row that turns non-finite stays so;
+    the caller drops it, the sampler does not raise.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    b = len(ctxs)
-    anchors = np.array([ctx.anchor for ctx in ctxs])
-    memories = np.array([ctx.memory for ctx in ctxs])
-    tasks = np.array([one_hot(ctx.task.task_id, net.n_tasks) for ctx in ctxs])
+    anchors = np.asarray(anchors, dtype=np.float64)
+    memories = np.asarray(memories, dtype=np.float64)
+    b = anchors.shape[0]
+    tasks = np.broadcast_to(one_hot(task.task_id, net.n_tasks), (b, net.n_tasks))
     chunks = np.asarray(chunks, dtype=np.float64).reshape(b, net.horizon * net.a_dim)
     x = np.array([rng.normal(size=net.out_dim) for rng in rngs])
     dt = 1.0 / steps
@@ -209,9 +211,9 @@ def sample_chunk(net: WmNet, params: dict, ctxs: list[AnchoredContext], chunks,
 class LearnedWorldModel:
     """Inference bundle used by rollout: net + params + sampler step count.
 
-    predict_chunk(ctxs, chunks, rngs) -> (B, H, d) frames, one row per
-    context; every world model (OracleWorldModel, test doubles) keeps this
-    contract.
+    predict_chunk(anchors, memories, task, chunks, rngs) -> (B, H, d) frames,
+    one row per build_context row; every world model (OracleWorldModel, test
+    doubles) keeps this contract.
     """
 
     def __init__(self, net: WmNet, params: dict, steps: int = 5):
@@ -221,24 +223,28 @@ class LearnedWorldModel:
         self.anchor_mode = net.anchor_mode
         self.context = net.context
 
-    def predict_chunk(self, ctxs, chunks, rngs) -> np.ndarray:
-        return sample_chunk(self.net, self.params, ctxs, chunks, self.steps, rngs)
+    def predict_chunk(self, anchors, memories, task, chunks, rngs) -> np.ndarray:
+        return sample_chunk(self.net, self.params, anchors, memories, task, chunks,
+                            self.steps, rngs)
 
 
 class OracleWorldModel:
-    """True-dynamics stand-in: steps the real environment from memory[-1].
+    """True-dynamics stand-in: steps the real environment from memories[:, -1].
 
     Never draws from the model RNG stream, so oracle-backed imagined rollouts
-    consume exactly the same randomness as real rollouts.
+    consume exactly the same randomness as real rollouts. It needs that frame,
+    so its context must be at least 1.
     """
 
     def __init__(self, env, context: int = 4):
+        if context < 1:
+            raise ValueError("OracleWorldModel needs context >= 1 to step from memory")
         self.env = env
         self.anchor_mode = "first"
         self.context = context
 
-    def predict_chunk(self, ctxs, chunks, rngs) -> np.ndarray:
-        return step_chunks(self.env, [ctx.memory[-1] for ctx in ctxs], chunks)
+    def predict_chunk(self, anchors, memories, task, chunks, rngs) -> np.ndarray:
+        return step_chunks(self.env, memories[:, -1], chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -301,10 +307,11 @@ def make_rf_batch(net: WmNet, corpus: RfCorpus, picks, rng: np.random.Generator,
                   p_noisy: float, t_ctx_max: float, t: float | None = None) -> RfBatch:
     """Assemble one minibatch from (B, 2) (episode, start) picks into the corpus.
 
-    Row i conditions on the context build_context gives at step s of episode
-    e: the anchor frame, the last c frames up to s left-padded with the
-    anchor, the task. Its target is the next H frames, its chunk the H
-    actions from s. All of it is gathered from the corpus at once.
+    Row i conditions on the context context_rows gives at step s of episode
+    e, as build_context does in rollout: the anchor frame, the last c frames
+    up to s left-padded with the anchor, the task. Its target is the next H
+    frames, its chunk the H actions from s. All of it is gathered from the
+    corpus at once.
 
     The random draws stay in per-row order: for each row a uniform that
     picks it for context noise with probability p_noisy (no draw when
@@ -326,9 +333,8 @@ def make_rf_batch(net: WmNet, corpus: RfCorpus, picks, rng: np.random.Generator,
     b = picks.shape[0]
     first = corpus.state_offsets[e]
     now = first + s
-    anchor = first if net.anchor_mode == "first" else now
-    recent = now[:, None] + np.arange(1 - c, 1)
-    memories = corpus.states[np.where(recent < first[:, None], anchor[:, None], recent)]
+    anchor, memory = context_rows(first, now, c, net.anchor_mode)
+    memories = corpus.states[memory]
     noisy = []
     if p_noisy > 0:
         # random() is uniform()'s draw at a third of its call cost, and

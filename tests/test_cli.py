@@ -97,6 +97,15 @@ def test_out_of_range_config_exits_before_run_dir(tmp_path, capsys):
     assert not root.exists()
 
 
+def test_negative_context_exits_before_run_dir(tmp_path, capsys):
+    root = tmp_path / "runs"
+    code = parse_and_dispatch(["pace", "--demos", str(tmp_path / "demos.wovs"),
+                               "--set", "run.context=-1", "--run-root", str(root)])
+    assert code == EXIT_CONFIG
+    assert "run.context" in capsys.readouterr().err
+    assert not root.exists()
+
+
 def test_invariant_violation_exit_code(tmp_path, monkeypatch, capsys):
     def boom(cfg, run_dir, args):
         raise InvariantViolation("planted")

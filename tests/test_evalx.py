@@ -43,9 +43,9 @@ class FrozenWm:
         self.context = context
         self.anchor_mode = "first"
 
-    def predict_chunk(self, ctxs, chunks, rngs):
-        return np.array([np.tile(ctx.memory[-1], (len(chunk), 1))
-                         for ctx, chunk in zip(ctxs, chunks)])
+    def predict_chunk(self, anchors, memories, task, chunks, rngs):
+        return np.array([np.tile(memory[-1], (len(chunk), 1))
+                         for memory, chunk in zip(memories, chunks)])
 
 
 # -- success rate -----------------------------------------------------------------

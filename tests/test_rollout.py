@@ -240,8 +240,8 @@ def test_rollout_imagined_aborts_on_nonfinite(caplog):
         context = 4
         anchor_mode = "first"
 
-        def predict_chunk(self, ctxs, chunks, rngs):
-            return np.full((len(ctxs), H, env.state_dim), np.nan)
+        def predict_chunk(self, anchors, memories, task, chunks, rngs):
+            return np.full((len(anchors), H, env.state_dim), np.nan)
 
     group = GroupSpec(task, start, "initial", 2)
     with caplog.at_level("WARNING"):
@@ -262,8 +262,8 @@ def roll_member_reference(policy, params, wm, reward_fn, task, start, T, H, seed
     while len(records) * H < T and not success:
         obs = history[-1]
         chunks, logps = policy.sample(params, obs[None], task, [policy_rng])
-        ctx = build_context(history, wm.context, task, wm.anchor_mode)
-        frames = wm.predict_chunk([ctx], chunks, [model_rng])[0]
+        anchors, memories = build_context([history], wm.context, wm.anchor_mode)
+        frames = wm.predict_chunk(anchors, memories, task, chunks, [model_rng])[0]
         if not np.all(np.isfinite(frames)):
             break
         reward = 0
@@ -314,8 +314,8 @@ class PoisonedWm(OracleWorldModel):
         self.poison = poison
         self.calls = 0
 
-    def predict_chunk(self, ctxs, chunks, rngs):
-        frames = super().predict_chunk(ctxs, chunks, rngs)
+    def predict_chunk(self, anchors, memories, task, chunks, rngs):
+        frames = super().predict_chunk(anchors, memories, task, chunks, rngs)
         for call, row in self.poison:
             if call == self.calls:
                 frames[row] = np.nan

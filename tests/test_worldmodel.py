@@ -4,7 +4,6 @@ import pytest
 from wovr.core import FrameEpisode, TaskSpec, derive_rng, one_hot
 from wovr.nn import Tensor, value_and_grad
 from wovr.worldmodel import (
-    AnchoredContext,
     OracleWorldModel,
     RfBatch,
     WmNet,
@@ -53,35 +52,52 @@ def random_batch(net, rng, b=3):
 # -- context ----------------------------------------------------------------
 
 
-def test_build_context_pads_with_anchor():
-    o0 = np.array([1.0, 2.0])
-    ctx = build_context([o0], 4, TaskSpec(0))
-    assert np.array_equal(ctx.anchor, o0)
-    assert ctx.memory.shape == (4, 2)
-    assert all(np.array_equal(row, o0) for row in ctx.memory)
+def context_reference(history, c, anchor_mode="first"):
+    """One history's context, built frame by frame: the per-history builder
+    that the batched build_context replaced, kept apart from context_rows."""
+    anchor = np.asarray(history[0] if anchor_mode == "first" else history[-1],
+                        dtype=np.float64)
+    recent = [np.asarray(h, dtype=np.float64) for h in history[-c:]] if c > 0 else []
+    pad = [anchor] * (c - len(recent))
+    memory = np.array(pad + recent) if c > 0 else np.zeros((0, anchor.shape[0]))
+    return anchor.copy(), memory
 
 
-def test_build_context_takes_last_c():
+def test_build_context_matches_reference():
+    rng = np.random.default_rng(1)
+    for n in (1, 3, 10):
+        histories = [list(rng.normal(size=(n, D))) for _ in range(3)]
+        for c in (0, 1, 4, 9):
+            for anchor_mode in ("first", "last"):
+                anchors, memories = build_context(histories, c, anchor_mode)
+                assert anchors.shape == (3, D) and memories.shape == (3, c, D)
+                for i, history in enumerate(histories):
+                    anchor, memory = context_reference(history, c, anchor_mode)
+                    np.testing.assert_array_equal(anchors[i], anchor)
+                    np.testing.assert_array_equal(memories[i], memory)
+    # short histories are padded with the anchor, long ones keep the last c
+    anchors, memories = build_context([[np.array([1.0, 2.0])]], 4)
+    np.testing.assert_array_equal(memories[0], np.tile([1.0, 2.0], (4, 1)))
     frames = [np.array([float(i), 0.0]) for i in range(10)]
-    ctx = build_context(frames, 4, TaskSpec(0))
-    assert np.array_equal(ctx.anchor, frames[0])
-    assert np.array_equal(ctx.memory[:, 0], [6.0, 7.0, 8.0, 9.0])
-
-
-def test_build_context_degenerate_c_zero():
-    ctx = build_context([np.ones(2)], 0, TaskSpec(0))
-    assert ctx.memory.shape == (0, 2)
+    anchors, memories = build_context([frames], 4)
+    np.testing.assert_array_equal(anchors[0], frames[0])
+    np.testing.assert_array_equal(memories[0, :, 0], [6.0, 7.0, 8.0, 9.0])
 
 
 def test_build_context_rejects_empty():
     with pytest.raises(ValueError):
-        build_context([], 4, TaskSpec(0))
+        build_context([], 4)
+    with pytest.raises(ValueError):
+        build_context([[]], 4)
+    with pytest.raises(ValueError):
+        build_context([[np.ones(D)]], 4, anchor_mode="middle")
 
 
-def test_build_context_last_anchor_mode():
-    frames = [np.array([float(i), 0.0]) for i in range(6)]
-    ctx = build_context(frames, 2, TaskSpec(0), anchor_mode="last")
-    assert np.array_equal(ctx.anchor, frames[-1])
+def test_build_context_rejects_ragged():
+    with pytest.raises(ValueError):
+        build_context([[np.ones(D)], [np.ones(D), np.zeros(D)]], 4)
+    with pytest.raises(ValueError):
+        build_context([[np.ones(D), np.zeros(D)], []], 0)
 
 
 # -- interpolation -------------------------------------------------------------
@@ -200,9 +216,10 @@ def test_sample_chunk_constant_field_step_invariance():
     params = {k: np.zeros_like(v) for k, v in net.init(derive_rng(12)).items()}
     v_star = np.linspace(-1.0, 1.0, net.out_dim)
     params["wm_out.b0"] = v_star.copy()
-    ctx = AnchoredContext(np.zeros(D), np.zeros((C, D)), TaskSpec(0))
+    anchors, memories = np.zeros((1, D)), np.zeros((1, C, D))
     chunk = np.zeros((H, A_DIM))
-    outs = [sample_chunk(net, params, [ctx], chunk[None], s, [derive_rng(13)])[0]
+    outs = [sample_chunk(net, params, anchors, memories, TaskSpec(0), chunk[None], s,
+                         [derive_rng(13)])[0]
             for s in (1, 5, 50)]
     x_init = derive_rng(13).normal(size=net.out_dim)
     expected = (x_init + v_star).reshape(H, D)
@@ -214,28 +231,31 @@ def test_sample_chunk_constant_field_step_invariance():
 def test_sample_chunk_shape_and_determinism():
     net = small_net()
     params = net.init(derive_rng(14))
-    ctx = AnchoredContext(np.zeros(D), np.zeros((C, D)), TaskSpec(0))
+    anchors, memories, task = np.zeros((2, D)), np.zeros((2, C, D)), TaskSpec(0)
     chunk = np.ones((H, A_DIM)) * 0.1
-    a = sample_chunk(net, params, [ctx, ctx], [chunk, -chunk], 5,
+    a = sample_chunk(net, params, anchors, memories, task, [chunk, -chunk], 5,
                      [derive_rng(15), derive_rng(16)])
-    b = sample_chunk(net, params, [ctx, ctx], [chunk, -chunk], 5,
+    b = sample_chunk(net, params, anchors, memories, task, [chunk, -chunk], 5,
                      [derive_rng(15), derive_rng(16)])
     assert a.shape == (2, H, D)
     assert np.array_equal(a, b)
     # row i draws its noise from rngs[i] only: alone it gives the same frames
-    alone = sample_chunk(net, params, [ctx], [-chunk], 5, [derive_rng(16)])
+    alone = sample_chunk(net, params, anchors[1:], memories[1:], task, [-chunk], 5,
+                         [derive_rng(16)])
     np.testing.assert_allclose(alone[0], a[1], rtol=1e-9)
     with pytest.raises(ValueError):
-        sample_chunk(net, params, [ctx], [chunk], 0, [derive_rng(15)])
+        sample_chunk(net, params, anchors[:1], memories[:1], task, [chunk], 0,
+                     [derive_rng(15)])
 
 
 def test_sample_chunk_does_not_mutate_context():
     net = small_net()
     params = net.init(derive_rng(16))
-    ctx = AnchoredContext(np.ones(D), np.ones((C, D)), TaskSpec(0))
-    before = (ctx.anchor.tobytes(), ctx.memory.tobytes())
-    sample_chunk(net, params, [ctx], np.zeros((1, H, A_DIM)), 3, [derive_rng(17)])
-    assert (ctx.anchor.tobytes(), ctx.memory.tobytes()) == before
+    anchors, memories = np.ones((1, D)), np.ones((1, C, D))
+    before = (anchors.tobytes(), memories.tobytes())
+    sample_chunk(net, params, anchors, memories, TaskSpec(0), np.zeros((1, H, A_DIM)), 3,
+                 [derive_rng(17)])
+    assert (anchors.tobytes(), memories.tobytes()) == before
 
 
 def test_oracle_world_model_steps_real_dynamics():
@@ -243,15 +263,24 @@ def test_oracle_world_model_steps_real_dynamics():
     env = PickPlace2D()
     oracle = OracleWorldModel(env, context=4)
     state = env.reset_state(TaskSpec(0), derive_rng(18))
-    ctx = build_context([state], 4, TaskSpec(0))
+    anchors, memories = build_context([[state], [state]], 4)
     chunk = np.tile([0.05, 0.0, -1.0], (8, 1))
-    frames = oracle.predict_chunk([ctx, ctx], [chunk, -chunk], [derive_rng(19)] * 2)
+    frames = oracle.predict_chunk(anchors, memories, TaskSpec(0), [chunk, -chunk],
+                                  [derive_rng(19)] * 2)
     assert frames.shape == (2, 8, env.state_dim)
     for row, sign in zip(frames, (1, -1)):
         ref = state
         for a in sign * chunk:
             ref, _, _ = env.step(ref, a)
         assert np.array_equal(row[-1], ref)
+
+
+def test_oracle_world_model_rejects_empty_memory():
+    from wovr.envs import ReachPoint
+    OracleWorldModel(ReachPoint(), context=1)
+    for context in (0, -1):
+        with pytest.raises(ValueError):
+            OracleWorldModel(ReachPoint(), context=context)
 
 
 # -- training ------------------------------------------------------------------
@@ -266,18 +295,18 @@ def test_window_index_skips_short_episodes():
 
 
 def make_rf_batch_reference(net, episodes, picks, rng, p_noisy, t_ctx_max, t=None):
-    """The per-window loop make_rf_batch replaced: one build_context per pick."""
+    """The per-window loop make_rf_batch replaced: one context_reference per pick."""
     h, c, d = net.horizon, net.context, net.d
     x1, anchors, memories, tasks, chunks = [], [], [], [], []
     for e, s in picks:
         ep = episodes[e]
-        ctx = build_context([ep.states[i] for i in range(s + 1)], c, ep.task, net.anchor_mode)
-        memory = ctx.memory
+        anchor, memory = context_reference([ep.states[i] for i in range(s + 1)], c,
+                                           net.anchor_mode)
         if p_noisy > 0 and rng.uniform() < p_noisy:
             t_ctx = rng.uniform(0.0, t_ctx_max)
             memory = (1.0 - t_ctx) * memory + t_ctx * rng.normal(size=memory.shape)
         x1.append(ep.states[s + 1 : s + 1 + h].reshape(h * d))
-        anchors.append(ctx.anchor)
+        anchors.append(anchor)
         memories.append(memory)
         tasks.append(one_hot(ep.task.task_id, net.n_tasks))
         chunks.append(ep.actions[s : s + h].reshape(-1))
@@ -395,9 +424,9 @@ def test_linear_fixture_one_chunk_mse(linear_fixture_run):
     for _ in range(8):
         for ep in test_eps:
             for s in (0, 5, 10):
-                ctx = build_context([ep.states[i] for i in range(s + 1)], C, ep.task)
-                pred = sample_chunk(net, params, [ctx], ep.actions[None, s : s + H], 5,
-                                    [srng])[0]
+                anchors, memories = build_context([ep.states[: s + 1]], C)
+                pred = sample_chunk(net, params, anchors, memories, ep.task,
+                                    ep.actions[None, s : s + H], 5, [srng])[0]
                 errs.append(np.mean((pred - ep.states[s + 1 : s + 1 + H]) ** 2))
     assert np.mean(errs) < 1e-3
 
@@ -422,13 +451,15 @@ def test_default_length_run_loss_non_increasing_smoothed(linear_fixture_data):
 def test_linear_fixture_action_sensitivity(linear_fixture_run):
     net, params, _, test_eps = linear_fixture_run
     ep = test_eps[0]
-    ctx = build_context([ep.states[i] for i in range(5)], C, ep.task)
+    anchors, memories = build_context([ep.states[:5]], C)
     plus = np.full((H, A_DIM), 0.6)
     minus = np.full((H, A_DIM), -0.6)
     srng = derive_rng(103)
-    pred_plus = np.mean([sample_chunk(net, params, [ctx], [plus], 5, [srng])[0]
+    pred_plus = np.mean([sample_chunk(net, params, anchors, memories, ep.task, [plus], 5,
+                                      [srng])[0]
                          for _ in range(8)], axis=0)
-    pred_minus = np.mean([sample_chunk(net, params, [ctx], [minus], 5, [srng])[0]
+    pred_minus = np.mean([sample_chunk(net, params, anchors, memories, ep.task, [minus], 5,
+                                       [srng])[0]
                           for _ in range(8)], axis=0)
     diff = pred_plus - pred_minus  # should be positive everywhere: +0.6 vs -0.6 drift
     assert np.all(diff[-1] > 0)
