@@ -75,13 +75,35 @@ def test_build_context_matches_reference():
                     anchor, memory = context_reference(history, c, anchor_mode)
                     np.testing.assert_array_equal(anchors[i], anchor)
                     np.testing.assert_array_equal(memories[i], memory)
-    # short histories are padded with the anchor, long ones keep the last c
-    anchors, memories = build_context([[np.array([1.0, 2.0])]], 4)
-    np.testing.assert_array_equal(memories[0], np.tile([1.0, 2.0], (4, 1)))
+
+
+def test_build_context_pads_with_anchor():
+    o0 = np.array([1.0, 2.0])
+    anchors, memories = build_context([[o0], [2.0 * o0]], 4)
+    assert memories.shape == (2, 4, 2)
+    np.testing.assert_array_equal(anchors, [o0, 2.0 * o0])
+    np.testing.assert_array_equal(memories[0], np.tile(o0, (4, 1)))
+    np.testing.assert_array_equal(memories[1], np.tile(2.0 * o0, (4, 1)))
+
+
+def test_build_context_takes_last_c():
     frames = [np.array([float(i), 0.0]) for i in range(10)]
     anchors, memories = build_context([frames], 4)
     np.testing.assert_array_equal(anchors[0], frames[0])
     np.testing.assert_array_equal(memories[0, :, 0], [6.0, 7.0, 8.0, 9.0])
+
+
+def test_build_context_degenerate_c_zero():
+    anchors, memories = build_context([[np.ones(2)], [np.zeros(2)]], 0)
+    assert anchors.shape == (2, 2)
+    assert memories.shape == (2, 0, 2)
+
+
+def test_build_context_last_anchor_mode():
+    frames = [np.array([float(i), 0.0]) for i in range(6)]
+    anchors, memories = build_context([frames], 2, anchor_mode="last")
+    np.testing.assert_array_equal(anchors[0], frames[-1])
+    np.testing.assert_array_equal(memories[0, :, 0], [4.0, 5.0])
 
 
 def test_build_context_rejects_empty():
