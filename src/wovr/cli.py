@@ -31,9 +31,9 @@ from .core import (DEFAULTS, ConfigError, InvariantViolation, TaskSpec,
 from .envs import CountingEnv, get_env, replay_frames, scripted_demo
 from .evalx import EvalReport, hallucination_rate, horizon_error, success_rate
 from .grpo import ChunkPolicy
-from .pace import StageFailure, _rl_stage, clone_base_policy, run_pipeline
-from .reward import (RewardNet, label_episode_frames, predict_success,
-                     sparse_reward, train_classifier)
+from .pace import (StageFailure, _rl_stage, clone_base_policy, learned_reward,
+                   run_pipeline)
+from .reward import RewardNet, label_episode_frames, train_classifier
 from .rollout import KeyframeBuffer, read_batch, rollout_real, write_batch
 from .worldmodel import LearnedWorldModel, WmNet, train_wm
 
@@ -136,6 +136,13 @@ def build_reward_net(env, cfg) -> RewardNet:
                      hidden=tuple(cfg["reward"]["hidden"]))
 
 
+def clone_demos(demos, policy, cfg) -> tuple[dict, list[float]]:
+    """Behavior-clone policy on demos with the clone section of cfg."""
+    c = cfg["clone"]
+    return clone_base_policy(demos, policy, derive_rng(cfg["seed"], 72), epochs=c["epochs"],
+                             batch_size=c["batch_size"], lr=c["lr"])
+
+
 def require(args, cfg_err: str, *names):
     values = []
     for name in names:
@@ -182,11 +189,7 @@ def cmd_clone(cfg, run_dir, args):
     demos_path = require(args, "clone needs --{flag}", "demos")
     demos, manifest = read_batch(demos_path)
     env = get_env(manifest.get("env", cfg["env"]))
-    policy = build_policy(env, cfg)
-    c = cfg["clone"]
-    params, losses = clone_base_policy(demos, policy, derive_rng(cfg["seed"], 72),
-                                       epochs=c["epochs"],
-                                       batch_size=c["batch_size"], lr=c["lr"])
+    params, losses = clone_demos(demos, build_policy(env, cfg), cfg)
     nn.save_params(run_dir / "policy.wovc", params)
     with open(run_dir / "manifest.json", "w") as fh:
         json.dump({"params": params_hash(params), "demos": str(demos_path),
@@ -296,12 +299,7 @@ def cmd_pace(cfg, run_dir, args):
     if getattr(args, "policy", None):
         base_params = nn.load_params(args.policy)
     elif demos:
-        c = cfg["clone"]
-        base_params, _ = clone_base_policy(demos, policy,
-                                           derive_rng(cfg["seed"], 72),
-                                           epochs=c["epochs"],
-                                           batch_size=c["batch_size"],
-                                           lr=c["lr"])
+        base_params, _ = clone_demos(demos, policy, cfg)
     else:
         raise ConfigError("pace needs --policy or --demos")
     try:
@@ -351,16 +349,10 @@ def cmd_eval(cfg, run_dir, args):
                               "reward")
         reward_params = nn.load_params(reward_path)
         report.checkpoint_hashes["reward"] = params_hash(reward_params)
-        reward_net = build_reward_net(env, cfg)
-        # the threshold that gates imagined RL, so the rate is the one of
-        # the simulator the policy trained in
-        threshold = cfg["rl"]["reward_threshold"]
-
-        def reward_fn(frame, task):
-            return sparse_reward(
-                predict_success(reward_net, reward_params, frame, task),
-                threshold)
-
+        # the reward of imagined RL, so the rate is the one of the simulator
+        # the policy trained in
+        reward_fn = learned_reward(build_reward_net(env, cfg), reward_params,
+                                   cfg["rl"]["reward_threshold"])
         report.hallucination = hallucination_rate(
             policy, params, wm, reward_fn, env, TaskSpec(task_id), n, T, H,
             derive_seed(cfg["seed"], 82))

@@ -1,8 +1,9 @@
 """Shared domain types, run configuration and the one on-disk container.
 
 State vectors are plain float64 numpy arrays; trajectories are chunk-granular
-(one StepRecord per policy call). Everything here is immutable after
-construction by convention and safe to share across workers.
+(one StepRecord per policy call), and a step's sparse reward is the only record
+of an episode's outcome. Everything here is immutable after construction by
+convention and safe to share across workers.
 
 Every wovr file is one little-endian container, written by write_records and
 parsed by read_records, the only byte parser in wovr:
@@ -69,13 +70,14 @@ class TaskSpec:
 
 @dataclass(eq=False)
 class StepRecord:
-    """One policy call: observation, emitted action chunk, outcome bookkeeping."""
+    """One policy call: observation, emitted action chunk, sparse reward and
+    behavior log-density. The reward is 1 on the step whose frames first reach
+    success, which ends the episode."""
 
     obs: np.ndarray          # (d,)
     chunk: np.ndarray        # (H, a_dim), clipped to the env action box
     reward: int              # {0, 1}
     logp_old: float          # behavior-policy log-density of the stored chunk
-    done: bool
 
     def __post_init__(self):
         self.obs = np.asarray(self.obs, dtype=np.float64)
@@ -97,48 +99,34 @@ class StepRecord:
             and np.array_equal(self.chunk, other.chunk)
             and self.reward == other.reward
             and self.logp_old == other.logp_old
-            and self.done == other.done
         )
-
-
-def compute_valid_len(steps: list[StepRecord], success: bool) -> int:
-    """First success-bearing step (1-based) if success, else the step count."""
-    if success:
-        for i, step in enumerate(steps):
-            if step.reward == 1:
-                return i + 1
-        raise InvariantViolation("success=True but no step carries reward 1")
-    return len(steps)
 
 
 @dataclass(eq=False)
 class Trajectory:
-    """Unit of RL data: chunk-level records plus outcome flags."""
+    """Unit of RL data: the chunk-level records of one episode.
+
+    success and valid_len are read from the step rewards, never stored
+    beside them, so they cannot disagree with the rewards.
+    """
 
     task: TaskSpec
     start_kind: str
     steps: list[StepRecord]
-    success: bool
-    valid_len: int
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         if self.start_kind not in START_KINDS:
             raise InvariantViolation(f"unknown start_kind {self.start_kind!r}")
-        if self.success != any(s.reward == 1 for s in self.steps):
-            raise InvariantViolation("success flag inconsistent with step rewards")
-        expected = compute_valid_len(self.steps, self.success)
-        if self.valid_len != expected:
-            raise InvariantViolation(
-                f"valid_len {self.valid_len} != first-success scan {expected}"
-            )
-        if self.steps and self.valid_len < 1:
-            raise InvariantViolation("valid_len must be >= 1 for non-empty trajectories")
-        done_at = [i for i, s in enumerate(self.steps) if s.done]
-        if len(done_at) > 1 or (done_at and done_at[0] != len(self.steps) - 1):
-            raise InvariantViolation("at most one done step is allowed, and it must be last")
+
+    @property
+    def success(self) -> bool:
+        return any(s.reward == 1 for s in self.steps)
+
+    @property
+    def valid_len(self) -> int:
+        """Steps through the first reward step (GRPO's mask), else every step."""
+        return next((i + 1 for i, s in enumerate(self.steps) if s.reward == 1),
+                    len(self.steps))
 
     def __eq__(self, other):
         if not isinstance(other, Trajectory):
@@ -146,16 +134,9 @@ class Trajectory:
         return (
             self.task == other.task
             and self.start_kind == other.start_kind
-            and self.success == other.success
-            and self.valid_len == other.valid_len
             and len(self.steps) == len(other.steps)
             and all(a == b for a, b in zip(self.steps, other.steps))
         )
-
-    @classmethod
-    def build(cls, task: TaskSpec, start_kind: str, steps: list[StepRecord]) -> "Trajectory":
-        success = any(s.reward == 1 for s in steps)
-        return cls(task, start_kind, steps, success, compute_valid_len(steps, success))
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +158,7 @@ DEFAULTS = {
     # evolved-policy data (two collections, two RL stages) or never (one
     # collection, one RL stage against the base model)
     "plan": {"refinements": 1, "rl_updates_per_stage": 20,
-             "groups_per_update": 4, "reset_kir_between_stages": True,
-             "refine_mix_new": 0.7},
+             "groups_per_update": 4, "refine_mix_new": 0.7},
     "policy": {"hidden": [64, 64], "init_log_std": -1.5},
     "demo": {"n": 16, "noise": 0.0},
     "clone": {"epochs": 60, "batch_size": 64, "lr": 1e-3},
@@ -359,7 +339,9 @@ def _fields(record: dict, schema: dict) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 # Trajectory store: one record per trajectory.
 
-# head is (task, start kind, success, valid_len); flags is (reward, done) per step
+# head is (task, start kind, success, valid_len) and flags is (reward, done) per
+# step. success, valid_len and done are copies the reader checks against the
+# rewards: done is the step's reward, since an episode ends at its reward step.
 _STORE_SCHEMA = {"chunk": ("<f8", ("n", "H", "a")), "flags": ("|u1", ("n", 2)),
                  "head": ("<i8", (4,)), "logp_old": ("<f8", ("n",)),
                  "obs": ("<f8", ("n", "d"))}
@@ -367,27 +349,32 @@ _STORE_SCHEMA = {"chunk": ("<f8", ("n", "H", "a")), "flags": ("|u1", ("n", 2)),
 
 def _trajectory_record(traj: Trajectory) -> dict[str, np.ndarray]:
     steps = traj.steps
+    rewards = np.array([s.reward for s in steps], dtype=np.uint8)
     # np.array raises on ragged step shapes; zero steps would give a 1-d array
     return {"head": np.array([traj.task.task_id, START_KINDS.index(traj.start_kind),
                               int(traj.success), traj.valid_len], dtype=np.int64),
             "obs": np.array([s.obs for s in steps]) if steps else np.zeros((0, 0)),
             "chunk": np.array([s.chunk for s in steps]) if steps else np.zeros((0, 0, 0)),
             "logp_old": np.array([s.logp_old for s in steps], dtype=np.float64),
-            "flags": np.array([(s.reward, s.done) for s in steps],
-                              dtype=np.uint8).reshape(-1, 2)}
+            "flags": np.stack([rewards, rewards], axis=1)}
 
 
 def _trajectory(record: dict) -> Trajectory:
     chunk, flags, head, logp_old, obs = _fields(record, _STORE_SCHEMA)
     task_id, kind, success, valid_len = head.tolist()
-    if task_id < 0 or not 0 <= kind < len(START_KINDS) or success not in (0, 1):
+    if task_id < 0 or not 0 <= kind < len(START_KINDS):
         raise MalformedHeader(f"bad trajectory head {head.tolist()}")
-    if np.any(flags > 1):
-        raise InvariantViolation("reward and done flags must be 0 or 1")
-    steps = [StepRecord(o, c, int(reward), float(logp), bool(done))
-             for o, c, logp, (reward, done) in zip(obs, chunk, logp_old, flags)]
-    # Trajectory.__post_init__ re-verifies valid_len against a fresh scan.
-    return Trajectory(TaskSpec(task_id), START_KINDS[kind], steps, bool(success), valid_len)
+    rewards, done = flags.T
+    if np.any(done != rewards):
+        raise InvariantViolation("a done flag differs from its step's reward")
+    # StepRecord rejects a reward outside {0, 1}
+    steps = [StepRecord(o, c, int(reward), float(logp))
+             for o, c, logp, reward in zip(obs, chunk, logp_old, rewards)]
+    traj = Trajectory(TaskSpec(task_id), START_KINDS[kind], steps)
+    if (success, valid_len) != (traj.success, traj.valid_len):
+        raise InvariantViolation(f"head gives success {success}, valid_len {valid_len}; "
+                                 f"the rewards give {traj.success}, {traj.valid_len}")
+    return traj
 
 
 def write_store(path, trajectories: list[Trajectory]):

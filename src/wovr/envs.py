@@ -1,9 +1,11 @@
 """Toy manipulation environments with exact, pure-function dynamics.
 
-All dynamics are deterministic: step(state, action) is a pure function, the
-only randomness lives in reset. PickPlace2D deliberately contains a contact
-discontinuity (the grasp) because that is where learned dynamics models go
-wrong in interesting ways.
+All dynamics are deterministic: step(state, action) -> next state is a pure
+function, the only randomness lives in reset. Success is a separate predicate,
+is_success(state); step never evaluates it, so a caller that needs the sparse
+reward asks for it once, on the frames it keeps. PickPlace2D deliberately
+contains a contact discontinuity (the grasp) because that is where learned
+dynamics models go wrong in interesting ways.
 """
 from __future__ import annotations
 
@@ -58,7 +60,7 @@ class PickPlace2D:
         target = _TARGETS[task.task_id]
         return np.array([*gripper, 0.0, *obj, *target, 0.0])
 
-    def step(self, state: np.ndarray, action) -> tuple[np.ndarray, int, bool]:
+    def step(self, state: np.ndarray, action) -> np.ndarray:
         action = _check_action(action, self.action_dim)
         gripper = state[0:2].copy()
         obj = state[3:5].copy()
@@ -76,9 +78,7 @@ class PickPlace2D:
         else:
             held = False  # open releases in place (no-op when nothing is held)
 
-        nxt = np.array([*gripper, 1.0 if close_cmd else 0.0, *obj, *target, 1.0 if held else 0.0])
-        reward = 1 if self.is_success(nxt) else 0
-        return nxt, reward, reward == 1
+        return np.array([*gripper, 1.0 if close_cmd else 0.0, *obj, *target, 1.0 if held else 0.0])
 
     def is_success(self, state: np.ndarray) -> bool:
         grip_open = state[2] < 0.5
@@ -124,12 +124,10 @@ class ReachPoint:
         agent = 0.5 + rng.uniform(-0.12, 0.12, size=2)
         return np.array([*agent, *_TARGETS[task.task_id]])
 
-    def step(self, state: np.ndarray, action) -> tuple[np.ndarray, int, bool]:
+    def step(self, state: np.ndarray, action) -> np.ndarray:
         action = _check_action(action, self.action_dim)
         agent = _clip01(state[0:2] + np.clip(action, -self.step_cap, self.step_cap))
-        nxt = np.array([*agent, *state[2:4]])
-        reward = 1 if self.is_success(nxt) else 0
-        return nxt, reward, reward == 1
+        return np.array([*agent, *state[2:4]])
 
     def is_success(self, state: np.ndarray) -> bool:
         return bool(np.linalg.norm(state[0:2] - state[2:4]) <= self.success_radius)
@@ -158,7 +156,7 @@ def step_chunks(env, states, chunks) -> np.ndarray:
     for state, chunk in zip(states, chunks):
         frames = []
         for action in chunk:
-            state, _, _ = env.step(state, action)
+            state = env.step(state, action)
             frames.append(state)
         out.append(frames)
     return np.array(out)
@@ -192,9 +190,10 @@ def scripted_demo(env, task: TaskSpec, seed: int, noise_level: float = 0.0,
                   chunk: int = 8, max_len: int = 64) -> Trajectory:
     """Run the waypoint expert with additive Gaussian action noise.
 
-    Returns a chunk-granular trajectory; logp_old is the exact Gaussian
-    log-density of the recorded actions under the noisy controller (0.0 for
-    the degenerate noise-free case).
+    Returns a chunk-granular trajectory that ends at the first chunk with a
+    frame satisfying env.is_success, or after max_len steps; that chunk
+    carries reward 1, every other one 0. logp_old is the exact Gaussian log-density of the recorded actions
+    under the noisy controller (0.0 for the degenerate noise-free case).
     """
     if noise_level < 0:
         raise ValueError("noise_level must be non-negative")
@@ -203,7 +202,6 @@ def scripted_demo(env, task: TaskSpec, seed: int, noise_level: float = 0.0,
     rng = derive_rng(seed, task.task_id, 7)
     state = env.reset_state(task, rng)
     steps: list[StepRecord] = []
-    done = False
     for _ in range(max_len // chunk):
         obs = state.copy()
         actions = np.zeros((chunk, env.action_dim))
@@ -217,10 +215,9 @@ def scripted_demo(env, task: TaskSpec, seed: int, noise_level: float = 0.0,
             actions[j] = act
             means[j] = mean
             taken = j + 1
-            state, r, done = env.step(state, act)
-            if r == 1:
+            state = env.step(state, act)
+            if env.is_success(state):
                 reward = 1
-            if done:
                 break
         # pad unexecuted slots with repeats of the last command so the chunk
         # keeps its fixed shape; they were never applied
@@ -235,10 +232,10 @@ def scripted_demo(env, task: TaskSpec, seed: int, noise_level: float = 0.0,
             )
         else:
             logp = 0.0
-        steps.append(StepRecord(obs, actions, reward, logp, done))
-        if done:
+        steps.append(StepRecord(obs, actions, reward, logp))
+        if reward:
             break
-    return Trajectory.build(task, "initial", steps)
+    return Trajectory(task, "initial", steps)
 
 
 def replay_frames(env, traj: Trajectory) -> FrameEpisode:
@@ -255,15 +252,10 @@ def replay_frames(env, traj: Trajectory) -> FrameEpisode:
     state = np.asarray(traj.steps[0].obs, dtype=np.float64)
     states = [state]
     actions: list[np.ndarray] = []
-    for rec in traj.steps:
-        hit = False
-        for act in rec.chunk:
-            state, _, _ = env.step(state, act)
-            states.append(state)
-            actions.append(np.asarray(act, dtype=np.float64))
-            if env.is_success(state):
-                hit = True
-                break
-        if hit:
+    for act in (act for rec in traj.steps for act in rec.chunk):
+        state = env.step(state, act)
+        states.append(state)
+        actions.append(np.asarray(act, dtype=np.float64))
+        if env.is_success(state):
             break
     return FrameEpisode(traj.task, np.array(states), np.array(actions))

@@ -344,8 +344,8 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
                                "config": cfg_hash}
 
     with stage("rl_evo"):
-        if plan["reset_kir_between_stages"]:
-            buffer.clear()
+        # stage two restarts only from the evolved policy's failures
+        buffer.clear()
         harvest_keyframes(trajs_evo, rl["keyframe_k"], buffer)
         params_s2, rl_logs_2 = _rl_stage(
             policy, params_s1, wm_net, wm_evo_params, reward_net,
@@ -359,6 +359,17 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
     art.policy = params_s2
     _finalize_audit(art, plan, budget, collected["n"])
     return art
+
+
+def learned_reward(net: RewardNet, params: dict, threshold: float):
+    """reward_fn(frame, task) -> 0/1: the classifier's success probability,
+    thresholded. Imagined RL rewards with it, and `wovr eval --metric halluc`
+    measures the simulator with it."""
+
+    def reward_fn(frame, task):
+        return sparse_reward(predict_success(net, params, frame, task), threshold)
+
+    return reward_fn
 
 
 def _rl_stage(policy, params, wm_net, wm_params, reward_net, reward_params,
@@ -382,11 +393,7 @@ def _rl_stage(policy, params, wm_net, wm_params, reward_net, reward_params,
     for u in range(plan["rl_updates_per_stage"]):
         def rollout_fn(pol_snap, wm_snap, rew_snap, _u=u):
             wm = LearnedWorldModel(wm_net, wm_snap.params, run["diffusion_steps"])
-
-            def reward_fn(frame, task):
-                prob = predict_success(reward_net, rew_snap.params, frame, task)
-                return sparse_reward(prob, rl["reward_threshold"])
-
+            reward_fn = learned_reward(reward_net, rew_snap.params, rl["reward_threshold"])
             groups, kinds = [], []
             for g in range(groups_per_update):
                 task = TaskSpec((_u * groups_per_update + g) % n_tasks)

@@ -155,12 +155,11 @@ def _roll_group(policy, params, dynamics, reward_fn, task, starts, start_kind,
                     reward = 1
                     break
             records[i].append(StepRecord(obs=obs[row], chunk=chunks[row], reward=reward,
-                                         logp_old=float(logps[row]), done=reward == 1))
+                                         logp_old=float(logps[row])))
             if not reward:
                 still.append(i)
         active = still
-    trajectories = [Trajectory.build(task=task, start_kind=start_kind, steps=steps)
-                    for steps in records]
+    trajectories = [Trajectory(task, start_kind, steps) for steps in records]
     return trajectories, histories
 
 

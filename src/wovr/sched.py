@@ -13,12 +13,11 @@ from .core import InvariantViolation, params_hash
 
 
 class Snapshot:
-    """Immutable copy of a param dict or of another Snapshot; rollouts read only these."""
+    """Immutable copy of a param dict; rollouts read only these."""
 
-    def __init__(self, params):
-        src = params.params if isinstance(params, Snapshot) else params
+    def __init__(self, params: dict):
         copies = {}
-        for k, v in src.items():
+        for k, v in params.items():
             arr = np.array(v, dtype=np.float64, copy=True)
             arr.setflags(write=False)
             copies[k] = arr
@@ -32,9 +31,6 @@ class Snapshot:
     @property
     def hash(self) -> str:
         return self._hash
-
-    def __eq__(self, other):
-        return isinstance(other, Snapshot) and self._hash == other._hash
 
 
 def run_iteration(policy_params, wm_params, reward_params, rollout_fn, trainer_fn):

@@ -70,14 +70,15 @@ def test_workload_set_paths_exist_in_defaults(name):
 
 def test_trace_counters_read_real_calls(monkeypatch):
     """Each COUNTERS function, fed the arguments and result of a real call made
-    where the traced run wraps it, reports what the call did."""
+    where the traced run wraps it, reports what the call did; each CALLBACKS
+    position of such a call holds the callable that the traced run wraps."""
     tracing = load_bench("tracing")
     names = {"rollout.rollout_imagined", "rollout.sample_start", "grpo.build_group",
              "worldmodel.make_rf_batch"}
     assert names <= set(tracing.COUNTERS)
-    calls = {name: [] for name in names}
+    calls = {name: [] for name in names | set(tracing.CALLBACKS)}
     for owner, attr, name in tracing.TARGETS:
-        if name not in names:
+        if name not in calls:
             continue
         target = importlib.import_module(owner)
         original = target.__dict__[attr]
@@ -103,6 +104,10 @@ def test_trace_counters_read_real_calls(monkeypatch):
     episodes = [replay_frames(env, scripted_demo(env, TaskSpec(0), 6, chunk=H, max_len=16))]
     train_wm(episodes, wm_net, derive_rng(7), epochs=1, batch_size=4)
 
+    assert len(calls["sched.run_iteration"]) == 2
+    for name, positions in tracing.CALLBACKS.items():
+        for args, _ in calls[name]:
+            assert all(callable(args[pos]) for pos in positions), name
     count = tracing.COUNTERS
     assert len(calls["rollout.rollout_imagined"]) == 4
     for args, trajs in calls["rollout.rollout_imagined"]:

@@ -11,7 +11,6 @@ from wovr.core import (
     TaskSpec,
     Trajectory,
     TruncatedPayload,
-    compute_valid_len,
     derive_rng,
     make_config,
     one_hot,
@@ -23,13 +22,12 @@ from wovr.core import (
 )
 
 
-def make_step(rng, d=8, horizon=8, a_dim=3, reward=0, done=False):
+def make_step(rng, d=8, horizon=8, a_dim=3, reward=0):
     return StepRecord(
         obs=rng.normal(size=d),
         chunk=rng.normal(size=(horizon, a_dim)),
         reward=reward,
         logp_old=float(rng.normal()),
-        done=done,
     )
 
 
@@ -38,8 +36,26 @@ def make_traj(seed=0, n=4, succeed_at=None):
     steps = []
     for i in range(n):
         r = 1 if succeed_at is not None and i == succeed_at else 0
-        steps.append(make_step(rng, reward=r, done=(i == n - 1)))
-    return Trajectory.build(TaskSpec(1), "initial", steps)
+        steps.append(make_step(rng, reward=r))
+    return Trajectory(TaskSpec(1), "initial", steps)
+
+
+def data_offset(blob, name: str, ndim: int) -> int:
+    """Where a store array's data starts: after its name and its ndim u32 dims."""
+    return blob.index(name.encode()) + len(name) + 4 * ndim
+
+
+def read_patched(tmp_path, traj, name, ndim, at, old, new):
+    """read_store of traj's store after byte `at` of array name's data goes old -> new."""
+    path = tmp_path / "s.wovs"
+    write_store(path, [traj])
+    assert read_store(path) == [traj]
+    blob = bytearray(path.read_bytes())
+    i = data_offset(blob, name, ndim) + at
+    assert blob[i] == old
+    blob[i] = new
+    path.write_bytes(bytes(blob))
+    return read_store(path)
 
 
 def test_one_hot():
@@ -60,29 +76,30 @@ def test_valid_len_stops_at_first_success():
     assert traj.valid_len == 3
 
 
-def test_compute_valid_len_rejects_missing_success():
-    rng = np.random.default_rng(0)
+# a store head is four int64s: task, start kind, success, valid_len
+
+
+def test_compute_valid_len_rejects_missing_success(tmp_path):
+    # the head claims success, but no step carries the reward
     with pytest.raises(InvariantViolation):
-        compute_valid_len([make_step(rng)], success=True)
+        read_patched(tmp_path, make_traj(n=2), "head", 1, 8 * 2, old=0, new=1)
 
 
-def test_trajectory_rejects_mid_sequence_done():
-    rng = np.random.default_rng(1)
-    steps = [make_step(rng, done=True), make_step(rng)]
+def test_trajectory_rejects_bad_valid_len(tmp_path):
     with pytest.raises(InvariantViolation):
-        Trajectory.build(TaskSpec(0), "initial", steps)
+        read_patched(tmp_path, make_traj(n=3), "head", 1, 8 * 3, old=3, new=2)
 
 
-def test_trajectory_rejects_bad_valid_len():
-    traj = make_traj(n=3)
+def test_trajectory_rejects_mid_sequence_done(tmp_path):
+    # flags holds (reward, done) per step; mark the first of two steps done
     with pytest.raises(InvariantViolation):
-        Trajectory(traj.task, traj.start_kind, traj.steps, traj.success, valid_len=2)
+        read_patched(tmp_path, make_traj(n=2), "flags", 2, 1, old=0, new=1)
 
 
 def test_step_record_rejects_nonbinary_reward():
     rng = np.random.default_rng(2)
     with pytest.raises(InvariantViolation):
-        StepRecord(rng.normal(size=4), rng.normal(size=(2, 2)), reward=2, logp_old=0.0, done=False)
+        StepRecord(rng.normal(size=4), rng.normal(size=(2, 2)), reward=2, logp_old=0.0)
 
 
 def test_roundtrip_is_exact(tmp_path):
@@ -97,7 +114,7 @@ def test_roundtrip_is_exact(tmp_path):
 
 def test_roundtrip_keyframe_kind(tmp_path):
     traj = make_traj(seed=9, n=2)
-    traj = Trajectory(traj.task, "keyframe", traj.steps, traj.success, traj.valid_len)
+    traj = Trajectory(traj.task, "keyframe", traj.steps)
     path = tmp_path / "k.wovs"
     write_store(path, [traj])
     (decoded,) = read_store(path)
@@ -121,8 +138,8 @@ def test_decode_rejects_corrupt_reward_byte(tmp_path):
     write_store(path, [make_traj(seed=5, n=1)])
     blob = bytearray(path.read_bytes())
     # flags holds (reward, done) of the sole step, after its name and 2-d shape
-    reward_off = blob.index(b"flags") + len(b"flags") + 4 * 2
-    assert blob[reward_off:reward_off + 2] == b"\x00\x01"
+    reward_off = data_offset(blob, "flags", 2)
+    assert blob[reward_off:reward_off + 2] == b"\x00\x00"
     blob[reward_off] = 7
     path.write_bytes(bytes(blob))
     with pytest.raises(InvariantViolation):
@@ -131,7 +148,7 @@ def test_decode_rejects_corrupt_reward_byte(tmp_path):
 
 def test_store_roundtrip(tmp_path):
     trajs = [make_traj(seed=i, n=3 + i, succeed_at=i if i % 2 else None) for i in range(1, 5)]
-    trajs.append(Trajectory.build(TaskSpec(2), "initial", []))
+    trajs.append(Trajectory(TaskSpec(2), "initial", []))
     path = tmp_path / "demos.wovs"
     for batch in (trajs, []):
         write_store(path, batch)

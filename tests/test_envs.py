@@ -33,9 +33,9 @@ def test_reset_rejects_unknown_task(env):
 
 def test_zero_action_is_fixed_point(env):
     state = mk_state([0.3, 0.3], 0.0, [0.6, 0.6], [0.25, 0.25], 0.0)
-    nxt, reward, done = env.step(state, [0.0, 0.0, -1.0])
+    nxt = env.step(state, [0.0, 0.0, -1.0])
     assert np.array_equal(nxt, state)
-    assert reward == 0 and not done
+    assert not env.is_success(nxt)
 
 
 def test_step_is_pure(env):
@@ -43,50 +43,51 @@ def test_step_is_pure(env):
     action = np.array([0.03, -0.02, -1.0])
     a = env.step(state, action)
     b = env.step(state, action)
-    assert np.array_equal(a[0], b[0]) and a[1:] == b[1:]
+    assert isinstance(a, np.ndarray) and a.shape == (env.state_dim,)
+    assert np.array_equal(a, b)
 
 
 def test_motion_capped_and_clamped(env):
     state = mk_state([0.98, 0.5], 0.0, [0.2, 0.2], [0.25, 0.25], 0.0)
-    nxt, _, _ = env.step(state, [1.0, -1.0, -1.0])
+    nxt = env.step(state, [1.0, -1.0, -1.0])
     assert nxt[0] == 1.0  # 0.98 + 0.05 clamped to the box
     assert nxt[1] == 0.45
     for _ in range(30):
-        state, _, _ = env.step(state, [2.0, 2.0, -1.0])
+        state = env.step(state, [2.0, 2.0, -1.0])
     assert np.all(state[0:2] <= 1.0)
 
 
 def test_grasp_within_radius(env):
     state = mk_state([0.5, 0.5], 0.0, [0.53, 0.5], [0.25, 0.25], 0.0)
-    nxt, _, _ = env.step(state, [0.0, 0.0, 1.0])
+    nxt = env.step(state, [0.0, 0.0, 1.0])
     assert nxt[7] == 1.0 and nxt[2] == 1.0
     assert np.array_equal(nxt[3:5], nxt[0:2])  # object snapped to gripper
 
 
 def test_no_grasp_outside_radius(env):
     state = mk_state([0.5, 0.5], 0.0, [0.56, 0.5], [0.25, 0.25], 0.0)
-    nxt, _, _ = env.step(state, [0.0, 0.0, 1.0])
+    nxt = env.step(state, [0.0, 0.0, 1.0])
     assert nxt[7] == 0.0
 
 
 def test_held_object_tracks_gripper(env):
     state = mk_state([0.5, 0.5], 1.0, [0.5, 0.5], [0.25, 0.25], 1.0)
-    nxt, _, _ = env.step(state, [-0.05, -0.03, 1.0])
+    nxt = env.step(state, [-0.05, -0.03, 1.0])
     assert np.array_equal(nxt[3:5], nxt[0:2])
     assert nxt[7] == 1.0
 
 
 def test_release_at_target_is_success(env):
     state = mk_state([0.26, 0.25], 1.0, [0.26, 0.25], [0.25, 0.25], 1.0)
-    nxt, reward, done = env.step(state, [0.0, 0.0, -1.0])
-    assert reward == 1 and done
+    nxt = env.step(state, [0.0, 0.0, -1.0])
+    assert env.is_success(nxt)
     assert nxt[7] == 0.0 and nxt[2] == 0.0
 
 
 def test_release_far_from_target_not_success(env):
     state = mk_state([0.6, 0.6], 1.0, [0.6, 0.6], [0.25, 0.25], 1.0)
-    nxt, reward, done = env.step(state, [0.0, 0.0, -1.0])
-    assert reward == 0 and not done
+    nxt = env.step(state, [0.0, 0.0, -1.0])
+    assert not env.is_success(nxt)
     assert nxt[7] == 0.0
     assert np.array_equal(nxt[3:5], [0.6, 0.6])  # released in place
 
@@ -115,7 +116,7 @@ def test_expert_succeeds_on_every_task_noise_free(env):
         for seed in range(5):
             traj = scripted_demo(env, TaskSpec(task_id), seed, noise_level=0.0)
             assert traj.success, f"expert failed task {task_id} seed {seed}"
-            assert traj.steps[-1].done
+            assert traj.steps[-1].reward == 1  # the demo ends at its reward step
 
 
 def test_demo_deterministic(env):
@@ -146,10 +147,9 @@ def test_reachpoint_expert_and_dynamics():
     env = ReachPoint()
     state = env.reset_state(TaskSpec(3), derive_rng(0))
     for _ in range(64):
-        state, reward, done = env.step(state, env.expert_action(state))
-        if done:
+        state = env.step(state, env.expert_action(state))
+        if env.is_success(state):
             break
-    assert done and reward == 1
     assert env.is_success(state)
 
 
@@ -157,7 +157,7 @@ def test_counting_env_tracks_steps_and_resets():
     env = CountingEnv(PickPlace2D())
     state = env.reset_state(TaskSpec(0), derive_rng(0))
     for _ in range(7):
-        state, _, _ = env.step(state, [0.01, 0.0, -1.0])
+        state = env.step(state, [0.01, 0.0, -1.0])
     assert env.steps == 7 and env.resets == 1
     assert env.state_dim == 8  # attribute delegation
 
@@ -204,4 +204,4 @@ def test_replay_frames_rejects_empty_trajectory(env):
     from wovr.core import Trajectory
 
     with pytest.raises(ValueError):
-        replay_frames(env, Trajectory.build(TaskSpec(0), "initial", []))
+        replay_frames(env, Trajectory(TaskSpec(0), "initial", []))

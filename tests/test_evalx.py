@@ -30,7 +30,7 @@ class ExpertPolicy:
             chunk = []
             for _ in range(self.horizon):
                 action = self.env.expert_action(state)
-                state, _, _ = self.env.step(state, action)
+                state = self.env.step(state, action)
                 chunk.append(action)
             chunks.append(chunk)
         return np.array(chunks), np.zeros(len(chunks))
@@ -107,7 +107,8 @@ def test_hallucination_reward_always_one_matches_replay_failure():
     starts = [env.reset_state(TaskSpec(0), derive_rng(seed, i, 0)) for i in range(n)]
     chunks, _ = policy.sample(params, np.array(starts), TaskSpec(0),
                               [derive_rng(seed, i, 1) for i in range(n)])
-    replay_success = sum(env.step(start, chunk[0])[1] for start, chunk in zip(starts, chunks))
+    replay_success = sum(env.is_success(env.step(start, chunk[0]))
+                         for start, chunk in zip(starts, chunks))
     assert stats["missed"] == 0.0
     assert stats["spurious"] == stats["rate"]
     assert stats["rate"] == pytest.approx(1.0 - replay_success / n)
@@ -128,7 +129,7 @@ def test_hallucination_replays_only_the_imagined_frames():
                     delta = state[2:4] - state[0:2]
                     dist = np.linalg.norm(delta)
                     action = delta if dist <= 0.02 else 0.02 * delta / dist
-                    state, _, _ = env.step(state, action)
+                    state = env.step(state, action)
                     chunk.append(action)
                 chunks.append(chunk)
             return np.array(chunks), np.zeros(len(chunks))

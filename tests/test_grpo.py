@@ -30,8 +30,8 @@ def logprob1(pol, params, obs, chunk, task=TaskSpec(0)):
 
 def one_step_traj(obs, chunk, reward, logp, task_id=0):
     step = StepRecord(np.asarray(obs, dtype=float), np.asarray(chunk, dtype=float).reshape(1, 1),
-                      reward, logp, done=bool(reward))
-    return Trajectory.build(TaskSpec(task_id), "initial", [step])
+                      reward, logp)
+    return Trajectory(TaskSpec(task_id), "initial", [step])
 
 
 def test_logprob_analytic_standard_normal():
@@ -88,13 +88,13 @@ def test_discounted_return_examples():
     t1 = one_step_traj([0.0, 0.0], [[0.1]], reward=1, logp=0.0)
     assert discounted_return(t1, 1.0) == 1.0
     steps = [
-        StepRecord(np.zeros(2), np.zeros((1, 1)), 0, 0.0, False),
-        StepRecord(np.zeros(2), np.zeros((1, 1)), 0, 0.0, False),
-        StepRecord(np.zeros(2), np.zeros((1, 1)), 1, 0.0, True),
+        StepRecord(np.zeros(2), np.zeros((1, 1)), 0, 0.0),
+        StepRecord(np.zeros(2), np.zeros((1, 1)), 0, 0.0),
+        StepRecord(np.zeros(2), np.zeros((1, 1)), 1, 0.0),
     ]
-    t3 = Trajectory.build(TaskSpec(0), "initial", steps)
+    t3 = Trajectory(TaskSpec(0), "initial", steps)
     assert discounted_return(t3, 0.99) == pytest.approx(0.9801, abs=1e-12)
-    t0 = Trajectory.build(TaskSpec(0), "initial", steps[:2])
+    t0 = Trajectory(TaskSpec(0), "initial", steps[:2])
     assert discounted_return(t0, 0.5) == 0.0
     with pytest.raises(ValueError):
         discounted_return(t1, 0.0)
@@ -188,20 +188,20 @@ def test_mask_completeness_objective_and_gradient():
 
     def traj_with_tail(n_tail):
         steps = [
-            StepRecord(obs, np.array([[0.4]]), 0, logprob1(pol, params, obs, [[0.4]]), False),
-            StepRecord(obs, np.array([[-0.2]]), 1, logprob1(pol, params, obs, [[-0.2]]), False),
+            StepRecord(obs, np.array([[0.4]]), 0, logprob1(pol, params, obs, [[0.4]])),
+            StepRecord(obs, np.array([[-0.2]]), 1, logprob1(pol, params, obs, [[-0.2]])),
         ]
         for _ in range(n_tail):  # junk beyond valid_len
             junk_obs = rng.normal(size=2)
             junk_chunk = rng.normal(size=(1, 1))
-            steps.append(StepRecord(junk_obs, junk_chunk, 0, float(rng.normal()), False))
-        return Trajectory.build(TaskSpec(0), "initial", steps)
+            steps.append(StepRecord(junk_obs, junk_chunk, 0, float(rng.normal())))
+        return Trajectory(TaskSpec(0), "initial", steps)
 
     def failed():
-        return Trajectory.build(
+        return Trajectory(
             TaskSpec(0), "initial",
             [StepRecord(obs, np.array([[0.9]]), 0,
-                        logprob1(pol, params, obs, [[0.9]]), False)],
+                        logprob1(pol, params, obs, [[0.9]]))],
         )
 
     g_clean = build_group([traj_with_tail(0), failed()], 1.0)
@@ -227,10 +227,10 @@ def test_length_normalization_constant_per_step():
     def fail_traj(n):
         steps = [
             StepRecord(obs, np.array([[0.3]]), 0,
-                       logprob1(pol, params, obs, [[0.3]]), False)
+                       logprob1(pol, params, obs, [[0.3]]))
             for _ in range(n)
         ]
-        return Trajectory.build(TaskSpec(0), "initial", steps)
+        return Trajectory(TaskSpec(0), "initial", steps)
 
     win = one_step_traj(obs, [[0.2]], 1, logprob1(pol, params, obs, [[0.2]]))
     short = build_group([win, fail_traj(1)], 1.0)
@@ -252,8 +252,8 @@ def test_objective_gradcheck_vs_finite_differences():
             obs = obs_rng.normal(size=2)
             chunk = obs_rng.normal(size=(2, 1))
             lp = logprob1(pol, params, obs, chunk) + obs_rng.normal() * 0.1
-            steps.append(StepRecord(obs, chunk, r, lp, False))
-        return Trajectory.build(TaskSpec(0), "initial", steps)
+            steps.append(StepRecord(obs, chunk, r, lp))
+        return Trajectory(TaskSpec(0), "initial", steps)
 
     group = build_group([two_step_traj([0, 1]), two_step_traj([0, 0])], 0.97)
     _, grads = value_and_grad(lambda p: grpo_objective(pol, p, [group], 0.2), params)

@@ -34,8 +34,8 @@ def originals(tmp_path_factory):
                  [FrameEpisode(TaskSpec(t), rng.normal(size=(n + 1, 3)),
                                rng.normal(size=(n, 2))) for t, n in [(0, 3), (1, 2)]],
                  "reachpoint")
-    trajs = [Trajectory.build(TaskSpec(t), kind, [
-        StepRecord(rng.normal(size=3), rng.normal(size=(2, 2)), r, -1.0, r == 1)
+    trajs = [Trajectory(TaskSpec(t), kind, [
+        StepRecord(rng.normal(size=3), rng.normal(size=(2, 2)), r, -1.0)
         for r in rewards]) for t, kind, rewards in [(1, "initial", (0, 0, 1)),
                                                     (2, "keyframe", (0, 0))]]
     write_store(base / "store.wovs", trajs)

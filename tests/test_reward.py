@@ -134,7 +134,7 @@ def test_label_episode_frames_uses_env_predicate():
     actions = []
     for _ in range(3):
         a = np.array([0.03, 0.0, -1.0])
-        state, _, _ = env.step(state, a)
+        state = env.step(state, a)
         actions.append(a)
         states.append(state)
     ep = FrameEpisode(task, np.array(states), np.array(actions))

@@ -30,19 +30,19 @@ def make_policy(env, init_log_std=-1.0):
 def fail_traj(task_id=0, n=8, d=3):
     steps = [
         StepRecord(obs=np.full(d, float(i)), chunk=np.zeros((H, 2)),
-                   reward=0, logp_old=-1.0, done=False)
+                   reward=0, logp_old=-1.0)
         for i in range(n)
     ]
-    return Trajectory.build(TaskSpec(task_id), "initial", steps)
+    return Trajectory(TaskSpec(task_id), "initial", steps)
 
 
 def win_traj(task_id=0, n=3, d=3):
     steps = [
         StepRecord(obs=np.full(d, float(i)), chunk=np.zeros((H, 2)),
-                   reward=1 if i == n - 1 else 0, logp_old=-1.0, done=i == n - 1)
+                   reward=1 if i == n - 1 else 0, logp_old=-1.0)
         for i in range(n)
     ]
-    return Trajectory.build(TaskSpec(task_id), "initial", steps)
+    return Trajectory(TaskSpec(task_id), "initial", steps)
 
 
 # -- keyframe buffer ------------------------------------------------------------
@@ -183,7 +183,7 @@ def test_rollout_imagined_reward_always_one():
     trajs = rollout_imagined(policy, params, wm, always, group, T, H, seed=9)
     for t in trajs:
         assert t.success and t.valid_len == 1 and len(t.steps) == 1
-        assert t.steps[0].reward == 1 and t.steps[0].done
+        assert t.steps[0].reward == 1
 
 
 def test_rollout_imagined_group_homogeneity():
@@ -226,7 +226,7 @@ def test_rollout_imagined_mid_chunk_success_truncates():
                                  T, H, seed=12)
     t = trajs_one[0]
     assert t.success and len(t.steps) == 2
-    assert t.steps[0].reward == 0 and t.steps[1].reward == 1 and t.steps[1].done
+    assert t.steps[0].reward == 0 and t.steps[1].reward == 1
     assert len(calls) == 6  # evaluation stopped at the success frame
 
 
@@ -274,8 +274,8 @@ def roll_member_reference(policy, params, wm, reward_fn, task, start, T, H, seed
                 break
         success = reward == 1
         records.append(StepRecord(obs=obs, chunk=chunks[0], reward=reward,
-                                  logp_old=float(logps[0]), done=success))
-    return Trajectory.build(task=task, start_kind="initial", steps=records)
+                                  logp_old=float(logps[0])))
+    return Trajectory(task, "initial", records)
 
 
 def test_group_member_matches_member_rolled_alone():
@@ -383,7 +383,7 @@ class ExpertPolicy:
             chunk = []
             for _ in range(self.horizon):
                 action = self.env.expert_action(state)
-                state, _, _ = self.env.step(state, action)
+                state = self.env.step(state, action)
                 chunk.append(action)
             chunks.append(chunk)
         return np.array(chunks), np.zeros(len(chunks))
@@ -421,7 +421,7 @@ def test_rollout_real_record_frames_consistent():
         # replaying the recorded actions through the env reproduces the states
         state = ep.states[0]
         for k, action in enumerate(ep.actions):
-            state, _, _ = env.step(state, action)
+            state = env.step(state, action)
             assert np.array_equal(state, ep.states[k + 1])
         assert env.is_success(ep.states[-1]) == traj.success
 

@@ -24,13 +24,6 @@ def test_snapshot_copy_semantics():
     assert snap.params["w"][0, 0] != 999.0
 
 
-def test_snapshot_of_snapshot_equal():
-    snap = Snapshot(toy_params())
-    again = Snapshot(snap)
-    assert snap == again
-    assert snap.hash == again.hash
-
-
 def test_snapshot_hash_stable_across_reads():
     snap = Snapshot(toy_params())
     h1 = snap.hash

@@ -293,7 +293,7 @@ def test_oracle_world_model_steps_real_dynamics():
     for row, sign in zip(frames, (1, -1)):
         ref = state
         for a in sign * chunk:
-            ref, _, _ = env.step(ref, a)
+            ref = env.step(ref, a)
         assert np.array_equal(row[-1], ref)
 
 
