@@ -34,7 +34,8 @@ from .grpo import ChunkPolicy
 from .pace import (StageFailure, _rl_stage, clone_base_policy, learned_reward,
                    run_pipeline)
 from .reward import RewardNet, label_episode_frames, train_classifier
-from .rollout import KeyframeBuffer, read_batch, rollout_real, write_batch
+from .rollout import (KeyframeBuffer, collect_real, read_batch, rollout_real,
+                      write_batch)
 from .worldmodel import LearnedWorldModel, WmNet, train_wm
 
 EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME, EXIT_INVARIANT = 0, 2, 3, 4
@@ -153,19 +154,6 @@ def require(args, cfg_err: str, *names):
     return values if len(values) > 1 else values[0]
 
 
-def collect_episodes(policy, params, env, n: int, T: int, H: int, seed: int,
-                     tag: int):
-    """Round-robin over tasks, one fresh-start episode per index."""
-    trajectories, frames = [], []
-    for i in range(n):
-        task = TaskSpec(i % env.n_tasks)
-        t, f = rollout_real(policy, params, env, task, 1, T, H,
-                            derive_seed(seed, tag, i), record_frames=True)
-        trajectories += t
-        frames += f
-    return trajectories, frames
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -210,9 +198,9 @@ def cmd_collect(cfg, run_dir, args):
     policy = build_policy(env, cfg)
     run = cfg["run"]
     n = cfg["collect"]["n"] or run["n_base"]
-    trajectories, frames = collect_episodes(
+    trajectories, frames = collect_real(
         policy, params, env, n, run["max_episode_len"], run["chunk"],
-        cfg["seed"], 73)
+        cfg["seed"], 73, roll=rollout_real)
     manifest = {"policy": params_hash(params), "env": cfg["env"], "n": n,
                 "env_steps": env.steps, "config": config_hash(cfg)}
     write_batch(run_dir / "trajectories.wovs", trajectories, manifest)

@@ -86,9 +86,9 @@ class StepRecord:
             raise ValueError("chunk must be an (H, a_dim) matrix")
         if self.reward not in (0, 1):
             raise InvariantViolation(f"reward must be 0 or 1, got {self.reward}")
-        if not np.isfinite(self.logp_old):
+        if not math.isfinite(self.logp_old):
             raise InvariantViolation("logp_old must be finite")
-        if not np.all(np.isfinite(self.obs)) or not np.all(np.isfinite(self.chunk)):
+        if not np.isfinite(self.obs).all() or not np.isfinite(self.chunk).all():
             raise InvariantViolation("non-finite entries in step record")
 
     def __eq__(self, other):

@@ -9,6 +9,8 @@ dynamics models go wrong in interesting ways.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import FrameEpisode, StepRecord, TaskSpec, Trajectory, derive_rng
@@ -17,17 +19,33 @@ from .core import FrameEpisode, StepRecord, TaskSpec, Trajectory, derive_rng
 _TARGETS = np.array([[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]])
 
 
-def _clip01(xy: np.ndarray) -> np.ndarray:
-    return np.clip(xy, 0.0, 1.0)
+# The kernels below run on Python floats: the state and action are read once
+# with tolist() and the next state is built as one array. Each clamp is
+# min(max(x, lo), hi), which keeps x on a tie exactly as np.clip does.
 
 
-def _check_action(action, dim: int) -> np.ndarray:
+def _check_action(action, dim: int) -> list[float]:
+    """The action as dim Python floats; ValueError on a wrong shape or non-finite entry."""
     action = np.asarray(action, dtype=np.float64)
     if action.shape != (dim,):
         raise ValueError(f"action has shape {action.shape}, expected ({dim},)")
-    if not np.all(np.isfinite(action)):
+    values = action.tolist()
+    if not all(map(math.isfinite, values)):
         raise ValueError("non-finite action")
-    return action
+    return values
+
+
+def _move(x: float, dx: float, cap: float) -> float:
+    """One coordinate after a step of dx, capped at +-cap, clamped to [0, 1]."""
+    return min(max(x + min(max(dx, -cap), cap), 0.0), 1.0)
+
+
+def _dist(x: float, y: float) -> float:
+    """Length of (x, y), bit for bit as np.linalg.norm computes it."""
+    # np.linalg.norm is sqrt of a BLAS dot, whose fused multiply-add rounds
+    # differently from x*x + y*y or math.hypot on a tenth of random vectors
+    v = np.array((x, y))
+    return math.sqrt(v.dot(v))
 
 
 class PickPlace2D:
@@ -61,30 +79,26 @@ class PickPlace2D:
         return np.array([*gripper, 0.0, *obj, *target, 0.0])
 
     def step(self, state: np.ndarray, action) -> np.ndarray:
-        action = _check_action(action, self.action_dim)
-        gripper = state[0:2].copy()
-        obj = state[3:5].copy()
-        target = state[5:7]
-        held = state[7] > 0.5
-        close_cmd = action[2] > 0.0
+        dx, dy, grip = _check_action(action, self.action_dim)
+        gx, gy, _, ox, oy, tx, ty, held = state.tolist()
+        held = held > 0.5
+        close_cmd = grip > 0.0
 
-        gripper = _clip01(gripper + np.clip(action[:2], -self.step_cap, self.step_cap))
+        gx, gy = _move(gx, dx, self.step_cap), _move(gy, dy, self.step_cap)
         if held:
-            obj = gripper.copy()
+            ox, oy = gx, gy
         if close_cmd:
-            if not held and np.linalg.norm(gripper - obj) <= self.grasp_radius:
+            if not held and _dist(gx - ox, gy - oy) <= self.grasp_radius:
                 held = True
-                obj = gripper.copy()
+                ox, oy = gx, gy
         else:
             held = False  # open releases in place (no-op when nothing is held)
 
-        return np.array([*gripper, 1.0 if close_cmd else 0.0, *obj, *target, 1.0 if held else 0.0])
+        return np.array([gx, gy, 1.0 if close_cmd else 0.0, ox, oy, tx, ty, 1.0 if held else 0.0])
 
     def is_success(self, state: np.ndarray) -> bool:
-        grip_open = state[2] < 0.5
-        not_held = state[7] < 0.5
-        near = np.linalg.norm(state[3:5] - state[5:7]) <= self.success_radius
-        return bool(grip_open and not_held and near)
+        _, _, grip, ox, oy, tx, ty, held = state.tolist()
+        return grip < 0.5 and held < 0.5 and _dist(ox - tx, oy - ty) <= self.success_radius
 
     def expert_action(self, state: np.ndarray) -> np.ndarray:
         """Waypoint controller: approach-and-grasp, carry, release.
@@ -125,12 +139,13 @@ class ReachPoint:
         return np.array([*agent, *_TARGETS[task.task_id]])
 
     def step(self, state: np.ndarray, action) -> np.ndarray:
-        action = _check_action(action, self.action_dim)
-        agent = _clip01(state[0:2] + np.clip(action, -self.step_cap, self.step_cap))
-        return np.array([*agent, *state[2:4]])
+        dx, dy = _check_action(action, self.action_dim)
+        ax, ay, tx, ty = state.tolist()
+        return np.array([_move(ax, dx, self.step_cap), _move(ay, dy, self.step_cap), tx, ty])
 
     def is_success(self, state: np.ndarray) -> bool:
-        return bool(np.linalg.norm(state[0:2] - state[2:4]) <= self.success_radius)
+        ax, ay, tx, ty = state.tolist()
+        return _dist(ax - tx, ay - ty) <= self.success_radius
 
     def expert_action(self, state: np.ndarray) -> np.ndarray:
         return _travel(state[2:4] - state[0:2], self.step_cap)

@@ -25,7 +25,7 @@ from .grpo import ChunkPolicy, build_group, grpo_update
 from .nn import tmean, value_and_grad
 from .reward import (RewardNet, label_episode_frames, predict_success,
                      sparse_reward, train_classifier)
-from .rollout import (GroupSpec, KeyframeBuffer, harvest_keyframes,
+from .rollout import (GroupSpec, KeyframeBuffer, collect_real, harvest_keyframes,
                       rollout_imagined, rollout_real, sample_start)
 from .sched import run_iteration
 from .worldmodel import LearnedWorldModel, WmNet, train_wm, window_counts
@@ -249,17 +249,12 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
         art.audit["stages"].append(row)
 
     def collect(params, n, tag):
-        trajs, frames = [], []
-        for i in range(n):
-            if collected["n"] >= budget:
-                raise InvariantViolation("real rollout budget exhausted")
-            task = TaskSpec(i % counter.n_tasks)
-            t, f = rollout_real(policy, params, counter, task, 1, T, H,
-                                derive_seed(seed, tag, i), record_frames=True)
-            trajs += t
-            frames += f
-            collected["n"] += 1
-        return trajs, frames
+        if collected["n"] + n > budget:
+            raise InvariantViolation(f"real rollout budget exhausted: {collected['n']} of "
+                                     f"{budget} collected, {n} more asked for")
+        out = collect_real(policy, params, counter, n, T, H, seed, tag, roll=rollout_real)
+        collected["n"] += n
+        return out
 
     buffer = KeyframeBuffer()
 

@@ -29,6 +29,7 @@ from .core import (
     TaskSpec,
     Trajectory,
     derive_rng,
+    derive_seed,
     read_store,
     write_store,
 )
@@ -241,6 +242,24 @@ def rollout_real(policy, params, env, task: TaskSpec, n: int, T: int, H: int,
                              _executed_actions(traj, len(history) - 1, H))
                 for traj, history in zip(trajectories, histories)]
     return trajectories, episodes
+
+
+def collect_real(policy, params, env, n: int, T: int, H: int, seed: int, tag: int, *, roll):
+    """n fresh-start real episodes with their frames, tasks round-robin.
+
+    Episode i runs task i % env.n_tasks as one roll(..., 1, ...,
+    derive_seed(seed, tag, i), record_frames=True) call. roll is rollout_real
+    as the caller's module names it, so a wrapper installed there (the
+    benchmark's tracer times rollout_real per calling module) sees every
+    episode.
+    """
+    trajectories, frames = [], []
+    for i in range(n):
+        t, f = roll(policy, params, env, TaskSpec(i % env.n_tasks), 1, T, H,
+                    derive_seed(seed, tag, i), record_frames=True)
+        trajectories += t
+        frames += f
+    return trajectories, frames
 
 
 def write_batch(path, trajectories, manifest: dict):

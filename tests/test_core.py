@@ -102,6 +102,28 @@ def test_step_record_rejects_nonbinary_reward():
         StepRecord(rng.normal(size=4), rng.normal(size=(2, 2)), reward=2, logp_old=0.0)
 
 
+def test_step_record_rejects_non_finite():
+    rng = np.random.default_rng(3)
+    obs, chunk = rng.normal(size=4), rng.normal(size=(2, 2))
+    StepRecord(obs, chunk, 0, -1.5)
+    for bad in (np.nan, np.inf, -np.inf):
+        bad_obs, bad_chunk = obs.copy(), chunk.copy()
+        bad_obs[2] = bad
+        bad_chunk[1, 0] = bad
+        for args in ((bad_obs, chunk, 0, -1.5), (obs, bad_chunk, 0, -1.5),
+                     (obs, chunk, 0, bad), (obs, chunk, 1, np.float64(bad))):
+            with pytest.raises(InvariantViolation):
+                StepRecord(*args)
+
+
+def test_read_store_rejects_nan_obs(tmp_path):
+    traj = make_traj(n=2)
+    traj.steps[0].obs[0] = 1.5  # float64 bytes 00 .. 00 f8 3f
+    # the top byte 3f -> 7f makes the exponent all ones: 1.5 becomes NaN
+    with pytest.raises(InvariantViolation):
+        read_patched(tmp_path, traj, "obs", 2, 7, old=0x3F, new=0x7F)
+
+
 def test_roundtrip_is_exact(tmp_path):
     traj = make_traj(seed=3, n=7, succeed_at=4)
     path = tmp_path / "one.wovs"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -94,7 +96,7 @@ def test_release_far_from_target_not_success(env):
 
 def test_is_success_boundaries(env):
     at = mk_state([0.1, 0.1], 0.0, [0.25, 0.25], [0.25, 0.25], 0.0)
-    assert env.is_success(at)
+    assert env.is_success(at) is True
     near = mk_state([0.1, 0.1], 0.0, [0.25 + 0.051, 0.25], [0.25, 0.25], 0.0)
     assert not env.is_success(near)
     edge = mk_state([0.1, 0.1], 0.0, [0.30, 0.25], [0.25, 0.25], 0.0)
@@ -105,10 +107,166 @@ def test_is_success_boundaries(env):
 
 def test_step_rejects_bad_actions(env):
     state = env.reset_state(TaskSpec(0), derive_rng(0))
+    for bad in ([0.0, 0.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.0, 0.0, -np.inf],
+                [[0.0, 0.0, 1.0]], [0.0, 0.0, 1.0, 0.0]):
+        with pytest.raises(ValueError):
+            env.step(state, bad)
     with pytest.raises(ValueError):
-        env.step(state, [0.0, 0.0])
-    with pytest.raises(ValueError):
-        env.step(state, [np.nan, 0.0, 0.0])
+        ReachPoint().step(np.zeros(4), [0.0, -np.inf])
+
+
+# The numpy step/is_success both envs had before their kernels moved to
+# Python floats; the float kernels must reproduce them byte for byte.
+
+
+def check_action_reference(action, dim):
+    action = np.asarray(action, dtype=np.float64)
+    if action.shape != (dim,):
+        raise ValueError(f"action has shape {action.shape}, expected ({dim},)")
+    if not np.all(np.isfinite(action)):
+        raise ValueError("non-finite action")
+    return action
+
+
+def pickplace_step_reference(env, state, action):
+    action = check_action_reference(action, env.action_dim)
+    gripper = state[0:2].copy()
+    obj = state[3:5].copy()
+    target = state[5:7]
+    held = state[7] > 0.5
+    close_cmd = action[2] > 0.0
+    gripper = np.clip(gripper + np.clip(action[:2], -env.step_cap, env.step_cap), 0.0, 1.0)
+    if held:
+        obj = gripper.copy()
+    if close_cmd:
+        if not held and np.linalg.norm(gripper - obj) <= env.grasp_radius:
+            held = True
+            obj = gripper.copy()
+    else:
+        held = False
+    return np.array([*gripper, 1.0 if close_cmd else 0.0, *obj, *target, 1.0 if held else 0.0])
+
+
+def pickplace_is_success_reference(env, state):
+    grip_open = state[2] < 0.5
+    not_held = state[7] < 0.5
+    near = np.linalg.norm(state[3:5] - state[5:7]) <= env.success_radius
+    return bool(grip_open and not_held and near)
+
+
+def reachpoint_step_reference(env, state, action):
+    action = check_action_reference(action, env.action_dim)
+    agent = np.clip(state[0:2] + np.clip(action, -env.step_cap, env.step_cap), 0.0, 1.0)
+    return np.array([*agent, *state[2:4]])
+
+
+def reachpoint_is_success_reference(env, state):
+    return bool(np.linalg.norm(state[0:2] - state[2:4]) <= env.success_radius)
+
+
+def near_radius(rng, center, radius):
+    """Points at, just inside and just outside radius of center, on random
+    bearings and on the axes, plus the center itself."""
+    out = [np.array(center, dtype=np.float64)]
+    for r in (radius, np.nextafter(radius, 0.0), np.nextafter(radius, 1.0),
+              radius * (1 - 1e-9), radius * (1 + 1e-9)):
+        for theta in (np.pi / 4, np.pi, *rng.uniform(0.0, 2 * np.pi, 2)):
+            out.append(center + r * np.array([np.cos(theta), np.sin(theta)]))
+        out.append(center + np.array([r, 0.0]))
+        out.append(center - np.array([0.0, r]))
+    return out
+
+
+WALLS = [0.0, -0.0, 1.0, 1e-300, 0.01, 0.99, 1.0 - 1e-16, 0.5]
+ACTION_VALUES = [0.0, -0.0, 5e-324, -1e-300, 1e-17, 0.05, -0.05, 0.0499999, 1.0, -1.0,
+                 2.0, -2.0, 1e300, -1e300]
+
+
+def sweep_actions(rng, dim, n):
+    """Zero, tiny and saturated values on every axis, then seeded normals."""
+    fixed = [np.array(a) for a in itertools.product(ACTION_VALUES, repeat=dim)]
+    take = rng.choice(len(fixed), size=min(n, len(fixed)), replace=False)
+    return [fixed[i] for i in take] + list(rng.normal(scale=0.6, size=(n, dim)))
+
+
+def assert_same_bytes(new, ref):
+    assert isinstance(new, np.ndarray) and new.dtype == ref.dtype
+    assert new.tobytes() == ref.tobytes(), (new, ref)
+
+
+def test_pickplace_kernels_match_numpy_reference(env):
+    rng = np.random.default_rng(20)
+    grippers = [np.array(g) for g in itertools.product(WALLS, repeat=2)]
+    grippers += list(rng.uniform(0.0, 1.0, size=(8, 2)))
+    targets = [np.array([0.25, 0.25]), np.array([0.75, 0.75])]
+    states = []
+    for k, gripper in enumerate(grippers):
+        target = targets[k % 2]
+        # objects around the grasp radius of the gripper and the success
+        # radius of the target, with the grip open and closed; a held object
+        # sits at the gripper
+        for obj in (near_radius(rng, gripper, env.grasp_radius)
+                    + near_radius(rng, target, env.success_radius)):
+            states += [mk_state(gripper, grip, obj, target, 0.0) for grip in (0.0, 1.0)]
+        states += [mk_state(gripper, grip, gripper, target, 1.0) for grip in (0.0, 1.0)]
+    actions = sweep_actions(rng, env.action_dim, 64)
+    # closing in place tests the grasp radius where the object was placed
+    still = [np.array([0.0, 0.0, 1.0]), np.array([-0.0, 0.0, 5e-324]),
+             np.array([0.0, -0.0, -1.0])]
+    outcomes = set()
+    for k, state in enumerate(states):
+        success = env.is_success(state)
+        assert type(success) is bool
+        assert success == pickplace_is_success_reference(env, state)
+        for action in (still[k % 3], actions[k % len(actions)]):
+            nxt = env.step(state, action)
+            assert_same_bytes(nxt, pickplace_step_reference(env, state, action))
+            outcomes.add((state[7], nxt[7], env.is_success(nxt)))
+    # the sweep reached grasps, releases, held carries and successes
+    assert {(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0)} <= {o[:2] for o in outcomes}
+    assert any(o[2] for o in outcomes) and not all(o[2] for o in outcomes)
+
+
+def test_reachpoint_kernels_match_numpy_reference():
+    env = ReachPoint()
+    rng = np.random.default_rng(21)
+    agents = [np.array(a) for a in itertools.product(WALLS, repeat=2)]
+    agents += list(rng.uniform(0.0, 1.0, size=(8, 2)))
+    # targets around the success radius of each agent
+    states = [np.array([*agent, *target]) for agent in agents
+              for target in near_radius(rng, agent, env.success_radius)]
+    actions = sweep_actions(rng, env.action_dim, 64)
+    hits = 0
+    for k, state in enumerate(states):
+        success = env.is_success(state)
+        assert type(success) is bool
+        assert success == reachpoint_is_success_reference(env, state)
+        hits += success
+        for action in (actions[k % len(actions)], actions[(k + 37) % len(actions)]):
+            assert_same_bytes(env.step(state, action),
+                              reachpoint_step_reference(env, state, action))
+    assert 0 < hits < len(states)
+
+
+@pytest.mark.parametrize("name", ["pickplace2d", "reachpoint"])
+def test_kernels_match_numpy_reference_along_episodes(name):
+    """Seeded episodes from reset states, stepped by both kernels side by side
+    under expert, noisy and saturated commands."""
+    env = get_env(name)
+    step_ref, success_ref = {
+        "pickplace2d": (pickplace_step_reference, pickplace_is_success_reference),
+        "reachpoint": (reachpoint_step_reference, reachpoint_is_success_reference)}[name]
+    rng = np.random.default_rng(22)
+    for episode in range(40):
+        state = env.reset_state(TaskSpec(episode % env.n_tasks), rng)
+        noise = (0.0, 0.3, 1.5, 4.0)[episode % 4]
+        for _ in range(64):
+            action = np.clip(env.expert_action(state) + noise * rng.normal(size=env.action_dim),
+                             env.action_low, env.action_high)
+            nxt = env.step(state, action)
+            assert_same_bytes(nxt, step_ref(env, state, action))
+            assert env.is_success(nxt) is success_ref(env, nxt)
+            state = nxt
 
 
 def test_expert_succeeds_on_every_task_noise_free(env):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from wovr.core import MalformedHeader, StepRecord, TaskSpec, Trajectory, derive_rng
+from wovr.core import (MalformedHeader, StepRecord, TaskSpec, Trajectory, derive_rng,
+                       derive_seed)
 from wovr.envs import CountingEnv, PickPlace2D, ReachPoint
 from wovr.grpo import ChunkPolicy
 from wovr.rollout import (
     GroupSpec,
     KeyframeBuffer,
+    collect_real,
     harvest_keyframes,
     read_batch,
     rollout_imagined,
@@ -433,6 +435,24 @@ def test_rollout_real_counts_env_steps():
     executed = sum(len(t.steps) for t in trajs) * H
     assert env.steps == executed
     assert env.resets == 2
+
+
+def test_collect_real_round_robin_streams():
+    env = CountingEnv(ReachPoint())
+    policy, params = make_policy(ReachPoint())
+    calls = []
+
+    def roll(*args, **kwargs):
+        calls.append(args[3].task_id)
+        return rollout_real(*args, **kwargs)
+
+    trajs, frames = collect_real(policy, params, env, 6, T, H, 5, 73, roll=roll)
+    assert calls == [0, 1, 2, 3, 0, 1] and env.resets == 6
+    for i, (traj, ep) in enumerate(zip(trajs, frames, strict=True)):
+        # episode i is one fresh-start rollout under derive_seed(seed, tag, i)
+        [want], [want_ep] = rollout_real(policy, params, ReachPoint(), TaskSpec(i % 4), 1,
+                                         T, H, derive_seed(5, 73, i), record_frames=True)
+        assert traj == want and ep == want_ep
 
 
 # -- oracle substitution ----------------------------------------------------------------
