@@ -115,8 +115,8 @@ def test_step_rejects_bad_actions(env):
         ReachPoint().step(np.zeros(4), [0.0, -np.inf])
 
 
-# The numpy step/is_success both envs had before their kernels moved to
-# Python floats; the float kernels must reproduce them byte for byte.
+# Reference kernels on numpy arrays (np.clip, np.linalg.norm); the float
+# kernels in wovr.envs must reproduce them byte for byte.
 
 
 def check_action_reference(action, dim):
