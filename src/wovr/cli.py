@@ -31,7 +31,7 @@ from .core import (DEFAULTS, ConfigError, InvariantViolation, TaskSpec,
 from .envs import CountingEnv, get_env, replay_frames, scripted_demo
 from .evalx import EvalReport, hallucination_rate, horizon_error, success_rate
 from .grpo import ChunkPolicy
-from .pace import (StageFailure, _rl_stage, clone_base_policy, learned_reward,
+from .pace import (LearnedReward, StageFailure, _rl_stage, clone_base_policy,
                    run_pipeline)
 from .reward import RewardNet, label_episode_frames, train_classifier
 from .rollout import (KeyframeBuffer, collect_real, read_batch, rollout_real,
@@ -339,8 +339,8 @@ def cmd_eval(cfg, run_dir, args):
         report.checkpoint_hashes["reward"] = params_hash(reward_params)
         # the reward of imagined RL, so the rate is the one of the simulator
         # the policy trained in
-        reward_fn = learned_reward(build_reward_net(env, cfg), reward_params,
-                                   cfg["rl"]["reward_threshold"])
+        reward_fn = LearnedReward(build_reward_net(env, cfg), reward_params,
+                                  cfg["rl"]["reward_threshold"])
         report.hallucination = hallucination_rate(
             policy, params, wm, reward_fn, env, TaskSpec(task_id), n, T, H,
             derive_seed(cfg["seed"], 82))

@@ -61,8 +61,7 @@ class ChunkPolicy:
     def log_std(self, params: dict) -> np.ndarray:
         return np.clip(params[f"{self.name}.log_std"], LOG_STD_MIN, LOG_STD_MAX)
 
-    def _density(self, params: dict, mu, flat_chunks):
-        log_sigma = self.log_std(params)
+    def _density(self, log_sigma, mu, flat_chunks):
         z = (flat_chunks - mu) * np.exp(-log_sigma)
         return -0.5 * np.sum(z * z, axis=-1) - np.sum(log_sigma) - 0.5 * self.flat * LOG_2PI
 
@@ -74,10 +73,10 @@ class ChunkPolicy:
         the other rows.
         """
         mu = self.mean(params, obs, task)
-        sigma = np.exp(self.log_std(params))
+        log_sigma = self.log_std(params)
         noise = np.array([rng.normal(size=self.flat) for rng in rngs])
-        clipped = np.clip(mu + sigma * noise, self.action_low, self.action_high)
-        logp = self._density(params, mu, clipped)
+        clipped = np.clip(mu + np.exp(log_sigma) * noise, self.action_low, self.action_high)
+        logp = self._density(log_sigma, mu, clipped)
         return clipped.reshape(len(rngs), self.horizon, self.a_dim), logp
 
     def logprob(self, params: dict, feats: np.ndarray, chunks: np.ndarray):
@@ -86,7 +85,7 @@ class ChunkPolicy:
         One row (obs+tasks,) with one flat chunk gives a scalar. A Tensor when
         params are Tensor leaves.
         """
-        return self._density(params, self.trunk(params, feats), chunks)
+        return self._density(self.log_std(params), self.trunk(params, feats), chunks)
 
     def clamp(self, params: dict) -> dict:
         params[f"{self.name}.log_std"] = np.clip(

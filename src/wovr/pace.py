@@ -24,7 +24,7 @@ from .envs import CountingEnv, replay_frames
 from .grpo import ChunkPolicy, build_group, grpo_update
 from .nn import tmean, value_and_grad
 from .reward import (RewardNet, label_episode_frames, predict_success,
-                     sparse_reward, train_classifier)
+                     sparse_reward, success_probs, train_classifier)
 from .rollout import (GroupSpec, KeyframeBuffer, collect_real, harvest_keyframes,
                       rollout_imagined, rollout_real, sample_start)
 from .sched import run_iteration
@@ -356,15 +356,33 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
     return art
 
 
-def learned_reward(net: RewardNet, params: dict, threshold: float):
-    """reward_fn(frame, task) -> 0/1: the classifier's success probability,
-    thresholded. Imagined RL rewards with it, and `wovr eval --metric halluc`
-    measures the simulator with it."""
+class LearnedReward:
+    """The classifier's success probability, thresholded: the reward imagined
+    RL trains on and `wovr eval --metric halluc` measures the simulator with.
 
-    def reward_fn(frame, task):
-        return sparse_reward(predict_success(net, params, frame, task), threshold)
+    reward(frame, task) -> 0/1 scores one frame; batch(frames (N, d), task)
+    -> (N,) bool scores many in one forward, which rollout's lockstep loop
+    uses for every active member's chunk at once. Both are pure functions of
+    the frame, so scoring frames past a member's first hit changes nothing.
+    A batched row's logit can differ from the single-row one in its last
+    bits (the matmul sums in another order), which matters only for a
+    probability that close to the threshold.
+    """
 
-    return reward_fn
+    def __init__(self, net: RewardNet, params: dict, threshold: float):
+        self.net = net
+        self.params = params
+        self.threshold = threshold
+
+    def __call__(self, frame, task) -> int:
+        return sparse_reward(predict_success(self.net, self.params, frame, task),
+                             self.threshold)
+
+    def batch(self, frames, task) -> np.ndarray:
+        probs = success_probs(self.net, self.params, self.net.features(frames, task))
+        if not np.all((probs >= 0.0) & (probs <= 1.0)):
+            raise ValueError("probability must lie in [0, 1]")
+        return probs >= self.threshold
 
 
 def _rl_stage(policy, params, wm_net, wm_params, reward_net, reward_params,
@@ -388,7 +406,7 @@ def _rl_stage(policy, params, wm_net, wm_params, reward_net, reward_params,
     for u in range(plan["rl_updates_per_stage"]):
         def rollout_fn(pol_snap, wm_snap, rew_snap, _u=u):
             wm = LearnedWorldModel(wm_net, wm_snap.params, run["diffusion_steps"])
-            reward_fn = learned_reward(reward_net, rew_snap.params, rl["reward_threshold"])
+            reward_fn = LearnedReward(reward_net, rew_snap.params, rl["reward_threshold"])
             groups, kinds = [], []
             for g in range(groups_per_update):
                 task = TaskSpec((_u * groups_per_update + g) % n_tasks)

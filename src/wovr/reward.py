@@ -27,8 +27,11 @@ class RewardNet:
         return self.mlp.init(rng)
 
     def features(self, obs: np.ndarray, task: TaskSpec) -> np.ndarray:
-        return np.concatenate([np.asarray(obs, dtype=np.float64),
-                               one_hot(task.task_id, self.n_tasks)])
+        """(obs, task one-hot) for one row (d,) or a batch of rows (N, d)."""
+        obs = np.asarray(obs, dtype=np.float64)
+        token = np.broadcast_to(one_hot(task.task_id, self.n_tasks),
+                                obs.shape[:-1] + (self.n_tasks,))
+        return np.concatenate([obs, token], axis=-1)
 
     def logit(self, params: dict, feats: np.ndarray):
         """Success logits of feature rows (N, obs+tasks) -> (N,); one row -> 0-d."""
@@ -49,13 +52,20 @@ def bce_with_logits(logits, labels: np.ndarray, pos_weight: float = 1.0):
     return tmean(pos + neg)
 
 
+def success_probs(net: RewardNet, params: dict, feats: np.ndarray) -> np.ndarray:
+    """Success probabilities of feature rows (N, obs+tasks) -> (N,).
+
+    The sigmoid of each classifier logit, in the overflow-free form:
+    1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z) below.
+    """
+    logits = net.logit(params, feats)
+    e = np.exp(-np.abs(logits))
+    return np.where(logits >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def predict_success(net: RewardNet, params: dict, obs, task: TaskSpec) -> float:
-    """Success probability: the sigmoid of the classifier logit."""
-    logit = float(net.logit(params, net.features(obs, task)))
-    if logit >= 0:
-        return float(1.0 / (1.0 + np.exp(-logit)))
-    e = np.exp(logit)
-    return float(e / (1.0 + e))
+    """Success probability of one state: success_probs on a single row."""
+    return float(success_probs(net, params, net.features(obs, task)[None])[0])
 
 
 def sparse_reward(prob: float, threshold: float = 0.5) -> int:

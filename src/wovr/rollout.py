@@ -5,13 +5,16 @@ group together: per chunk step one batched policy sample over the members
 still running, then one batched dynamics call. Imagined, that is one
 build_context over the members' histories and the world model's
 predict_chunk(anchors, memories, task, chunks, rngs) -> (B, H, d); real, it
-is env steps from each member's newest frame. The reward stays per frame,
-reward_fn(frame, task) -> 0/1, and a member is cut at its first reward
-frame. Every member draws from its own derive_rng(seed, i, ·) streams, so
-swapping the learned model for the true dynamics (and the learned reward for
-the true success predicate) reproduces real rollouts bit for bit under the
-same seeds. Keyframe initialized rollouts restart a fraction of groups from
-stored failure states instead of the episode start.
+is env steps from each member's newest frame. A member is cut at its first
+reward frame. The reward is reward_fn(frame, task) -> 0/1, read frame by
+frame up to the first hit; a reward that also has batch(frames (N, d), task)
+-> (N,) bool (the learned reward, pace.LearnedReward) instead scores every
+running member's H frames in one call per chunk step, so it must be a pure
+function of the frame. Every member draws from its own derive_rng(seed, i, ·)
+streams, so swapping the learned model for the true dynamics (and the learned
+reward for the true success predicate) reproduces real rollouts bit for bit
+under the same seeds. Keyframe initialized rollouts restart a fraction of
+groups from stored failure states instead of the episode start.
 """
 from __future__ import annotations
 
@@ -111,6 +114,23 @@ class GroupSpec:
                            np.asarray(self.start_state, dtype=np.float64))
 
 
+def _first_hit(reward_fn, frames, task) -> int:
+    """Index of the first frame reward_fn fires on, len(frames) if none; the
+    frames after it are never scored."""
+    for j, frame in enumerate(frames):
+        if reward_fn(frame, task):
+            return j
+    return len(frames)
+
+
+def _first_hits(batch, frames, task) -> np.ndarray:
+    """_first_hit of every row of frames (B, H, d), from one batch call over
+    all B * H frames."""
+    n, h, d = frames.shape
+    hits = np.asarray(batch(frames.reshape(n * h, d), task), dtype=bool).reshape(n, h)
+    return np.where(hits.any(axis=1), hits.argmax(axis=1), h)
+
+
 def _roll_group(policy, params, dynamics, reward_fn, task, starts, start_kind,
                 T, H, seed):
     """Closed-loop episodes of every member of a group, advanced in lockstep.
@@ -118,10 +138,13 @@ def _roll_group(policy, params, dynamics, reward_fn, task, starts, start_kind,
     Member i starts at starts[i] and draws from derive_rng(seed, i, 1) for the
     policy and derive_rng(seed, i, 2) for the dynamics. Each chunk step makes
     one batched policy.sample over the active members and one batched
-    dynamics(histories, chunks, rngs) -> (B, H, d) call; reward_fn then reads
-    a member's frames one by one and cuts the member at its first reward
-    frame. A member whose predicted frames are not all finite stops alone,
-    with one warning, keeping the steps it recorded before.
+    dynamics(histories, chunks, rngs) -> (B, H, d) call, then cuts each member
+    at its first reward frame. A reward with a batch(frames (N, d), task) ->
+    (N,) bool method scores every finite member's H frames in one call; a
+    plain reward_fn(frame, task) -> 0/1 reads a member's frames one by one
+    and stops at the first hit. A member whose predicted frames are not all
+    finite stops alone, with one warning, keeping the steps it recorded
+    before; its frames are never scored.
 
     Returns (trajectories, frame histories); a history holds every executed
     frame of its member, cut at the success frame.
@@ -129,6 +152,7 @@ def _roll_group(policy, params, dynamics, reward_fn, task, starts, start_kind,
     if T % H != 0:
         raise ValueError("T must be a multiple of the chunk horizon")
     n = len(starts)
+    batch = getattr(reward_fn, "batch", None)
     policy_rngs = [derive_rng(seed, i, 1) for i in range(n)]
     model_rngs = [derive_rng(seed, i, 2) for i in range(n)]
     histories = [[np.asarray(start, dtype=np.float64)] for start in starts]
@@ -142,19 +166,18 @@ def _roll_group(policy, params, dynamics, reward_fn, task, starts, start_kind,
         frames = np.asarray(dynamics([histories[i] for i in active], chunks,
                                      [model_rngs[i] for i in active]), dtype=np.float64)
         finite = np.isfinite(frames).reshape(len(active), -1).all(axis=1)
+        if batch is not None and finite.any():
+            first = np.full(len(active), H)
+            first[finite] = _first_hits(batch, frames[finite], task)
         still = []
         for row, i in enumerate(active):
             if not finite[row]:
                 log.warning("rollout member aborted at chunk-step %d: member %d "
                             "predicted a non-finite frame", k, i)
                 continue
-            history = histories[i]
-            reward = 0
-            for frame in frames[row]:
-                history.append(frame)
-                if reward_fn(frame, task):
-                    reward = 1
-                    break
+            hit = first[row] if batch is not None else _first_hit(reward_fn, frames[row], task)
+            histories[i].extend(frames[row][:hit + 1])
+            reward = int(hit < H)
             records[i].append(StepRecord(obs=obs[row], chunk=chunks[row], reward=reward,
                                          logp_old=float(logps[row])))
             if not reward:
@@ -189,9 +212,13 @@ def rollout_imagined(policy, params, wm, reward_fn, group: GroupSpec,
 
     wm provides context/anchor_mode and the batched
     predict_chunk(anchors, memories, task, chunks, rngs) -> (B, H, d), one
-    row per active member, fed by one build_context call per chunk step;
-    reward_fn(frame, task) -> 0/1 is called per frame (the thresholded
-    learned reward, or the true predicate in oracle tests).
+    row per active member, fed by one build_context call per chunk step.
+    reward_fn(frame, task) -> 0/1 is the thresholded learned reward, or the
+    true predicate in oracle tests. A plain callable is called per frame up
+    to a member's first hit; one with a batch(frames (N, d), task) -> (N,)
+    bool method, like pace.LearnedReward, scores all active members' frames
+    in one call per chunk step, frames past a hit included, so it must be a
+    pure function of the frame.
     Member i draws from derive_rng(seed, i, 1) for the policy and
     derive_rng(seed, i, 2) for the model, so members are independent and
     reproducible in isolation up to the rounding of batched rows.

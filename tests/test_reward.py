@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from wovr.core import FrameEpisode, TaskSpec, derive_rng, params_hash
+from wovr.core import DEFAULTS, FrameEpisode, TaskSpec, derive_rng, params_hash
 from wovr.envs import PickPlace2D, get_env
 from wovr.nn import Tensor, value_and_grad
+from wovr.pace import LearnedReward
 from wovr.reward import (
     RewardNet,
     bce_with_logits,
@@ -11,6 +12,7 @@ from wovr.reward import (
     predict_success,
     sparse_reward,
     subsample_negatives,
+    success_probs,
     train_classifier,
 )
 
@@ -109,6 +111,98 @@ def test_predict_success_monotone_in_logit():
         probs.append(predict_success(net, params, np.zeros(4), TaskSpec(0)))
     assert all(a < b for a, b in zip(probs, probs[1:]))
     assert probs[0] < 0.01 and probs[-1] > 0.99
+
+
+def sigmoid_reference(logit: float) -> float:
+    """The scalar two-branch sigmoid predict_success used before success_probs."""
+    if logit >= 0:
+        return float(1.0 / (1.0 + np.exp(-logit)))
+    e = np.exp(logit)
+    return float(e / (1.0 + e))
+
+
+def test_success_probs_is_the_scalar_sigmoid_bit_for_bit():
+    net = RewardNet(4, 4)
+    params = net.init(derive_rng(30))
+    rng = np.random.default_rng(31)
+    for scale in (1e-3, 1.0, 30.0, 800.0):  # 800 underflows e^-|z| to 0
+        scaled = dict(params, **{"rw.w2": params["rw.w2"] * scale})
+        feats = net.features(rng.normal(size=(50, 4)), TaskSpec(2))
+        logits = net.logit(scaled, feats)
+        assert (logits > 0).any() and (logits < 0).any()  # both branches
+        probs = success_probs(net, scaled, feats)
+        assert probs.tolist() == [sigmoid_reference(float(z)) for z in logits]
+        # one row: predict_success, equal to the 1-d logit's sigmoid
+        for obs in feats[:10, :4]:
+            one = float(net.logit(scaled, net.features(obs, TaskSpec(2))))
+            assert predict_success(net, scaled, obs, TaskSpec(2)) == sigmoid_reference(one)
+
+
+def near_threshold_frames(net, params, task, threshold, rng, n_pairs=12):
+    """Random frames plus bisection points between a frame below the threshold
+    and one above it; the bisection ends on frames within 1e-12 of it."""
+    frames = list(rng.normal(scale=2.0, size=(200, net.obs_dim)))
+    probs = [predict_success(net, params, f, task) for f in frames]
+    lows = [f for f, p in zip(frames, probs) if p < threshold]
+    highs = [f for f, p in zip(frames, probs) if p >= threshold]
+    for lo, hi in zip(lows[:n_pairs], highs[:n_pairs]):
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            frames.append(mid)
+            p = predict_success(net, params, mid, task)
+            if abs(p - threshold) < 1e-12:
+                break
+            if p < threshold:
+                lo = mid
+            else:
+                hi = mid
+    return np.array(frames)
+
+
+def test_learned_reward_batch_matches_per_frame():
+    threshold = DEFAULTS["rl"]["reward_threshold"]
+    net = RewardNet(4, 4)
+    rng = np.random.default_rng(32)
+    near = 0
+    for seed in range(4):
+        params = net.init(derive_rng(33, seed))
+        # centre the logits on the threshold's, so frames land on both sides
+        task = TaskSpec(seed)
+        feats = net.features(rng.normal(scale=2.0, size=(200, 4)), task)
+        params["rw.b2"] = params["rw.b2"] + (np.log(threshold / (1.0 - threshold))
+                                             - np.median(net.logit(params, feats)))
+        reward = LearnedReward(net, params, threshold)
+        frames = near_threshold_frames(net, params, task, threshold, rng)
+        per_frame = [sparse_reward(predict_success(net, params, f, task), threshold)
+                     for f in frames]
+        assert 0 < sum(per_frame) < len(frames)
+        near += sum(abs(predict_success(net, params, f, task) - threshold) < 1e-3
+                    for f in frames)
+        assert [reward(f, task) for f in frames] == per_frame
+        hits = reward.batch(frames, task)
+        assert hits.dtype == bool and hits.shape == (len(frames),)
+        assert hits.astype(int).tolist() == per_frame
+        # a frame's decision does not depend on the rows batched with it
+        order = rng.permutation(len(frames))
+        assert reward.batch(frames[order], task).tolist() == hits[order].tolist()
+        assert reward.batch(frames[:7], task).tolist() == hits[:7].tolist()
+    assert near >= 100
+    # a probability exactly at the threshold fires, as in sparse_reward
+    zero = {k: np.zeros_like(v) for k, v in params.items()}
+    assert LearnedReward(net, zero, 0.5).batch(np.ones((2, 4)), TaskSpec(0)).tolist() == [
+        True, True]
+
+
+def test_learned_reward_batch_rejects_non_finite_probability():
+    net = RewardNet(4, 4)
+    params = net.init(derive_rng(34))
+    params["rw.b2"] = np.array([np.nan])
+    reward = LearnedReward(net, params, 0.9)
+    frames = np.zeros((3, 4))
+    with pytest.raises(ValueError):
+        reward.batch(frames, TaskSpec(0))
+    with pytest.raises(ValueError):
+        reward(frames[0], TaskSpec(0))
 
 
 def test_sparse_reward_threshold():

@@ -4,10 +4,15 @@ import pytest
 from wovr.core import (MalformedHeader, StepRecord, TaskSpec, Trajectory, derive_rng,
                        derive_seed)
 from wovr.envs import CountingEnv, PickPlace2D, ReachPoint
+from wovr.evalx import hallucination_rate
 from wovr.grpo import ChunkPolicy
+from wovr.pace import LearnedReward
+from wovr.reward import RewardNet
 from wovr.rollout import (
     GroupSpec,
     KeyframeBuffer,
+    _imagined_dynamics,
+    _roll_group,
     collect_real,
     harvest_keyframes,
     read_batch,
@@ -355,6 +360,59 @@ def test_abort_stays_with_its_member(caplog, poison):
             assert traj == ref  # ran on to T or to success, untouched
     kept = [t for i, t in enumerate(trajs) if i not in aborted]
     assert any(t.success for t in kept) and any(len(t.steps) == 64 // H for t in kept)
+
+
+def x_past_reward(env, c):
+    """A one-layer LearnedReward that fires once the agent's x passes about c."""
+    net = RewardNet(env.state_dim, env.n_tasks, hidden=())
+    w = np.zeros((env.state_dim + env.n_tasks, 1))
+    w[0, 0] = 60.0
+    return LearnedReward(net, {"rw.w0": w, "rw.b0": np.array([-60.0 * c])}, 0.9)
+
+
+def test_batched_reward_rolls_like_its_per_frame_form(caplog):
+    """One batch call per chunk step cuts members where per-frame calls do."""
+    env = ReachPoint()
+    reward = x_past_reward(env, 0.72)
+    per_frame = lambda frame, task: reward(frame, task)
+    expert = NoisyExpertPolicy(env, H, noise=2.0)
+    task = TaskSpec(1)
+    seen = set()
+    for seed in range(4):
+        start = env.reset_state(task, derive_rng(25 + seed))
+        runs = []
+        for fn in (reward, per_frame):
+            wm = PoisonedWm(env, [(1, 1)])
+            with caplog.at_level("WARNING"):
+                runs.append(_roll_group(expert, {}, _imagined_dynamics(wm, task), fn, task,
+                                        [start] * 6, "initial", 64, H, seed))
+        (trajs, histories), (ref_trajs, ref_histories) = runs
+        assert trajs == ref_trajs
+        assert len(histories) == len(ref_histories)
+        for a, b in zip(histories, ref_histories):
+            assert np.array_equal(np.array(a), np.array(b))
+        for traj, history in zip(trajs, histories):
+            if traj.success:
+                seen.add("last frame" if (len(history) - 1) % H == 0 else "mid-chunk")
+            elif len(traj.steps) == 64 // H:
+                seen.add("ran to T")
+            else:
+                seen.add("aborted")
+    assert seen == {"last frame", "mid-chunk", "ran to T", "aborted"}
+
+
+def test_hallucination_rate_same_for_batched_and_per_frame_reward():
+    env = ReachPoint()
+    reward = x_past_reward(env, 0.72)
+    expert = NoisyExpertPolicy(env, H, noise=2.0)
+    wm = OracleWorldModel(env, context=4)
+    for task_id in range(2):
+        task = TaskSpec(task_id)
+        batched = hallucination_rate(expert, {}, wm, reward, env, task, 12, 64, H, seed=26)
+        plain = hallucination_rate(expert, {}, wm, lambda f, t: reward(f, t), env, task,
+                                   12, 64, H, seed=26)
+        assert batched == plain
+        assert batched["rate"] > 0.0
 
 
 # -- real rollouts --------------------------------------------------------------------
