@@ -262,12 +262,12 @@ def cmd_rl(cfg, run_dir, args):
     env = CountingEnv(get_env(cfg["env"]))
     policy = build_policy(env, cfg)
     params = nn.load_params(policy_path)
-    wm_params = nn.load_params(wm_path)
-    reward_params = nn.load_params(reward_path)
-    new_params, logs = _rl_stage(
-        policy, params, build_wm_net(env, cfg), wm_params,
-        build_reward_net(env, cfg), reward_params, env, cfg, KeyframeBuffer(),
-        tag=76)
+    wm = LearnedWorldModel(build_wm_net(env, cfg), nn.load_params(wm_path),
+                           cfg["run"]["diffusion_steps"])
+    reward_fn = LearnedReward(build_reward_net(env, cfg), nn.load_params(reward_path),
+                              cfg["rl"]["reward_threshold"])
+    new_params, logs = _rl_stage(policy, params, wm, reward_fn, env, cfg,
+                                 KeyframeBuffer(), tag=76)
     if env.steps != 0:
         raise InvariantViolation("imagined RL consumed real env steps")
     nn.save_params(run_dir / "policy.wovc", new_params)

@@ -294,6 +294,20 @@ def value_and_grad(loss_fn, params: dict):
     return float(out.data), grads
 
 
+def read_only(params: dict) -> dict:
+    """Write-protected views of a param dict's arrays, sharing their memory.
+
+    A write through a view raises ValueError; the caller's own arrays stay
+    writable, and nothing is copied.
+    """
+    views = {}
+    for k, v in params.items():
+        view = v.view()
+        view.setflags(write=False)
+        views[k] = view
+    return views
+
+
 # ---------------------------------------------------------------------------
 # Layers
 

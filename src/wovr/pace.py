@@ -27,7 +27,6 @@ from .reward import (RewardNet, label_episode_frames, predict_success,
                      sparse_reward, success_probs, train_classifier)
 from .rollout import (GroupSpec, KeyframeBuffer, collect_real, harvest_keyframes,
                       rollout_imagined, rollout_real, sample_start)
-from .sched import run_iteration
 from .worldmodel import LearnedWorldModel, WmNet, train_wm, window_counts
 
 log = logging.getLogger(__name__)
@@ -55,7 +54,6 @@ class PaceArtifacts:
     audit: dict = field(default_factory=dict)
     frames_base: list = field(default_factory=list)
     frames_evo: list = field(default_factory=list)
-    trajectories: dict = field(default_factory=dict)
 
     def write(self, out_dir) -> None:
         out = Path(out_dir)
@@ -262,7 +260,6 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
         trajs_base, frames_base = collect(base_params, n_base, 11)
         harvest_keyframes(trajs_base, rl["keyframe_k"], buffer)
         row["trajectories"] = n_base
-    art.trajectories["base"] = trajs_base
     art.frames_base = frames_base
     art.policy_stages["base"] = base_params
     art.manifests["collect_base"] = {"policy": params_hash(base_params),
@@ -282,6 +279,8 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
                                "n_demo_episodes": len(demo_eps),
                                "config": cfg_hash}
 
+    reward_fn = LearnedReward(reward_net, reward_params, rl["reward_threshold"])
+
     wm_corpus = frames_base + demo_eps
     with stage("train_wm_base"):
         wm_base_params, wm_base_losses = train_wm(
@@ -295,13 +294,13 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
                                 "config": cfg_hash}
 
     with stage("rl_base"):
-        entry = {k: v.copy() for k, v in base_params.items()}
+        entry = dict(base_params)
         if rl["explore_log_std"] is not None:
             key = f"{policy.name}.log_std"
             entry[key] = np.maximum(entry[key], rl["explore_log_std"])
-        params_s1, rl_logs_1 = _rl_stage(
-            policy, entry, wm_net, wm_base_params, reward_net, reward_params,
-            counter, cfg, buffer, tag=14)
+        wm_base = LearnedWorldModel(wm_net, wm_base_params, run["diffusion_steps"])
+        params_s1, rl_logs_1 = _rl_stage(policy, entry, wm_base, reward_fn, counter,
+                                         cfg, buffer, tag=14)
     art.policy_stages["stage1"] = params_s1
     art.logs["rl"] = [rl_logs_1]
     art.manifests["policy_stage1"] = {"params": params_hash(params_s1),
@@ -316,7 +315,6 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
     with stage("collect_evo") as row:
         trajs_evo, frames_evo = collect(params_s1, n_evo, 15)
         row["trajectories"] = n_evo
-    art.trajectories["evo"] = trajs_evo
     art.frames_evo = frames_evo
     manifest_evo = {"policy": params_hash(params_s1), "n": n_evo,
                     "config": cfg_hash}
@@ -342,9 +340,9 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
         # stage two restarts only from the evolved policy's failures
         buffer.clear()
         harvest_keyframes(trajs_evo, rl["keyframe_k"], buffer)
-        params_s2, rl_logs_2 = _rl_stage(
-            policy, params_s1, wm_net, wm_evo_params, reward_net,
-            reward_params, counter, cfg, buffer, tag=17)
+        wm_evo = LearnedWorldModel(wm_net, wm_evo_params, run["diffusion_steps"])
+        params_s2, rl_logs_2 = _rl_stage(policy, params_s1, wm_evo, reward_fn, counter,
+                                         cfg, buffer, tag=17)
     art.policy_stages["stage2"] = params_s2
     art.logs["rl"].append(rl_logs_2)
     art.manifests["policy_stage2"] = {"params": params_hash(params_s2),
@@ -366,12 +364,13 @@ class LearnedReward:
     the frame, so scoring frames past a member's first hit changes nothing.
     A batched row's logit can differ from the single-row one in its last
     bits (the matmul sums in another order), which matters only for a
-    probability that close to the threshold.
+    probability that close to the threshold. params holds read-only views of
+    the given arrays (nn.read_only), so a rollout cannot write to the reward.
     """
 
     def __init__(self, net: RewardNet, params: dict, threshold: float):
         self.net = net
-        self.params = params
+        self.params = nn.read_only(params)
         self.threshold = threshold
 
     def __call__(self, frame, task) -> int:
@@ -385,15 +384,30 @@ class LearnedReward:
         return probs >= self.threshold
 
 
-def _rl_stage(policy, params, wm_net, wm_params, reward_net, reward_params,
-              env, cfg, buffer, tag):
+def run_iteration(params, wm, reward_fn, rollout_fn, trainer_fn):
+    """One RL update: trainer_fn(rollout_fn(read-only params, wm, reward_fn)).
+
+    The rollout phase gets write-protected views of the policy params
+    (nn.read_only), so a rollout that writes to them raises ValueError; the
+    caller's arrays are neither copied nor protected. The update is a
+    function of its own, with the two phases as its positional arguments 3
+    and 4, because the benchmark's tracer (bench/tracing.py) times each RL
+    update as one span around it and each phase as a child span.
+    """
+    return trainer_fn(rollout_fn(nn.read_only(params), wm, reward_fn))
+
+
+def _rl_stage(policy, params, wm, reward_fn, env, cfg, buffer, tag):
     """One imagined-RL stage: plan.rl_updates_per_stage GRPO updates.
 
-    Each update runs its rollouts against immutable parameter snapshots
-    (sched.run_iteration), then applies the policy update. The real env is
-    touched only to draw initial start states (resets, never steps). Each
-    update's log record counts zero_adv_groups, the groups whose returns are
-    all equal: their advantages are all zero and they carry no gradient.
+    The policy learns in the simulator wm, any world model rollout_imagined
+    accepts (LearnedWorldModel, or OracleWorldModel for true dynamics), under
+    reward_fn, any reward rollout_imagined accepts (LearnedReward, or the true
+    success predicate). Each update rolls out against read-only policy params,
+    then applies the GRPO step (run_iteration). The env is touched only to
+    draw initial start states (resets, never steps). Each update's log record
+    counts zero_adv_groups, the groups whose returns are all equal: their
+    advantages are all zero and they carry no gradient.
     """
     seed, run, plan, rl = cfg["seed"], cfg["run"], cfg["plan"], cfg["rl"]
     state = {"params": params, "opt": None}
@@ -404,9 +418,7 @@ def _rl_stage(policy, params, wm_net, wm_params, reward_net, reward_params,
     logs = []
 
     for u in range(plan["rl_updates_per_stage"]):
-        def rollout_fn(pol_snap, wm_snap, rew_snap, _u=u):
-            wm = LearnedWorldModel(wm_net, wm_snap.params, run["diffusion_steps"])
-            reward_fn = LearnedReward(reward_net, rew_snap.params, rl["reward_threshold"])
+        def rollout_fn(pol_params, wm, reward_fn, _u=u):
             groups, kinds = [], []
             for g in range(groups_per_update):
                 task = TaskSpec((_u * groups_per_update + g) % n_tasks)
@@ -414,8 +426,7 @@ def _rl_stage(policy, params, wm_net, wm_params, reward_net, reward_params,
                     buffer, task, run["kir_fraction"],
                     lambda r: env.reset_state(task, r), start_rng)
                 spec = GroupSpec(task, start, kind, run["group_size"])
-                trajs = rollout_imagined(policy, pol_snap.params, wm,
-                                         reward_fn, spec, T, H,
+                trajs = rollout_imagined(policy, pol_params, wm, reward_fn, spec, T, H,
                                          derive_seed(seed, tag, _u, g))
                 harvest_keyframes(trajs, rl["keyframe_k"], buffer)
                 kinds.append(kind)
@@ -438,8 +449,7 @@ def _rl_stage(policy, params, wm_net, wm_params, reward_net, reward_params,
                 record.update(glogs[-1])
             return record
 
-        logs.append(run_iteration(state["params"], wm_params, reward_params,
-                                  rollout_fn, trainer_fn))
+        logs.append(run_iteration(state["params"], wm, reward_fn, rollout_fn, trainer_fn))
     return state["params"], logs
 
 

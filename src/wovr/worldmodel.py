@@ -213,12 +213,13 @@ class LearnedWorldModel:
 
     predict_chunk(anchors, memories, task, chunks, rngs) -> (B, H, d) frames,
     one row per build_context row; every world model (OracleWorldModel, test
-    doubles) keeps this contract.
+    doubles) keeps this contract. params holds read-only views of the given
+    arrays (nn.read_only), so a rollout cannot write to the model.
     """
 
     def __init__(self, net: WmNet, params: dict, steps: int = 5):
         self.net = net
-        self.params = params
+        self.params = nn.read_only(params)
         self.steps = steps
         self.anchor_mode = net.anchor_mode
         self.context = net.context

@@ -16,10 +16,10 @@ from wovr.cli import build_parser, resolve_config
 from wovr.core import DEFAULTS, START_KINDS, TaskSpec, derive_rng, make_config
 from wovr.envs import ReachPoint, replay_frames, scripted_demo
 from wovr.grpo import ChunkPolicy, GroupBatch
-from wovr.pace import _rl_stage
+from wovr.pace import LearnedReward, _rl_stage
 from wovr.reward import RewardNet
 from wovr.rollout import KeyframeBuffer
-from wovr.worldmodel import RfBatch, WmNet, train_wm
+from wovr.worldmodel import LearnedWorldModel, RfBatch, WmNet, train_wm
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -99,8 +99,11 @@ def test_trace_counters_read_real_calls(monkeypatch):
     wm_net = WmNet(env.state_dim, env.action_dim, env.n_tasks, horizon=H, context=2,
                    width=16, act_emb_dim=4)
     reward_net = RewardNet(env.state_dim, env.n_tasks, hidden=(8,))
-    _rl_stage(policy, policy.init(derive_rng(2)), wm_net, wm_net.init(derive_rng(3)),
-              reward_net, reward_net.init(derive_rng(4)), env, cfg, KeyframeBuffer(), tag=5)
+    wm = LearnedWorldModel(wm_net, wm_net.init(derive_rng(3)), cfg["run"]["diffusion_steps"])
+    reward_fn = LearnedReward(reward_net, reward_net.init(derive_rng(4)),
+                              cfg["rl"]["reward_threshold"])
+    _rl_stage(policy, policy.init(derive_rng(2)), wm, reward_fn, env, cfg, KeyframeBuffer(),
+              tag=5)
     episodes = [replay_frames(env, scripted_demo(env, TaskSpec(0), 6, chunk=H, max_len=16))]
     train_wm(episodes, wm_net, derive_rng(7), epochs=1, batch_size=4)
 

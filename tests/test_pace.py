@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from wovr.core import (ConfigError, FrameEpisode, InvariantViolation,
-                       TaskSpec, derive_rng, make_config, params_hash)
+                       TaskSpec, derive_rng, derive_seed, make_config, params_hash)
 from wovr.envs import CountingEnv, get_env, scripted_demo
 from wovr.grpo import ChunkPolicy
-from wovr.pace import (STAGES, PaceArtifacts, StageFailure, _rl_stage,
-                       clone_base_policy, refine_wm, run_pipeline)
-from wovr.rollout import KeyframeBuffer
+from wovr.pace import (STAGES, LearnedReward, PaceArtifacts, StageFailure, _rl_stage,
+                       clone_base_policy, refine_wm, run_iteration, run_pipeline)
+from wovr.rollout import KeyframeBuffer, harvest_keyframes, rollout_real, sample_start
 from wovr.reward import RewardNet
-from wovr.worldmodel import (WmNet, build_context, sample_chunk, train_wm,
-                             window_index)
+from wovr.worldmodel import (LearnedWorldModel, OracleWorldModel, WmNet,
+                             build_context, sample_chunk, train_wm, window_index)
 from wovr import nn
 
 H, T = 4, 16
@@ -316,12 +316,98 @@ def test_rl_stage_counts_all_equal_return_groups(reach_env, base_policy, logit_b
     wm_net, rew_net = small_nets(reach_env)
     reward_params = rew_net.init(derive_rng(81))
     reward_params["rw.b2"] = np.array([logit_bias])
-    _, logs = _rl_stage(policy, params, wm_net, wm_net.init(derive_rng(82)), rew_net,
-                        reward_params, reach_env, cfg, KeyframeBuffer(), tag=83)
+    wm = LearnedWorldModel(wm_net, wm_net.init(derive_rng(82)), cfg["run"]["diffusion_steps"])
+    reward_fn = LearnedReward(rew_net, reward_params, cfg["rl"]["reward_threshold"])
+    _, logs = _rl_stage(policy, params, wm, reward_fn, reach_env, cfg, KeyframeBuffer(),
+                        tag=83)
     assert len(logs) == SMALL["plan"]["rl_updates_per_stage"]
     for record in logs:
         assert record["imagined_success"] == float(logit_bias > 0)
         assert record["zero_adv_groups"] == SMALL["plan"]["groups_per_update"]
+
+
+def test_rl_stage_oracle_rung_scores_real_outcomes(reach_env, base_policy):
+    # rung (a) of the simulator ladder: true dynamics and the true success
+    # predicate, so the stage's imagined episodes are the real ones from the
+    # same starts and member streams, down to the failure keyframes it keeps
+    policy, params = base_policy
+    cfg = make_config(SMALL, {"seed": 9, "run": {"kir_fraction": 0.0},
+                              "plan": {"rl_updates_per_stage": 1}})
+    seed, run, plan, tag = cfg["seed"], cfg["run"], cfg["plan"], 84
+    counter, buffer = CountingEnv(reach_env), KeyframeBuffer()
+
+    def true_reward(frame, _task):
+        return int(reach_env.is_success(frame))
+
+    wm = OracleWorldModel(reach_env, run["context"])
+    _, logs = _rl_stage(policy, params, wm, true_reward, counter, cfg, buffer, tag)
+    assert len(logs) == plan["rl_updates_per_stage"]
+    assert counter.steps == 0
+    assert counter.resets == plan["groups_per_update"]
+
+    start_rng = derive_rng(seed, tag, 3)
+    outcomes, expected = [], KeyframeBuffer()
+    for g in range(plan["groups_per_update"]):
+        task = TaskSpec(g % reach_env.n_tasks)
+        start, _ = sample_start(KeyframeBuffer(), task, 0.0,
+                                lambda r: reach_env.reset_state(task, r), start_rng)
+        trajs = rollout_real(policy, params, reach_env, task, run["group_size"],
+                             run["max_episode_len"], run["chunk"],
+                             derive_seed(seed, tag, 0, g), starts=[start] * run["group_size"])
+        outcomes += [t.success for t in trajs]
+        harvest_keyframes(trajs, cfg["rl"]["keyframe_k"], expected)
+    assert logs[0]["imagined_success"] == float(np.mean(outcomes))
+    assert 0.0 < logs[0]["imagined_success"] < 1.0
+    assert len(buffer) == len(expected) > 0
+    for (state, task, step), (state_r, task_r, step_r) in zip(buffer.entries(),
+                                                              expected.entries()):
+        assert np.array_equal(state, state_r)
+        assert (task, step) == (task_r, step_r)
+
+
+def toy_params(seed):
+    rng = derive_rng(seed)
+    return {"w": rng.normal(size=(3, 3)), "b": rng.normal(size=3)}
+
+
+def test_rollout_phase_cannot_write_policy_params():
+    params = toy_params(1)
+    before = {k: v.copy() for k, v in params.items()}
+
+    def writing_rollout(pol_params, wm, reward_fn):
+        pol_params["w"][0, 0] += 1.0
+
+    with pytest.raises(ValueError):
+        run_iteration(params, None, None, writing_rollout, lambda rollouts: rollouts)
+    assert all(np.array_equal(params[k], before[k]) for k in params)
+    assert all(v.flags.writeable for v in params.values())
+
+
+def test_rollout_phase_reads_live_params_uncopied():
+    params, seen = toy_params(2), {}
+
+    def capture(pol_params, wm, reward_fn):
+        seen.update(pol_params, wm=wm, reward_fn=reward_fn)
+        return "rollouts"
+
+    out = run_iteration(params, "wm", "reward", capture, lambda r: (r, "trained"))
+    assert out == ("rollouts", "trained")
+    assert seen["wm"] == "wm" and seen["reward_fn"] == "reward"
+    for k, v in params.items():
+        assert np.shares_memory(seen[k], v) and np.array_equal(seen[k], v)
+
+
+def test_model_params_are_read_only(reach_env):
+    wm_net, rew_net = small_nets(reach_env)
+    wm_params, reward_params = wm_net.init(derive_rng(1)), rew_net.init(derive_rng(2))
+    wm = LearnedWorldModel(wm_net, wm_params, steps=3)
+    reward = LearnedReward(rew_net, reward_params, 0.9)
+    for held, given in ((wm.params, wm_params), (reward.params, reward_params)):
+        assert held.keys() == given.keys()
+        for k, v in held.items():
+            with pytest.raises(ValueError):
+                v[...] = 0.0
+            assert given[k].flags.writeable and np.shares_memory(v, given[k])
 
 
 def test_pipeline_without_refinement(reach_env, base_policy):
