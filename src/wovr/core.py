@@ -57,6 +57,14 @@ def one_hot(index: int, size: int) -> np.ndarray:
     return vec
 
 
+def task_features(obs, task: TaskSpec, n_tasks: int) -> np.ndarray:
+    """(obs, task one-hot), the policy's and the reward's input, for one row
+    (d,) or a batch of rows (N, d) of one task."""
+    obs = np.asarray(obs, dtype=np.float64)
+    token = np.broadcast_to(one_hot(task.task_id, n_tasks), obs.shape[:-1] + (n_tasks,))
+    return np.concatenate([obs, token], axis=-1)
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     """Small-integer task identity, embedded downstream as a one-hot token."""
@@ -217,6 +225,9 @@ def validate_config(cfg: dict) -> dict:
             (plan["groups_per_update"] >= 1, "plan.groups_per_update must be >= 1"),
             (0.0 < plan["refine_mix_new"] <= 1.0,
              "plan.refine_mix_new must lie in (0, 1]"),
+            (cfg["rl"]["keyframe_k"] >= 1, "rl.keyframe_k must be >= 1"),
+            (cfg["collect"]["n"] >= 0, "collect.n must be non-negative"),
+            (cfg["eval"]["n"] >= 1, "eval.n must be >= 1"),
         ]
     except TypeError as exc:
         raise ConfigError(f"config value of the wrong type: {exc}") from exc

@@ -3,17 +3,19 @@
 The policy emits an action chunk (H low-level actions) per call, so there is
 exactly one importance ratio per recorded step. Advantages are group returns
 minus the group mean, nothing else: no std normalization, no KL penalty, no
-value baseline.
+value baseline. Each update stacks its groups' in-mask steps into one
+StepBatch, once; every inner epoch's objective and ratio stats read it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import nn
-from .core import Trajectory, one_hot
-from .nn import Mlp, Tensor, clip, exp, minimum, tsum, value_and_grad
+from .core import Trajectory, task_features
+from .nn import Mlp, clip, exp, minimum, tsum, value_and_grad
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
@@ -48,15 +50,8 @@ class ChunkPolicy:
         params[f"{self.name}.log_std"] = np.full(self.flat, self.init_log_std)
         return params
 
-    def features(self, obs: np.ndarray, task) -> np.ndarray:
-        """(obs, task one-hot) for one row (d,) or a batch of rows (B, d)."""
-        obs = np.asarray(obs, dtype=np.float64)
-        token = np.broadcast_to(one_hot(task.task_id, self.n_tasks),
-                                obs.shape[:-1] + (self.n_tasks,))
-        return np.concatenate([obs, token], axis=-1)
-
     def mean(self, params: dict, obs, task) -> np.ndarray:
-        return self.trunk(params, self.features(obs, task))
+        return self.trunk(params, task_features(obs, task, self.n_tasks))
 
     def log_std(self, params: dict) -> np.ndarray:
         return np.clip(params[f"{self.name}.log_std"], LOG_STD_MIN, LOG_STD_MAX)
@@ -129,61 +124,61 @@ def build_group(trajectories: list[Trajectory], gamma: float) -> GroupBatch:
     return GroupBatch(trajectories, returns, group_advantages(returns))
 
 
-def _flatten_valid_steps(policy: ChunkPolicy, groups: list[GroupBatch]):
-    """Stack every in-mask step of every trajectory into flat arrays.
+class StepBatch(NamedTuple):
+    """One row per in-mask step of an update's groups, in trajectory order."""
+
+    feats: np.ndarray       # (N, obs+tasks) policy inputs
+    chunks: np.ndarray      # (N, H*a_dim) stored flat chunks
+    logp_old: np.ndarray    # (N,) behavior log-densities
+    weights: np.ndarray     # (N,) 1 / (n_traj * T_valid) of the row's trajectory
+    advantages: np.ndarray  # (N,) the row's trajectory advantage
+
+
+def step_batch(policy: ChunkPolicy, groups: list[GroupBatch]) -> StepBatch | None:
+    """Stack every in-mask step of every trajectory; None if there is none.
 
     Steps beyond valid_len are excluded entirely, which realizes the mask:
-    they cannot contribute to the objective or its gradient.
+    they cannot contribute to the objective or its gradient. n_traj counts
+    every member, including those with no valid step.
     """
-    feats, chunks, logp_old, weights, advs = [], [], [], [], []
     n_traj = sum(len(g.trajectories) for g in groups)
+    parts = []
     for group in groups:
         for traj, adv in zip(group.trajectories, group.advantages):
-            t_valid = traj.valid_len
-            if t_valid == 0:
+            steps = traj.steps[:traj.valid_len]
+            if not steps:
                 continue
-            for step in traj.steps[:t_valid]:
-                feats.append(policy.features(step.obs, traj.task))
-                chunks.append(np.asarray(step.chunk).reshape(policy.flat))
-                logp_old.append(step.logp_old)
-                weights.append(1.0 / (n_traj * t_valid))
-                advs.append(adv)
-    if not feats:
+            t_valid = len(steps)
+            parts.append((
+                task_features(np.array([s.obs for s in steps]), traj.task, policy.n_tasks),
+                np.array([s.chunk for s in steps]).reshape(t_valid, policy.flat),
+                np.array([s.logp_old for s in steps]),
+                np.full(t_valid, 1.0 / (n_traj * t_valid)),
+                np.full(t_valid, adv),
+            ))
+    if not parts:
         return None
-    return (
-        np.array(feats),
-        np.array(chunks),
-        np.array(logp_old),
-        np.array(weights),
-        np.array(advs),
-    )
+    batch = StepBatch(*(np.concatenate(cols) for cols in zip(*parts)))
+    if not np.all(np.isfinite(batch.logp_old)):
+        raise ValueError("missing or non-finite behavior log-density")
+    return batch
 
 
-def grpo_objective(policy: ChunkPolicy, params: dict, groups: list[GroupBatch],
-                   clip_eps: float):
+def grpo_objective(policy: ChunkPolicy, params: dict, batch: StepBatch, clip_eps: float):
     """Masked, length-normalized clipped surrogate, as a tape scalar.
 
     (1 / n_traj) * sum_i (1 / T_i_valid) * sum_{t <= T_i_valid}
         min(rho_t * A_i, clip(rho_t, 1-eps, 1+eps) * A_i)
     """
-    flat = _flatten_valid_steps(policy, groups)
-    if flat is None:
-        return Tensor(0.0)
-    feats, chunks, logp_old, weights, advs = flat
-    if not np.all(np.isfinite(logp_old)):
-        raise ValueError("missing or non-finite behavior log-density")
-    rho = exp(policy.logprob(params, feats, chunks) - logp_old)
+    rho = exp(policy.logprob(params, batch.feats, batch.chunks) - batch.logp_old)
+    advs = batch.advantages
     surrogate = minimum(rho * advs, clip(rho, 1.0 - clip_eps, 1.0 + clip_eps) * advs)
-    return tsum(surrogate * weights)
+    return tsum(surrogate * batch.weights)
 
 
-def ratio_stats(policy: ChunkPolicy, params: dict, groups: list[GroupBatch],
+def ratio_stats(policy: ChunkPolicy, params: dict, batch: StepBatch,
                 clip_eps: float) -> dict:
-    flat = _flatten_valid_steps(policy, groups)
-    if flat is None:
-        return {"mean_ratio": 1.0, "clip_fraction": 0.0, "n_steps": 0}
-    feats, chunks, logp_old, _, _ = flat
-    rho = np.exp(policy.logprob(params, feats, chunks) - logp_old)
+    rho = np.exp(policy.logprob(params, batch.feats, batch.chunks) - batch.logp_old)
     outside = (rho < 1.0 - clip_eps) | (rho > 1.0 + clip_eps)
     return {
         "mean_ratio": float(rho.mean()),
@@ -195,25 +190,35 @@ def ratio_stats(policy: ChunkPolicy, params: dict, groups: list[GroupBatch],
 def grpo_update(policy: ChunkPolicy, params: dict, groups: list[GroupBatch],
                 clip_eps: float, inner_epochs: int, opt_state: dict | None = None,
                 lr: float = 3e-4) -> tuple[dict, dict, list[dict]]:
-    """Gradient-ascent epochs on the clipped surrogate.
+    """Gradient-ascent epochs on the clipped surrogate of the groups' StepBatch.
 
     Returns (params', opt_state, per-epoch stats). A non-finite objective or
     gradient aborts the whole update and hands back the original parameters.
+    When no member has a valid step (each aborted on its first chunk step)
+    the objective is 0 with a zero gradient, on which Adam still steps, so
+    its momentum from earlier updates carries on.
     """
     if not groups:
         raise ValueError("no groups to update on")
+    batch = step_batch(policy, groups)
     original = {k: v.copy() for k, v in params.items()}
     if opt_state is None:
         opt_state = nn.adam_init(params)
+    if batch is None:
+        zero = {k: np.zeros_like(v) for k, v in params.items()}
+        for _ in range(inner_epochs):
+            params = policy.clamp(nn.adam_step(params, zero, opt_state, lr=lr))
+        empty = {"mean_ratio": 1.0, "clip_fraction": 0.0, "n_steps": 0, "objective": 0.0}
+        return params, opt_state, [dict(empty) for _ in range(inner_epochs)]
     logs = []
     for _ in range(inner_epochs):
         value, grads = value_and_grad(
-            lambda leaves: -grpo_objective(policy, leaves, groups, clip_eps), params
+            lambda leaves: -grpo_objective(policy, leaves, batch, clip_eps), params
         )
         if not np.isfinite(value) or any(not np.all(np.isfinite(g)) for g in grads.values()):
             return original, opt_state, logs + [{"aborted": True}]
         params = policy.clamp(nn.adam_step(params, grads, opt_state, lr=lr))
-        stats = ratio_stats(policy, params, groups, clip_eps)
+        stats = ratio_stats(policy, params, batch, clip_eps)
         stats["objective"] = -value
         logs.append(stats)
     return params, opt_state, logs

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import nn
 from .core import (InvariantViolation, TaskSpec, config_hash, derive_rng,
-                   derive_seed, params_hash)
+                   derive_seed, params_hash, task_features)
 from .envs import CountingEnv, replay_frames
 from .grpo import ChunkPolicy, build_group, grpo_update
 from .nn import tmean, value_and_grad
@@ -107,7 +107,8 @@ def clone_base_policy(demos, policy: ChunkPolicy, rng: np.random.Generator,
     """
     if not demos:
         raise ValueError("no demonstrations")
-    feats = np.stack([policy.features(s.obs, d.task) for d in demos for s in d.steps])
+    feats = np.stack([task_features(s.obs, d.task, policy.n_tasks)
+                      for d in demos for s in d.steps])
     chunks = np.stack([s.chunk.reshape(-1) for d in demos for s in d.steps])
     params = policy.init(rng)
     losses: list[float] = []
@@ -138,26 +139,16 @@ def clone_base_policy(demos, policy: ChunkPolicy, rng: np.random.Generator,
 def refine_wm(net: WmNet, base_params: dict, new_episodes, retained_episodes,
               rng: np.random.Generator, epochs: int = 10, batch_size: int = 64,
               lr: float = 3e-4, mix_new: float = 0.7, p_noisy: float = 0.5,
-              t_ctx_max: float = 0.2, lr_floor: float = 0.1,
-              manifest: dict | None = None,
-              expected_policy_hash: str | None = None):
+              t_ctx_max: float = 0.2, lr_floor: float = 0.1):
     """Fine-tune the model from its base checkpoint on a data mixture.
 
     The mixture keeps every window of the new (evolved-policy) episodes and
     subsamples retained base episodes until new windows make up roughly
     mix_new of the total, guarding against forgetting the base distribution.
-    When a collection manifest is supplied, the recorded collecting-policy
-    hash must match the expected one; a mismatch means the batch on disk is
-    not the one this refinement was planned around.
 
     Returns (params, per-epoch losses, info) where info logs the realized
     mixture and the parameter distance from the base checkpoint.
     """
-    if manifest is not None:
-        recorded = manifest.get("policy")
-        if recorded != expected_policy_hash:
-            raise InvariantViolation(
-                "evolved batch manifest does not match the collecting policy")
     if not new_episodes:
         raise ValueError("no evolved episodes to refine on")
     if not 0.0 < mix_new <= 1.0:
@@ -316,17 +307,15 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
         trajs_evo, frames_evo = collect(params_s1, n_evo, 15)
         row["trajectories"] = n_evo
     art.frames_evo = frames_evo
-    manifest_evo = {"policy": params_hash(params_s1), "n": n_evo,
-                    "config": cfg_hash}
-    art.manifests["collect_evo"] = manifest_evo
+    art.manifests["collect_evo"] = {"policy": params_hash(params_s1), "n": n_evo,
+                                    "config": cfg_hash}
 
     with stage("refine_wm"):
         wm_evo_params, wm_evo_losses, refine_info = refine_wm(
             wm_net, wm_base_params, frames_evo, wm_corpus,
             derive_rng(seed, 16), epochs=f["epochs"],
             batch_size=f["batch_size"], lr=f["lr"], p_noisy=w["p_noisy"],
-            mix_new=plan["refine_mix_new"], manifest=manifest_evo,
-            expected_policy_hash=params_hash(params_s1))
+            mix_new=plan["refine_mix_new"])
     art.wm_evo = wm_evo_params
     art.logs["wm_evo"] = wm_evo_losses
     art.logs["refine"] = refine_info
@@ -378,7 +367,8 @@ class LearnedReward:
                              self.threshold)
 
     def batch(self, frames, task) -> np.ndarray:
-        probs = success_probs(self.net, self.params, self.net.features(frames, task))
+        probs = success_probs(self.net, self.params,
+                              task_features(frames, task, self.net.n_tasks))
         if not np.all((probs >= 0.0) & (probs <= 1.0)):
             raise ValueError("probability must lie in [0, 1]")
         return probs >= self.threshold

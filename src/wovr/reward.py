@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import nn
-from .core import FrameEpisode, TaskSpec, one_hot
+from .core import FrameEpisode, TaskSpec, task_features
 from .nn import Mlp, softplus, tmean, value_and_grad
 
 
@@ -25,13 +25,6 @@ class RewardNet:
 
     def init(self, rng: np.random.Generator) -> dict:
         return self.mlp.init(rng)
-
-    def features(self, obs: np.ndarray, task: TaskSpec) -> np.ndarray:
-        """(obs, task one-hot) for one row (d,) or a batch of rows (N, d)."""
-        obs = np.asarray(obs, dtype=np.float64)
-        token = np.broadcast_to(one_hot(task.task_id, self.n_tasks),
-                                obs.shape[:-1] + (self.n_tasks,))
-        return np.concatenate([obs, token], axis=-1)
 
     def logit(self, params: dict, feats: np.ndarray):
         """Success logits of feature rows (N, obs+tasks) -> (N,); one row -> 0-d."""
@@ -65,7 +58,7 @@ def success_probs(net: RewardNet, params: dict, feats: np.ndarray) -> np.ndarray
 
 def predict_success(net: RewardNet, params: dict, obs, task: TaskSpec) -> float:
     """Success probability of one state: success_probs on a single row."""
-    return float(success_probs(net, params, net.features(obs, task)[None])[0])
+    return float(success_probs(net, params, task_features(obs, task, net.n_tasks)[None])[0])
 
 
 def sparse_reward(prob: float, threshold: float = 0.5) -> int:
@@ -123,7 +116,7 @@ def train_classifier(examples: list, net: RewardNet, rng: np.random.Generator,
     else:
         pos_weight = float(pos_weight)
 
-    feats = np.array([net.features(obs, task) for obs, task, _ in examples])
+    feats = np.array([task_features(obs, task, net.n_tasks) for obs, task, _ in examples])
     labels = np.array([lab for _, _, lab in examples], dtype=np.float64)
 
     params = net.init(rng)

@@ -90,11 +90,17 @@ def test_bad_set_value_rejected(tmp_path, capsys):
 
 def test_out_of_range_config_exits_before_run_dir(tmp_path, capsys):
     root = tmp_path / "runs"
-    code = parse_and_dispatch(["demo-gen", "--set", "run.gamma=0",
-                               "--run-root", str(root)])
-    assert code == EXIT_CONFIG
-    assert "run.gamma" in capsys.readouterr().err
-    assert not root.exists()
+    missing = str(tmp_path / "missing.wovc")
+    for key, argv in (
+            ("run.gamma", ["demo-gen", "--set", "run.gamma=0"]),
+            ("collect.n", ["collect", "--policy", missing, "--n", "-3"]),
+            ("eval.n", ["eval", "--policy", missing, "--n", "0"]),
+            ("rl.keyframe_k", ["rl", "--policy", missing, "--wm", missing,
+                               "--reward", missing, "--set", "rl.keyframe_k=0"])):
+        code = parse_and_dispatch([*argv, "--run-root", str(root)])
+        assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not root.exists()
 
 
 def test_negative_context_exits_before_run_dir(tmp_path, capsys):

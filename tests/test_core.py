@@ -240,6 +240,9 @@ def test_run_config_validation():
                 {"gamma": "high"}):
         with pytest.raises(ConfigError):
             make_config({"run": bad})
+    for bad in ({"collect": {"n": -3}}, {"eval": {"n": 0}}, {"rl": {"keyframe_k": 0}}):
+        with pytest.raises(ConfigError):
+            make_config(bad)
     # a config error is still a ValueError
     with pytest.raises(ValueError):
         make_config({"run": {"warp_factor": 9}})

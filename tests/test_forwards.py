@@ -6,7 +6,7 @@ imagined rollouts sample from is exactly the model that training fits.
 import numpy as np
 import pytest
 
-from wovr.core import TaskSpec
+from wovr.core import TaskSpec, task_features
 from wovr.grpo import ChunkPolicy
 from wovr.nn import Mlp, Tensor
 from wovr.reward import RewardNet
@@ -40,17 +40,17 @@ def wm_case(b):
 def logit_case(rows):
     def make(rng):
         net = RewardNet(3, 2, hidden=(8, 8))
-        feats = net.features(rng.normal(size=3), TaskSpec(1))
+        feats = task_features(rng.normal(size=3), TaskSpec(1), 2)
         if rows:
-            feats = np.stack([feats, net.features(rng.normal(size=3), TaskSpec(0)),
-                              net.features(rng.normal(size=3), TaskSpec(1))])
+            feats = np.stack([feats, task_features(rng.normal(size=3), TaskSpec(0), 2),
+                              task_features(rng.normal(size=3), TaskSpec(1), 2)])
         return perturbed(net.init(rng), rng), lambda p: net.logit(p, feats)
     return make
 
 
 def logprob_case(rng):
     pol = ChunkPolicy(obs_dim=3, n_tasks=2, horizon=2, a_dim=2, hidden=(8,))
-    feats = pol.features(rng.normal(size=(5, 3)), TaskSpec(1))
+    feats = task_features(rng.normal(size=(5, 3)), TaskSpec(1), pol.n_tasks)
     chunks = rng.normal(size=(5, pol.flat))
     return perturbed(pol.init(rng), rng), lambda p: pol.logprob(p, feats, chunks)
 

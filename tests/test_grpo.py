@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from wovr.core import StepRecord, TaskSpec, Trajectory, derive_rng
+from wovr import nn
+from wovr.core import StepRecord, TaskSpec, Trajectory, derive_rng, task_features
 from wovr.grpo import (
     ChunkPolicy,
     GroupBatch,
@@ -10,6 +11,7 @@ from wovr.grpo import (
     group_advantages,
     grpo_objective,
     grpo_update,
+    step_batch,
 )
 from wovr.nn import value_and_grad
 
@@ -25,7 +27,7 @@ def unit_policy():
 
 def logprob1(pol, params, obs, chunk, task=TaskSpec(0)):
     """Density of one stored chunk at one observation (1-D rows in, a float out)."""
-    return float(pol.logprob(params, pol.features(obs, task), np.reshape(chunk, -1)))
+    return float(pol.logprob(params, task_features(obs, task, pol.n_tasks), np.reshape(chunk, -1)))
 
 
 def one_step_traj(obs, chunk, reward, logp, task_id=0):
@@ -144,7 +146,7 @@ def test_clipped_term_table():
 
     def objective(rho_pos, rho_neg):
         group = pinned_ratio_group(pol, params, rho_pos, rho_neg)
-        return float(grpo_objective(pol, params, [group], clip_eps=0.2).data)
+        return float(grpo_objective(pol, params, step_batch(pol, [group]), clip_eps=0.2).data)
 
     # the objective is the two terms averaged over the group's trajectories
     for (rho_pos, rho_neg), (term_pos, term_neg) in [
@@ -176,7 +178,7 @@ def test_objective_collapses_to_mean_advantage_at_rho_one():
     pol = ChunkPolicy(obs_dim=2, n_tasks=1, horizon=1, a_dim=1, hidden=(6,))
     params = pol.init(np.random.default_rng(2))
     group = bandit_group(pol, params, [(0.5, 1), (-0.5, 0), (0.2, 0), (-0.1, 1)])
-    obj = grpo_objective(pol, params, [group], clip_eps=0.2)
+    obj = grpo_objective(pol, params, step_batch(pol, [group]), clip_eps=0.2)
     assert float(obj.data) == pytest.approx(group.advantages.mean(), abs=1e-12)
 
 
@@ -209,7 +211,8 @@ def test_mask_completeness_objective_and_gradient():
     assert g_clean.trajectories[0].valid_len == g_tail.trajectories[0].valid_len == 2
 
     def objective_and_grads(groups):
-        return value_and_grad(lambda p: grpo_objective(pol, p, groups, 0.2), params)
+        batch = step_batch(pol, groups)
+        return value_and_grad(lambda p: grpo_objective(pol, p, batch, 0.2), params)
 
     v1, grads1 = objective_and_grads([g_clean])
     v2, grads2 = objective_and_grads([g_tail])
@@ -236,8 +239,8 @@ def test_length_normalization_constant_per_step():
     short = build_group([win, fail_traj(1)], 1.0)
     long = build_group([win, fail_traj(6)], 1.0)
     # identical per-step terms, so length normalization makes contributions equal
-    o_short = float(grpo_objective(pol, params, [short], 0.2).data)
-    o_long = float(grpo_objective(pol, params, [long], 0.2).data)
+    o_short = float(grpo_objective(pol, params, step_batch(pol, [short]), 0.2).data)
+    o_long = float(grpo_objective(pol, params, step_batch(pol, [long]), 0.2).data)
     assert o_short == pytest.approx(o_long, abs=1e-12)
 
 
@@ -256,7 +259,8 @@ def test_objective_gradcheck_vs_finite_differences():
         return Trajectory(TaskSpec(0), "initial", steps)
 
     group = build_group([two_step_traj([0, 1]), two_step_traj([0, 0])], 0.97)
-    _, grads = value_and_grad(lambda p: grpo_objective(pol, p, [group], 0.2), params)
+    batch = step_batch(pol, [group])
+    _, grads = value_and_grad(lambda p: grpo_objective(pol, p, batch, 0.2), params)
 
     eps = 1e-5
     for k in ("pi.w0", "pi.log_std"):
@@ -267,7 +271,7 @@ def test_objective_gradcheck_vs_finite_differences():
             for sign in (1, -1):
                 shifted = {kk: vv.copy() for kk, vv in params.items()}
                 shifted[k][idx] += sign * eps
-                val = float(grpo_objective(pol, shifted, [group], 0.2).data)
+                val = float(grpo_objective(pol, shifted, batch, 0.2).data)
                 fd[idx] += sign * val / (2 * eps)
         np.testing.assert_allclose(grads[k], fd, rtol=1e-4, atol=1e-8)
 
@@ -305,3 +309,62 @@ def test_update_aborts_on_nonfinite_and_restores():
     assert logs[-1].get("aborted")
     for k in params:
         np.testing.assert_array_equal(new_params[k], params[k])
+
+
+def test_step_batch_rows_match_per_step_reference():
+    pol = ChunkPolicy(obs_dim=2, n_tasks=2, horizon=2, a_dim=1, hidden=(4,))
+    rng = np.random.default_rng(13)
+
+    def traj(task_id, rewards):
+        steps = [StepRecord(rng.normal(size=2), rng.normal(size=(2, 1)), r, float(rng.normal()))
+                 for r in rewards]
+        return Trajectory(TaskSpec(task_id), "initial", steps)
+
+    groups = [build_group([traj(0, [0, 1, 0, 0]), traj(0, [0, 0, 0]), traj(0, [])], 1.0),
+              build_group([traj(1, [1, 0]), traj(1, [0, 0, 1])], 1.0)]
+    # one row per step through valid_len, in trajectory order
+    rows = [(t, adv, step) for g in groups for t, adv in zip(g.trajectories, g.advantages)
+            for step in t.steps[:t.valid_len]]
+    assert len(rows) == 2 + 3 + 0 + 1 + 3
+    n_traj = 5
+    reference = (
+        [task_features(s.obs, t.task, pol.n_tasks) for t, _, s in rows],
+        [s.chunk.reshape(-1) for _, _, s in rows],
+        [s.logp_old for _, _, s in rows],
+        [1.0 / (n_traj * t.valid_len) for t, _, _ in rows],
+        [adv for _, adv, _ in rows],
+    )
+    batch = step_batch(pol, groups)
+    for got, want in zip(batch, reference):
+        np.testing.assert_array_equal(got, np.array(want))
+    # every member with a valid step weighs 1 / n_traj in total
+    assert batch.weights.sum() == pytest.approx(4 / n_traj, abs=1e-15)
+
+
+def test_update_without_valid_steps_only_steps_adam():
+    """Every member aborted on its first chunk step: there is no row to fit."""
+    pol = ChunkPolicy(obs_dim=2, n_tasks=1, horizon=1, a_dim=1, hidden=(4,))
+    params = pol.init(np.random.default_rng(12))
+    empty = [build_group([Trajectory(TaskSpec(0), "initial", []) for _ in range(3)], 1.0)
+             for _ in range(2)]
+    assert step_batch(pol, empty) is None
+    new_params, opt, logs = grpo_update(pol, params, empty, 0.2, inner_epochs=3)
+    for k in params:
+        np.testing.assert_array_equal(new_params[k], params[k])
+    assert opt["step"] == 3
+    assert logs == [{"mean_ratio": 1.0, "clip_fraction": 0.0, "n_steps": 0,
+                     "objective": 0.0}] * 3
+    # a warm optimizer steps on a zero gradient, so its momentum carries on
+    winner = bandit_group(pol, params, [(0.5, 1), (-0.5, 0)])
+    warm_params, warm, _ = grpo_update(pol, params, [winner], 0.2, inner_epochs=1, lr=1e-2)
+    ref_state = {"step": warm["step"], "m": dict(warm["m"]), "v": dict(warm["v"])}
+    zero = {k: np.zeros_like(v) for k, v in params.items()}
+    ref = warm_params
+    for _ in range(2):
+        ref = pol.clamp(nn.adam_step(ref, zero, ref_state, lr=1e-2))
+    moved, warm, _ = grpo_update(pol, warm_params, empty, 0.2, inner_epochs=2, opt_state=warm,
+                                 lr=1e-2)
+    assert warm["step"] == ref_state["step"] == 3
+    for k in params:
+        np.testing.assert_array_equal(moved[k], ref[k])
+    assert any(not np.array_equal(moved[k], warm_params[k]) for k in params)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from wovr.core import (ConfigError, FrameEpisode, InvariantViolation,
+from wovr.core import (ConfigError, FrameEpisode,
                        TaskSpec, derive_rng, derive_seed, make_config, params_hash)
 from wovr.envs import CountingEnv, get_env, scripted_demo
 from wovr.grpo import ChunkPolicy
@@ -156,21 +156,6 @@ def test_refine_zero_epochs_identical(shift_fixture):
                                   derive_rng(303), epochs=0, p_noisy=0.0)
     assert losses == []
     assert all(np.array_equal(params[k], base_params[k]) for k in base_params)
-
-
-def test_refine_manifest_checked(shift_fixture):
-    net, base_params, base_eps, shift_train, _ = shift_fixture
-    good = {"policy": "abc123"}
-    params, _, _ = refine_wm(net, base_params, shift_train, base_eps,
-                             derive_rng(303), epochs=0, manifest=good,
-                             expected_policy_hash="abc123")
-    assert params_hash(params) == params_hash(base_params)
-    with pytest.raises(InvariantViolation):
-        refine_wm(net, base_params, shift_train, base_eps, derive_rng(303),
-                  epochs=0, manifest=good, expected_policy_hash="def456")
-    with pytest.raises(InvariantViolation):
-        refine_wm(net, base_params, shift_train, base_eps, derive_rng(303),
-                  epochs=0, manifest={}, expected_policy_hash="abc123")
 
 
 def test_refine_rejects_bad_inputs(shift_fixture):

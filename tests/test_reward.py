@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wovr.core import DEFAULTS, FrameEpisode, TaskSpec, derive_rng, params_hash
+from wovr.core import DEFAULTS, FrameEpisode, TaskSpec, derive_rng, params_hash, task_features
 from wovr.envs import PickPlace2D, get_env
 from wovr.nn import Tensor, value_and_grad
 from wovr.pace import LearnedReward
@@ -127,14 +127,14 @@ def test_success_probs_is_the_scalar_sigmoid_bit_for_bit():
     rng = np.random.default_rng(31)
     for scale in (1e-3, 1.0, 30.0, 800.0):  # 800 underflows e^-|z| to 0
         scaled = dict(params, **{"rw.w2": params["rw.w2"] * scale})
-        feats = net.features(rng.normal(size=(50, 4)), TaskSpec(2))
+        feats = task_features(rng.normal(size=(50, 4)), TaskSpec(2), net.n_tasks)
         logits = net.logit(scaled, feats)
         assert (logits > 0).any() and (logits < 0).any()  # both branches
         probs = success_probs(net, scaled, feats)
         assert probs.tolist() == [sigmoid_reference(float(z)) for z in logits]
         # one row: predict_success, equal to the 1-d logit's sigmoid
         for obs in feats[:10, :4]:
-            one = float(net.logit(scaled, net.features(obs, TaskSpec(2))))
+            one = float(net.logit(scaled, task_features(obs, TaskSpec(2), net.n_tasks)))
             assert predict_success(net, scaled, obs, TaskSpec(2)) == sigmoid_reference(one)
 
 
@@ -168,7 +168,7 @@ def test_learned_reward_batch_matches_per_frame():
         params = net.init(derive_rng(33, seed))
         # centre the logits on the threshold's, so frames land on both sides
         task = TaskSpec(seed)
-        feats = net.features(rng.normal(scale=2.0, size=(200, 4)), task)
+        feats = task_features(rng.normal(scale=2.0, size=(200, 4)), task, net.n_tasks)
         params["rw.b2"] = params["rw.b2"] + (np.log(threshold / (1.0 - threshold))
                                              - np.median(net.logit(params, feats)))
         reward = LearnedReward(net, params, threshold)

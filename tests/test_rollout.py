@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wovr.core import (MalformedHeader, StepRecord, TaskSpec, Trajectory, derive_rng,
-                       derive_seed)
+                       derive_seed, task_features)
 from wovr.envs import CountingEnv, PickPlace2D, ReachPoint
 from wovr.evalx import hallucination_rate
 from wovr.grpo import ChunkPolicy
@@ -214,7 +214,8 @@ def test_rollout_imagined_logp_matches_policy_density():
     trajs = rollout_imagined(policy, params, wm, reward, group, T, H, seed=11)
     for t in trajs:
         for rec in t.steps:
-            ref = policy.logprob(params, policy.features(rec.obs, t.task), rec.chunk.reshape(-1))
+            feats = task_features(rec.obs, t.task, policy.n_tasks)
+            ref = policy.logprob(params, feats, rec.chunk.reshape(-1))
             assert rec.logp_old == pytest.approx(ref, rel=1e-12)
 
 
