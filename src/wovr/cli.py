@@ -394,7 +394,7 @@ def report(run_dir) -> dict:
     paths = sorted(Path(run_dir).rglob("eval.json"))
     if not paths:
         raise FileNotFoundError(f"no eval reports under {run_dir}")
-    reports = [EvalReport.from_json(p.read_text()) for p in paths]
+    reports = [EvalReport.from_json(p.read_bytes()) for p in paths]
     return aggregate_reports(reports)
 
 

@@ -226,6 +226,8 @@ def validate_config(cfg: dict) -> dict:
             (0.0 < plan["refine_mix_new"] <= 1.0,
              "plan.refine_mix_new must lie in (0, 1]"),
             (cfg["rl"]["keyframe_k"] >= 1, "rl.keyframe_k must be >= 1"),
+            (cfg["demo"]["n"] >= 1, "demo.n must be >= 1"),
+            (cfg["demo"]["noise"] >= 0, "demo.noise must be non-negative"),
             (cfg["collect"]["n"] >= 0, "collect.n must be non-negative"),
             (cfg["eval"]["n"] >= 1, "eval.n must be >= 1"),
         ]

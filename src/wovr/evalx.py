@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import TaskSpec, derive_rng
+from .core import MalformedHeader, TaskSpec, derive_rng
 from .envs import step_chunks
 from .rollout import (
     _executed_actions,
@@ -107,6 +107,14 @@ def horizon_error(wm, policy, params, env, task: TaskSpec, horizons,
             for h in horizons]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 @dataclass
 class EvalReport:
     """One evaluation bundle; any metric may be absent (None)."""
@@ -134,19 +142,40 @@ class EvalReport:
         return json.dumps(asdict(self), sort_keys=True, indent=1)
 
     @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        raw = json.loads(text)
-        curve = raw.get("horizon_curve")
-        if curve is not None:
-            curve = [(int(h), float(e)) for h, e in curve]
-        return cls(
+    def from_json(cls, text: str | bytes) -> "EvalReport":
+        """Parse an eval.json; anything but a well-formed report is MalformedHeader."""
+        try:
+            raw = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
+            raise MalformedHeader(f"eval report is not UTF-8 JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise MalformedHeader(f"eval report is a {type(raw).__name__}, not an object")
+        halluc, curve = raw.get("hallucination"), raw.get("horizon_curve")
+        for name, ok in (
+                ("seeds", isinstance(raw.get("seeds", []), list)),
+                ("checkpoint_hashes", isinstance(raw.get("checkpoint_hashes", {}), dict)),
+                ("success_rate", raw.get("success_rate") is None
+                 or _is_number(raw["success_rate"])),
+                ("sr_trials", raw.get("sr_trials") is None or _is_int(raw["sr_trials"])),
+                ("hallucination", halluc is None or isinstance(halluc, dict) and all(
+                    _is_number(halluc.get(key)) for key in ("rate", "spurious", "missed"))),
+                ("horizon_curve", curve is None or isinstance(curve, list) and all(
+                    isinstance(pair, list) and len(pair) == 2 and _is_int(pair[0])
+                    and _is_number(pair[1]) for pair in curve))):
+            if not ok:
+                raise MalformedHeader(f"eval report field {name!r} is malformed")
+        report = cls(
             seeds=raw.get("seeds", []),
             checkpoint_hashes=raw.get("checkpoint_hashes", {}),
             success_rate=raw.get("success_rate"),
             sr_trials=raw.get("sr_trials"),
-            hallucination=raw.get("hallucination"),
-            horizon_curve=curve,
-        ).validate()
+            hallucination=halluc,
+            horizon_curve=None if curve is None else [(h, float(e)) for h, e in curve],
+        )
+        try:
+            return report.validate()
+        except ValueError as exc:
+            raise MalformedHeader(f"eval report: {exc}") from exc
 
     def write(self, json_path, csv_path=None):
         with open(json_path, "w") as fh:

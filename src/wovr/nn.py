@@ -43,10 +43,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self._vjps = vjps  # list of (parent, fn) or None for leaves
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def backward(self):
         if self.data.size != 1:
             raise ValueError("backward() needs a scalar output")
@@ -90,17 +86,11 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __neg__(self):
         return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
 
     def __getitem__(self, key):
         return take(self, key)
@@ -173,20 +163,18 @@ def tanh(a) -> Tensor:
     return _make(out, [(a, lambda g: g * (1.0 - out * out))])
 
 
-def _sigmoid_raw(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function on a plain array, in the overflow-free form:
+    1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def softplus(a) -> Tensor:
     """log(1 + e^x), evaluated stably; gradient is the logistic function."""
     a = as_tensor(a)
     out = np.logaddexp(0.0, a.data)
-    return _make(out, [(a, lambda g: g * _sigmoid_raw(a.data))])
+    return _make(out, [(a, lambda g: g * sigmoid(a.data))])
 
 
 def minimum(a, b) -> Tensor:
@@ -242,11 +230,6 @@ def concat(parts, axis=0) -> Tensor:
     return _make(out, vjps)
 
 
-def reshape(a, shape) -> Tensor:
-    a = as_tensor(a)
-    return _make(a.data.reshape(shape), [(a, lambda g: g.reshape(a.data.shape))])
-
-
 def take(a, key) -> Tensor:
     """Basic indexing (ints, slices, Ellipsis, None); the gradient scatters back."""
     a = as_tensor(a)
@@ -278,7 +261,6 @@ _FUNCTIONS = {
     np.concatenate: concat,
     np.sum: tsum,
     np.clip: clip,
-    np.reshape: reshape,
 }
 
 

@@ -46,14 +46,9 @@ def bce_with_logits(logits, labels: np.ndarray, pos_weight: float = 1.0):
 
 
 def success_probs(net: RewardNet, params: dict, feats: np.ndarray) -> np.ndarray:
-    """Success probabilities of feature rows (N, obs+tasks) -> (N,).
-
-    The sigmoid of each classifier logit, in the overflow-free form:
-    1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z) below.
-    """
-    logits = net.logit(params, feats)
-    e = np.exp(-np.abs(logits))
-    return np.where(logits >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """Success probabilities of feature rows (N, obs+tasks) -> (N,): the
+    sigmoid (nn.sigmoid) of each classifier logit."""
+    return nn.sigmoid(net.logit(params, feats))
 
 
 def predict_success(net: RewardNet, params: dict, obs, task: TaskSpec) -> float:

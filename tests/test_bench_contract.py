@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from wovr.cli import build_parser, resolve_config
+from wovr.cli import build_parser, parse_and_dispatch, resolve_config
 from wovr.core import DEFAULTS, START_KINDS, TaskSpec, derive_rng, make_config
 from wovr.envs import ReachPoint, replay_frames, scripted_demo
 from wovr.grpo import ChunkPolicy, GroupBatch
@@ -130,3 +130,20 @@ def test_trace_counters_read_real_calls(monkeypatch):
     for args, batch in calls["worldmodel.make_rf_batch"]:
         assert isinstance(batch, RfBatch)
         assert count["worldmodel.make_rf_batch"](args, batch) == {"windows": batch.x1.shape[0]}
+
+
+@pytest.mark.parametrize("refinements", [1, 0])
+def test_pace_run_passes_the_benchmark_gate(tmp_path, refinements):
+    """bench/checks.py's check_pace reads a pace run's audit and checkpoints;
+    a tiny run, with and without refinement, must pass every check."""
+    tiny = ["--env", "reachpoint", "--seed", "1", "--set", "run.max_episode_len=32"]
+    assert parse_and_dispatch(["demo-gen", *tiny, "--n", "8",
+                               "--run-root", str(tmp_path / "demos")]) == 0
+    demos = next((tmp_path / "demos").glob("demo-gen-*")) / "demos.wovs"
+    sets = ["run.n_base=12", f"run.n_evo={6 * refinements}",
+            f"plan.refinements={refinements}", "wm.epochs=1", "refine.epochs=1",
+            "reward.epochs=5", "plan.rl_updates_per_stage=1"]
+    argv = ["pace", *tiny, "--demos", str(demos), "--run-root", str(tmp_path / "runs")]
+    assert parse_and_dispatch(argv + [arg for s in sets for arg in ("--set", s)]) == 0
+    checks = load_bench("checks").check_pace(tmp_path / "runs", 1)["checks"]
+    assert checks and all(checks.values()), checks

@@ -93,6 +93,9 @@ def test_out_of_range_config_exits_before_run_dir(tmp_path, capsys):
     missing = str(tmp_path / "missing.wovc")
     for key, argv in (
             ("run.gamma", ["demo-gen", "--set", "run.gamma=0"]),
+            ("demo.n", ["demo-gen", "--n", "-1"]),
+            ("demo.n", ["demo-gen", "--n", "0"]),
+            ("demo.noise", ["demo-gen", "--set", "demo.noise=-1"]),
             ("collect.n", ["collect", "--policy", missing, "--n", "-3"]),
             ("eval.n", ["eval", "--policy", missing, "--n", "0"]),
             ("rl.keyframe_k", ["rl", "--policy", missing, "--wm", missing,

@@ -240,7 +240,8 @@ def test_run_config_validation():
                 {"gamma": "high"}):
         with pytest.raises(ConfigError):
             make_config({"run": bad})
-    for bad in ({"collect": {"n": -3}}, {"eval": {"n": 0}}, {"rl": {"keyframe_k": 0}}):
+    for bad in ({"collect": {"n": -3}}, {"eval": {"n": 0}}, {"rl": {"keyframe_k": 0}},
+                {"demo": {"n": 0}}, {"demo": {"n": -1}}, {"demo": {"noise": -1.0}}):
         with pytest.raises(ConfigError):
             make_config(bad)
     # a config error is still a ValueError

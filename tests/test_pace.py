@@ -3,19 +3,21 @@ import json
 import numpy as np
 import pytest
 
-from wovr.core import (ConfigError, FrameEpisode,
+from wovr.core import (ConfigError, FrameEpisode, InvariantViolation,
                        TaskSpec, derive_rng, derive_seed, make_config, params_hash)
 from wovr.envs import CountingEnv, get_env, scripted_demo
 from wovr.grpo import ChunkPolicy
-from wovr.pace import (STAGES, LearnedReward, PaceArtifacts, StageFailure, _rl_stage,
+from wovr.pace import (LearnedReward, PaceArtifacts, StageFailure, _rl_stage,
                        clone_base_policy, refine_wm, run_iteration, run_pipeline)
 from wovr.rollout import KeyframeBuffer, harvest_keyframes, rollout_real, sample_start
 from wovr.reward import RewardNet
 from wovr.worldmodel import (LearnedWorldModel, OracleWorldModel, WmNet,
                              build_context, sample_chunk, train_wm, window_index)
-from wovr import nn
+from wovr import nn, pace
 
 H, T = 4, 16
+STAGES = ("collect_base", "train_reward", "train_wm_base", "rl_base",
+          "collect_evo", "refine_wm", "rl_evo")
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +260,6 @@ def test_pipeline_artifact_completeness(pipeline_run):
     assert art.wm_base is not None and art.wm_evo is not None
     assert art.reward is not None
     assert art.policy is art.policy_stages["stage2"]
-    assert len(art.frames_base) == 12 and len(art.frames_evo) == 8
     assert len(art.logs["wm_base"]) == 3
     assert [len(stage) for stage in art.logs["rl"]] == [2, 2]
 
@@ -418,9 +419,9 @@ def test_pipeline_stage_failure_preserves_artifacts(reach_env):
     err = info.value
     assert err.stage == "train_reward"
     assert isinstance(err.artifacts, PaceArtifacts)
-    assert len(err.artifacts.frames_base) == 10
     assert "base" in err.artifacts.policy_stages
     rows = err.artifacts.audit["stages"]
+    assert rows[0]["stage"] == "collect_base" and rows[0]["trajectories"] == 10
     assert rows[-1]["stage"] == "train_reward" and rows[-1]["failed"]
 
 
@@ -439,6 +440,23 @@ def test_pipeline_counts_on_external_counter(reach_env, base_policy):
     art = small_run(counter, policy, params, 8, 4)
     assert counter.steps == art.audit["env_steps_total"]
     assert art.audit["trajectories_total"] == 12
+
+
+def test_pipeline_aborts_on_real_steps_outside_collection(reach_env, base_policy,
+                                                         monkeypatch):
+    # the reward stage takes one real step on the counted env: the audit's
+    # no-leak rule must name it and abort the run
+    policy, params = base_policy
+    counter = CountingEnv(reach_env)
+    train_classifier = pace.train_classifier
+
+    def leaking_train_classifier(examples, *args, **kwargs):
+        counter.step(examples[0][0], np.zeros(reach_env.action_dim))
+        return train_classifier(examples, *args, **kwargs)
+
+    monkeypatch.setattr(pace, "train_classifier", leaking_train_classifier)
+    with pytest.raises(InvariantViolation, match="'train_reward'"):
+        small_run(counter, policy, params, 8, 4, {"plan": {"rl_updates_per_stage": 0}})
 
 
 def test_artifacts_write(tmp_path, pipeline_run):

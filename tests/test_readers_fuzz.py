@@ -3,7 +3,7 @@
 Each example truncates a valid file and overwrites a few of its bytes; a
 reader may accept the result or raise MalformedHeader, TruncatedPayload or
 InvariantViolation, and nothing else. The batch case corrupts the JSON
-manifest beside an intact store.
+manifest beside an intact store; the eval case corrupts an eval.json report.
 """
 import struct
 
@@ -16,18 +16,21 @@ from wovr import nn
 from wovr.core import (FrameEpisode, InvariantViolation, MalformedHeader,
                        StepRecord, TaskSpec, Trajectory, TruncatedPayload,
                        read_frames, read_store, write_frames, write_store)
+from wovr.evalx import EvalReport
 from wovr.rollout import read_batch, write_batch
 
 TYPED = (MalformedHeader, TruncatedPayload, InvariantViolation)
 MANIFEST = ".manifest.json"
 READERS = {"frames.wovf": read_frames, "store.wovs": read_store,
            "params.wovc": nn.load_params,
-           "batch.wovs" + MANIFEST: lambda path: read_batch(str(path)[:-len(MANIFEST)])}
+           "batch.wovs" + MANIFEST: lambda path: read_batch(str(path)[:-len(MANIFEST)]),
+           "eval.json": lambda path: EvalReport.from_json(path.read_bytes())}
 
 
 @pytest.fixture(scope="module")
 def originals(tmp_path_factory):
-    """Reader and valid bytes of a frame set, a store, a checkpoint and a manifest."""
+    """Reader and valid bytes of a frame set, a store, a checkpoint, a manifest
+    and an eval report."""
     base = tmp_path_factory.mktemp("fuzz")
     rng = np.random.default_rng(0)
     write_frames(base / "frames.wovf",
@@ -44,6 +47,9 @@ def originals(tmp_path_factory):
     write_batch(base / "batch.wovs", trajs, {"env": "reachpoint", "n": 2})
     # the batch reader reads this intact store beside each corrupt manifest
     write_store(base / "corrupt-batch.wovs", trajs)
+    EvalReport(seeds=[0], checkpoint_hashes={"policy": "aa"}, success_rate=0.5, sr_trials=8,
+               hallucination={"rate": 0.25, "spurious": 0.25, "missed": 0.0, "n": 4},
+               horizon_curve=[(8, 0.01), (16, 0.04)]).write(base / "eval.json")
     return base, {name: (reader, (base / name).read_bytes())
                   for name, reader in READERS.items()}
 
@@ -66,6 +72,17 @@ def test_corrupt_input_raises_only_typed_errors(originals, name, cut, flips):
         reader(path)
     except TYPED:
         pass
+
+
+@pytest.mark.parametrize("text", [
+    "[]", '{"horizon_curve": 5}', '{"horizon_curve": [[8, 0.1, 2]]}', "not json",
+    b"\xff{}", "[" * 100_000, '{"hallucination": {}}', '{"hallucination": []}',
+    '{"success_rate": "high"}', '{"success_rate": 1.5}', '{"seeds": 3}'],
+    ids=["list", "int-curve", "triple-curve", "not-json", "not-utf8", "deep-nesting",
+         "empty-halluc", "list-halluc", "str-rate", "rate-range", "int-seeds"])
+def test_malformed_eval_report_is_malformed_header(text):
+    with pytest.raises(MalformedHeader):
+        EvalReport.from_json(text)
 
 
 def test_zero_dim_beside_huge_dims_is_malformed(tmp_path):
