@@ -1,40 +1,41 @@
 """Command-line surface: config resolution, run directories, workflows.
 
 Configuration is resolved as core.DEFAULTS, then the YAML config file, then
-explicit flags, rightmost wins. The resolved config is validated once
-(core.validate_config), for every command, before its run directory is
-created; an invalid config exits 2 without leaving a directory behind. Every
-command that produces artifacts gets a fresh run directory under the run
-root (--run-root, else $WOVR_RUN_ROOT, else ./runs) named by the
-resolved-config hash plus a timestamp, and the resolved config is written
-there verbatim before any work starts. Exit codes: 0 success, 2
-configuration error, 3 runtime error, 4 invariant violation.
+explicit flags, then each --set, merged section by section, rightmost wins.
+The resolved config is validated once (core.validate_config), for every
+command, before its run directory is created; an invalid config exits 2
+without leaving a directory behind. Every command that produces artifacts
+gets a fresh run directory under the run root (--run-root, else
+$WOVR_RUN_ROOT, else ./runs) named by the resolved-config hash plus a
+timestamp, and the resolved config is written there verbatim before any work
+starts. Exit codes: 0 success, 2 configuration error, 3 runtime error, 4
+invariant violation.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import os
 import sys
 import time
+from collections import deque
 from pathlib import Path
 
 import numpy as np
 import yaml
 
 from . import nn
-from .core import (DEFAULTS, ConfigError, InvariantViolation, TaskSpec,
-                   config_hash, deep_merge, derive_rng, derive_seed,
-                   params_hash, read_frames, validate_config, write_frames)
+from .core import (ENV_NAMES, EVAL_METRICS, ConfigError, InvariantViolation,
+                   TaskSpec, config_hash, derive_rng, derive_seed, make_config,
+                   params_hash, read_frames, write_frames)
 from .envs import CountingEnv, get_env, replay_frames, scripted_demo
 from .evalx import EvalReport, hallucination_rate, horizon_error, success_rate
 from .grpo import ChunkPolicy
 from .pace import (LearnedReward, StageFailure, _rl_stage, clone_base_policy,
                    run_pipeline)
 from .reward import RewardNet, label_episode_frames, train_classifier
-from .rollout import (KeyframeBuffer, collect_real, read_batch, rollout_real,
+from .rollout import (KEYFRAME_CAPACITY, collect_real, read_batch, rollout_real,
                       write_batch)
 from .worldmodel import LearnedWorldModel, WmNet, train_wm
 
@@ -45,20 +46,17 @@ EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME, EXIT_INVARIANT = 0, 2, 3, 4
 # config resolution
 
 
-def set_by_path(tree: dict, dotted: str, value):
-    node = tree
-    parts = dotted.split(".")
-    for part in parts[:-1]:
-        if part not in node or not isinstance(node[part], dict):
-            raise ConfigError(f"unknown config key {dotted!r}")
-        node = node[part]
-    if parts[-1] not in node:
-        raise ConfigError(f"unknown config key {dotted!r}")
-    node[parts[-1]] = value
+def _nested(dotted: str, value) -> dict:
+    """The override {"a": {"b": value}} that the dotted path "a.b" names."""
+    for part in reversed(dotted.split(".")):
+        value = {part: value}
+    return value
 
 
 def resolve_config(args: argparse.Namespace, flag_paths: dict) -> dict:
-    resolved = copy.deepcopy(DEFAULTS)
+    """core.make_config of the config file, the flags and each --set, in
+    that order, each one a nested override merged section by section."""
+    overrides = []
     config_path = getattr(args, "config", None)
     if config_path:
         try:
@@ -72,17 +70,21 @@ def resolve_config(args: argparse.Namespace, flag_paths: dict) -> dict:
             loaded = {}
         if not isinstance(loaded, dict):
             raise ConfigError("config file must be a mapping")
-        deep_merge(resolved, loaded)
+        overrides.append(loaded)
     for dest, dotted in flag_paths.items():
         value = getattr(args, dest, None)
         if value is not None:
-            set_by_path(resolved, dotted, value)
+            overrides.append(_nested(dotted, value))
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
         dotted, _, raw = item.partition("=")
-        set_by_path(resolved, dotted, yaml.safe_load(raw))
-    return validate_config(resolved)
+        try:
+            value = yaml.safe_load(raw)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"--set {dotted} value is not YAML: {exc}") from exc
+        overrides.append(_nested(dotted, value))
+    return make_config(*overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +269,7 @@ def cmd_rl(cfg, run_dir, args):
     reward_fn = LearnedReward(build_reward_net(env, cfg), nn.load_params(reward_path),
                               cfg["rl"]["reward_threshold"])
     new_params, logs = _rl_stage(policy, params, wm, reward_fn, env, cfg,
-                                 KeyframeBuffer(), tag=76)
+                                 deque(maxlen=KEYFRAME_CAPACITY), tag=76)
     if env.steps != 0:
         raise InvariantViolation("imagined RL consumed real env steps")
     nn.save_params(run_dir / "policy.wovc", new_params)
@@ -344,13 +346,11 @@ def cmd_eval(cfg, run_dir, args):
         report.hallucination = hallucination_rate(
             policy, params, wm, reward_fn, env, TaskSpec(task_id), n, T, H,
             derive_seed(cfg["seed"], 82))
-    elif metric == "horizon":
+    else:  # "horizon", the last of core.EVAL_METRICS
         wm = learned_wm()
         report.horizon_curve = horizon_error(
             wm, policy, params, env, TaskSpec(task_id), e["horizons"], n, T,
             H, derive_seed(cfg["seed"], 83))
-    else:
-        raise ConfigError(f"unknown eval metric {metric!r}")
     report.validate()
     report.write(run_dir / "eval.json",
                  run_dir / "horizon.csv" if report.horizon_curve else None)
@@ -456,7 +456,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     def common(p):
         p.add_argument("--config", help="YAML config file")
         p.add_argument("--seed", type=int)
-        p.add_argument("--env", choices=("pickplace2d", "reachpoint"))
+        p.add_argument("--env", choices=ENV_NAMES)
         p.add_argument("--run-root", dest="run_root",
                        help="run-directory root (default $WOVR_RUN_ROOT or ./runs)")
         p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
@@ -515,7 +515,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         ("--policy", None, dict(help="policy checkpoint")),
         ("--wm", None, dict(help="world-model checkpoint (halluc/horizon)")),
         ("--reward", None, dict(help="reward checkpoint (halluc)")),
-        ("--metric", "eval.metric", dict(choices=("sr", "halluc", "horizon"))),
+        ("--metric", "eval.metric", dict(choices=EVAL_METRICS)),
         ("--n", "eval.n", dict(type=int)),
         ("--task", "eval.task", dict(type=int)),
         ("--horizons", "eval.horizons", dict(type=_int_list)),

@@ -85,7 +85,7 @@ class StepRecord:
     obs: np.ndarray          # (d,)
     chunk: np.ndarray        # (H, a_dim), clipped to the env action box
     reward: int              # {0, 1}
-    logp_old: float          # behavior-policy log-density of the stored chunk
+    logp_old: float          # behavior-policy log-density of the chunk (0.0 in demos)
 
     def __post_init__(self):
         self.obs = np.asarray(self.obs, dtype=np.float64)
@@ -156,6 +156,12 @@ class ConfigError(ValueError):
     """A config key is unknown, or a value is mistyped or out of range."""
 
 
+# the choices of the config's named values, stated here because envs and
+# worldmodel import core; envs._REGISTRY holds one env per ENV_NAMES entry
+ENV_NAMES = ("pickplace2d", "reachpoint")
+ANCHOR_MODES = ("first", "last")
+EVAL_METRICS = ("sr", "halluc", "horizon")
+
 DEFAULTS = {
     "seed": 0,
     "env": "pickplace2d",
@@ -186,14 +192,17 @@ DEFAULTS = {
 
 
 def deep_merge(base: dict, override: dict, path: str = "") -> dict:
-    """Merge override into base in place; keys absent from base are rejected."""
+    """Merge override into base in place, section by section; a key absent
+    from base, a value for a section or a mapping for a value is rejected."""
     for key, value in override.items():
         here = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key {here!r}")
-        if isinstance(base[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key {here!r} must be a section")
+        section = isinstance(base[key], dict)
+        if section != isinstance(value, dict):
+            raise ConfigError(f"config key {here!r} must be "
+                              f"{'a section' if section else 'a value, not a section'}")
+        if section:
             deep_merge(base[key], value, here)
         else:
             base[key] = value
@@ -203,8 +212,10 @@ def deep_merge(base: dict, override: dict, path: str = "") -> dict:
 def validate_config(cfg: dict) -> dict:
     """Raise ConfigError unless every range rule holds; returns cfg."""
     run, plan = cfg["run"], cfg["plan"]
+    pos_weight = cfg["reward"]["pos_weight"]
     try:
         rules = [
+            (cfg["env"] in ENV_NAMES, f"env must be one of {ENV_NAMES}"),
             (0.0 < run["gamma"] <= 1.0, "run.gamma must lie in (0, 1]"),
             (run["group_size"] >= 2, "run.group_size must be >= 2"),
             (run["clip_eps"] > 0, "run.clip_eps must be positive"),
@@ -225,11 +236,18 @@ def validate_config(cfg: dict) -> dict:
             (plan["groups_per_update"] >= 1, "plan.groups_per_update must be >= 1"),
             (0.0 < plan["refine_mix_new"] <= 1.0,
              "plan.refine_mix_new must lie in (0, 1]"),
+            (cfg["wm"]["anchor_mode"] in ANCHOR_MODES,
+             f"wm.anchor_mode must be one of {ANCHOR_MODES}"),
+            (pos_weight in (None, "sqrt")
+             or (type(pos_weight) in (int, float) and pos_weight > 0),
+             "reward.pos_weight must be null, 'sqrt' or a positive number"),
             (cfg["rl"]["keyframe_k"] >= 1, "rl.keyframe_k must be >= 1"),
             (cfg["demo"]["n"] >= 1, "demo.n must be >= 1"),
             (cfg["demo"]["noise"] >= 0, "demo.noise must be non-negative"),
             (cfg["collect"]["n"] >= 0, "collect.n must be non-negative"),
             (cfg["eval"]["n"] >= 1, "eval.n must be >= 1"),
+            (cfg["eval"]["metric"] in EVAL_METRICS,
+             f"eval.metric must be one of {EVAL_METRICS}"),
         ]
     except TypeError as exc:
         raise ConfigError(f"config value of the wrong type: {exc}") from exc

@@ -207,8 +207,9 @@ def scripted_demo(env, task: TaskSpec, seed: int, noise_level: float = 0.0,
 
     Returns a chunk-granular trajectory that ends at the first chunk with a
     frame satisfying env.is_success, or after max_len steps; that chunk
-    carries reward 1, every other one 0. logp_old is the exact Gaussian log-density of the recorded actions
-    under the noisy controller (0.0 for the degenerate noise-free case).
+    carries reward 1, every other one 0. Every step records logp_old 0.0:
+    cloning reads a demo's observations and chunks, replay its chunks, and
+    nothing reads the controller's density.
     """
     if noise_level < 0:
         raise ValueError("noise_level must be non-negative")
@@ -220,15 +221,12 @@ def scripted_demo(env, task: TaskSpec, seed: int, noise_level: float = 0.0,
     for _ in range(max_len // chunk):
         obs = state.copy()
         actions = np.zeros((chunk, env.action_dim))
-        means = np.zeros_like(actions)
         reward = 0
         taken = 0
         for j in range(chunk):
-            mean = env.expert_action(state)
-            act = mean + noise_level * rng.normal(size=env.action_dim)
+            act = env.expert_action(state) + noise_level * rng.normal(size=env.action_dim)
             act = np.clip(act, env.action_low, env.action_high)
             actions[j] = act
-            means[j] = mean
             taken = j + 1
             state = env.step(state, act)
             if env.is_success(state):
@@ -238,16 +236,7 @@ def scripted_demo(env, task: TaskSpec, seed: int, noise_level: float = 0.0,
         # keeps its fixed shape; they were never applied
         for j in range(taken, chunk):
             actions[j] = actions[taken - 1]
-            means[j] = means[taken - 1]
-        if noise_level > 0:
-            var = noise_level**2
-            logp = float(
-                -0.5 * np.sum((actions - means) ** 2) / var
-                - actions.size * (0.5 * np.log(2.0 * np.pi * var))
-            )
-        else:
-            logp = 0.0
-        steps.append(StepRecord(obs, actions, reward, logp))
+        steps.append(StepRecord(obs, actions, reward, 0.0))
         if reward:
             break
     return Trajectory(task, "initial", steps)

@@ -83,9 +83,7 @@ class ChunkPolicy:
         return self._density(self.log_std(params), self.trunk(params, feats), chunks)
 
     def clamp(self, params: dict) -> dict:
-        params[f"{self.name}.log_std"] = np.clip(
-            params[f"{self.name}.log_std"], LOG_STD_MIN, LOG_STD_MAX
-        )
+        params[f"{self.name}.log_std"] = self.log_std(params)
         return params
 
 

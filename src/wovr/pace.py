@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +26,7 @@ from .grpo import ChunkPolicy, build_group, grpo_update
 from .nn import tmean, value_and_grad
 from .reward import (RewardNet, label_episode_frames, predict_success,
                      sparse_reward, success_probs, train_classifier)
-from .rollout import (GroupSpec, KeyframeBuffer, collect_real, harvest_keyframes,
+from .rollout import (KEYFRAME_CAPACITY, GroupSpec, collect_real, harvest_keyframes,
                       rollout_imagined, rollout_real, sample_start)
 from .worldmodel import LearnedWorldModel, WmNet, train_wm, window_counts
 
@@ -227,12 +228,12 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
         row.update(env_steps=counter.steps - s0, env_resets=counter.resets - r0)
         art.audit["stages"].append(row)
 
-    buffer = KeyframeBuffer()
+    keyframes = deque(maxlen=KEYFRAME_CAPACITY)
 
     with stage("collect_base") as row:
         trajs_base, frames_base = collect_real(policy, base_params, counter, n_base, T, H,
                                                seed, 11, roll=rollout_real)
-        harvest_keyframes(trajs_base, rl["keyframe_k"], buffer)
+        harvest_keyframes(trajs_base, rl["keyframe_k"], keyframes)
         row["trajectories"] = n_base
     art.policy_stages["base"] = base_params
     art.manifests["collect_base"] = {"policy": params_hash(base_params),
@@ -270,7 +271,7 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
         with stage(name):
             wm = LearnedWorldModel(wm_net, wm_params, run["diffusion_steps"])
             params, logs = _rl_stage(policy, params, wm, reward_fn, counter, cfg,
-                                     buffer, tag=tag)
+                                     keyframes, tag=tag)
         art.policy_stages[label] = params
         art.logs.setdefault("rl", []).append(logs)
         art.manifests[f"policy_{label}"] = {"params": params_hash(params),
@@ -289,8 +290,8 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
             trajs_evo, frames_evo = collect_real(policy, params, counter, n_evo, T, H,
                                                  seed, 15, roll=rollout_real)
             # stage two restarts only from the evolved policy's failures
-            buffer.clear()
-            harvest_keyframes(trajs_evo, rl["keyframe_k"], buffer)
+            keyframes.clear()
+            harvest_keyframes(trajs_evo, rl["keyframe_k"], keyframes)
             row["trajectories"] = n_evo
         art.manifests["collect_evo"] = {"policy": params_hash(params), "n": n_evo,
                                         "config": cfg_hash}
@@ -360,17 +361,19 @@ def run_iteration(params, wm, reward_fn, rollout_fn, trainer_fn):
     return trainer_fn(rollout_fn(nn.read_only(params), wm, reward_fn))
 
 
-def _rl_stage(policy, params, wm, reward_fn, env, cfg, buffer, tag):
+def _rl_stage(policy, params, wm, reward_fn, env, cfg, keyframes, tag):
     """One imagined-RL stage: plan.rl_updates_per_stage GRPO updates.
 
     The policy learns in the simulator wm, any world model rollout_imagined
     accepts (LearnedWorldModel, or OracleWorldModel for true dynamics), under
     reward_fn, any reward rollout_imagined accepts (LearnedReward, or the true
     success predicate). Each update rolls out against read-only policy params,
-    then applies the GRPO step (run_iteration). The env is touched only to
-    draw initial start states (resets, never steps). Each update's log record
-    counts zero_adv_groups, the groups whose returns are all equal: their
-    advantages are all zero and they carry no gradient.
+    then applies the GRPO step (run_iteration). Each group starts from one of
+    its task's keyframes with probability run.kir_fraction (sample_start),
+    and every group's failures are harvested into keyframes. The env is
+    touched only to draw initial start states (resets, never steps). Each
+    update's log record counts zero_adv_groups, the groups whose returns are
+    all equal: their advantages are all zero and they carry no gradient.
     """
     seed, run, plan, rl = cfg["seed"], cfg["run"], cfg["plan"], cfg["rl"]
     state = {"params": params, "opt": None}
@@ -386,12 +389,12 @@ def _rl_stage(policy, params, wm, reward_fn, env, cfg, buffer, tag):
             for g in range(groups_per_update):
                 task = TaskSpec((_u * groups_per_update + g) % n_tasks)
                 start, kind = sample_start(
-                    buffer, task, run["kir_fraction"],
+                    keyframes, task, run["kir_fraction"],
                     lambda r: env.reset_state(task, r), start_rng)
                 spec = GroupSpec(task, start, kind, run["group_size"])
                 trajs = rollout_imagined(policy, pol_params, wm, reward_fn, spec, T, H,
                                          derive_seed(seed, tag, _u, g))
-                harvest_keyframes(trajs, rl["keyframe_k"], buffer)
+                harvest_keyframes(trajs, rl["keyframe_k"], keyframes)
                 kinds.append(kind)
                 groups.append(build_group(trajs, run["gamma"]))
             return groups, kinds

@@ -14,7 +14,8 @@ function of the frame. Every member draws from its own derive_rng(seed, i, ·)
 streams, so swapping the learned model for the true dynamics (and the learned
 reward for the true success predicate) reproduces real rollouts bit for bit
 under the same seeds. Keyframe initialized rollouts restart a fraction of
-groups from stored failure states instead of the episode start.
+groups from the (state, task) pairs of recent failures, kept in a
+deque(maxlen=KEYFRAME_CAPACITY), instead of the episode start.
 """
 from __future__ import annotations
 
@@ -42,48 +43,26 @@ from .worldmodel import build_context
 log = logging.getLogger(__name__)
 
 
-class KeyframeBuffer:
-    """FIFO ring of (state, task, source_step) harvested from failures."""
-
-    def __init__(self, capacity: int = 512):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
-        self._ring = deque(maxlen=capacity)
-
-    def __len__(self):
-        return len(self._ring)
-
-    def append(self, state: np.ndarray, task: TaskSpec, source_step: int):
-        self._ring.append((np.asarray(state, dtype=np.float64).copy(), task, source_step))
-
-    def entries(self, task: TaskSpec | None = None) -> list:
-        if task is None:
-            return list(self._ring)
-        return [e for e in self._ring if e[1].task_id == task.task_id]
-
-    def clear(self):
-        self._ring.clear()
+KEYFRAME_CAPACITY = 512
 
 
-def harvest_keyframes(trajectories, k: int, buffer: KeyframeBuffer) -> KeyframeBuffer:
-    """Append the last-k chunk-step observations of every failed trajectory."""
+def harvest_keyframes(trajectories, k: int, keyframes: deque) -> deque:
+    """Append (state, task) for the last-k chunk-step observations of every
+    failed trajectory to keyframes, a deque(maxlen=KEYFRAME_CAPACITY) that
+    evicts its oldest entries first."""
     if k < 1:
         raise ValueError("k must be >= 1")
     for traj in trajectories:
-        if traj.success:
-            continue
-        n = len(traj.steps)
-        for i in range(max(0, n - k), n):
-            buffer.append(traj.steps[i].obs, traj.task, i)
-    return buffer
+        if not traj.success:
+            keyframes.extend((step.obs.copy(), traj.task) for step in traj.steps[-k:])
+    return keyframes
 
 
-def sample_start(buffer: KeyframeBuffer, task: TaskSpec, p_kir: float,
+def sample_start(keyframes: deque, task: TaskSpec, p_kir: float,
                  env_reset, rng: np.random.Generator):
     """Keyframe start with probability p_kir, else a fresh env reset.
 
-    Falls back to env_reset when no buffered keyframe matches the task. The
+    Falls back to env_reset when no stored keyframe matches the task. The
     p_kir coin is drawn before the fallback check so the keyframe fraction
     among populated tasks is exactly p_kir.
     """
@@ -91,10 +70,9 @@ def sample_start(buffer: KeyframeBuffer, task: TaskSpec, p_kir: float,
         raise ValueError("p_kir must lie in [0, 1]")
     use_kir = rng.uniform() < p_kir
     if use_kir:
-        matching = buffer.entries(task)
+        matching = [state for state, t in keyframes if t == task]
         if matching:
-            state, _, _ = matching[rng.integers(len(matching))]
-            return state.copy(), "keyframe"
+            return matching[rng.integers(len(matching))].copy(), "keyframe"
     return env_reset(rng), "initial"
 
 
@@ -303,7 +281,7 @@ def read_batch(path):
         raw = fh.read()
     try:
         manifest = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
         raise MalformedHeader(f"batch manifest is not UTF-8 JSON: {exc}") from exc
     if not isinstance(manifest, dict):
         raise MalformedHeader(f"batch manifest is a {type(manifest).__name__}, not an object")

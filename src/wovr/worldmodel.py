@@ -22,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .core import FrameEpisode, TaskSpec, one_hot
+from .core import ANCHOR_MODES, FrameEpisode, TaskSpec, one_hot
 from .envs import step_chunks
 from .nn import Mlp, tmean, value_and_grad
 
-ANCHOR_MODES = ("first", "last")
 N_TIME_FEATS = 5
 
 

@@ -8,6 +8,7 @@ otherwise surface only when the benchmark runs.
 import importlib
 import importlib.util
 import sys
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from wovr.envs import ReachPoint, replay_frames, scripted_demo
 from wovr.grpo import ChunkPolicy, GroupBatch
 from wovr.pace import LearnedReward, _rl_stage
 from wovr.reward import RewardNet
-from wovr.rollout import KeyframeBuffer
+from wovr.rollout import KEYFRAME_CAPACITY
 from wovr.worldmodel import LearnedWorldModel, RfBatch, WmNet, train_wm
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -102,8 +103,8 @@ def test_trace_counters_read_real_calls(monkeypatch):
     wm = LearnedWorldModel(wm_net, wm_net.init(derive_rng(3)), cfg["run"]["diffusion_steps"])
     reward_fn = LearnedReward(reward_net, reward_net.init(derive_rng(4)),
                               cfg["rl"]["reward_threshold"])
-    _rl_stage(policy, policy.init(derive_rng(2)), wm, reward_fn, env, cfg, KeyframeBuffer(),
-              tag=5)
+    _rl_stage(policy, policy.init(derive_rng(2)), wm, reward_fn, env, cfg,
+              deque(maxlen=KEYFRAME_CAPACITY), tag=5)
     episodes = [replay_frames(env, scripted_demo(env, TaskSpec(0), 6, chunk=H, max_len=16))]
     train_wm(episodes, wm_net, derive_rng(7), epochs=1, batch_size=4)
 

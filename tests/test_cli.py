@@ -6,7 +6,7 @@ import pytest
 from wovr import cli
 from wovr.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_RUNTIME,
                       aggregate_reports, parse_and_dispatch, report)
-from wovr.core import InvariantViolation
+from wovr.core import DEFAULTS, InvariantViolation
 from wovr.evalx import EvalReport
 from wovr.pace import PaceArtifacts, StageFailure
 
@@ -83,9 +83,17 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 
 
 def test_bad_set_value_rejected(tmp_path, capsys):
-    code = parse_and_dispatch(["demo-gen", "--set", "wm.nope=1",
-                               "--run-root", str(tmp_path)])
-    assert code == EXIT_CONFIG
+    # an unknown key, a mapping for a value (flat or nested), a value for a
+    # section, an unknown key inside a section's mapping, and malformed YAML
+    for item, key in (("wm.nope=1", "'wm.nope'"), ("run.chunk.x=1", "'run.chunk'"),
+                      ("run.chunk={x: 1}", "'run.chunk'"), ("run=5", "'run'"),
+                      ("plan={refinements: 0, n_evo: 0}", "'plan.n_evo'"),
+                      ("plan={", "--set plan")):
+        code = parse_and_dispatch(["demo-gen", "--set", item,
+                                   "--run-root", str(tmp_path / "runs")])
+        assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
 
 def test_out_of_range_config_exits_before_run_dir(tmp_path, capsys):
@@ -99,7 +107,13 @@ def test_out_of_range_config_exits_before_run_dir(tmp_path, capsys):
             ("collect.n", ["collect", "--policy", missing, "--n", "-3"]),
             ("eval.n", ["eval", "--policy", missing, "--n", "0"]),
             ("rl.keyframe_k", ["rl", "--policy", missing, "--wm", missing,
-                               "--reward", missing, "--set", "rl.keyframe_k=0"])):
+                               "--reward", missing, "--set", "rl.keyframe_k=0"]),
+            ("env", ["demo-gen", "--set", "env=bogus"]),
+            ("eval.metric", ["eval", "--policy", missing, "--set", "eval.metric=bogus"]),
+            ("wm.anchor_mode", ["train-wm", "--frames", missing,
+                                "--set", "wm.anchor_mode=bogus"]),
+            ("reward.pos_weight", ["train-reward", "--frames", missing,
+                                   "--set", "reward.pos_weight=bogus"])):
         code = parse_and_dispatch([*argv, "--run-root", str(root)])
         assert code == EXIT_CONFIG
         assert key in capsys.readouterr().err
@@ -163,13 +177,16 @@ def test_flag_overrides_file(tmp_path, capsys):
 
 def test_set_flag_overrides_nested_key(tmp_path, capsys):
     root = tmp_path / "runs"
+    # a section-valued --set merges into the section, keeping its other keys
     code = parse_and_dispatch(["demo-gen", "--env", "reachpoint",
                                "--set", "demo.n=3", "--set", "run.chunk=4",
+                               "--set", "plan={refinements: 0}", "--set", "run={n_evo: 0}",
                                "--run-root", str(root)])
     assert code == EXIT_OK
     resolved = json.loads((next(root.iterdir()) / "resolved.json").read_text())
     assert resolved["demo"]["n"] == 3
-    assert resolved["run"]["chunk"] == 4
+    assert resolved["run"] == {**DEFAULTS["run"], "chunk": 4, "n_evo": 0}
+    assert resolved["plan"] == {**DEFAULTS["plan"], "refinements": 0}
 
 
 def test_run_root_env_var(tmp_path, monkeypatch, capsys):

@@ -241,9 +241,20 @@ def test_run_config_validation():
         with pytest.raises(ConfigError):
             make_config({"run": bad})
     for bad in ({"collect": {"n": -3}}, {"eval": {"n": 0}}, {"rl": {"keyframe_k": 0}},
-                {"demo": {"n": 0}}, {"demo": {"n": -1}}, {"demo": {"noise": -1.0}}):
+                {"demo": {"n": 0}}, {"demo": {"n": -1}}, {"demo": {"noise": -1.0}},
+                {"env": "bogus"}, {"eval": {"metric": "bogus"}},
+                {"wm": {"anchor_mode": "bogus"}}, {"reward": {"pos_weight": "bogus"}},
+                {"reward": {"pos_weight": 0}}, {"reward": {"pos_weight": True}},
+                {"run": {"chunk": {"x": 1}}}, {"run": 5}):
         with pytest.raises(ConfigError):
             make_config(bad)
+    for good in ({"reward": {"pos_weight": None}}, {"reward": {"pos_weight": 2.5}},
+                 {"wm": {"anchor_mode": "last"}}, {"eval": {"metric": "horizon"}},
+                 {"env": "reachpoint"}):
+        make_config(good)
+    # a section merges key by key
+    assert make_config({"plan": {"refinements": 0}}, {"run": {"n_evo": 0}})["plan"] \
+        == {**DEFAULTS["plan"], "refinements": 0}
     # a config error is still a ValueError
     with pytest.raises(ValueError):
         make_config({"run": {"warp_factor": 9}})

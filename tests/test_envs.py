@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from wovr.core import TaskSpec, derive_rng
+from wovr.core import ENV_NAMES, TaskSpec, derive_rng
 from wovr.envs import (CountingEnv, PickPlace2D, ReachPoint, get_env,
                        replay_frames, scripted_demo)
 
@@ -248,7 +248,7 @@ def test_reachpoint_kernels_match_numpy_reference():
     assert 0 < hits < len(states)
 
 
-@pytest.mark.parametrize("name", ["pickplace2d", "reachpoint"])
+@pytest.mark.parametrize("name", ENV_NAMES)
 def test_kernels_match_numpy_reference_along_episodes(name):
     """Seeded episodes from reset states, stepped by both kernels side by side
     under expert, noisy and saturated commands."""
@@ -281,6 +281,7 @@ def test_demo_deterministic(env):
     t1 = scripted_demo(env, TaskSpec(1), 3, noise_level=0.4)
     t2 = scripted_demo(env, TaskSpec(1), 3, noise_level=0.4)
     assert t1 == t2
+    assert all(step.logp_old == 0.0 for step in t1.steps)  # noisy demos too
 
 
 def test_demo_noise_changes_outcome_distribution(env):

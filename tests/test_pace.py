@@ -1,4 +1,5 @@
 import json
+from collections import deque
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from wovr.envs import CountingEnv, get_env, scripted_demo
 from wovr.grpo import ChunkPolicy
 from wovr.pace import (LearnedReward, PaceArtifacts, StageFailure, _rl_stage,
                        clone_base_policy, refine_wm, run_iteration, run_pipeline)
-from wovr.rollout import KeyframeBuffer, harvest_keyframes, rollout_real, sample_start
+from wovr.rollout import KEYFRAME_CAPACITY, harvest_keyframes, rollout_real, sample_start
 from wovr.reward import RewardNet
 from wovr.worldmodel import (LearnedWorldModel, OracleWorldModel, WmNet,
                              build_context, sample_chunk, train_wm, window_index)
@@ -304,8 +305,8 @@ def test_rl_stage_counts_all_equal_return_groups(reach_env, base_policy, logit_b
     reward_params["rw.b2"] = np.array([logit_bias])
     wm = LearnedWorldModel(wm_net, wm_net.init(derive_rng(82)), cfg["run"]["diffusion_steps"])
     reward_fn = LearnedReward(rew_net, reward_params, cfg["rl"]["reward_threshold"])
-    _, logs = _rl_stage(policy, params, wm, reward_fn, reach_env, cfg, KeyframeBuffer(),
-                        tag=83)
+    _, logs = _rl_stage(policy, params, wm, reward_fn, reach_env, cfg,
+                        deque(maxlen=KEYFRAME_CAPACITY), tag=83)
     assert len(logs) == SMALL["plan"]["rl_updates_per_stage"]
     for record in logs:
         assert record["imagined_success"] == float(logit_bias > 0)
@@ -320,22 +321,22 @@ def test_rl_stage_oracle_rung_scores_real_outcomes(reach_env, base_policy):
     cfg = make_config(SMALL, {"seed": 9, "run": {"kir_fraction": 0.0},
                               "plan": {"rl_updates_per_stage": 1}})
     seed, run, plan, tag = cfg["seed"], cfg["run"], cfg["plan"], 84
-    counter, buffer = CountingEnv(reach_env), KeyframeBuffer()
+    counter, keyframes = CountingEnv(reach_env), deque(maxlen=KEYFRAME_CAPACITY)
 
     def true_reward(frame, _task):
         return int(reach_env.is_success(frame))
 
     wm = OracleWorldModel(reach_env, run["context"])
-    _, logs = _rl_stage(policy, params, wm, true_reward, counter, cfg, buffer, tag)
+    _, logs = _rl_stage(policy, params, wm, true_reward, counter, cfg, keyframes, tag)
     assert len(logs) == plan["rl_updates_per_stage"]
     assert counter.steps == 0
     assert counter.resets == plan["groups_per_update"]
 
     start_rng = derive_rng(seed, tag, 3)
-    outcomes, expected = [], KeyframeBuffer()
+    outcomes, expected = [], deque(maxlen=KEYFRAME_CAPACITY)
     for g in range(plan["groups_per_update"]):
         task = TaskSpec(g % reach_env.n_tasks)
-        start, _ = sample_start(KeyframeBuffer(), task, 0.0,
+        start, _ = sample_start(deque(), task, 0.0,
                                 lambda r: reach_env.reset_state(task, r), start_rng)
         trajs = rollout_real(policy, params, reach_env, task, run["group_size"],
                              run["max_episode_len"], run["chunk"],
@@ -344,11 +345,10 @@ def test_rl_stage_oracle_rung_scores_real_outcomes(reach_env, base_policy):
         harvest_keyframes(trajs, cfg["rl"]["keyframe_k"], expected)
     assert logs[0]["imagined_success"] == float(np.mean(outcomes))
     assert 0.0 < logs[0]["imagined_success"] < 1.0
-    assert len(buffer) == len(expected) > 0
-    for (state, task, step), (state_r, task_r, step_r) in zip(buffer.entries(),
-                                                              expected.entries()):
+    assert len(keyframes) == len(expected) > 0
+    for (state, task), (state_r, task_r) in zip(list(keyframes), list(expected)):
         assert np.array_equal(state, state_r)
-        assert (task, step) == (task_r, step_r)
+        assert task == task_r
 
 
 def toy_params(seed):

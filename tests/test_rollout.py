@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,8 @@ from wovr.grpo import ChunkPolicy
 from wovr.pace import LearnedReward
 from wovr.reward import RewardNet
 from wovr.rollout import (
+    KEYFRAME_CAPACITY,
     GroupSpec,
-    KeyframeBuffer,
     _imagined_dynamics,
     _roll_group,
     collect_real,
@@ -52,51 +54,48 @@ def win_traj(task_id=0, n=3, d=3):
     return Trajectory(TaskSpec(task_id), "initial", steps)
 
 
-# -- keyframe buffer ------------------------------------------------------------
+# -- keyframes ------------------------------------------------------------------
+
+
+def keyframe_store(*pairs):
+    return deque(pairs, maxlen=KEYFRAME_CAPACITY)
 
 
 def test_buffer_fifo_eviction():
-    buf = KeyframeBuffer(capacity=2)
-    for i in range(3):
-        buf.append(np.array([float(i)]), TaskSpec(0), i)
-    assert len(buf) == 2
-    kept = [e[0][0] for e in buf.entries()]
-    assert kept == [1.0, 2.0]
-
-
-def test_buffer_rejects_bad_capacity():
-    with pytest.raises(ValueError):
-        KeyframeBuffer(capacity=0)
+    keyframes = keyframe_store()
+    harvest_keyframes([fail_traj(n=KEYFRAME_CAPACITY + 1)], KEYFRAME_CAPACITY + 1, keyframes)
+    assert len(keyframes) == KEYFRAME_CAPACITY
+    kept = [state[0] for state, _ in keyframes]
+    assert kept == [float(i) for i in range(1, KEYFRAME_CAPACITY + 1)]
 
 
 def test_harvest_skips_successes():
-    buf = KeyframeBuffer()
-    harvest_keyframes([win_traj(), win_traj()], 2, buf)
-    assert len(buf) == 0
+    keyframes = keyframe_store()
+    harvest_keyframes([win_traj(), win_traj()], 2, keyframes)
+    assert len(keyframes) == 0
 
 
 def test_harvest_takes_last_k_of_failures():
-    buf = KeyframeBuffer()
-    harvest_keyframes([fail_traj(n=8)], 3, buf)
-    assert len(buf) == 3
-    taken = [(e[0][0], e[2]) for e in buf.entries()]
-    assert taken == [(5.0, 5), (6.0, 6), (7.0, 7)]
+    keyframes = keyframe_store()
+    harvest_keyframes([fail_traj(task_id=2, n=8)], 3, keyframes)
+    taken = [(state[0], task) for state, task in list(keyframes)]
+    assert taken == [(5.0, TaskSpec(2)), (6.0, TaskSpec(2)), (7.0, TaskSpec(2))]
 
 
 def test_harvest_short_trajectory_takes_all():
-    buf = KeyframeBuffer()
-    harvest_keyframes([fail_traj(n=1)], 3, buf)
-    assert len(buf) == 1
+    keyframes = keyframe_store()
+    harvest_keyframes([fail_traj(n=1)], 3, keyframes)
+    assert len(keyframes) == 1
     with pytest.raises(ValueError):
-        harvest_keyframes([], 0, buf)
+        harvest_keyframes([], 0, keyframes)
 
 
 def test_harvest_entries_are_copies():
-    buf = KeyframeBuffer()
+    keyframes = keyframe_store()
     traj = fail_traj(n=2)
-    harvest_keyframes([traj], 1, buf)
+    harvest_keyframes([traj], 1, keyframes)
     traj.steps[-1].obs[0] = 123.0
-    assert buf.entries()[0][0][0] != 123.0
+    assert list(keyframes)[0][0][0] != 123.0
 
 
 # -- start sampling ---------------------------------------------------------------
@@ -107,33 +106,30 @@ def reset_const(value):
 
 
 def test_sample_start_pkir_zero_always_initial():
-    buf = KeyframeBuffer()
-    buf.append(np.zeros(2), TaskSpec(0), 0)
+    keyframes = keyframe_store((np.zeros(2), TaskSpec(0)))
     rng = derive_rng(1)
     for _ in range(50):
-        _, kind = sample_start(buf, TaskSpec(0), 0.0, reset_const(9.0), rng)
+        _, kind = sample_start(keyframes, TaskSpec(0), 0.0, reset_const(9.0), rng)
         assert kind == "initial"
 
 
 def test_sample_start_empty_buffer_falls_back():
-    buf = KeyframeBuffer()
-    state, kind = sample_start(buf, TaskSpec(0), 1.0, reset_const(9.0), derive_rng(2))
+    state, kind = sample_start(keyframe_store(), TaskSpec(0), 1.0, reset_const(9.0),
+                               derive_rng(2))
     assert kind == "initial" and state[0] == 9.0
 
 
 def test_sample_start_task_mismatch_falls_back():
-    buf = KeyframeBuffer()
-    buf.append(np.zeros(2), TaskSpec(1), 0)
-    _, kind = sample_start(buf, TaskSpec(0), 1.0, reset_const(9.0), derive_rng(3))
+    keyframes = keyframe_store((np.zeros(2), TaskSpec(1)))
+    _, kind = sample_start(keyframes, TaskSpec(0), 1.0, reset_const(9.0), derive_rng(3))
     assert kind == "initial"
 
 
 def test_sample_start_frequency():
-    buf = KeyframeBuffer()
-    buf.append(np.ones(2), TaskSpec(0), 0)
+    keyframes = keyframe_store((np.ones(2), TaskSpec(0)))
     rng = derive_rng(4)
     kinds = [
-        sample_start(buf, TaskSpec(0), 0.5, reset_const(0.0), rng)[1]
+        sample_start(keyframes, TaskSpec(0), 0.5, reset_const(0.0), rng)[1]
         for _ in range(10_000)
     ]
     frac = kinds.count("keyframe") / len(kinds)
@@ -141,17 +137,16 @@ def test_sample_start_frequency():
 
 
 def test_sample_start_returns_copy():
-    buf = KeyframeBuffer()
-    buf.append(np.ones(2), TaskSpec(0), 0)
-    state, kind = sample_start(buf, TaskSpec(0), 1.0, reset_const(0.0), derive_rng(5))
+    keyframes = keyframe_store((np.ones(2), TaskSpec(0)))
+    state, kind = sample_start(keyframes, TaskSpec(0), 1.0, reset_const(0.0), derive_rng(5))
     assert kind == "keyframe"
     state[0] = 55.0
-    assert buf.entries()[0][0][0] == 1.0
+    assert list(keyframes)[0][0][0] == 1.0
 
 
 def test_sample_start_rejects_bad_pkir():
     with pytest.raises(ValueError):
-        sample_start(KeyframeBuffer(), TaskSpec(0), 1.5, reset_const(0.0), derive_rng(6))
+        sample_start(keyframe_store(), TaskSpec(0), 1.5, reset_const(0.0), derive_rng(6))
 
 
 # -- imagined rollouts --------------------------------------------------------------
@@ -561,8 +556,8 @@ def test_batch_roundtrip_with_manifest(tmp_path):
     assert loaded_manifest == manifest
 
 
-@pytest.mark.parametrize("manifest", [b"\xff\xfe{}", b'{"n": 2', b"[]"],
-                         ids=["invalid-utf8", "bad-json", "not-an-object"])
+@pytest.mark.parametrize("manifest", [b"\xff\xfe{}", b'{"n": 2', b"[]", b"[" * 100000],
+                         ids=["invalid-utf8", "bad-json", "not-an-object", "deep-nesting"])
 def test_read_batch_rejects_corrupt_manifest(tmp_path, manifest):
     path = tmp_path / "batch.traj"
     write_batch(path, [fail_traj(n=2)], {"n": 1})
