@@ -55,7 +55,8 @@ def _nested(dotted: str, value) -> dict:
 
 def resolve_config(args: argparse.Namespace, flag_paths: dict) -> dict:
     """core.make_config of the config file, the flags and each --set, in
-    that order, each one a nested override merged section by section."""
+    that order, each one a nested override merged section by section; then
+    the check of eval.task against the env's task count, which core lacks."""
     overrides = []
     config_path = getattr(args, "config", None)
     if config_path:
@@ -84,7 +85,11 @@ def resolve_config(args: argparse.Namespace, flag_paths: dict) -> dict:
         except yaml.YAMLError as exc:
             raise ConfigError(f"--set {dotted} value is not YAML: {exc}") from exc
         overrides.append(_nested(dotted, value))
-    return make_config(*overrides)
+    cfg = make_config(*overrides)
+    n_tasks = get_env(cfg["env"]).n_tasks
+    if cfg["eval"]["task"] >= n_tasks:
+        raise ConfigError(f"eval.task must be below {cfg['env']}'s {n_tasks} tasks")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +146,7 @@ def build_reward_net(env, cfg) -> RewardNet:
 
 def clone_demos(demos, policy, cfg) -> tuple[dict, list[float]]:
     """Behavior-clone policy on demos with the clone section of cfg."""
-    c = cfg["clone"]
-    return clone_base_policy(demos, policy, derive_rng(cfg["seed"], 72), epochs=c["epochs"],
-                             batch_size=c["batch_size"], lr=c["lr"])
+    return clone_base_policy(demos, policy, derive_rng(cfg["seed"], 72), cfg["clone"])
 
 
 def require(args, cfg_err: str, *names):
@@ -218,10 +221,7 @@ def cmd_train_wm(cfg, run_dir, args):
     episodes, env_name = read_frames(frames_path)
     env = get_env(env_name)
     net = build_wm_net(env, cfg)
-    w = cfg["wm"]
-    params, losses = train_wm(episodes, net, derive_rng(cfg["seed"], 74),
-                              epochs=w["epochs"], batch_size=w["batch_size"],
-                              lr=w["lr"], p_noisy=w["p_noisy"])
+    params, losses = train_wm(episodes, net, derive_rng(cfg["seed"], 74), cfg["wm"])
     nn.save_params(run_dir / "wm.wovc", params)
     with open(run_dir / "manifest.json", "w") as fh:
         json.dump({"params": params_hash(params), "frames": str(frames_path),
@@ -230,7 +230,8 @@ def cmd_train_wm(cfg, run_dir, args):
     with open(run_dir / "wm_losses.json", "w") as fh:
         json.dump(losses, fh)
     print(f"trained world model on {len(episodes)} episodes "
-          f"(loss {losses[0]:.4f} -> {losses[-1]:.4f}) to {run_dir}")
+          f"(loss {losses[0]:.4f} -> {losses[-1]:.4f}) to {run_dir}" if losses
+          else f"initialized world model (zero epochs) to {run_dir}")
     return EXIT_OK
 
 
@@ -239,16 +240,12 @@ def cmd_train_reward(cfg, run_dir, args):
     episodes, env_name = read_frames(frames_path)
     env = get_env(env_name)
     net = build_reward_net(env, cfg)
-    r = cfg["reward"]
     if getattr(args, "demos", None):
         demos, _ = read_batch(args.demos)
         episodes = episodes + [replay_frames(env, d) for d in demos]
     examples = label_episode_frames(episodes, env)
     params, losses = train_classifier(examples, net, derive_rng(cfg["seed"], 75),
-                                      epochs=r["epochs"],
-                                      batch_size=r["batch_size"], lr=r["lr"],
-                                      max_neg_ratio=r["neg_ratio"],
-                                      pos_weight=r["pos_weight"])
+                                      cfg["reward"])
     nn.save_params(run_dir / "reward.wovc", params)
     with open(run_dir / "manifest.json", "w") as fh:
         json.dump({"params": params_hash(params), "frames": str(frames_path),

@@ -149,7 +149,9 @@ class Trajectory:
 
 # ---------------------------------------------------------------------------
 # Run configuration: one nested dict. DEFAULTS states every settable value
-# and its default; validate_config states every range rule.
+# and its default, the only place a hyperparameter default lives (trainers
+# read their section); validate_config states every range rule but eval.task's
+# upper bound, which needs the env's task count (cli.resolve_config).
 
 
 class ConfigError(ValueError):
@@ -211,8 +213,9 @@ def deep_merge(base: dict, override: dict, path: str = "") -> dict:
 
 def validate_config(cfg: dict) -> dict:
     """Raise ConfigError unless every range rule holds; returns cfg."""
-    run, plan = cfg["run"], cfg["plan"]
+    run, plan, rl, ev = cfg["run"], cfg["plan"], cfg["rl"], cfg["eval"]
     pos_weight = cfg["reward"]["pos_weight"]
+    horizons = ev["horizons"]
     try:
         rules = [
             (cfg["env"] in ENV_NAMES, f"env must be one of {ENV_NAMES}"),
@@ -241,13 +244,30 @@ def validate_config(cfg: dict) -> dict:
             (pos_weight in (None, "sqrt")
              or (type(pos_weight) in (int, float) and pos_weight > 0),
              "reward.pos_weight must be null, 'sqrt' or a positive number"),
-            (cfg["rl"]["keyframe_k"] >= 1, "rl.keyframe_k must be >= 1"),
+            (0.0 <= cfg["wm"]["p_noisy"] <= 1.0, "wm.p_noisy must lie in [0, 1]"),
+            (cfg["reward"]["neg_ratio"] > 0, "reward.neg_ratio must be positive"),
+            (rl["keyframe_k"] >= 1, "rl.keyframe_k must be >= 1"),
+            (rl["lr"] > 0, "rl.lr must be positive"),
+            (0.0 <= rl["reward_threshold"] <= 1.0,
+             "rl.reward_threshold must lie in [0, 1]"),
             (cfg["demo"]["n"] >= 1, "demo.n must be >= 1"),
             (cfg["demo"]["noise"] >= 0, "demo.noise must be non-negative"),
             (cfg["collect"]["n"] >= 0, "collect.n must be non-negative"),
-            (cfg["eval"]["n"] >= 1, "eval.n must be >= 1"),
-            (cfg["eval"]["metric"] in EVAL_METRICS,
-             f"eval.metric must be one of {EVAL_METRICS}"),
+            (ev["n"] >= 1, "eval.n must be >= 1"),
+            (ev["metric"] in EVAL_METRICS, f"eval.metric must be one of {EVAL_METRICS}"),
+            (ev["task"] >= 0, "eval.task must be non-negative"),
+            # horizon_error reads the state at each horizon's frame of one
+            # recorded episode, so each is a whole number of chunks
+            (ev["metric"] != "horizon" or (
+                len(horizons) >= 1 and horizons == sorted(set(horizons))
+                and all(type(h) is int and h >= 1 and h % run["chunk"] == 0
+                        for h in horizons)
+                and horizons[-1] <= run["max_episode_len"]),
+             "eval.horizons must be strictly increasing positive multiples of "
+             "run.chunk, at most run.max_episode_len"),
+            *((cfg[name]["epochs"] >= 0 and cfg[name]["batch_size"] >= 1 and cfg[name]["lr"] > 0,
+               f"{name}.epochs must be >= 0, {name}.batch_size >= 1 and {name}.lr > 0")
+              for name in ("clone", "wm", "refine", "reward")),
         ]
     except TypeError as exc:
         raise ConfigError(f"config value of the wrong type: {exc}") from exc

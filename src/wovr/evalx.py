@@ -27,8 +27,6 @@ from .rollout import (
 def success_rate(policy, params, env, task: TaskSpec, n: int, T: int, H: int,
                  seed: int) -> float:
     """Fraction of n independent real episodes that reach success."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     trajs = rollout_real(policy, params, env, task, n, T, H, seed)
     return sum(t.success for t in trajs) / n
 
@@ -75,17 +73,9 @@ def horizon_error(wm, policy, params, env, task: TaskSpec, horizons,
     recorded is then replayed through the model closed-loop from the same
     starts, one batched dynamics call per chunk step. Episode i draws from
     derive_rng(seed, i, ·). The curve pairs each horizon L with the mean over
-    episodes of the state MSE at frame L.
+    episodes of the state MSE at frame L. The horizons obey core.validate_config's
+    eval.horizons rule (H is run.chunk, T run.max_episode_len).
     """
-    horizons = [int(h) for h in horizons]
-    if not horizons:
-        raise ValueError("horizons must be non-empty")
-    if any(h < 1 or h % H != 0 for h in horizons):
-        raise ValueError("every horizon must be a positive multiple of H")
-    if sorted(set(horizons)) != horizons:
-        raise ValueError("horizons must be strictly increasing")
-    if horizons[-1] > T:
-        raise ValueError("horizon exceeds the episode cap")
     if n < 1:
         raise ValueError("n must be >= 1")
     depth = horizons[-1]

@@ -32,8 +32,10 @@ class ChunkPolicy:
     reproducible later.
     """
 
+    name = "pi"  # the prefix of every parameter key
+
     def __init__(self, obs_dim, n_tasks, horizon, a_dim, hidden=(64, 64),
-                 action_low=-2.0, action_high=2.0, init_log_std=-1.5, name="pi"):
+                 action_low=-2.0, action_high=2.0, init_log_std=-1.5):
         self.obs_dim = obs_dim
         self.n_tasks = n_tasks
         self.horizon = horizon
@@ -42,8 +44,7 @@ class ChunkPolicy:
         self.action_low = action_low
         self.action_high = action_high
         self.init_log_std = init_log_std
-        self.name = name
-        self.trunk = Mlp(name, [obs_dim + n_tasks, *hidden, self.flat])
+        self.trunk = Mlp(self.name, [obs_dim + n_tasks, *hidden, self.flat])
 
     def init(self, rng: np.random.Generator) -> dict:
         params = self.trunk.init(rng)
@@ -186,8 +187,8 @@ def ratio_stats(policy: ChunkPolicy, params: dict, batch: StepBatch,
 
 
 def grpo_update(policy: ChunkPolicy, params: dict, groups: list[GroupBatch],
-                clip_eps: float, inner_epochs: int, opt_state: dict | None = None,
-                lr: float = 3e-4) -> tuple[dict, dict, list[dict]]:
+                clip_eps: float, inner_epochs: int, lr: float,
+                opt_state: dict | None = None) -> tuple[dict, dict, list[dict]]:
     """Gradient-ascent epochs on the clipped surrogate of the groups' StepBatch.
 
     Returns (params', opt_state, per-epoch stats). A non-finite objective or

@@ -90,10 +90,10 @@ class StageFailure(RuntimeError):
 
 
 def clone_base_policy(demos, policy: ChunkPolicy, rng: np.random.Generator,
-                      epochs: int = 60, batch_size: int = 64,
-                      lr: float = 1e-3) -> tuple[dict, list[float]]:
+                      clone: dict) -> tuple[dict, list[float]]:
     """Fit the Gaussian policy to demonstration chunks by maximum likelihood.
 
+    clone is the config's clone section: epochs, batch_size and Adam's lr.
     Minimizes the mean negative chunk log-density over every recorded
     (observation, chunk) pair. With zero epochs the fresh initialization is
     returned untouched. The log-std vector absorbs whatever residual the mean
@@ -107,11 +107,9 @@ def clone_base_policy(demos, policy: ChunkPolicy, rng: np.random.Generator,
     chunks = np.stack([s.chunk.reshape(-1) for d in demos for s in d.steps])
     params = policy.init(rng)
     losses: list[float] = []
-    if epochs == 0:
-        return params, losses
     opt = nn.adam_init(params)
-    n = len(feats)
-    for _ in range(epochs):
+    n, batch_size = len(feats), clone["batch_size"]
+    for _ in range(clone["epochs"]):
         order = rng.permutation(n)
         batch_losses = []
         for lo in range(0, n, batch_size):
@@ -121,7 +119,7 @@ def clone_base_policy(demos, policy: ChunkPolicy, rng: np.random.Generator,
                 params)
             if not np.isfinite(value):
                 raise FloatingPointError("behavior cloning diverged")
-            params = policy.clamp(nn.adam_step(params, grads, opt, lr=lr))
+            params = policy.clamp(nn.adam_step(params, grads, opt, lr=clone["lr"]))
             batch_losses.append(value)
         losses.append(float(np.mean(batch_losses)))
     return params, losses
@@ -132,21 +130,20 @@ def clone_base_policy(demos, policy: ChunkPolicy, rng: np.random.Generator,
 
 
 def refine_wm(net: WmNet, base_params: dict, new_episodes, retained_episodes,
-              rng: np.random.Generator, epochs: int = 10, batch_size: int = 64,
-              lr: float = 3e-4, mix_new: float = 0.7, p_noisy: float = 0.5):
+              rng: np.random.Generator, cfg: dict):
     """Fine-tune the model from its base checkpoint on a data mixture.
 
-    The mixture keeps every window of the new (evolved-policy) episodes and
-    subsamples retained base episodes until new windows make up roughly
-    mix_new of the total, guarding against forgetting the base distribution.
+    train_wm runs with cfg's refine section and wm.p_noisy on a mixture: every
+    window of the new (evolved-policy) episodes, plus retained base episodes
+    until new windows make up roughly plan.refine_mix_new of the total, which
+    guards against forgetting the base distribution.
 
     Returns (params, per-epoch losses, info) where info logs the realized
     mixture and the parameter distance from the base checkpoint.
     """
     if not new_episodes:
         raise ValueError("no evolved episodes to refine on")
-    if not 0.0 < mix_new <= 1.0:
-        raise ValueError("mix_new must lie in (0, 1]")
+    mix_new = cfg["plan"]["refine_mix_new"]
     n_new = int(window_counts(new_episodes, net.horizon).sum())
     target_old = int(round(n_new * (1.0 - mix_new) / mix_new))
     kept, n_kept = [], 0
@@ -158,8 +155,8 @@ def refine_wm(net: WmNet, base_params: dict, new_episodes, retained_episodes,
             if n_kept >= target_old:
                 break
     episodes = list(new_episodes) + kept
-    params, losses = train_wm(episodes, net, rng, epochs=epochs,
-                              batch_size=batch_size, lr=lr, p_noisy=p_noisy,
+    params, losses = train_wm(episodes, net, rng,
+                              {**cfg["refine"], "p_noisy": cfg["wm"]["p_noisy"]},
                               init_params=base_params)
     distance = float(np.sqrt(sum(np.sum((params[k] - base_params[k]) ** 2)
                                  for k in params)))
@@ -202,8 +199,7 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
     the positive class and nearly all of the carry-and-release dynamics.
     """
     counter = env if isinstance(env, CountingEnv) else CountingEnv(env)
-    seed, run, plan = cfg["seed"], cfg["run"], cfg["plan"]
-    w, f, r, rl = cfg["wm"], cfg["refine"], cfg["reward"], cfg["rl"]
+    seed, run, plan, rl = cfg["seed"], cfg["run"], cfg["plan"], cfg["rl"]
     T, H = run["max_episode_len"], run["chunk"]
     n_base, n_evo = run["n_base"], run["n_evo"]
     cfg_hash = config_hash(cfg)
@@ -242,9 +238,7 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
     with stage("train_reward"):
         examples = label_episode_frames(frames_base + demo_eps, counter)
         reward_params, reward_losses = train_classifier(
-            examples, reward_net, derive_rng(seed, 12), epochs=r["epochs"],
-            batch_size=r["batch_size"], lr=r["lr"],
-            max_neg_ratio=r["neg_ratio"], pos_weight=r["pos_weight"])
+            examples, reward_net, derive_rng(seed, 12), cfg["reward"])
     art.reward = reward_params
     art.logs["reward"] = reward_losses
     art.manifests["reward"] = {"params": params_hash(reward_params),
@@ -258,8 +252,7 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
     wm_corpus = frames_base + demo_eps
     with stage("train_wm_base"):
         wm_base_params, wm_base_losses = train_wm(
-            wm_corpus, wm_net, derive_rng(seed, 13), epochs=w["epochs"],
-            batch_size=w["batch_size"], lr=w["lr"], p_noisy=w["p_noisy"])
+            wm_corpus, wm_net, derive_rng(seed, 13), cfg["wm"])
     art.wm_base = wm_base_params
     art.logs["wm_base"] = wm_base_losses
     art.manifests["wm_base"] = {"params": params_hash(wm_base_params),
@@ -299,9 +292,7 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
         with stage("refine_wm"):
             wm_evo_params, wm_evo_losses, refine_info = refine_wm(
                 wm_net, wm_base_params, frames_evo, wm_corpus,
-                derive_rng(seed, 16), epochs=f["epochs"],
-                batch_size=f["batch_size"], lr=f["lr"], p_noisy=w["p_noisy"],
-                mix_new=plan["refine_mix_new"])
+                derive_rng(seed, 16), cfg)
         art.wm_evo = wm_evo_params
         art.logs["wm_evo"] = wm_evo_losses
         art.logs["refine"] = refine_info
@@ -403,7 +394,7 @@ def _rl_stage(policy, params, wm, reward_fn, env, cfg, keyframes, tag):
             groups, kinds = rollouts
             new_params, new_opt, glogs = grpo_update(
                 policy, state["params"], groups, run["clip_eps"],
-                rl["inner_epochs"], state["opt"], lr=rl["lr"])
+                rl["inner_epochs"], rl["lr"], state["opt"])
             state["params"], state["opt"] = new_params, new_opt
             record = {"update": _u,
                       "mean_return": float(np.mean([g.returns.mean() for g in groups])),

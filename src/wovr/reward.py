@@ -17,11 +17,10 @@ from .nn import Mlp, softplus, tmean, value_and_grad
 class RewardNet:
     """Architecture container; parameters live in an external dict."""
 
-    def __init__(self, obs_dim: int, n_tasks: int, hidden=(64, 64), name: str = "rw"):
+    def __init__(self, obs_dim: int, n_tasks: int, hidden=(64, 64)):
         self.obs_dim = obs_dim
         self.n_tasks = n_tasks
-        self.name = name
-        self.mlp = Mlp(name, [obs_dim + n_tasks, *hidden, 1])
+        self.mlp = Mlp("rw", [obs_dim + n_tasks, *hidden, 1])
 
     def init(self, rng: np.random.Generator) -> dict:
         return self.mlp.init(rng)
@@ -73,7 +72,7 @@ def label_episode_frames(episodes: list[FrameEpisode], env) -> list:
 
 
 def subsample_negatives(examples: list, rng: np.random.Generator,
-                        max_ratio: float = 10.0) -> list:
+                        max_ratio: float) -> list:
     """Keep all positives and at most max_ratio negatives per positive."""
     pos = [ex for ex in examples if ex[2] == 1]
     neg = [ex for ex in examples if ex[2] == 0]
@@ -85,29 +84,28 @@ def subsample_negatives(examples: list, rng: np.random.Generator,
 
 
 def train_classifier(examples: list, net: RewardNet, rng: np.random.Generator,
-                     epochs: int = 30, batch_size: int = 128, lr: float = 1e-3,
-                     max_neg_ratio: float = 10.0,
-                     pos_weight: float | str | None = None) -> tuple[dict, list[float]]:
+                     reward: dict) -> tuple[dict, list[float]]:
     """Fit the success classifier; returns (params, per-epoch mean losses).
 
-    Negatives are subsampled to at most max_neg_ratio per positive. The
-    positive term is then reweighted: None uses the post-subsample n_neg/n_pos
-    ratio, "sqrt" its square root (trades recall for precision, which matters
-    when the classifier gates imagined rollouts), and a float is taken as-is.
+    reward is the config's reward section, validated by core.validate_config:
+    epochs, batch_size and Adam's lr, neg_ratio and pos_weight. Negatives are
+    subsampled to at most neg_ratio per positive. The positive term is then
+    reweighted by pos_weight: None uses the post-subsample n_neg/n_pos ratio,
+    "sqrt" its square root (trades recall for precision, which matters when
+    the classifier gates imagined rollouts), and a number is taken as-is.
     """
     n_pos = sum(1 for ex in examples if ex[2] == 1)
     n_neg = len(examples) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("training data must contain both classes")
-    examples = subsample_negatives(examples, rng, max_neg_ratio)
+    examples = subsample_negatives(examples, rng, reward["neg_ratio"])
     n_pos = sum(1 for ex in examples if ex[2] == 1)
     ratio = (len(examples) - n_pos) / n_pos
+    pos_weight = reward["pos_weight"]
     if pos_weight is None:
         pos_weight = ratio
     elif pos_weight == "sqrt":
         pos_weight = ratio**0.5
-    elif isinstance(pos_weight, str):
-        raise ValueError(f"unknown pos_weight mode {pos_weight!r}")
     else:
         pos_weight = float(pos_weight)
 
@@ -116,8 +114,8 @@ def train_classifier(examples: list, net: RewardNet, rng: np.random.Generator,
 
     params = net.init(rng)
     opt = nn.adam_init(params)
-    losses = []
-    for _ in range(epochs):
+    losses, batch_size = [], reward["batch_size"]
+    for _ in range(reward["epochs"]):
         order = rng.permutation(len(examples))
         epoch_losses = []
         for lo in range(0, len(order), batch_size):
@@ -128,7 +126,7 @@ def train_classifier(examples: list, net: RewardNet, rng: np.random.Generator,
                 return bce_with_logits(net.logit(p, fb), yb, pos_weight)
 
             value, grads = value_and_grad(loss_fn, params)
-            params = nn.adam_step(params, grads, opt, lr=lr)
+            params = nn.adam_step(params, grads, opt, lr=reward["lr"])
             epoch_losses.append(value)
         losses.append(float(np.mean(epoch_losses)))
     return params, losses

@@ -27,6 +27,9 @@ from .envs import step_chunks
 from .nn import Mlp, tmean, value_and_grad
 
 N_TIME_FEATS = 5
+# train_wm's largest memory-noise level, and its last epoch's share of lr
+T_CTX_MAX = 0.2
+LR_FLOOR = 0.1
 
 
 def context_rows(first, now, c: int, anchor_mode: str):
@@ -107,7 +110,7 @@ class WmNet:
     """Architecture container; parameters live in an external dict."""
 
     def __init__(self, d, a_dim, n_tasks, horizon=8, context=4, width=128,
-                 act_emb_dim=32, anchor_mode="first", name="wm"):
+                 act_emb_dim=32, anchor_mode="first"):
         if anchor_mode not in ANCHOR_MODES:
             raise ValueError(f"unknown anchor_mode {anchor_mode!r}")
         self.d = d
@@ -118,16 +121,15 @@ class WmNet:
         self.width = width
         self.act_emb_dim = act_emb_dim
         self.anchor_mode = anchor_mode
-        self.name = name
         self.out_dim = horizon * d
         in_dim = self.out_dim + d + context * d + n_tasks + act_emb_dim
         cond_dim = act_emb_dim + N_TIME_FEATS
-        self.layer_in = Mlp(f"{name}_in", [in_dim, width])
-        self.layer_mid = Mlp(f"{name}_mid", [width, width])
-        self.layer_out = Mlp(f"{name}_out", [width, self.out_dim])
-        self.act_proj = Mlp(f"{name}_act", [horizon * a_dim, act_emb_dim])
+        self.layer_in = Mlp("wm_in", [in_dim, width])
+        self.layer_mid = Mlp("wm_mid", [width, width])
+        self.layer_out = Mlp("wm_out", [width, self.out_dim])
+        self.act_proj = Mlp("wm_act", [horizon * a_dim, act_emb_dim])
         self.mods = [
-            Mlp(f"{name}_mod{i}", [cond_dim, 2 * width], zero_init_last=True)
+            Mlp(f"wm_mod{i}", [cond_dim, 2 * width], zero_init_last=True)
             for i in range(2)
         ]
 
@@ -328,8 +330,6 @@ def make_rf_batch(net: WmNet, corpus: RfCorpus, picks, rng: np.random.Generator,
         raise ValueError("a pick names no episode of the corpus")
     if np.any((s < 0) | (s + h > corpus.n_actions[e])):
         raise ValueError("a picked window runs past its episode")
-    if p_noisy > 0 and not 0.0 <= t_ctx_max <= 1.0:
-        raise ValueError("t_ctx_max must lie in [0, 1]")
     b = picks.shape[0]
     first = corpus.state_offsets[e]
     now = first + s
@@ -361,18 +361,20 @@ def make_rf_batch(net: WmNet, corpus: RfCorpus, picks, rng: np.random.Generator,
 
 
 def train_wm(episodes: list[FrameEpisode], net: WmNet, rng: np.random.Generator,
-             epochs: int = 15, batch_size: int = 64, lr: float = 1e-3,
-             p_noisy: float = 0.5, t_ctx_max: float = 0.2,
-             init_params: dict | None = None, lr_floor: float = 0.1) -> tuple[dict, list[float]]:
+             wm: dict, init_params: dict | None = None) -> tuple[dict, list[float]]:
     """Fit the velocity field; returns (params, per-epoch mean losses).
 
-    Passing init_params continues training from an existing checkpoint
-    (refinement) instead of starting from a fresh initialization. The
-    learning rate follows a cosine decay from lr down to lr_floor * lr.
+    wm holds the config's wm keys epochs, batch_size, lr and p_noisy (the
+    share of rows whose memory is blended toward noise, by a level drawn
+    from uniform(0, T_CTX_MAX)); refine_wm passes its refine section with
+    wm.p_noisy. Passing init_params continues training from an existing
+    checkpoint (refinement) instead of starting from a fresh initialization.
+    The learning rate follows a cosine decay from lr down to LR_FLOOR * lr.
     The episodes are flattened into one RfCorpus per call; each epoch visits
     its windows in a fresh random order, and make_rf_batch gathers every
     minibatch from it, drawing in the per-row order its docstring gives.
     """
+    epochs, batch_size, lr = wm["epochs"], wm["batch_size"], wm["lr"]
     corpus = rf_corpus(episodes, net)
     params = ({k: v.copy() for k, v in init_params.items()}
               if init_params is not None else net.init(rng))
@@ -382,7 +384,7 @@ def train_wm(episodes: list[FrameEpisode], net: WmNet, rng: np.random.Generator,
     losses = []
     for epoch in range(epochs):
         frac = epoch / max(1, epochs - 1)
-        lr_e = lr * (lr_floor + (1.0 - lr_floor) * 0.5 * (1.0 + np.cos(np.pi * frac)))
+        lr_e = lr * (LR_FLOOR + (1.0 - LR_FLOOR) * 0.5 * (1.0 + np.cos(np.pi * frac)))
         order = rng.permutation(len(corpus.windows))
         n_batches = (len(order) + batch_size - 1) // batch_size
         # stratified flow time, visited in random order: marginally uniform,
@@ -392,7 +394,7 @@ def train_wm(episodes: list[FrameEpisode], net: WmNet, rng: np.random.Generator,
         for j, lo in enumerate(range(0, len(order), batch_size)):
             picks = corpus.windows[order[lo : lo + batch_size]]
             t = (strata[j] + rng.uniform()) / n_batches
-            batch = make_rf_batch(net, corpus, picks, rng, p_noisy, t_ctx_max, t=t)
+            batch = make_rf_batch(net, corpus, picks, rng, wm["p_noisy"], T_CTX_MAX, t=t)
             value, grads = value_and_grad(lambda p: rf_loss(net, p, batch), params)
             params = nn.adam_step(params, grads, opt, lr=lr_e)
             epoch_losses.append(value)

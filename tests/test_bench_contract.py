@@ -106,7 +106,8 @@ def test_trace_counters_read_real_calls(monkeypatch):
     _rl_stage(policy, policy.init(derive_rng(2)), wm, reward_fn, env, cfg,
               deque(maxlen=KEYFRAME_CAPACITY), tag=5)
     episodes = [replay_frames(env, scripted_demo(env, TaskSpec(0), 6, chunk=H, max_len=16))]
-    train_wm(episodes, wm_net, derive_rng(7), epochs=1, batch_size=4)
+    train_wm(episodes, wm_net, derive_rng(7),
+             make_config({"wm": {"epochs": 1, "batch_size": 4}})["wm"])
 
     assert len(calls["sched.run_iteration"]) == 2
     for name, positions in tracing.CALLBACKS.items():

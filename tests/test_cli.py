@@ -113,7 +113,15 @@ def test_out_of_range_config_exits_before_run_dir(tmp_path, capsys):
             ("wm.anchor_mode", ["train-wm", "--frames", missing,
                                 "--set", "wm.anchor_mode=bogus"]),
             ("reward.pos_weight", ["train-reward", "--frames", missing,
-                                   "--set", "reward.pos_weight=bogus"])):
+                                   "--set", "reward.pos_weight=bogus"]),
+            ("clone.batch_size", ["clone", "--demos", missing,
+                                  "--set", "clone.batch_size=0"]),
+            ("clone.lr", ["clone", "--demos", missing, "--lr", "-1"]),
+            ("clone.epochs", ["clone", "--demos", missing, "--epochs", "-3"]),
+            ("eval.task", ["eval", "--policy", missing, "--metric", "halluc",
+                           "--set", "eval.task=9"]),
+            ("eval.horizons", ["eval", "--policy", missing, "--metric", "horizon",
+                               "--set", "eval.horizons=[0]"])):
         code = parse_and_dispatch([*argv, "--run-root", str(root)])
         assert code == EXIT_CONFIG
         assert key in capsys.readouterr().err
@@ -240,6 +248,7 @@ def workflow(tmp_path_factory):
     out["frames"] = out["collect_dir"] / "frames.wovf"
     out["wm_dir"] = run("train-wm", "--frames", str(out["frames"]))
     out["wm"] = out["wm_dir"] / "wm.wovc"
+    out["wm_init_dir"] = run("train-wm", "--frames", str(out["frames"]), "--epochs", "0")
     out["reward_dir"] = run("train-reward", "--frames", str(out["frames"]))
     out["reward"] = out["reward_dir"] / "reward.wovc"
     out["rl_dir"] = run("rl", "--policy", str(out["policy"]),
@@ -255,6 +264,7 @@ def test_workflow_artifacts_exist(workflow):
     for key in ("demos", "policy", "frames", "wm", "reward"):
         assert workflow[key].exists()
     assert (workflow["rl_dir"] / "policy.wovc").exists()
+    assert (workflow["wm_init_dir"] / "wm.wovc").exists()
     assert (workflow["eval_sr_dir"] / "eval.json").exists()
     assert (workflow["eval_h_dir"] / "horizon.csv").exists()
 

@@ -245,12 +245,24 @@ def test_run_config_validation():
                 {"env": "bogus"}, {"eval": {"metric": "bogus"}},
                 {"wm": {"anchor_mode": "bogus"}}, {"reward": {"pos_weight": "bogus"}},
                 {"reward": {"pos_weight": 0}}, {"reward": {"pos_weight": True}},
-                {"run": {"chunk": {"x": 1}}}, {"run": 5}):
+                {"run": {"chunk": {"x": 1}}}, {"run": 5},
+                {"clone": {"batch_size": 0}}, {"clone": {"lr": -1}},
+                {"clone": {"epochs": -3}}, {"wm": {"lr": 0}}, {"refine": {"batch_size": 0}},
+                {"reward": {"epochs": -1}}, {"rl": {"lr": 0.0}}, {"wm": {"p_noisy": 1.5}},
+                {"wm": {"p_noisy": -0.1}}, {"reward": {"neg_ratio": 0}},
+                {"rl": {"reward_threshold": 1.5}}, {"eval": {"task": -1}},
+                {"eval": {"task": "first"}},
+                *({"eval": {"metric": "horizon", "horizons": horizons}}
+                  for horizons in ([], [3], [8, 8], [16, 8], [72], [8.0], "8", 8))):
         with pytest.raises(ConfigError):
             make_config(bad)
     for good in ({"reward": {"pos_weight": None}}, {"reward": {"pos_weight": 2.5}},
                  {"wm": {"anchor_mode": "last"}}, {"eval": {"metric": "horizon"}},
-                 {"env": "reachpoint"}):
+                 {"env": "reachpoint"}, {"clone": {"epochs": 0}}, {"wm": {"p_noisy": 0.0}},
+                 {"rl": {"reward_threshold": 1.0}},
+                 {"eval": {"metric": "horizon", "horizons": [16, 64]}},
+                 # the horizons are read only under the horizon metric
+                 {"run": {"max_episode_len": 32}}, {"eval": {"horizons": [3]}}):
         make_config(good)
     # a section merges key by key
     assert make_config({"plan": {"refinements": 0}}, {"run": {"n_evo": 0}})["plan"] \

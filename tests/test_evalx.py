@@ -202,17 +202,6 @@ def test_horizon_error_frozen_model_grows():
     assert errs[0] < errs[1]
 
 
-def test_horizon_error_validates_horizons():
-    env = ReachPoint()
-    policy, params = make_policy(env)
-    wm = FrozenWm()
-    cases = ([], [3], [8, 8], [16, 8], [64])
-    for horizons in cases:
-        with pytest.raises(ValueError):
-            horizon_error(wm, policy, params, env, TaskSpec(0), horizons,
-                          2, 32, H, seed=11)
-
-
 def test_horizon_error_seed_deterministic():
     env = ReachPoint()
     policy, params = make_policy(env, init_log_std=0.0)

@@ -291,7 +291,7 @@ def test_update_zero_advantages_is_identity():
     pol = ChunkPolicy(obs_dim=2, n_tasks=1, horizon=1, a_dim=1, hidden=(4,))
     params = pol.init(np.random.default_rng(9))
     group = bandit_group(pol, params, [(0.1, 1), (0.4, 1)])  # equal returns
-    new_params, _, _ = grpo_update(pol, params, [group], 0.2, inner_epochs=2)
+    new_params, _, _ = grpo_update(pol, params, [group], 0.2, inner_epochs=2, lr=3e-4)
     for k in params:
         np.testing.assert_array_equal(new_params[k], params[k])
 
@@ -305,7 +305,7 @@ def test_update_aborts_on_nonfinite_and_restores():
     ok = one_step_traj([0.0, 0.0], [[0.1]], 1, 0.0)
     group = build_group([broken, ok], 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        new_params, _, logs = grpo_update(pol, params, [group], 0.2, inner_epochs=1)
+        new_params, _, logs = grpo_update(pol, params, [group], 0.2, inner_epochs=1, lr=3e-4)
     assert logs[-1].get("aborted")
     for k in params:
         np.testing.assert_array_equal(new_params[k], params[k])
@@ -348,7 +348,7 @@ def test_update_without_valid_steps_only_steps_adam():
     empty = [build_group([Trajectory(TaskSpec(0), "initial", []) for _ in range(3)], 1.0)
              for _ in range(2)]
     assert step_batch(pol, empty) is None
-    new_params, opt, logs = grpo_update(pol, params, empty, 0.2, inner_epochs=3)
+    new_params, opt, logs = grpo_update(pol, params, empty, 0.2, inner_epochs=3, lr=3e-4)
     for k in params:
         np.testing.assert_array_equal(new_params[k], params[k])
     assert opt["step"] == 3

@@ -1,3 +1,4 @@
+import inspect
 import json
 from collections import deque
 
@@ -7,16 +8,20 @@ import pytest
 from wovr.core import (ConfigError, FrameEpisode, InvariantViolation,
                        TaskSpec, derive_rng, derive_seed, make_config, params_hash)
 from wovr.envs import CountingEnv, get_env, scripted_demo
-from wovr.grpo import ChunkPolicy
+from wovr.grpo import ChunkPolicy, grpo_update
 from wovr.pace import (LearnedReward, PaceArtifacts, StageFailure, _rl_stage,
                        clone_base_policy, refine_wm, run_iteration, run_pipeline)
 from wovr.rollout import KEYFRAME_CAPACITY, harvest_keyframes, rollout_real, sample_start
-from wovr.reward import RewardNet
+from wovr.reward import RewardNet, train_classifier
 from wovr.worldmodel import (LearnedWorldModel, OracleWorldModel, WmNet,
                              build_context, sample_chunk, train_wm, window_index)
 from wovr import nn, pace
 
 H, T = 4, 16
+
+
+def clone_section(**values):
+    return make_config({"clone": values})["clone"]
 STAGES = ("collect_base", "train_reward", "train_wm_base", "rl_base",
           "collect_evo", "refine_wm", "rl_evo")
 
@@ -33,10 +38,20 @@ def test_plan_rejects_bad_fields():
                 {"run": {"n_evo": 0}, "plan": {"refinements": 1}},
                 {"plan": {"rl_updates_per_stage": -1}},
                 {"plan": {"groups_per_update": 0}},
-                {"plan": {"refine_mix_new": 0.0}}):
+                {"plan": {"refine_mix_new": 0.0}},
+                {"plan": {"refine_mix_new": 1.5}}):
         with pytest.raises(ConfigError):
             make_config(bad)
     make_config({"run": {"n_evo": 0}, "plan": {"refinements": 0}})
+
+
+def test_trainers_state_no_hyperparameter_default():
+    """Each trainer reads its hyperparameters from the config, so core.DEFAULTS
+    is the only place their defaults live; optional state is all that is left."""
+    for trainer in (clone_base_policy, train_classifier, train_wm, refine_wm, grpo_update):
+        defaults = {name for name, param in inspect.signature(trainer).parameters.items()
+                    if param.default is not param.empty}
+        assert defaults <= {"init_params", "opt_state"}, trainer.__name__
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +74,7 @@ def base_policy(reach_env, reach_demos):
     policy = ChunkPolicy(reach_env.state_dim, 4, H, reach_env.action_dim,
                          hidden=(24,))
     params, losses = clone_base_policy(reach_demos, policy, derive_rng(7),
-                                       epochs=40, batch_size=32, lr=3e-3)
+                                       clone_section(epochs=40, batch_size=32, lr=3e-3))
     assert losses[-1] < losses[0]
     return policy, params
 
@@ -67,7 +82,8 @@ def base_policy(reach_env, reach_demos):
 def test_clone_zero_epochs_is_init(reach_env, reach_demos):
     policy = ChunkPolicy(reach_env.state_dim, 4, H, reach_env.action_dim,
                          hidden=(24,))
-    params, losses = clone_base_policy(reach_demos, policy, derive_rng(9), epochs=0)
+    params, losses = clone_base_policy(reach_demos, policy, derive_rng(9),
+                                       clone_section(epochs=0))
     init = policy.init(derive_rng(9))
     assert losses == []
     assert all(np.array_equal(params[k], init[k]) for k in init)
@@ -76,15 +92,15 @@ def test_clone_zero_epochs_is_init(reach_env, reach_demos):
 def test_clone_is_deterministic(reach_env, reach_demos):
     policy = ChunkPolicy(reach_env.state_dim, 4, H, reach_env.action_dim,
                          hidden=(24,))
-    a, _ = clone_base_policy(reach_demos, policy, derive_rng(9), epochs=5)
-    b, _ = clone_base_policy(reach_demos, policy, derive_rng(9), epochs=5)
+    a, _ = clone_base_policy(reach_demos, policy, derive_rng(9), clone_section(epochs=5))
+    b, _ = clone_base_policy(reach_demos, policy, derive_rng(9), clone_section(epochs=5))
     assert params_hash(a) == params_hash(b)
 
 
 def test_clone_rejects_empty():
     policy = ChunkPolicy(4, 4, H, 2, hidden=(16,))
     with pytest.raises(ValueError):
-        clone_base_policy([], policy, derive_rng(0))
+        clone_base_policy([], policy, derive_rng(0), clone_section())
 
 
 def test_clone_inherits_demo_noise_scale(base_policy):
@@ -101,8 +117,8 @@ def test_clone_noise_free_demos_reproduce_actions():
              for i in range(12)]
     assert all(d.success for d in demos)
     policy = ChunkPolicy(env.state_dim, 4, 8, env.action_dim)
-    params, _ = clone_base_policy(demos, policy, derive_rng(21), epochs=1000,
-                                  batch_size=32, lr=3e-3)
+    params, _ = clone_base_policy(demos, policy, derive_rng(21),
+                                  clone_section(epochs=1000, batch_size=32, lr=3e-3))
     errs = [np.mean((policy.mean(params, s.obs, d.task) - s.chunk.reshape(-1)) ** 2)
             for d in demos for s in d.steps]
     # recorded 5.3e-3 for this seed; bound is the acceptance threshold
@@ -136,8 +152,9 @@ def shift_fixture():
     shift_train = [drift_episode(rng, 0.0, 1.0) for _ in range(20)]
     shift_test = [drift_episode(rng, 0.0, 1.0) for _ in range(12)]
     net = WmNet(D, A, 1, horizon=H, context=2, width=32, act_emb_dim=8)
-    base_params, _ = train_wm(base_eps, net, derive_rng(301), epochs=60,
-                              batch_size=16, lr=2e-3, p_noisy=0.0)
+    wm = make_config({"wm": {"epochs": 60, "batch_size": 16, "lr": 2e-3,
+                             "p_noisy": 0.0}})["wm"]
+    base_params, _ = train_wm(base_eps, net, derive_rng(301), wm)
     return net, base_params, base_eps, shift_train, shift_test
 
 
@@ -155,8 +172,9 @@ def chunk_mse(net, params, eps, seed):
 
 def test_refine_zero_epochs_identical(shift_fixture):
     net, base_params, base_eps, shift_train, _ = shift_fixture
+    cfg = make_config({"refine": {"epochs": 0}, "wm": {"p_noisy": 0.0}})
     params, losses, _ = refine_wm(net, base_params, shift_train, base_eps,
-                                  derive_rng(303), epochs=0, p_noisy=0.0)
+                                  derive_rng(303), cfg)
     assert losses == []
     assert all(np.array_equal(params[k], base_params[k]) for k in base_params)
 
@@ -164,30 +182,30 @@ def test_refine_zero_epochs_identical(shift_fixture):
 def test_refine_rejects_bad_inputs(shift_fixture):
     net, base_params, base_eps, shift_train, _ = shift_fixture
     with pytest.raises(ValueError):
-        refine_wm(net, base_params, [], base_eps, derive_rng(0))
-    with pytest.raises(ValueError):
-        refine_wm(net, base_params, shift_train, base_eps, derive_rng(0),
-                  mix_new=1.5)
+        refine_wm(net, base_params, [], base_eps, derive_rng(0), make_config())
 
 
 def test_refine_mixture_ratio_logged(shift_fixture):
     net, base_params, base_eps, shift_train, _ = shift_fixture
-    _, _, info = refine_wm(net, base_params, shift_train, base_eps,
-                           derive_rng(304), epochs=0, mix_new=0.7)
+    _, _, info = refine_wm(net, base_params, shift_train, base_eps, derive_rng(304),
+                           make_config({"refine": {"epochs": 0},
+                                        "plan": {"refine_mix_new": 0.7}}))
     assert abs(info["mix_new_realized"] - 0.7) < 0.1
     assert info["n_new_windows"] > 0 and info["n_retained_windows"] > 0
     # mix_new=1.0 keeps no retained data at all
-    _, _, pure = refine_wm(net, base_params, shift_train, base_eps,
-                           derive_rng(304), epochs=0, mix_new=1.0)
+    _, _, pure = refine_wm(net, base_params, shift_train, base_eps, derive_rng(304),
+                           make_config({"refine": {"epochs": 0},
+                                        "plan": {"refine_mix_new": 1.0}}))
     assert pure["n_retained_windows"] == 0
     assert pure["mix_new_realized"] == 1.0
 
 
 def test_refine_improves_on_shifted_actions(shift_fixture):
     net, base_params, base_eps, shift_train, shift_test = shift_fixture
+    cfg = make_config({"refine": {"epochs": 30, "batch_size": 16, "lr": 1e-3},
+                       "wm": {"p_noisy": 0.0}})
     evo_params, _, info = refine_wm(net, base_params, shift_train, base_eps,
-                                    derive_rng(302), epochs=30, batch_size=16,
-                                    lr=1e-3, p_noisy=0.0)
+                                    derive_rng(302), cfg)
     m_base = chunk_mse(net, base_params, shift_test, 99)
     m_evo = chunk_mse(net, evo_params, shift_test, 99)
     # recorded 5.5e-3 -> 2.6e-3 for this seed, about 2x

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from wovr.core import DEFAULTS, FrameEpisode, TaskSpec, derive_rng, params_hash, task_features
+from wovr.core import (DEFAULTS, FrameEpisode, TaskSpec, derive_rng, make_config,
+                       params_hash, task_features)
 from wovr.envs import PickPlace2D, get_env
 from wovr.nn import Tensor, value_and_grad
 from wovr.pace import LearnedReward
@@ -15,6 +16,14 @@ from wovr.reward import (
     success_probs,
     train_classifier,
 )
+
+
+def reward_section(**values):
+    """A reward config section: the settings these fixtures were tuned with,
+    then values."""
+    tuned = {"epochs": 30, "batch_size": 128, "lr": 1e-3, "neg_ratio": 10.0,
+             "pos_weight": None}
+    return make_config({"reward": {**tuned, **values}})["reward"]
 
 
 def blob_examples(rng, n, sep=2.0):
@@ -268,9 +277,9 @@ def test_train_classifier_rejects_single_class():
     all_pos = [(np.zeros(2), TaskSpec(0), 1)] * 8
     all_neg = [(np.zeros(2), TaskSpec(0), 0)] * 8
     with pytest.raises(ValueError):
-        train_classifier(all_pos, net, derive_rng(7))
+        train_classifier(all_pos, net, derive_rng(7), reward_section())
     with pytest.raises(ValueError):
-        train_classifier(all_neg, net, derive_rng(7))
+        train_classifier(all_neg, net, derive_rng(7), reward_section())
 
 
 def test_separable_fixture_accuracy():
@@ -278,7 +287,8 @@ def test_separable_fixture_accuracy():
     train = blob_examples(rng, 400)
     test = blob_examples(rng, 400)
     net = RewardNet(2, 1)
-    params, losses = train_classifier(train, net, derive_rng(9), epochs=40, lr=3e-3)
+    params, losses = train_classifier(train, net, derive_rng(9),
+                                      reward_section(epochs=40, lr=3e-3))
     hits = sum(
         sparse_reward(predict_success(net, params, obs, task)) == lab
         for obs, task, lab in test
@@ -293,7 +303,8 @@ def test_imbalanced_fixture_still_finds_positives():
     pos = [ex for ex in pool if ex[2] == 1][:30]
     neg = [ex for ex in pool if ex[2] == 0][:1200]
     net = RewardNet(2, 1)
-    params, _ = train_classifier(pos + neg, net, derive_rng(11), epochs=60, lr=3e-3)
+    params, _ = train_classifier(pos + neg, net, derive_rng(11),
+                                 reward_section(epochs=60, lr=3e-3))
     held = blob_examples(np.random.default_rng(12), 300)
     held_pos = [ex for ex in held if ex[2] == 1]
     recall = np.mean([
@@ -326,7 +337,8 @@ def test_pickplace_success_states_classified():
     n_pos = sum(ex[2] for ex in train)
     assert 0 < n_pos < len(train)
     net = RewardNet(8, 4)
-    params, _ = train_classifier(train, net, derive_rng(14), epochs=200, lr=3e-3)
+    params, _ = train_classifier(train, net, derive_rng(14),
+                                 reward_section(epochs=200, lr=3e-3))
     hits = sum(
         sparse_reward(predict_success(net, params, obs, task)) == lab
         for obs, task, lab in test
@@ -341,10 +353,8 @@ def test_pos_weight_modes():
     by_mode = {}
     for mode in (None, "sqrt", 1.0):
         params, losses = train_classifier(train, net, derive_rng(21),
-                                          epochs=30, lr=3e-3, pos_weight=mode)
+                                          reward_section(lr=3e-3, pos_weight=mode))
         assert losses[-1] < losses[0]
         by_mode[mode] = params_hash(params)
     # the reweighting actually changes the fit
     assert by_mode[None] != by_mode["sqrt"] != by_mode[1.0]
-    with pytest.raises(ValueError):
-        train_classifier(train, net, derive_rng(21), pos_weight="huge")

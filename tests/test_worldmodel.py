@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wovr.core import FrameEpisode, TaskSpec, derive_rng, one_hot
+from wovr.core import FrameEpisode, TaskSpec, derive_rng, make_config, one_hot
 from wovr.nn import Tensor, value_and_grad
 from wovr.worldmodel import (
     OracleWorldModel,
@@ -18,6 +18,10 @@ from wovr.worldmodel import (
 )
 
 D, A_DIM, H, C = 2, 2, 4, 2
+
+
+def wm_section(**values):
+    return make_config({"wm": values})["wm"]
 
 
 def small_net(width=32, anchor_mode="first"):
@@ -403,7 +407,8 @@ def test_train_wm_zero_epochs_returns_init():
     eps = [linear_episode(rng) for _ in range(3)]
     net = small_net()
     init = net.init(derive_rng(22))
-    params, losses = train_wm(eps, net, derive_rng(23), epochs=0, init_params=init)
+    params, losses = train_wm(eps, net, derive_rng(23), wm_section(epochs=0),
+                              init_params=init)
     assert losses == []
     for k in init:
         np.testing.assert_array_equal(params[k], init[k])
@@ -414,11 +419,11 @@ def test_train_wm_zero_epochs_returns_init():
 def test_train_wm_rejects_bad_input():
     net = small_net()
     with pytest.raises(ValueError):
-        train_wm([], net, derive_rng(0))
+        train_wm([], net, derive_rng(0), wm_section())
     rng = np.random.default_rng(24)
     bad = FrameEpisode(TaskSpec(0), rng.normal(size=(5, 3)), rng.normal(size=(4, A_DIM)))
     with pytest.raises(ValueError):
-        train_wm([bad], net, derive_rng(0))
+        train_wm([bad], net, derive_rng(0), wm_section())
 
 
 @pytest.fixture(scope="module")
@@ -433,8 +438,8 @@ def linear_fixture_data():
 def linear_fixture_run(linear_fixture_data):
     train_eps, test_eps = linear_fixture_data
     net = WmNet(D, A_DIM, n_tasks=1, horizon=H, context=C, width=64, act_emb_dim=16)
-    params, losses = train_wm(train_eps, net, derive_rng(101), epochs=240,
-                              batch_size=16, lr=2e-3, p_noisy=0.0, lr_floor=0.02)
+    params, losses = train_wm(train_eps, net, derive_rng(101),
+                              wm_section(epochs=240, batch_size=16, lr=2e-3, p_noisy=0.0))
     return net, params, losses, test_eps
 
 
@@ -463,8 +468,8 @@ def test_linear_fixture_long_run_descends(linear_fixture_run):
 def test_default_length_run_loss_non_increasing_smoothed(linear_fixture_data):
     train_eps, _ = linear_fixture_data
     net = WmNet(D, A_DIM, n_tasks=1, horizon=H, context=C, width=64, act_emb_dim=16)
-    _, losses = train_wm(train_eps, net, derive_rng(101), epochs=15,
-                         batch_size=64, lr=2e-3, p_noisy=0.0)
+    _, losses = train_wm(train_eps, net, derive_rng(101),
+                         wm_section(epochs=15, batch_size=64, lr=2e-3, p_noisy=0.0))
     smooth = np.convolve(losses, np.ones(5) / 5, mode="valid")
     assert np.all(np.diff(smooth) <= 0)
     assert smooth[-1] < smooth[0]
@@ -492,7 +497,7 @@ def test_noisy_training_still_learns():
     rng = np.random.default_rng(104)
     eps = [linear_episode(rng) for _ in range(10)]
     net = small_net()
-    params, losses = train_wm(eps, net, derive_rng(105), epochs=10, batch_size=32,
-                              lr=2e-3, p_noisy=0.5, t_ctx_max=0.2)
+    params, losses = train_wm(eps, net, derive_rng(105),
+                              wm_section(epochs=10, batch_size=32, lr=2e-3, p_noisy=0.5))
     assert losses[-1] < losses[0]
     assert np.all(np.isfinite(losses))
