@@ -150,8 +150,9 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # Run configuration: one nested dict. DEFAULTS states every settable value
 # and its default, the only place a hyperparameter default lives (trainers
-# read their section); validate_config states every range rule but eval.task's
-# upper bound, which needs the env's task count (cli.resolve_config).
+# read their section); validate_config states the integer rule of every count
+# (COUNT_KEYS) and every range rule but eval.task's upper bound, which needs
+# the env's task count (cli.resolve_config).
 
 
 class ConfigError(ValueError):
@@ -211,8 +212,26 @@ def deep_merge(base: dict, override: dict, path: str = "") -> dict:
     return base
 
 
+# the (section, key) of every value that counts or indexes something: each
+# must be an int (not a bool), since a float like 2.5 passes the range rules
+# and fails only mid-run
+COUNT_KEYS = (
+    *((section, key) for section in ("clone", "wm", "refine", "reward")
+      for key in ("epochs", "batch_size")),
+    *(("run", key) for key in ("group_size", "chunk", "context", "max_episode_len",
+                               "n_base", "n_evo", "diffusion_steps")),
+    *(("plan", key) for key in ("refinements", "rl_updates_per_stage", "groups_per_update")),
+    ("rl", "inner_epochs"), ("rl", "keyframe_k"), ("wm", "width"), ("wm", "act_emb_dim"),
+    ("demo", "n"), ("collect", "n"), ("eval", "n"), ("eval", "task"),
+)
+
+
 def validate_config(cfg: dict) -> dict:
-    """Raise ConfigError unless every range rule holds; returns cfg."""
+    """Raise ConfigError unless every type and range rule holds; returns cfg."""
+    mistyped = [f"{section}.{key}" for section, key in COUNT_KEYS
+                if type(cfg[section][key]) is not int]
+    if mistyped:
+        raise ConfigError(f"config counts must be integers: {', '.join(mistyped)}")
     run, plan, rl, ev = cfg["run"], cfg["plan"], cfg["rl"], cfg["eval"]
     pos_weight = cfg["reward"]["pos_weight"]
     horizons = ev["horizons"]
@@ -247,6 +266,7 @@ def validate_config(cfg: dict) -> dict:
             (0.0 <= cfg["wm"]["p_noisy"] <= 1.0, "wm.p_noisy must lie in [0, 1]"),
             (cfg["reward"]["neg_ratio"] > 0, "reward.neg_ratio must be positive"),
             (rl["keyframe_k"] >= 1, "rl.keyframe_k must be >= 1"),
+            (rl["inner_epochs"] >= 1, "rl.inner_epochs must be >= 1"),
             (rl["lr"] > 0, "rl.lr must be positive"),
             (0.0 <= rl["reward_threshold"] <= 1.0,
              "rl.reward_threshold must lie in [0, 1]"),

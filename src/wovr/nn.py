@@ -3,14 +3,20 @@
 Parameters live in flat dicts of numpy arrays, and training code stays
 functional: loss_fn(params) -> value_and_grad -> adam_step.
 
-Each model's forward is written once, in plain numpy (`x @ w + b`, `np.tanh`,
-`np.concatenate`, basic slicing). On the plain-array params of inference it
-runs as plain numpy: no Tensor is built and no Python dispatch is added.
-value_and_grad passes Tensor leaves instead, and Tensor takes numpy's
-dispatch (NEP 13 `__array_ufunc__`, NEP 18 `__array_function__`), so the same
-code records the tape. A numpy call that the tables below do not map, such as
-`np.sin(t)`, raises TypeError instead of silently dropping the tape. There is
-no global state.
+Each model's forward is written once, in plain numpy (`np.tanh`,
+`np.concatenate`, basic slicing) and `linear` for each `x @ w + b`. On the
+plain-array params of inference it runs as plain numpy: no Tensor is built
+and no Python dispatch is added. value_and_grad passes Tensor leaves instead,
+and Tensor takes numpy's dispatch (NEP 13 `__array_ufunc__`, NEP 18
+`__array_function__`), so the same code records the tape. A numpy call that
+the tables below do not map, such as `np.sin(t)`, raises TypeError instead of
+silently dropping the tape. There is no global state.
+
+The tape is kept small: a linear layer is one node, a node records vjps only
+for parents that require grad, and backward walks only those, dropping each
+interior node's vjps and grad once they are propagated. Every gradient is
+bit-identical to the one the `x @ w` then `+ b` nodes gave, and adam_step
+keeps the reference order of operations, so trained params do not move.
 """
 from __future__ import annotations
 
@@ -23,6 +29,8 @@ CHECKPOINT_MAGIC = b"WOVC"
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a gradient down to the shape the operand had before broadcasting."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -44,6 +52,13 @@ class Tensor:
         self._vjps = vjps  # list of (parent, fn) or None for leaves
 
     def backward(self):
+        """Fill the grad of every leaf that requires it.
+
+        The walk visits the nodes in reverse depth-first post-order, which
+        fixes the order a node's gradients are summed in. Interior
+        nodes drop their vjps and grad once propagated, so the tape is freed
+        as the walk goes.
+        """
         if self.data.size != 1:
             raise ValueError("backward() needs a scalar output")
         order = []
@@ -64,13 +79,13 @@ class Tensor:
                         stack.append((parent, False))
         self.grad = np.ones_like(self.data)
         for node in reversed(order):
-            if not node._vjps or node.grad is None:
+            vjps, g = node._vjps, node.grad
+            if not vjps:
                 continue
-            for parent, fn in node._vjps:
-                if not parent.requires_grad:
-                    continue
-                g = _unbroadcast(fn(node.grad), parent.data.shape)
-                parent.grad = g if parent.grad is None else parent.grad + g
+            node._vjps = node.grad = None
+            for parent, fn in vjps:
+                pg = _unbroadcast(fn(g), parent.data.shape)
+                parent.grad = pg if parent.grad is None else parent.grad + pg
 
     # -- operator sugar ----------------------------------------------------
     def __add__(self, other):
@@ -120,7 +135,9 @@ def as_tensor(x) -> Tensor:
 
 
 def _make(data, vjps) -> Tensor:
-    if any(p.requires_grad for p, _ in vjps):
+    """A node that keeps only the vjps of parents that require grad."""
+    vjps = [pair for pair in vjps if pair[0].requires_grad]
+    if vjps:
         return Tensor(data, requires_grad=True, vjps=vjps)
     return Tensor(data)
 
@@ -136,7 +153,8 @@ def mul(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    return add(a, mul(b, -1.0))
+    a, b = as_tensor(a), as_tensor(b)
+    return _make(a.data - b.data, [(a, lambda g: g), (b, np.negative)])
 
 
 def neg(a) -> Tensor:
@@ -149,6 +167,17 @@ def matmul(a, b) -> Tensor:
         out = a.data @ b.data
         return _make(out, [(a, lambda g: g @ b.data.T), (b, lambda g: np.outer(a.data, g))])
     return _make(a.data @ b.data, [(a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g)])
+
+
+def linear(x, w, b):
+    """x @ w + b. Plain arrays give a plain array; a Tensor operand records
+    one tape node with one vjp per operand."""
+    if type(x) is not Tensor and type(w) is not Tensor and type(b) is not Tensor:
+        return x @ w + b
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    xd, wd = x.data, w.data
+    back_w = (lambda g: np.outer(xd, g)) if xd.ndim == 1 else (lambda g: xd.T @ g)
+    return _make(xd @ wd + b.data, [(x, lambda g: g @ wd.T), (w, back_w), (b, lambda g: g)])
 
 
 def exp(a) -> Tensor:
@@ -197,23 +226,25 @@ def clip(a, lo, hi) -> Tensor:
     return minimum(maximum(a, lo), hi)
 
 
+def _spread(g, shape, axis, keepdims):
+    """A reduction's gradient, broadcast back to the reduced operand's shape."""
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape).copy()
+
+
 def tsum(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
     out = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def back(g):
-        if axis is None:
-            return np.broadcast_to(g, a.data.shape).copy()
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return np.broadcast_to(gg, a.data.shape).copy()
-
-    return _make(out, [(a, back)])
+    return _make(out, [(a, lambda g: _spread(g, a.data.shape, axis, keepdims))])
 
 
 def tmean(a, axis=None, keepdims=False) -> Tensor:
+    """One node: the sum times 1/n, and the gradient times 1/n, spread back."""
     a = as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    scale = 1.0 / (a.data.size if axis is None else a.data.shape[axis])
+    out = a.data.sum(axis=axis, keepdims=keepdims) * scale
+    return _make(out, [(a, lambda g: _spread(g * scale, a.data.shape, axis, keepdims))])
 
 
 def concat(parts, axis=0) -> Tensor:
@@ -338,7 +369,7 @@ class Mlp:
         """
         last = len(self.keys) - 1
         for i, (w, b) in enumerate(self.keys):
-            x = x @ params[w] + params[b]
+            x = linear(x, params[w], params[b])
             if i < last:
                 x = np.tanh(x)
         return x
@@ -357,17 +388,40 @@ def adam_init(params: dict) -> dict:
 
 
 def adam_step(params, grads, state, lr=3e-4, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One bias-corrected Adam update. Returns new params; mutates state."""
+    """One bias-corrected Adam update. Returns new params; mutates state.
+
+    Bit for bit the reference
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        p - lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
+    with its order of operations. Every step makes fresh m, v and params
+    arrays and never writes the caller's params, grads or the previous m and
+    v, so a shallow copy of state stays valid. In-place ops touch only the
+    arrays the step made: one scratch array per param besides the three.
+    """
     state["step"] += 1
     t = state["step"]
+    m_corr = 1.0 - beta1**t
+    v_corr = 1.0 - beta2**t
+    ms, vs = state["m"], state["v"]
     out = {}
     for k, p in params.items():
         g = grads[k]
-        state["m"][k] = beta1 * state["m"][k] + (1.0 - beta1) * g
-        state["v"][k] = beta2 * state["v"][k] + (1.0 - beta2) * g * g
-        m_hat = state["m"][k] / (1.0 - beta1**t)
-        v_hat = state["v"][k] / (1.0 - beta2**t)
-        out[k] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        tmp = (1.0 - beta1) * g
+        m = beta1 * ms[k]
+        m += tmp
+        v = beta2 * vs[k]
+        np.multiply(1.0 - beta2, g, out=tmp)
+        tmp *= g
+        v += tmp
+        ms[k], vs[k] = m, v
+        den = v / v_corr
+        np.sqrt(den, out=den)
+        den += eps
+        np.divide(m, m_corr, out=tmp)
+        np.multiply(lr, tmp, out=tmp)
+        tmp /= den
+        out[k] = np.subtract(p, tmp, out=den)
     return out
 
 

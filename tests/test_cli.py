@@ -118,6 +118,7 @@ def test_out_of_range_config_exits_before_run_dir(tmp_path, capsys):
                                   "--set", "clone.batch_size=0"]),
             ("clone.lr", ["clone", "--demos", missing, "--lr", "-1"]),
             ("clone.epochs", ["clone", "--demos", missing, "--epochs", "-3"]),
+            ("clone.epochs", ["clone", "--demos", missing, "--set", "clone.epochs=2.5"]),
             ("eval.task", ["eval", "--policy", missing, "--metric", "halluc",
                            "--set", "eval.task=9"]),
             ("eval.horizons", ["eval", "--policy", missing, "--metric", "horizon",

@@ -251,7 +251,7 @@ def test_run_config_validation():
                 {"reward": {"epochs": -1}}, {"rl": {"lr": 0.0}}, {"wm": {"p_noisy": 1.5}},
                 {"wm": {"p_noisy": -0.1}}, {"reward": {"neg_ratio": 0}},
                 {"rl": {"reward_threshold": 1.5}}, {"eval": {"task": -1}},
-                {"eval": {"task": "first"}},
+                {"eval": {"task": "first"}}, {"rl": {"inner_epochs": 0}},
                 *({"eval": {"metric": "horizon", "horizons": horizons}}
                   for horizons in ([], [3], [8, 8], [16, 8], [72], [8.0], "8", 8))):
         with pytest.raises(ConfigError):
@@ -264,6 +264,18 @@ def test_run_config_validation():
                  # the horizons are read only under the horizon metric
                  {"run": {"max_episode_len": 32}}, {"eval": {"horizons": [3]}}):
         make_config(good)
+    # every count must be an int: a float or a bool is refused by name
+    counts = ("clone.epochs", "clone.batch_size", "wm.epochs", "wm.batch_size",
+              "refine.epochs", "refine.batch_size", "reward.epochs", "reward.batch_size",
+              "demo.n", "collect.n", "eval.n", "run.group_size", "run.chunk", "run.context",
+              "run.max_episode_len", "run.n_base", "run.n_evo", "run.diffusion_steps",
+              "plan.refinements", "plan.rl_updates_per_stage", "plan.groups_per_update",
+              "rl.inner_epochs", "rl.keyframe_k")
+    for name in counts:
+        section, key = name.split(".")
+        for value in (2.5, 2.0, True):
+            with pytest.raises(ConfigError, match=name):
+                make_config({section: {key: value}})
     # a section merges key by key
     assert make_config({"plan": {"refinements": 0}}, {"run": {"n_evo": 0}})["plan"] \
         == {**DEFAULTS["plan"], "refinements": 0}

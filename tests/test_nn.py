@@ -10,6 +10,7 @@ from wovr.nn import (
     clip,
     concat,
     exp,
+    linear,
     load_params,
     matmul,
     maximum,
@@ -171,6 +172,52 @@ def test_grad_reused_node_accumulates():
     check(lambda t: tsum(t * t + t * 3.0), lambda a: (a * a + 3.0 * a).sum(), x)
 
 
+def test_linear_plain_path_is_x_at_w_plus_b():
+    w, b = RNG.normal(size=(4, 3)), RNG.normal(size=3)
+    for x in (RNG.normal(size=4), RNG.normal(size=(5, 4))):
+        out = linear(x, w, b)
+        assert type(out) is np.ndarray
+        assert out.tobytes() == (x @ w + b).tobytes()
+
+
+@pytest.mark.parametrize("x_shape", [(4,), (5, 4)])
+def test_linear_grads_equal_matmul_add(x_shape):
+    rng = np.random.default_rng(14)
+    x, w, b = rng.normal(size=x_shape), rng.normal(size=(4, 3)), rng.normal(size=3)
+
+    def grads(layer):
+        leaves = [Tensor(a, requires_grad=True) for a in (x, w, b)]
+        tsum(sq(tanh(layer(*leaves)))).backward()
+        return [t.grad for t in leaves]
+
+    fused = grads(linear)
+    composed = grads(lambda xt, wt, bt: matmul(xt, wt) + bt)
+    for got, want in zip(fused, composed):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    f_np = lambda xx, ww, bb: (np.tanh(xx @ ww + bb) ** 2).sum()
+    check(lambda t: tsum(sq(tanh(linear(t, Tensor(w), Tensor(b))))),
+          lambda a: f_np(a, w, b), x)
+    check(lambda t: tsum(sq(tanh(linear(Tensor(x), t, Tensor(b))))),
+          lambda a: f_np(x, a, b), w)
+    check(lambda t: tsum(sq(tanh(linear(Tensor(x), Tensor(w), t)))),
+          lambda a: f_np(x, w, a), b)
+
+
+def test_linear_plain_x_gets_no_grad():
+    x = Tensor(RNG.normal(size=(5, 4)))
+    w = Tensor(RNG.normal(size=(4, 3)), requires_grad=True)
+    b = Tensor(RNG.normal(size=3), requires_grad=True)
+    out = linear(x, w, b)
+    # the node records no vjp for x, so backward never computes g @ w.T
+    assert [parent for parent, _ in out._vjps] == [w, b]
+    tsum(out).backward()
+    assert x.grad is None
+    assert w.grad.shape == (4, 3) and b.grad.shape == (3,)
+    out = linear(RNG.normal(size=(5, 4)), w, b)
+    assert [parent for parent, _ in out._vjps] == [w, b]
+
+
 def test_backward_requires_scalar():
     t = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ValueError):
@@ -230,6 +277,65 @@ def test_adam_first_step_matches_closed_form():
     expected = params["w"] - lr * grads["w"] / (np.abs(grads["w"]) + eps)
     np.testing.assert_allclose(new["w"], expected, rtol=0, atol=1e-12)
     assert state["step"] == 1
+
+
+def adam_reference(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam written out in the reference order of operations."""
+    new_p, new_m, new_v = {}, {}, {}
+    for k, p in params.items():
+        g = grads[k]
+        new_m[k] = beta1 * m[k] + (1.0 - beta1) * g
+        new_v[k] = beta2 * v[k] + (1.0 - beta2) * g * g
+        m_hat = new_m[k] / (1.0 - beta1**t)
+        v_hat = new_v[k] / (1.0 - beta2**t)
+        new_p[k] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return new_p, new_m, new_v
+
+
+def test_adam_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(12)
+    params = {"a.w0": rng.normal(size=(5, 3)), "a.b0": rng.normal(size=3),
+              "log_std": np.full(4, -1.5)}
+    state = adam_init(params)
+    ref_p, ref_m, ref_v = params, dict(state["m"]), dict(state["v"])
+    for t in range(1, 7):
+        grads = {k: rng.normal(scale=10.0 ** -t, size=v.shape) for k, v in params.items()}
+        grads["log_std"][0] = 0.0
+        lr = np.float64(3e-3 / t)  # train_wm's cosine schedule passes a numpy float
+        params = adam_step(params, grads, state, lr=lr)
+        ref_p, ref_m, ref_v = adam_reference(ref_p, grads, ref_m, ref_v, t, lr)
+        assert state["step"] == t
+        for k in params:
+            assert params[k].tobytes() == ref_p[k].tobytes()
+            assert state["m"][k].tobytes() == ref_m[k].tobytes()
+            assert state["v"][k].tobytes() == ref_v[k].tobytes()
+
+
+def test_adam_never_writes_its_inputs():
+    rng = np.random.default_rng(13)
+    params = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)}
+    state = adam_init(params)
+    for _ in range(3):
+        grads = {k: rng.normal(size=v.shape) for k, v in params.items()}
+        before = {name: {k: a.copy() for k, a in arrays.items()}
+                  for name, arrays in (("p", params), ("g", grads),
+                                       ("m", state["m"]), ("v", state["v"]))}
+        # every array the caller holds is read-only, so a write would raise
+        for arrays in (params, grads, state["m"], state["v"]):
+            for a in arrays.values():
+                a.setflags(write=False)
+        old_m, old_v = dict(state["m"]), dict(state["v"])
+        new = adam_step(params, grads, state, lr=1e-2)
+        for name, arrays in (("p", params), ("g", grads), ("m", old_m), ("v", old_v)):
+            for k, a in arrays.items():
+                assert np.array_equal(a, before[name][k])
+        # fresh m, v and params: no memory shared with the inputs or each other
+        fresh = [*new.values(), *state["m"].values(), *state["v"].values()]
+        held = [*params.values(), *grads.values(), *old_m.values(), *old_v.values()]
+        for i, a in enumerate(fresh):
+            assert a.flags.writeable
+            assert not any(np.shares_memory(a, b) for b in held + fresh[i + 1:])
+        params = new
 
 
 def test_adam_converges_on_quadratic():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wovr.core import FrameEpisode, TaskSpec, derive_rng, make_config, one_hot
-from wovr.nn import Tensor, value_and_grad
+from wovr.nn import Mlp, Tensor, tsum, value_and_grad
 from wovr.worldmodel import (
     OracleWorldModel,
     RfBatch,
@@ -216,6 +216,47 @@ def test_rf_loss_gradcheck():
                 vals.append(float(rf_loss(net, shifted, batch).data))
             fd[idx] = (vals[0] - vals[1]) / (2 * eps)
         np.testing.assert_allclose(grads[k], fd, rtol=1e-4, atol=1e-8)
+
+
+class MatmulAddMlp(Mlp):
+    """Mlp as its layers were recorded before nn.linear: a matmul node, then
+    an add node for the bias."""
+
+    def __call__(self, params, x):
+        for i, (w, b) in enumerate(self.keys):
+            x = x @ params[w] + params[b]
+            if i < self.n_layers - 1:
+                x = np.tanh(x)
+        return x
+
+
+def test_rf_grads_equal_matmul_add_tape():
+    net = small_net()
+    rng = derive_rng(15)
+    # perturbed off init, so the zero-init modulation heads are live
+    params = {k: v + 0.1 * rng.normal(size=v.shape) for k, v in net.init(rng).items()}
+    batch = random_batch(net, np.random.default_rng(16), b=6)
+    ref = small_net()
+    for name in ("layer_in", "layer_mid", "layer_out", "act_proj"):
+        block = getattr(ref, name)
+        setattr(ref, name, MatmulAddMlp(block.name, block.sizes, block.zero_init_last))
+    ref.mods = [MatmulAddMlp(m.name, m.sizes, m.zero_init_last) for m in ref.mods]
+
+    def ref_loss(p):
+        # the loss tail as it was recorded too: sub as + (-1 * v), mean as sum * 1/n
+        x_t, v = rf_interpolate(batch.x0, batch.x1, batch.t)
+        err = ref.u_tape(p, x_t, batch.anchors, batch.memories, batch.tasks,
+                         batch.chunks, batch.t) + v * -1.0
+        return tsum(err * err) * (1.0 / err.data.size)
+
+    value, grads = value_and_grad(lambda p: rf_loss(net, p, batch), params)
+    ref_value, ref_grads = value_and_grad(ref_loss, params)
+    assert value == ref_value
+    # act_emb feeds the trunk and both modulation heads: three gradients are
+    # summed into it, so equal bytes pin the order they are summed in
+    assert grads.keys() == ref_grads.keys()
+    for k in grads:
+        assert grads[k].tobytes() == ref_grads[k].tobytes(), k
 
 
 def test_tape_and_numpy_forwards_agree():
