@@ -270,7 +270,7 @@ def test_run_config_validation():
               "demo.n", "collect.n", "eval.n", "run.group_size", "run.chunk", "run.context",
               "run.max_episode_len", "run.n_base", "run.n_evo", "run.diffusion_steps",
               "plan.refinements", "plan.rl_updates_per_stage", "plan.groups_per_update",
-              "rl.inner_epochs", "rl.keyframe_k")
+              "rl.inner_epochs", "rl.keyframe_k", "wm.width", "wm.act_emb_dim", "eval.task")
     for name in counts:
         section, key = name.split(".")
         for value in (2.5, 2.0, True):
