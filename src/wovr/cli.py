@@ -505,7 +505,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         ("--policy", None, dict(help="pre-cloned base policy checkpoint")),
         ("--n-base", "run.n_base", dict(type=int)),
         ("--n-evo", "run.n_evo", dict(type=int)),
-        ("--refinements", "plan.refinements", dict(type=int)),
+        ("--refinements", "plan.refinements", dict(type=int, help="co-evolution rounds K")),
         ("--rl-updates", "plan.rl_updates_per_stage", dict(type=int)),
     ])
     register("eval", "evaluate a policy checkpoint", [

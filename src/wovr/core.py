@@ -171,9 +171,6 @@ DEFAULTS = {
     "run": {"gamma": 1.0, "group_size": 8, "clip_eps": 0.2, "chunk": 8,
             "context": 4, "max_episode_len": 64, "kir_fraction": 0.5,
             "diffusion_steps": 5, "n_base": 150, "n_evo": 100},
-    # refinements is 0 or 1: either the world model is refined once on
-    # evolved-policy data (two collections, two RL stages) or never (one
-    # collection, one RL stage against the base model)
     "plan": {"refinements": 1, "rl_updates_per_stage": 20,
              "groups_per_update": 4, "refine_mix_new": 0.7},
     "policy": {"hidden": [64, 64], "init_log_std": -1.5},
@@ -187,7 +184,7 @@ DEFAULTS = {
     # reward_threshold turns the classifier's probability into the sparse
     # reward, both in imagined RL and in `wovr eval --metric halluc`
     "rl": {"inner_epochs": 2, "lr": 3e-4, "keyframe_k": 2,
-           "reward_threshold": 0.9, "explore_log_std": None},
+           "reward_threshold": 0.9},
     # collect.n 0 means "use run.n_base"
     "collect": {"n": 0},
     "eval": {"n": 20, "metric": "sr", "horizons": [8, 16, 32, 64], "task": 0},
@@ -248,8 +245,8 @@ def validate_config(cfg: dict) -> dict:
              "run.max_episode_len must be a multiple of a positive run.chunk"),
             (run["n_base"] >= 1, "run.n_base must be >= 1"),
             (run["n_evo"] >= 0, "run.n_evo must be non-negative"),
-            (plan["refinements"] in (0, 1), "plan.refinements must be 0 or 1"),
-            (plan["refinements"] == 1 or run["n_evo"] == 0,
+            (plan["refinements"] >= 0, "plan.refinements must be non-negative"),
+            (plan["refinements"] >= 1 or run["n_evo"] == 0,
              "a plan without refinement cannot budget evolved rollouts"),
             (plan["refinements"] == 0 or run["n_evo"] >= 1,
              "a refinement stage needs evolved rollouts to train on"),

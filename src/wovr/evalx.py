@@ -117,15 +117,17 @@ class EvalReport:
     horizon_curve: list | None = None
 
     def validate(self):
-        for name, rate in (("success_rate", self.success_rate),
-                           ("hallucination rate",
-                            self.hallucination["rate"] if self.hallucination else None)):
-            if rate is not None and not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} outside [0, 1]")
-        if self.horizon_curve is not None:
-            hs = [h for h, _ in self.horizon_curve]
-            if sorted(set(hs)) != hs:
-                raise ValueError("horizon list must be strictly increasing")
+        halluc, curve = self.hallucination or {}, self.horizon_curve or []
+        rates = [self.success_rate, *(halluc.get(k) for k in ("rate", "spurious", "missed"))]
+        hs = [h for h, _ in curve]
+        for ok, message in (
+                (all(r is None or 0.0 <= r <= 1.0 for r in rates), "rates must lie in [0, 1]"),
+                (self.sr_trials is None or self.sr_trials >= 1, "sr_trials must be >= 1"),
+                (sorted(set(hs)) == hs, "horizon list must be strictly increasing"),
+                # NaN passes: a diverged model's curve is still a report
+                (not any(mse < 0 for _, mse in curve), "horizon MSE must be non-negative")):
+            if not ok:
+                raise ValueError(message)
         return self
 
     def to_json(self) -> str:

@@ -1,10 +1,11 @@
-"""Staged training pipeline: collect, model, imagined RL, refine, RL again.
+"""Staged training pipeline: collect, model, imagined RL, then K rounds of
+collect, refine, imagined RL.
 
-The pipeline alternates between touching the real environment (two budgeted
-collection stages) and consuming it only through the learned world model (the
-RL stages). A step-counting wrapper audits that separation: the audit
-records the rollout budget and every stage's real env steps, and a run in
-which a stage other than the two collections steps the real env aborts.
+The pipeline alternates between touching the real environment (K + 1
+budgeted collection stages) and consuming it only through the learned world
+model (the RL stages). A step-counting wrapper audits that separation: the
+audit records the rollout budget and every stage's real env steps, and a run
+in which a stage other than a collection steps the real env aborts.
 """
 
 from __future__ import annotations
@@ -180,17 +181,22 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
 
     cfg is a validated config dict (see core.DEFAULTS): the stage structure
     and budgets come from its run and plan sections, the training
-    hyperparameters from wm, refine, reward and rl. Stage order is fixed:
-    base collection, reward-classifier training, base model training,
-    imagined RL, then (with plan.refinements=1) evolved collection under the
-    stage-one policy, model refinement, and a second RL stage. The reward
-    classifier is trained once, on the base collection, and stays fixed.
-    The audit records the rollout budget, run.n_base + run.n_evo *
-    plan.refinements, and each stage's real env steps and resets. Real env
-    steps may occur only in the two collection stages: a run in which any
-    other stage steps the real env aborts with InvariantViolation. A stage
-    that raises is wrapped in StageFailure carrying the artifacts produced
-    so far.
+    hyperparameters from wm, refine, reward and rl. The base stages
+    (collection, reward-classifier and model training, imagined RL to policy
+    stage1) precede K = plan.refinements co-evolution rounds. Round r
+    collects run.n_evo real episodes under the round r-1 policy, refines the
+    round r-1 model on them plus every episode earlier models trained on, and
+    trains policy stage{r+1} in the result. Each RL stage's keyframes start
+    as its collection's real failures. Round r derives from tags 15/16/17 +
+    100 * (r - 1), so round 1 keeps the one-round streams. Rounds repeat the
+    stage names collect_evo, refine_wm and rl_evo; the wm_evo checkpoint, its
+    manifest and logs and the collect_evo manifest hold the last round. The
+    reward classifier is trained once, on the base collection, and stays
+    fixed. The audit records the rollout budget, run.n_base + run.n_evo * K,
+    and each stage's real env steps and resets. Real env steps may occur
+    only in the K + 1 collections: a run in which any other stage steps the
+    real env aborts with InvariantViolation. A stage that raises is wrapped
+    in StageFailure carrying the artifacts produced so far.
 
     When the cloning demos are passed in, their frames (reconstructed by
     replaying the stored actions, so no counted interaction happens) are
@@ -226,14 +232,19 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
 
     keyframes = deque(maxlen=KEYFRAME_CAPACITY)
 
-    with stage("collect_base") as row:
-        trajs_base, frames_base = collect_real(policy, base_params, counter, n_base, T, H,
-                                               seed, 11, roll=rollout_real)
-        harvest_keyframes(trajs_base, rl["keyframe_k"], keyframes)
-        row["trajectories"] = n_base
+    def collect(name, params, n, tag):
+        with stage(name) as row:
+            trajs, frames = collect_real(policy, params, counter, n, T, H, seed, tag,
+                                         roll=rollout_real)
+            # the next RL stage restarts only from this collection's failures
+            keyframes.clear()
+            harvest_keyframes(trajs, rl["keyframe_k"], keyframes)
+            row["trajectories"] = n
+        art.manifests[name] = {"policy": params_hash(params), "n": n, "config": cfg_hash}
+        return frames
+
+    frames_base = collect("collect_base", base_params, n_base, 11)
     art.policy_stages["base"] = base_params
-    art.manifests["collect_base"] = {"policy": params_hash(base_params),
-                                     "n": n_base, "config": cfg_hash}
 
     with stage("train_reward"):
         examples = label_episode_frames(frames_base + demo_eps, counter)
@@ -272,36 +283,25 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
                                             "config": cfg_hash}
         return params
 
-    entry = dict(base_params)
-    if rl["explore_log_std"] is not None:
-        key = f"{policy.name}.log_std"
-        entry[key] = np.maximum(entry[key], rl["explore_log_std"])
-    params = imagined_rl("rl_base", "stage1", entry, wm_base_params, 14)
+    params = imagined_rl("rl_base", "stage1", base_params, wm_base_params, 14)
 
-    if plan["refinements"]:
-        with stage("collect_evo") as row:
-            trajs_evo, frames_evo = collect_real(policy, params, counter, n_evo, T, H,
-                                                 seed, 15, roll=rollout_real)
-            # stage two restarts only from the evolved policy's failures
-            keyframes.clear()
-            harvest_keyframes(trajs_evo, rl["keyframe_k"], keyframes)
-            row["trajectories"] = n_evo
-        art.manifests["collect_evo"] = {"policy": params_hash(params), "n": n_evo,
-                                        "config": cfg_hash}
-
+    wm_params, retained = wm_base_params, wm_corpus
+    for r in range(1, plan["refinements"] + 1):
+        shift = 100 * (r - 1)
+        frames_evo = collect("collect_evo", params, n_evo, 15 + shift)
         with stage("refine_wm"):
             wm_evo_params, wm_evo_losses, refine_info = refine_wm(
-                wm_net, wm_base_params, frames_evo, wm_corpus,
-                derive_rng(seed, 16), cfg)
+                wm_net, wm_params, frames_evo, retained, derive_rng(seed, 16 + shift), cfg)
         art.wm_evo = wm_evo_params
         art.logs["wm_evo"] = wm_evo_losses
         art.logs["refine"] = refine_info
         art.manifests["wm_evo"] = {"params": params_hash(wm_evo_params),
-                                   "base": params_hash(wm_base_params),
+                                   "base": params_hash(wm_params),
                                    "mix_new": refine_info["mix_new_realized"],
                                    "param_distance": refine_info["param_distance"],
                                    "config": cfg_hash}
-        params = imagined_rl("rl_evo", "stage2", params, wm_evo_params, 17)
+        params = imagined_rl("rl_evo", f"stage{r + 1}", params, wm_evo_params, 17 + shift)
+        wm_params, retained = wm_evo_params, retained + frames_evo
 
     art.policy = params
     _finalize_audit(art)
@@ -411,7 +411,7 @@ def _rl_stage(policy, params, wm, reward_fn, env, cfg, keyframes, tag):
 
 
 def _finalize_audit(art: PaceArtifacts):
-    """Enforce the no-leak rule, then total the audit's stage rows."""
+    """Enforce the no-leak rule (only collections step the env), then total the rows."""
     rows = art.audit["stages"]
     for row in rows:
         if row["stage"] not in ("collect_base", "collect_evo") and row["env_steps"]:

@@ -134,10 +134,10 @@ def test_trace_counters_read_real_calls(monkeypatch):
         assert count["worldmodel.make_rf_batch"](args, batch) == {"windows": batch.x1.shape[0]}
 
 
-@pytest.mark.parametrize("refinements", [1, 0])
+@pytest.mark.parametrize("refinements", [1, 0, 2])
 def test_pace_run_passes_the_benchmark_gate(tmp_path, refinements):
     """bench/checks.py's check_pace reads a pace run's audit and checkpoints;
-    a tiny run, with and without refinement, must pass every check."""
+    a tiny run, with zero, one or two co-evolution rounds, must pass every check."""
     tiny = ["--env", "reachpoint", "--seed", "1", "--set", "run.max_episode_len=32"]
     assert parse_and_dispatch(["demo-gen", *tiny, "--n", "8",
                                "--run-root", str(tmp_path / "demos")]) == 0

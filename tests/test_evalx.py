@@ -240,3 +240,11 @@ def test_report_validation_rejects_bad_rates():
         EvalReport(success_rate=1.5).validate()
     with pytest.raises(ValueError):
         EvalReport(horizon_curve=[(16, 0.1), (8, 0.2)]).validate()
+    for bad in (EvalReport(hallucination={"rate": 0.5, "spurious": 7.0, "missed": 0.0}),
+                EvalReport(hallucination={"rate": 0.5, "spurious": 0.5, "missed": -3.0}),
+                EvalReport(success_rate=0.5, sr_trials=-5),
+                EvalReport(horizon_curve=[(8, -1e-3)])):
+        with pytest.raises(ValueError):
+            bad.validate()
+    # a diverged model's NaN error is still a readable report
+    EvalReport(horizon_curve=[(8, 0.1), (16, float("nan"))]).validate()

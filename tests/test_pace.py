@@ -31,7 +31,7 @@ STAGES = ("collect_base", "train_reward", "train_wm_base", "rl_base",
 
 
 def test_plan_rejects_bad_fields():
-    for bad in ({"plan": {"refinements": 2}},
+    for bad in ({"plan": {"refinements": -1}},
                 {"run": {"n_base": 0}},
                 {"run": {"n_evo": -1}},
                 {"run": {"n_evo": 50}, "plan": {"refinements": 0}},
@@ -43,6 +43,7 @@ def test_plan_rejects_bad_fields():
         with pytest.raises(ConfigError):
             make_config(bad)
     make_config({"run": {"n_evo": 0}, "plan": {"refinements": 0}})
+    make_config({"run": {"n_evo": 1}, "plan": {"refinements": 2}})
 
 
 def test_trainers_state_no_hyperparameter_default():
@@ -300,18 +301,6 @@ def test_pipeline_zero_rl_updates_keeps_base(reach_env, base_policy):
     assert art.logs["rl"] == [[], []]
 
 
-def test_pipeline_explore_floor(reach_env, base_policy):
-    policy, params = base_policy
-    art = small_run(reach_env, policy, params, 8, 4,
-                    {"plan": {"rl_updates_per_stage": 0},
-                     "rl": {"explore_log_std": -1.0}})
-    s1 = art.policy_stages["stage1"]
-    assert np.array_equal(s1["pi.log_std"],
-                          np.maximum(params["pi.log_std"], -1.0))
-    others = [k for k in params if k != "pi.log_std"]
-    assert all(np.array_equal(s1[k], params[k]) for k in others)
-
-
 @pytest.mark.parametrize("logit_bias", [-1e3, 1e3])
 def test_rl_stage_counts_all_equal_return_groups(reach_env, base_policy, logit_bias):
     # a reward that never (or always) fires gives every member the same
@@ -424,6 +413,22 @@ def test_pipeline_without_refinement(reach_env, base_policy):
     assert art.policy is art.policy_stages["stage1"]
     assert "stage2" not in art.policy_stages
     assert [len(stage) for stage in art.logs["rl"]] == [2]
+
+
+def test_pipeline_two_rounds(reach_env, base_policy):
+    # round 2 collects under the stage-2 policy, refines round 1's model on
+    # the new episodes and trains stage 3 in the result
+    policy, params = base_policy
+    a, b = (small_run(reach_env, policy, params, 8, 4, {"plan": {"refinements": 2}})
+            for _ in range(2))
+    assert [r["stage"] for r in a.audit["stages"]] == list(STAGES[:4] + 2 * STAGES[4:])
+    assert a.audit["budget"] == a.audit["trajectories_total"] == 8 + 2 * 4
+    assert set(a.policy_stages) == {"base", "stage1", "stage2", "stage3"}
+    assert a.policy is a.policy_stages["stage3"]
+    assert a.manifests["wm_evo"]["base"] == a.manifests["policy_stage2"]["wm"]
+    assert a.manifests["collect_evo"]["policy"] == params_hash(a.policy_stages["stage2"])
+    assert a.manifests == b.manifests
+    assert params_hash(a.policy) == params_hash(b.policy)
 
 
 def test_pipeline_stage_failure_preserves_artifacts(reach_env):

@@ -77,9 +77,14 @@ def test_corrupt_input_raises_only_typed_errors(originals, name, cut, flips):
 @pytest.mark.parametrize("text", [
     "[]", '{"horizon_curve": 5}', '{"horizon_curve": [[8, 0.1, 2]]}', "not json",
     b"\xff{}", "[" * 100_000, '{"hallucination": {}}', '{"hallucination": []}',
-    '{"success_rate": "high"}', '{"success_rate": 1.5}', '{"seeds": 3}'],
+    '{"success_rate": "high"}', '{"success_rate": 1.5}', '{"seeds": 3}',
+    '{"hallucination": {"rate": 0.5, "spurious": 7.0, "missed": 0.0}}',
+    '{"hallucination": {"rate": 0.5, "spurious": 0.5, "missed": -3.0}}',
+    '{"sr_trials": -5}', '{"sr_trials": 0}', '{"horizon_curve": [[8, 0.1], [16, -0.2]]}'],
     ids=["list", "int-curve", "triple-curve", "not-json", "not-utf8", "deep-nesting",
-         "empty-halluc", "list-halluc", "str-rate", "rate-range", "int-seeds"])
+         "empty-halluc", "list-halluc", "str-rate", "rate-range", "int-seeds",
+         "spurious-range", "missed-range", "negative-trials", "zero-trials",
+         "negative-mse"])
 def test_malformed_eval_report_is_malformed_header(text):
     with pytest.raises(MalformedHeader):
         EvalReport.from_json(text)
