@@ -57,12 +57,25 @@ def one_hot(index: int, size: int) -> np.ndarray:
     return vec
 
 
-def task_features(obs, task: TaskSpec, n_tasks: int) -> np.ndarray:
+def task_tokens(task, n_tasks: int, rows: tuple) -> np.ndarray:
+    """One-hot task rows, shape rows + (n_tasks,). task is one TaskSpec for
+    every row, or an integer array of shape rows holding each row's
+    TaskSpec.task_id; both give the same rows bit for bit. An id of n_tasks
+    or more raises IndexError."""
+    if isinstance(task, TaskSpec):
+        return np.broadcast_to(one_hot(task.task_id, n_tasks), rows + (n_tasks,))
+    ids = np.asarray(task)
+    if ids.shape != rows:
+        raise ValueError(f"need one task id per row, shape {rows}, got {ids.shape}")
+    # no range scan: ids come from TaskSpecs, which are non-negative
+    return np.eye(n_tasks).take(ids, axis=0)
+
+
+def task_features(obs, task, n_tasks: int) -> np.ndarray:
     """(obs, task one-hot), the policy's and the reward's input, for one row
-    (d,) or a batch of rows (N, d) of one task."""
+    (d,) or a batch of rows (N, d), of one TaskSpec or per-row task ids."""
     obs = np.asarray(obs, dtype=np.float64)
-    token = np.broadcast_to(one_hot(task.task_id, n_tasks), obs.shape[:-1] + (n_tasks,))
-    return np.concatenate([obs, token], axis=-1)
+    return np.concatenate([obs, task_tokens(task, n_tasks, obs.shape[:-1])], axis=-1)
 
 
 @dataclass(frozen=True)

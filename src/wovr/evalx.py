@@ -18,6 +18,7 @@ from .envs import step_chunks
 from .rollout import (
     _executed_actions,
     _imagined_dynamics,
+    _members,
     _real_dynamics,
     _roll_group,
     rollout_real,
@@ -45,8 +46,8 @@ def hallucination_rate(policy, params, wm, reward_fn, env, task: TaskSpec,
     if n < 1:
         raise ValueError("n must be >= 1")
     starts = [env.reset_state(task, derive_rng(seed, i, 0)) for i in range(n)]
-    trajectories, histories = _roll_group(policy, params, _imagined_dynamics(wm, task),
-                                          reward_fn, task, starts, "initial", T, H, seed)
+    trajectories, histories = _roll_group(policy, params, _imagined_dynamics(wm), reward_fn,
+                                          _members(task, starts, "initial", seed), T, H)
     spurious = missed = 0
     for start, traj, history in zip(starts, trajectories, histories):
         actions = _executed_actions(traj, len(history) - 1, H)
@@ -81,15 +82,16 @@ def horizon_error(wm, policy, params, env, task: TaskSpec, horizons,
     depth = horizons[-1]
     starts = [env.reset_state(task, derive_rng(seed, i, 0)) for i in range(n)]
     trajectories, real_states = _roll_group(policy, params, _real_dynamics(env),
-                                            lambda _frame, _task: 0, task, starts,
-                                            "initial", depth, H, seed)
+                                            lambda _frame, _task: 0,
+                                            _members(task, starts, "initial", seed),
+                                            depth, H, model_stream=False)
     # model replay of the same chunks, closed loop on its own frames
     model_rngs = [derive_rng(seed, i, 2) for i in range(n)]
     model_states = [[s] for s in starts]
-    dynamics = _imagined_dynamics(wm, task)
+    dynamics = _imagined_dynamics(wm)
     for k in range(depth // H):
         batch = np.array([traj.steps[k].chunk for traj in trajectories])
-        frames = np.asarray(dynamics(model_states, batch, model_rngs), dtype=np.float64)
+        frames = np.asarray(dynamics(model_states, task, batch, model_rngs), dtype=np.float64)
         for states, rows in zip(model_states, frames):
             states.extend(rows)
     return [(h, float(np.mean([np.mean((real[h] - model[h]) ** 2)
@@ -122,7 +124,12 @@ class EvalReport:
         hs = [h for h, _ in curve]
         for ok, message in (
                 (all(r is None or 0.0 <= r <= 1.0 for r in rates), "rates must lie in [0, 1]"),
+                (not halluc or abs(halluc["rate"] - halluc["spurious"] - halluc["missed"])
+                 <= 1e-9, "hallucination rate must be spurious + missed"),
+                (not halluc or _is_int(halluc.get("n")) and halluc["n"] >= 1,
+                 "hallucination n must be a positive int"),
                 (self.sr_trials is None or self.sr_trials >= 1, "sr_trials must be >= 1"),
+                (all(h > 0 for h in hs), "horizons must be positive"),
                 (sorted(set(hs)) == hs, "horizon list must be strictly increasing"),
                 # NaN passes: a diverged model's curve is still a report
                 (not any(mse < 0 for _, mse in curve), "horizon MSE must be non-negative")):

@@ -27,8 +27,8 @@ from .grpo import ChunkPolicy, build_group, grpo_update
 from .nn import tmean, value_and_grad
 from .reward import (RewardNet, label_episode_frames, predict_success,
                      sparse_reward, success_probs, train_classifier)
-from .rollout import (KEYFRAME_CAPACITY, GroupSpec, collect_real, harvest_keyframes,
-                      rollout_imagined, rollout_real, sample_start)
+from .rollout import (KEYFRAME_CAPACITY, GroupSpec, GroupSpecs, collect_real,
+                      harvest_keyframes, rollout_imagined, rollout_real, sample_start)
 from .worldmodel import LearnedWorldModel, WmNet, train_wm, window_counts
 
 log = logging.getLogger(__name__)
@@ -312,10 +312,11 @@ class LearnedReward:
     """The classifier's success probability, thresholded: the reward imagined
     RL trains on and `wovr eval --metric halluc` measures the simulator with.
 
-    reward(frame, task) -> 0/1 scores one frame; batch(frames (N, d), task)
-    -> (N,) bool scores many in one forward, which rollout's lockstep loop
-    uses for every active member's chunk at once. Both are pure functions of
-    the frame, so scoring frames past a member's first hit changes nothing.
+    reward(frame, task) -> 0/1 scores one frame; batch(frames (N, d), tasks)
+    -> (N,) bool scores many in one forward, tasks one TaskSpec or per-row
+    task ids, which rollout's lockstep loop uses for every active member's
+    chunk at once. Both are pure functions of the frame, so scoring frames
+    past a member's first hit changes nothing.
     A batched row's logit can differ from the single-row one in its last
     bits (the matmul sums in another order), which matters only for a
     probability that close to the threshold. params holds read-only views of
@@ -331,9 +332,9 @@ class LearnedReward:
         return sparse_reward(predict_success(self.net, self.params, frame, task),
                              self.threshold)
 
-    def batch(self, frames, task) -> np.ndarray:
+    def batch(self, frames, tasks) -> np.ndarray:
         probs = success_probs(self.net, self.params,
-                              task_features(frames, task, self.net.n_tasks))
+                              task_features(frames, tasks, self.net.n_tasks))
         if not np.all((probs >= 0.0) & (probs <= 1.0)):
             raise ValueError("probability must lie in [0, 1]")
         return probs >= self.threshold
@@ -359,36 +360,46 @@ def _rl_stage(policy, params, wm, reward_fn, env, cfg, keyframes, tag):
     accepts (LearnedWorldModel, or OracleWorldModel for true dynamics), under
     reward_fn, any reward rollout_imagined accepts (LearnedReward, or the true
     success predicate). Each update rolls out against read-only policy params,
-    then applies the GRPO step (run_iteration). Each group starts from one of
-    its task's keyframes with probability run.kir_fraction (sample_start),
-    and every group's failures are harvested into keyframes. The env is
-    touched only to draw initial start states (resets, never steps). Each
-    update's log record counts zero_adv_groups, the groups whose returns are
-    all equal: their advantages are all zero and they carry no gradient.
+    then applies the GRPO step (run_iteration). An update first draws the
+    start of each of its plan.groups_per_update groups, in group order: one
+    of its task's keyframes with probability run.kir_fraction (sample_start),
+    else an env reset. It then rolls every member of every group out in one
+    lockstep batch (one rollout_imagined call over a GroupSpecs; group g's
+    member i draws from derive_rng(derive_seed(seed, tag, u, g), i, ·)), and
+    only then harvests each group's failures into keyframes, in group order.
+    So a start of update u never draws a keyframe harvested in update u; at
+    the default groups_per_update == n_tasks each task starts once per
+    update, and this timing changes no draw. The env is touched only to draw
+    initial start states (resets, never steps). Each update's log record
+    counts zero_adv_groups, the groups whose returns are all equal: their
+    advantages are all zero and they carry no gradient.
     """
     seed, run, plan, rl = cfg["seed"], cfg["run"], cfg["plan"], cfg["rl"]
     state = {"params": params, "opt": None}
     start_rng = derive_rng(seed, tag, 3)
     n_tasks = env.n_tasks
-    T, H = run["max_episode_len"], run["chunk"]
+    T, H, G = run["max_episode_len"], run["chunk"], run["group_size"]
     groups_per_update = plan["groups_per_update"]
     logs = []
 
     for u in range(plan["rl_updates_per_stage"]):
         def rollout_fn(pol_params, wm, reward_fn, _u=u):
-            groups, kinds = [], []
+            specs = []
             for g in range(groups_per_update):
                 task = TaskSpec((_u * groups_per_update + g) % n_tasks)
                 start, kind = sample_start(
                     keyframes, task, run["kir_fraction"],
                     lambda r: env.reset_state(task, r), start_rng)
-                spec = GroupSpec(task, start, kind, run["group_size"])
-                trajs = rollout_imagined(policy, pol_params, wm, reward_fn, spec, T, H,
-                                         derive_seed(seed, tag, _u, g))
-                harvest_keyframes(trajs, rl["keyframe_k"], keyframes)
-                kinds.append(kind)
-                groups.append(build_group(trajs, run["gamma"]))
-            return groups, kinds
+                specs.append(GroupSpec(task, start, kind, G))
+            trajs = rollout_imagined(policy, pol_params, wm, reward_fn, GroupSpecs(specs),
+                                     T, H, [derive_seed(seed, tag, _u, g)
+                                            for g in range(groups_per_update)])
+            groups = []
+            for g in range(groups_per_update):
+                members = trajs[g * G:(g + 1) * G]
+                harvest_keyframes(members, rl["keyframe_k"], keyframes)
+                groups.append(build_group(members, run["gamma"]))
+            return groups, [spec.start_kind for spec in specs]
 
         def trainer_fn(rollouts, _u=u):
             groups, kinds = rollouts

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .core import ANCHOR_MODES, FrameEpisode, TaskSpec, one_hot
+from .core import ANCHOR_MODES, FrameEpisode, one_hot, task_tokens
 from .envs import step_chunks
 from .nn import Mlp, tmean, value_and_grad
 
@@ -184,22 +184,23 @@ def rf_loss(net: WmNet, params: dict, batch: RfBatch):
     return tmean(err * err)
 
 
-def sample_chunk(net: WmNet, params: dict, anchors, memories, task: TaskSpec, chunks,
+def sample_chunk(net: WmNet, params: dict, anchors, memories, task, chunks,
                  steps: int, rngs: list[np.random.Generator]) -> np.ndarray:
     """Euler-integrate the learned field from noise for B rows; (B, H, d) frames.
 
-    Row i conditions on anchors[i] (d,), memories[i] (c, d), the task and
-    chunks[i] (H, a_dim), and draws its start noise from rngs[i], per row
-    before stacking, so a row's draws do not depend on the other rows. Every
-    Euler step is one batched u_apply. A row that turns non-finite stays so;
-    the caller drops it, the sampler does not raise.
+    Row i conditions on anchors[i] (d,), memories[i] (c, d), its task (one
+    TaskSpec for every row, or per-row task ids, as core.task_tokens reads
+    them) and chunks[i] (H, a_dim), and draws its start noise from rngs[i],
+    per row before stacking, so a row's draws do not depend on the other rows.
+    Every Euler step is one batched u_apply. A row that turns non-finite stays
+    so; the caller drops it, the sampler does not raise.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     anchors = np.asarray(anchors, dtype=np.float64)
     memories = np.asarray(memories, dtype=np.float64)
     b = anchors.shape[0]
-    tasks = np.broadcast_to(one_hot(task.task_id, net.n_tasks), (b, net.n_tasks))
+    tasks = task_tokens(task, net.n_tasks, (b,))
     chunks = np.asarray(chunks, dtype=np.float64).reshape(b, net.horizon * net.a_dim)
     x = np.array([rng.normal(size=net.out_dim) for rng in rngs])
     dt = 1.0 / steps
@@ -212,9 +213,9 @@ def sample_chunk(net: WmNet, params: dict, anchors, memories, task: TaskSpec, ch
 class LearnedWorldModel:
     """Inference bundle used by rollout: net + params + sampler step count.
 
-    predict_chunk(anchors, memories, task, chunks, rngs) -> (B, H, d) frames,
-    one row per build_context row; every world model (OracleWorldModel, test
-    doubles) keeps this contract. params holds read-only views of the given
+    predict_chunk(anchors, memories, tasks, chunks, rngs) -> (B, H, d) frames,
+    one row per build_context row, tasks one TaskSpec or per-row task ids;
+    every world model (OracleWorldModel, test doubles) keeps this contract. params holds read-only views of the given
     arrays (nn.read_only), so a rollout cannot write to the model.
     """
 
@@ -225,8 +226,8 @@ class LearnedWorldModel:
         self.anchor_mode = net.anchor_mode
         self.context = net.context
 
-    def predict_chunk(self, anchors, memories, task, chunks, rngs) -> np.ndarray:
-        return sample_chunk(self.net, self.params, anchors, memories, task, chunks,
+    def predict_chunk(self, anchors, memories, tasks, chunks, rngs) -> np.ndarray:
+        return sample_chunk(self.net, self.params, anchors, memories, tasks, chunks,
                             self.steps, rngs)
 
 
@@ -245,7 +246,7 @@ class OracleWorldModel:
         self.anchor_mode = "first"
         self.context = context
 
-    def predict_chunk(self, anchors, memories, task, chunks, rngs) -> np.ndarray:
+    def predict_chunk(self, anchors, memories, tasks, chunks, rngs) -> np.ndarray:
         return step_chunks(self.env, memories[:, -1], chunks)
 
 

@@ -114,7 +114,8 @@ def test_trace_counters_read_real_calls(monkeypatch):
         for args, _ in calls[name]:
             assert all(callable(args[pos]) for pos in positions), name
     count = tracing.COUNTERS
-    assert len(calls["rollout.rollout_imagined"]) == 4
+    # one lockstep rollout per update, over both of its groups
+    assert len(calls["rollout.rollout_imagined"]) == 2
     for args, trajs in calls["rollout.rollout_imagined"]:
         assert count["rollout.rollout_imagined"](args, trajs) == {
             "members": len(trajs), "frames": H * sum(len(t.steps) for t in trajs)}

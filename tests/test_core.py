@@ -17,6 +17,7 @@ from wovr.core import (
     params_hash,
     read_frames,
     read_store,
+    task_features,
     write_frames,
     write_store,
 )
@@ -62,6 +63,19 @@ def test_one_hot():
     assert np.array_equal(one_hot(2, 4), [0.0, 0.0, 1.0, 0.0])
     with pytest.raises(ValueError):
         one_hot(4, 4)
+
+
+def test_task_features_per_row_ids_equal_per_task_rows():
+    obs = derive_rng(3).normal(size=(7, 4))
+    ids = np.array([2, 0, 1, 2, 2, 0, 3])
+    rows = np.stack([task_features(o, TaskSpec(int(i)), 4) for o, i in zip(obs, ids)])
+    assert task_features(obs, ids, 4).tobytes() == rows.tobytes()
+    assert (task_features(obs, np.full(7, 1), 4).tobytes()
+            == task_features(obs, TaskSpec(1), 4).tobytes())
+    with pytest.raises(ValueError):
+        task_features(obs, ids[:3], 4)
+    with pytest.raises(IndexError):
+        task_features(obs, np.full(7, 4), 4)
 
 
 def test_valid_len_failure_covers_all_steps():

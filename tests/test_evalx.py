@@ -242,9 +242,21 @@ def test_report_validation_rejects_bad_rates():
         EvalReport(horizon_curve=[(16, 0.1), (8, 0.2)]).validate()
     for bad in (EvalReport(hallucination={"rate": 0.5, "spurious": 7.0, "missed": 0.0}),
                 EvalReport(hallucination={"rate": 0.5, "spurious": 0.5, "missed": -3.0}),
+                EvalReport(hallucination={"rate": 0.5, "spurious": 0.5, "missed": 0.5,
+                                          "n": 4}),
+                EvalReport(hallucination={"rate": 0.5, "spurious": 0.25, "missed": 0.25,
+                                          "n": -4}),
+                EvalReport(hallucination={"rate": 0.5, "spurious": 0.25, "missed": 0.25,
+                                          "n": 4.0}),
+                EvalReport(hallucination={"rate": 0.5, "spurious": 0.25, "missed": 0.25}),
                 EvalReport(success_rate=0.5, sr_trials=-5),
+                EvalReport(horizon_curve=[(-8, 0.1), (0, 0.2)]),
+                EvalReport(horizon_curve=[(0, 0.1)]),
                 EvalReport(horizon_curve=[(8, -1e-3)])):
         with pytest.raises(ValueError):
             bad.validate()
     # a diverged model's NaN error is still a readable report
     EvalReport(horizon_curve=[(8, 0.1), (16, float("nan"))]).validate()
+    # the rate is the sum of its parts up to rounding, as hallucination_rate writes it
+    EvalReport(hallucination={"rate": 3 / 10, "spurious": 1 / 10, "missed": 2 / 10,
+                              "n": 10}).validate()

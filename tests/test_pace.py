@@ -358,6 +358,77 @@ def test_rl_stage_oracle_rung_scores_real_outcomes(reach_env, base_policy):
         assert task == task_r
 
 
+def rl_stage_inputs(reach_env, base_policy, *overrides):
+    policy, params = base_policy
+    cfg = make_config(SMALL, *overrides)
+    wm_net, rew_net = small_nets(reach_env)
+    wm = LearnedWorldModel(wm_net, wm_net.init(derive_rng(85)), cfg["run"]["diffusion_steps"])
+    reward_fn = LearnedReward(rew_net, rew_net.init(derive_rng(86)),
+                              cfg["rl"]["reward_threshold"])
+    return policy, params, wm, reward_fn, cfg
+
+
+@pytest.mark.parametrize("groups", [1, 3, 8])
+def test_rl_update_samples_once_per_chunk_step(reach_env, base_policy, monkeypatch, groups):
+    # every group of an update rolls in one lockstep batch, so the policy and
+    # model calls do not grow with plan.groups_per_update
+    calls = {"sample": 0, "u_apply": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ChunkPolicy, "sample", counted("sample", ChunkPolicy.sample))
+    monkeypatch.setattr(WmNet, "u_apply", counted("u_apply", WmNet.u_apply))
+    policy, params, wm, reward_fn, cfg = rl_stage_inputs(
+        reach_env, base_policy, {"seed": 5, "plan": {"rl_updates_per_stage": 1,
+                                                     "groups_per_update": groups}})
+    _rl_stage(policy, params, wm, reward_fn, reach_env, cfg,
+              deque(maxlen=KEYFRAME_CAPACITY), tag=87)
+    chunk_steps = T // H
+    assert 1 <= calls["sample"] <= chunk_steps
+    assert calls["u_apply"] <= chunk_steps * cfg["run"]["diffusion_steps"]
+    assert calls["u_apply"] == calls["sample"] * cfg["run"]["diffusion_steps"]
+
+
+def test_rl_update_harvests_after_its_rollouts(reach_env, base_policy, monkeypatch):
+    # two groups per task in each update, every start a keyframe when one
+    # exists, and no member ever succeeds: the first update finds no
+    # keyframe, the second draws every start from the first's failures
+    policy, params = base_policy
+    cfg = make_config(SMALL, {"seed": 6, "run": {"kir_fraction": 1.0},
+                              "plan": {"groups_per_update": 8}})
+    seen = []
+
+    def recording(keyframes, *args):
+        seen.append(len(keyframes))
+        return sample_start(keyframes, *args)
+
+    monkeypatch.setattr(pace, "sample_start", recording)
+    keyframes = deque(maxlen=KEYFRAME_CAPACITY)
+    wm = OracleWorldModel(reach_env, cfg["run"]["context"])
+    _, logs = _rl_stage(policy, params, wm, lambda frame, task: 0, reach_env, cfg,
+                        keyframes, tag=88)
+    per_update = 8 * cfg["run"]["group_size"] * cfg["rl"]["keyframe_k"]
+    assert seen == [0] * 8 + [per_update] * 8
+    assert [record["kir_groups"] for record in logs] == [0, 8]
+    assert len(keyframes) == 2 * per_update
+
+
+def test_rl_stage_is_deterministic(reach_env, base_policy):
+    policy, params, wm, _, cfg = rl_stage_inputs(
+        reach_env, base_policy, {"seed": 7, "plan": {"groups_per_update": 3}})
+    reward_fn = lambda frame, task: int(frame[0] > 2.0)
+    runs = [_rl_stage(policy, params, wm, reward_fn, reach_env, cfg,
+                      deque(maxlen=KEYFRAME_CAPACITY), tag=89) for _ in range(2)]
+    (a, logs_a), (b, logs_b) = runs
+    assert params_hash(a) == params_hash(b) and logs_a == logs_b
+    # the groups carried signal, so the runs compared trained params
+    assert params_hash(a) != params_hash(params)
+
+
 def toy_params(seed):
     rng = derive_rng(seed)
     return {"w": rng.normal(size=(3, 3)), "b": rng.normal(size=3)}

@@ -80,11 +80,15 @@ def test_corrupt_input_raises_only_typed_errors(originals, name, cut, flips):
     '{"success_rate": "high"}', '{"success_rate": 1.5}', '{"seeds": 3}',
     '{"hallucination": {"rate": 0.5, "spurious": 7.0, "missed": 0.0}}',
     '{"hallucination": {"rate": 0.5, "spurious": 0.5, "missed": -3.0}}',
-    '{"sr_trials": -5}', '{"sr_trials": 0}', '{"horizon_curve": [[8, 0.1], [16, -0.2]]}'],
+    '{"sr_trials": -5}', '{"sr_trials": 0}', '{"horizon_curve": [[8, 0.1], [16, -0.2]]}',
+    '{"hallucination": {"rate": 0.5, "spurious": 0.5, "missed": 0.5, "n": 4}}',
+    '{"hallucination": {"rate": 0.5, "spurious": 0.25, "missed": 0.25, "n": -4}}',
+    '{"hallucination": {"rate": 0.5, "spurious": 0.25, "missed": 0.25, "n": "4"}}',
+    '{"horizon_curve": [[-8, 0.1], [0, 0.2]]}'],
     ids=["list", "int-curve", "triple-curve", "not-json", "not-utf8", "deep-nesting",
          "empty-halluc", "list-halluc", "str-rate", "rate-range", "int-seeds",
          "spurious-range", "missed-range", "negative-trials", "zero-trials",
-         "negative-mse"])
+         "negative-mse", "rate-not-sum", "negative-n", "str-n", "non-positive-horizon"])
 def test_malformed_eval_report_is_malformed_header(text):
     with pytest.raises(MalformedHeader):
         EvalReport.from_json(text)

@@ -13,7 +13,9 @@ from wovr.reward import RewardNet
 from wovr.rollout import (
     KEYFRAME_CAPACITY,
     GroupSpec,
+    GroupSpecs,
     _imagined_dynamics,
+    _members,
     _roll_group,
     collect_real,
     harvest_keyframes,
@@ -309,6 +311,51 @@ def test_group_member_matches_member_rolled_alone():
     assert len(lengths) > 2 and 2 * T // H in lengths
 
 
+def test_update_batch_equals_per_group_rollouts():
+    """One rollout_imagined over a GroupSpecs of mixed tasks and start kinds
+    rolls each group as its own call at the group's seed would: equal
+    rewards, lengths, tasks and kinds, floats within 1e-12, and bit for bit
+    for a group that never runs on with one member alone (a single row takes
+    another matmul kernel, which may round its last bits differently)."""
+    env = ReachPoint()
+    policy, params = make_policy(env)
+    net = WmNet(env.state_dim, env.action_dim, env.n_tasks, horizon=H, context=2,
+                width=32, act_emb_dim=8)
+    wm = LearnedWorldModel(net, net.init(derive_rng(20)), steps=3)
+    reward = x_past_reward(env, 2.0)
+    G, depth = 4, 2 * T
+    outcomes, lengths, bit_equal = set(), set(), 0
+    for trial in range(4):
+        specs, seeds = [], []
+        for g in range(6):
+            task = TaskSpec((g + trial) % env.n_tasks)
+            start = env.reset_state(task, derive_rng(30, trial, g))
+            specs.append(GroupSpec(task, start, ("initial", "keyframe")[g % 2], G))
+            seeds.append(derive_seed(31, trial, g))
+        specs = GroupSpecs(specs)
+        batched = rollout_imagined(policy, params, wm, reward, specs, depth, H, seeds)
+        assert specs.size == len(batched) == 6 * G
+        for g, (spec, seed) in enumerate(zip(specs, seeds)):
+            alone = rollout_imagined(policy, params, wm, reward, spec, depth, H, seed)
+            got = batched[g * G:(g + 1) * G]
+            for a, b in zip(got, alone, strict=True):
+                assert (a.task, a.start_kind) == (b.task, b.start_kind) == (spec.task,
+                                                                            spec.start_kind)
+                assert [r.reward for r in a.steps] == [r.reward for r in b.steps]
+                for x, y in zip(a.steps, b.steps):
+                    np.testing.assert_allclose(x.obs, y.obs, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(x.chunk, y.chunk, rtol=0, atol=1e-12)
+                    assert abs(x.logp_old - y.logp_old) <= 1e-12
+                outcomes.add(b.success)
+                lengths.add(len(b.steps))
+            running = [sum(len(t.steps) > k for t in alone) for k in range(depth // H)]
+            if 1 not in running:
+                assert got == alone
+                bit_equal += 1
+    assert outcomes == {True, False} and depth // H in lengths and len(lengths) > 3
+    assert bit_equal >= 8
+
+
 class PoisonedWm(OracleWorldModel):
     """Oracle dynamics, except that the given (call, row) pairs come back NaN."""
 
@@ -380,8 +427,8 @@ def test_batched_reward_rolls_like_its_per_frame_form(caplog):
         for fn in (reward, per_frame):
             wm = PoisonedWm(env, [(1, 1)])
             with caplog.at_level("WARNING"):
-                runs.append(_roll_group(expert, {}, _imagined_dynamics(wm, task), fn, task,
-                                        [start] * 6, "initial", 64, H, seed))
+                runs.append(_roll_group(expert, {}, _imagined_dynamics(wm), fn,
+                                        _members(task, [start] * 6, "initial", seed), 64, H))
         (trajs, histories), (ref_trajs, ref_histories) = runs
         assert trajs == ref_trajs
         assert len(histories) == len(ref_histories)
