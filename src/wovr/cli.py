@@ -8,8 +8,8 @@ without leaving a directory behind. Every command that produces artifacts
 gets a fresh run directory under the run root (--run-root, else
 $WOVR_RUN_ROOT, else ./runs) named by the resolved-config hash plus a
 timestamp, and the resolved config is written there verbatim before any work
-starts. Exit codes: 0 success, 2 configuration error, 3 runtime error, 4
-invariant violation.
+starts. An input file made in another env is a configuration error too. Exit
+codes: 0 success, 2 configuration error, 3 runtime error, 4 invariant violation.
 """
 
 from __future__ import annotations
@@ -149,6 +149,12 @@ def clone_demos(demos, policy, cfg) -> tuple[dict, list[float]]:
     return clone_base_policy(demos, policy, derive_rng(cfg["seed"], 72), cfg["clone"])
 
 
+def check_input_env(cfg, path, env_name):
+    """ConfigError unless the input at path was made in the resolved env."""
+    if env_name != cfg["env"]:
+        raise ConfigError(f"{path} holds {env_name!r} data, the resolved env is {cfg['env']!r}")
+
+
 def require(args, cfg_err: str, *names):
     values = []
     for name in names:
@@ -181,7 +187,8 @@ def cmd_demo_gen(cfg, run_dir, args):
 def cmd_clone(cfg, run_dir, args):
     demos_path = require(args, "clone needs --{flag}", "demos")
     demos, manifest = read_batch(demos_path)
-    env = get_env(manifest.get("env", cfg["env"]))
+    check_input_env(cfg, demos_path, manifest.get("env"))
+    env = get_env(cfg["env"])
     params, losses = clone_demos(demos, build_policy(env, cfg), cfg)
     nn.save_params(run_dir / "policy.wovc", params)
     with open(run_dir / "manifest.json", "w") as fh:
@@ -219,6 +226,7 @@ def cmd_collect(cfg, run_dir, args):
 def cmd_train_wm(cfg, run_dir, args):
     frames_path = require(args, "train-wm needs --{flag}", "frames")
     episodes, env_name = read_frames(frames_path)
+    check_input_env(cfg, frames_path, env_name)
     env = get_env(env_name)
     net = build_wm_net(env, cfg)
     params, losses = train_wm(episodes, net, derive_rng(cfg["seed"], 74), cfg["wm"])
@@ -238,10 +246,12 @@ def cmd_train_wm(cfg, run_dir, args):
 def cmd_train_reward(cfg, run_dir, args):
     frames_path = require(args, "train-reward needs --{flag}", "frames")
     episodes, env_name = read_frames(frames_path)
+    check_input_env(cfg, frames_path, env_name)
     env = get_env(env_name)
     net = build_reward_net(env, cfg)
     if getattr(args, "demos", None):
-        demos, _ = read_batch(args.demos)
+        demos, manifest = read_batch(args.demos)
+        check_input_env(cfg, args.demos, manifest.get("env"))
         episodes = episodes + [replay_frames(env, d) for d in demos]
     examples = label_episode_frames(episodes, env)
     params, losses = train_classifier(examples, net, derive_rng(cfg["seed"], 75),
@@ -282,7 +292,8 @@ def cmd_pace(cfg, run_dir, args):
     policy = build_policy(env, cfg)
     demos = None
     if getattr(args, "demos", None):
-        demos, _ = read_batch(args.demos)
+        demos, manifest = read_batch(args.demos)
+        check_input_env(cfg, args.demos, manifest.get("env"))
     if getattr(args, "policy", None):
         base_params = nn.load_params(args.policy)
     elif demos:

@@ -1,9 +1,9 @@
 """Shared domain types, run configuration and the one on-disk container.
 
-State vectors are plain float64 numpy arrays; trajectories are chunk-granular
-(one StepRecord per policy call), and a step's sparse reward is the only record
-of an episode's outcome. Everything here is immutable after construction by
-convention and safe to share across workers.
+State vectors are plain float64 numpy arrays; a trajectory's Steps hold one
+row per policy call in the columns a store record holds, and a step's sparse
+reward is the only record of an episode's outcome. Everything here is
+immutable after construction by convention and safe to share across workers.
 
 Every wovr file is one little-endian container, written by write_records and
 parsed by read_records, the only byte parser in wovr:
@@ -26,7 +26,7 @@ import itertools
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -90,42 +90,49 @@ class TaskSpec:
 
 
 @dataclass(eq=False)
-class StepRecord:
-    """One policy call: observation, emitted action chunk, sparse reward and
-    behavior log-density. The reward is 1 on the step whose frames first reach
-    success, which ends the episode."""
+class Steps:
+    """One episode's chunk-level records, a row per policy call; the reward is
+    1 on the step whose frames first reach success, which ends the episode.
+    A bad shape is ValueError, a reward outside {0, 1} or a non-finite entry
+    InvariantViolation. Without rows, obs is (0, 0) and chunk (0, 0, 0), as stored."""
 
-    obs: np.ndarray          # (d,)
-    chunk: np.ndarray        # (H, a_dim), clipped to the env action box
-    reward: int              # {0, 1}
-    logp_old: float          # behavior-policy log-density of the chunk (0.0 in demos)
+    obs: np.ndarray       # (n, d)
+    chunk: np.ndarray     # (n, H, a_dim), clipped to the env action box
+    reward: np.ndarray    # (n,) uint8 in {0, 1}
+    logp_old: np.ndarray  # (n,) behavior-policy log-densities (0.0 in demos)
 
     def __post_init__(self):
-        self.obs = np.asarray(self.obs, dtype=np.float64)
-        self.chunk = np.asarray(self.chunk, dtype=np.float64)
-        if self.chunk.ndim != 2:
-            raise ValueError("chunk must be an (H, a_dim) matrix")
-        if self.reward not in (0, 1):
-            raise InvariantViolation(f"reward must be 0 or 1, got {self.reward}")
-        if not math.isfinite(self.logp_old):
-            raise InvariantViolation("logp_old must be finite")
-        if not np.isfinite(self.obs).all() or not np.isfinite(self.chunk).all():
-            raise InvariantViolation("non-finite entries in step record")
+        self.obs, self.chunk, self.logp_old = (np.asarray(a, dtype=np.float64)
+                                               for a in (self.obs, self.chunk, self.logp_old))
+        reward, n = np.asarray(self.reward), np.shape(self.reward)
+        if (self.obs.ndim, self.chunk.ndim, len(n)) != (2, 3, 1) or not (
+                self.obs.shape[:1] == self.chunk.shape[:1] == self.logp_old.shape == n):
+            raise ValueError("need obs (n, d), chunk (n, H, a), reward and logp_old (n,); got "
+                             f"{self.obs.shape}, {self.chunk.shape}, {n}, {self.logp_old.shape}")
+        if not np.array_equal(reward, reward.astype(bool)):  # each reward is 0 or 1
+            raise InvariantViolation(f"rewards must be 0 or 1, got {np.unique(reward)}")
+        if not all(np.isfinite(a).all() for a in (self.obs, self.chunk, self.logp_old)):
+            raise InvariantViolation("non-finite entries in steps")
+        self.reward = reward.astype(np.uint8)
+        if not len(reward):
+            self.obs, self.chunk = np.zeros((0, 0)), np.zeros((0, 0, 0))
+
+    def __len__(self) -> int:
+        return len(self.reward)
+
+    @property
+    def actions(self) -> np.ndarray:
+        """Every chunk's actions in order, (n * H, a_dim)."""
+        return self.chunk.reshape(len(self) * self.chunk.shape[1], self.chunk.shape[2])
 
     def __eq__(self, other):
-        if not isinstance(other, StepRecord):
-            return NotImplemented
-        return (
-            np.array_equal(self.obs, other.obs)
-            and np.array_equal(self.chunk, other.chunk)
-            and self.reward == other.reward
-            and self.logp_old == other.logp_old
-        )
+        return isinstance(other, Steps) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
-@dataclass(eq=False)
+@dataclass
 class Trajectory:
-    """Unit of RL data: the chunk-level records of one episode.
+    """Unit of RL data: the chunk-level steps of one episode.
 
     success and valid_len are read from the step rewards, never stored
     beside them, so they cannot disagree with the rewards.
@@ -133,7 +140,7 @@ class Trajectory:
 
     task: TaskSpec
     start_kind: str
-    steps: list[StepRecord]
+    steps: Steps
 
     def __post_init__(self):
         if self.start_kind not in START_KINDS:
@@ -141,23 +148,13 @@ class Trajectory:
 
     @property
     def success(self) -> bool:
-        return any(s.reward == 1 for s in self.steps)
+        return bool(self.steps.reward.any())
 
     @property
     def valid_len(self) -> int:
         """Steps through the first reward step (GRPO's mask), else every step."""
-        return next((i + 1 for i, s in enumerate(self.steps) if s.reward == 1),
-                    len(self.steps))
-
-    def __eq__(self, other):
-        if not isinstance(other, Trajectory):
-            return NotImplemented
-        return (
-            self.task == other.task
-            and self.start_kind == other.start_kind
-            and len(self.steps) == len(other.steps)
-            and all(a == b for a, b in zip(self.steps, other.steps))
-        )
+        hits = np.flatnonzero(self.steps.reward)
+        return int(hits[0]) + 1 if hits.size else len(self.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +427,10 @@ _STORE_SCHEMA = {"chunk": ("<f8", ("n", "H", "a")), "flags": ("|u1", ("n", 2)),
 
 def _trajectory_record(traj: Trajectory) -> dict[str, np.ndarray]:
     steps = traj.steps
-    rewards = np.array([s.reward for s in steps], dtype=np.uint8)
-    # np.array raises on ragged step shapes; zero steps would give a 1-d array
     return {"head": np.array([traj.task.task_id, START_KINDS.index(traj.start_kind),
                               int(traj.success), traj.valid_len], dtype=np.int64),
-            "obs": np.array([s.obs for s in steps]) if steps else np.zeros((0, 0)),
-            "chunk": np.array([s.chunk for s in steps]) if steps else np.zeros((0, 0, 0)),
-            "logp_old": np.array([s.logp_old for s in steps], dtype=np.float64),
-            "flags": np.stack([rewards, rewards], axis=1)}
+            "obs": steps.obs, "chunk": steps.chunk, "logp_old": steps.logp_old,
+            "flags": np.stack([steps.reward, steps.reward], axis=1)}
 
 
 def _trajectory(record: dict) -> Trajectory:
@@ -448,10 +441,8 @@ def _trajectory(record: dict) -> Trajectory:
     rewards, done = flags.T
     if np.any(done != rewards):
         raise InvariantViolation("a done flag differs from its step's reward")
-    # StepRecord rejects a reward outside {0, 1}
-    steps = [StepRecord(o, c, int(reward), float(logp))
-             for o, c, logp, reward in zip(obs, chunk, logp_old, rewards)]
-    traj = Trajectory(TaskSpec(task_id), START_KINDS[kind], steps)
+    # Steps rejects a reward outside {0, 1} and a non-finite entry
+    traj = Trajectory(TaskSpec(task_id), START_KINDS[kind], Steps(obs, chunk, rewards, logp_old))
     if (success, valid_len) != (traj.success, traj.valid_len):
         raise InvariantViolation(f"head gives success {success}, valid_len {valid_len}; "
                                  f"the rewards give {traj.success}, {traj.valid_len}")

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .core import FrameEpisode, StepRecord, TaskSpec, Trajectory, derive_rng
+from .core import FrameEpisode, Steps, TaskSpec, Trajectory, derive_rng
 
 # target positions shared by both environments, one per task id
 _TARGETS = np.array([[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]])
@@ -217,29 +217,25 @@ def scripted_demo(env, task: TaskSpec, seed: int, noise_level: float = 0.0,
         raise ValueError("max_len must be a multiple of the chunk length")
     rng = derive_rng(seed, task.task_id, 7)
     state = env.reset_state(task, rng)
-    steps: list[StepRecord] = []
-    for _ in range(max_len // chunk):
-        obs = state.copy()
-        actions = np.zeros((chunk, env.action_dim))
-        reward = 0
-        taken = 0
+    n = max_len // chunk
+    obs, chunks = np.zeros((n, env.state_dim)), np.zeros((n, chunk, env.action_dim))
+    reward = np.zeros(n, dtype=np.uint8)
+    for k in range(n):
+        obs[k] = state
         for j in range(chunk):
             act = env.expert_action(state) + noise_level * rng.normal(size=env.action_dim)
-            act = np.clip(act, env.action_low, env.action_high)
-            actions[j] = act
-            taken = j + 1
-            state = env.step(state, act)
+            chunks[k, j] = np.clip(act, env.action_low, env.action_high)
+            state = env.step(state, chunks[k, j])
             if env.is_success(state):
-                reward = 1
+                reward[k] = 1
                 break
         # pad unexecuted slots with repeats of the last command so the chunk
         # keeps its fixed shape; they were never applied
-        for j in range(taken, chunk):
-            actions[j] = actions[taken - 1]
-        steps.append(StepRecord(obs, actions, reward, 0.0))
-        if reward:
+        chunks[k, j + 1:] = chunks[k, j]
+        if reward[k]:
+            n = k + 1
             break
-    return Trajectory(task, "initial", steps)
+    return Trajectory(task, "initial", Steps(obs[:n], chunks[:n], reward[:n], np.zeros(n)))
 
 
 def replay_frames(env, traj: Trajectory) -> FrameEpisode:
@@ -253,13 +249,9 @@ def replay_frames(env, traj: Trajectory) -> FrameEpisode:
     """
     if not traj.steps:
         raise ValueError("cannot replay an empty trajectory")
-    state = np.asarray(traj.steps[0].obs, dtype=np.float64)
-    states = [state]
-    actions: list[np.ndarray] = []
-    for act in (act for rec in traj.steps for act in rec.chunk):
-        state = env.step(state, act)
-        states.append(state)
-        actions.append(np.asarray(act, dtype=np.float64))
-        if env.is_success(state):
+    states = [traj.steps.obs[0]]
+    for act in traj.steps.actions:
+        states.append(env.step(states[-1], act))
+        if env.is_success(states[-1]):
             break
-    return FrameEpisode(traj.task, np.array(states), np.array(actions))
+    return FrameEpisode(traj.task, np.array(states), traj.steps.actions[:len(states) - 1])

@@ -16,7 +16,6 @@ import numpy as np
 from .core import MalformedHeader, TaskSpec, derive_rng
 from .envs import step_chunks
 from .rollout import (
-    _executed_actions,
     _imagined_dynamics,
     _members,
     _real_dynamics,
@@ -50,7 +49,7 @@ def hallucination_rate(policy, params, wm, reward_fn, env, task: TaskSpec,
                                           _members(task, starts, "initial", seed), T, H)
     spurious = missed = 0
     for start, traj, history in zip(starts, trajectories, histories):
-        actions = _executed_actions(traj, len(history) - 1, H)
+        actions = traj.steps.actions[:len(history) - 1]
         real = any(env.is_success(frame) for frame in step_chunks(env, [start], [actions])[0])
         if traj.success and not real:
             spurious += 1
@@ -89,9 +88,9 @@ def horizon_error(wm, policy, params, env, task: TaskSpec, horizons,
     model_rngs = [derive_rng(seed, i, 2) for i in range(n)]
     model_states = [[s] for s in starts]
     dynamics = _imagined_dynamics(wm)
-    for k in range(depth // H):
-        batch = np.array([traj.steps[k].chunk for traj in trajectories])
-        frames = np.asarray(dynamics(model_states, task, batch, model_rngs), dtype=np.float64)
+    # each chunk step's chunks of every episode, (n, H, a_dim), in step order
+    for chunks in np.stack([traj.steps.chunk for traj in trajectories], axis=1):
+        frames = np.asarray(dynamics(model_states, task, chunks, model_rngs), dtype=np.float64)
         for states, rows in zip(model_states, frames):
             states.extend(rows)
     return [(h, float(np.mean([np.mean((real[h] - model[h]) ** 2)

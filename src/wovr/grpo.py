@@ -91,7 +91,7 @@ class ChunkPolicy:
 def discounted_return(traj: Trajectory, gamma: float) -> float:
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must lie in (0, 1]")
-    return float(sum(step.reward * gamma**t for t, step in enumerate(traj.steps)))
+    return float(sum(r * gamma**t for t, r in enumerate(traj.steps.reward.tolist())))
 
 
 def group_advantages(returns) -> np.ndarray:
@@ -144,14 +144,13 @@ def step_batch(policy: ChunkPolicy, groups: list[GroupBatch]) -> StepBatch | Non
     parts = []
     for group in groups:
         for traj, adv in zip(group.trajectories, group.advantages):
-            steps = traj.steps[:traj.valid_len]
-            if not steps:
+            t_valid, steps = traj.valid_len, traj.steps
+            if not t_valid:
                 continue
-            t_valid = len(steps)
             parts.append((
-                task_features(np.array([s.obs for s in steps]), traj.task, policy.n_tasks),
-                np.array([s.chunk for s in steps]).reshape(t_valid, policy.flat),
-                np.array([s.logp_old for s in steps]),
+                task_features(steps.obs[:t_valid], traj.task, policy.n_tasks),
+                steps.chunk[:t_valid].reshape(t_valid, policy.flat),
+                steps.logp_old[:t_valid],
                 np.full(t_valid, 1.0 / (n_traj * t_valid)),
                 np.full(t_valid, adv),
             ))

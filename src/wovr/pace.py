@@ -101,11 +101,11 @@ def clone_base_policy(demos, policy: ChunkPolicy, rng: np.random.Generator,
     cannot fit, so demos recorded under action noise yield a policy whose
     exploration scale matches that noise.
     """
+    demos = [d for d in demos if len(d.steps)]
     if not demos:
-        raise ValueError("no demonstrations")
-    feats = np.stack([task_features(s.obs, d.task, policy.n_tasks)
-                      for d in demos for s in d.steps])
-    chunks = np.stack([s.chunk.reshape(-1) for d in demos for s in d.steps])
+        raise ValueError("no demonstration steps")
+    feats = np.concatenate([task_features(d.steps.obs, d.task, policy.n_tasks) for d in demos])
+    chunks = np.concatenate([d.steps.chunk.reshape(len(d.steps), policy.flat) for d in demos])
     params = policy.init(rng)
     losses: list[float] = []
     opt = nn.adam_init(params)

@@ -6,23 +6,23 @@ still running, then one batched dynamics call. Imagined, that is one
 build_context over the members' histories and the world model's
 predict_chunk(anchors, memories, tasks, chunks, rngs) -> (B, H, d); real, it
 is env steps from each member's newest frame. A member is cut at its first
-reward frame. The reward is reward_fn(frame, task) -> 0/1, read frame by
-frame up to the first hit; a reward that also has batch(frames (N, d), tasks)
--> (N,) bool (the learned reward, pace.LearnedReward) instead scores every
+reward frame. The reward is reward_fn(frame, task) -> 0/1, read frame by frame
+up to the first hit; a reward that also has batch(frames (N, d), tasks) ->
+(N,) bool (the learned reward, pace.LearnedReward) instead scores every
 running member's H frames in one call per chunk step, so it must be a pure
-function of the frame. Members need not share a task: each carries its own
-task, start, start kind and stream key, and per-row task ids reach the
-policy, the model and the reward through core's one one-hot rule
-(task_tokens, which task_features wraps). So one GRPO update rolls all its
-groups (a GroupSpecs) as one batch: each chunk step is one policy call and
-one model call over up to groups * G rows, not one per group. Every member draws from its own
+function of the frame. The members' core.Steps are gathered once, from the
+batches every chunk step kept, when all have stopped. Members need not share a
+task: each carries its own task, start, start kind and stream key, and per-row
+task ids reach the policy, the model and the reward through core's one one-hot
+rule (task_tokens). So one GRPO update rolls all its groups (a GroupSpecs) as
+one batch of up to groups * G rows per call. Every member draws from its own
 derive_rng(*key, ·) streams, so swapping the learned model for the true
 dynamics (and the learned reward for the true success predicate) reproduces
-real rollouts bit for bit under the same seeds. Keyframe initialized
-rollouts restart a fraction of groups from the (state, task) pairs of recent
-failures, kept in a deque(maxlen=KEYFRAME_CAPACITY), instead of the episode
-start; imagined RL harvests an update's failures only after the whole update
-rolled out (pace._rl_stage).
+real rollouts bit for bit under the same seeds. Keyframe initialized rollouts
+restart a fraction of groups from the (state, task) pairs of recent failures,
+kept in a deque(maxlen=KEYFRAME_CAPACITY), instead of the episode start;
+imagined RL harvests an update's failures only after the whole update rolled
+out (pace._rl_stage).
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ import numpy as np
 from .core import (
     FrameEpisode,
     MalformedHeader,
-    StepRecord,
+    Steps,
     TaskSpec,
     Trajectory,
     derive_rng,
@@ -62,7 +62,7 @@ def harvest_keyframes(trajectories, k: int, keyframes: deque) -> deque:
         raise ValueError("k must be >= 1")
     for traj in trajectories:
         if not traj.success:
-            keyframes.extend((step.obs.copy(), traj.task) for step in traj.steps[-k:])
+            keyframes.extend(zip(traj.steps.obs[-k:].copy(), [traj.task] * k))
     return keyframes
 
 
@@ -160,7 +160,8 @@ def _roll_group(policy, params, dynamics, reward_fn, members, T, H,
     frames are not all finite stops alone, with one warning, keeping the
     steps it recorded before; its frames are never scored. Dynamics that
     draw nothing (the real env) run with model_stream False, and then the
-    members' model streams are not built; their rngs are None.
+    members' model streams are not built; their rngs are None. Each member's
+    Steps are gathered at the end from the kept batches (_member_steps).
 
     Returns (trajectories, frame histories); a history holds every executed
     frame of its member, cut at the success frame.
@@ -173,8 +174,9 @@ def _roll_group(policy, params, dynamics, reward_fn, members, T, H,
     policy_rngs = [derive_rng(*m.key, 1) for m in members]
     model_rngs = [derive_rng(*m.key, 2) if model_stream else None for m in members]
     histories = [[np.asarray(m.start, dtype=np.float64)] for m in members]
-    records = [[] for _ in range(n)]
-    active = list(range(n))
+    batches = []  # per chunk step: the obs, chunks, rewards and logps of its rows
+    rows = [[] for _ in range(n)]  # member i's rows, numbered across all batches
+    offset, active = 0, list(range(n))
     for k in range(T // H):
         if not active:
             break
@@ -187,23 +189,35 @@ def _roll_group(policy, params, dynamics, reward_fn, members, T, H,
         if batch is not None and finite.any():
             first = np.full(len(active), H)
             first[finite] = _first_hits(batch, frames[finite], ids[finite])
-        still = []
+        rewards = []
         for row, i in enumerate(active):
+            hit = H  # an aborted row is none of its member's rows: never read
             if not finite[row]:
                 log.warning("rollout member aborted at chunk-step %d: member %d "
                             "predicted a non-finite frame", k, i)
-                continue
-            hit = (first[row] if batch is not None
-                   else _first_hit(reward_fn, frames[row], members[i].task))
-            histories[i].extend(frames[row][:hit + 1])
-            reward = int(hit < H)
-            records[i].append(StepRecord(obs=obs[row], chunk=chunks[row], reward=reward,
-                                         logp_old=float(logps[row])))
-            if not reward:
-                still.append(i)
-        active = still
-    trajectories = [Trajectory(m.task, m.kind, steps) for m, steps in zip(members, records)]
+            else:
+                hit = (int(first[row]) if batch is not None
+                       else _first_hit(reward_fn, frames[row], members[i].task))
+                histories[i].extend(frames[row][:hit + 1])
+                rows[i].append(offset + row)
+            rewards.append(hit < H)
+        batches.append((obs, chunks, rewards, logps))
+        offset += len(active)
+        active = [i for i, ok, reward in zip(active, finite, rewards) if ok and not reward]
+    trajectories = [Trajectory(m.task, m.kind, steps)
+                    for m, steps in zip(members, _member_steps(batches, rows))]
     return trajectories, histories
+
+
+def _member_steps(batches, rows) -> list[Steps]:
+    """Each member's Steps: its rows, numbered across _roll_group's batches,
+    from one concatenation and one gather per column for all members."""
+    if not batches:  # no chunk step ran
+        return [Steps(np.zeros((0, 0)), np.zeros((0, 0, 0)), [], []) for _ in rows]
+    order = np.array([row for member_rows in rows for row in member_rows], dtype=np.int64)
+    columns = [np.concatenate(col)[order] for col in zip(*batches)]
+    bounds = np.cumsum([0] + [len(member_rows) for member_rows in rows])
+    return [Steps(*(col[lo:hi] for col in columns)) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _imagined_dynamics(wm):
@@ -256,16 +270,6 @@ def rollout_imagined(policy, params, wm, reward_fn, groups, T: int, H: int,
     return trajectories
 
 
-def _executed_actions(traj: Trajectory, n_frames: int, H: int) -> np.ndarray:
-    """Concatenate each step's executed chunk prefix (the last may be cut)."""
-    actions = []
-    for j, rec in enumerate(traj.steps):
-        take = min(H, n_frames - j * H)
-        actions.extend(rec.chunk[:take])
-    a_dim = traj.steps[0].chunk.shape[1] if traj.steps else 0
-    return np.array(actions).reshape(len(actions), a_dim)
-
-
 def rollout_real(policy, params, env, task: TaskSpec, n: int, T: int, H: int,
                  seed: int, starts=None, record_frames: bool = False):
     """n real-env trajectories; evaluation and data collection only.
@@ -286,13 +290,15 @@ def rollout_real(policy, params, env, task: TaskSpec, n: int, T: int, H: int,
 
     if starts is None:
         starts = [env.reset_state(task, derive_rng(seed, i, 0)) for i in range(n)]
-    members = _members(task, [starts[i] for i in range(n)], "initial", seed)
+    elif len(starts) != n:
+        raise ValueError(f"need one start per episode, {n}, got {len(starts)}")
+    members = _members(task, starts, "initial", seed)
     trajectories, histories = _roll_group(policy, params, _real_dynamics(env), true_reward,
                                           members, T, H, model_stream=False)
     if not record_frames:
         return trajectories
-    episodes = [FrameEpisode(task, np.array(history),
-                             _executed_actions(traj, len(history) - 1, H))
+    # every chunk but the last runs whole; a success frame cuts the last
+    episodes = [FrameEpisode(task, np.array(history), traj.steps.actions[:len(history) - 1])
                 for traj, history in zip(trajectories, histories)]
     return trajectories, episodes
 

@@ -150,3 +150,47 @@ def test_pace_run_passes_the_benchmark_gate(tmp_path, refinements):
     assert parse_and_dispatch(argv + [arg for s in sets for arg in ("--set", s)]) == 0
     checks = load_bench("checks").check_pace(tmp_path / "runs", 1)["checks"]
     assert checks and all(checks.values()), checks
+
+
+TINY = ["--env", "reachpoint", "--seed", "1", "--set", "run.max_episode_len=32"]
+
+
+def run_once(root, *argv):
+    """The run directory of one wovr call under root, which must succeed."""
+    assert parse_and_dispatch([*argv, *TINY, "--run-root", str(root)]) == 0
+    (made,) = root.iterdir()
+    return made
+
+
+def test_collect_run_passes_the_benchmark_gate(tmp_path):
+    """bench/checks.py's check_collect reads a collect run's store and frame set
+    back, with an sr eval beside it; a tiny run must pass every check."""
+    demos = run_once(tmp_path / "demos", "demo-gen", "--n", "4") / "demos.wovs"
+    policy = run_once(tmp_path / "clone", "clone", "--demos", str(demos),
+                      "--epochs", "2") / "policy.wovc"
+    runs = tmp_path / "runs"
+    for argv in (["collect", "--n", "6"], ["eval", "--metric", "sr", "--n", "2"]):
+        assert parse_and_dispatch([*argv, "--policy", str(policy), *TINY,
+                                   "--run-root", str(runs)]) == 0
+    gate = load_bench("checks").check_collect(runs, 1, str(policy))
+    assert gate["checks"] and all(gate["checks"].values()), gate["checks"]
+    assert gate["work_items"] == 6 and gate["failed_items"] == 0
+
+
+def test_rl_run_passes_the_benchmark_gate(tmp_path):
+    """bench/checks.py's check_rl reads an rl run in a simulator that a pace
+    run built, as the imagination workload does; a tiny one must pass every check."""
+    demos = run_once(tmp_path / "demos", "demo-gen", "--n", "4") / "demos.wovs"
+    sim = run_once(tmp_path / "sim", "pace", "--demos", str(demos),
+                   *(arg for s in ("run.n_base=12", "run.n_evo=6", "wm.epochs=1",
+                                   "refine.epochs=1", "reward.epochs=5",
+                                   "plan.rl_updates_per_stage=0") for arg in ("--set", s)))
+    inputs = {"sim": str(sim), "policy": str(sim / "policy_base.wovc"),
+              "wm": str(sim / "wm_evo.wovc"), "reward": str(sim / "reward.wovc")}
+    runs = tmp_path / "runs"
+    run_once(runs, "rl", *(arg for name in ("policy", "wm", "reward")
+                           for arg in (f"--{name}", inputs[name])),
+             "--updates", "2", "--set", "plan.groups_per_update=2")
+    gate = load_bench("checks").check_rl(runs, 1, inputs)
+    assert gate["checks"] and all(gate["checks"].values()), gate["checks"]
+    assert gate["work_items"] == 2 * 2 * DEFAULTS["run"]["group_size"]

@@ -311,13 +311,48 @@ def test_workflow_eval_missing_wm_flag(workflow, capsys):
     assert code == EXIT_CONFIG
 
 
+def assert_env_mismatch(workflow, capsys, *argv):
+    """argv, given reachpoint input while its env resolves to pickplace2d,
+    exits as a config error that names both envs."""
+    code = parse_and_dispatch([*argv, "--run-root", str(workflow["base"] / "runs" / "mismatch")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG and "'reachpoint'" in err and "'pickplace2d'" in err, err
+
+
+def test_clone_rejects_demos_of_another_env(workflow, capsys):
+    clone = json.loads((workflow["clone_dir"] / "manifest.json").read_text())
+    assert clone["env"] == "reachpoint"
+    assert_env_mismatch(workflow, capsys, "clone", "--config", str(workflow["cfg"]),
+                        "--env", "pickplace2d", "--demos", str(workflow["demos"]))
+
+
+def test_pace_rejects_demos_of_another_env(workflow, capsys):
+    assert_env_mismatch(workflow, capsys, "pace", "--config", str(workflow["cfg"]),
+                        "--env", "pickplace2d", "--demos", str(workflow["demos"]))
+
+
+def test_train_wm_rejects_frames_of_another_env(workflow, capsys):
+    # without --env the resolved env is the default, pickplace2d
+    assert_env_mismatch(workflow, capsys, "train-wm", "--frames", str(workflow["frames"]))
+
+
+def test_train_reward_rejects_inputs_of_another_env(workflow, capsys, tmp_path):
+    assert_env_mismatch(workflow, capsys, "train-reward", "--config", str(workflow["cfg"]),
+                        "--env", "pickplace2d", "--frames", str(workflow["frames"]))
+    assert parse_and_dispatch(["demo-gen", "--env", "pickplace2d", "--n", "1",
+                               "--run-root", str(tmp_path)]) == EXIT_OK
+    (demo_dir,) = tmp_path.iterdir()
+    assert_env_mismatch(workflow, capsys, "train-reward", "--config", str(workflow["cfg"]),
+                        "--frames", str(workflow["frames"]),
+                        "--demos", str(demo_dir / "demos.wovs"))
+
+
 def test_workflow_halluc_thresholds_at_rl_reward_threshold(workflow, capsys):
     root = workflow["base"] / "halluc"
     argv = ["eval", "--config", str(workflow["cfg"]), "--run-root", str(root),
             "--policy", str(workflow["policy"]), "--metric", "halluc",
             "--wm", str(workflow["wm"]), "--reward", str(workflow["reward"])]
-    assert parse_and_dispatch(argv + ["--set", "reward.threshold=0.5"]) \
-        == EXIT_CONFIG
+    assert parse_and_dispatch(argv + ["--set", "reward.threshold=0.5"])
     # at threshold 0 every imagined episode succeeds on its first frame, so
     # no real success can go missed
     assert parse_and_dispatch(argv + ["--set", "rl.reward_threshold=0.0"]) \

@@ -7,7 +7,7 @@ from wovr.core import (
     FrameEpisode,
     InvariantViolation,
     MalformedHeader,
-    StepRecord,
+    Steps,
     TaskSpec,
     Trajectory,
     TruncatedPayload,
@@ -23,22 +23,12 @@ from wovr.core import (
 )
 
 
-def make_step(rng, d=8, horizon=8, a_dim=3, reward=0):
-    return StepRecord(
-        obs=rng.normal(size=d),
-        chunk=rng.normal(size=(horizon, a_dim)),
-        reward=reward,
-        logp_old=float(rng.normal()),
-    )
-
-
-def make_traj(seed=0, n=4, succeed_at=None):
+def make_traj(seed=0, n=4, succeed_at=None, d=8, horizon=8, a_dim=3):
     rng = np.random.default_rng(seed)
-    steps = []
-    for i in range(n):
-        r = 1 if succeed_at is not None and i == succeed_at else 0
-        steps.append(make_step(rng, reward=r))
-    return Trajectory(TaskSpec(1), "initial", steps)
+    reward = [int(i == succeed_at) for i in range(n)]
+    return Trajectory(TaskSpec(1), "initial",
+                      Steps(rng.normal(size=(n, d)), rng.normal(size=(n, horizon, a_dim)),
+                            reward, rng.normal(size=n)))
 
 
 def data_offset(blob, name: str, ndim: int) -> int:
@@ -93,7 +83,7 @@ def test_valid_len_stops_at_first_success():
 # a store head is four int64s: task, start kind, success, valid_len
 
 
-def test_compute_valid_len_rejects_missing_success(tmp_path):
+def test_read_store_rejects_head_success_without_reward_step(tmp_path):
     # the head claims success, but no step carries the reward
     with pytest.raises(InvariantViolation):
         read_patched(tmp_path, make_traj(n=2), "head", 1, 8 * 2, old=0, new=1)
@@ -110,29 +100,52 @@ def test_trajectory_rejects_mid_sequence_done(tmp_path):
         read_patched(tmp_path, make_traj(n=2), "flags", 2, 1, old=0, new=1)
 
 
-def test_step_record_rejects_nonbinary_reward():
+def test_steps_rejects_nonbinary_reward():
     rng = np.random.default_rng(2)
-    with pytest.raises(InvariantViolation):
-        StepRecord(rng.normal(size=4), rng.normal(size=(2, 2)), reward=2, logp_old=0.0)
+    for reward in ([2], [0, 2], [0.5], [-1]):
+        n = len(reward)
+        with pytest.raises(InvariantViolation):
+            Steps(rng.normal(size=(n, 4)), rng.normal(size=(n, 2, 2)), reward, np.zeros(n))
 
 
-def test_step_record_rejects_non_finite():
+def test_steps_rejects_non_finite():
     rng = np.random.default_rng(3)
-    obs, chunk = rng.normal(size=4), rng.normal(size=(2, 2))
-    StepRecord(obs, chunk, 0, -1.5)
+    obs, chunk, logp = rng.normal(size=(2, 4)), rng.normal(size=(2, 2, 2)), np.array([-1.5, 0.0])
+    Steps(obs, chunk, [0, 1], logp)
     for bad in (np.nan, np.inf, -np.inf):
-        bad_obs, bad_chunk = obs.copy(), chunk.copy()
-        bad_obs[2] = bad
-        bad_chunk[1, 0] = bad
-        for args in ((bad_obs, chunk, 0, -1.5), (obs, bad_chunk, 0, -1.5),
-                     (obs, chunk, 0, bad), (obs, chunk, 1, np.float64(bad))):
+        bad_obs, bad_chunk, bad_logp = obs.copy(), chunk.copy(), logp.copy()
+        bad_obs[1, 2] = bad
+        bad_chunk[0, 1, 0] = bad
+        bad_logp[1] = bad
+        for args in ((bad_obs, chunk, [0, 0], logp), (obs, bad_chunk, [0, 0], logp),
+                     (obs, chunk, [0, 0], bad_logp), (obs, chunk, [0, 1], bad_logp)):
             with pytest.raises(InvariantViolation):
-                StepRecord(*args)
+                Steps(*args)
+
+
+def test_steps_rejects_malformed_shapes():
+    rng = np.random.default_rng(4)
+    obs, chunk = rng.normal(size=(3, 4)), rng.normal(size=(3, 2, 2))
+    reward, logp = [0] * 3, [0.0] * 3
+    assert len(Steps(obs, chunk, reward, logp)) == 3
+    for args in ((obs, chunk[:, 0], reward, logp), (obs, chunk[0], reward, logp),
+                 (obs[0], chunk, reward, logp), (obs[:2], chunk, reward, logp),
+                 (obs, chunk[:2], reward, logp), (obs, chunk, reward[:2], logp),
+                 (obs, chunk, reward, logp[:2]), (obs, chunk, 0, logp)):
+        with pytest.raises(ValueError):
+            Steps(*args)
+
+
+def test_steps_without_rows_take_the_stored_empty_shapes():
+    empty = Steps(np.zeros((0, 5)), np.zeros((0, 4, 2)), [], [])
+    assert len(empty) == 0 and empty.obs.shape == (0, 0) and empty.chunk.shape == (0, 0, 0)
+    traj = Trajectory(TaskSpec(0), "initial", empty)
+    assert not traj.success and traj.valid_len == 0
 
 
 def test_read_store_rejects_nan_obs(tmp_path):
     traj = make_traj(n=2)
-    traj.steps[0].obs[0] = 1.5  # float64 bytes 00 .. 00 f8 3f
+    traj.steps.obs[0, 0] = 1.5  # float64 bytes 00 .. 00 f8 3f
     # the top byte 3f -> 7f makes the exponent all ones: 1.5 becomes NaN
     with pytest.raises(InvariantViolation):
         read_patched(tmp_path, traj, "obs", 2, 7, old=0x3F, new=0x7F)
@@ -145,7 +158,7 @@ def test_roundtrip_is_exact(tmp_path):
     (decoded,) = read_store(path)
     assert decoded == traj
     # bitwise, not just approximate
-    assert decoded.steps[0].obs.tobytes() == traj.steps[0].obs.tobytes()
+    assert decoded.steps.obs.tobytes() == traj.steps.obs.tobytes()
 
 
 def test_roundtrip_keyframe_kind(tmp_path):
@@ -184,7 +197,8 @@ def test_decode_rejects_corrupt_reward_byte(tmp_path):
 
 def test_store_roundtrip(tmp_path):
     trajs = [make_traj(seed=i, n=3 + i, succeed_at=i if i % 2 else None) for i in range(1, 5)]
-    trajs.append(Trajectory(TaskSpec(2), "initial", []))
+    trajs.append(Trajectory(TaskSpec(2), "initial", Steps(np.zeros((0, 8)),
+                                                          np.zeros((0, 8, 3)), [], [])))
     path = tmp_path / "demos.wovs"
     for batch in (trajs, []):
         write_store(path, batch)

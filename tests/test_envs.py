@@ -274,14 +274,14 @@ def test_expert_succeeds_on_every_task_noise_free(env):
         for seed in range(5):
             traj = scripted_demo(env, TaskSpec(task_id), seed, noise_level=0.0)
             assert traj.success, f"expert failed task {task_id} seed {seed}"
-            assert traj.steps[-1].reward == 1  # the demo ends at its reward step
+            assert traj.steps.reward[-1] == 1  # the demo ends at its reward step
 
 
 def test_demo_deterministic(env):
     t1 = scripted_demo(env, TaskSpec(1), 3, noise_level=0.4)
     t2 = scripted_demo(env, TaskSpec(1), 3, noise_level=0.4)
     assert t1 == t2
-    assert all(step.logp_old == 0.0 for step in t1.steps)  # noisy demos too
+    assert not t1.steps.logp_old.any()  # noisy demos too
 
 
 def test_demo_noise_changes_outcome_distribution(env):
@@ -291,14 +291,13 @@ def test_demo_noise_changes_outcome_distribution(env):
 
 def test_demo_actions_respect_box(env):
     traj = scripted_demo(env, TaskSpec(2), 11, noise_level=1.0)
-    for step in traj.steps:
-        assert np.all(step.chunk >= env.action_low)
-        assert np.all(step.chunk <= env.action_high)
+    assert np.all(traj.steps.chunk >= env.action_low)
+    assert np.all(traj.steps.chunk <= env.action_high)
 
 
 def test_demo_valid_len_matches_first_success(env):
     traj = scripted_demo(env, TaskSpec(0), 2, noise_level=0.0)
-    rewards = [s.reward for s in traj.steps]
+    rewards = traj.steps.reward.tolist()
     assert rewards.index(1) + 1 == traj.valid_len
 
 
@@ -324,7 +323,7 @@ def test_counting_env_tracks_steps_and_resets():
 def test_counting_env_sees_demo_steps():
     env = CountingEnv(PickPlace2D())
     traj = scripted_demo(env, TaskSpec(0), 0, noise_level=0.0)
-    executed = sum(1 for _ in traj.steps)
+    executed = len(traj.steps)
     assert env.resets == 1
     # chunks stop early at success, so steps < chunks * 8 but >= chunks
     assert executed * 1 <= env.steps <= executed * 8
@@ -335,7 +334,7 @@ def test_replay_frames_reconstructs_demo_exactly(env):
     counted = CountingEnv(PickPlace2D())
     ep = replay_frames(counted, traj)
     assert ep.states.shape[0] == ep.actions.shape[0] + 1
-    np.testing.assert_array_equal(ep.states[0], traj.steps[0].obs)
+    np.testing.assert_array_equal(ep.states[0], traj.steps.obs[0])
     if traj.success:
         assert env.is_success(ep.states[-1])
         assert not any(env.is_success(s) for s in ep.states[:-1])

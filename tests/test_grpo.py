@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wovr import nn
-from wovr.core import StepRecord, TaskSpec, Trajectory, derive_rng, task_features
+from wovr.core import Steps, TaskSpec, Trajectory, derive_rng, task_features
 from wovr.grpo import (
     ChunkPolicy,
     GroupBatch,
@@ -30,10 +30,16 @@ def logprob1(pol, params, obs, chunk, task=TaskSpec(0)):
     return float(pol.logprob(params, task_features(obs, task, pol.n_tasks), np.reshape(chunk, -1)))
 
 
+def traj_of(rows, task_id=0):
+    """A trajectory of (obs, chunk, reward, logp_old) rows."""
+    obs, chunks, rewards, logps = zip(*rows)
+    return Trajectory(TaskSpec(task_id), "initial",
+                      Steps(np.array(obs, dtype=float), np.array(chunks, dtype=float),
+                            rewards, logps))
+
+
 def one_step_traj(obs, chunk, reward, logp, task_id=0):
-    step = StepRecord(np.asarray(obs, dtype=float), np.asarray(chunk, dtype=float).reshape(1, 1),
-                      reward, logp)
-    return Trajectory(TaskSpec(task_id), "initial", [step])
+    return traj_of([(obs, np.reshape(chunk, (1, 1)), reward, logp)], task_id)
 
 
 def test_logprob_analytic_standard_normal():
@@ -89,14 +95,10 @@ def test_log_std_clamped():
 def test_discounted_return_examples():
     t1 = one_step_traj([0.0, 0.0], [[0.1]], reward=1, logp=0.0)
     assert discounted_return(t1, 1.0) == 1.0
-    steps = [
-        StepRecord(np.zeros(2), np.zeros((1, 1)), 0, 0.0),
-        StepRecord(np.zeros(2), np.zeros((1, 1)), 0, 0.0),
-        StepRecord(np.zeros(2), np.zeros((1, 1)), 1, 0.0),
-    ]
-    t3 = Trajectory(TaskSpec(0), "initial", steps)
+    rows = [(np.zeros(2), np.zeros((1, 1)), r, 0.0) for r in (0, 0, 1)]
+    t3 = traj_of(rows)
     assert discounted_return(t3, 0.99) == pytest.approx(0.9801, abs=1e-12)
-    t0 = Trajectory(TaskSpec(0), "initial", steps[:2])
+    t0 = traj_of(rows[:2])
     assert discounted_return(t0, 0.5) == 0.0
     with pytest.raises(ValueError):
         discounted_return(t1, 0.0)
@@ -139,7 +141,7 @@ def pinned_ratio_group(pol, params, rho_pos, rho_neg):
     return GroupBatch(trajs, np.array([1.0, -1.0]), np.array([1.0, -1.0]))
 
 
-def test_clipped_term_table():
+def test_objective_clips_each_member_term():
     """Each member's term is min(rho A, clip(rho, 1-eps, 1+eps) A)."""
     pol = ChunkPolicy(obs_dim=2, n_tasks=1, horizon=1, a_dim=1, hidden=(6,))
     params = pol.init(np.random.default_rng(3))
@@ -189,22 +191,18 @@ def test_mask_completeness_objective_and_gradient():
     rng = np.random.default_rng(8)
 
     def traj_with_tail(n_tail):
-        steps = [
-            StepRecord(obs, np.array([[0.4]]), 0, logprob1(pol, params, obs, [[0.4]])),
-            StepRecord(obs, np.array([[-0.2]]), 1, logprob1(pol, params, obs, [[-0.2]])),
+        rows = [
+            (obs, [[0.4]], 0, logprob1(pol, params, obs, [[0.4]])),
+            (obs, [[-0.2]], 1, logprob1(pol, params, obs, [[-0.2]])),
         ]
         for _ in range(n_tail):  # junk beyond valid_len
             junk_obs = rng.normal(size=2)
             junk_chunk = rng.normal(size=(1, 1))
-            steps.append(StepRecord(junk_obs, junk_chunk, 0, float(rng.normal())))
-        return Trajectory(TaskSpec(0), "initial", steps)
+            rows.append((junk_obs, junk_chunk, 0, float(rng.normal())))
+        return traj_of(rows)
 
     def failed():
-        return Trajectory(
-            TaskSpec(0), "initial",
-            [StepRecord(obs, np.array([[0.9]]), 0,
-                        logprob1(pol, params, obs, [[0.9]]))],
-        )
+        return one_step_traj(obs, [[0.9]], 0, logprob1(pol, params, obs, [[0.9]]))
 
     g_clean = build_group([traj_with_tail(0), failed()], 1.0)
     g_tail = build_group([traj_with_tail(3), failed()], 1.0)
@@ -228,12 +226,7 @@ def test_length_normalization_constant_per_step():
     obs = np.array([0.1, -0.4])
 
     def fail_traj(n):
-        steps = [
-            StepRecord(obs, np.array([[0.3]]), 0,
-                       logprob1(pol, params, obs, [[0.3]]))
-            for _ in range(n)
-        ]
-        return Trajectory(TaskSpec(0), "initial", steps)
+        return traj_of([(obs, [[0.3]], 0, logprob1(pol, params, obs, [[0.3]]))] * n)
 
     win = one_step_traj(obs, [[0.2]], 1, logprob1(pol, params, obs, [[0.2]]))
     short = build_group([win, fail_traj(1)], 1.0)
@@ -250,13 +243,13 @@ def test_objective_gradcheck_vs_finite_differences():
     obs_rng = np.random.default_rng(11)
 
     def two_step_traj(reward_pattern):
-        steps = []
+        rows = []
         for r in reward_pattern:
             obs = obs_rng.normal(size=2)
             chunk = obs_rng.normal(size=(2, 1))
             lp = logprob1(pol, params, obs, chunk) + obs_rng.normal() * 0.1
-            steps.append(StepRecord(obs, chunk, r, lp))
-        return Trajectory(TaskSpec(0), "initial", steps)
+            rows.append((obs, chunk, r, lp))
+        return traj_of(rows)
 
     group = build_group([two_step_traj([0, 1]), two_step_traj([0, 0])], 0.97)
     batch = step_batch(pol, [group])
@@ -316,21 +309,22 @@ def test_step_batch_rows_match_per_step_reference():
     rng = np.random.default_rng(13)
 
     def traj(task_id, rewards):
-        steps = [StepRecord(rng.normal(size=2), rng.normal(size=(2, 1)), r, float(rng.normal()))
-                 for r in rewards]
-        return Trajectory(TaskSpec(task_id), "initial", steps)
+        n = len(rewards)
+        return Trajectory(TaskSpec(task_id), "initial",
+                          Steps(rng.normal(size=(n, 2)), rng.normal(size=(n, 2, 1)), rewards,
+                                rng.normal(size=n)))
 
     groups = [build_group([traj(0, [0, 1, 0, 0]), traj(0, [0, 0, 0]), traj(0, [])], 1.0),
               build_group([traj(1, [1, 0]), traj(1, [0, 0, 1])], 1.0)]
     # one row per step through valid_len, in trajectory order
-    rows = [(t, adv, step) for g in groups for t, adv in zip(g.trajectories, g.advantages)
-            for step in t.steps[:t.valid_len]]
+    rows = [(t, adv, j) for g in groups for t, adv in zip(g.trajectories, g.advantages)
+            for j in range(t.valid_len)]
     assert len(rows) == 2 + 3 + 0 + 1 + 3
     n_traj = 5
     reference = (
-        [task_features(s.obs, t.task, pol.n_tasks) for t, _, s in rows],
-        [s.chunk.reshape(-1) for _, _, s in rows],
-        [s.logp_old for _, _, s in rows],
+        [task_features(t.steps.obs[j], t.task, pol.n_tasks) for t, _, j in rows],
+        [t.steps.chunk[j].reshape(-1) for t, _, j in rows],
+        [t.steps.logp_old[j] for t, _, j in rows],
         [1.0 / (n_traj * t.valid_len) for t, _, _ in rows],
         [adv for _, adv, _ in rows],
     )
@@ -345,7 +339,8 @@ def test_update_without_valid_steps_only_steps_adam():
     """Every member aborted on its first chunk step: there is no row to fit."""
     pol = ChunkPolicy(obs_dim=2, n_tasks=1, horizon=1, a_dim=1, hidden=(4,))
     params = pol.init(np.random.default_rng(12))
-    empty = [build_group([Trajectory(TaskSpec(0), "initial", []) for _ in range(3)], 1.0)
+    none = Steps(np.zeros((0, 2)), np.zeros((0, 1, 1)), [], [])
+    empty = [build_group([Trajectory(TaskSpec(0), "initial", none) for _ in range(3)], 1.0)
              for _ in range(2)]
     assert step_batch(pol, empty) is None
     new_params, opt, logs = grpo_update(pol, params, empty, 0.2, inner_epochs=3, lr=3e-4)

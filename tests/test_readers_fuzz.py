@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from wovr import nn
 from wovr.core import (FrameEpisode, InvariantViolation, MalformedHeader,
-                       StepRecord, TaskSpec, Trajectory, TruncatedPayload,
+                       Steps, TaskSpec, Trajectory, TruncatedPayload,
                        read_frames, read_store, write_frames, write_store)
 from wovr.evalx import EvalReport
 from wovr.rollout import read_batch, write_batch
@@ -37,10 +37,14 @@ def originals(tmp_path_factory):
                  [FrameEpisode(TaskSpec(t), rng.normal(size=(n + 1, 3)),
                                rng.normal(size=(n, 2))) for t, n in [(0, 3), (1, 2)]],
                  "reachpoint")
-    trajs = [Trajectory(TaskSpec(t), kind, [
-        StepRecord(rng.normal(size=3), rng.normal(size=(2, 2)), r, -1.0)
-        for r in rewards]) for t, kind, rewards in [(1, "initial", (0, 0, 1)),
-                                                    (2, "keyframe", (0, 0))]]
+
+    def steps(rewards):
+        rows = [(rng.normal(size=3), rng.normal(size=(2, 2))) for _ in rewards]
+        return Steps(np.array([obs for obs, _ in rows]), np.array([chunk for _, chunk in rows]),
+                     rewards, [-1.0] * len(rewards))
+
+    trajs = [Trajectory(TaskSpec(1), "initial", steps((0, 0, 1))),
+             Trajectory(TaskSpec(2), "keyframe", steps((0, 0)))]
     write_store(base / "store.wovs", trajs)
     nn.save_params(base / "params.wovc",
                    {"a": rng.normal(size=(2, 3)), "b": np.zeros(2), "s": np.array(0.5)})

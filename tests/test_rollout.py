@@ -3,7 +3,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from wovr.core import (MalformedHeader, StepRecord, TaskSpec, Trajectory, derive_rng,
+from wovr.core import (MalformedHeader, Steps, TaskSpec, Trajectory, derive_rng,
                        derive_seed, task_features)
 from wovr.envs import CountingEnv, PickPlace2D, ReachPoint
 from wovr.evalx import hallucination_rate
@@ -38,22 +38,25 @@ def make_policy(env, init_log_std=-1.0):
     return policy, params
 
 
+def counting_traj(task_id, rewards, d=3):
+    """Step i observes the state (i, ..., i) and emits a zero chunk."""
+    n = len(rewards)
+    obs = np.repeat(np.arange(n, dtype=float)[:, None], d, axis=1)
+    return Trajectory(TaskSpec(task_id), "initial",
+                      Steps(obs, np.zeros((n, H, 2)), rewards, np.full(n, -1.0)))
+
+
 def fail_traj(task_id=0, n=8, d=3):
-    steps = [
-        StepRecord(obs=np.full(d, float(i)), chunk=np.zeros((H, 2)),
-                   reward=0, logp_old=-1.0)
-        for i in range(n)
-    ]
-    return Trajectory(TaskSpec(task_id), "initial", steps)
+    return counting_traj(task_id, [0] * n, d)
 
 
 def win_traj(task_id=0, n=3, d=3):
-    steps = [
-        StepRecord(obs=np.full(d, float(i)), chunk=np.zeros((H, 2)),
-                   reward=1 if i == n - 1 else 0, logp_old=-1.0)
-        for i in range(n)
-    ]
-    return Trajectory(TaskSpec(task_id), "initial", steps)
+    return counting_traj(task_id, [0] * (n - 1) + [1], d)
+
+
+def head(steps, m):
+    """The first m rows of steps."""
+    return Steps(steps.obs[:m], steps.chunk[:m], steps.reward[:m], steps.logp_old[:m])
 
 
 # -- keyframes ------------------------------------------------------------------
@@ -63,7 +66,7 @@ def keyframe_store(*pairs):
     return deque(pairs, maxlen=KEYFRAME_CAPACITY)
 
 
-def test_buffer_fifo_eviction():
+def test_keyframes_evict_oldest_first():
     keyframes = keyframe_store()
     harvest_keyframes([fail_traj(n=KEYFRAME_CAPACITY + 1)], KEYFRAME_CAPACITY + 1, keyframes)
     assert len(keyframes) == KEYFRAME_CAPACITY
@@ -96,7 +99,7 @@ def test_harvest_entries_are_copies():
     keyframes = keyframe_store()
     traj = fail_traj(n=2)
     harvest_keyframes([traj], 1, keyframes)
-    traj.steps[-1].obs[0] = 123.0
+    traj.steps.obs[-1, 0] = 123.0
     assert list(keyframes)[0][0][0] != 123.0
 
 
@@ -187,7 +190,7 @@ def test_rollout_imagined_reward_always_one():
     trajs = rollout_imagined(policy, params, wm, always, group, T, H, seed=9)
     for t in trajs:
         assert t.success and t.valid_len == 1 and len(t.steps) == 1
-        assert t.steps[0].reward == 1
+        assert t.steps.reward[0] == 1
 
 
 def test_rollout_imagined_group_homogeneity():
@@ -199,9 +202,9 @@ def test_rollout_imagined_group_homogeneity():
     for t in trajs:
         assert t.task.task_id == group.task.task_id
         assert t.start_kind == "initial"
-        assert np.array_equal(t.steps[0].obs, group.start_state)
+        assert np.array_equal(t.steps.obs[0], group.start_state)
     # members draw independent streams: their first chunks differ
-    assert not np.array_equal(trajs[0].steps[0].chunk, trajs[1].steps[0].chunk)
+    assert not np.array_equal(trajs[0].steps.chunk[0], trajs[1].steps.chunk[0])
 
 
 def test_rollout_imagined_logp_matches_policy_density():
@@ -210,10 +213,9 @@ def test_rollout_imagined_logp_matches_policy_density():
     group, wm, reward = oracle_setup(env)
     trajs = rollout_imagined(policy, params, wm, reward, group, T, H, seed=11)
     for t in trajs:
-        for rec in t.steps:
-            feats = task_features(rec.obs, t.task, policy.n_tasks)
-            ref = policy.logprob(params, feats, rec.chunk.reshape(-1))
-            assert rec.logp_old == pytest.approx(ref, rel=1e-12)
+        feats = task_features(t.steps.obs, t.task, policy.n_tasks)
+        ref = policy.logprob(params, feats, t.steps.chunk.reshape(len(t.steps), -1))
+        np.testing.assert_allclose(t.steps.logp_old, ref, rtol=1e-12)
 
 
 def test_rollout_imagined_mid_chunk_success_truncates():
@@ -231,7 +233,7 @@ def test_rollout_imagined_mid_chunk_success_truncates():
                                  T, H, seed=12)
     t = trajs_one[0]
     assert t.success and len(t.steps) == 2
-    assert t.steps[0].reward == 0 and t.steps[1].reward == 1
+    assert t.steps.reward.tolist() == [0, 1]
     assert len(calls) == 6  # evaluation stopped at the success frame
 
 
@@ -278,9 +280,9 @@ def roll_member_reference(policy, params, wm, reward_fn, task, start, T, H, seed
                 reward = 1
                 break
         success = reward == 1
-        records.append(StepRecord(obs=obs, chunk=chunks[0], reward=reward,
-                                  logp_old=float(logps[0])))
-    return Trajectory(task, "initial", records)
+        records.append((obs, chunks[0], reward, float(logps[0])))
+    obs, chunks, rewards, logps = zip(*records)
+    return Trajectory(task, "initial", Steps(np.array(obs), np.array(chunks), rewards, logps))
 
 
 def test_group_member_matches_member_rolled_alone():
@@ -302,11 +304,10 @@ def test_group_member_matches_member_rolled_alone():
             lengths.add(len(traj.steps))
             assert len(traj.steps) == len(alone.steps)
             assert traj.success == alone.success
-            assert [r.reward for r in traj.steps] == [r.reward for r in alone.steps]
-            for a, b in zip(traj.steps, alone.steps):
-                np.testing.assert_allclose(a.obs, b.obs, rtol=1e-9)
-                np.testing.assert_allclose(a.chunk, b.chunk, rtol=1e-9)
-                assert a.logp_old == pytest.approx(b.logp_old, rel=1e-9)
+            assert traj.steps.reward.tolist() == alone.steps.reward.tolist()
+            np.testing.assert_allclose(traj.steps.obs, alone.steps.obs, rtol=1e-9)
+            np.testing.assert_allclose(traj.steps.chunk, alone.steps.chunk, rtol=1e-9)
+            np.testing.assert_allclose(traj.steps.logp_old, alone.steps.logp_old, rtol=1e-9)
     # members finished at different chunk steps, some ran to T
     assert len(lengths) > 2 and 2 * T // H in lengths
 
@@ -341,11 +342,10 @@ def test_update_batch_equals_per_group_rollouts():
             for a, b in zip(got, alone, strict=True):
                 assert (a.task, a.start_kind) == (b.task, b.start_kind) == (spec.task,
                                                                             spec.start_kind)
-                assert [r.reward for r in a.steps] == [r.reward for r in b.steps]
-                for x, y in zip(a.steps, b.steps):
-                    np.testing.assert_allclose(x.obs, y.obs, rtol=0, atol=1e-12)
-                    np.testing.assert_allclose(x.chunk, y.chunk, rtol=0, atol=1e-12)
-                    assert abs(x.logp_old - y.logp_old) <= 1e-12
+                assert a.steps.reward.tolist() == b.steps.reward.tolist()
+                for x, y in ((a.steps.obs, b.steps.obs), (a.steps.chunk, b.steps.chunk),
+                             (a.steps.logp_old, b.steps.logp_old)):
+                    np.testing.assert_allclose(x, y, rtol=0, atol=1e-12)
                 outcomes.add(b.success)
                 lengths.add(len(b.steps))
             running = [sum(len(t.steps) > k for t in alone) for k in range(depth // H)]
@@ -398,7 +398,7 @@ def test_abort_stays_with_its_member(caplog, poison):
     for i, (traj, ref) in enumerate(zip(trajs, clean)):
         if i in aborted:
             assert len(traj.steps) == aborted[i] and not traj.success
-            assert traj.steps == ref.steps[:aborted[i]]
+            assert traj.steps == head(ref.steps, aborted[i])
         else:
             assert traj == ref  # ran on to T or to success, untouched
     kept = [t for i, t in enumerate(trajs) if i not in aborted]
@@ -520,13 +520,22 @@ def test_rollout_real_record_frames_consistent():
                               record_frames=True)
     for traj, ep in zip(trajs, eps):
         assert ep.states.shape[0] == ep.actions.shape[0] + 1
-        assert np.array_equal(ep.states[0], traj.steps[0].obs)
+        assert np.array_equal(ep.states[0], traj.steps.obs[0])
         # replaying the recorded actions through the env reproduces the states
         state = ep.states[0]
         for k, action in enumerate(ep.actions):
             state = env.step(state, action)
             assert np.array_equal(state, ep.states[k + 1])
         assert env.is_success(ep.states[-1]) == traj.success
+
+
+def test_rollout_real_needs_one_start_per_episode():
+    env = ReachPoint()
+    policy, params = make_policy(env)
+    start = env.reset_state(TaskSpec(0), derive_rng(0))
+    for n, starts in ((3, [start]), (1, [start] * 3)):
+        with pytest.raises(ValueError, match="one start per episode"):
+            rollout_real(policy, params, env, TaskSpec(0), n, T, H, seed=1, starts=starts)
 
 
 def test_rollout_real_counts_env_steps():
