@@ -352,7 +352,8 @@ def test_workflow_halluc_thresholds_at_rl_reward_threshold(workflow, capsys):
     argv = ["eval", "--config", str(workflow["cfg"]), "--run-root", str(root),
             "--policy", str(workflow["policy"]), "--metric", "halluc",
             "--wm", str(workflow["wm"]), "--reward", str(workflow["reward"])]
-    assert parse_and_dispatch(argv + ["--set", "reward.threshold=0.5"])
+    assert parse_and_dispatch(argv + ["--set", "reward.threshold=0.5"]) \
+        == EXIT_CONFIG
     # at threshold 0 every imagined episode succeeds on its first frame, so
     # no real success can go missed
     assert parse_and_dispatch(argv + ["--set", "rl.reward_threshold=0.0"]) \
