@@ -251,8 +251,10 @@ def validate_config(cfg: dict) -> dict:
             (0.0 <= run["kir_fraction"] <= 1.0, "run.kir_fraction must lie in [0, 1]"),
             (run["diffusion_steps"] >= 1, "run.diffusion_steps must be >= 1"),
             (run["context"] >= 0, "run.context must be non-negative"),
-            (run["chunk"] >= 1 and run["max_episode_len"] % run["chunk"] == 0,
-             "run.max_episode_len must be a multiple of a positive run.chunk"),
+            # a rollout sizes its frame and step arrays from these two
+            (run["chunk"] >= 1 and run["max_episode_len"] >= run["chunk"]
+             and run["max_episode_len"] % run["chunk"] == 0,
+             "run.max_episode_len must be a positive multiple of a positive run.chunk"),
             (run["n_base"] >= 1, "run.n_base must be >= 1"),
             (run["n_evo"] >= 0, "run.n_evo must be non-negative"),
             (plan["refinements"] >= 0, "plan.refinements must be non-negative"),

@@ -3,13 +3,14 @@
 All dynamics are deterministic: step(state, action) -> next state is a pure
 function, the only randomness lives in reset. Success is a separate predicate,
 is_success(state); step never evaluates it, so a caller that needs the sparse
-reward asks for it once, on the frames it keeps. PickPlace2D deliberately
-contains a contact discontinuity (the grasp) because that is where learned
-dynamics models go wrong in interesting ways.
+reward asks for it once, on the frames it keeps. Both kernels take one state
+(d,) or a batch (..., d), so a caller with many states (a lockstep rollout,
+a frame set to label) makes one call for all of them; step_chunks steps B
+states through their chunks one action column at a time. PickPlace2D
+deliberately contains a contact discontinuity (the grasp) because that is
+where learned dynamics models go wrong in interesting ways.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -19,33 +20,39 @@ from .core import FrameEpisode, Steps, TaskSpec, Trajectory, derive_rng
 _TARGETS = np.array([[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]])
 
 
-# The kernels below run on Python floats: the state and action are read once
-# with tolist() and the next state is built as one array. Each clamp is
-# min(max(x, lo), hi), which keeps x on a tie exactly as np.clip does.
+# The kernels below take one state (d,) or a batch (..., d) with a matching
+# action (a_dim,) or (..., a_dim), and state every rule once over the batch.
+# Clamps are np.clip, which keeps x on a tie (np.clip(-0.0, 0.0, 1.0) is
+# -0.0, where np.maximum gives 0.0).
 
 
-def _check_action(action, dim: int) -> list[float]:
-    """The action as dim Python floats; ValueError on a wrong shape or non-finite entry."""
+def _check_action(action, batch: tuple, dim: int) -> np.ndarray:
+    """The action as a float64 array of shape batch + (dim,); ValueError on a
+    wrong shape or a non-finite entry."""
     action = np.asarray(action, dtype=np.float64)
-    if action.shape != (dim,):
-        raise ValueError(f"action has shape {action.shape}, expected ({dim},)")
-    values = action.tolist()
-    if not all(map(math.isfinite, values)):
+    if action.shape != batch + (dim,):
+        raise ValueError(f"action has shape {action.shape}, expected {batch + (dim,)}")
+    if not np.isfinite(action).all():
         raise ValueError("non-finite action")
-    return values
+    return action
 
 
-def _move(x: float, dx: float, cap: float) -> float:
-    """One coordinate after a step of dx, capped at +-cap, clamped to [0, 1]."""
-    return min(max(x + min(max(dx, -cap), cap), 0.0), 1.0)
+def _move(xy: np.ndarray, dxy: np.ndarray, cap: float) -> np.ndarray:
+    """Positions (..., 2) after a step of dxy, capped at +-cap, clamped to [0, 1]."""
+    return np.clip(xy + np.clip(dxy, -cap, cap), 0.0, 1.0)
 
 
-def _dist(x: float, y: float) -> float:
-    """Length of (x, y), bit for bit as np.linalg.norm computes it."""
-    # np.linalg.norm is sqrt of a BLAS dot, whose fused multiply-add rounds
-    # differently from x*x + y*y or math.hypot on a tenth of random vectors
-    v = np.array((x, y))
-    return math.sqrt(v.dot(v))
+def _dist(v: np.ndarray) -> np.ndarray:
+    """Lengths of the rows of v (..., 2), bit for bit as np.linalg.norm of each."""
+    # np.linalg.norm of one row is sqrt of a BLAS dot, whose fused multiply-add
+    # rounds differently from x*x + y*y on a tenth of random vectors; vecdot
+    # takes the same dot per row
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _result(flags: np.ndarray):
+    """A batch's flags as an array, one state's as a bool."""
+    return flags if flags.ndim else bool(flags)
 
 
 class PickPlace2D:
@@ -79,26 +86,30 @@ class PickPlace2D:
         return np.array([*gripper, 0.0, *obj, *target, 0.0])
 
     def step(self, state: np.ndarray, action) -> np.ndarray:
-        dx, dy, grip = _check_action(action, self.action_dim)
-        gx, gy, _, ox, oy, tx, ty, held = state.tolist()
-        held = held > 0.5
-        close_cmd = grip > 0.0
+        state = np.asarray(state, dtype=np.float64)
+        action = _check_action(action, state.shape[:-1], self.action_dim)
+        held = state[..., 7] > 0.5
+        close_cmd = action[..., 2] > 0.0
+        gripper = _move(state[..., 0:2], action[..., 0:2], self.step_cap)
+        # a held object moves with the gripper; a close command grasps a free
+        # object within the grasp radius and keeps hold of a held one; an open
+        # command releases in place (a no-op when nothing is held)
+        grasped = close_cmd & (_dist(gripper - state[..., 3:5]) <= self.grasp_radius)
+        attached = held | grasped
+        out = np.empty_like(state)
+        out[..., 0:2] = gripper
+        out[..., 2] = close_cmd
+        out[..., 3:5] = np.where(attached[..., None], gripper, state[..., 3:5])
+        out[..., 5:7] = state[..., 5:7]
+        out[..., 7] = attached & close_cmd
+        return out
 
-        gx, gy = _move(gx, dx, self.step_cap), _move(gy, dy, self.step_cap)
-        if held:
-            ox, oy = gx, gy
-        if close_cmd:
-            if not held and _dist(gx - ox, gy - oy) <= self.grasp_radius:
-                held = True
-                ox, oy = gx, gy
-        else:
-            held = False  # open releases in place (no-op when nothing is held)
-
-        return np.array([gx, gy, 1.0 if close_cmd else 0.0, ox, oy, tx, ty, 1.0 if held else 0.0])
-
-    def is_success(self, state: np.ndarray) -> bool:
-        _, _, grip, ox, oy, tx, ty, held = state.tolist()
-        return grip < 0.5 and held < 0.5 and _dist(ox - tx, oy - ty) <= self.success_radius
+    def is_success(self, state: np.ndarray):
+        """Whether the object rests released within success_radius of the
+        target: a bool for one state, a bool array for a batch."""
+        state = np.asarray(state, dtype=np.float64)
+        return _result((state[..., 2] < 0.5) & (state[..., 7] < 0.5)
+                       & (_dist(state[..., 3:5] - state[..., 5:7]) <= self.success_radius))
 
     def expert_action(self, state: np.ndarray) -> np.ndarray:
         """Waypoint controller: approach-and-grasp, carry, release.
@@ -139,13 +150,17 @@ class ReachPoint:
         return np.array([*agent, *_TARGETS[task.task_id]])
 
     def step(self, state: np.ndarray, action) -> np.ndarray:
-        dx, dy = _check_action(action, self.action_dim)
-        ax, ay, tx, ty = state.tolist()
-        return np.array([_move(ax, dx, self.step_cap), _move(ay, dy, self.step_cap), tx, ty])
+        state = np.asarray(state, dtype=np.float64)
+        action = _check_action(action, state.shape[:-1], self.action_dim)
+        out = state.copy()
+        out[..., 0:2] = _move(state[..., 0:2], action, self.step_cap)
+        return out
 
-    def is_success(self, state: np.ndarray) -> bool:
-        ax, ay, tx, ty = state.tolist()
-        return _dist(ax - tx, ay - ty) <= self.success_radius
+    def is_success(self, state: np.ndarray):
+        """Whether the agent is within success_radius of the target: a bool
+        for one state, a bool array for a batch."""
+        state = np.asarray(state, dtype=np.float64)
+        return _result(_dist(state[..., 0:2] - state[..., 2:4]) <= self.success_radius)
 
     def expert_action(self, state: np.ndarray) -> np.ndarray:
         return _travel(state[2:4] - state[0:2], self.step_cap)
@@ -166,15 +181,14 @@ def get_env(name: str):
 
 
 def step_chunks(env, states, chunks) -> np.ndarray:
-    """Step env from each of B states through its (H, a_dim) chunk; (B, H, d)."""
-    out = []
-    for state, chunk in zip(states, chunks):
-        frames = []
-        for action in chunk:
-            state = env.step(state, action)
-            frames.append(state)
-        out.append(frames)
-    return np.array(out)
+    """Step env from each of B states (B, d) through its chunk (B, H, a_dim),
+    all B at once, one action column per call; the frames, (B, H, d)."""
+    states = np.asarray(states, dtype=np.float64)
+    chunks = np.asarray(chunks, dtype=np.float64)
+    frames = np.empty(chunks.shape[:2] + states.shape[-1:])
+    for j in range(chunks.shape[1]):
+        states = frames[:, j] = env.step(states, chunks[:, j])
+    return frames
 
 
 class CountingEnv:
@@ -197,7 +211,8 @@ class CountingEnv:
         return self.env.reset_state(task, rng)
 
     def step(self, state, action):
-        self.steps += 1
+        """env.step, counting one step per state: a batch (B, d) counts B."""
+        self.steps += int(np.prod(np.shape(state)[:-1]))
         return self.env.step(state, action)
 
 

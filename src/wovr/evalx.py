@@ -38,23 +38,27 @@ def hallucination_rate(policy, params, wm, reward_fn, env, task: TaskSpec,
     Episode i is member i of one lockstep imagined group, started from
     derive_rng(seed, i, 0) as in rollout_real. Its executed actions, up to its
     last imagined frame, are replayed open loop in the real env from the same
-    start. Returns rate plus the two one-sided fractions: spurious (imagined
-    success, real failure — the dangerous direction) and missed (imagined
-    failure, real success).
+    start: every episode in one step_chunks call, padded with zero actions to
+    the longest, and success is read only within each episode's own frames.
+    Returns rate plus the two one-sided fractions: spurious (imagined success,
+    real failure — the dangerous direction) and missed (imagined failure,
+    real success).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     starts = [env.reset_state(task, derive_rng(seed, i, 0)) for i in range(n)]
     trajectories, histories = _roll_group(policy, params, _imagined_dynamics(wm), reward_fn,
                                           _members(task, starts, "initial", seed), T, H)
-    spurious = missed = 0
-    for start, traj, history in zip(starts, trajectories, histories):
-        actions = traj.steps.actions[:len(history) - 1]
-        real = any(env.is_success(frame) for frame in step_chunks(env, [start], [actions])[0])
-        if traj.success and not real:
-            spurious += 1
-        elif real and not traj.success:
-            missed += 1
+    executed = np.array([len(history) - 1 for history in histories])
+    actions = np.zeros((n, executed.max(), env.action_dim))
+    for row, traj, size in zip(actions, trajectories, executed):
+        row[:size] = traj.steps.actions[:size]
+    real_frames = step_chunks(env, starts, actions)
+    own = np.arange(executed.max()) < executed[:, None]
+    real = (env.is_success(real_frames) & own).any(axis=1)
+    imagined = np.array([traj.success for traj in trajectories])
+    spurious = int((imagined & ~real).sum())
+    missed = int((real & ~imagined).sum())
     return {
         "rate": (spurious + missed) / n,
         "spurious": spurious / n,
@@ -71,10 +75,11 @@ def horizon_error(wm, policy, params, env, task: TaskSpec, horizons,
     max(horizons) frames, under a reward that never fires (success does not
     stop the recording; every horizon needs a state). The chunk each step
     recorded is then replayed through the model closed-loop from the same
-    starts, one batched dynamics call per chunk step. Episode i draws from
-    derive_rng(seed, i, ·). The curve pairs each horizon L with the mean over
-    episodes of the state MSE at frame L. The horizons obey core.validate_config's
-    eval.horizons rule (H is run.chunk, T run.max_episode_len).
+    starts, one batched dynamics call per chunk step over one (n, depth + 1,
+    d) frame array. Episode i draws from derive_rng(seed, i, ·). The curve
+    pairs each horizon L with the mean over episodes of the state MSE at
+    frame L. The horizons obey core.validate_config's eval.horizons rule (H
+    is run.chunk, T run.max_episode_len).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -86,13 +91,13 @@ def horizon_error(wm, policy, params, env, task: TaskSpec, horizons,
                                             depth, H, model_stream=False)
     # model replay of the same chunks, closed loop on its own frames
     model_rngs = [derive_rng(seed, i, 2) for i in range(n)]
-    model_states = [[s] for s in starts]
-    dynamics = _imagined_dynamics(wm)
+    model_states = np.empty((n, depth + 1, env.state_dim))
+    model_states[:, 0] = starts
+    dynamics, rows = _imagined_dynamics(wm), np.arange(n)
     # each chunk step's chunks of every episode, (n, H, a_dim), in step order
-    for chunks in np.stack([traj.steps.chunk for traj in trajectories], axis=1):
-        frames = np.asarray(dynamics(model_states, task, chunks, model_rngs), dtype=np.float64)
-        for states, rows in zip(model_states, frames):
-            states.extend(rows)
+    for k, chunks in enumerate(np.stack([traj.steps.chunk for traj in trajectories], axis=1)):
+        model_states[:, k * H + 1:(k + 1) * H + 1] = dynamics(model_states, rows, k * H + 1,
+                                                             task, chunks, model_rngs)
     return [(h, float(np.mean([np.mean((real[h] - model[h]) ** 2)
                                for real, model in zip(real_states, model_states)])))
             for h in horizons]

@@ -63,11 +63,12 @@ def sparse_reward(prob: float, threshold: float = 0.5) -> int:
 
 
 def label_episode_frames(episodes: list[FrameEpisode], env) -> list:
-    """(state, task, label) for every frame, labeled by the env's own predicate."""
+    """(state, task, label) for every frame, labeled by the env's own
+    predicate in one is_success call per episode."""
     out = []
     for ep in episodes:
-        for state in ep.states:
-            out.append((state, ep.task, int(env.is_success(state))))
+        labels = env.is_success(ep.states).tolist()
+        out += [(state, ep.task, int(label)) for state, label in zip(ep.states, labels)]
     return out
 
 

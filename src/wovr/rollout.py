@@ -2,27 +2,32 @@
 
 One lockstep loop, _roll_group, serves both. It advances every member it is
 given together: per chunk step one batched policy sample over the members
-still running, then one batched dynamics call. Imagined, that is one
-build_context over the members' histories and the world model's
-predict_chunk(anchors, memories, tasks, chunks, rngs) -> (B, H, d); real, it
-is env steps from each member's newest frame. A member is cut at its first
-reward frame. The reward is reward_fn(frame, task) -> 0/1, read frame by frame
-up to the first hit; a reward that also has batch(frames (N, d), tasks) ->
-(N,) bool (the learned reward, pace.LearnedReward) instead scores every
-running member's H frames in one call per chunk step, so it must be a pure
-function of the frame. The members' core.Steps are gathered once, from the
-batches every chunk step kept, when all have stopped. Members need not share a
-task: each carries its own task, start, start kind and stream key, and per-row
-task ids reach the policy, the model and the reward through core's one one-hot
-rule (task_tokens). So one GRPO update rolls all its groups (a GroupSpecs) as
-one batch of up to groups * G rows per call. Every member draws from its own
-derive_rng(*key, ·) streams, so swapping the learned model for the true
-dynamics (and the learned reward for the true success predicate) reproduces
-real rollouts bit for bit under the same seeds. Keyframe initialized rollouts
-restart a fraction of groups from the (state, task) pairs of recent failures,
-kept in a deque(maxlen=KEYFRAME_CAPACITY), instead of the episode start;
-imagined RL harvests an update's failures only after the whole update rolled
-out (pace._rl_stage).
+still running, then one batched dynamics call. Every member's frames live
+in one preallocated (n, T + 1, d) array and its steps in preallocated
+(n, T/H, ...) columns that each chunk step writes in place; the members'
+histories and their trajectories' core.Steps are views of these arrays.
+Dynamics read only the rows they need: imagined, one build_context gather
+of the active members' context rows feeds the world model's
+predict_chunk(anchors, memories, tasks, chunks, rngs) -> (B, H, d); real,
+the env steps every active member from its newest frame, one action column
+per call (envs.step_chunks). A member is cut at its first reward frame. The
+reward is reward_fn(frame, task) -> 0/1, read frame by frame up to the first
+hit; a reward that also has batch(frames (N, d), tasks) -> (N,) bool (the
+learned reward, pace.LearnedReward, and the env's success predicate in real
+rollouts) instead scores every running member's H frames in one call per
+chunk step, so it must be a pure function of the frame. Members need not
+share a task: each carries its own task, start, start kind and stream key,
+and per-row task ids reach the policy, the model and the reward through
+core's one one-hot rule (task_tokens). So one GRPO update rolls all its
+groups (a GroupSpecs) as one batch of up to groups * G rows per call, and a
+real collection rolls all its episodes as one batch. Every member draws from
+its own derive_rng(*key, ·) streams, so swapping the learned model for the
+true dynamics (and the learned reward for the true success predicate)
+reproduces real rollouts bit for bit under the same seeds. Keyframe
+initialized rollouts restart a fraction of groups from the (state, task)
+pairs of recent failures, kept in a deque(maxlen=KEYFRAME_CAPACITY), instead
+of the episode start; imagined RL harvests an update's failures only after
+the whole update rolled out (pace._rl_stage).
 """
 from __future__ import annotations
 
@@ -149,95 +154,108 @@ def _roll_group(policy, params, dynamics, reward_fn, members, T, H,
                 model_stream: bool = True):
     """Closed-loop episodes of the members, advanced in lockstep.
 
-    Each chunk step makes one batched policy.sample over the active members
-    and one batched dynamics(histories, task ids, chunks, rngs) -> (B, H, d)
-    call, then cuts each member at its first reward frame. Members may differ
-    in task and start; all histories stay one length, since a member leaves
-    the batch at its success frame. A reward with a batch(frames (N, d),
-    task ids (N,)) -> (N,) bool method scores every finite member's H frames
-    in one call; a plain reward_fn(frame, task) -> 0/1 reads a member's
-    frames one by one and stops at the first hit. A member whose predicted
-    frames are not all finite stops alone, with one warning, keeping the
-    steps it recorded before; its frames are never scored. Dynamics that
-    draw nothing (the real env) run with model_stream False, and then the
-    members' model streams are not built; their rngs are None. Each member's
-    Steps are gathered at the end from the kept batches (_member_steps).
+    Every member's frames live in one preallocated (n, T + 1, d) array, and
+    its steps in preallocated (n, T/H, ...) columns, each written in place a
+    chunk step at a time. Each chunk step makes one batched policy.sample over
+    the active members, from their newest frames, and one batched
+    dynamics(frames, rows, length, task ids, chunks, rngs) -> (B, H, d) call:
+    rows are the B active members, all of whose histories are frames[row,
+    :length], since a member leaves the batch at its success frame. It then
+    cuts each member at its first reward frame. Members may differ in task and
+    start. A reward with a batch(frames (N, d), task ids (N,)) -> (N,) bool
+    method scores every finite member's H frames in one call; a plain
+    reward_fn(frame, task) -> 0/1 reads a member's frames one by one and stops
+    at the first hit. A member whose predicted frames are not all finite stops
+    alone, with one warning, keeping the steps it recorded before; its frames
+    are never scored. Dynamics that draw nothing (the real env) run with
+    model_stream False, and then the members' model streams are not built;
+    their rngs are None.
 
     Returns (trajectories, frame histories); a history holds every executed
-    frame of its member, cut at the success frame.
+    frame of its member, cut at the success frame. Histories and each
+    trajectory's Steps are views of the shared arrays.
     """
     if T % H != 0:
         raise ValueError("T must be a multiple of the chunk horizon")
-    n = len(members)
+    n, n_chunks = len(members), T // H
     batch = getattr(reward_fn, "batch", None)
     task_ids = np.array([m.task.task_id for m in members])
     policy_rngs = [derive_rng(*m.key, 1) for m in members]
     model_rngs = [derive_rng(*m.key, 2) if model_stream else None for m in members]
-    histories = [[np.asarray(m.start, dtype=np.float64)] for m in members]
-    batches = []  # per chunk step: the obs, chunks, rewards and logps of its rows
-    rows = [[] for _ in range(n)]  # member i's rows, numbered across all batches
-    offset, active = 0, list(range(n))
-    for k in range(T // H):
-        if not active:
+    starts = np.array([m.start for m in members], dtype=np.float64)
+    frames = np.empty((n, T + 1, starts.shape[1]))
+    frames[:, 0] = starts
+    chunk = np.zeros((n, n_chunks, 0, 0))  # replaced by (n, T/H, H, a_dim) at the first sample
+    reward = np.zeros((n, n_chunks), dtype=np.uint8)
+    logp = np.empty((n, n_chunks))
+    n_steps = np.zeros(n, dtype=np.int64)  # chunk steps each member recorded
+    length = np.ones(n, dtype=np.int64)  # frames in each member's history
+    active = np.arange(n)
+    for k in range(n_chunks):
+        if not active.size:
             break
-        ids = task_ids[active]
-        obs = np.array([histories[i][-1] for i in active])
-        chunks, logps = policy.sample(params, obs, ids, [policy_rngs[i] for i in active])
-        frames = np.asarray(dynamics([histories[i] for i in active], ids, chunks,
-                                     [model_rngs[i] for i in active]), dtype=np.float64)
-        finite = np.isfinite(frames).reshape(len(active), -1).all(axis=1)
+        now, ids = k * H, task_ids[active]  # every active member's newest frame is row now
+        chunks, logps = policy.sample(params, frames[active, now], ids,
+                                      [policy_rngs[i] for i in active])
+        predicted = np.asarray(dynamics(frames, active, now + 1, ids, chunks,
+                                        [model_rngs[i] for i in active]), dtype=np.float64)
+        if not k:
+            chunk = np.empty((n, n_chunks) + np.shape(chunks)[1:])
+        frames[active, now + 1:now + H + 1] = predicted
+        chunk[active, k], logp[active, k] = chunks, logps
+        finite = np.isfinite(predicted).reshape(len(active), -1).all(axis=1)
+        first = np.full(len(active), H)  # an aborted row is never scored
         if batch is not None and finite.any():
-            first = np.full(len(active), H)
-            first[finite] = _first_hits(batch, frames[finite], ids[finite])
-        rewards = []
-        for row, i in enumerate(active):
-            hit = H  # an aborted row is none of its member's rows: never read
-            if not finite[row]:
-                log.warning("rollout member aborted at chunk-step %d: member %d "
-                            "predicted a non-finite frame", k, i)
-            else:
-                hit = (int(first[row]) if batch is not None
-                       else _first_hit(reward_fn, frames[row], members[i].task))
-                histories[i].extend(frames[row][:hit + 1])
-                rows[i].append(offset + row)
-            rewards.append(hit < H)
-        batches.append((obs, chunks, rewards, logps))
-        offset += len(active)
-        active = [i for i, ok, reward in zip(active, finite, rewards) if ok and not reward]
-    trajectories = [Trajectory(m.task, m.kind, steps)
-                    for m, steps in zip(members, _member_steps(batches, rows))]
-    return trajectories, histories
-
-
-def _member_steps(batches, rows) -> list[Steps]:
-    """Each member's Steps: its rows, numbered across _roll_group's batches,
-    from one concatenation and one gather per column for all members."""
-    if not batches:  # no chunk step ran
-        return [Steps(np.zeros((0, 0)), np.zeros((0, 0, 0)), [], []) for _ in rows]
-    order = np.array([row for member_rows in rows for row in member_rows], dtype=np.int64)
-    columns = [np.concatenate(col)[order] for col in zip(*batches)]
-    bounds = np.cumsum([0] + [len(member_rows) for member_rows in rows])
-    return [Steps(*(col[lo:hi] for col in columns)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+            first[finite] = _first_hits(batch, predicted[finite], ids[finite])
+        elif batch is None:
+            for row in np.flatnonzero(finite):
+                first[row] = _first_hit(reward_fn, predicted[row], members[active[row]].task)
+        for i in active[~finite]:
+            log.warning("rollout member aborted at chunk-step %d: member %d "
+                        "predicted a non-finite frame", k, i)
+        hit = first < H
+        n_steps[active[finite]] = k + 1
+        length[active[finite]] = now + 1 + np.minimum(first[finite] + 1, H)
+        reward[active[hit], k] = 1
+        active = active[finite & ~hit]
+    # chunk step k starts from frame k * H, so the obs column is a strided view
+    obs = frames[:, 0:T:H]
+    trajectories = [Trajectory(m.task, m.kind, Steps(obs[i, :s], chunk[i, :s], reward[i, :s],
+                                                     logp[i, :s]))
+                    for i, (m, s) in enumerate(zip(members, n_steps))]
+    return trajectories, [frames[i, :size] for i, size in enumerate(length)]
 
 
 def _imagined_dynamics(wm):
-    """_roll_group dynamics that step every active member through wm."""
+    """_roll_group dynamics that step every active member through wm, from
+    the context rows of their histories."""
 
-    def dynamics(histories, tasks, chunks, rngs):
-        anchors, memories = build_context(histories, wm.context, wm.anchor_mode)
+    def dynamics(frames, rows, length, tasks, chunks, rngs):
+        anchors, memories = build_context(frames[:, :length], wm.context, wm.anchor_mode, rows)
         return wm.predict_chunk(anchors, memories, tasks, chunks, rngs)
 
     return dynamics
 
 
 def _real_dynamics(env):
-    """_roll_group dynamics that step every active member in env; they draw
-    nothing, so run them with model_stream False."""
+    """_roll_group dynamics that step every active member in env from its
+    newest frame; they draw nothing, so run them with model_stream False."""
 
-    def dynamics(histories, _tasks, chunks, _rngs):
-        return step_chunks(env, [history[-1] for history in histories], chunks)
+    def dynamics(frames, rows, length, _tasks, chunks, _rngs):
+        return step_chunks(env, frames[rows, length - 1], chunks)
 
     return dynamics
+
+
+class _Success:
+    """The env's success predicate as a batched reward: all of a chunk
+    step's frames in one is_success call."""
+
+    def __init__(self, env):
+        self.env = env
+
+    def batch(self, frames, _tasks) -> np.ndarray:
+        return self.env.is_success(frames)
 
 
 def rollout_imagined(policy, params, wm, reward_fn, groups, T: int, H: int,
@@ -252,7 +270,7 @@ def rollout_imagined(policy, params, wm, reward_fn, groups, T: int, H: int,
     rounding of batched rows (a batch that shrinks to one row takes another
     matmul kernel). wm provides context/anchor_mode and the batched
     predict_chunk(anchors, memories, task ids, chunks, rngs) -> (B, H, d),
-    one row per active member, fed by one build_context call per chunk step.
+    one row per active member, fed by one build_context gather per chunk step.
     reward_fn(frame, task) -> 0/1 is the thresholded learned reward, or the
     true predicate in oracle tests. A plain callable is called per frame up
     to a member's first hit; one with a batch(frames (N, d), task ids (N,))
@@ -270,35 +288,40 @@ def rollout_imagined(policy, params, wm, reward_fn, groups, T: int, H: int,
     return trajectories
 
 
-def rollout_real(policy, params, env, task: TaskSpec, n: int, T: int, H: int,
-                 seed: int, starts=None, record_frames: bool = False):
+def rollout_real(policy, params, env, task, n: int, T: int, H: int, seed,
+                 starts=None, record_frames: bool = False):
     """n real-env trajectories; evaluation and data collection only.
 
-    The n episodes run through rollout_imagined's lockstep loop with the env
-    as the dynamics and env.is_success as the per-frame reward, so an
-    OracleWorldModel group reproduces them bit for bit. Episode i resets from
-    derive_rng(seed, i, 0) unless explicit starts are given; the policy
-    stream is derive_rng(seed, i, 1), mirroring rollout_imagined member
-    streams. With record_frames, also returns one (states, actions) frame
+    The n episodes run as one batch through rollout_imagined's lockstep loop,
+    with the env as the dynamics and env.is_success, over every running
+    episode's frames once per chunk step, as the reward, so an
+    OracleWorldModel group reproduces them bit for bit. task is one TaskSpec
+    or a list of n, one per episode, and seed one int or a list of n. Under
+    one seed, episode i resets from derive_rng(seed, i, 0) unless explicit
+    starts are given, and its policy stream is derive_rng(seed, i, 1),
+    mirroring rollout_imagined member streams. Under a list, episode i draws
+    from derive_rng(seed[i], 0, ·), as the one episode of a call at seed[i]
+    would. With record_frames, also returns one (states, actions) frame
     episode per trajectory for model training.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-
-    def true_reward(frame, _task):
-        return int(env.is_success(frame))
-
+    tasks = [task] * n if isinstance(task, TaskSpec) else list(task)
+    keys = [(seed, i) for i in range(n)] if np.ndim(seed) == 0 else [(s, 0) for s in seed]
+    if len(tasks) != n or len(keys) != n:
+        raise ValueError(f"need one task and one seed per episode, {n}, "
+                         f"got {len(tasks)} and {len(keys)}")
     if starts is None:
-        starts = [env.reset_state(task, derive_rng(seed, i, 0)) for i in range(n)]
+        starts = [env.reset_state(t, derive_rng(*key, 0)) for t, key in zip(tasks, keys)]
     elif len(starts) != n:
         raise ValueError(f"need one start per episode, {n}, got {len(starts)}")
-    members = _members(task, starts, "initial", seed)
-    trajectories, histories = _roll_group(policy, params, _real_dynamics(env), true_reward,
+    members = [Member(t, start, "initial", key) for t, start, key in zip(tasks, starts, keys)]
+    trajectories, histories = _roll_group(policy, params, _real_dynamics(env), _Success(env),
                                           members, T, H, model_stream=False)
     if not record_frames:
         return trajectories
     # every chunk but the last runs whole; a success frame cuts the last
-    episodes = [FrameEpisode(task, np.array(history), traj.steps.actions[:len(history) - 1])
+    episodes = [FrameEpisode(traj.task, history, traj.steps.actions[:len(history) - 1])
                 for traj, history in zip(trajectories, histories)]
     return trajectories, episodes
 
@@ -306,19 +329,16 @@ def rollout_real(policy, params, env, task: TaskSpec, n: int, T: int, H: int,
 def collect_real(policy, params, env, n: int, T: int, H: int, seed: int, tag: int, *, roll):
     """n fresh-start real episodes with their frames, tasks round-robin.
 
-    Episode i runs task i % env.n_tasks as one roll(..., 1, ...,
-    derive_seed(seed, tag, i), record_frames=True) call. roll is rollout_real
-    as the caller's module names it, so a wrapper installed there (the
-    benchmark's tracer times rollout_real per calling module) sees every
-    episode.
+    Episode i runs task i % env.n_tasks under derive_seed(seed, tag, i), as
+    the one episode of a rollout_real call at that seed would; all n run as
+    one lockstep batch in one roll(..., record_frames=True) call. roll is
+    rollout_real as the caller's module names it, so a wrapper installed
+    there (the benchmark's tracer times rollout_real per calling module)
+    sees the collection.
     """
-    trajectories, frames = [], []
-    for i in range(n):
-        t, f = roll(policy, params, env, TaskSpec(i % env.n_tasks), 1, T, H,
-                    derive_seed(seed, tag, i), record_frames=True)
-        trajectories += t
-        frames += f
-    return trajectories, frames
+    tasks = [TaskSpec(i % env.n_tasks) for i in range(n)]
+    seeds = [derive_seed(seed, tag, i) for i in range(n)]
+    return roll(policy, params, env, tasks, n, T, H, seeds, record_frames=True)
 
 
 def write_batch(path, trajectories, manifest: dict):

@@ -49,21 +49,22 @@ def context_rows(first, now, c: int, anchor_mode: str):
     return anchor, np.where(recent < first[..., None], anchor[..., None], recent)
 
 
-def build_context(histories, c: int, anchor_mode: str = "first"):
-    """Anchors (B, d) and memories (B, c, d) of B frame histories of one length.
+def build_context(histories, c: int, anchor_mode: str = "first", members=None):
+    """Anchors (B, d) and memories (B, c, d) of frame histories of one length.
 
-    The histories are the active members of a lockstep rollout, each the
-    frames from its episode start on. context_rows picks the c + 1 rows once
-    for that length, and only those frames are gathered from each history.
+    histories is (N, L, d), the first L frames of N episodes (or N sequences
+    of L frames each); members picks the B rows to build (all N when None),
+    such as the active members of a lockstep rollout. context_rows picks the
+    c + 1 rows once for length L, and only those frames are gathered, in one
+    fancy index over every picked history.
     """
-    n = len(histories[0]) if len(histories) else 0
-    if n == 0 or any(len(h) != n for h in histories):
+    histories = np.asarray(histories, dtype=np.float64)
+    if histories.ndim != 3 or not histories.size:
         raise ValueError("histories must be non-empty and of one length")
-    anchor, memory = context_rows(0, n - 1, c, anchor_mode)
-    rows = [int(anchor), *memory.tolist()]
-    # one flat list converts faster than a nested one
-    frames = np.array([h[r] for h in histories for r in rows], dtype=np.float64)
-    frames = frames.reshape(len(histories), c + 1, -1)
+    anchor, memory = context_rows(0, histories.shape[1] - 1, c, anchor_mode)
+    rows = np.concatenate([anchor[None], memory])
+    picked = slice(None) if members is None else np.asarray(members)[:, None]
+    frames = histories[picked, rows]
     return frames[:, 0], frames[:, 1:]
 
 

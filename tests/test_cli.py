@@ -129,6 +129,16 @@ def test_out_of_range_config_exits_before_run_dir(tmp_path, capsys):
         assert not root.exists()
 
 
+def test_episode_shorter_than_a_chunk_exits_before_run_dir(tmp_path, capsys):
+    root = tmp_path / "runs"
+    for value in ("run.max_episode_len=0", "run.max_episode_len=4"):
+        code = parse_and_dispatch(["demo-gen", "--env", "reachpoint", "--n", "2",
+                                   "--set", value, "--run-root", str(root)])
+        assert code == EXIT_CONFIG
+        assert "run.max_episode_len" in capsys.readouterr().err
+        assert not root.exists()
+
+
 def test_negative_context_exits_before_run_dir(tmp_path, capsys):
     root = tmp_path / "runs"
     code = parse_and_dispatch(["pace", "--demos", str(tmp_path / "demos.wovs"),

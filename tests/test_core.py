@@ -265,6 +265,7 @@ def test_run_config_validation():
     for bad in ({"gamma": 0.0}, {"gamma": 1.2}, {"group_size": 1},
                 {"clip_eps": 0.0}, {"kir_fraction": 1.5},
                 {"diffusion_steps": 0}, {"max_episode_len": 63}, {"chunk": 0},
+                {"max_episode_len": 0}, {"max_episode_len": 4}, {"max_episode_len": -8},
                 {"gamma": "high"}):
         with pytest.raises(ConfigError):
             make_config({"run": bad})

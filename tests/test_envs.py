@@ -5,7 +5,7 @@ import pytest
 
 from wovr.core import ENV_NAMES, TaskSpec, derive_rng
 from wovr.envs import (CountingEnv, PickPlace2D, ReachPoint, get_env,
-                       replay_frames, scripted_demo)
+                       replay_frames, scripted_demo, step_chunks)
 
 
 @pytest.fixture
@@ -194,7 +194,10 @@ def assert_same_bytes(new, ref):
     assert new.tobytes() == ref.tobytes(), (new, ref)
 
 
-def test_pickplace_kernels_match_numpy_reference(env):
+def pickplace_sweep(env):
+    """(state, action) pairs: grippers at and near the walls, objects around
+    the grasp radius and the target's success radius, grip open and closed,
+    each state under a close-in-place command and a swept action."""
     rng = np.random.default_rng(20)
     grippers = [np.array(g) for g in itertools.product(WALLS, repeat=2)]
     grippers += list(rng.uniform(0.0, 1.0, size=(8, 2)))
@@ -213,22 +216,13 @@ def test_pickplace_kernels_match_numpy_reference(env):
     # closing in place tests the grasp radius where the object was placed
     still = [np.array([0.0, 0.0, 1.0]), np.array([-0.0, 0.0, 5e-324]),
              np.array([0.0, -0.0, -1.0])]
-    outcomes = set()
-    for k, state in enumerate(states):
-        success = env.is_success(state)
-        assert type(success) is bool
-        assert success == pickplace_is_success_reference(env, state)
-        for action in (still[k % 3], actions[k % len(actions)]):
-            nxt = env.step(state, action)
-            assert_same_bytes(nxt, pickplace_step_reference(env, state, action))
-            outcomes.add((state[7], nxt[7], env.is_success(nxt)))
-    # the sweep reached grasps, releases, held carries and successes
-    assert {(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0)} <= {o[:2] for o in outcomes}
-    assert any(o[2] for o in outcomes) and not all(o[2] for o in outcomes)
+    return [(state, action) for k, state in enumerate(states)
+            for action in (still[k % 3], actions[k % len(actions)])]
 
 
-def test_reachpoint_kernels_match_numpy_reference():
-    env = ReachPoint()
+def reachpoint_sweep(env):
+    """(state, action) pairs: agents at and near the walls, targets around
+    the success radius of each agent, two swept actions per state."""
     rng = np.random.default_rng(21)
     agents = [np.array(a) for a in itertools.product(WALLS, repeat=2)]
     agents += list(rng.uniform(0.0, 1.0, size=(8, 2)))
@@ -236,16 +230,79 @@ def test_reachpoint_kernels_match_numpy_reference():
     states = [np.array([*agent, *target]) for agent in agents
               for target in near_radius(rng, agent, env.success_radius)]
     actions = sweep_actions(rng, env.action_dim, 64)
-    hits = 0
-    for k, state in enumerate(states):
+    return [(state, action) for k, state in enumerate(states)
+            for action in (actions[k % len(actions)], actions[(k + 37) % len(actions)])]
+
+
+def test_pickplace_kernels_match_numpy_reference(env):
+    outcomes = set()
+    for state, action in pickplace_sweep(env):
         success = env.is_success(state)
         assert type(success) is bool
-        assert success == reachpoint_is_success_reference(env, state)
-        hits += success
-        for action in (actions[k % len(actions)], actions[(k + 37) % len(actions)]):
-            assert_same_bytes(env.step(state, action),
-                              reachpoint_step_reference(env, state, action))
-    assert 0 < hits < len(states)
+        assert success == pickplace_is_success_reference(env, state)
+        nxt = env.step(state, action)
+        assert_same_bytes(nxt, pickplace_step_reference(env, state, action))
+        outcomes.add((state[7], nxt[7], env.is_success(nxt)))
+    # the sweep reached grasps, releases, held carries and successes
+    assert {(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0)} <= {o[:2] for o in outcomes}
+    assert any(o[2] for o in outcomes) and not all(o[2] for o in outcomes)
+
+
+def test_reachpoint_kernels_match_numpy_reference():
+    env = ReachPoint()
+    pairs = reachpoint_sweep(env)
+    hits = 0
+    for k, (state, action) in enumerate(pairs):
+        assert_same_bytes(env.step(state, action), reachpoint_step_reference(env, state, action))
+        if k % 2 == 0:  # each state comes with two actions
+            success = env.is_success(state)
+            assert type(success) is bool
+            assert success == reachpoint_is_success_reference(env, state)
+            hits += success
+    assert 0 < hits < len(pairs) // 2
+
+
+SWEEPS = {"pickplace2d": (pickplace_sweep, pickplace_step_reference,
+                          pickplace_is_success_reference),
+          "reachpoint": (reachpoint_sweep, reachpoint_step_reference,
+                         reachpoint_is_success_reference)}
+
+
+@pytest.mark.parametrize("name", ENV_NAMES)
+@pytest.mark.parametrize("batch", [(-1,), (4, -1)], ids=["rows", "grid"])
+def test_batched_kernels_match_reference_row_by_row(name, batch):
+    """The reference sweep stacked into one batch: one step and one
+    is_success call equal the per-state reference byte for byte, row by row."""
+    env = get_env(name)
+    sweep, step_ref, success_ref = SWEEPS[name]
+    pairs = sweep(env)
+    pairs = pairs[:len(pairs) - len(pairs) % 4]
+    states = np.stack([s for s, _ in pairs]).reshape(*batch, env.state_dim)
+    actions = np.stack([a for _, a in pairs]).reshape(*batch, env.action_dim)
+    nxt, success = env.step(states, actions), env.is_success(states)
+    assert nxt.shape == states.shape and success.shape == states.shape[:-1]
+    assert success.dtype == bool
+    nxt, success = nxt.reshape(len(pairs), -1), success.reshape(-1)
+    for row, (state, action) in enumerate(pairs):
+        assert_same_bytes(nxt[row], step_ref(env, state, action))
+        assert success[row] == success_ref(env, state)
+    next_success = env.is_success(nxt)
+    assert next_success.any() and not next_success.all()
+    assert next_success.tolist() == [success_ref(env, s) for s in nxt]
+
+
+@pytest.mark.parametrize("name", ENV_NAMES)
+def test_batched_step_rejects_mismatched_actions(name):
+    env = get_env(name)
+    states = np.tile(env.reset_state(TaskSpec(0), derive_rng(0)), (3, 1))
+    for bad in (np.zeros(env.action_dim), np.zeros((2, env.action_dim)),
+                np.zeros((3, 1, env.action_dim))):
+        with pytest.raises(ValueError, match="action has shape"):
+            env.step(states, bad)
+    actions = np.zeros((3, env.action_dim))
+    actions[1, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        env.step(states, actions)
 
 
 @pytest.mark.parametrize("name", ENV_NAMES)
@@ -318,6 +375,17 @@ def test_counting_env_tracks_steps_and_resets():
         state = env.step(state, [0.01, 0.0, -1.0])
     assert env.steps == 7 and env.resets == 1
     assert env.state_dim == 8  # attribute delegation
+
+
+def test_counting_env_counts_batch_rows():
+    env = CountingEnv(ReachPoint())
+    states = np.stack([env.reset_state(TaskSpec(t), derive_rng(t)) for t in range(4)])
+    env.step(states, np.zeros((4, 2)))
+    env.step(states[:3], np.zeros((3, 2)))
+    env.step(states[0], np.zeros(2))
+    assert env.steps == 8 and env.resets == 4
+    frames = step_chunks(env, states, np.zeros((4, 5, 2)))
+    assert frames.shape == (4, 5, 4) and env.steps == 28
 
 
 def test_counting_env_sees_demo_steps():

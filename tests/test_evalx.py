@@ -5,6 +5,7 @@ from wovr.core import TaskSpec, derive_rng
 from wovr.envs import PickPlace2D, ReachPoint
 from wovr.evalx import EvalReport, hallucination_rate, horizon_error, success_rate
 from wovr.grpo import ChunkPolicy
+from wovr.rollout import _imagined_dynamics, _members, _roll_group
 from wovr.worldmodel import OracleWorldModel
 
 H = 4
@@ -140,6 +141,35 @@ def test_hallucination_replays_only_the_imagined_frames():
     stats = hallucination_rate(SlowExpert(), {}, OracleWorldModel(env, context=4), near,
                                env, TaskSpec(0), 20, T, H, seed=3)
     assert stats == {"rate": 1.0, "spurious": 1.0, "missed": 0.0, "n": 20}
+
+
+def test_hallucination_reads_no_frame_past_an_episode():
+    """Episodes of different lengths replay in one padded batch; a frame past
+    an episode's own end is not its real outcome. The expert never opens
+    the grip, and the reward fires once the held object is within the
+    success radius of the target: every episode is spurious, although the
+    zero-action padding of the shorter ones (an open command) releases their
+    object there."""
+    env = PickPlace2D()
+
+    class NoRelease(ExpertPolicy):
+        def sample(self, params, obs, task, rngs):
+            chunks, logps = super().sample(params, obs, task, rngs)
+            chunks[..., 2] = 1.0
+            return chunks, logps
+
+    held_at_target = lambda frame, task: int(
+        frame[7] > 0.5 and np.linalg.norm(frame[3:5] - frame[5:7]) <= env.success_radius)
+    wm = OracleWorldModel(env, context=4)
+    _, histories = _roll_group(NoRelease(env, H), {}, _imagined_dynamics(wm), held_at_target,
+                               _members(TaskSpec(2), [env.reset_state(TaskSpec(2),
+                                                                      derive_rng(9, i, 0))
+                                                      for i in range(12)], "initial", 9),
+                               64, H)
+    assert len({len(h) for h in histories}) > 2  # the batch replay pads
+    stats = hallucination_rate(NoRelease(env, H), {}, wm, held_at_target, env, TaskSpec(2),
+                               12, 64, H, seed=9)
+    assert stats == {"rate": 1.0, "spurious": 1.0, "missed": 0.0, "n": 12}
 
 
 def test_hallucination_decomposition_sums():

@@ -3,7 +3,7 @@ import pytest
 
 from wovr.core import (DEFAULTS, FrameEpisode, TaskSpec, derive_rng, make_config,
                        params_hash, task_features)
-from wovr.envs import PickPlace2D, get_env
+from wovr.envs import PickPlace2D, get_env, replay_frames, scripted_demo
 from wovr.nn import Tensor, value_and_grad
 from wovr.pace import LearnedReward
 from wovr.reward import (
@@ -241,11 +241,15 @@ def test_label_episode_frames_uses_env_predicate():
         actions.append(a)
         states.append(state)
     ep = FrameEpisode(task, np.array(states), np.array(actions))
-    examples = label_episode_frames([ep], env)
-    assert len(examples) == 4
-    for (obs, t, lab), s in zip(examples, states):
-        assert lab == int(env.is_success(s))
-        assert t.task_id == task.task_id
+    # a demo's frames end in its one success frame
+    demo = replay_frames(env, scripted_demo(env, TaskSpec(1), 0))
+    examples = label_episode_frames([ep, demo], env)
+    assert len(examples) == 4 + len(demo.states)
+    tasks = [task] * 4 + [TaskSpec(1)] * len(demo.states)
+    for (obs, t, lab), s, want in zip(examples, [*states, *demo.states], tasks, strict=True):
+        assert lab == int(env.is_success(s)) and type(lab) is int
+        assert t == want and np.array_equal(obs, s)
+    assert [lab for _, _, lab in examples[4:]] == [0] * (len(demo.states) - 1) + [1]
 
 
 def test_subsample_negatives_caps_and_keeps_positives():

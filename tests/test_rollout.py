@@ -548,21 +548,52 @@ def test_rollout_real_counts_env_steps():
 
 
 def test_collect_real_round_robin_streams():
-    env = CountingEnv(ReachPoint())
-    policy, params = make_policy(ReachPoint())
-    calls = []
+    """collect_real rolls its n episodes in one lockstep roll call, episode i
+    on task i % n_tasks under derive_seed(seed, tag, i). Each equals its own
+    one-episode rollout at that seed in task, length and rewards, with floats
+    within 1e-12 (a batch of rows takes another matmul kernel than a lone
+    row), and an n = 1 collection equals it bit for bit."""
+    for env, policy, params in (
+            (ReachPoint(), *make_policy(ReachPoint(), init_log_std=2.0)),
+            (PickPlace2D(), NoisyExpertPolicy(PickPlace2D(), H, noise=0.3), {})):
+        counter, calls, n = CountingEnv(env), [], 24
 
-    def roll(*args, **kwargs):
-        calls.append(args[3].task_id)
-        return rollout_real(*args, **kwargs)
+        def roll(*args, **kwargs):
+            calls.append([task.task_id for task in args[3]])
+            return rollout_real(*args, **kwargs)
 
-    trajs, frames = collect_real(policy, params, env, 6, T, H, 5, 73, roll=roll)
-    assert calls == [0, 1, 2, 3, 0, 1] and env.resets == 6
-    for i, (traj, ep) in enumerate(zip(trajs, frames, strict=True)):
-        # episode i is one fresh-start rollout under derive_seed(seed, tag, i)
-        [want], [want_ep] = rollout_real(policy, params, ReachPoint(), TaskSpec(i % 4), 1,
-                                         T, H, derive_seed(5, 73, i), record_frames=True)
-        assert traj == want and ep == want_ep
+        trajs, frames = collect_real(policy, params, counter, n, 64, H, 5, 73, roll=roll)
+        assert calls == [[i % 4 for i in range(n)]] and counter.resets == n
+        assert counter.steps == H * sum(len(t.steps) for t in trajs)
+        lengths, outcomes = set(), set()
+        for i, (traj, ep) in enumerate(zip(trajs, frames, strict=True)):
+            [want], [want_ep] = rollout_real(policy, params, env, TaskSpec(i % 4), 1, 64, H,
+                                             derive_seed(5, 73, i), record_frames=True)
+            assert (traj.task, traj.start_kind) == (want.task, want.start_kind) == (
+                TaskSpec(i % 4), "initial")
+            assert traj.steps.reward.tolist() == want.steps.reward.tolist()
+            assert (ep.task, ep.states.shape) == (want_ep.task, want_ep.states.shape)
+            for x, y in ((traj.steps.obs, want.steps.obs), (traj.steps.chunk, want.steps.chunk),
+                         (traj.steps.logp_old, want.steps.logp_old),
+                         (ep.states, want_ep.states), (ep.actions, want_ep.actions)):
+                np.testing.assert_allclose(x, y, rtol=0, atol=1e-12)
+            lengths.add(len(traj.steps))
+            outcomes.add(traj.success)
+        # episodes ended at different chunk steps, by success or at T
+        assert outcomes == {True, False} and len(lengths) > 2 and 64 // H in lengths
+        [one], [one_ep] = collect_real(policy, params, env, 1, 64, H, 5, 73, roll=rollout_real)
+        [want], [want_ep] = rollout_real(policy, params, env, TaskSpec(0), 1, 64, H,
+                                         derive_seed(5, 73, 0), record_frames=True)
+        assert one == want and one_ep == want_ep
+
+
+def test_rollout_real_needs_one_task_and_seed_per_episode():
+    env = ReachPoint()
+    policy, params = make_policy(env)
+    tasks = [TaskSpec(0), TaskSpec(1)]
+    for task, seed in ((tasks, 1), (TaskSpec(0), [1, 2]), (tasks, [1, 2, 3])):
+        with pytest.raises(ValueError, match="one task and one seed per episode"):
+            rollout_real(policy, params, env, task, 3, T, H, seed)
 
 
 # -- oracle substitution ----------------------------------------------------------------
