@@ -115,8 +115,9 @@ def test_step_rejects_bad_actions(env):
         ReachPoint().step(np.zeros(4), [0.0, -np.inf])
 
 
-# Reference kernels on numpy arrays (np.clip, np.linalg.norm); the float
-# kernels in wovr.envs must reproduce them byte for byte.
+# Per-state reference kernels on numpy arrays (np.clip, np.linalg.norm); the
+# kernels in wovr.envs must reproduce them byte for byte, on one state and on
+# every row of a batch.
 
 
 def check_action_reference(action, dim):
