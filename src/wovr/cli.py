@@ -253,15 +253,15 @@ def cmd_train_reward(cfg, run_dir, args):
         demos, manifest = read_batch(args.demos)
         check_input_env(cfg, args.demos, manifest.get("env"))
         episodes = episodes + [replay_frames(env, d) for d in demos]
-    examples = label_episode_frames(episodes, env)
-    params, losses = train_classifier(examples, net, derive_rng(cfg["seed"], 75),
-                                      cfg["reward"])
+    states, task_ids, labels = label_episode_frames(episodes, env)
+    params, losses = train_classifier((states, task_ids, labels), net,
+                                      derive_rng(cfg["seed"], 75), cfg["reward"])
     nn.save_params(run_dir / "reward.wovc", params)
     with open(run_dir / "manifest.json", "w") as fh:
         json.dump({"params": params_hash(params), "frames": str(frames_path),
-                   "env": env_name, "n_examples": len(examples),
+                   "env": env_name, "n_examples": len(labels),
                    "config": config_hash(cfg)}, fh, indent=1, sort_keys=True)
-    print(f"trained reward classifier on {len(examples)} frames to {run_dir}")
+    print(f"trained reward classifier on {len(labels)} frames to {run_dir}")
     return EXIT_OK
 
 

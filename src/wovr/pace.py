@@ -140,7 +140,9 @@ def refine_wm(net: WmNet, base_params: dict, new_episodes, retained_episodes,
     guards against forgetting the base distribution.
 
     Returns (params, per-epoch losses, info) where info logs the realized
-    mixture and the parameter distance from the base checkpoint.
+    mixture and the parameter distance from the base checkpoint. New episodes
+    too short for one prediction window leave nothing to refine on: the base
+    checkpoint comes back unchanged, with no losses.
     """
     if not new_episodes:
         raise ValueError("no evolved episodes to refine on")
@@ -155,10 +157,14 @@ def refine_wm(net: WmNet, base_params: dict, new_episodes, retained_episodes,
             n_kept += int(counts[i])
             if n_kept >= target_old:
                 break
-    episodes = list(new_episodes) + kept
-    params, losses = train_wm(episodes, net, rng,
-                              {**cfg["refine"], "p_noisy": cfg["wm"]["p_noisy"]},
-                              init_params=base_params)
+    if n_new:
+        params, losses = train_wm(list(new_episodes) + kept, net, rng,
+                                  {**cfg["refine"], "p_noisy": cfg["wm"]["p_noisy"]},
+                                  init_params=base_params)
+    else:
+        log.warning("no evolved episode is long enough for a full prediction "
+                    "window; keeping the base world model")
+        params, losses = base_params, []
     distance = float(np.sqrt(sum(np.sum((params[k] - base_params[k]) ** 2)
                                  for k in params)))
     realized = n_new / (n_new + n_kept) if n_new else 0.0
@@ -247,14 +253,14 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
     art.policy_stages["base"] = base_params
 
     with stage("train_reward"):
-        examples = label_episode_frames(frames_base + demo_eps, counter)
+        states, task_ids, labels = label_episode_frames(frames_base + demo_eps, counter)
         reward_params, reward_losses = train_classifier(
-            examples, reward_net, derive_rng(seed, 12), cfg["reward"])
+            (states, task_ids, labels), reward_net, derive_rng(seed, 12), cfg["reward"])
     art.reward = reward_params
     art.logs["reward"] = reward_losses
     art.manifests["reward"] = {"params": params_hash(reward_params),
                                "trained_on": "collect_base",
-                               "n_examples": len(examples),
+                               "n_examples": len(labels),
                                "n_demo_episodes": len(demo_eps),
                                "config": cfg_hash}
 

@@ -1,9 +1,9 @@
 """Learned sparse reward: a binary success classifier, thresholded to 0/1.
 
-The classifier maps (state, task token) to a success logit. Training data is
-labeled by the environment's own success predicate on collected frames, with
-negatives subsampled and the positive class reweighted, since success states
-are a sliver of any rollout corpus.
+The classifier maps (state, task token) to a success logit. Its training data
+is columns over collected frames (states, task ids, labels), labeled by the
+environment's own success predicate, with negative rows subsampled and the
+positive class reweighted, since success states are a sliver of any corpus.
 """
 from __future__ import annotations
 
@@ -62,46 +62,48 @@ def sparse_reward(prob: float, threshold: float = 0.5) -> int:
     return 1 if prob >= threshold else 0
 
 
-def label_episode_frames(episodes: list[FrameEpisode], env) -> list:
-    """(state, task, label) for every frame, labeled by the env's own
-    predicate in one is_success call per episode."""
-    out = []
-    for ep in episodes:
-        labels = env.is_success(ep.states).tolist()
-        out += [(state, ep.task, int(label)) for state, label in zip(ep.states, labels)]
-    return out
+def label_episode_frames(episodes: list[FrameEpisode], env) -> tuple:
+    """Every frame as columns (states (N, d), task ids (N,), labels (N,) uint8),
+    episode by episode, labeled by one env.is_success call over all N states."""
+    states = np.concatenate([ep.states for ep in episodes])
+    task_ids = np.repeat([ep.task.task_id for ep in episodes],
+                         [len(ep.states) for ep in episodes])
+    return states, task_ids, env.is_success(states).astype(np.uint8)
 
 
-def subsample_negatives(examples: list, rng: np.random.Generator,
-                        max_ratio: float) -> list:
-    """Keep all positives and at most max_ratio negatives per positive."""
-    pos = [ex for ex in examples if ex[2] == 1]
-    neg = [ex for ex in examples if ex[2] == 0]
+def subsample_negatives(labels: np.ndarray, rng: np.random.Generator,
+                        max_ratio: float) -> np.ndarray:
+    """Kept row indices: every positive, then at most max_ratio negatives per
+    positive (one draw without replacement), each part in row order."""
+    pos, neg = np.flatnonzero(labels == 1), np.flatnonzero(labels == 0)
     cap = int(max_ratio * len(pos))
     if len(neg) > cap:
-        keep = rng.choice(len(neg), size=cap, replace=False)
-        neg = [neg[i] for i in sorted(keep)]
-    return pos + neg
+        neg = neg[np.sort(rng.choice(len(neg), size=cap, replace=False))]
+    return np.concatenate([pos, neg])
 
 
-def train_classifier(examples: list, net: RewardNet, rng: np.random.Generator,
+def train_classifier(examples: tuple, net: RewardNet, rng: np.random.Generator,
                      reward: dict) -> tuple[dict, list[float]]:
     """Fit the success classifier; returns (params, per-epoch mean losses).
 
-    reward is the config's reward section, validated by core.validate_config:
-    epochs, batch_size and Adam's lr, neg_ratio and pos_weight. Negatives are
-    subsampled to at most neg_ratio per positive. The positive term is then
-    reweighted by pos_weight: None uses the post-subsample n_neg/n_pos ratio,
-    "sqrt" its square root (trades recall for precision, which matters when
-    the classifier gates imagined rollouts), and a number is taken as-is.
+    examples are label_episode_frames' columns, and reward is the config's
+    reward section, validated by core.validate_config: epochs, batch_size and
+    Adam's lr, neg_ratio and pos_weight. Negatives are subsampled to at most
+    neg_ratio per positive (ValueError if that keeps none). The positive term
+    is then reweighted by pos_weight: None uses the post-subsample n_neg/n_pos
+    ratio, "sqrt" its square root (trades recall for precision, which matters
+    when the classifier gates imagined rollouts), and a number is taken as-is.
     """
-    n_pos = sum(1 for ex in examples if ex[2] == 1)
-    n_neg = len(examples) - n_pos
-    if n_pos == 0 or n_neg == 0:
+    states, task_ids, labels = examples
+    n_pos = int(np.count_nonzero(labels == 1))
+    if n_pos == 0 or n_pos == len(labels):
         raise ValueError("training data must contain both classes")
-    examples = subsample_negatives(examples, rng, reward["neg_ratio"])
-    n_pos = sum(1 for ex in examples if ex[2] == 1)
-    ratio = (len(examples) - n_pos) / n_pos
+    keep = subsample_negatives(labels, rng, reward["neg_ratio"])
+    n_neg = len(keep) - n_pos
+    if n_neg == 0:
+        raise ValueError(f"reward.neg_ratio {reward['neg_ratio']} keeps no negative "
+                         f"for {n_pos} positives")
+    ratio = n_neg / n_pos
     pos_weight = reward["pos_weight"]
     if pos_weight is None:
         pos_weight = ratio
@@ -110,14 +112,14 @@ def train_classifier(examples: list, net: RewardNet, rng: np.random.Generator,
     else:
         pos_weight = float(pos_weight)
 
-    feats = np.array([task_features(obs, task, net.n_tasks) for obs, task, _ in examples])
-    labels = np.array([lab for _, _, lab in examples], dtype=np.float64)
+    feats = task_features(states[keep], task_ids[keep], net.n_tasks)
+    labels = labels[keep].astype(np.float64)
 
     params = net.init(rng)
     opt = nn.adam_init(params)
     losses, batch_size = [], reward["batch_size"]
     for _ in range(reward["epochs"]):
-        order = rng.permutation(len(examples))
+        order = rng.permutation(len(keep))
         epoch_losses = []
         for lo in range(0, len(order), batch_size):
             idx = order[lo : lo + batch_size]

@@ -6,7 +6,7 @@ import pytest
 from wovr import cli
 from wovr.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_RUNTIME,
                       aggregate_reports, parse_and_dispatch, report)
-from wovr.core import DEFAULTS, InvariantViolation
+from wovr.core import DEFAULTS, InvariantViolation, read_frames
 from wovr.evalx import EvalReport
 from wovr.pace import PaceArtifacts, StageFailure
 
@@ -303,6 +303,33 @@ def test_workflow_pace_artifacts(workflow):
     for row in audit["stages"]:
         if row["stage"] not in ("collect_base", "collect_evo"):
             assert row["env_steps"] == 0
+
+
+def test_workflow_reward_manifest_counts_frames(workflow):
+    manifest = json.loads((workflow["reward_dir"] / "manifest.json").read_text())
+    episodes, _ = read_frames(workflow["frames"])
+    assert manifest["n_examples"] == sum(len(ep.states) for ep in episodes)
+
+
+def test_pace_keeps_the_base_model_without_an_evolved_window(tmp_path):
+    """Evolved episodes all shorter than one prediction window leave refinement
+    nothing to train on: the run finishes with wm_evo equal to wm_base."""
+    tiny = ["--env", "reachpoint", "--seed", "1", "--set", "run.max_episode_len=32"]
+    demo_root, pace_root = tmp_path / "demos", tmp_path / "pace"
+    assert parse_and_dispatch(["demo-gen", "--n", "4", *tiny,
+                               "--run-root", str(demo_root)]) == EXIT_OK
+    (demo_dir,) = demo_root.iterdir()
+    sets = ("run.n_base=8", "run.n_evo=4", "wm.epochs=1", "refine.epochs=1",
+            "reward.epochs=1", "plan.rl_updates_per_stage=0")
+    assert parse_and_dispatch(["pace", "--demos", str(demo_dir / "demos.wovs"), *tiny,
+                               *(arg for s in sets for arg in ("--set", s)),
+                               "--run-root", str(pace_root)]) == EXIT_OK
+    (run_dir,) = pace_root.iterdir()
+    manifests = json.loads((run_dir / "manifests.json").read_text())
+    logs = json.loads((run_dir / "logs.json").read_text())
+    assert logs["refine"]["n_new_windows"] == 0 and logs["wm_evo"] == []
+    assert manifests["wm_evo"]["params"] == manifests["wm_base"]["params"]
+    assert manifests["wm_evo"]["param_distance"] == 0.0
 
 
 def test_workflow_eval_report_contents(workflow):

@@ -27,14 +27,24 @@ def reward_section(**values):
 
 
 def blob_examples(rng, n, sep=2.0):
-    """Linearly separable 2-d blobs: label 1 iff x + y > 0 (margin sep)."""
-    out = []
-    for _ in range(n):
-        lab = int(rng.uniform() < 0.5)
-        center = sep / 2 if lab else -sep / 2
-        obs = rng.normal(loc=center, scale=0.4, size=2)
-        out.append((obs, TaskSpec(0), lab))
-    return out
+    """Linearly separable 2-d blobs as (states, task ids, labels) columns, all
+    of task 0: label 1 iff x + y > 0 (margin sep)."""
+    labels = (rng.uniform(size=n) < 0.5).astype(np.uint8)
+    centers = np.where(labels == 1, sep / 2, -sep / 2)[:, None]
+    states = rng.normal(loc=centers, scale=0.4, size=(n, 2))
+    return states, np.zeros(n, dtype=np.int64), labels
+
+
+def rows(examples, idx):
+    """The examples' columns at row indices idx."""
+    return tuple(col[idx] for col in examples)
+
+
+def fired(net, params, examples):
+    """The sparse reward (threshold 0.5) of every example row, as 0/1."""
+    states, task_ids, _ = examples
+    feats = task_features(states, task_ids, net.n_tasks)
+    return (success_probs(net, params, feats) >= 0.5).astype(np.uint8)
 
 
 # -- loss ---------------------------------------------------------------------
@@ -243,34 +253,52 @@ def test_label_episode_frames_uses_env_predicate():
     ep = FrameEpisode(task, np.array(states), np.array(actions))
     # a demo's frames end in its one success frame
     demo = replay_frames(env, scripted_demo(env, TaskSpec(1), 0))
-    examples = label_episode_frames([ep, demo], env)
-    assert len(examples) == 4 + len(demo.states)
-    tasks = [task] * 4 + [TaskSpec(1)] * len(demo.states)
-    for (obs, t, lab), s, want in zip(examples, [*states, *demo.states], tasks, strict=True):
-        assert lab == int(env.is_success(s)) and type(lab) is int
-        assert t == want and np.array_equal(obs, s)
-    assert [lab for _, _, lab in examples[4:]] == [0] * (len(demo.states) - 1) + [1]
+    got_states, task_ids, labels = label_episode_frames([ep, demo], env)
+    assert np.array_equal(got_states, np.concatenate([states, demo.states]))
+    assert task_ids.tolist() == [0] * 4 + [1] * len(demo.states)
+    assert labels.dtype == np.uint8
+    assert labels.tolist() == [int(env.is_success(s)) for s in got_states]
+    assert labels[4:].tolist() == [0] * (len(demo.states) - 1) + [1]
 
 
 def test_subsample_negatives_caps_and_keeps_positives():
     rng = np.random.default_rng(5)
-    examples = [(np.zeros(2), TaskSpec(0), 1)] * 7 + [(np.ones(2), TaskSpec(0), 0)] * 500
-    out = subsample_negatives(examples, rng, max_ratio=10.0)
-    n_pos = sum(1 for ex in out if ex[2] == 1)
-    n_neg = len(out) - n_pos
-    assert n_pos == 7
-    assert n_neg == 70
-    small = subsample_negatives(examples[:20], rng, max_ratio=10.0)
-    assert len(small) == 20  # under the cap: nothing dropped
+    labels = np.array([1] * 7 + [0] * 500, dtype=np.uint8)
+    keep = subsample_negatives(labels, rng, max_ratio=10.0)
+    assert keep[:7].tolist() == list(range(7))
+    assert len(keep) == 7 + 70 and np.all(labels[keep[7:]] == 0)
+    assert np.all(np.diff(keep[7:]) > 0)  # kept negatives in row order
+    small = subsample_negatives(labels[:20], rng, max_ratio=10.0)
+    assert small.tolist() == list(range(20))  # under the cap: nothing dropped
 
 
 def test_subsample_deterministic_given_rng():
-    examples = [(np.array([float(i)]), TaskSpec(0), 0) for i in range(100)]
-    examples += [(np.array([-1.0]), TaskSpec(0), 1)] * 3
-    a = subsample_negatives(examples, derive_rng(6), max_ratio=5.0)
-    b = subsample_negatives(examples, derive_rng(6), max_ratio=5.0)
-    assert len(a) == len(b) == 3 + 15
-    assert all(np.array_equal(x[0], y[0]) for x, y in zip(a, b))
+    labels = np.array([0] * 100 + [1] * 3, dtype=np.uint8)
+    a = subsample_negatives(labels, derive_rng(6), max_ratio=5.0)
+    b = subsample_negatives(labels, derive_rng(6), max_ratio=5.0)
+    assert len(a) == 3 + 15
+    assert a.tolist() == b.tolist()
+
+
+def subsample_reference(examples, rng, max_ratio):
+    """The list-of-(state, task, label) selection subsample_negatives replaced."""
+    pos = [ex for ex in examples if ex[2] == 1]
+    neg = [ex for ex in examples if ex[2] == 0]
+    cap = int(max_ratio * len(pos))
+    if len(neg) > cap:
+        keep = rng.choice(len(neg), size=cap, replace=False)
+        neg = [neg[i] for i in sorted(keep)]
+    return pos + neg
+
+
+def test_subsample_negatives_matches_the_list_selection():
+    labels = (np.random.default_rng(15).uniform(size=600) < 0.05).astype(np.uint8)
+    assert 0 < labels.sum() < len(labels)
+    # each tuple carries its row index as its state, to read the kept rows back
+    tuples = [(i, TaskSpec(0), int(lab)) for i, lab in enumerate(labels)]
+    for seed, ratio in ((16, 10.0), (17, 3.0), (18, 100.0)):  # 100: under the cap
+        want = [i for i, _, _ in subsample_reference(tuples, derive_rng(seed), ratio)]
+        assert subsample_negatives(labels, derive_rng(seed), ratio).tolist() == want
 
 
 # -- training ---------------------------------------------------------------------
@@ -278,12 +306,16 @@ def test_subsample_deterministic_given_rng():
 
 def test_train_classifier_rejects_single_class():
     net = RewardNet(2, 1)
-    all_pos = [(np.zeros(2), TaskSpec(0), 1)] * 8
-    all_neg = [(np.zeros(2), TaskSpec(0), 0)] * 8
-    with pytest.raises(ValueError):
-        train_classifier(all_pos, net, derive_rng(7), reward_section())
-    with pytest.raises(ValueError):
-        train_classifier(all_neg, net, derive_rng(7), reward_section())
+    states, task_ids = np.zeros((16, 2)), np.zeros(16, dtype=np.int64)
+    for labels in (np.ones(16, dtype=np.uint8), np.zeros(16, dtype=np.uint8)):
+        with pytest.raises(ValueError):
+            train_classifier((states, task_ids, labels), net, derive_rng(7),
+                             reward_section())
+    # a ratio whose cap rounds to zero would drop every negative
+    mixed = np.array([1] * 8 + [0] * 8, dtype=np.uint8)
+    with pytest.raises(ValueError, match="reward.neg_ratio"):
+        train_classifier((states, task_ids, mixed), net, derive_rng(7),
+                         reward_section(neg_ratio=0.1))
 
 
 def test_separable_fixture_accuracy():
@@ -293,33 +325,28 @@ def test_separable_fixture_accuracy():
     net = RewardNet(2, 1)
     params, losses = train_classifier(train, net, derive_rng(9),
                                       reward_section(epochs=40, lr=3e-3))
-    hits = sum(
-        sparse_reward(predict_success(net, params, obs, task)) == lab
-        for obs, task, lab in test
-    )
-    assert hits / len(test) >= 0.99
+    assert np.mean(fired(net, params, test) == test[2]) >= 0.99
     assert losses[-1] < losses[0]
 
 
 def test_imbalanced_fixture_still_finds_positives():
     rng = np.random.default_rng(10)
     pool = blob_examples(rng, 3000)
-    pos = [ex for ex in pool if ex[2] == 1][:30]
-    neg = [ex for ex in pool if ex[2] == 0][:1200]
+    labels = pool[2]
+    train = rows(pool, np.concatenate([np.flatnonzero(labels == 1)[:30],
+                                       np.flatnonzero(labels == 0)[:1200]]))
     net = RewardNet(2, 1)
-    params, _ = train_classifier(pos + neg, net, derive_rng(11),
+    params, _ = train_classifier(train, net, derive_rng(11),
                                  reward_section(epochs=60, lr=3e-3))
     held = blob_examples(np.random.default_rng(12), 300)
-    held_pos = [ex for ex in held if ex[2] == 1]
-    recall = np.mean([
-        sparse_reward(predict_success(net, params, obs, task)) for obs, task, _ in held_pos
-    ])
-    assert recall >= 0.95
+    held_pos = rows(held, held[2] == 1)
+    assert np.mean(fired(net, params, held_pos)) >= 0.95
 
 
 def synth_pickplace_states(env, rng, n, plant=0.5, scale=0.07):
-    """Random board states, a fraction planted near the success disc."""
-    out = []
+    """Random board states, a fraction planted near the success disc, as
+    (states, task ids, labels) columns."""
+    states, task_ids = [], []
     for _ in range(n):
         tid = int(rng.integers(4))
         state = env.reset_state(TaskSpec(tid), derive_rng(int(rng.integers(1 << 30))))
@@ -329,8 +356,10 @@ def synth_pickplace_states(env, rng, n, plant=0.5, scale=0.07):
         state[7] = 0.0
         if rng.uniform() < plant:
             state[3:5] = state[5:7] + rng.normal(scale=scale, size=2)
-        out.append((state, TaskSpec(tid), int(env.is_success(state))))
-    return out
+        states.append(state)
+        task_ids.append(tid)
+    states = np.array(states)
+    return states, np.array(task_ids), env.is_success(states).astype(np.uint8)
 
 
 def test_pickplace_success_states_classified():
@@ -338,16 +367,11 @@ def test_pickplace_success_states_classified():
     rng = np.random.default_rng(13)
     train = synth_pickplace_states(env, rng, 2400)
     test = synth_pickplace_states(env, rng, 600)
-    n_pos = sum(ex[2] for ex in train)
-    assert 0 < n_pos < len(train)
+    assert 0 < train[2].sum() < len(train[2])
     net = RewardNet(8, 4)
     params, _ = train_classifier(train, net, derive_rng(14),
                                  reward_section(epochs=200, lr=3e-3))
-    hits = sum(
-        sparse_reward(predict_success(net, params, obs, task)) == lab
-        for obs, task, lab in test
-    )
-    assert hits / len(test) >= 0.95
+    assert np.mean(fired(net, params, test) == test[2]) >= 0.95
 
 
 def test_pos_weight_modes():
