@@ -3,13 +3,14 @@
 Configuration is resolved as core.DEFAULTS, then the YAML config file, then
 explicit flags, then each --set, merged section by section, rightmost wins.
 The resolved config is validated once (core.validate_config), for every
-command, before its run directory is created; an invalid config exits 2
-without leaving a directory behind. Every command that produces artifacts
-gets a fresh run directory under the run root (--run-root, else
-$WOVR_RUN_ROOT, else ./runs) named by the resolved-config hash plus a
-timestamp, and the resolved config is written there verbatim before any work
-starts. An input file made in another env is a configuration error too. Exit
-codes: 0 success, 2 configuration error, 3 runtime error, 4 invariant violation.
+command, before its run directory is created; an invalid config or a
+missing input flag exits 2 without leaving a directory behind. Every command
+that produces artifacts gets a fresh run directory under the run root
+(--run-root, else $WOVR_RUN_ROOT, else ./runs) named by the resolved-config
+hash plus a timestamp, and the resolved config is written there verbatim
+before any work starts. An input file made in another env is a
+configuration error too. Exit codes: 0 success, 2 configuration error, 3
+runtime error, 4 invariant violation.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from . import nn
 from .core import (ENV_NAMES, EVAL_METRICS, ConfigError, InvariantViolation,
                    TaskSpec, config_hash, derive_rng, derive_seed, make_config,
                    params_hash, read_frames, write_frames)
-from .envs import CountingEnv, get_env, replay_frames, scripted_demo
+from .envs import CountingEnv, get_env, replay_episodes, scripted_demo
 from .evalx import EvalReport, hallucination_rate, horizon_error, success_rate
 from .grpo import ChunkPolicy
 from .pace import (LearnedReward, StageFailure, _rl_stage, clone_base_policy,
@@ -155,14 +156,16 @@ def check_input_env(cfg, path, env_name):
         raise ConfigError(f"{path} holds {env_name!r} data, the resolved env is {cfg['env']!r}")
 
 
-def require(args, cfg_err: str, *names):
-    values = []
-    for name in names:
-        value = getattr(args, name, None)
-        if value is None:
-            raise ConfigError(cfg_err.format(flag=name.replace("_", "-")))
-        values.append(value)
-    return values if len(values) > 1 else values[0]
+def check_inputs(args, cfg):
+    """ConfigError unless the input flags that the resolved config needs are
+    given; the parser requires every flag that a command always needs."""
+    if args.command == "pace" and not (args.policy or args.demos):
+        raise ConfigError("pace needs --policy or --demos")
+    if args.command == "eval":
+        metric = cfg["eval"]["metric"]
+        for name in {"halluc": ("wm", "reward"), "horizon": ("wm",)}.get(metric, ()):
+            if getattr(args, name) is None:
+                raise ConfigError(f"eval --metric {metric} needs --{name}")
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +188,7 @@ def cmd_demo_gen(cfg, run_dir, args):
 
 
 def cmd_clone(cfg, run_dir, args):
-    demos_path = require(args, "clone needs --{flag}", "demos")
+    demos_path = args.demos
     demos, manifest = read_batch(demos_path)
     check_input_env(cfg, demos_path, manifest.get("env"))
     env = get_env(cfg["env"])
@@ -204,8 +207,7 @@ def cmd_clone(cfg, run_dir, args):
 
 
 def cmd_collect(cfg, run_dir, args):
-    policy_path = require(args, "collect needs --{flag}", "policy")
-    params = nn.load_params(policy_path)
+    params = nn.load_params(args.policy)
     env = CountingEnv(get_env(cfg["env"]))
     policy = build_policy(env, cfg)
     run = cfg["run"]
@@ -224,7 +226,7 @@ def cmd_collect(cfg, run_dir, args):
 
 
 def cmd_train_wm(cfg, run_dir, args):
-    frames_path = require(args, "train-wm needs --{flag}", "frames")
+    frames_path = args.frames
     episodes, env_name = read_frames(frames_path)
     check_input_env(cfg, frames_path, env_name)
     env = get_env(env_name)
@@ -244,15 +246,15 @@ def cmd_train_wm(cfg, run_dir, args):
 
 
 def cmd_train_reward(cfg, run_dir, args):
-    frames_path = require(args, "train-reward needs --{flag}", "frames")
+    frames_path = args.frames
     episodes, env_name = read_frames(frames_path)
     check_input_env(cfg, frames_path, env_name)
     env = get_env(env_name)
     net = build_reward_net(env, cfg)
-    if getattr(args, "demos", None):
+    if args.demos:
         demos, manifest = read_batch(args.demos)
         check_input_env(cfg, args.demos, manifest.get("env"))
-        episodes = episodes + [replay_frames(env, d) for d in demos]
+        episodes = episodes + replay_episodes(env, demos)
     states, task_ids, labels = label_episode_frames(episodes, env)
     params, losses = train_classifier((states, task_ids, labels), net,
                                       derive_rng(cfg["seed"], 75), cfg["reward"])
@@ -266,14 +268,12 @@ def cmd_train_reward(cfg, run_dir, args):
 
 
 def cmd_rl(cfg, run_dir, args):
-    policy_path, wm_path, reward_path = require(
-        args, "rl needs --{flag}", "policy", "wm", "reward")
     env = CountingEnv(get_env(cfg["env"]))
     policy = build_policy(env, cfg)
-    params = nn.load_params(policy_path)
-    wm = LearnedWorldModel(build_wm_net(env, cfg), nn.load_params(wm_path),
+    params = nn.load_params(args.policy)
+    wm = LearnedWorldModel(build_wm_net(env, cfg), nn.load_params(args.wm),
                            cfg["run"]["diffusion_steps"])
-    reward_fn = LearnedReward(build_reward_net(env, cfg), nn.load_params(reward_path),
+    reward_fn = LearnedReward(build_reward_net(env, cfg), nn.load_params(args.reward),
                               cfg["rl"]["reward_threshold"])
     new_params, logs = _rl_stage(policy, params, wm, reward_fn, env, cfg,
                                  deque(maxlen=KEYFRAME_CAPACITY), tag=76)
@@ -291,15 +291,13 @@ def cmd_pace(cfg, run_dir, args):
     env = get_env(cfg["env"])
     policy = build_policy(env, cfg)
     demos = None
-    if getattr(args, "demos", None):
+    if args.demos:
         demos, manifest = read_batch(args.demos)
         check_input_env(cfg, args.demos, manifest.get("env"))
-    if getattr(args, "policy", None):
+    if args.policy:
         base_params = nn.load_params(args.policy)
-    elif demos:
-        base_params, _ = clone_demos(demos, policy, cfg)
     else:
-        raise ConfigError("pace needs --policy or --demos")
+        base_params, _ = clone_demos(demos, policy, cfg)
     try:
         artifacts = run_pipeline(env, policy, base_params,
                                  build_wm_net(env, cfg),
@@ -318,10 +316,9 @@ def cmd_pace(cfg, run_dir, args):
 
 
 def cmd_eval(cfg, run_dir, args):
-    policy_path = require(args, "eval needs --{flag}", "policy")
     env = get_env(cfg["env"])
     policy = build_policy(env, cfg)
-    params = nn.load_params(policy_path)
+    params = nn.load_params(args.policy)
     T, H = cfg["run"]["max_episode_len"], cfg["run"]["chunk"]
     e = cfg["eval"]
     metric, n, task_id = e["metric"], e["n"], e["task"]
@@ -329,8 +326,7 @@ def cmd_eval(cfg, run_dir, args):
                         checkpoint_hashes={"policy": params_hash(params)})
 
     def learned_wm():
-        wm_path = require(args, f"eval --metric {metric} needs --{{flag}}", "wm")
-        wm_params = nn.load_params(wm_path)
+        wm_params = nn.load_params(args.wm)
         report.checkpoint_hashes["wm"] = params_hash(wm_params)
         return LearnedWorldModel(build_wm_net(env, cfg), wm_params,
                                  cfg["run"]["diffusion_steps"])
@@ -343,9 +339,7 @@ def cmd_eval(cfg, run_dir, args):
         report.sr_trials = n * env.n_tasks
     elif metric == "halluc":
         wm = learned_wm()
-        reward_path = require(args, "eval --metric halluc needs --{flag}",
-                              "reward")
-        reward_params = nn.load_params(reward_path)
+        reward_params = nn.load_params(args.reward)
         report.checkpoint_hashes["reward"] = params_hash(reward_params)
         # the reward of imagined RL, so the rate is the one of the simulator
         # the policy trained in
@@ -485,30 +479,30 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         ("--noise", "demo.noise", dict(type=float)),
     ])
     register("clone", "behavior-clone a policy from demos", [
-        ("--demos", None, dict(help="demo store path")),
+        ("--demos", None, dict(help="demo store path", required=True)),
         ("--epochs", "clone.epochs", dict(type=int)),
         ("--lr", "clone.lr", dict(type=float)),
     ])
     register("collect", "roll out a policy in the real env", [
-        ("--policy", None, dict(help="policy checkpoint")),
+        ("--policy", None, dict(help="policy checkpoint", required=True)),
         ("--n", "collect.n", dict(type=int)),
     ])
     register("train-wm", "train the world model on frames", [
-        ("--frames", None, dict(help="frame store path")),
+        ("--frames", None, dict(help="frame store path", required=True)),
         ("--epochs", "wm.epochs", dict(type=int)),
         ("--lr", "wm.lr", dict(type=float)),
         ("--batch-size", "wm.batch_size", dict(type=int)),
     ])
     register("train-reward", "train the success classifier on frames", [
-        ("--frames", None, dict(help="frame store path")),
+        ("--frames", None, dict(help="frame store path", required=True)),
         ("--demos", None, dict(help="demo store mixed in as extra frames")),
         ("--epochs", "reward.epochs", dict(type=int)),
         ("--lr", "reward.lr", dict(type=float)),
     ])
     register("rl", "imagined GRPO against a fixed world model", [
-        ("--policy", None, dict(help="policy checkpoint")),
-        ("--wm", None, dict(help="world-model checkpoint")),
-        ("--reward", None, dict(help="reward checkpoint")),
+        ("--policy", None, dict(help="policy checkpoint", required=True)),
+        ("--wm", None, dict(help="world-model checkpoint", required=True)),
+        ("--reward", None, dict(help="reward checkpoint", required=True)),
         ("--updates", "plan.rl_updates_per_stage", dict(type=int)),
     ])
     register("pace", "full staged pipeline", [
@@ -520,7 +514,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         ("--rl-updates", "plan.rl_updates_per_stage", dict(type=int)),
     ])
     register("eval", "evaluate a policy checkpoint", [
-        ("--policy", None, dict(help="policy checkpoint")),
+        ("--policy", None, dict(help="policy checkpoint", required=True)),
         ("--wm", None, dict(help="world-model checkpoint (halluc/horizon)")),
         ("--reward", None, dict(help="reward checkpoint (halluc)")),
         ("--metric", "eval.metric", dict(choices=EVAL_METRICS)),
@@ -547,6 +541,7 @@ def parse_and_dispatch(argv) -> int:
         if args.command == "report":
             return cmd_report(None, None, args)
         resolved = resolve_config(args, flag_paths[args.command])
+        check_inputs(args, resolved)
         run_dir = make_run_dir(run_root(args), args.command, resolved)
         write_resolved(run_dir, resolved)
         return COMMANDS[args.command](resolved, run_dir, args)

@@ -253,20 +253,43 @@ def scripted_demo(env, task: TaskSpec, seed: int, noise_level: float = 0.0,
     return Trajectory(task, "initial", Steps(obs[:n], chunks[:n], reward[:n], np.zeros(n)))
 
 
-def replay_frames(env, traj: Trajectory) -> FrameEpisode:
-    """Re-step a trajectory's stored chunks to recover every env frame.
+def first_hits(hits) -> np.ndarray:
+    """Index of each row's first True in hits (B, L), L if none: the one rule
+    by which rollouts and replay cut an episode at its first success frame."""
+    return (~np.asarray(hits, dtype=bool)).cumprod(axis=1).sum(axis=1)
 
-    The dynamics are deterministic, so feeding the recorded actions from the
-    recorded start reproduces the original episode exactly. Replay stops at
-    the first success frame inside a chunk, matching how rollouts cut their
-    frame history; padded slots after a demo's terminal step are never
-    reached.
-    """
-    if not traj.steps:
+
+def replay_actions(env, starts, actions):
+    """Step B starts (d,) through their action sequences (n_i, a_dim) in one
+    step_chunks call, padded with zero actions to the longest, then one
+    is_success call. Returns (frames, success): frames[i] holds start i and
+    sequence i's frames up to its first success frame, and success[i] says
+    whether it reached one within its own n_i actions; no padded frame counts."""
+    sizes = np.array([len(a) for a in actions])
+    padded = np.zeros((len(actions), sizes.max(), env.action_dim))
+    for row, a in zip(padded, actions):
+        row[:len(a)] = a
+    stepped = step_chunks(env, starts, padded)
+    first = first_hits(env.is_success(stepped))
+    frames = np.concatenate([np.asarray(starts, dtype=np.float64)[:, None], stepped], axis=1)
+    return [f[:c + 1] for f, c in zip(frames, np.minimum(first + 1, sizes))], first < sizes
+
+
+def replay_episodes(env, trajectories) -> list[FrameEpisode]:
+    """Every env frame of each trajectory, recovered exactly (the dynamics are
+    deterministic) by re-stepping its stored chunks from its start, all in
+    one replay_actions batch, and cut at its first success frame, as
+    rollouts cut their histories; a demo's padded slots are never kept."""
+    if not all(traj.steps for traj in trajectories):
         raise ValueError("cannot replay an empty trajectory")
-    states = [traj.steps.obs[0]]
-    for act in traj.steps.actions:
-        states.append(env.step(states[-1], act))
-        if env.is_success(states[-1]):
-            break
-    return FrameEpisode(traj.task, np.array(states), traj.steps.actions[:len(states) - 1])
+    if not trajectories:
+        return []
+    actions = [traj.steps.actions for traj in trajectories]
+    frames, _ = replay_actions(env, [traj.steps.obs[0] for traj in trajectories], actions)
+    return [FrameEpisode(traj.task, f, a[:len(f) - 1])
+            for traj, f, a in zip(trajectories, frames, actions)]
+
+
+def replay_frames(env, traj: Trajectory) -> FrameEpisode:
+    """replay_episodes of one trajectory."""
+    return replay_episodes(env, [traj])[0]

@@ -14,12 +14,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .core import MalformedHeader, TaskSpec, derive_rng
-from .envs import step_chunks
+from .envs import replay_actions
 from .rollout import (
     _imagined_dynamics,
     _members,
     _real_dynamics,
     _roll_group,
+    as_scorer,
     rollout_real,
 )
 
@@ -38,8 +39,8 @@ def hallucination_rate(policy, params, wm, reward_fn, env, task: TaskSpec,
     Episode i is member i of one lockstep imagined group, started from
     derive_rng(seed, i, 0) as in rollout_real. Its executed actions, up to its
     last imagined frame, are replayed open loop in the real env from the same
-    start: every episode in one step_chunks call, padded with zero actions to
-    the longest, and success is read only within each episode's own frames.
+    start: every episode in one envs.replay_actions batch, which reads
+    success only within each episode's own frames.
     Returns rate plus the two one-sided fractions: spurious (imagined success,
     real failure — the dangerous direction) and missed (imagined failure,
     real success).
@@ -47,15 +48,11 @@ def hallucination_rate(policy, params, wm, reward_fn, env, task: TaskSpec,
     if n < 1:
         raise ValueError("n must be >= 1")
     starts = [env.reset_state(task, derive_rng(seed, i, 0)) for i in range(n)]
-    trajectories, histories = _roll_group(policy, params, _imagined_dynamics(wm), reward_fn,
+    trajectories, histories = _roll_group(policy, params, _imagined_dynamics(wm),
+                                          as_scorer(reward_fn),
                                           _members(task, starts, "initial", seed), T, H)
-    executed = np.array([len(history) - 1 for history in histories])
-    actions = np.zeros((n, executed.max(), env.action_dim))
-    for row, traj, size in zip(actions, trajectories, executed):
-        row[:size] = traj.steps.actions[:size]
-    real_frames = step_chunks(env, starts, actions)
-    own = np.arange(executed.max()) < executed[:, None]
-    real = (env.is_success(real_frames) & own).any(axis=1)
+    _, real = replay_actions(env, starts, [traj.steps.actions[:len(history) - 1]
+                                           for traj, history in zip(trajectories, histories)])
     imagined = np.array([traj.success for traj in trajectories])
     spurious = int((imagined & ~real).sum())
     missed = int((real & ~imagined).sum())
@@ -86,7 +83,7 @@ def horizon_error(wm, policy, params, env, task: TaskSpec, horizons,
     depth = horizons[-1]
     starts = [env.reset_state(task, derive_rng(seed, i, 0)) for i in range(n)]
     trajectories, real_states = _roll_group(policy, params, _real_dynamics(env),
-                                            lambda _frame, _task: 0,
+                                            lambda frames, _tasks: np.zeros(len(frames), bool),
                                             _members(task, starts, "initial", seed),
                                             depth, H, model_stream=False)
     # model replay of the same chunks, closed loop on its own frames

@@ -22,11 +22,12 @@ import numpy as np
 from . import nn
 from .core import (InvariantViolation, TaskSpec, config_hash, derive_rng,
                    derive_seed, params_hash, task_features)
-from .envs import CountingEnv, replay_frames
+from .envs import CountingEnv, replay_episodes
 from .grpo import ChunkPolicy, build_group, grpo_update
 from .nn import tmean, value_and_grad
-from .reward import (RewardNet, label_episode_frames, predict_success,
-                     sparse_reward, success_probs, train_classifier)
+# predict_success is not called here: bench/tracing.py wraps it (test_trace_targets_resolve)
+from .reward import (RewardNet, label_episode_frames, predict_success,  # noqa: F401
+                     success_probs, train_classifier)
 from .rollout import (KEYFRAME_CAPACITY, GroupSpec, GroupSpecs, collect_real,
                       harvest_keyframes, rollout_imagined, rollout_real, sample_start)
 from .worldmodel import LearnedWorldModel, WmNet, train_wm, window_counts
@@ -201,8 +202,9 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
     fixed. The audit records the rollout budget, run.n_base + run.n_evo * K,
     and each stage's real env steps and resets. Real env steps may occur
     only in the K + 1 collections: a run in which any other stage steps the
-    real env aborts with InvariantViolation. A stage that raises is wrapped
-    in StageFailure carrying the artifacts produced so far.
+    real env fails at that stage with InvariantViolation. A stage that raises
+    is wrapped in StageFailure carrying the artifacts produced so far, its
+    audit row marked failed.
 
     When the cloning demos are passed in, their frames (reconstructed by
     replaying the stored actions, so no counted interaction happens) are
@@ -216,7 +218,7 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
     n_base, n_evo = run["n_base"], run["n_evo"]
     cfg_hash = config_hash(cfg)
     # replay against the unwrapped env: stored data, not new interaction
-    demo_eps = [replay_frames(counter.env, d) for d in demos] if demos else []
+    demo_eps = replay_episodes(counter.env, demos) if demos else []
 
     art = PaceArtifacts()
     art.manifests["run"] = {"config": cfg_hash, "env": counter.name}
@@ -228,6 +230,8 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
         s0, r0 = counter.steps, counter.resets
         try:
             yield row
+            if name not in ("collect_base", "collect_evo") and counter.steps != s0:
+                raise InvariantViolation(f"real env steps leaked into stage {name!r}")
         except Exception as exc:
             row.update(env_steps=counter.steps - s0,
                        env_resets=counter.resets - r0, failed=True)
@@ -310,7 +314,10 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
         wm_params, retained = wm_evo_params, retained + frames_evo
 
     art.policy = params
-    _finalize_audit(art)
+    rows = art.audit["stages"]
+    art.audit["trajectories_total"] = sum(row.get("trajectories", 0) for row in rows)
+    art.audit["env_steps_total"] = sum(row["env_steps"] for row in rows)
+    art.audit["env_resets_total"] = sum(row["env_resets"] for row in rows)
     return art
 
 
@@ -318,25 +325,20 @@ class LearnedReward:
     """The classifier's success probability, thresholded: the reward imagined
     RL trains on and `wovr eval --metric halluc` measures the simulator with.
 
-    reward(frame, task) -> 0/1 scores one frame; batch(frames (N, d), tasks)
-    -> (N,) bool scores many in one forward, tasks one TaskSpec or per-row
-    task ids, which rollout's lockstep loop uses for every active member's
-    chunk at once. Both are pure functions of the frame, so scoring frames
-    past a member's first hit changes nothing.
-    A batched row's logit can differ from the single-row one in its last
-    bits (the matmul sums in another order), which matters only for a
-    probability that close to the threshold. params holds read-only views of
-    the given arrays (nn.read_only), so a rollout cannot write to the reward.
+    batch(frames (N, d), tasks) -> (N,) bool, rollout's scorer, scores frames
+    in one forward, tasks one TaskSpec or per-row task ids. It is a pure
+    function of the frame, so scoring frames past a member's first hit
+    changes nothing. A batched row's logit can differ from a single-row one
+    in its last bits (the matmul sums in another order), which matters only
+    for a probability that close to the threshold. params holds read-only
+    views of the given arrays (nn.read_only), so a rollout cannot write to
+    the reward.
     """
 
     def __init__(self, net: RewardNet, params: dict, threshold: float):
         self.net = net
         self.params = nn.read_only(params)
         self.threshold = threshold
-
-    def __call__(self, frame, task) -> int:
-        return sparse_reward(predict_success(self.net, self.params, frame, task),
-                             self.threshold)
 
     def batch(self, frames, tasks) -> np.ndarray:
         probs = success_probs(self.net, self.params,
@@ -426,14 +428,3 @@ def _rl_stage(policy, params, wm, reward_fn, env, cfg, keyframes, tag):
         logs.append(run_iteration(state["params"], wm, reward_fn, rollout_fn, trainer_fn))
     return state["params"], logs
 
-
-def _finalize_audit(art: PaceArtifacts):
-    """Enforce the no-leak rule (only collections step the env), then total the rows."""
-    rows = art.audit["stages"]
-    for row in rows:
-        if row["stage"] not in ("collect_base", "collect_evo") and row["env_steps"]:
-            raise InvariantViolation(
-                f"real env steps leaked into stage {row['stage']!r}")
-    art.audit["trajectories_total"] = sum(row.get("trajectories", 0) for row in rows)
-    art.audit["env_steps_total"] = sum(row["env_steps"] for row in rows)
-    art.audit["env_resets_total"] = sum(row["env_resets"] for row in rows)

@@ -11,10 +11,9 @@ of the active members' context rows feeds the world model's
 predict_chunk(anchors, memories, tasks, chunks, rngs) -> (B, H, d); real,
 the env steps every active member from its newest frame, one action column
 per call (envs.step_chunks). A member is cut at its first reward frame. The
-reward is reward_fn(frame, task) -> 0/1, read frame by frame up to the first
-hit; a reward that also has batch(frames (N, d), tasks) -> (N,) bool (the
-learned reward, pace.LearnedReward, and the env's success predicate in real
-rollouts) instead scores every running member's H frames in one call per
+reward is one scorer, score(frames (N, d), task ids (N,)) -> (N,) bool (the
+learned reward's pace.LearnedReward.batch, or the env's success predicate in
+real rollouts), that scores every running member's H frames in one call per
 chunk step, so it must be a pure function of the frame. Members need not
 share a task: each carries its own task, start, start kind and stream key,
 and per-row task ids reach the policy, the model and the reward through
@@ -50,7 +49,7 @@ from .core import (
     read_store,
     write_store,
 )
-from .envs import step_chunks
+from .envs import first_hits, step_chunks
 from .worldmodel import build_context
 
 log = logging.getLogger(__name__)
@@ -132,25 +131,21 @@ def _members(task: TaskSpec, starts, kind: str, seed: int) -> list[Member]:
     return [Member(task, start, kind, (seed, i)) for i, start in enumerate(starts)]
 
 
-def _first_hit(reward_fn, frames, task) -> int:
-    """Index of the first frame reward_fn fires on, len(frames) if none; the
-    frames after it are never scored."""
-    for j, frame in enumerate(frames):
-        if reward_fn(frame, task):
-            return j
-    return len(frames)
+def as_scorer(reward):
+    """reward as _roll_group's scorer, score(frames (N, d), task ids (N,)) ->
+    (N,) bool: its batch method if it has one (pace.LearnedReward), else its
+    per-frame reward(frame, task) -> 0/1 on every frame. Only bench/checks.py
+    still passes per-frame rewards; this adapter goes with ROADMAP item 10's
+    benchmark change."""
+    batch = getattr(reward, "batch", None)
+    if batch is not None:
+        return batch
+    return lambda frames, task_ids: np.array(
+        [bool(reward(frame, TaskSpec(int(t)))) for frame, t in zip(frames, task_ids)],
+        dtype=bool)
 
 
-def _first_hits(batch, frames, task_ids) -> np.ndarray:
-    """_first_hit of every row of frames (B, H, d), row i of task task_ids[i],
-    from one batch call over all B * H frames."""
-    n, h, d = frames.shape
-    hits = batch(frames.reshape(n * h, d), np.repeat(task_ids, h))
-    hits = np.asarray(hits, dtype=bool).reshape(n, h)
-    return np.where(hits.any(axis=1), hits.argmax(axis=1), h)
-
-
-def _roll_group(policy, params, dynamics, reward_fn, members, T, H,
+def _roll_group(policy, params, dynamics, score, members, T, H,
                 model_stream: bool = True):
     """Closed-loop episodes of the members, advanced in lockstep.
 
@@ -160,16 +155,14 @@ def _roll_group(policy, params, dynamics, reward_fn, members, T, H,
     the active members, from their newest frames, and one batched
     dynamics(frames, rows, length, task ids, chunks, rngs) -> (B, H, d) call:
     rows are the B active members, all of whose histories are frames[row,
-    :length], since a member leaves the batch at its success frame. It then
-    cuts each member at its first reward frame. Members may differ in task and
-    start. A reward with a batch(frames (N, d), task ids (N,)) -> (N,) bool
-    method scores every finite member's H frames in one call; a plain
-    reward_fn(frame, task) -> 0/1 reads a member's frames one by one and stops
-    at the first hit. A member whose predicted frames are not all finite stops
-    alone, with one warning, keeping the steps it recorded before; its frames
-    are never scored. Dynamics that draw nothing (the real env) run with
-    model_stream False, and then the members' model streams are not built;
-    their rngs are None.
+    :length], since a member leaves the batch at its success frame. One
+    score(frames (N, d), task ids (N,)) -> (N,) bool call then scores every
+    finite member's H frames, and each member is cut at its first hit
+    (envs.first_hits). Members may differ in task and start. A member whose
+    predicted frames are not all finite stops alone, with one warning,
+    keeping the steps it recorded before; its frames are never scored.
+    Dynamics that draw nothing (the real env) run with model_stream False,
+    and then the members' model streams are not built; their rngs are None.
 
     Returns (trajectories, frame histories); a history holds every executed
     frame of its member, cut at the success frame. Histories and each
@@ -178,7 +171,6 @@ def _roll_group(policy, params, dynamics, reward_fn, members, T, H,
     if T % H != 0:
         raise ValueError("T must be a multiple of the chunk horizon")
     n, n_chunks = len(members), T // H
-    batch = getattr(reward_fn, "batch", None)
     task_ids = np.array([m.task.task_id for m in members])
     policy_rngs = [derive_rng(*m.key, 1) for m in members]
     model_rngs = [derive_rng(*m.key, 2) if model_stream else None for m in members]
@@ -205,11 +197,10 @@ def _roll_group(policy, params, dynamics, reward_fn, members, T, H,
         chunk[active, k], logp[active, k] = chunks, logps
         finite = np.isfinite(predicted).reshape(len(active), -1).all(axis=1)
         first = np.full(len(active), H)  # an aborted row is never scored
-        if batch is not None and finite.any():
-            first[finite] = _first_hits(batch, predicted[finite], ids[finite])
-        elif batch is None:
-            for row in np.flatnonzero(finite):
-                first[row] = _first_hit(reward_fn, predicted[row], members[active[row]].task)
+        if finite.any():
+            hits = score(predicted[finite].reshape(-1, predicted.shape[2]),
+                         np.repeat(ids[finite], H))
+            first[finite] = first_hits(np.reshape(hits, (-1, H)))
         for i in active[~finite]:
             log.warning("rollout member aborted at chunk-step %d: member %d "
                         "predicted a non-finite frame", k, i)
@@ -247,17 +238,6 @@ def _real_dynamics(env):
     return dynamics
 
 
-class _Success:
-    """The env's success predicate as a batched reward: all of a chunk
-    step's frames in one is_success call."""
-
-    def __init__(self, env):
-        self.env = env
-
-    def batch(self, frames, _tasks) -> np.ndarray:
-        return self.env.is_success(frames)
-
-
 def rollout_imagined(policy, params, wm, reward_fn, groups, T: int, H: int,
                      seed) -> list[Trajectory]:
     """Imagined trajectories of every member of groups, in one lockstep batch.
@@ -271,20 +251,19 @@ def rollout_imagined(policy, params, wm, reward_fn, groups, T: int, H: int,
     matmul kernel). wm provides context/anchor_mode and the batched
     predict_chunk(anchors, memories, task ids, chunks, rngs) -> (B, H, d),
     one row per active member, fed by one build_context gather per chunk step.
-    reward_fn(frame, task) -> 0/1 is the thresholded learned reward, or the
-    true predicate in oracle tests. A plain callable is called per frame up
-    to a member's first hit; one with a batch(frames (N, d), task ids (N,))
-    -> (N,) bool method, like pace.LearnedReward, scores all active members'
-    frames in one call per chunk step, frames past a hit included, so it
-    must be a pure function of the frame.
+    reward_fn is the thresholded learned reward (pace.LearnedReward), or the
+    true predicate in oracle tests, turned into _roll_group's scorer once
+    (as_scorer). It scores all active members' frames in one call per chunk
+    step, frames past a hit included, so it must be a pure function of the
+    frame.
     """
     if isinstance(groups, GroupSpec):
         groups, seed = (groups,), (seed,)
     members = [member for group, s in zip(groups, seed, strict=True)
                for member in _members(group.task, [group.start_state] * group.size,
                                       group.start_kind, s)]
-    trajectories, _ = _roll_group(policy, params, _imagined_dynamics(wm), reward_fn,
-                                  members, T, H)
+    trajectories, _ = _roll_group(policy, params, _imagined_dynamics(wm),
+                                  as_scorer(reward_fn), members, T, H)
     return trajectories
 
 
@@ -316,7 +295,8 @@ def rollout_real(policy, params, env, task, n: int, T: int, H: int, seed,
     elif len(starts) != n:
         raise ValueError(f"need one start per episode, {n}, got {len(starts)}")
     members = [Member(t, start, "initial", key) for t, start, key in zip(tasks, starts, keys)]
-    trajectories, histories = _roll_group(policy, params, _real_dynamics(env), _Success(env),
+    trajectories, histories = _roll_group(policy, params, _real_dynamics(env),
+                                          lambda frames, _tasks: env.is_success(frames),
                                           members, T, H, model_stream=False)
     if not record_frames:
         return trajectories

@@ -7,6 +7,7 @@ otherwise surface only when the benchmark runs.
 """
 import importlib
 import importlib.util
+import math
 import sys
 from collections import deque
 from pathlib import Path
@@ -138,7 +139,10 @@ def test_trace_counters_read_real_calls(monkeypatch):
 @pytest.mark.parametrize("refinements", [1, 0, 2])
 def test_pace_run_passes_the_benchmark_gate(tmp_path, refinements):
     """bench/checks.py's check_pace reads a pace run's audit and checkpoints;
-    a tiny run, with zero, one or two co-evolution rounds, must pass every check."""
+    a tiny run, with zero, one or two co-evolution rounds, must pass every
+    check. With one round, checks.quality must also read finite metrics off
+    it: it is the benchmark's only caller of hallucination_rate with a
+    per-frame reward, of replay_frames and of horizon_error."""
     tiny = ["--env", "reachpoint", "--seed", "1", "--set", "run.max_episode_len=32"]
     assert parse_and_dispatch(["demo-gen", *tiny, "--n", "8",
                                "--run-root", str(tmp_path / "demos")]) == 0
@@ -148,8 +152,15 @@ def test_pace_run_passes_the_benchmark_gate(tmp_path, refinements):
             "reward.epochs=5", "plan.rl_updates_per_stage=1"]
     argv = ["pace", *tiny, "--demos", str(demos), "--run-root", str(tmp_path / "runs")]
     assert parse_and_dispatch(argv + [arg for s in sets for arg in ("--set", s)]) == 0
-    checks = load_bench("checks").check_pace(tmp_path / "runs", 1)["checks"]
-    assert checks and all(checks.values()), checks
+    bench_checks = load_bench("checks")
+    gate = bench_checks.check_pace(tmp_path / "runs", 1)
+    assert gate["checks"] and all(gate["checks"].values()), gate["checks"]
+    if refinements == 1:
+        quality = bench_checks.quality(gate, 1)
+        assert all(math.isfinite(value) for value in quality.values()), quality
+        for rate in ("sr_base", "sr_final", "halluc_rate", "reward.precision_at_rl",
+                     "reward.recall_at_rl"):
+            assert 0.0 <= quality[rate] <= 1.0, (rate, quality)
 
 
 TINY = ["--env", "reachpoint", "--seed", "1", "--set", "run.max_episode_len=32"]

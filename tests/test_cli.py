@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from wovr import cli
+from wovr import cli, pace
 from wovr.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_RUNTIME,
                       aggregate_reports, parse_and_dispatch, report)
 from wovr.core import DEFAULTS, InvariantViolation, read_frames
@@ -69,8 +69,29 @@ def test_unknown_flag_is_config_error(capsys):
 
 
 def test_missing_required_input_is_config_error(tmp_path, capsys):
-    code = parse_and_dispatch(["clone", "--run-root", str(tmp_path)])
-    assert code == EXIT_CONFIG
+    """Every command without an input it needs exits 2 and leaves no run
+    directory: the parser requires the flags a command always needs, and
+    the ones that the resolved config asks for are checked before the run
+    directory is made."""
+    root, missing = tmp_path / "runs", str(tmp_path / "missing")
+    for argv, flag in (
+            (["clone"], "--demos"),
+            (["collect"], "--policy"),
+            (["train-wm"], "--frames"),
+            (["train-reward"], "--frames"),
+            (["rl", "--wm", missing, "--reward", missing], "--policy"),
+            (["rl", "--policy", missing, "--reward", missing], "--wm"),
+            (["rl", "--policy", missing, "--wm", missing], "--reward"),
+            (["pace"], "--policy or --demos"),
+            (["eval"], "--policy"),
+            (["eval", "--policy", missing, "--metric", "horizon"], "--wm"),
+            (["eval", "--policy", missing, "--set", "eval.metric=halluc"], "--wm"),
+            (["eval", "--policy", missing, "--metric", "halluc", "--wm", missing],
+             "--reward")):
+        code = parse_and_dispatch([*argv, "--run-root", str(root)])
+        assert code == EXIT_CONFIG, argv
+        assert flag in capsys.readouterr().err, argv
+        assert not root.exists(), argv
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
@@ -346,6 +367,28 @@ def test_workflow_eval_missing_wm_flag(workflow, capsys):
         "--run-root", str(workflow["base"] / "runs" / "bad"),
         "--policy", str(workflow["policy"]), "--metric", "horizon"])
     assert code == EXIT_CONFIG
+    assert not (workflow["base"] / "runs" / "bad").exists()
+
+
+def test_pace_leak_exits_4_with_an_audit_naming_the_stage(workflow, monkeypatch, capsys):
+    """A stage other than a collection that steps the real env ends the run
+    there with exit 4, and the run directory's audit.json names the stage."""
+    label = pace.label_episode_frames
+
+    def leaking_label(episodes, env):
+        env.step(episodes[0].states[0], np.zeros(env.action_dim))
+        return label(episodes, env)
+
+    monkeypatch.setattr(pace, "label_episode_frames", leaking_label)
+    root = workflow["base"] / "runs" / "leak"
+    code = parse_and_dispatch(["pace", "--config", str(workflow["cfg"]),
+                               "--demos", str(workflow["demos"]), "--run-root", str(root)])
+    assert code == EXIT_INVARIANT
+    assert "'train_reward'" in capsys.readouterr().err
+    (run_dir,) = root.iterdir()
+    rows = json.loads((run_dir / "audit.json").read_text())["stages"]
+    assert [row["stage"] for row in rows] == ["collect_base", "train_reward"]
+    assert rows[-1]["failed"] and rows[-1]["env_steps"] == 1
 
 
 def assert_env_mismatch(workflow, capsys, *argv):

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from wovr.core import ENV_NAMES, TaskSpec, derive_rng
-from wovr.envs import (CountingEnv, PickPlace2D, ReachPoint, get_env,
+from wovr.core import ENV_NAMES, FrameEpisode, Steps, TaskSpec, Trajectory, derive_rng
+from wovr.envs import (CountingEnv, PickPlace2D, ReachPoint, get_env, replay_episodes,
                        replay_frames, scripted_demo, step_chunks)
 
 
@@ -407,8 +407,9 @@ def test_replay_frames_reconstructs_demo_exactly(env):
     if traj.success:
         assert env.is_success(ep.states[-1])
         assert not any(env.is_success(s) for s in ep.states[:-1])
-    # replay is pure recomputation of stored data, but it does step the env
-    assert counted.steps == ep.actions.shape[0] and counted.resets == 0
+    # replay is pure recomputation of stored data, but it does step the env,
+    # every stored action slot of the trajectory
+    assert counted.steps == len(traj.steps.actions) and counted.resets == 0
     ep2 = replay_frames(env, traj)
     assert ep == ep2
 
@@ -428,7 +429,61 @@ def test_replay_frames_matches_recorded_rollout(env):
 
 
 def test_replay_frames_rejects_empty_trajectory(env):
-    from wovr.core import Trajectory
-
     with pytest.raises(ValueError):
         replay_frames(env, Trajectory(TaskSpec(0), "initial", []))
+    with pytest.raises(ValueError):
+        replay_episodes(env, [scripted_demo(env, TaskSpec(0), 0),
+                              Trajectory(TaskSpec(0), "initial", [])])
+    assert replay_episodes(env, []) == []
+
+
+def replay_reference(env, traj):
+    """The per-state replay loop that the batched replay replaced: one state
+    per step call, stopping at the first success frame."""
+    states = [traj.steps.obs[0]]
+    for act in traj.steps.actions:
+        states.append(env.step(states[-1], act))
+        if env.is_success(states[-1]):
+            break
+    return FrameEpisode(traj.task, np.array(states), traj.steps.actions[:len(states) - 1])
+
+
+def held_at_target():
+    """A pickplace trajectory that ends holding the object at the target,
+    grip closed; one more zero action (an open command) would release it
+    there, a success."""
+    env = PickPlace2D()
+    start = mk_state((0.3, 0.3), 0.0, (0.3, 0.3), (0.25, 0.25), 0.0)
+    chunk = np.array([[0.0, 0.0, 1.0], [-0.05, -0.05, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    traj = Trajectory(TaskSpec(0), "initial", Steps(start[None], chunk[None], [0], [0.0]))
+    last = replay_reference(env, traj).states[-1]
+    assert not env.is_success(last) and env.is_success(env.step(last, np.zeros(3)))
+    return traj
+
+
+@pytest.mark.parametrize("name", ENV_NAMES)
+def test_replay_episodes_match_the_per_state_loop(name):
+    """One batched replay of demos of mixed lengths gives, episode by
+    episode, the bytes the per-state loop gives: successes mid-chunk and on a
+    chunk's last frame, failures that run to max_len, and (on pickplace) a
+    short episode whose zero-action padding would release its object at the
+    target."""
+    env = get_env(name)
+    seen = set()
+    for noise in (0.0, 0.3):
+        demos = [scripted_demo(env, TaskSpec(i % env.n_tasks), i, noise, chunk=4,
+                               max_len=(8, 16, 64)[i % 3]) for i in range(16)]
+        if name == "pickplace2d":
+            demos.append(held_at_target())
+        assert len({len(d.steps) for d in demos}) > 1
+        for demo, ep in zip(demos, replay_episodes(env, demos), strict=True):
+            ref = replay_reference(env, demo)
+            assert ep.task == ref.task
+            assert ep.states.tobytes() == ref.states.tobytes()
+            assert ep.actions.tobytes() == ref.actions.tobytes()
+            if not demo.success:
+                seen.add("ran to max_len")
+                assert len(ep.actions) == len(demo.steps.actions)
+            else:
+                seen.add("mid-chunk" if len(ep.actions) % 4 else "last frame")
+    assert seen == {"ran to max_len", "mid-chunk", "last frame"}

@@ -5,7 +5,7 @@ from wovr.core import TaskSpec, derive_rng
 from wovr.envs import PickPlace2D, ReachPoint
 from wovr.evalx import EvalReport, hallucination_rate, horizon_error, success_rate
 from wovr.grpo import ChunkPolicy
-from wovr.rollout import _imagined_dynamics, _members, _roll_group
+from wovr.rollout import _imagined_dynamics, _members, _roll_group, as_scorer
 from wovr.worldmodel import OracleWorldModel
 
 H = 4
@@ -161,7 +161,8 @@ def test_hallucination_reads_no_frame_past_an_episode():
     held_at_target = lambda frame, task: int(
         frame[7] > 0.5 and np.linalg.norm(frame[3:5] - frame[5:7]) <= env.success_radius)
     wm = OracleWorldModel(env, context=4)
-    _, histories = _roll_group(NoRelease(env, H), {}, _imagined_dynamics(wm), held_at_target,
+    _, histories = _roll_group(NoRelease(env, H), {}, _imagined_dynamics(wm),
+                               as_scorer(held_at_target),
                                _members(TaskSpec(2), [env.reset_state(TaskSpec(2),
                                                                       derive_rng(9, i, 0))
                                                       for i in range(12)], "initial", 9),

@@ -539,8 +539,8 @@ def test_pipeline_counts_on_external_counter(reach_env, base_policy):
 
 def test_pipeline_aborts_on_real_steps_outside_collection(reach_env, base_policy,
                                                          monkeypatch):
-    # the reward stage takes one real step on the counted env: the audit's
-    # no-leak rule must name it and abort the run
+    # the reward stage takes one real step on the counted env: the run must
+    # abort at that stage, naming it, before any later stage runs
     policy, params = base_policy
     counter = CountingEnv(reach_env)
     train_classifier = pace.train_classifier
@@ -550,8 +550,15 @@ def test_pipeline_aborts_on_real_steps_outside_collection(reach_env, base_policy
         return train_classifier(examples, *args, **kwargs)
 
     monkeypatch.setattr(pace, "train_classifier", leaking_train_classifier)
-    with pytest.raises(InvariantViolation, match="'train_reward'"):
+    with pytest.raises(StageFailure) as failure:
         small_run(counter, policy, params, 8, 4, {"plan": {"rl_updates_per_stage": 0}})
+    assert failure.value.stage == "train_reward"
+    cause = failure.value.__cause__
+    assert isinstance(cause, InvariantViolation) and "'train_reward'" in str(cause)
+    rows = failure.value.artifacts.audit["stages"]
+    # the leaking stage is the last that ran
+    assert [row["stage"] for row in rows] == ["collect_base", "train_reward"]
+    assert rows[-1]["failed"] and rows[-1]["env_steps"] == 1
 
 
 def test_artifacts_write(tmp_path, pipeline_run):

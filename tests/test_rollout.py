@@ -9,7 +9,7 @@ from wovr.envs import CountingEnv, PickPlace2D, ReachPoint
 from wovr.evalx import hallucination_rate
 from wovr.grpo import ChunkPolicy
 from wovr.pace import LearnedReward
-from wovr.reward import RewardNet
+from wovr.reward import RewardNet, predict_success, sparse_reward
 from wovr.rollout import (
     KEYFRAME_CAPACITY,
     GroupSpec,
@@ -17,6 +17,7 @@ from wovr.rollout import (
     _imagined_dynamics,
     _members,
     _roll_group,
+    as_scorer,
     collect_real,
     harvest_keyframes,
     read_batch,
@@ -219,22 +220,23 @@ def test_rollout_imagined_logp_matches_policy_density():
 
 
 def test_rollout_imagined_mid_chunk_success_truncates():
+    """A reward that fires on frame 6, the second frame of chunk step 2, cuts
+    the member there: two steps, rewards [0, 1], a history of frames 0..6."""
     env = ReachPoint()
     policy, params = make_policy(env)
     group, wm, _ = oracle_setup(env)
-    calls = []
-
-    def fires_on_sixth(frame, task):
-        calls.append(0)
-        return 1 if len(calls) == 6 else 0
-
-    trajs_one = rollout_imagined(policy, params, wm, fires_on_sixth,
-                                 GroupSpec(group.task, group.start_state, "initial", 1),
-                                 T, H, seed=12)
-    t = trajs_one[0]
-    assert t.success and len(t.steps) == 2
-    assert t.steps.reward.tolist() == [0, 1]
-    assert len(calls) == 6  # evaluation stopped at the success frame
+    members = _members(group.task, [group.start_state], "initial", 12)
+    never = lambda frames, _tasks: np.zeros(len(frames), dtype=bool)
+    _, (free,) = _roll_group(policy, params, _imagined_dynamics(wm), never, members, T, H)
+    sixth = lambda frame, task: int(np.array_equal(frame, free[6]))
+    (traj,), (history,) = _roll_group(policy, params, _imagined_dynamics(wm),
+                                      as_scorer(sixth), members, T, H)
+    assert traj.success and len(traj.steps) == 2
+    assert traj.steps.reward.tolist() == [0, 1]
+    assert len(history) == 7 and np.array_equal(history, free[:7])
+    assert rollout_imagined(policy, params, wm, sixth,
+                            GroupSpec(group.task, group.start_state, "initial", 1),
+                            T, H, seed=12) == [traj]
 
 
 def test_rollout_imagined_aborts_on_nonfinite(caplog):
@@ -413,18 +415,23 @@ def x_past_reward(env, c):
     return LearnedReward(net, {"rw.w0": w, "rw.b0": np.array([-60.0 * c])}, 0.9)
 
 
+def per_frame_form(reward):
+    """reward's one-frame form, reward(frame, task) -> 0/1."""
+    return lambda frame, task: sparse_reward(
+        predict_success(reward.net, reward.params, frame, task), reward.threshold)
+
+
 def test_batched_reward_rolls_like_its_per_frame_form(caplog):
     """One batch call per chunk step cuts members where per-frame calls do."""
     env = ReachPoint()
     reward = x_past_reward(env, 0.72)
-    per_frame = lambda frame, task: reward(frame, task)
     expert = NoisyExpertPolicy(env, H, noise=2.0)
     task = TaskSpec(1)
     seen = set()
     for seed in range(4):
         start = env.reset_state(task, derive_rng(25 + seed))
         runs = []
-        for fn in (reward, per_frame):
+        for fn in (reward.batch, as_scorer(per_frame_form(reward))):
             wm = PoisonedWm(env, [(1, 1)])
             with caplog.at_level("WARNING"):
                 runs.append(_roll_group(expert, {}, _imagined_dynamics(wm), fn,
@@ -452,7 +459,7 @@ def test_hallucination_rate_same_for_batched_and_per_frame_reward():
     for task_id in range(2):
         task = TaskSpec(task_id)
         batched = hallucination_rate(expert, {}, wm, reward, env, task, 12, 64, H, seed=26)
-        plain = hallucination_rate(expert, {}, wm, lambda f, t: reward(f, t), env, task,
+        plain = hallucination_rate(expert, {}, wm, per_frame_form(reward), env, task,
                                    12, 64, H, seed=26)
         assert batched == plain
         assert batched["rate"] > 0.0
