@@ -8,9 +8,10 @@ missing input flag exits 2 without leaving a directory behind. Every command
 that produces artifacts gets a fresh run directory under the run root
 (--run-root, else $WOVR_RUN_ROOT, else ./runs) named by the resolved-config
 hash plus a timestamp, and the resolved config is written there verbatim
-before any work starts. An input file made in another env is a
-configuration error too. Exit codes: 0 success, 2 configuration error, 3
-runtime error, 4 invariant violation.
+before any work starts. The demo and frame inputs are read before the run
+directory is made too, and one made in another env is a configuration
+error. Exit codes: 0 success, 2 configuration error, 3 runtime error, 4
+invariant violation.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import yaml
 
 from . import nn
 from .core import (ENV_NAMES, EVAL_METRICS, ConfigError, InvariantViolation,
-                   TaskSpec, config_hash, derive_rng, derive_seed, make_config,
-                   params_hash, read_frames, write_frames)
+                   TaskSpec, config_hash, derive_rng, derive_seed, derive_seeds,
+                   make_config, params_hash, read_frames, write_frames)
 from .envs import CountingEnv, get_env, replay_episodes, scripted_demo
 from .evalx import EvalReport, hallucination_rate, horizon_error, success_rate
 from .grpo import ChunkPolicy
@@ -158,7 +159,10 @@ def check_input_env(cfg, path, env_name):
 
 def check_inputs(args, cfg):
     """ConfigError unless the input flags that the resolved config needs are
-    given; the parser requires every flag that a command always needs."""
+    given (the parser requires every flag that a command always needs) and
+    each demo and frame input was made in the resolved env. Those inputs are
+    read here, before the run directory is made, into args.inputs: "demos"
+    holds the demo trajectories and "frames" the frame episodes, when given."""
     if args.command == "pace" and not (args.policy or args.demos):
         raise ConfigError("pace needs --policy or --demos")
     if args.command == "eval":
@@ -166,6 +170,13 @@ def check_inputs(args, cfg):
         for name in {"halluc": ("wm", "reward"), "horizon": ("wm",)}.get(metric, ()):
             if getattr(args, name) is None:
                 raise ConfigError(f"eval --metric {metric} needs --{name}")
+    args.inputs = {}
+    if getattr(args, "frames", None):
+        args.inputs["frames"], env_name = read_frames(args.frames)
+        check_input_env(cfg, args.frames, env_name)
+    if getattr(args, "demos", None):
+        args.inputs["demos"], manifest = read_batch(args.demos)
+        check_input_env(cfg, args.demos, manifest.get("env"))
 
 
 # ---------------------------------------------------------------------------
@@ -176,9 +187,9 @@ def cmd_demo_gen(cfg, run_dir, args):
     env = get_env(cfg["env"])
     n, noise = cfg["demo"]["n"], cfg["demo"]["noise"]
     chunk, max_len = cfg["run"]["chunk"], cfg["run"]["max_episode_len"]
-    demos = [scripted_demo(env, TaskSpec(i % env.n_tasks),
-                           derive_seed(cfg["seed"], 71, i), noise,
-                           chunk=chunk, max_len=max_len) for i in range(n)]
+    seeds = derive_seeds([(cfg["seed"], 71, i) for i in range(n)])
+    demos = [scripted_demo(env, TaskSpec(i % env.n_tasks), seed, noise,
+                           chunk=chunk, max_len=max_len) for i, seed in enumerate(seeds)]
     manifest = {"env": cfg["env"], "noise": noise, "n": n,
                 "config": config_hash(cfg)}
     write_batch(run_dir / "demos.wovs", demos, manifest)
@@ -188,14 +199,12 @@ def cmd_demo_gen(cfg, run_dir, args):
 
 
 def cmd_clone(cfg, run_dir, args):
-    demos_path = args.demos
-    demos, manifest = read_batch(demos_path)
-    check_input_env(cfg, demos_path, manifest.get("env"))
+    demos = args.inputs["demos"]
     env = get_env(cfg["env"])
     params, losses = clone_demos(demos, build_policy(env, cfg), cfg)
     nn.save_params(run_dir / "policy.wovc", params)
     with open(run_dir / "manifest.json", "w") as fh:
-        json.dump({"params": params_hash(params), "demos": str(demos_path),
+        json.dump({"params": params_hash(params), "demos": str(args.demos),
                    "env": env.name, "config": config_hash(cfg)},
                   fh, indent=1, sort_keys=True)
     with open(run_dir / "bc_losses.json", "w") as fh:
@@ -226,16 +235,14 @@ def cmd_collect(cfg, run_dir, args):
 
 
 def cmd_train_wm(cfg, run_dir, args):
-    frames_path = args.frames
-    episodes, env_name = read_frames(frames_path)
-    check_input_env(cfg, frames_path, env_name)
-    env = get_env(env_name)
+    episodes = args.inputs["frames"]
+    env = get_env(cfg["env"])
     net = build_wm_net(env, cfg)
     params, losses = train_wm(episodes, net, derive_rng(cfg["seed"], 74), cfg["wm"])
     nn.save_params(run_dir / "wm.wovc", params)
     with open(run_dir / "manifest.json", "w") as fh:
-        json.dump({"params": params_hash(params), "frames": str(frames_path),
-                   "env": env_name, "config": config_hash(cfg)},
+        json.dump({"params": params_hash(params), "frames": str(args.frames),
+                   "env": env.name, "config": config_hash(cfg)},
                   fh, indent=1, sort_keys=True)
     with open(run_dir / "wm_losses.json", "w") as fh:
         json.dump(losses, fh)
@@ -246,22 +253,18 @@ def cmd_train_wm(cfg, run_dir, args):
 
 
 def cmd_train_reward(cfg, run_dir, args):
-    frames_path = args.frames
-    episodes, env_name = read_frames(frames_path)
-    check_input_env(cfg, frames_path, env_name)
-    env = get_env(env_name)
+    episodes = args.inputs["frames"]
+    env = get_env(cfg["env"])
     net = build_reward_net(env, cfg)
-    if args.demos:
-        demos, manifest = read_batch(args.demos)
-        check_input_env(cfg, args.demos, manifest.get("env"))
-        episodes = episodes + replay_episodes(env, demos)
+    if "demos" in args.inputs:
+        episodes = episodes + replay_episodes(env, args.inputs["demos"])
     states, task_ids, labels = label_episode_frames(episodes, env)
     params, losses = train_classifier((states, task_ids, labels), net,
                                       derive_rng(cfg["seed"], 75), cfg["reward"])
     nn.save_params(run_dir / "reward.wovc", params)
     with open(run_dir / "manifest.json", "w") as fh:
-        json.dump({"params": params_hash(params), "frames": str(frames_path),
-                   "env": env_name, "n_examples": len(labels),
+        json.dump({"params": params_hash(params), "frames": str(args.frames),
+                   "env": env.name, "n_examples": len(labels),
                    "config": config_hash(cfg)}, fh, indent=1, sort_keys=True)
     print(f"trained reward classifier on {len(labels)} frames to {run_dir}")
     return EXIT_OK
@@ -290,10 +293,7 @@ def cmd_rl(cfg, run_dir, args):
 def cmd_pace(cfg, run_dir, args):
     env = get_env(cfg["env"])
     policy = build_policy(env, cfg)
-    demos = None
-    if args.demos:
-        demos, manifest = read_batch(args.demos)
-        check_input_env(cfg, args.demos, manifest.get("env"))
+    demos = args.inputs.get("demos")
     if args.policy:
         base_params = nn.load_params(args.policy)
     else:
@@ -332,9 +332,9 @@ def cmd_eval(cfg, run_dir, args):
                                  cfg["run"]["diffusion_steps"])
 
     if metric == "sr":
-        per_task = [success_rate(policy, params, env, TaskSpec(t), n, T, H,
-                                 derive_seed(cfg["seed"], 81, t))
-                    for t in range(env.n_tasks)]
+        seeds = derive_seeds([(cfg["seed"], 81, t) for t in range(env.n_tasks)])
+        per_task = [success_rate(policy, params, env, TaskSpec(t), n, T, H, seed)
+                    for t, seed in enumerate(seeds)]
         report.success_rate = float(np.mean(per_task))
         report.sr_trials = n * env.n_tasks
     elif metric == "halluc":

@@ -21,6 +21,7 @@ MalformedHeader, TruncatedPayload or InvariantViolation.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import itertools
 import json
@@ -244,6 +245,9 @@ def validate_config(cfg: dict) -> dict:
     horizons = ev["horizons"]
     try:
         rules = [
+            # every stream derives from the seed, and derive_rng takes only
+            # non-negative integers
+            (type(cfg["seed"]) is int and cfg["seed"] >= 0, "seed must be a non-negative integer"),
             (cfg["env"] in ENV_NAMES, f"env must be one of {ENV_NAMES}"),
             (0.0 < run["gamma"] <= 1.0, "run.gamma must lie in (0, 1]"),
             (run["group_size"] >= 2, "run.group_size must be >= 2"),
@@ -315,16 +319,152 @@ def make_config(*overrides: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic RNG derivation
+# Deterministic RNG derivation. A key of non-negative integers addresses the
+# PCG64 stream that numpy's SeedSequence(list(key)) seeds, bit for bit, and
+# the seed that is that SeedSequence's first state word. A batch of keys is
+# derived in one call (derive_rngs, derive_seeds): the keys' words are hashed
+# as uint32 columns, one array op per step of SeedSequence's pool mixing and
+# generate_state for all keys of one word count, so a rollout builds all its
+# members' streams at once. derive_rng and derive_seed are the one-key case.
+# numpy.random is loaded on the first derivation, not when wovr is imported.
+
+_MASK32 = 0xFFFFFFFF
+_POOL = 4          # SeedSequence's default pool size, in uint32 words
+_STATE_WORDS = 8   # PCG64 seeds from four uint64 words, eight uint32 ones
+# SeedSequence's hash constants: its k-th hashmix xors in INIT_A * MULT_A**k
+# and multiplies by INIT_A * MULT_A**(k+1); generate_state's k-th word
+# likewise under INIT_B and MULT_B
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_OTHERS = [np.array([d for d in range(_POOL) if d != s]) for s in range(_POOL)]
+_CYCLE = np.arange(_STATE_WORDS) % _POOL  # generate_state cycles through the pool
+
+
+@functools.cache
+def _powers(init: int, mult: int, n: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k < n, read-only uint32."""
+    out = [init]
+    for _ in range(n - 1):
+        out.append(out[-1] * mult & _MASK32)
+    out = np.array(out, dtype=np.uint32)
+    out.flags.writeable = False
+    return out
+
+
+def _hashmix(values, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hash step on uint32 rows: row r xors in consts[r] and
+    is multiplied by consts[r + 1]; a 1-d values is hashed once per row."""
+    out = (values ^ consts[:-1, None]) * consts[1:, None]
+    return out ^ (out >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_L - y * _MIX_R
+    return out ^ (out >> 16)
+
+
+def _state_words(entropy: np.ndarray) -> np.ndarray:
+    """(8, m) uint32: column j is SeedSequence(key).generate_state(8) of the
+    key whose words are entropy[:, j], for entropy (L, m) uint32."""
+    n_words, m = entropy.shape
+    hash_a = _powers(_INIT_A, _MULT_A, _POOL * _POOL + 1 + _POOL * max(n_words - _POOL, 0))
+    pool = np.zeros((_POOL, m), dtype=np.uint32)  # a short key runs the hash out on zeros
+    pool[:min(n_words, _POOL)] = entropy[:_POOL]
+    pool, k = _hashmix(pool, hash_a[:_POOL + 1]), _POOL
+    for src in range(_POOL):  # so late words affect early ones
+        dst = _OTHERS[src]  # each other pool word mixes in its own hash of pool[src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], hash_a[k:k + _POOL]))
+        k += _POOL - 1
+    for word in entropy[_POOL:]:  # each word past the pool mixes into every pool word
+        pool = _mix(pool, _hashmix(word, hash_a[k:k + _POOL + 1]))
+        k += _POOL
+    return _hashmix(pool[_CYCLE], _powers(_INIT_B, _MULT_B, _STATE_WORDS + 1))
+
+
+def _key_words(key) -> list[int]:
+    """SeedSequence's uint32 words of key: each entry's words, low first.
+    SeedSequence's own errors: TypeError for a non-integer entry, ValueError
+    for a negative one."""
+    words = []
+    for entry in key:
+        if type(entry) is int and 0 <= entry <= _MASK32:  # the usual one-word entry
+            words.append(entry)
+            continue
+        if not isinstance(entry, (int, np.integer)):
+            raise TypeError(f"seed must be integer, got {entry!r}")
+        n = int(entry)
+        if n < 0:
+            raise ValueError(f"expected non-negative integer, got {n}")
+        words.append(n & _MASK32)
+        while n > _MASK32:
+            n >>= 32
+            words.append(n & _MASK32)
+    return words
+
+
+def _key_states(keys) -> np.ndarray:
+    """(8, len(keys)) uint32, one column per key, one kernel call per word count."""
+    groups: dict[int, tuple[list, list]] = {}  # word count -> (key indices, words)
+    for i, key in enumerate(keys):
+        words = _key_words(key)
+        index, table = groups.setdefault(len(words), ([], []))
+        index.append(i)
+        table.append(words)
+    states = np.empty((_STATE_WORDS, len(keys)), dtype=np.uint32)
+    for n_words, (index, table) in groups.items():
+        entropy = np.array(table, dtype=np.uint32).reshape(len(index), n_words)
+        states[:, index] = _state_words(entropy.T)
+    return states
+
+
+@functools.cache
+def _seed_words_type():
+    """The ISeedSequence that hands PCG64 four precomputed uint64 words. It
+    is made on first use: its base class's module loads numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("SeedWords holds only PCG64's four uint64 seed words")
+            return self.words
+
+        def __reduce__(self):  # a Generator pickles its bit generator's seed sequence
+            return _seed_words, (self.words,)
+
+    return SeedWords
+
+
+def _seed_words(words: np.ndarray):
+    return _seed_words_type()(words)
+
+
+def derive_rngs(keys) -> list[np.random.Generator]:
+    """[derive_rng(*key) for key in keys], derived as one batch; each key is
+    a sequence of non-negative integers."""
+    states = _key_states(keys).astype(np.uint64)
+    lo, hi = states[0::2], states[1::2]  # each uint64 seed word is two uint32 ones, low first
+    seed_words = np.ascontiguousarray((lo | hi << np.uint64(32)).T)  # PCG64 reads raw rows
+    generator, pcg64 = np.random.Generator, np.random.PCG64
+    return [generator(pcg64(_seed_words(words))) for words in seed_words]
+
+
+def derive_seeds(keys) -> list[int]:
+    """[derive_seed(*key) for key in keys], derived as one batch."""
+    return _key_states(keys)[0].tolist()
 
 
 def derive_rng(seed: int, *tags: int) -> np.random.Generator:
     """Independent, reproducible stream addressed by (seed, *tags)."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *tags])))
+    return derive_rngs([(seed, *tags)])[0]
 
 
 def derive_seed(seed: int, *tags: int) -> int:
-    return int(np.random.SeedSequence([seed, *tags]).generate_state(1)[0])
+    return derive_seeds([(seed, *tags)])[0]
 
 
 # ---------------------------------------------------------------------------

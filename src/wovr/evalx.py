@@ -4,7 +4,9 @@ The hallucination metric is the outcome mismatch between an imagined rollout
 and an open-loop replay of its executed actions in the real env. The horizon
 curve replays real action sequences through the model closed-loop and reports
 state MSE at increasing depths. Every metric vanishes when the model is the
-environment oracle, which pins the plumbing.
+environment oracle, which pins the plumbing. Each metric runs its n episodes
+as one batch and derives their start streams, and every other stream of
+theirs, in one core.derive_rngs call per batch.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import MalformedHeader, TaskSpec, derive_rng
+from .core import MalformedHeader, TaskSpec, derive_rngs
 from .envs import replay_actions
 from .rollout import (
     _imagined_dynamics,
@@ -32,22 +34,28 @@ def success_rate(policy, params, env, task: TaskSpec, n: int, T: int, H: int,
     return sum(t.success for t in trajs) / n
 
 
+def _starts(env, task: TaskSpec, n: int, seed: int) -> list[np.ndarray]:
+    """Episode i's reset state from derive_rng(seed, i, 0), as rollout_real's."""
+    return [env.reset_state(task, rng) for rng in derive_rngs([(seed, i, 0) for i in range(n)])]
+
+
 def hallucination_rate(policy, params, wm, reward_fn, env, task: TaskSpec,
                        n: int, T: int, H: int, seed: int) -> dict:
     """Imagined-vs-real outcome mismatch over n paired episodes.
 
     Episode i is member i of one lockstep imagined group, started from
-    derive_rng(seed, i, 0) as in rollout_real. Its executed actions, up to its
-    last imagined frame, are replayed open loop in the real env from the same
-    start: every episode in one envs.replay_actions batch, which reads
-    success only within each episode's own frames.
+    derive_rng(seed, i, 0) as in rollout_real; the n start streams come from
+    one derive_rngs call, as the members' streams do. Its executed actions,
+    up to its last imagined frame, are replayed open loop in the real env
+    from the same start: every episode in one envs.replay_actions batch,
+    which reads success only within each episode's own frames.
     Returns rate plus the two one-sided fractions: spurious (imagined success,
     real failure — the dangerous direction) and missed (imagined failure,
     real success).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    starts = [env.reset_state(task, derive_rng(seed, i, 0)) for i in range(n)]
+    starts = _starts(env, task, n, seed)
     trajectories, histories = _roll_group(policy, params, _imagined_dynamics(wm),
                                           as_scorer(reward_fn),
                                           _members(task, starts, "initial", seed), T, H)
@@ -73,21 +81,23 @@ def horizon_error(wm, policy, params, env, task: TaskSpec, horizons,
     stop the recording; every horizon needs a state). The chunk each step
     recorded is then replayed through the model closed-loop from the same
     starts, one batched dynamics call per chunk step over one (n, depth + 1,
-    d) frame array. Episode i draws from derive_rng(seed, i, ·). The curve
-    pairs each horizon L with the mean over episodes of the state MSE at
-    frame L. The horizons obey core.validate_config's eval.horizons rule (H
-    is run.chunk, T run.max_episode_len).
+    d) frame array. Episode i draws from derive_rng(seed, i, ·): its start
+    from stream 0, its policy from 1 and the model from 2, each derived for
+    all n episodes in one derive_rngs call. The curve pairs each horizon L
+    with the mean over episodes of the state MSE at frame L. The horizons
+    obey core.validate_config's eval.horizons rule (H is run.chunk, T
+    run.max_episode_len).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     depth = horizons[-1]
-    starts = [env.reset_state(task, derive_rng(seed, i, 0)) for i in range(n)]
+    starts = _starts(env, task, n, seed)
     trajectories, real_states = _roll_group(policy, params, _real_dynamics(env),
                                             lambda frames, _tasks: np.zeros(len(frames), bool),
                                             _members(task, starts, "initial", seed),
                                             depth, H, model_stream=False)
     # model replay of the same chunks, closed loop on its own frames
-    model_rngs = [derive_rng(seed, i, 2) for i in range(n)]
+    model_rngs = derive_rngs([(seed, i, 2) for i in range(n)])
     model_states = np.empty((n, depth + 1, env.state_dim))
     model_states[:, 0] = starts
     dynamics, rows = _imagined_dynamics(wm), np.arange(n)

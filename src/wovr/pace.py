@@ -21,7 +21,7 @@ import numpy as np
 
 from . import nn
 from .core import (InvariantViolation, TaskSpec, config_hash, derive_rng,
-                   derive_seed, params_hash, task_features)
+                   derive_seeds, params_hash, task_features)
 from .envs import CountingEnv, replay_episodes
 from .grpo import ChunkPolicy, build_group, grpo_update
 from .nn import tmean, value_and_grad
@@ -373,8 +373,9 @@ def _rl_stage(policy, params, wm, reward_fn, env, cfg, keyframes, tag):
     of its task's keyframes with probability run.kir_fraction (sample_start),
     else an env reset. It then rolls every member of every group out in one
     lockstep batch (one rollout_imagined call over a GroupSpecs; group g's
-    member i draws from derive_rng(derive_seed(seed, tag, u, g), i, ·)), and
-    only then harvests each group's failures into keyframes, in group order.
+    member i draws from derive_rng(derive_seed(seed, tag, u, g), i, ·), and
+    the update's group seeds come from one derive_seeds call), and only then
+    harvests each group's failures into keyframes, in group order.
     So a start of update u never draws a keyframe harvested in update u; at
     the default groups_per_update == n_tasks each task starts once per
     update, and this timing changes no draw. The env is touched only to draw
@@ -400,8 +401,8 @@ def _rl_stage(policy, params, wm, reward_fn, env, cfg, keyframes, tag):
                     lambda r: env.reset_state(task, r), start_rng)
                 specs.append(GroupSpec(task, start, kind, G))
             trajs = rollout_imagined(policy, pol_params, wm, reward_fn, GroupSpecs(specs),
-                                     T, H, [derive_seed(seed, tag, _u, g)
-                                            for g in range(groups_per_update)])
+                                     T, H, derive_seeds([(seed, tag, _u, g)
+                                                         for g in range(groups_per_update)]))
             groups = []
             for g in range(groups_per_update):
                 members = trajs[g * G:(g + 1) * G]

@@ -22,11 +22,13 @@ groups (a GroupSpecs) as one batch of up to groups * G rows per call, and a
 real collection rolls all its episodes as one batch. Every member draws from
 its own derive_rng(*key, ·) streams, so swapping the learned model for the
 true dynamics (and the learned reward for the true success predicate)
-reproduces real rollouts bit for bit under the same seeds. Keyframe
-initialized rollouts restart a fraction of groups from the (state, task)
-pairs of recent failures, kept in a deque(maxlen=KEYFRAME_CAPACITY), instead
-of the episode start; imagined RL harvests an update's failures only after
-the whole update rolled out (pace._rl_stage).
+reproduces real rollouts bit for bit under the same seeds; a batch derives
+all its members' streams in one core.derive_rngs call, which gives each
+stream bit for bit as derive_rng would. Keyframe initialized rollouts
+restart a fraction of groups from the (state, task) pairs of recent
+failures, kept in a deque(maxlen=KEYFRAME_CAPACITY), instead of the episode
+start; imagined RL harvests an update's failures only after the whole
+update rolled out (pace._rl_stage).
 """
 from __future__ import annotations
 
@@ -44,8 +46,8 @@ from .core import (
     Steps,
     TaskSpec,
     Trajectory,
-    derive_rng,
-    derive_seed,
+    derive_rngs,
+    derive_seeds,
     read_store,
     write_store,
 )
@@ -161,6 +163,8 @@ def _roll_group(policy, params, dynamics, score, members, T, H,
     (envs.first_hits). Members may differ in task and start. A member whose
     predicted frames are not all finite stops alone, with one warning,
     keeping the steps it recorded before; its frames are never scored.
+    Every member's policy stream derive_rng(*key, 1) and model stream
+    derive_rng(*key, 2) come from one derive_rngs call over the whole batch.
     Dynamics that draw nothing (the real env) run with model_stream False,
     and then the members' model streams are not built; their rngs are None.
 
@@ -172,8 +176,9 @@ def _roll_group(policy, params, dynamics, score, members, T, H,
         raise ValueError("T must be a multiple of the chunk horizon")
     n, n_chunks = len(members), T // H
     task_ids = np.array([m.task.task_id for m in members])
-    policy_rngs = [derive_rng(*m.key, 1) for m in members]
-    model_rngs = [derive_rng(*m.key, 2) if model_stream else None for m in members]
+    streams = derive_rngs([(*m.key, 1) for m in members]
+                          + [(*m.key, 2) for m in members if model_stream])
+    policy_rngs, model_rngs = streams[:n], streams[n:] or [None] * n
     starts = np.array([m.start for m in members], dtype=np.float64)
     frames = np.empty((n, T + 1, starts.shape[1]))
     frames[:, 0] = starts
@@ -280,8 +285,10 @@ def rollout_real(policy, params, env, task, n: int, T: int, H: int, seed,
     starts are given, and its policy stream is derive_rng(seed, i, 1),
     mirroring rollout_imagined member streams. Under a list, episode i draws
     from derive_rng(seed[i], 0, ·), as the one episode of a call at seed[i]
-    would. With record_frames, also returns one (states, actions) frame
-    episode per trajectory for model training.
+    would. The reset streams of all n episodes come from one derive_rngs
+    call, as their policy streams do in _roll_group. With record_frames,
+    also returns one (states, actions) frame episode per trajectory for model
+    training.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -291,7 +298,8 @@ def rollout_real(policy, params, env, task, n: int, T: int, H: int, seed,
         raise ValueError(f"need one task and one seed per episode, {n}, "
                          f"got {len(tasks)} and {len(keys)}")
     if starts is None:
-        starts = [env.reset_state(t, derive_rng(*key, 0)) for t, key in zip(tasks, keys)]
+        starts = [env.reset_state(t, rng)
+                  for t, rng in zip(tasks, derive_rngs([(*key, 0) for key in keys]))]
     elif len(starts) != n:
         raise ValueError(f"need one start per episode, {n}, got {len(starts)}")
     members = [Member(t, start, "initial", key) for t, start, key in zip(tasks, starts, keys)]
@@ -310,14 +318,15 @@ def collect_real(policy, params, env, n: int, T: int, H: int, seed: int, tag: in
     """n fresh-start real episodes with their frames, tasks round-robin.
 
     Episode i runs task i % env.n_tasks under derive_seed(seed, tag, i), as
-    the one episode of a rollout_real call at that seed would; all n run as
-    one lockstep batch in one roll(..., record_frames=True) call. roll is
-    rollout_real as the caller's module names it, so a wrapper installed
-    there (the benchmark's tracer times rollout_real per calling module)
-    sees the collection.
+    the one episode of a rollout_real call at that seed would. The n seeds
+    come from one derive_seeds call, and all n episodes run as one lockstep
+    batch in one roll(..., record_frames=True) call. roll is rollout_real as
+    the caller's module names it, so a wrapper installed there (the
+    benchmark's tracer times rollout_real per calling module) sees the
+    collection.
     """
     tasks = [TaskSpec(i % env.n_tasks) for i in range(n)]
-    seeds = [derive_seed(seed, tag, i) for i in range(n)]
+    seeds = derive_seeds([(seed, tag, i) for i in range(n)])
     return roll(policy, params, env, tasks, n, T, H, seeds, record_frames=True)
 
 

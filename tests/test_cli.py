@@ -130,6 +130,8 @@ def test_out_of_range_config_exits_before_run_dir(tmp_path, capsys):
             ("rl.keyframe_k", ["rl", "--policy", missing, "--wm", missing,
                                "--reward", missing, "--set", "rl.keyframe_k=0"]),
             ("env", ["demo-gen", "--set", "env=bogus"]),
+            ("seed", ["demo-gen", "--env", "reachpoint", "--n", "2", "--seed", "-1"]),
+            ("seed", ["demo-gen", "--env", "reachpoint", "--n", "2", "--set", "seed=1.5"]),
             ("eval.metric", ["eval", "--policy", missing, "--set", "eval.metric=bogus"]),
             ("wm.anchor_mode", ["train-wm", "--frames", missing,
                                 "--set", "wm.anchor_mode=bogus"]),
@@ -393,10 +395,13 @@ def test_pace_leak_exits_4_with_an_audit_naming_the_stage(workflow, monkeypatch,
 
 def assert_env_mismatch(workflow, capsys, *argv):
     """argv, given reachpoint input while its env resolves to pickplace2d,
-    exits as a config error that names both envs."""
-    code = parse_and_dispatch([*argv, "--run-root", str(workflow["base"] / "runs" / "mismatch")])
+    exits as a config error that names both envs and leaves no run
+    directory behind."""
+    root = workflow["base"] / "runs" / "mismatch"
+    code = parse_and_dispatch([*argv, "--run-root", str(root)])
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG and "'reachpoint'" in err and "'pickplace2d'" in err, err
+    assert not root.exists()
 
 
 def test_clone_rejects_demos_of_another_env(workflow, capsys):

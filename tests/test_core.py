@@ -1,6 +1,13 @@
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import wovr
 from wovr.core import (
     DEFAULTS,
     ConfigError,
@@ -12,6 +19,9 @@ from wovr.core import (
     Trajectory,
     TruncatedPayload,
     derive_rng,
+    derive_rngs,
+    derive_seed,
+    derive_seeds,
     make_config,
     one_hot,
     params_hash,
@@ -252,6 +262,55 @@ def test_derive_rng_streams_are_stable_and_distinct():
     assert not np.array_equal(a1, b)
 
 
+def test_batched_derivation_matches_seed_sequence_bit_for_bit():
+    """derive_rngs and derive_seeds give numpy's SeedSequence(list(key)) ->
+    PCG64 streams and first state words, in key order, on one mixed batch:
+    entries of one to three words, numpy integers, and keys of one to six
+    words, past SeedSequence's 4-word pool. They reject what it rejects."""
+    edges = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5]
+    keys = [(value,) for value in edges]
+    keys += [(5, 0), (0, 0, 0, 0, 0, 0), (np.int64(7), np.uint32(9)), (np.uint64(2**64 - 1), 3)]
+    pick = np.random.default_rng(0)
+    keys += [tuple(int(v) for v in pick.integers(0, 2**32, size)) for size in range(1, 7)
+             for _ in range(4)]
+    keys += [tuple(edges[i] for i in pick.integers(len(edges), size=size)) for size in range(1, 7)]
+    rngs, seeds = derive_rngs(keys), derive_seeds(keys)
+    assert len(rngs) == len(seeds) == len(keys)
+    for key, got, seed in zip(keys, rngs, seeds):
+        sequence = np.random.SeedSequence(list(key))
+        want = np.random.Generator(np.random.PCG64(sequence))
+        assert seed == int(sequence.generate_state(1)[0]), key
+        for draw in (lambda g: g.random(3), lambda g: g.normal(size=3),
+                     lambda g: g.integers(0, 2**40, 3)):
+            assert np.array_equal(draw(got), draw(want)), key
+    assert derive_seeds(keys[::-1]) == seeds[::-1]
+    assert derive_seed(*keys[9]) == seeds[9]
+    assert np.array_equal(derive_rng(*keys[9]).random(4), derive_rngs(keys)[9].random(4))
+    assert derive_rngs([]) == [] and derive_seeds([]) == []
+    for bad, error in (((3, -1), ValueError), ((3, 1.5), TypeError),
+                       ((np.float64(2.0),), TypeError)):
+        with pytest.raises(error):
+            np.random.SeedSequence(list(bad))
+        for derive in (derive_rngs, derive_seeds):
+            with pytest.raises(error):
+                derive([(1, 2), bad])
+
+
+def test_derived_stream_pickles_mid_stream():
+    rng = derive_rng(3, 4)
+    rng.random(5)
+    copy = pickle.loads(pickle.dumps(rng))
+    assert np.array_equal(copy.random(4), rng.random(4))
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    """numpy.random takes milliseconds to import, so wovr loads it at the
+    first derivation, not at import."""
+    check = "import sys, wovr.cli; sys.exit('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(wovr.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", check], env=env, check=True, timeout=120)
+
+
 def test_params_hash_orders_keys_and_sees_values():
     p = {"w": np.arange(4.0), "b": np.zeros(2)}
     q = {"b": np.zeros(2), "w": np.arange(4.0)}
@@ -281,6 +340,7 @@ def test_run_config_validation():
                 {"wm": {"p_noisy": -0.1}}, {"reward": {"neg_ratio": 0}},
                 {"rl": {"reward_threshold": 1.5}}, {"eval": {"task": -1}},
                 {"eval": {"task": "first"}}, {"rl": {"inner_epochs": 0}},
+                {"seed": -1}, {"seed": 1.5}, {"seed": 2.0}, {"seed": True}, {"seed": "3"},
                 *({"eval": {"metric": "horizon", "horizons": horizons}}
                   for horizons in ([], [3], [8, 8], [16, 8], [72], [8.0], "8", 8))):
         with pytest.raises(ConfigError):
@@ -288,7 +348,7 @@ def test_run_config_validation():
     for good in ({"reward": {"pos_weight": None}}, {"reward": {"pos_weight": 2.5}},
                  {"wm": {"anchor_mode": "last"}}, {"eval": {"metric": "horizon"}},
                  {"env": "reachpoint"}, {"clone": {"epochs": 0}}, {"wm": {"p_noisy": 0.0}},
-                 {"rl": {"reward_threshold": 1.0}},
+                 {"rl": {"reward_threshold": 1.0}}, {"seed": 7}, {"seed": 2**64 + 5},
                  {"eval": {"metric": "horizon", "horizons": [16, 64]}},
                  # the horizons are read only under the horizon metric
                  {"run": {"max_episode_len": 32}}, {"eval": {"horizons": [3]}}):
