@@ -37,7 +37,7 @@ from .grpo import ChunkPolicy
 from .pace import (LearnedReward, StageFailure, _rl_stage, clone_base_policy,
                    run_pipeline)
 from .reward import RewardNet, label_episode_frames, train_classifier
-from .rollout import (KEYFRAME_CAPACITY, collect_real, read_batch, rollout_real,
+from .rollout import (KEYFRAME_CAPACITY, read_batch, rollout_real, round_robin,
                       write_batch)
 from .worldmodel import LearnedWorldModel, WmNet, train_wm
 
@@ -221,9 +221,9 @@ def cmd_collect(cfg, run_dir, args):
     policy = build_policy(env, cfg)
     run = cfg["run"]
     n = cfg["collect"]["n"] or run["n_base"]
-    trajectories, frames = collect_real(
-        policy, params, env, n, run["max_episode_len"], run["chunk"],
-        cfg["seed"], 73, roll=rollout_real)
+    tasks, seeds = round_robin(env.n_tasks, n, cfg["seed"], 73)
+    trajectories, frames = rollout_real(policy, params, env, tasks, n, run["max_episode_len"],
+                                        run["chunk"], seeds, record_frames=True)
     manifest = {"policy": params_hash(params), "env": cfg["env"], "n": n,
                 "env_steps": env.steps, "config": config_hash(cfg)}
     write_batch(run_dir / "trajectories.wovs", trajectories, manifest)

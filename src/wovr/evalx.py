@@ -5,8 +5,10 @@ and an open-loop replay of its executed actions in the real env. The horizon
 curve replays real action sequences through the model closed-loop and reports
 state MSE at increasing depths. Every metric vanishes when the model is the
 environment oracle, which pins the plumbing. Each metric runs its n episodes
-as one batch and derives their start streams, and every other stream of
-theirs, in one core.derive_rngs call per batch.
+as one batch: episode i has key (seed, i), resets by rollout's one reset
+rule (reset_starts), and derives every other stream of its key in one
+core.derive_rngs call per batch, each stream drawing its whole episode's
+noise in one call (draw_noise).
 """
 from __future__ import annotations
 
@@ -23,6 +25,8 @@ from .rollout import (
     _real_dynamics,
     _roll_group,
     as_scorer,
+    draw_noise,
+    reset_starts,
     rollout_real,
 )
 
@@ -34,28 +38,22 @@ def success_rate(policy, params, env, task: TaskSpec, n: int, T: int, H: int,
     return sum(t.success for t in trajs) / n
 
 
-def _starts(env, task: TaskSpec, n: int, seed: int) -> list[np.ndarray]:
-    """Episode i's reset state from derive_rng(seed, i, 0), as rollout_real's."""
-    return [env.reset_state(task, rng) for rng in derive_rngs([(seed, i, 0) for i in range(n)])]
-
-
 def hallucination_rate(policy, params, wm, reward_fn, env, task: TaskSpec,
                        n: int, T: int, H: int, seed: int) -> dict:
     """Imagined-vs-real outcome mismatch over n paired episodes.
 
     Episode i is member i of one lockstep imagined group, started from
-    derive_rng(seed, i, 0) as in rollout_real; the n start streams come from
-    one derive_rngs call, as the members' streams do. Its executed actions,
-    up to its last imagined frame, are replayed open loop in the real env
-    from the same start: every episode in one envs.replay_actions batch,
-    which reads success only within each episode's own frames.
+    derive_rng(seed, i, 0) as in rollout_real (reset_starts). Its executed
+    actions, up to its last imagined frame, are replayed open loop in the
+    real env from the same start: every episode in one envs.replay_actions
+    batch, which reads success only within each episode's own frames.
     Returns rate plus the two one-sided fractions: spurious (imagined success,
     real failure — the dangerous direction) and missed (imagined failure,
     real success).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    starts = _starts(env, task, n, seed)
+    starts = reset_starts(env, [task] * n, [(seed, i) for i in range(n)])
     trajectories, histories = _roll_group(policy, params, _imagined_dynamics(wm),
                                           as_scorer(reward_fn),
                                           _members(task, starts, "initial", seed), T, H)
@@ -82,29 +80,32 @@ def horizon_error(wm, policy, params, env, task: TaskSpec, horizons,
     recorded is then replayed through the model closed-loop from the same
     starts, one batched dynamics call per chunk step over one (n, depth + 1,
     d) frame array. Episode i draws from derive_rng(seed, i, ·): its start
-    from stream 0, its policy from 1 and the model from 2, each derived for
-    all n episodes in one derive_rngs call. The curve pairs each horizon L
-    with the mean over episodes of the state MSE at frame L. The horizons
-    obey core.validate_config's eval.horizons rule (H is run.chunk, T
+    from stream 0 (reset_starts), its policy from 1 and the model from 2,
+    each derived for all n episodes in one derive_rngs call, and the model
+    stream draws the episode's whole replay noise, (depth/H, H * d), in one
+    call (draw_noise). The curve pairs each horizon L with the mean over
+    episodes of the state MSE at frame L. The horizons obey
+    core.validate_config's eval.horizons rule (H is run.chunk, T
     run.max_episode_len).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     depth = horizons[-1]
-    starts = _starts(env, task, n, seed)
+    starts = reset_starts(env, [task] * n, [(seed, i) for i in range(n)])
     trajectories, real_states = _roll_group(policy, params, _real_dynamics(env),
                                             lambda frames, _tasks: np.zeros(len(frames), bool),
                                             _members(task, starts, "initial", seed),
                                             depth, H, model_stream=False)
     # model replay of the same chunks, closed loop on its own frames
-    model_rngs = derive_rngs([(seed, i, 2) for i in range(n)])
+    model_noise = draw_noise(derive_rngs([(seed, i, 2) for i in range(n)]), depth // H,
+                             H * env.state_dim)
     model_states = np.empty((n, depth + 1, env.state_dim))
     model_states[:, 0] = starts
     dynamics, rows = _imagined_dynamics(wm), np.arange(n)
     # each chunk step's chunks of every episode, (n, H, a_dim), in step order
     for k, chunks in enumerate(np.stack([traj.steps.chunk for traj in trajectories], axis=1)):
         model_states[:, k * H + 1:(k + 1) * H + 1] = dynamics(model_states, rows, k * H + 1,
-                                                             task, chunks, model_rngs)
+                                                             task, chunks, model_noise[:, k])
     return [(h, float(np.mean([np.mean((real[h] - model[h]) ** 2)
                                for real, model in zip(real_states, model_states)])))
             for h in horizons]

@@ -26,10 +26,12 @@ class ChunkPolicy:
     """Diagonal-Gaussian policy over flattened action chunks.
 
     Mean comes from an Mlp on (obs, task one-hot); the log-std vector is a
-    free state-independent parameter, clamped to [-5, 2]. Samples are clipped
-    to the action box at emission and the stored log-density is evaluated at
-    the clipped value, so the behavior density of a stored chunk is exactly
-    reproducible later.
+    free state-independent parameter, clamped to [-5, 2]. sample turns one
+    standard-normal noise row of width flat = H * a_dim per observation into a
+    chunk; the rollout draws those rows from each member's policy stream, so
+    sampling itself draws nothing. Samples are clipped to the action box at
+    emission and the stored log-density is evaluated at the clipped value, so
+    the behavior density of a stored chunk is exactly reproducible later.
     """
 
     name = "pi"  # the prefix of every parameter key
@@ -61,19 +63,21 @@ class ChunkPolicy:
         z = (flat_chunks - mu) * np.exp(-log_sigma)
         return -0.5 * np.sum(z * z, axis=-1) - np.sum(log_sigma) - 0.5 * self.flat * LOG_2PI
 
-    def sample(self, params: dict, obs, task, rngs: list[np.random.Generator]):
-        """One chunk per row of obs (B, d), row i drawing from rngs[i].
+    def sample(self, params: dict, obs, task, noise):
+        """One chunk per row of obs (B, d), row i from the standard-normal
+        noise row noise[i] (B, H*a_dim): mean + std * noise, clipped.
 
-        Returns ((B, H, a_dim) chunks, (B,) behavior log-densities). The noise
-        is drawn per row and then stacked, so a row's draws do not depend on
-        the other rows.
+        Returns ((B, H, a_dim) chunks, (B,) behavior log-densities). A pure
+        function of its inputs; the caller draws the noise.
         """
+        noise, b = np.asarray(noise, dtype=np.float64), np.shape(obs)[0]
+        if noise.shape != (b, self.flat):
+            raise ValueError(f"noise must be (B, {self.flat}) for {b} rows, got {noise.shape}")
         mu = self.mean(params, obs, task)
         log_sigma = self.log_std(params)
-        noise = np.array([rng.normal(size=self.flat) for rng in rngs])
         clipped = np.clip(mu + np.exp(log_sigma) * noise, self.action_low, self.action_high)
         logp = self._density(log_sigma, mu, clipped)
-        return clipped.reshape(len(rngs), self.horizon, self.a_dim), logp
+        return clipped.reshape(b, self.horizon, self.a_dim), logp
 
     def logprob(self, params: dict, feats: np.ndarray, chunks: np.ndarray):
         """Log-densities of stored chunks (N, H*a_dim) given features (N, obs+tasks).

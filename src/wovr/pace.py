@@ -28,8 +28,8 @@ from .nn import tmean, value_and_grad
 # predict_success is not called here: bench/tracing.py wraps it (test_trace_targets_resolve)
 from .reward import (RewardNet, label_episode_frames, predict_success,  # noqa: F401
                      success_probs, train_classifier)
-from .rollout import (KEYFRAME_CAPACITY, GroupSpec, GroupSpecs, collect_real,
-                      harvest_keyframes, rollout_imagined, rollout_real, sample_start)
+from .rollout import (KEYFRAME_CAPACITY, GroupSpec, GroupSpecs, harvest_keyframes,
+                      rollout_imagined, rollout_real, round_robin, sample_start)
 from .worldmodel import LearnedWorldModel, WmNet, train_wm, window_counts
 
 log = logging.getLogger(__name__)
@@ -244,8 +244,9 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
 
     def collect(name, params, n, tag):
         with stage(name) as row:
-            trajs, frames = collect_real(policy, params, counter, n, T, H, seed, tag,
-                                         roll=rollout_real)
+            tasks, seeds = round_robin(counter.n_tasks, n, seed, tag)
+            trajs, frames = rollout_real(policy, params, counter, tasks, n, T, H, seeds,
+                                         record_frames=True)
             # the next RL stage restarts only from this collection's failures
             keyframes.clear()
             harvest_keyframes(trajs, rl["keyframe_k"], keyframes)

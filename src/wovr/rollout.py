@@ -6,26 +6,35 @@ still running, then one batched dynamics call. Every member's frames live
 in one preallocated (n, T + 1, d) array and its steps in preallocated
 (n, T/H, ...) columns that each chunk step writes in place; the members'
 histories and their trajectories' core.Steps are views of these arrays.
-Dynamics read only the rows they need: imagined, one build_context gather
-of the active members' context rows feeds the world model's
-predict_chunk(anchors, memories, tasks, chunks, rngs) -> (B, H, d); real,
-the env steps every active member from its newest frame, one action column
-per call (envs.step_chunks). A member is cut at its first reward frame. The
-reward is one scorer, score(frames (N, d), task ids (N,)) -> (N,) bool (the
-learned reward's pace.LearnedReward.batch, or the env's success predicate in
-real rollouts), that scores every running member's H frames in one call per
-chunk step, so it must be a pure function of the frame. Members need not
-share a task: each carries its own task, start, start kind and stream key,
-and per-row task ids reach the policy, the model and the reward through
-core's one one-hot rule (task_tokens). So one GRPO update rolls all its
-groups (a GroupSpecs) as one batch of up to groups * G rows per call, and a
-real collection rolls all its episodes as one batch. Every member draws from
-its own derive_rng(*key, ·) streams, so swapping the learned model for the
-true dynamics (and the learned reward for the true success predicate)
-reproduces real rollouts bit for bit under the same seeds; a batch derives
-all its members' streams in one core.derive_rngs call, which gives each
-stream bit for bit as derive_rng would. Keyframe initialized rollouts
-restart a fraction of groups from the (state, task) pairs of recent
+The randomness is drawn before the loop: each member's policy stream
+derive_rng(*key, 1) draws its whole episode's standard-normal action noise,
+(T/H, H * a_dim), in one call (draw_noise), and its model stream
+derive_rng(*key, 2) the flow's start noise, (T/H, H * d), in another; one
+normal call of k rows gives the values of k one-row calls on the same
+stream, so a member's chunk step k reads exactly the draw a per-step loop
+would have made. The policy (grpo.ChunkPolicy.sample) and the dynamics then
+take noise rows and are pure functions of their inputs. Dynamics read only
+the rows they need: imagined, one build_context gather of the active
+members' context rows feeds the world model's predict_chunk(anchors,
+memories, tasks, chunks, noise) -> (B, H, d); real, the env steps every
+active member from its newest frame, one action column per call
+(envs.step_chunks), and draws nothing. A member is cut at its first reward
+frame. The reward is one scorer, score(frames (N, d), task ids (N,)) -> (N,)
+bool (the learned reward's pace.LearnedReward.batch, or the env's success
+predicate in real rollouts), that scores every running member's H frames in
+one call per chunk step, so it must be a pure function of the frame.
+Members need not share a task: each carries its own task, start, start kind
+and stream key, and per-row task ids reach the policy, the model and the
+reward through core's one one-hot rule (task_tokens). So one GRPO update
+rolls all its groups (a GroupSpecs) as one batch of up to groups * G rows
+per call, and a real collection rolls all its episodes as one batch. Every
+member draws from its own derive_rng(*key, ·) streams, so swapping the
+learned model for the true dynamics (and the learned reward for the true
+success predicate) reproduces real rollouts bit for bit under the same
+seeds; a batch derives all its members' streams in one core.derive_rngs
+call, which gives each stream bit for bit as derive_rng would. A fresh
+episode resets from its key's stream 0 (reset_starts). Keyframe initialized
+rollouts restart a fraction of groups from the (state, task) pairs of recent
 failures, kept in a deque(maxlen=KEYFRAME_CAPACITY), instead of the episode
 start; imagined RL harvests an update's failures only after the whole
 update rolled out (pace._rl_stage).
@@ -133,6 +142,34 @@ def _members(task: TaskSpec, starts, kind: str, seed: int) -> list[Member]:
     return [Member(task, start, kind, (seed, i)) for i, start in enumerate(starts)]
 
 
+def reset_starts(env, tasks, keys) -> list[np.ndarray]:
+    """The reset rule of a fresh episode: episode i starts at
+    env.reset_state(tasks[i], derive_rng(*keys[i], 0)); the streams of all
+    episodes come from one derive_rngs call."""
+    return [env.reset_state(task, rng)
+            for task, rng in zip(tasks, derive_rngs([(*key, 0) for key in keys]))]
+
+
+def round_robin(n_tasks: int, n: int, seed: int, tag: int):
+    """A real collection of n fresh-start episodes: (tasks, seeds) for
+    rollout_real, episode i on task i % n_tasks under derive_seed(seed, tag,
+    i), as the one episode of a rollout_real call at that seed would run.
+    The n seeds come from one derive_seeds call."""
+    return ([TaskSpec(i % n_tasks) for i in range(n)],
+            derive_seeds([(seed, tag, i) for i in range(n)]))
+
+
+def draw_noise(rngs, n_chunks: int, width: int) -> np.ndarray:
+    """Each stream's whole-episode standard-normal noise, (len(rngs),
+    n_chunks, width): one normal(size=(n_chunks, width)) call per stream,
+    whose row k holds the values a normal(size=width) call at chunk step k
+    of a per-step loop would draw."""
+    noise = np.empty((len(rngs), n_chunks, width))
+    for row, rng in zip(noise, rngs):
+        row[...] = rng.normal(size=row.shape)
+    return noise
+
+
 def as_scorer(reward):
     """reward as _roll_group's scorer, score(frames (N, d), task ids (N,)) ->
     (N,) bool: its batch method if it has one (pace.LearnedReward), else its
@@ -153,20 +190,25 @@ def _roll_group(policy, params, dynamics, score, members, T, H,
 
     Every member's frames live in one preallocated (n, T + 1, d) array, and
     its steps in preallocated (n, T/H, ...) columns, each written in place a
-    chunk step at a time. Each chunk step makes one batched policy.sample over
-    the active members, from their newest frames, and one batched
-    dynamics(frames, rows, length, task ids, chunks, rngs) -> (B, H, d) call:
-    rows are the B active members, all of whose histories are frames[row,
-    :length], since a member leaves the batch at its success frame. One
-    score(frames (N, d), task ids (N,)) -> (N,) bool call then scores every
-    finite member's H frames, and each member is cut at its first hit
-    (envs.first_hits). Members may differ in task and start. A member whose
-    predicted frames are not all finite stops alone, with one warning,
-    keeping the steps it recorded before; its frames are never scored.
-    Every member's policy stream derive_rng(*key, 1) and model stream
-    derive_rng(*key, 2) come from one derive_rngs call over the whole batch.
-    Dynamics that draw nothing (the real env) run with model_stream False,
-    and then the members' model streams are not built; their rngs are None.
+    chunk step at a time. Before the loop, every member's policy stream
+    derive_rng(*key, 1) and, with model_stream, its model stream
+    derive_rng(*key, 2) come from one derive_rngs call over the whole batch,
+    and each stream draws its member's whole episode in one call
+    (draw_noise): policy noise (T/H, policy.flat), drawn into the chunk
+    column itself, whose row k each step reads and then overwrites with the
+    chunk drawn from it, and model noise (T/H, H * d). Each chunk step makes
+    one batched policy.sample(params, obs, task ids, noise rows) over the
+    active members, from their newest frames, and one batched
+    dynamics(frames, rows, length, task ids, chunks, noise rows) -> (B, H, d)
+    call: rows are the B active members, all of whose histories are
+    frames[row, :length], since a member leaves the batch at its success
+    frame. Dynamics that draw nothing (the real env) run with model_stream
+    False; their noise rows are then (B, 0). One score(frames (N, d), task
+    ids (N,)) -> (N,) bool call then scores every finite member's H frames,
+    and each member is cut at its first hit (envs.first_hits). Members may
+    differ in task and start. A member whose predicted frames are not all
+    finite stops alone, with one warning, keeping the steps it recorded
+    before; its frames are never scored.
 
     Returns (trajectories, frame histories); a history holds every executed
     frame of its member, cut at the success frame. Histories and each
@@ -176,13 +218,14 @@ def _roll_group(policy, params, dynamics, score, members, T, H,
         raise ValueError("T must be a multiple of the chunk horizon")
     n, n_chunks = len(members), T // H
     task_ids = np.array([m.task.task_id for m in members])
-    streams = derive_rngs([(*m.key, 1) for m in members]
-                          + [(*m.key, 2) for m in members if model_stream])
-    policy_rngs, model_rngs = streams[:n], streams[n:] or [None] * n
     starts = np.array([m.start for m in members], dtype=np.float64)
     frames = np.empty((n, T + 1, starts.shape[1]))
     frames[:, 0] = starts
-    chunk = np.zeros((n, n_chunks, 0, 0))  # replaced by (n, T/H, H, a_dim) at the first sample
+    streams = derive_rngs([(*m.key, 1) for m in members]
+                          + [(*m.key, 2) for m in members if model_stream])
+    chunk = draw_noise(streams[:n], n_chunks, policy.flat)
+    model_noise = (draw_noise(streams[n:], n_chunks, H * starts.shape[1]) if model_stream
+                   else np.empty((n, n_chunks, 0)))
     reward = np.zeros((n, n_chunks), dtype=np.uint8)
     logp = np.empty((n, n_chunks))
     n_steps = np.zeros(n, dtype=np.int64)  # chunk steps each member recorded
@@ -192,14 +235,12 @@ def _roll_group(policy, params, dynamics, score, members, T, H,
         if not active.size:
             break
         now, ids = k * H, task_ids[active]  # every active member's newest frame is row now
-        chunks, logps = policy.sample(params, frames[active, now], ids,
-                                      [policy_rngs[i] for i in active])
+        chunks, logps = policy.sample(params, frames[active, now], ids, chunk[active, k])
         predicted = np.asarray(dynamics(frames, active, now + 1, ids, chunks,
-                                        [model_rngs[i] for i in active]), dtype=np.float64)
-        if not k:
-            chunk = np.empty((n, n_chunks) + np.shape(chunks)[1:])
+                                        model_noise[active, k]), dtype=np.float64)
         frames[active, now + 1:now + H + 1] = predicted
-        chunk[active, k], logp[active, k] = chunks, logps
+        chunk[active, k] = np.reshape(chunks, (len(active), policy.flat))
+        logp[active, k] = logps
         finite = np.isfinite(predicted).reshape(len(active), -1).all(axis=1)
         first = np.full(len(active), H)  # an aborted row is never scored
         if finite.any():
@@ -214,6 +255,7 @@ def _roll_group(policy, params, dynamics, score, members, T, H,
         length[active[finite]] = now + 1 + np.minimum(first[finite] + 1, H)
         reward[active[hit], k] = 1
         active = active[finite & ~hit]
+    chunk = chunk.reshape(n, n_chunks, H, policy.flat // H)
     # chunk step k starts from frame k * H, so the obs column is a strided view
     obs = frames[:, 0:T:H]
     trajectories = [Trajectory(m.task, m.kind, Steps(obs[i, :s], chunk[i, :s], reward[i, :s],
@@ -226,18 +268,18 @@ def _imagined_dynamics(wm):
     """_roll_group dynamics that step every active member through wm, from
     the context rows of their histories."""
 
-    def dynamics(frames, rows, length, tasks, chunks, rngs):
+    def dynamics(frames, rows, length, tasks, chunks, noise):
         anchors, memories = build_context(frames[:, :length], wm.context, wm.anchor_mode, rows)
-        return wm.predict_chunk(anchors, memories, tasks, chunks, rngs)
+        return wm.predict_chunk(anchors, memories, tasks, chunks, noise)
 
     return dynamics
 
 
 def _real_dynamics(env):
     """_roll_group dynamics that step every active member in env from its
-    newest frame; they draw nothing, so run them with model_stream False."""
+    newest frame; they read no noise, so run them with model_stream False."""
 
-    def dynamics(frames, rows, length, _tasks, chunks, _rngs):
+    def dynamics(frames, rows, length, _tasks, chunks, _noise):
         return step_chunks(env, frames[rows, length - 1], chunks)
 
     return dynamics
@@ -251,11 +293,13 @@ def rollout_imagined(policy, params, wm, reward_fn, groups, T: int, H: int,
     per group; the result lists every member, group by group. Member i of the
     group with seed s starts from its group's start and draws from
     derive_rng(s, i, 1) for the policy and derive_rng(s, i, 2) for the model,
+    each stream's whole episode drawn before the first step (_roll_group),
     so members are independent and reproducible in isolation up to the
     rounding of batched rows (a batch that shrinks to one row takes another
     matmul kernel). wm provides context/anchor_mode and the batched
-    predict_chunk(anchors, memories, task ids, chunks, rngs) -> (B, H, d),
-    one row per active member, fed by one build_context gather per chunk step.
+    predict_chunk(anchors, memories, task ids, chunks, noise) -> (B, H, d),
+    one row per active member with its (B, H * d) noise rows, fed by one
+    build_context gather per chunk step.
     reward_fn is the thresholded learned reward (pace.LearnedReward), or the
     true predicate in oracle tests, turned into _roll_group's scorer once
     (as_scorer). It scores all active members' frames in one call per chunk
@@ -281,14 +325,13 @@ def rollout_real(policy, params, env, task, n: int, T: int, H: int, seed,
     episode's frames once per chunk step, as the reward, so an
     OracleWorldModel group reproduces them bit for bit. task is one TaskSpec
     or a list of n, one per episode, and seed one int or a list of n. Under
-    one seed, episode i resets from derive_rng(seed, i, 0) unless explicit
-    starts are given, and its policy stream is derive_rng(seed, i, 1),
-    mirroring rollout_imagined member streams. Under a list, episode i draws
-    from derive_rng(seed[i], 0, ·), as the one episode of a call at seed[i]
-    would. The reset streams of all n episodes come from one derive_rngs
-    call, as their policy streams do in _roll_group. With record_frames,
-    also returns one (states, actions) frame episode per trajectory for model
-    training.
+    one seed, episode i has key (seed, i), and under a list key (seed[i], 0),
+    as the one episode of a call at seed[i] would. Unless explicit starts are
+    given, it resets from stream 0 of its key (reset_starts), and its policy
+    stream is stream 1, mirroring rollout_imagined member streams. A real
+    collection passes the tasks and seeds of round_robin.
+    With record_frames, also returns one (states, actions) frame episode per
+    trajectory for model training.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -298,8 +341,7 @@ def rollout_real(policy, params, env, task, n: int, T: int, H: int, seed,
         raise ValueError(f"need one task and one seed per episode, {n}, "
                          f"got {len(tasks)} and {len(keys)}")
     if starts is None:
-        starts = [env.reset_state(t, rng)
-                  for t, rng in zip(tasks, derive_rngs([(*key, 0) for key in keys]))]
+        starts = reset_starts(env, tasks, keys)
     elif len(starts) != n:
         raise ValueError(f"need one start per episode, {n}, got {len(starts)}")
     members = [Member(t, start, "initial", key) for t, start, key in zip(tasks, starts, keys)]
@@ -312,22 +354,6 @@ def rollout_real(policy, params, env, task, n: int, T: int, H: int, seed,
     episodes = [FrameEpisode(traj.task, history, traj.steps.actions[:len(history) - 1])
                 for traj, history in zip(trajectories, histories)]
     return trajectories, episodes
-
-
-def collect_real(policy, params, env, n: int, T: int, H: int, seed: int, tag: int, *, roll):
-    """n fresh-start real episodes with their frames, tasks round-robin.
-
-    Episode i runs task i % env.n_tasks under derive_seed(seed, tag, i), as
-    the one episode of a rollout_real call at that seed would. The n seeds
-    come from one derive_seeds call, and all n episodes run as one lockstep
-    batch in one roll(..., record_frames=True) call. roll is rollout_real as
-    the caller's module names it, so a wrapper installed there (the
-    benchmark's tracer times rollout_real per calling module) sees the
-    collection.
-    """
-    tasks = [TaskSpec(i % env.n_tasks) for i in range(n)]
-    seeds = derive_seeds([(seed, tag, i) for i in range(n)])
-    return roll(policy, params, env, tasks, n, T, H, seeds, record_frames=True)
 
 
 def write_batch(path, trajectories, manifest: dict):

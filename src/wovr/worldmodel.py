@@ -186,24 +186,27 @@ def rf_loss(net: WmNet, params: dict, batch: RfBatch):
 
 
 def sample_chunk(net: WmNet, params: dict, anchors, memories, task, chunks,
-                 steps: int, rngs: list[np.random.Generator]) -> np.ndarray:
+                 steps: int, noise) -> np.ndarray:
     """Euler-integrate the learned field from noise for B rows; (B, H, d) frames.
 
     Row i conditions on anchors[i] (d,), memories[i] (c, d), its task (one
     TaskSpec for every row, or per-row task ids, as core.task_tokens reads
-    them) and chunks[i] (H, a_dim), and draws its start noise from rngs[i],
-    per row before stacking, so a row's draws do not depend on the other rows.
-    Every Euler step is one batched u_apply. A row that turns non-finite stays
-    so; the caller drops it, the sampler does not raise.
+    them) and chunks[i] (H, a_dim), and starts from the standard-normal row
+    noise[i] (B, out_dim = H * d); a noise width other than out_dim (a model
+    whose horizon is not the caller's chunk) is a ValueError. Every Euler
+    step is one batched u_apply. A row that turns non-finite stays so; the
+    caller drops it, the sampler does not raise.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     anchors = np.asarray(anchors, dtype=np.float64)
     memories = np.asarray(memories, dtype=np.float64)
     b = anchors.shape[0]
+    x = np.asarray(noise, dtype=np.float64)
+    if x.shape != (b, net.out_dim):
+        raise ValueError(f"noise must be (B, {net.out_dim}) for {b} rows, got {x.shape}")
     tasks = task_tokens(task, net.n_tasks, (b,))
     chunks = np.asarray(chunks, dtype=np.float64).reshape(b, net.horizon * net.a_dim)
-    x = np.array([rng.normal(size=net.out_dim) for rng in rngs])
     dt = 1.0 / steps
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
@@ -214,10 +217,13 @@ def sample_chunk(net: WmNet, params: dict, anchors, memories, task, chunks,
 class LearnedWorldModel:
     """Inference bundle used by rollout: net + params + sampler step count.
 
-    predict_chunk(anchors, memories, tasks, chunks, rngs) -> (B, H, d) frames,
-    one row per build_context row, tasks one TaskSpec or per-row task ids;
-    every world model (OracleWorldModel, test doubles) keeps this contract. params holds read-only views of the given
-    arrays (nn.read_only), so a rollout cannot write to the model.
+    predict_chunk(anchors, memories, tasks, chunks, noise) -> (B, H, d)
+    frames, one row per build_context row, tasks one TaskSpec or per-row task
+    ids, noise one standard-normal row (B, H * d) per row, drawn by the caller
+    from the member's model stream; every world model (OracleWorldModel, test
+    doubles) keeps this contract and is a pure function of its inputs. params
+    holds read-only views of the given arrays (nn.read_only), so a rollout
+    cannot write to the model.
     """
 
     def __init__(self, net: WmNet, params: dict, steps: int = 5):
@@ -227,17 +233,17 @@ class LearnedWorldModel:
         self.anchor_mode = net.anchor_mode
         self.context = net.context
 
-    def predict_chunk(self, anchors, memories, tasks, chunks, rngs) -> np.ndarray:
+    def predict_chunk(self, anchors, memories, tasks, chunks, noise) -> np.ndarray:
         return sample_chunk(self.net, self.params, anchors, memories, tasks, chunks,
-                            self.steps, rngs)
+                            self.steps, noise)
 
 
 class OracleWorldModel:
     """True-dynamics stand-in: steps the real environment from memories[:, -1].
 
-    Never draws from the model RNG stream, so oracle-backed imagined rollouts
-    consume exactly the same randomness as real rollouts. It needs that frame,
-    so its context must be at least 1.
+    Ignores its noise rows, so oracle-backed imagined rollouts execute exactly
+    what real rollouts under the same policy streams execute. It needs that
+    frame, so its context must be at least 1.
     """
 
     def __init__(self, env, context: int = 4):
@@ -247,7 +253,7 @@ class OracleWorldModel:
         self.anchor_mode = "first"
         self.context = context
 
-    def predict_chunk(self, anchors, memories, tasks, chunks, rngs) -> np.ndarray:
+    def predict_chunk(self, anchors, memories, tasks, chunks, noise) -> np.ndarray:
         return step_chunks(self.env, memories[:, -1], chunks)
 
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from wovr.core import TaskSpec, derive_rng
-from wovr.envs import PickPlace2D, ReachPoint
+from wovr.envs import PickPlace2D, ReachPoint, step_chunks
 from wovr.evalx import EvalReport, hallucination_rate, horizon_error, success_rate
 from wovr.grpo import ChunkPolicy
 from wovr.rollout import _imagined_dynamics, _members, _roll_group, as_scorer
-from wovr.worldmodel import OracleWorldModel
+from wovr.worldmodel import LearnedWorldModel, OracleWorldModel, WmNet, build_context
 
 H = 4
 T = 32
@@ -24,8 +24,9 @@ class ExpertPolicy:
     def __init__(self, env, horizon):
         self.env = env
         self.horizon = horizon
+        self.flat = horizon * env.action_dim
 
-    def sample(self, params, obs, task, rngs):
+    def sample(self, params, obs, task, noise):
         chunks = []
         for state in np.asarray(obs, dtype=np.float64):
             chunk = []
@@ -44,7 +45,7 @@ class FrozenWm:
         self.context = context
         self.anchor_mode = "first"
 
-    def predict_chunk(self, anchors, memories, task, chunks, rngs):
+    def predict_chunk(self, anchors, memories, task, chunks, noise):
         return np.array([np.tile(memory[-1], (len(chunk), 1))
                          for memory, chunk in zip(memories, chunks)])
 
@@ -107,7 +108,8 @@ def test_hallucination_reward_always_one_matches_replay_failure():
     # exactly the episodes whose first real action does not succeed
     starts = [env.reset_state(TaskSpec(0), derive_rng(seed, i, 0)) for i in range(n)]
     chunks, _ = policy.sample(params, np.array(starts), TaskSpec(0),
-                              [derive_rng(seed, i, 1) for i in range(n)])
+                              np.array([derive_rng(seed, i, 1).normal(size=policy.flat)
+                                        for i in range(n)]))
     replay_success = sum(env.is_success(env.step(start, chunk[0]))
                          for start, chunk in zip(starts, chunks))
     assert stats["missed"] == 0.0
@@ -122,7 +124,9 @@ def test_hallucination_replays_only_the_imagined_frames():
     class SlowExpert:
         """Heads straight for the target, 0.02 per step."""
 
-        def sample(self, params, obs, task, rngs):
+        flat = H * env.action_dim
+
+        def sample(self, params, obs, task, noise):
             chunks = []
             for state in np.asarray(obs, dtype=np.float64):
                 chunk = []
@@ -153,8 +157,8 @@ def test_hallucination_reads_no_frame_past_an_episode():
     env = PickPlace2D()
 
     class NoRelease(ExpertPolicy):
-        def sample(self, params, obs, task, rngs):
-            chunks, logps = super().sample(params, obs, task, rngs)
+        def sample(self, params, obs, task, noise):
+            chunks, logps = super().sample(params, obs, task, noise)
             chunks[..., 2] = 1.0
             return chunks, logps
 
@@ -219,7 +223,9 @@ def test_horizon_error_frozen_model_grows():
     env = ReachPoint()
 
     class DriftPolicy:
-        def sample(self, params, obs, task, rngs):
+        flat = H * env.action_dim
+
+        def sample(self, params, obs, task, noise):
             n = len(obs)
             return np.tile([env.step_cap, env.step_cap], (n, H, 1)), np.zeros(n)
 
@@ -231,6 +237,43 @@ def test_horizon_error_frozen_model_grows():
     assert errs[0] > 0.0
     # the drifting agent walks away from the frozen prediction monotonically
     assert errs[0] < errs[1]
+
+
+def horizon_reference(wm, policy, params, env, task, horizons, n, seed):
+    """horizon_error as a per-step loop: at every chunk step each episode
+    draws its policy noise from derive_rng(seed, i, 1) and its model-replay
+    noise from derive_rng(seed, i, 2), one row at a time."""
+    depth, d = horizons[-1], env.state_dim
+    policy_rngs = [derive_rng(seed, i, 1) for i in range(n)]
+    model_rngs = [derive_rng(seed, i, 2) for i in range(n)]
+    real, model = np.empty((n, depth + 1, d)), np.empty((n, depth + 1, d))
+    real[:, 0] = model[:, 0] = [env.reset_state(task, derive_rng(seed, i, 0))
+                                for i in range(n)]
+    for now in range(0, depth, H):
+        chunks, _ = policy.sample(params, real[:, now], np.full(n, task.task_id),
+                                  np.array([rng.normal(size=policy.flat) for rng in policy_rngs]))
+        real[:, now + 1:now + H + 1] = step_chunks(env, real[:, now], chunks)
+        anchors, memories = build_context(model[:, :now + 1], wm.context, wm.anchor_mode)
+        model[:, now + 1:now + H + 1] = wm.predict_chunk(
+            anchors, memories, task, chunks, np.array([rng.normal(size=H * d)
+                                                       for rng in model_rngs]))
+    return [(h, float(np.mean([np.mean((r[h] - m[h]) ** 2) for r, m in zip(real, model)])))
+            for h in horizons]
+
+
+def test_horizon_error_matches_per_step_reference():
+    """The whole-episode noise draws of horizon_error give, bit for bit, the
+    curve of a loop that draws every chunk step's noise as it goes."""
+    env = ReachPoint()
+    policy, params = make_policy(env, init_log_std=-0.5)
+    net = WmNet(env.state_dim, env.action_dim, env.n_tasks, horizon=H, context=2,
+                width=32, act_emb_dim=8)
+    wm = LearnedWorldModel(net, net.init(derive_rng(20)), steps=3)
+    for task_id, seed in ((0, 13), (3, 14)):
+        task = TaskSpec(task_id)
+        curve = horizon_error(wm, policy, params, env, task, [4, 12, 24], 5, T, H, seed)
+        assert curve == horizon_reference(wm, policy, params, env, task, [4, 12, 24], 5, seed)
+        assert all(e > 0.0 for _, e in curve)
 
 
 def test_horizon_error_seed_deterministic():

@@ -66,21 +66,36 @@ def test_sample_box_determinism_and_density_consistency():
     pol = ChunkPolicy(obs_dim=3, n_tasks=2, horizon=4, a_dim=2)
     params = pol.init(np.random.default_rng(1))
     obs = np.array([0.1, 0.2, 0.3])
-    c1, lp1 = pol.sample(params, obs[None], TaskSpec(1), [derive_rng(9)])
-    c2, lp2 = pol.sample(params, obs[None], TaskSpec(1), [derive_rng(9)])
+    noise = derive_rng(9).normal(size=(1, pol.flat))
+    c1, lp1 = pol.sample(params, obs[None], TaskSpec(1), noise)
+    c2, lp2 = pol.sample(params, obs[None], TaskSpec(1), noise.copy())
     assert np.array_equal(c1, c2) and np.array_equal(lp1, lp2)
     assert c1.shape == (1, 4, 2) and lp1.shape == (1,)
     assert np.all(c1 >= pol.action_low) and np.all(c1 <= pol.action_high)
     # the stored density is the density of the stored (clipped) chunk; one row
     # takes numpy's vector path, so it is bit-identical to the 1-D logprob
     assert lp1[0] == logprob1(pol, params, obs, c1[0], TaskSpec(1))
-    # batched rows draw per row: row 1 alone matches row 1 of the batch
+    # row i reads noise row i only: row 1 alone matches row 1 of the batch
     obs2 = np.stack([obs, -obs])
-    cb, lpb = pol.sample(params, obs2, TaskSpec(1), [derive_rng(9), derive_rng(10)])
-    c_alone, lp_alone = pol.sample(params, obs2[1:], TaskSpec(1), [derive_rng(10)])
+    noise2 = np.concatenate([noise, derive_rng(10).normal(size=(1, pol.flat))])
+    cb, lpb = pol.sample(params, obs2, TaskSpec(1), noise2)
+    c_alone, lp_alone = pol.sample(params, obs2[1:], TaskSpec(1), noise2[1:])
     np.testing.assert_allclose(cb[1], c_alone[0], rtol=1e-9)
     assert lpb[1] == pytest.approx(lp_alone[0], rel=1e-9)
     np.testing.assert_allclose(cb[0], c1[0], rtol=1e-9)
+    # the chunk is the clipped mean + std * noise
+    mu = pol.mean(params, obs2, TaskSpec(1))
+    want = np.clip(mu + np.exp(pol.log_std(params)) * noise2, pol.action_low, pol.action_high)
+    assert np.array_equal(cb.reshape(2, -1), want)
+
+
+def test_sample_rejects_noise_of_another_shape():
+    pol = ChunkPolicy(obs_dim=3, n_tasks=2, horizon=4, a_dim=2)
+    params = pol.init(np.random.default_rng(1))
+    obs = np.zeros((2, 3))
+    for shape in ((2, pol.flat - 1), (1, pol.flat), (2, 4, 2), (pol.flat,)):
+        with pytest.raises(ValueError, match="noise must be"):
+            pol.sample(params, obs, TaskSpec(0), np.zeros(shape))
 
 
 def test_log_std_clamped():

@@ -167,7 +167,7 @@ def chunk_mse(net, params, eps, seed):
         ep = eps[e]
         anchors, memories = build_context([ep.states[:s + 1]], net.context, net.anchor_mode)
         pred = sample_chunk(net, params, anchors, memories, ep.task, ep.actions[None, s:s + H],
-                            5, [rng])[0]
+                            5, rng.normal(size=(1, net.out_dim)))[0]
         errs.append(np.mean((pred - ep.states[s + 1:s + 1 + H]) ** 2))
     return float(np.mean(errs))
 

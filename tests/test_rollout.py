@@ -18,11 +18,11 @@ from wovr.rollout import (
     _members,
     _roll_group,
     as_scorer,
-    collect_real,
     harvest_keyframes,
     read_batch,
     rollout_imagined,
     rollout_real,
+    round_robin,
     sample_start,
     write_batch,
 )
@@ -249,7 +249,7 @@ def test_rollout_imagined_aborts_on_nonfinite(caplog):
         context = 4
         anchor_mode = "first"
 
-        def predict_chunk(self, anchors, memories, task, chunks, rngs):
+        def predict_chunk(self, anchors, memories, task, chunks, noise):
             return np.full((len(anchors), H, env.state_dim), np.nan)
 
     group = GroupSpec(task, start, "initial", 2)
@@ -263,16 +263,21 @@ def test_rollout_imagined_aborts_on_nonfinite(caplog):
 
 def roll_member_reference(policy, params, wm, reward_fn, task, start, T, H, seed, i):
     """Member i of a group rolled alone: the per-member loop that the lockstep
-    loop replaced, with every batched call made on a single row."""
+    loop replaced, with every batched call made on a single row, and each
+    chunk step drawing its policy and model noise from derive_rng(seed, i, 1)
+    and derive_rng(seed, i, 2) as it goes, so the whole-episode draws of the
+    lockstep loop must give the same rows."""
     policy_rng, model_rng = derive_rng(seed, i, 1), derive_rng(seed, i, 2)
     history = [np.asarray(start, dtype=np.float64)]
     records = []
     success = False
     while len(records) * H < T and not success:
         obs = history[-1]
-        chunks, logps = policy.sample(params, obs[None], task, [policy_rng])
+        chunks, logps = policy.sample(params, obs[None], task,
+                                      policy_rng.normal(size=(1, policy.flat)))
         anchors, memories = build_context([history], wm.context, wm.anchor_mode)
-        frames = wm.predict_chunk(anchors, memories, task, chunks, [model_rng])[0]
+        frames = wm.predict_chunk(anchors, memories, task, chunks,
+                                  model_rng.normal(size=(1, H * len(obs))))[0]
         if not np.all(np.isfinite(frames)):
             break
         reward = 0
@@ -366,8 +371,8 @@ class PoisonedWm(OracleWorldModel):
         self.poison = poison
         self.calls = 0
 
-    def predict_chunk(self, anchors, memories, task, chunks, rngs):
-        frames = super().predict_chunk(anchors, memories, task, chunks, rngs)
+    def predict_chunk(self, anchors, memories, task, chunks, noise):
+        frames = super().predict_chunk(anchors, memories, task, chunks, noise)
         for call, row in self.poison:
             if call == self.calls:
                 frames[row] = np.nan
@@ -486,8 +491,9 @@ class ExpertPolicy:
     def __init__(self, env, horizon):
         self.env = env
         self.horizon = horizon
+        self.flat = horizon * env.action_dim
 
-    def sample(self, params, obs, task, rngs):
+    def sample(self, params, obs, task, noise):
         chunks = []
         for state in np.asarray(obs, dtype=np.float64):
             chunk = []
@@ -500,16 +506,15 @@ class ExpertPolicy:
 
 
 class NoisyExpertPolicy(ExpertPolicy):
-    """Expert chunks plus Gaussian action noise, row i drawing from rngs[i]."""
+    """Expert chunks plus Gaussian action noise, scale * noise row i on row i."""
 
     def __init__(self, env, horizon, noise):
         super().__init__(env, horizon)
         self.noise = noise
 
-    def sample(self, params, obs, task, rngs):
-        chunks, logps = super().sample(params, obs, task, rngs)
-        noise = np.array([rng.normal(scale=self.noise, size=chunks.shape[1:]) for rng in rngs])
-        return chunks + noise, logps
+    def sample(self, params, obs, task, noise):
+        chunks, logps = super().sample(params, obs, task, noise)
+        return chunks + self.noise * np.reshape(noise, chunks.shape), logps
 
 
 def test_rollout_real_expert_succeeds():
@@ -555,22 +560,22 @@ def test_rollout_real_counts_env_steps():
 
 
 def test_collect_real_round_robin_streams():
-    """collect_real rolls its n episodes in one lockstep roll call, episode i
-    on task i % n_tasks under derive_seed(seed, tag, i). Each equals its own
-    one-episode rollout at that seed in task, length and rewards, with floats
-    within 1e-12 (a batch of rows takes another matmul kernel than a lone
-    row), and an n = 1 collection equals it bit for bit."""
+    """A real collection is one lockstep rollout_real call over round_robin's
+    tasks and seeds: episode i on task i % n_tasks under derive_seed(seed,
+    tag, i). Each equals its own one-episode rollout at that seed in task,
+    length and rewards, with floats within 1e-12 (a batch of rows takes
+    another matmul kernel than a lone row), and an n = 1 collection equals
+    it bit for bit."""
     for env, policy, params in (
             (ReachPoint(), *make_policy(ReachPoint(), init_log_std=2.0)),
             (PickPlace2D(), NoisyExpertPolicy(PickPlace2D(), H, noise=0.3), {})):
-        counter, calls, n = CountingEnv(env), [], 24
-
-        def roll(*args, **kwargs):
-            calls.append([task.task_id for task in args[3]])
-            return rollout_real(*args, **kwargs)
-
-        trajs, frames = collect_real(policy, params, counter, n, 64, H, 5, 73, roll=roll)
-        assert calls == [[i % 4 for i in range(n)]] and counter.resets == n
+        counter, n = CountingEnv(env), 24
+        tasks, seeds = round_robin(env.n_tasks, n, 5, 73)
+        assert [task.task_id for task in tasks] == [i % 4 for i in range(n)]
+        assert seeds == [derive_seed(5, 73, i) for i in range(n)]
+        trajs, frames = rollout_real(policy, params, counter, tasks, n, 64, H, seeds,
+                                     record_frames=True)
+        assert counter.resets == n
         assert counter.steps == H * sum(len(t.steps) for t in trajs)
         lengths, outcomes = set(), set()
         for i, (traj, ep) in enumerate(zip(trajs, frames, strict=True)):
@@ -588,7 +593,9 @@ def test_collect_real_round_robin_streams():
             outcomes.add(traj.success)
         # episodes ended at different chunk steps, by success or at T
         assert outcomes == {True, False} and len(lengths) > 2 and 64 // H in lengths
-        [one], [one_ep] = collect_real(policy, params, env, 1, 64, H, 5, 73, roll=rollout_real)
+        one_tasks, one_seeds = round_robin(env.n_tasks, 1, 5, 73)
+        [one], [one_ep] = rollout_real(policy, params, env, one_tasks, 1, 64, H, one_seeds,
+                                       record_frames=True)
         [want], [want_ep] = rollout_real(policy, params, env, TaskSpec(0), 1, 64, H,
                                          derive_seed(5, 73, 0), record_frames=True)
         assert one == want and one_ep == want_ep

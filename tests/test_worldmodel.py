@@ -285,10 +285,10 @@ def test_sample_chunk_constant_field_step_invariance():
     params["wm_out.b0"] = v_star.copy()
     anchors, memories = np.zeros((1, D)), np.zeros((1, C, D))
     chunk = np.zeros((H, A_DIM))
-    outs = [sample_chunk(net, params, anchors, memories, TaskSpec(0), chunk[None], s,
-                         [derive_rng(13)])[0]
-            for s in (1, 5, 50)]
     x_init = derive_rng(13).normal(size=net.out_dim)
+    outs = [sample_chunk(net, params, anchors, memories, TaskSpec(0), chunk[None], s,
+                         x_init[None])[0]
+            for s in (1, 5, 50)]
     expected = (x_init + v_star).reshape(H, D)
     np.testing.assert_array_equal(outs[0], expected)  # single step is exact
     for out in outs[1:]:
@@ -300,19 +300,30 @@ def test_sample_chunk_shape_and_determinism():
     params = net.init(derive_rng(14))
     anchors, memories, task = np.zeros((2, D)), np.zeros((2, C, D)), TaskSpec(0)
     chunk = np.ones((H, A_DIM)) * 0.1
-    a = sample_chunk(net, params, anchors, memories, task, [chunk, -chunk], 5,
-                     [derive_rng(15), derive_rng(16)])
-    b = sample_chunk(net, params, anchors, memories, task, [chunk, -chunk], 5,
-                     [derive_rng(15), derive_rng(16)])
+    noise = derive_rng(15).normal(size=(2, net.out_dim))
+    a = sample_chunk(net, params, anchors, memories, task, [chunk, -chunk], 5, noise)
+    b = sample_chunk(net, params, anchors, memories, task, [chunk, -chunk], 5, noise.copy())
     assert a.shape == (2, H, D)
     assert np.array_equal(a, b)
-    # row i draws its noise from rngs[i] only: alone it gives the same frames
-    alone = sample_chunk(net, params, anchors[1:], memories[1:], task, [-chunk], 5,
-                         [derive_rng(16)])
+    # row i starts from noise[i] only: alone it gives the same frames
+    alone = sample_chunk(net, params, anchors[1:], memories[1:], task, [-chunk], 5, noise[1:])
     np.testing.assert_allclose(alone[0], a[1], rtol=1e-9)
     with pytest.raises(ValueError):
-        sample_chunk(net, params, anchors[:1], memories[:1], task, [chunk], 0,
-                     [derive_rng(15)])
+        sample_chunk(net, params, anchors[:1], memories[:1], task, [chunk], 0, noise[:1])
+
+
+def test_sample_chunk_rejects_noise_of_another_shape():
+    """The noise is one (H * d) row per context row; a model whose horizon
+    differs from the caller's chunk sees rows of the wrong width."""
+    net = small_net()
+    params = net.init(derive_rng(14))
+    anchors, memories = np.zeros((2, D)), np.zeros((2, C, D))
+    chunks = np.zeros((2, H, A_DIM))
+    for shape in ((2, net.out_dim + D), (2, net.out_dim - D), (1, net.out_dim),
+                  (2, H, D)):
+        with pytest.raises(ValueError, match="noise must be"):
+            sample_chunk(net, params, anchors, memories, TaskSpec(0), chunks, 5,
+                         np.zeros(shape))
 
 
 def test_sample_chunk_does_not_mutate_context():
@@ -321,7 +332,7 @@ def test_sample_chunk_does_not_mutate_context():
     anchors, memories = np.ones((1, D)), np.ones((1, C, D))
     before = (anchors.tobytes(), memories.tobytes())
     sample_chunk(net, params, anchors, memories, TaskSpec(0), np.zeros((1, H, A_DIM)), 3,
-                 [derive_rng(17)])
+                 derive_rng(17).normal(size=(1, net.out_dim)))
     assert (anchors.tobytes(), memories.tobytes()) == before
 
 
@@ -333,7 +344,7 @@ def test_oracle_world_model_steps_real_dynamics():
     anchors, memories = build_context([[state], [state]], 4)
     chunk = np.tile([0.05, 0.0, -1.0], (8, 1))
     frames = oracle.predict_chunk(anchors, memories, TaskSpec(0), [chunk, -chunk],
-                                  [derive_rng(19)] * 2)
+                                  derive_rng(19).normal(size=(2, 8 * env.state_dim)))
     assert frames.shape == (2, 8, env.state_dim)
     for row, sign in zip(frames, (1, -1)):
         ref = state
@@ -494,7 +505,8 @@ def test_linear_fixture_one_chunk_mse(linear_fixture_run):
             for s in (0, 5, 10):
                 anchors, memories = build_context([ep.states[: s + 1]], C)
                 pred = sample_chunk(net, params, anchors, memories, ep.task,
-                                    ep.actions[None, s : s + H], 5, [srng])[0]
+                                    ep.actions[None, s : s + H], 5,
+                                    srng.normal(size=(1, net.out_dim)))[0]
                 errs.append(np.mean((pred - ep.states[s + 1 : s + 1 + H]) ** 2))
     assert np.mean(errs) < 1e-3
 
@@ -524,10 +536,10 @@ def test_linear_fixture_action_sensitivity(linear_fixture_run):
     minus = np.full((H, A_DIM), -0.6)
     srng = derive_rng(103)
     pred_plus = np.mean([sample_chunk(net, params, anchors, memories, ep.task, [plus], 5,
-                                      [srng])[0]
+                                      srng.normal(size=(1, net.out_dim)))[0]
                          for _ in range(8)], axis=0)
     pred_minus = np.mean([sample_chunk(net, params, anchors, memories, ep.task, [minus], 5,
-                                       [srng])[0]
+                                       srng.normal(size=(1, net.out_dim)))[0]
                           for _ in range(8)], axis=0)
     diff = pred_plus - pred_minus  # should be positive everywhere: +0.6 vs -0.6 drift
     assert np.all(diff[-1] > 0)
