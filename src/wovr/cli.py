@@ -32,7 +32,7 @@ from .core import (ENV_NAMES, EVAL_METRICS, ConfigError, InvariantViolation,
                    TaskSpec, config_hash, derive_rng, derive_seed, derive_seeds,
                    make_config, params_hash, read_frames, write_frames)
 from .envs import CountingEnv, get_env, replay_episodes, scripted_demo
-from .evalx import EvalReport, hallucination_rate, horizon_error, success_rate
+from .evalx import EvalReport, hallucination_rate, horizon_error
 from .grpo import ChunkPolicy
 from .pace import (LearnedReward, StageFailure, _rl_stage, clone_base_policy,
                    run_pipeline)
@@ -332,9 +332,14 @@ def cmd_eval(cfg, run_dir, args):
                                  cfg["run"]["diffusion_steps"])
 
     if metric == "sr":
+        # one rollout of every task's n episodes: episode i of task t has the
+        # key (seed_t, i) and each task's rate the form of
+        # success_rate(..., seed_t), so the report equals per-task calls
         seeds = derive_seeds([(cfg["seed"], 81, t) for t in range(env.n_tasks)])
-        per_task = [success_rate(policy, params, env, TaskSpec(t), n, T, H, seed)
-                    for t, seed in enumerate(seeds)]
+        tasks = [TaskSpec(t) for t in range(env.n_tasks) for _ in range(n)]
+        trajs = rollout_real(policy, params, env, tasks, len(tasks), T, H,
+                             [(seed, i) for seed in seeds for i in range(n)])
+        per_task = [sum(t.success for t in trajs[k:k + n]) / n for k in range(0, len(trajs), n)]
         report.success_rate = float(np.mean(per_task))
         report.sr_trials = n * env.n_tasks
     elif metric == "halluc":

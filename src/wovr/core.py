@@ -90,12 +90,44 @@ class TaskSpec:
             raise ValueError("task_id must be non-negative")
 
 
+def check_steps(obs, chunk, reward, logp_old, recorded=None):
+    """The rule of Steps columns, over any leading batch shape B: obs B + (n,
+    d), chunk B + (n, H, a), reward and logp_old B + (n,). recorded, a bool
+    array of shape B + (n,), marks the rows that hold steps; the others are
+    never read. Without it the columns are one episode's, every row recorded.
+    A bad shape is ValueError, a reward outside {0, 1} or a non-finite entry
+    in a recorded row InvariantViolation. Returns the columns, obs, chunk and
+    logp_old as float64 and the reward as given."""
+    obs, chunk, logp_old = (np.asarray(a, dtype=np.float64) for a in (obs, chunk, logp_old))
+    reward = np.asarray(reward)
+    rows = reward.shape[:1] if recorded is None else recorded.shape
+    if not rows or (obs.ndim, chunk.ndim) != (len(rows) + 1, len(rows) + 2) or not (
+            obs.shape[:-1] == chunk.shape[:-2] == logp_old.shape == reward.shape == rows):
+        raise ValueError("need obs (n, d), chunk (n, H, a), reward and logp_old (n,) after "
+                         f"one batch shape; got {obs.shape}, {chunk.shape}, {rows}, "
+                         f"{logp_old.shape}")
+    # one flag per row: the row's obs, chunk and logp_old are all finite
+    finite = (np.isfinite(obs).all(axis=-1) & np.isfinite(logp_old)
+              & np.isfinite(chunk).all(axis=(-2, -1)))
+    bad_reward = reward.astype(bool) != reward  # each reward is 0 or 1
+    if recorded is not None:
+        finite |= ~recorded
+        bad_reward &= recorded
+    if bad_reward.any():
+        raise InvariantViolation(f"rewards must be 0 or 1, got {np.unique(reward[bad_reward])}")
+    if not finite.all():
+        raise InvariantViolation("non-finite entries in steps")
+    return obs, chunk, reward, logp_old
+
+
 @dataclass(eq=False)
 class Steps:
     """One episode's chunk-level records, a row per policy call; the reward is
     1 on the step whose frames first reach success, which ends the episode.
-    A bad shape is ValueError, a reward outside {0, 1} or a non-finite entry
-    InvariantViolation. Without rows, obs is (0, 0) and chunk (0, 0, 0), as stored."""
+    Every Steps passes check_steps once: a Steps made directly or read from a
+    record is checked alone, and a rollout batch's are checked together over
+    its columns (episode_steps). Without rows, obs is (0, 0) and chunk
+    (0, 0, 0), as stored."""
 
     obs: np.ndarray       # (n, d)
     chunk: np.ndarray     # (n, H, a_dim), clipped to the env action box
@@ -103,17 +135,8 @@ class Steps:
     logp_old: np.ndarray  # (n,) behavior-policy log-densities (0.0 in demos)
 
     def __post_init__(self):
-        self.obs, self.chunk, self.logp_old = (np.asarray(a, dtype=np.float64)
-                                               for a in (self.obs, self.chunk, self.logp_old))
-        reward, n = np.asarray(self.reward), np.shape(self.reward)
-        if (self.obs.ndim, self.chunk.ndim, len(n)) != (2, 3, 1) or not (
-                self.obs.shape[:1] == self.chunk.shape[:1] == self.logp_old.shape == n):
-            raise ValueError("need obs (n, d), chunk (n, H, a), reward and logp_old (n,); got "
-                             f"{self.obs.shape}, {self.chunk.shape}, {n}, {self.logp_old.shape}")
-        if not np.array_equal(reward, reward.astype(bool)):  # each reward is 0 or 1
-            raise InvariantViolation(f"rewards must be 0 or 1, got {np.unique(reward)}")
-        if not all(np.isfinite(a).all() for a in (self.obs, self.chunk, self.logp_old)):
-            raise InvariantViolation("non-finite entries in steps")
+        self.obs, self.chunk, reward, self.logp_old = check_steps(
+            self.obs, self.chunk, self.reward, self.logp_old)
         self.reward = reward.astype(np.uint8)
         if not len(reward):
             self.obs, self.chunk = np.zeros((0, 0)), np.zeros((0, 0, 0))
@@ -129,6 +152,26 @@ class Steps:
     def __eq__(self, other):
         return isinstance(other, Steps) and all(
             np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+def episode_steps(obs, chunk, reward, logp_old, n_steps) -> list[Steps]:
+    """The Steps of a batch of episodes held as columns, obs (N, n, d), chunk
+    (N, n, H, a), reward (N, n) uint8 and logp_old (N, n) float64, episode i
+    holding the first n_steps[i] rows. Every recorded row is checked in one
+    check_steps call over the whole batch, and each Steps' columns are views
+    of the batch's; rows past an episode's n_steps are never read."""
+    n_steps = np.asarray(n_steps)
+    recorded = np.arange(reward.shape[1]) < n_steps[:, None]
+    obs, chunk, reward, logp_old = check_steps(obs, chunk, reward, logp_old, recorded)
+    out = []
+    for i, n in enumerate(n_steps.tolist()):
+        steps = object.__new__(Steps)  # checked above, so __post_init__ is skipped
+        steps.obs, steps.chunk, steps.reward, steps.logp_old = (
+            obs[i, :n], chunk[i, :n], reward[i, :n], logp_old[i, :n])
+        if not n:
+            steps.obs, steps.chunk = np.zeros((0, 0)), np.zeros((0, 0, 0))
+        out.append(steps)
+    return out
 
 
 @dataclass
@@ -472,28 +515,38 @@ def derive_seed(seed: int, *tags: int) -> int:
 # maps names to numpy arrays.
 
 _FILE = struct.Struct("<4sBI")   # magic, FORMAT_VERSION, record count
+_COUNT = struct.Struct("<I")     # a record's array count
 _ARRAY = struct.Struct("<HBB")   # name length, dtype code, ndim
 _DTYPES = ("<f8", "<i8", "|u1")  # dtype code -> dtype
+
+
+@functools.lru_cache(maxsize=256)
+def _array_head(name: str, dtype: str, ndim: int) -> tuple[bytes, struct.Struct]:
+    """An array header's fixed part (name length, dtype code, ndim, name) and
+    the Struct of its shape. An unknown dtype is ValueError."""
+    encoded = name.encode()
+    return (_ARRAY.pack(len(encoded), _DTYPES.index(dtype), ndim) + encoded,
+            struct.Struct(f"<{ndim}I"))
 
 
 def write_records(path, magic: bytes, count: int, records):
     """Write count records, each a dict of arrays, in sorted-name order.
 
-    records may be a generator: each record is written as it comes, so the
-    caller never holds more than one. Equal input gives equal bytes. count
-    must be the number of records.
+    records may be a generator: each record is written as it comes, in one
+    write of its joined parts, so the caller never holds more than one and
+    the file is never held whole. Equal input gives equal bytes. count must
+    be the number of records.
     """
     with open(path, "wb") as fh:
         fh.write(_FILE.pack(magic, FORMAT_VERSION, count))
         for record in records:
-            fh.write(struct.pack("<I", len(record)))
+            parts = [_COUNT.pack(len(record))]
             for name in sorted(record):
                 # asarray, not ascontiguousarray: the latter promotes 0-d to 1-d
                 arr = np.asarray(record[name], order="C")
-                encoded = name.encode()
-                fh.write(_ARRAY.pack(len(encoded), _DTYPES.index(arr.dtype.str), arr.ndim)
-                         + encoded + struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(arr.data)
+                head, shape = _array_head(name, arr.dtype.str, arr.ndim)
+                parts += (head, shape.pack(*arr.shape), arr.data)
+            fh.write(b"".join(parts))
 
 
 def read_records(path, magic: bytes) -> list[dict[str, np.ndarray]]:

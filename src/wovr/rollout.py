@@ -25,9 +25,13 @@ predicate in real rollouts), that scores every running member's H frames in
 one call per chunk step, so it must be a pure function of the frame.
 Members need not share a task: each carries its own task, start, start kind
 and stream key, and per-row task ids reach the policy, the model and the
-reward through core's one one-hot rule (task_tokens). So one GRPO update
-rolls all its groups (a GroupSpecs) as one batch of up to groups * G rows
-per call, and a real collection rolls all its episodes as one batch. Every
+reward through core's one one-hot rule (task_tokens). A key is a tuple of
+non-negative ints: (seed, i) for member i of a group or one-seed call, (s, 0)
+for a collection episode under its own seed s (round_robin). So one GRPO
+update rolls all its groups (a GroupSpecs) as one batch of up to groups * G
+rows per call, and a real collection, or an SR eval over every task, rolls
+all its episodes as one batch. The batch's step columns are checked once,
+after the loop (core.episode_steps), not once per member. Every
 member draws from its own derive_rng(*key, ·) streams, so swapping the
 learned model for the true dynamics (and the learned reward for the true
 success predicate) reproduces real rollouts bit for bit under the same
@@ -52,11 +56,11 @@ import numpy as np
 from .core import (
     FrameEpisode,
     MalformedHeader,
-    Steps,
     TaskSpec,
     Trajectory,
     derive_rngs,
     derive_seeds,
+    episode_steps,
     read_store,
     write_store,
 )
@@ -93,7 +97,8 @@ def sample_start(keyframes: deque, task: TaskSpec, p_kir: float,
         raise ValueError("p_kir must lie in [0, 1]")
     use_kir = rng.uniform() < p_kir
     if use_kir:
-        matching = [state for state, t in keyframes if t == task]
+        task_id = task.task_id  # an int compare, not the dataclass __eq__, per entry
+        matching = [state for state, t in keyframes if t.task_id == task_id]
         if matching:
             return matching[rng.integers(len(matching))].copy(), "keyframe"
     return env_reset(rng), "initial"
@@ -151,12 +156,12 @@ def reset_starts(env, tasks, keys) -> list[np.ndarray]:
 
 
 def round_robin(n_tasks: int, n: int, seed: int, tag: int):
-    """A real collection of n fresh-start episodes: (tasks, seeds) for
-    rollout_real, episode i on task i % n_tasks under derive_seed(seed, tag,
-    i), as the one episode of a rollout_real call at that seed would run.
-    The n seeds come from one derive_seeds call."""
+    """A real collection of n fresh-start episodes: (tasks, keys) for
+    rollout_real, episode i on task i % n_tasks under the key
+    (derive_seed(seed, tag, i), 0), as the one episode of a rollout_real call
+    at that seed would run. The n seeds come from one derive_seeds call."""
     return ([TaskSpec(i % n_tasks) for i in range(n)],
-            derive_seeds([(seed, tag, i) for i in range(n)]))
+            [(s, 0) for s in derive_seeds([(seed, tag, i) for i in range(n)])])
 
 
 def draw_noise(rngs, n_chunks: int, width: int) -> np.ndarray:
@@ -212,7 +217,10 @@ def _roll_group(policy, params, dynamics, score, members, T, H,
 
     Returns (trajectories, frame histories); a history holds every executed
     frame of its member, cut at the success frame. Histories and each
-    trajectory's Steps are views of the shared arrays.
+    trajectory's Steps are views of the shared arrays. The Steps rule
+    (core.check_steps) runs once over the whole batch's columns, masked to
+    each member's recorded steps (core.episode_steps), so a non-finite chunk
+    or log-density on a recorded step raises InvariantViolation.
     """
     if T % H != 0:
         raise ValueError("T must be a multiple of the chunk horizon")
@@ -258,9 +266,8 @@ def _roll_group(policy, params, dynamics, score, members, T, H,
     chunk = chunk.reshape(n, n_chunks, H, policy.flat // H)
     # chunk step k starts from frame k * H, so the obs column is a strided view
     obs = frames[:, 0:T:H]
-    trajectories = [Trajectory(m.task, m.kind, Steps(obs[i, :s], chunk[i, :s], reward[i, :s],
-                                                     logp[i, :s]))
-                    for i, (m, s) in enumerate(zip(members, n_steps))]
+    steps = episode_steps(obs, chunk, reward, logp, n_steps)
+    trajectories = [Trajectory(m.task, m.kind, s) for m, s in zip(members, steps)]
     return trajectories, [frames[i, :size] for i, size in enumerate(length)]
 
 
@@ -324,19 +331,22 @@ def rollout_real(policy, params, env, task, n: int, T: int, H: int, seed,
     with the env as the dynamics and env.is_success, over every running
     episode's frames once per chunk step, as the reward, so an
     OracleWorldModel group reproduces them bit for bit. task is one TaskSpec
-    or a list of n, one per episode, and seed one int or a list of n. Under
-    one seed, episode i has key (seed, i), and under a list key (seed[i], 0),
-    as the one episode of a call at seed[i] would. Unless explicit starts are
-    given, it resets from stream 0 of its key (reset_starts), and its policy
+    or a list of n, one per episode, and seed one int or a list of n stream
+    keys. Under one seed, episode i has key (seed, i); under a list, episode
+    i has key seed[i]. So a key (s, 0) runs as the one episode of a call at
+    seed s would, and the keys (s, i) of several seeds run the episodes of
+    several one-seed calls in one batch. Unless explicit starts are given, an
+    episode resets from stream 0 of its key (reset_starts), and its policy
     stream is stream 1, mirroring rollout_imagined member streams. A real
-    collection passes the tasks and seeds of round_robin.
+    collection passes the tasks and keys of round_robin; `wovr eval --metric
+    sr` passes every task's episodes, each keyed as its one-task call keys it.
     With record_frames, also returns one (states, actions) frame episode per
     trajectory for model training.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     tasks = [task] * n if isinstance(task, TaskSpec) else list(task)
-    keys = [(seed, i) for i in range(n)] if np.ndim(seed) == 0 else [(s, 0) for s in seed]
+    keys = [(seed, i) for i in range(n)] if np.ndim(seed) == 0 else list(seed)
     if len(tasks) != n or len(keys) != n:
         raise ValueError(f"need one task and one seed per episode, {n}, "
                          f"got {len(tasks)} and {len(keys)}")

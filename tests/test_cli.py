@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from wovr import cli, pace
+from wovr import cli, nn, pace
 from wovr.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_RUNTIME,
                       aggregate_reports, parse_and_dispatch, report)
-from wovr.core import DEFAULTS, InvariantViolation, read_frames
-from wovr.evalx import EvalReport
+from wovr.core import (DEFAULTS, InvariantViolation, TaskSpec, derive_rng, derive_seed,
+                       make_config, read_frames)
+from wovr.envs import get_env
+from wovr.evalx import EvalReport, success_rate
 from wovr.pace import PaceArtifacts, StageFailure
 
 CFG_YAML = """\
@@ -361,6 +363,64 @@ def test_workflow_eval_report_contents(workflow):
     assert rep.sr_trials == 20
     rep_h = EvalReport.from_json((workflow["eval_h_dir"] / "eval.json").read_text())
     assert [h for h, _ in rep_h.horizon_curve] == [4, 8]
+
+
+class NoisyExpert:
+    """Test double: the env's scripted controller one chunk ahead, plus scale
+    times the noise row on every action, so episodes both succeed and fail."""
+
+    def __init__(self, env, horizon, scale):
+        self.env, self.horizon, self.scale = env, horizon, scale
+        self.flat = horizon * env.action_dim
+
+    def sample(self, params, obs, task, noise):
+        chunks = []
+        for state in obs:
+            chunk = []
+            for _ in range(self.horizon):
+                chunk.append(self.env.expert_action(state))
+                state = self.env.step(state, chunk[-1])
+            chunks.append(chunk)
+        chunks = np.array(chunks)
+        return chunks + self.scale * np.reshape(noise, chunks.shape), np.zeros(len(chunks))
+
+
+def test_sr_eval_is_one_rollout_equal_to_per_task_success_rates(tmp_path, monkeypatch, capsys):
+    """`wovr eval --metric sr` rolls every task's episodes in one rollout_real
+    call, and its rate equals, bit for bit, the mean of one
+    evalx.success_rate call per task t at derive_seed(seed, 81, t), on both
+    envs, for a scripted and a learned (batched matmul) policy."""
+    n, seed = 12, 5
+    calls = []
+    real_rollout, build_policy = cli.rollout_real, cli.build_policy
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])
+        return real_rollout(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "rollout_real", counted)
+    for env_name, scale in (("pickplace2d", 0.6), ("reachpoint", 3.0), ("reachpoint", None)):
+        env = get_env(env_name)
+        cfg = make_config({"env": env_name, "policy": {"init_log_std": 1.0}})
+        T, H = cfg["run"]["max_episode_len"], cfg["run"]["chunk"]
+        learned = build_policy(env, cfg)
+        params = learned.init(derive_rng(seed))
+        policy = learned if scale is None else NoisyExpert(env, H, scale)
+        monkeypatch.setattr(cli, "build_policy", lambda _env, _cfg: policy)
+        path = tmp_path / f"{env_name}-{scale}.wovc"
+        nn.save_params(path, params)
+        root = tmp_path / f"runs-{env_name}-{scale}"
+        calls.clear()
+        assert parse_and_dispatch(["eval", "--env", env_name, "--policy", str(path),
+                                   "--metric", "sr", "--n", str(n), "--seed", str(seed),
+                                   "--run-root", str(root)]) == EXIT_OK
+        assert calls == [n * env.n_tasks]
+        (run_dir,) = root.iterdir()
+        got = json.loads((run_dir / "eval.json").read_text())["success_rate"]
+        want = float(np.mean([success_rate(policy, params, env, TaskSpec(t), n, T, H,
+                                           derive_seed(seed, 81, t))
+                              for t in range(env.n_tasks)]))
+        assert got == want and 0.0 < got < 1.0, (env_name, scale, got)
 
 
 def test_workflow_eval_missing_wm_flag(workflow, capsys):

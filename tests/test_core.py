@@ -1,5 +1,6 @@
 import os
 import pickle
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -18,10 +19,12 @@ from wovr.core import (
     TaskSpec,
     Trajectory,
     TruncatedPayload,
+    check_steps,
     derive_rng,
     derive_rngs,
     derive_seed,
     derive_seeds,
+    episode_steps,
     make_config,
     one_hot,
     params_hash,
@@ -29,6 +32,7 @@ from wovr.core import (
     read_store,
     task_features,
     write_frames,
+    write_records,
     write_store,
 )
 
@@ -151,6 +155,102 @@ def test_steps_without_rows_take_the_stored_empty_shapes():
     assert len(empty) == 0 and empty.obs.shape == (0, 0) and empty.chunk.shape == (0, 0, 0)
     traj = Trajectory(TaskSpec(0), "initial", empty)
     assert not traj.success and traj.valid_len == 0
+
+
+def batch_columns(rng, n=5, rows=4, d=3, horizon=2, a_dim=2):
+    """A rollout batch's columns: member i records its first n_steps[i] rows;
+    the rest stay unwritten, as np.empty leaves them."""
+    obs, chunk = np.full((n, rows, d), np.nan), np.full((n, rows, horizon, a_dim), np.inf)
+    reward, logp = np.full((n, rows), 7, dtype=np.uint8), np.full((n, rows), np.nan)
+    n_steps = np.array([rows, 0, 2, 1, rows])[:n]
+    for i, s in enumerate(n_steps):
+        obs[i, :s] = rng.normal(size=(s, d))
+        chunk[i, :s] = rng.normal(size=(s, horizon, a_dim))
+        reward[i, :s] = 0
+        logp[i, :s] = rng.normal(size=s)
+    reward[2, 1] = 1
+    return obs, chunk, reward, logp, n_steps
+
+
+def test_episode_steps_check_only_recorded_rows_and_equal_per_episode_steps():
+    """One check over a batch's columns, masked to each member's recorded
+    rows, gives each member the Steps that Steps of its rows alone gives:
+    views of the batch's columns, the (0, 0) / (0, 0, 0) form without rows."""
+    obs, chunk, reward, logp, n_steps = batch_columns(np.random.default_rng(7))
+    batch = episode_steps(obs, chunk, reward, logp, n_steps)
+    for i, (steps, s) in enumerate(zip(batch, n_steps)):
+        assert steps == Steps(obs[i, :s], chunk[i, :s], reward[i, :s], logp[i, :s])
+        assert steps.reward.dtype == np.uint8 and steps.logp_old.dtype == np.float64
+        if s:
+            assert np.shares_memory(steps.obs, obs) and np.shares_memory(steps.chunk, chunk)
+    assert (batch[1].obs.shape, batch[1].chunk.shape, len(batch[1])) == ((0, 0), (0, 0, 0), 0)
+    assert [len(steps) for steps in batch] == n_steps.tolist()
+
+
+def test_batched_check_keeps_the_error_types_of_one_episode():
+    """A non-finite entry or a reward outside {0, 1} on a recorded row is
+    InvariantViolation; a bad shape is ValueError, as for one Steps."""
+    rng = np.random.default_rng(8)
+    for column, index, bad in ((0, (2, 1, 0), np.nan), (1, (0, 3, 1, 1), np.inf),
+                               (3, (4, 0), -np.inf), (2, (3, 0), 2)):
+        columns = list(batch_columns(rng))
+        columns[column][index] = bad
+        with pytest.raises(InvariantViolation):
+            episode_steps(*columns)
+    obs, chunk, reward, logp, n_steps = batch_columns(rng)
+    for args in ((obs[:, :, 0], chunk, reward, logp), (obs, chunk[:, :, 0], reward, logp),
+                 (obs, chunk, reward, logp[:, :2]), (obs[:4], chunk, reward, logp)):
+        with pytest.raises(ValueError):
+            episode_steps(*args, n_steps)
+    recorded = np.arange(4) < n_steps[:, None]
+    checked = check_steps(obs, chunk, reward, logp, recorded)
+    assert all(a is b for a, b in zip(checked, (obs, chunk, reward, logp)))
+    with pytest.raises(InvariantViolation):  # every row is recorded without a mask
+        check_steps(obs[1], chunk[1], reward[1], logp[1])
+    with pytest.raises(ValueError):  # without a mask the columns are one episode's
+        check_steps(obs, chunk, reward, logp)
+
+
+_DTYPE_CODES = ("<f8", "<i8", "|u1")
+
+
+def write_records_per_array(path, magic: bytes, count: int, records):
+    """The container writer as it was before it joined each record into one
+    write: two writes per array, the header packed anew for every array."""
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sBI", magic, 2, count))
+        for record in records:
+            fh.write(struct.pack("<I", len(record)))
+            for name in sorted(record):
+                arr = np.asarray(record[name], order="C")
+                encoded = name.encode()
+                fh.write(struct.pack("<HBB", len(encoded), _DTYPE_CODES.index(arr.dtype.str),
+                                     arr.ndim)
+                         + encoded + struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(arr.data)
+
+
+def test_write_records_bytes_equal_the_per_array_writer(tmp_path):
+    """Every dtype code, 0-d and zero-row arrays, names of different lengths
+    (the same name at several dtypes and dims), non-contiguous input,
+    records without arrays and generator input give the old writer's bytes."""
+    rng = np.random.default_rng(9)
+    records = [
+        {"a": np.float64(1.5), "b": np.int64(-3), "c": np.uint8(7)},
+        {"a": rng.normal(size=(2, 3)), "bb": np.arange(4, dtype=np.int64),
+         "a much longer array name": np.arange(6, dtype=np.uint8).reshape(1, 2, 3)},
+        {"a": np.zeros((0, 5)), "b": np.zeros((0,), dtype=np.int64),
+         "c": np.zeros((3, 0, 2), dtype=np.uint8)},
+        {"a": rng.normal(size=(4, 6))[::2, 1::2], "é": np.ones((1, 1, 1, 1, 1))},
+        {},
+    ]
+    for magic in (b"WOVR", b"WOVF"):
+        want, got = tmp_path / "want.bin", tmp_path / "got.bin"
+        write_records_per_array(want, magic, len(records), iter(records))
+        write_records(got, magic, len(records), (record for record in records))
+        assert got.read_bytes() == want.read_bytes()
+    with pytest.raises(ValueError):
+        write_records(got, b"WOVR", 1, [{"a": np.zeros(2, dtype=np.float32)}])
 
 
 def test_read_store_rejects_nan_obs(tmp_path):

@@ -3,8 +3,8 @@ from collections import deque
 import numpy as np
 import pytest
 
-from wovr.core import (MalformedHeader, Steps, TaskSpec, Trajectory, derive_rng,
-                       derive_seed, task_features)
+from wovr.core import (InvariantViolation, MalformedHeader, Steps, TaskSpec, Trajectory,
+                       derive_rng, derive_seed, task_features)
 from wovr.envs import CountingEnv, PickPlace2D, ReachPoint
 from wovr.evalx import hallucination_rate
 from wovr.grpo import ChunkPolicy
@@ -155,6 +155,35 @@ def test_sample_start_rejects_bad_pkir():
         sample_start(keyframe_store(), TaskSpec(0), 1.5, reset_const(0.0), derive_rng(6))
 
 
+def sample_start_reference(keyframes, task, p_kir, env_reset, rng):
+    """sample_start as it matched keyframes by TaskSpec equality."""
+    if rng.uniform() < p_kir:
+        matching = [state for state, t in keyframes if t == task]
+        if matching:
+            return matching[rng.integers(len(matching))].copy(), "keyframe"
+    return env_reset(rng), "initial"
+
+
+def test_sample_start_matching_by_task_id_picks_the_reference_keyframe():
+    """On a mixed-task deque, matching by task id picks the same keyframe, by
+    the same draws, as matching by TaskSpec equality."""
+    rng = np.random.default_rng(10)
+    keyframes = keyframe_store(*((rng.normal(size=3), TaskSpec(int(t)))
+                                 for t in rng.integers(0, 3, size=200)))
+    kinds = set()
+    for seed in range(40):
+        task, p_kir = TaskSpec(seed % 4), (0.0, 0.5, 1.0)[seed % 3]
+        got_rng, want_rng = derive_rng(seed), derive_rng(seed)
+        got = sample_start(keyframes, task, p_kir, lambda r: r.normal(size=3), got_rng)
+        want = sample_start_reference(keyframes, task, p_kir, lambda r: r.normal(size=3),
+                                      want_rng)
+        assert got[1] == want[1] and np.array_equal(got[0], want[0])
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        kinds.add((task.task_id == 3, got[1]))
+    # task 3 has no keyframes and falls back; the others start from both kinds
+    assert kinds == {(False, "keyframe"), (False, "initial"), (True, "initial")}
+
+
 # -- imagined rollouts --------------------------------------------------------------
 
 
@@ -259,6 +288,62 @@ def test_rollout_imagined_aborts_on_nonfinite(caplog):
     assert len(trajs) == 2
     assert all(len(t.steps) == 0 and not t.success for t in trajs)
     assert any("aborted" in r.message for r in caplog.records)
+
+
+class PoisonedPolicy:
+    """policy, except that at its call number `at` one entry of the first
+    row's chunk or log-density is replaced by bad."""
+
+    def __init__(self, policy, at, column, bad):
+        self.policy, self.flat, self.at, self.column, self.bad = policy, policy.flat, at, column, bad
+        self.calls = 0
+
+    def sample(self, params, obs, task, noise):
+        chunks, logps = self.policy.sample(params, obs, task, noise)
+        if self.calls == self.at:
+            if self.column == "chunk":
+                chunks[0, 1, 0] = self.bad
+            else:
+                logps[0] = self.bad
+        self.calls += 1
+        return chunks, logps
+
+
+def test_non_finite_policy_output_on_a_recorded_step_raises():
+    """The batch's one check still sees every recorded step: a non-finite
+    log-density on a recorded step raises InvariantViolation in real and
+    imagined rollouts, and so does a non-finite chunk in an imagined one
+    whose model predicts finite frames from it. The real env refuses a
+    non-finite action itself (ValueError) before the step is recorded."""
+    env = ReachPoint()
+    policy, params = make_policy(env)
+    task = TaskSpec(1)
+    start = env.reset_state(task, derive_rng(21))
+
+    class StillWm:
+        """Every frame of a chunk is the zero state, whatever the chunk."""
+        context = 2
+        anchor_mode = "first"
+
+        def predict_chunk(self, anchors, memories, task, chunks, noise):
+            return np.zeros((len(anchors), H, env.state_dim))
+
+    for bad in (np.nan, np.inf):
+        for column in ("chunk", "logp"):
+            with pytest.raises(InvariantViolation):
+                rollout_imagined(PoisonedPolicy(policy, 1, column, bad), params, StillWm(),
+                                 lambda f, t: 0, GroupSpec(task, start, "initial", 3), T, H,
+                                 seed=22)
+        with pytest.raises(InvariantViolation):
+            rollout_real(PoisonedPolicy(policy, 1, "logp", bad), params, env, task, 3, T, H,
+                         seed=23)
+        with pytest.raises(ValueError, match="non-finite action"):
+            rollout_real(PoisonedPolicy(policy, 1, "chunk", bad), params, env, task, 3, T, H,
+                         seed=23)
+    # unpoisoned, the same rollouts run to the end
+    assert len(rollout_imagined(policy, params, StillWm(), lambda f, t: 0,
+                                GroupSpec(task, start, "initial", 3), T, H, seed=22)) == 3
+    assert len(rollout_real(policy, params, env, task, 3, T, H, seed=23)) == 3
 
 
 def roll_member_reference(policy, params, wm, reward_fn, task, start, T, H, seed, i):
@@ -561,8 +646,8 @@ def test_rollout_real_counts_env_steps():
 
 def test_collect_real_round_robin_streams():
     """A real collection is one lockstep rollout_real call over round_robin's
-    tasks and seeds: episode i on task i % n_tasks under derive_seed(seed,
-    tag, i). Each equals its own one-episode rollout at that seed in task,
+    tasks and keys: episode i on task i % n_tasks under the key
+    (derive_seed(seed, tag, i), 0). Each equals its own one-episode rollout at that seed in task,
     length and rewards, with floats within 1e-12 (a batch of rows takes
     another matmul kernel than a lone row), and an n = 1 collection equals
     it bit for bit."""
@@ -570,10 +655,10 @@ def test_collect_real_round_robin_streams():
             (ReachPoint(), *make_policy(ReachPoint(), init_log_std=2.0)),
             (PickPlace2D(), NoisyExpertPolicy(PickPlace2D(), H, noise=0.3), {})):
         counter, n = CountingEnv(env), 24
-        tasks, seeds = round_robin(env.n_tasks, n, 5, 73)
+        tasks, keys = round_robin(env.n_tasks, n, 5, 73)
         assert [task.task_id for task in tasks] == [i % 4 for i in range(n)]
-        assert seeds == [derive_seed(5, 73, i) for i in range(n)]
-        trajs, frames = rollout_real(policy, params, counter, tasks, n, 64, H, seeds,
+        assert keys == [(derive_seed(5, 73, i), 0) for i in range(n)]
+        trajs, frames = rollout_real(policy, params, counter, tasks, n, 64, H, keys,
                                      record_frames=True)
         assert counter.resets == n
         assert counter.steps == H * sum(len(t.steps) for t in trajs)
@@ -593,8 +678,8 @@ def test_collect_real_round_robin_streams():
             outcomes.add(traj.success)
         # episodes ended at different chunk steps, by success or at T
         assert outcomes == {True, False} and len(lengths) > 2 and 64 // H in lengths
-        one_tasks, one_seeds = round_robin(env.n_tasks, 1, 5, 73)
-        [one], [one_ep] = rollout_real(policy, params, env, one_tasks, 1, 64, H, one_seeds,
+        one_tasks, one_keys = round_robin(env.n_tasks, 1, 5, 73)
+        [one], [one_ep] = rollout_real(policy, params, env, one_tasks, 1, 64, H, one_keys,
                                        record_frames=True)
         [want], [want_ep] = rollout_real(policy, params, env, TaskSpec(0), 1, 64, H,
                                          derive_seed(5, 73, 0), record_frames=True)
