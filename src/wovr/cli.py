@@ -129,7 +129,6 @@ def build_policy(env, cfg) -> ChunkPolicy:
     p = cfg["policy"]
     return ChunkPolicy(env.state_dim, env.n_tasks, cfg["run"]["chunk"],
                        env.action_dim, hidden=tuple(p["hidden"]),
-                       action_low=env.action_low, action_high=env.action_high,
                        init_log_std=p["init_log_std"])
 
 

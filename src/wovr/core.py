@@ -8,15 +8,16 @@ immutable after construction by convention and safe to share across workers.
 Every wovr file is one little-endian container, written by write_records and
 parsed by read_records, the only byte parser in wovr:
 
-    file:   magic (4 bytes), FORMAT_VERSION (u8), record count (u32), records
+    file:   magic (4 bytes), format version (u8), record count (u32), records
     record: array count (u32), then its arrays in sorted-name order
     array:  name length (u16), UTF-8 name, dtype code (u8: <f8, <i8 or |u1),
             ndim (u8), shape (ndim x u32), then the C-order data
 
 A store (.wovs) holds one record per trajectory, a frame set (.wovf) an
 env-name record then one per episode, a checkpoint (.wovc) one record. Each
-kind has its own magic. On a corrupt file every reader fails only with
-MalformedHeader, TruncatedPayload or InvariantViolation.
+kind has its own magic and format version (FORMAT_VERSIONS). On a corrupt
+file every reader fails only with MalformedHeader, TruncatedPayload or
+InvariantViolation.
 """
 from __future__ import annotations
 
@@ -33,9 +34,10 @@ import numpy as np
 
 STORE_MAGIC = b"WOVR"
 FRAMES_MAGIC = b"WOVF"
-FORMAT_VERSION = 2
-
-START_KINDS = ("initial", "keyframe")
+CHECKPOINT_MAGIC = b"WOVC"
+# at 3 a store's head lost its start kind, and the actions of stores and frame
+# sets became fractions of a step (envs.ACTION_BOUND); checkpoints are as at 2
+FORMAT_VERSIONS = {STORE_MAGIC: 3, FRAMES_MAGIC: 3, CHECKPOINT_MAGIC: 2}
 
 
 class MalformedHeader(ValueError):
@@ -130,7 +132,7 @@ class Steps:
     (0, 0, 0), as stored."""
 
     obs: np.ndarray       # (n, d)
-    chunk: np.ndarray     # (n, H, a_dim), clipped to the env action box
+    chunk: np.ndarray     # (n, H, a_dim), as the policy sent it, never clipped
     reward: np.ndarray    # (n,) uint8 in {0, 1}
     logp_old: np.ndarray  # (n,) behavior-policy log-densities (0.0 in demos)
 
@@ -183,12 +185,7 @@ class Trajectory:
     """
 
     task: TaskSpec
-    start_kind: str
     steps: Steps
-
-    def __post_init__(self):
-        if self.start_kind not in START_KINDS:
-            raise InvariantViolation(f"unknown start_kind {self.start_kind!r}")
 
     @property
     def success(self) -> bool:
@@ -204,9 +201,10 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # Run configuration: one nested dict. DEFAULTS states every settable value
 # and its default, the only place a hyperparameter default lives (trainers
-# read their section); validate_config states the integer rule of every count
-# (COUNT_KEYS) and every range rule but eval.task's upper bound, which needs
-# the env's task count (cli.resolve_config).
+# read their section), and each number's type: validate_config reads the type
+# rule from the default (_type_errors) and states every range rule but
+# eval.task's upper bound, which needs the env's task count
+# (cli.resolve_config).
 
 
 class ConfigError(ValueError):
@@ -228,6 +226,7 @@ DEFAULTS = {
     "plan": {"refinements": 1, "rl_updates_per_stage": 20,
              "groups_per_update": 4, "refine_mix_new": 0.7},
     "policy": {"hidden": [64, 64], "init_log_std": -1.5},
+    # demo.noise is the expert's action noise, in steps of the env's reach
     "demo": {"n": 16, "noise": 0.0},
     "clone": {"epochs": 60, "batch_size": 64, "lr": 1e-3},
     "wm": {"width": 128, "act_emb_dim": 32, "anchor_mode": "first",
@@ -263,90 +262,89 @@ def deep_merge(base: dict, override: dict, path: str = "") -> dict:
     return base
 
 
-# the (section, key) of every value that counts or indexes something: each
-# must be an int (not a bool), since a float like 2.5 passes the range rules
-# and fails only mid-run
-COUNT_KEYS = (
-    *((section, key) for section in ("clone", "wm", "refine", "reward")
-      for key in ("epochs", "batch_size")),
-    *(("run", key) for key in ("group_size", "chunk", "context", "max_episode_len",
-                               "n_base", "n_evo", "diffusion_steps")),
-    *(("plan", key) for key in ("refinements", "rl_updates_per_stage", "groups_per_update")),
-    ("rl", "inner_epochs"), ("rl", "keyframe_k"), ("wm", "width"), ("wm", "act_emb_dim"),
-    ("demo", "n"), ("collect", "n"), ("eval", "n"), ("eval", "task"),
-)
+def _type_errors(cfg: dict, defaults: dict = DEFAULTS, path: str = "") -> list[str]:
+    """A message per key of cfg whose value lacks its default's type: an int
+    default needs an int (2.5 passes the range rules and fails mid-run), a
+    float default an int or a float, never a bool or a str."""
+    errors = []
+    for key, default in defaults.items():
+        name, value = path + key, cfg[key]
+        if isinstance(default, dict):
+            errors += _type_errors(value, default, name + ".")
+        elif type(default) is int and type(value) is not int:
+            errors.append(f"{name} must be an integer, got {value!r}")
+        elif type(default) is float and type(value) not in (int, float):
+            errors.append(f"{name} must be a number, got {value!r}")
+    return errors
 
 
 def validate_config(cfg: dict) -> dict:
     """Raise ConfigError unless every type and range rule holds; returns cfg."""
-    mistyped = [f"{section}.{key}" for section, key in COUNT_KEYS
-                if type(cfg[section][key]) is not int]
+    mistyped = _type_errors(cfg)
     if mistyped:
-        raise ConfigError(f"config counts must be integers: {', '.join(mistyped)}")
+        raise ConfigError("; ".join(mistyped))
     run, plan, rl, ev = cfg["run"], cfg["plan"], cfg["rl"], cfg["eval"]
     pos_weight = cfg["reward"]["pos_weight"]
     horizons = ev["horizons"]
-    try:
-        rules = [
-            # every stream derives from the seed, and derive_rng takes only
-            # non-negative integers
-            (type(cfg["seed"]) is int and cfg["seed"] >= 0, "seed must be a non-negative integer"),
-            (cfg["env"] in ENV_NAMES, f"env must be one of {ENV_NAMES}"),
-            (0.0 < run["gamma"] <= 1.0, "run.gamma must lie in (0, 1]"),
-            (run["group_size"] >= 2, "run.group_size must be >= 2"),
-            (run["clip_eps"] > 0, "run.clip_eps must be positive"),
-            (0.0 <= run["kir_fraction"] <= 1.0, "run.kir_fraction must lie in [0, 1]"),
-            (run["diffusion_steps"] >= 1, "run.diffusion_steps must be >= 1"),
-            (run["context"] >= 0, "run.context must be non-negative"),
-            # a rollout sizes its frame and step arrays from these two
-            (run["chunk"] >= 1 and run["max_episode_len"] >= run["chunk"]
-             and run["max_episode_len"] % run["chunk"] == 0,
-             "run.max_episode_len must be a positive multiple of a positive run.chunk"),
-            (run["n_base"] >= 1, "run.n_base must be >= 1"),
-            (run["n_evo"] >= 0, "run.n_evo must be non-negative"),
-            (plan["refinements"] >= 0, "plan.refinements must be non-negative"),
-            (plan["refinements"] >= 1 or run["n_evo"] == 0,
-             "a plan without refinement cannot budget evolved rollouts"),
-            (plan["refinements"] == 0 or run["n_evo"] >= 1,
-             "a refinement stage needs evolved rollouts to train on"),
-            (plan["rl_updates_per_stage"] >= 0,
-             "plan.rl_updates_per_stage must be non-negative"),
-            (plan["groups_per_update"] >= 1, "plan.groups_per_update must be >= 1"),
-            (0.0 < plan["refine_mix_new"] <= 1.0,
-             "plan.refine_mix_new must lie in (0, 1]"),
-            (cfg["wm"]["anchor_mode"] in ANCHOR_MODES,
-             f"wm.anchor_mode must be one of {ANCHOR_MODES}"),
-            (pos_weight in (None, "sqrt")
-             or (type(pos_weight) in (int, float) and pos_weight > 0),
-             "reward.pos_weight must be null, 'sqrt' or a positive number"),
-            (0.0 <= cfg["wm"]["p_noisy"] <= 1.0, "wm.p_noisy must lie in [0, 1]"),
-            (cfg["reward"]["neg_ratio"] > 0, "reward.neg_ratio must be positive"),
-            (rl["keyframe_k"] >= 1, "rl.keyframe_k must be >= 1"),
-            (rl["inner_epochs"] >= 1, "rl.inner_epochs must be >= 1"),
-            (rl["lr"] > 0, "rl.lr must be positive"),
-            (0.0 <= rl["reward_threshold"] <= 1.0,
-             "rl.reward_threshold must lie in [0, 1]"),
-            (cfg["demo"]["n"] >= 1, "demo.n must be >= 1"),
-            (cfg["demo"]["noise"] >= 0, "demo.noise must be non-negative"),
-            (cfg["collect"]["n"] >= 0, "collect.n must be non-negative"),
-            (ev["n"] >= 1, "eval.n must be >= 1"),
-            (ev["metric"] in EVAL_METRICS, f"eval.metric must be one of {EVAL_METRICS}"),
-            (ev["task"] >= 0, "eval.task must be non-negative"),
-            # horizon_error reads the state at each horizon's frame of one
-            # recorded episode, so each is a whole number of chunks
-            (ev["metric"] != "horizon" or (
-                len(horizons) >= 1 and horizons == sorted(set(horizons))
-                and all(type(h) is int and h >= 1 and h % run["chunk"] == 0
-                        for h in horizons)
-                and horizons[-1] <= run["max_episode_len"]),
-             "eval.horizons must be strictly increasing positive multiples of "
-             "run.chunk, at most run.max_episode_len"),
-            *((cfg[name]["epochs"] >= 0 and cfg[name]["batch_size"] >= 1 and cfg[name]["lr"] > 0,
-               f"{name}.epochs must be >= 0, {name}.batch_size >= 1 and {name}.lr > 0")
-              for name in ("clone", "wm", "refine", "reward")),
-        ]
-    except TypeError as exc:
-        raise ConfigError(f"config value of the wrong type: {exc}") from exc
+    rules = [
+        # every stream derives from the seed, and derive_rng takes only
+        # non-negative integers
+        (cfg["seed"] >= 0, "seed must be a non-negative integer"),
+        (cfg["env"] in ENV_NAMES, f"env must be one of {ENV_NAMES}"),
+        (0.0 < run["gamma"] <= 1.0, "run.gamma must lie in (0, 1]"),
+        (run["group_size"] >= 2, "run.group_size must be >= 2"),
+        (run["clip_eps"] > 0, "run.clip_eps must be positive"),
+        (0.0 <= run["kir_fraction"] <= 1.0, "run.kir_fraction must lie in [0, 1]"),
+        (run["diffusion_steps"] >= 1, "run.diffusion_steps must be >= 1"),
+        (run["context"] >= 0, "run.context must be non-negative"),
+        # a rollout sizes its frame and step arrays from these two
+        (run["chunk"] >= 1 and run["max_episode_len"] >= run["chunk"]
+         and run["max_episode_len"] % run["chunk"] == 0,
+         "run.max_episode_len must be a positive multiple of a positive run.chunk"),
+        (run["n_base"] >= 1, "run.n_base must be >= 1"),
+        (run["n_evo"] >= 0, "run.n_evo must be non-negative"),
+        (plan["refinements"] >= 0, "plan.refinements must be non-negative"),
+        (plan["refinements"] >= 1 or run["n_evo"] == 0,
+         "a plan without refinement cannot budget evolved rollouts"),
+        (plan["refinements"] == 0 or run["n_evo"] >= 1,
+         "a refinement stage needs evolved rollouts to train on"),
+        (plan["rl_updates_per_stage"] >= 0,
+         "plan.rl_updates_per_stage must be non-negative"),
+        (plan["groups_per_update"] >= 1, "plan.groups_per_update must be >= 1"),
+        (0.0 < plan["refine_mix_new"] <= 1.0,
+         "plan.refine_mix_new must lie in (0, 1]"),
+        (cfg["wm"]["anchor_mode"] in ANCHOR_MODES,
+         f"wm.anchor_mode must be one of {ANCHOR_MODES}"),
+        (pos_weight in (None, "sqrt")
+         or (type(pos_weight) in (int, float) and pos_weight > 0),
+         "reward.pos_weight must be null, 'sqrt' or a positive number"),
+        (0.0 <= cfg["wm"]["p_noisy"] <= 1.0, "wm.p_noisy must lie in [0, 1]"),
+        (cfg["reward"]["neg_ratio"] > 0, "reward.neg_ratio must be positive"),
+        (rl["keyframe_k"] >= 1, "rl.keyframe_k must be >= 1"),
+        (rl["inner_epochs"] >= 1, "rl.inner_epochs must be >= 1"),
+        (rl["lr"] > 0, "rl.lr must be positive"),
+        (0.0 <= rl["reward_threshold"] <= 1.0,
+         "rl.reward_threshold must lie in [0, 1]"),
+        (cfg["demo"]["n"] >= 1, "demo.n must be >= 1"),
+        (cfg["demo"]["noise"] >= 0, "demo.noise must be non-negative"),
+        (cfg["collect"]["n"] >= 0, "collect.n must be non-negative"),
+        (ev["n"] >= 1, "eval.n must be >= 1"),
+        (ev["metric"] in EVAL_METRICS, f"eval.metric must be one of {EVAL_METRICS}"),
+        (ev["task"] >= 0, "eval.task must be non-negative"),
+        # horizon_error reads the state at each horizon's frame of one
+        # recorded episode, so each is a whole number of chunks
+        (ev["metric"] != "horizon" or (
+            isinstance(horizons, list) and len(horizons) >= 1
+            and all(type(h) is int and h >= 1 and h % run["chunk"] == 0
+                    for h in horizons)
+            and horizons == sorted(set(horizons))
+            and horizons[-1] <= run["max_episode_len"]),
+         "eval.horizons must be strictly increasing positive multiples of "
+         "run.chunk, at most run.max_episode_len"),
+        *((cfg[name]["epochs"] >= 0 and cfg[name]["batch_size"] >= 1 and cfg[name]["lr"] > 0,
+           f"{name}.epochs must be >= 0, {name}.batch_size >= 1 and {name}.lr > 0")
+          for name in ("clone", "wm", "refine", "reward")),
+    ]
     for ok, message in rules:
         if not ok:
             raise ConfigError(message)
@@ -514,7 +512,7 @@ def derive_seed(seed: int, *tags: int) -> int:
 # The record container: every wovr file is a list of records, and each record
 # maps names to numpy arrays.
 
-_FILE = struct.Struct("<4sBI")   # magic, FORMAT_VERSION, record count
+_FILE = struct.Struct("<4sBI")   # magic, format version, record count
 _COUNT = struct.Struct("<I")     # a record's array count
 _ARRAY = struct.Struct("<HBB")   # name length, dtype code, ndim
 _DTYPES = ("<f8", "<i8", "|u1")  # dtype code -> dtype
@@ -538,7 +536,7 @@ def write_records(path, magic: bytes, count: int, records):
     be the number of records.
     """
     with open(path, "wb") as fh:
-        fh.write(_FILE.pack(magic, FORMAT_VERSION, count))
+        fh.write(_FILE.pack(magic, FORMAT_VERSIONS[magic], count))
         for record in records:
             parts = [_COUNT.pack(len(record))]
             for name in sorted(record):
@@ -565,9 +563,9 @@ def read_records(path, magic: bytes) -> list[dict[str, np.ndarray]]:
     if len(data) < _FILE.size:
         raise MalformedHeader(f"file shorter than its {_FILE.size}-byte header")
     file_magic, version, count = _FILE.unpack(take(_FILE.size))
-    if file_magic != magic or version != FORMAT_VERSION:
+    if file_magic != magic or version != FORMAT_VERSIONS[magic]:
         raise MalformedHeader(f"header {file_magic!r} v{version}, expected {magic!r} "
-                              f"v{FORMAT_VERSION}")
+                              f"v{FORMAT_VERSIONS[magic]}")
     records = []
     for _ in range(count):
         record = {}
@@ -612,32 +610,32 @@ def _fields(record: dict, schema: dict) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 # Trajectory store: one record per trajectory.
 
-# head is (task, start kind, success, valid_len) and flags is (reward, done) per
-# step. success, valid_len and done are copies the reader checks against the
+# head is (task, success, valid_len) and flags is (reward, done) per step.
+# success, valid_len and done are copies the reader checks against the
 # rewards: done is the step's reward, since an episode ends at its reward step.
 _STORE_SCHEMA = {"chunk": ("<f8", ("n", "H", "a")), "flags": ("|u1", ("n", 2)),
-                 "head": ("<i8", (4,)), "logp_old": ("<f8", ("n",)),
+                 "head": ("<i8", (3,)), "logp_old": ("<f8", ("n",)),
                  "obs": ("<f8", ("n", "d"))}
 
 
 def _trajectory_record(traj: Trajectory) -> dict[str, np.ndarray]:
     steps = traj.steps
-    return {"head": np.array([traj.task.task_id, START_KINDS.index(traj.start_kind),
-                              int(traj.success), traj.valid_len], dtype=np.int64),
+    return {"head": np.array([traj.task.task_id, int(traj.success), traj.valid_len],
+                             dtype=np.int64),
             "obs": steps.obs, "chunk": steps.chunk, "logp_old": steps.logp_old,
             "flags": np.stack([steps.reward, steps.reward], axis=1)}
 
 
 def _trajectory(record: dict) -> Trajectory:
     chunk, flags, head, logp_old, obs = _fields(record, _STORE_SCHEMA)
-    task_id, kind, success, valid_len = head.tolist()
-    if task_id < 0 or not 0 <= kind < len(START_KINDS):
+    task_id, success, valid_len = head.tolist()
+    if task_id < 0:
         raise MalformedHeader(f"bad trajectory head {head.tolist()}")
     rewards, done = flags.T
     if np.any(done != rewards):
         raise InvariantViolation("a done flag differs from its step's reward")
     # Steps rejects a reward outside {0, 1} and a non-finite entry
-    traj = Trajectory(TaskSpec(task_id), START_KINDS[kind], Steps(obs, chunk, rewards, logp_old))
+    traj = Trajectory(TaskSpec(task_id), Steps(obs, chunk, rewards, logp_old))
     if (success, valid_len) != (traj.success, traj.valid_len):
         raise InvariantViolation(f"head gives success {success}, valid_len {valid_len}; "
                                  f"the rewards give {traj.success}, {traj.valid_len}")
@@ -663,7 +661,7 @@ class FrameEpisode:
 
     task: TaskSpec
     states: np.ndarray   # (n_steps + 1, d), states[0] is the reset state
-    actions: np.ndarray  # (n_steps, a_dim), executed (clipped) actions
+    actions: np.ndarray  # (n_steps, a_dim), as the policy sent them; step clamps them
 
     def __post_init__(self):
         self.states = np.asarray(self.states, dtype=np.float64)

@@ -9,6 +9,10 @@ a frame set to label) makes one call for all of them; step_chunks steps B
 states through their chunks one action column at a time. PickPlace2D
 deliberately contains a contact discontinuity (the grasp) because that is
 where learned dynamics models go wrong in interesting ways.
+
+An action's motion entries are fractions of the per-step reach step_cap,
+clamped to +-ACTION_BOUND only where an action is executed: here and in the
+world model's forward (WmNet.u_apply). Everything else passes it as sent.
 """
 from __future__ import annotations
 
@@ -18,6 +22,7 @@ from .core import FrameEpisode, Steps, TaskSpec, Trajectory, derive_rng
 
 # target positions shared by both environments, one per task id
 _TARGETS = np.array([[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]])
+ACTION_BOUND = 1.0  # a full step
 
 
 # The kernels below take one state (d,) or a batch (..., d) with a matching
@@ -37,9 +42,9 @@ def _check_action(action, batch: tuple, dim: int) -> np.ndarray:
     return action
 
 
-def _move(xy: np.ndarray, dxy: np.ndarray, cap: float) -> np.ndarray:
-    """Positions (..., 2) after a step of dxy, capped at +-cap, clamped to [0, 1]."""
-    return np.clip(xy + np.clip(dxy, -cap, cap), 0.0, 1.0)
+def _move(xy: np.ndarray, a: np.ndarray, cap: float) -> np.ndarray:
+    """Positions (..., 2) after a step of cap * a, a clamped to the bound."""
+    return np.clip(xy + cap * np.clip(a, -ACTION_BOUND, ACTION_BOUND), 0.0, 1.0)
 
 
 def _dist(v: np.ndarray) -> np.ndarray:
@@ -59,8 +64,9 @@ class PickPlace2D:
     """Gripper, object, target in the unit square.
 
     State layout (8,): gripper x, y, grip (0 open / 1 closed), object x, y,
-    target x, y, held flag. Action (3,): dx, dy (motion capped per step),
-    grip command (> 0 closes). Grasping requires a close command within
+    target x, y, held flag. Action (3,): dx, dy in units of step_cap (the
+    per-step reach, so +-1 is a full step and more is clamped to it), grip
+    command (> 0 closes). Grasping requires a close command within
     grasp_radius of the object; success is the object resting within
     success_radius of the target with the grip open.
     """
@@ -69,10 +75,6 @@ class PickPlace2D:
     state_dim = 8
     action_dim = 3
     n_tasks = 4
-    # policy emission box; wide enough that saturated travel commands (+-1)
-    # plus exploration noise almost never hit the walls
-    action_low = -2.0
-    action_high = 2.0
     step_cap = 0.05
     grasp_radius = 0.04
     success_radius = 0.05
@@ -112,23 +114,19 @@ class PickPlace2D:
                        & (_dist(state[..., 3:5] - state[..., 5:7]) <= self.success_radius))
 
     def expert_action(self, state: np.ndarray) -> np.ndarray:
-        """Waypoint controller: approach-and-grasp, carry, release.
+        """Waypoint controller: approach-and-grasp, carry, release. Each
+        motion is the delta to the waypoint in steps, clamped to a full step.
 
         The grip closes during the whole approach, so the grasp fires on the
         first step that lands inside the grasp radius; under action noise
         this retries for free instead of needing a separate fragile close
         step. Succeeds on every task at zero noise.
         """
-        gripper = state[0:2]
-        obj = state[3:5]
-        target = state[5:7]
-        held = state[7] > 0.5
-        if not held:
-            return np.array([*_travel(obj - gripper, self.step_cap), 1.0])
-        delta = target - gripper
-        if np.linalg.norm(delta) > 0.01:
-            return np.array([*_travel(delta, self.step_cap), 1.0])
-        return np.array([0.0, 0.0, -1.0])
+        gripper, obj, target, held = state[0:2], state[3:5], state[5:7], state[7] > 0.5
+        delta = (target if held else obj) - gripper
+        if held and np.linalg.norm(delta) <= 0.01:
+            return np.array([0.0, 0.0, -1.0])
+        return np.array([*np.clip(delta / self.step_cap, -ACTION_BOUND, ACTION_BOUND), 1.0])
 
 
 class ReachPoint:
@@ -138,8 +136,6 @@ class ReachPoint:
     state_dim = 4
     action_dim = 2
     n_tasks = 4
-    action_low = -2.0
-    action_high = 2.0
     step_cap = 0.05
     success_radius = 0.05
 
@@ -163,12 +159,7 @@ class ReachPoint:
         return _result(_dist(state[..., 0:2] - state[..., 2:4]) <= self.success_radius)
 
     def expert_action(self, state: np.ndarray) -> np.ndarray:
-        return _travel(state[2:4] - state[0:2], self.step_cap)
-
-
-def _travel(delta: np.ndarray, cap: float) -> np.ndarray:
-    """Exact delta when within per-step reach, else a saturated unit command."""
-    return np.where(np.abs(delta) <= cap, delta, np.sign(delta))
+        return np.clip((state[2:4] - state[0:2]) / self.step_cap, -ACTION_BOUND, ACTION_BOUND)
 
 
 _REGISTRY = {"pickplace2d": PickPlace2D, "reachpoint": ReachPoint}
@@ -218,7 +209,8 @@ class CountingEnv:
 
 def scripted_demo(env, task: TaskSpec, seed: int, noise_level: float = 0.0,
                   chunk: int = 8, max_len: int = 64) -> Trajectory:
-    """Run the waypoint expert with additive Gaussian action noise.
+    """Run the waypoint expert with additive Gaussian action noise of
+    noise_level steps, recording the noisy actions as sent.
 
     Returns a chunk-granular trajectory that ends at the first chunk with a
     frame satisfying env.is_success, or after max_len steps; that chunk
@@ -238,8 +230,7 @@ def scripted_demo(env, task: TaskSpec, seed: int, noise_level: float = 0.0,
     for k in range(n):
         obs[k] = state
         for j in range(chunk):
-            act = env.expert_action(state) + noise_level * rng.normal(size=env.action_dim)
-            chunks[k, j] = np.clip(act, env.action_low, env.action_high)
+            chunks[k, j] = env.expert_action(state) + noise_level * rng.normal(size=env.action_dim)
             state = env.step(state, chunks[k, j])
             if env.is_success(state):
                 reward[k] = 1
@@ -250,7 +241,7 @@ def scripted_demo(env, task: TaskSpec, seed: int, noise_level: float = 0.0,
         if reward[k]:
             n = k + 1
             break
-    return Trajectory(task, "initial", Steps(obs[:n], chunks[:n], reward[:n], np.zeros(n)))
+    return Trajectory(task, Steps(obs[:n], chunks[:n], reward[:n], np.zeros(n)))
 
 
 def first_hits(hits) -> np.ndarray:

@@ -56,7 +56,7 @@ def hallucination_rate(policy, params, wm, reward_fn, env, task: TaskSpec,
     starts = reset_starts(env, [task] * n, [(seed, i) for i in range(n)])
     trajectories, histories = _roll_group(policy, params, _imagined_dynamics(wm),
                                           as_scorer(reward_fn),
-                                          _members(task, starts, "initial", seed), T, H)
+                                          _members(task, starts, seed), T, H)
     _, real = replay_actions(env, starts, [traj.steps.actions[:len(history) - 1]
                                            for traj, history in zip(trajectories, histories)])
     imagined = np.array([traj.success for traj in trajectories])
@@ -94,7 +94,7 @@ def horizon_error(wm, policy, params, env, task: TaskSpec, horizons,
     starts = reset_starts(env, [task] * n, [(seed, i) for i in range(n)])
     trajectories, real_states = _roll_group(policy, params, _real_dynamics(env),
                                             lambda frames, _tasks: np.zeros(len(frames), bool),
-                                            _members(task, starts, "initial", seed),
+                                            _members(task, starts, seed),
                                             depth, H, model_stream=False)
     # model replay of the same chunks, closed loop on its own frames
     model_noise = draw_noise(derive_rngs([(seed, i, 2) for i in range(n)]), depth // H,

@@ -29,22 +29,21 @@ class ChunkPolicy:
     free state-independent parameter, clamped to [-5, 2]. sample turns one
     standard-normal noise row of width flat = H * a_dim per observation into a
     chunk; the rollout draws those rows from each member's policy stream, so
-    sampling itself draws nothing. Samples are clipped to the action box at
-    emission and the stored log-density is evaluated at the clipped value, so
-    the behavior density of a stored chunk is exactly reproducible later.
+    sampling itself draws nothing. A sample is the chunk as drawn, never
+    clipped, and its log-density is that chunk's, so the behavior density of
+    a stored chunk is exactly reproducible later and is the density of what
+    the policy sent; the env and the world model clamp an action where they
+    execute it (envs.ACTION_BOUND).
     """
 
     name = "pi"  # the prefix of every parameter key
 
-    def __init__(self, obs_dim, n_tasks, horizon, a_dim, hidden=(64, 64),
-                 action_low=-2.0, action_high=2.0, init_log_std=-1.5):
+    def __init__(self, obs_dim, n_tasks, horizon, a_dim, hidden=(64, 64), init_log_std=-1.5):
         self.obs_dim = obs_dim
         self.n_tasks = n_tasks
         self.horizon = horizon
         self.a_dim = a_dim
         self.flat = horizon * a_dim
-        self.action_low = action_low
-        self.action_high = action_high
         self.init_log_std = init_log_std
         self.trunk = Mlp(self.name, [obs_dim + n_tasks, *hidden, self.flat])
 
@@ -65,7 +64,7 @@ class ChunkPolicy:
 
     def sample(self, params: dict, obs, task, noise):
         """One chunk per row of obs (B, d), row i from the standard-normal
-        noise row noise[i] (B, H*a_dim): mean + std * noise, clipped.
+        noise row noise[i] (B, H*a_dim): mean + std * noise.
 
         Returns ((B, H, a_dim) chunks, (B,) behavior log-densities). A pure
         function of its inputs; the caller draws the noise.
@@ -75,9 +74,8 @@ class ChunkPolicy:
             raise ValueError(f"noise must be (B, {self.flat}) for {b} rows, got {noise.shape}")
         mu = self.mean(params, obs, task)
         log_sigma = self.log_std(params)
-        clipped = np.clip(mu + np.exp(log_sigma) * noise, self.action_low, self.action_high)
-        logp = self._density(log_sigma, mu, clipped)
-        return clipped.reshape(b, self.horizon, self.a_dim), logp
+        flat = mu + np.exp(log_sigma) * noise
+        return flat.reshape(b, self.horizon, self.a_dim), self._density(log_sigma, mu, flat)
 
     def logprob(self, params: dict, feats: np.ndarray, chunks: np.ndarray):
         """Log-densities of stored chunks (N, H*a_dim) given features (N, obs+tasks).

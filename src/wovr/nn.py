@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import MalformedHeader, read_records, write_records
-
-CHECKPOINT_MAGIC = b"WOVC"
+from .core import CHECKPOINT_MAGIC, MalformedHeader, read_records, write_records
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:

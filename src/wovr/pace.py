@@ -362,6 +362,12 @@ def run_iteration(params, wm, reward_fn, rollout_fn, trainer_fn):
     return trainer_fn(rollout_fn(nn.read_only(params), wm, reward_fn))
 
 
+def start_key(seed: int, tag: int) -> tuple:
+    """An RL stage's start stream key: five words, since SeedSequence pads a
+    shorter key with zeros to a group key (seed, tag, u, g)."""
+    return (seed, tag, 3, 0, 0)
+
+
 def _rl_stage(policy, params, wm, reward_fn, env, cfg, keyframes, tag):
     """One imagined-RL stage: plan.rl_updates_per_stage GRPO updates.
 
@@ -372,11 +378,12 @@ def _rl_stage(policy, params, wm, reward_fn, env, cfg, keyframes, tag):
     then applies the GRPO step (run_iteration). An update first draws the
     start of each of its plan.groups_per_update groups, in group order: one
     of its task's keyframes with probability run.kir_fraction (sample_start),
-    else an env reset. It then rolls every member of every group out in one
-    lockstep batch (one rollout_imagined call over a GroupSpecs; group g's
-    member i draws from derive_rng(derive_seed(seed, tag, u, g), i, ·), and
-    the update's group seeds come from one derive_seeds call), and only then
-    harvests each group's failures into keyframes, in group order.
+    else an env reset, from the stage's one start stream (start_key). It
+    then rolls every member of every group out in one lockstep batch (one
+    rollout_imagined call over a GroupSpecs; group g's member i draws from
+    derive_rng(derive_seed(seed, tag, u, g), i, ·), and the update's group
+    seeds come from one derive_seeds call), and only then harvests each
+    group's failures into keyframes, in group order.
     So a start of update u never draws a keyframe harvested in update u; at
     the default groups_per_update == n_tasks each task starts once per
     update, and this timing changes no draw. The env is touched only to draw
@@ -386,7 +393,7 @@ def _rl_stage(policy, params, wm, reward_fn, env, cfg, keyframes, tag):
     """
     seed, run, plan, rl = cfg["seed"], cfg["run"], cfg["plan"], cfg["rl"]
     state = {"params": params, "opt": None}
-    start_rng = derive_rng(seed, tag, 3)
+    start_rng = derive_rng(*start_key(seed, tag))
     n_tasks = env.n_tasks
     T, H, G = run["max_episode_len"], run["chunk"], run["group_size"]
     groups_per_update = plan["groups_per_update"]

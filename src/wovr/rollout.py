@@ -23,8 +23,8 @@ frame. The reward is one scorer, score(frames (N, d), task ids (N,)) -> (N,)
 bool (the learned reward's pace.LearnedReward.batch, or the env's success
 predicate in real rollouts), that scores every running member's H frames in
 one call per chunk step, so it must be a pure function of the frame.
-Members need not share a task: each carries its own task, start, start kind
-and stream key, and per-row task ids reach the policy, the model and the
+Members need not share a task: each carries its own task, start and stream
+key, and per-row task ids reach the policy, the model and the
 reward through core's one one-hot rule (task_tokens). A key is a tuple of
 non-negative ints: (seed, i) for member i of a group or one-seed call, (s, 0)
 for a collection episode under its own seed s (round_robin). So one GRPO
@@ -138,13 +138,12 @@ class Member(NamedTuple):
 
     task: TaskSpec
     start: np.ndarray
-    kind: str
     key: tuple
 
 
-def _members(task: TaskSpec, starts, kind: str, seed: int) -> list[Member]:
+def _members(task: TaskSpec, starts, seed: int) -> list[Member]:
     """One group's members: member i starts at starts[i] with key (seed, i)."""
-    return [Member(task, start, kind, (seed, i)) for i, start in enumerate(starts)]
+    return [Member(task, start, (seed, i)) for i, start in enumerate(starts)]
 
 
 def reset_starts(env, tasks, keys) -> list[np.ndarray]:
@@ -267,7 +266,7 @@ def _roll_group(policy, params, dynamics, score, members, T, H,
     # chunk step k starts from frame k * H, so the obs column is a strided view
     obs = frames[:, 0:T:H]
     steps = episode_steps(obs, chunk, reward, logp, n_steps)
-    trajectories = [Trajectory(m.task, m.kind, s) for m, s in zip(members, steps)]
+    trajectories = [Trajectory(m.task, s) for m, s in zip(members, steps)]
     return trajectories, [frames[i, :size] for i, size in enumerate(length)]
 
 
@@ -316,8 +315,7 @@ def rollout_imagined(policy, params, wm, reward_fn, groups, T: int, H: int,
     if isinstance(groups, GroupSpec):
         groups, seed = (groups,), (seed,)
     members = [member for group, s in zip(groups, seed, strict=True)
-               for member in _members(group.task, [group.start_state] * group.size,
-                                      group.start_kind, s)]
+               for member in _members(group.task, [group.start_state] * group.size, s)]
     trajectories, _ = _roll_group(policy, params, _imagined_dynamics(wm),
                                   as_scorer(reward_fn), members, T, H)
     return trajectories
@@ -354,7 +352,7 @@ def rollout_real(policy, params, env, task, n: int, T: int, H: int, seed,
         starts = reset_starts(env, tasks, keys)
     elif len(starts) != n:
         raise ValueError(f"need one start per episode, {n}, got {len(starts)}")
-    members = [Member(t, start, "initial", key) for t, start, key in zip(tasks, starts, keys)]
+    members = [Member(t, start, key) for t, start, key in zip(tasks, starts, keys)]
     trajectories, histories = _roll_group(policy, params, _real_dynamics(env),
                                           lambda frames, _tasks: env.is_success(frames),
                                           members, T, H, model_stream=False)

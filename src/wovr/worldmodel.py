@@ -23,7 +23,7 @@ import numpy as np
 
 from . import nn
 from .core import ANCHOR_MODES, FrameEpisode, one_hot, task_tokens
-from .envs import step_chunks
+from .envs import ACTION_BOUND, step_chunks
 from .nn import Mlp, tmean, value_and_grad
 
 N_TIME_FEATS = 5
@@ -157,10 +157,11 @@ class WmNet:
 
         x (B, H*d), anchors (B, d), memories (B, c, d), tasks (B, n_tasks)
         one-hot rows, chunks (B, H*a_dim), all plain arrays; returns (B, H*d)
-        velocities, a Tensor when params are Tensor leaves.
+        velocities, a Tensor when params are Tensor leaves. It reads chunks
+        clamped to +-ACTION_BOUND, as the env executes them.
         """
         b = x.shape[0]
-        act_emb = self.act_proj(params, chunks)
+        act_emb = self.act_proj(params, np.clip(chunks, -ACTION_BOUND, ACTION_BOUND))
         tfeat = np.broadcast_to(time_features(t), (b, N_TIME_FEATS))
         trunk_in = np.concatenate([x, anchors, memories.reshape(b, self.context * self.d),
                                    tasks, act_emb], axis=1)

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from wovr.cli import build_parser, parse_and_dispatch, resolve_config
-from wovr.core import DEFAULTS, START_KINDS, TaskSpec, derive_rng, make_config
+from wovr.core import DEFAULTS, TaskSpec, derive_rng, make_config
 from wovr.envs import ReachPoint, replay_frames, scripted_demo
 from wovr.grpo import ChunkPolicy, GroupBatch
 from wovr.pace import LearnedReward, _rl_stage
@@ -122,7 +122,7 @@ def test_trace_counters_read_real_calls(monkeypatch):
             "members": len(trajs), "frames": H * sum(len(t.steps) for t in trajs)}
     assert len(calls["rollout.sample_start"]) == 4
     for args, start in calls["rollout.sample_start"]:
-        assert start[1] in START_KINDS
+        assert start[1] in ("initial", "keyframe")
         assert count["rollout.sample_start"](args, start) == {
             "starts": 1, "kir_starts": int(start[1] == "keyframe")}
     assert len(calls["grpo.build_group"]) == 4

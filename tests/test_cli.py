@@ -5,7 +5,8 @@ import pytest
 
 from wovr import cli, nn, pace
 from wovr.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_RUNTIME,
-                      aggregate_reports, parse_and_dispatch, report)
+                      aggregate_reports, build_parser, parse_and_dispatch, report,
+                      resolve_config)
 from wovr.core import (DEFAULTS, InvariantViolation, TaskSpec, derive_rng, derive_seed,
                        make_config, read_frames)
 from wovr.envs import get_env
@@ -152,6 +153,24 @@ def test_out_of_range_config_exits_before_run_dir(tmp_path, capsys):
         assert code == EXIT_CONFIG
         assert key in capsys.readouterr().err
         assert not root.exists()
+
+
+def test_set_of_a_mistyped_number_exits_naming_its_key(tmp_path, capsys):
+    """YAML 1.1 reads 1e-3 as a string and true as a bool: either, set on a
+    float key, is a config error that names the key, before a run directory
+    is made; 1.0e-3 is a float and resolves."""
+    root = tmp_path / "runs"
+    missing = str(tmp_path / "missing.wovc")
+    for key, argv in (("rl.lr", ["rl", "--policy", missing, "--wm", missing,
+                                 "--reward", missing, "--set", "rl.lr=1e-3"]),
+                      ("run.gamma", ["demo-gen", "--set", "run.gamma=true"])):
+        code = parse_and_dispatch([*argv, "--run-root", str(root)])
+        assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not root.exists()
+    parser, flag_paths = build_parser()
+    args = parser.parse_args(["demo-gen", "--set", "rl.lr=1.0e-3"])
+    assert resolve_config(args, flag_paths[args.command])["rl"]["lr"] == 1e-3
 
 
 def test_episode_shorter_than_a_chunk_exits_before_run_dir(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import os
 import pickle
+import re
 import struct
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 import wovr
 from wovr.core import (
     DEFAULTS,
+    FORMAT_VERSIONS,
     ConfigError,
     FrameEpisode,
     InvariantViolation,
@@ -40,7 +42,7 @@ from wovr.core import (
 def make_traj(seed=0, n=4, succeed_at=None, d=8, horizon=8, a_dim=3):
     rng = np.random.default_rng(seed)
     reward = [int(i == succeed_at) for i in range(n)]
-    return Trajectory(TaskSpec(1), "initial",
+    return Trajectory(TaskSpec(1),
                       Steps(rng.normal(size=(n, d)), rng.normal(size=(n, horizon, a_dim)),
                             reward, rng.normal(size=n)))
 
@@ -100,12 +102,12 @@ def test_valid_len_stops_at_first_success():
 def test_read_store_rejects_head_success_without_reward_step(tmp_path):
     # the head claims success, but no step carries the reward
     with pytest.raises(InvariantViolation):
-        read_patched(tmp_path, make_traj(n=2), "head", 1, 8 * 2, old=0, new=1)
+        read_patched(tmp_path, make_traj(n=2), "head", 1, 8 * 1, old=0, new=1)
 
 
 def test_trajectory_rejects_bad_valid_len(tmp_path):
     with pytest.raises(InvariantViolation):
-        read_patched(tmp_path, make_traj(n=3), "head", 1, 8 * 3, old=3, new=2)
+        read_patched(tmp_path, make_traj(n=3), "head", 1, 8 * 2, old=3, new=2)
 
 
 def test_trajectory_rejects_mid_sequence_done(tmp_path):
@@ -153,7 +155,7 @@ def test_steps_rejects_malformed_shapes():
 def test_steps_without_rows_take_the_stored_empty_shapes():
     empty = Steps(np.zeros((0, 5)), np.zeros((0, 4, 2)), [], [])
     assert len(empty) == 0 and empty.obs.shape == (0, 0) and empty.chunk.shape == (0, 0, 0)
-    traj = Trajectory(TaskSpec(0), "initial", empty)
+    traj = Trajectory(TaskSpec(0), empty)
     assert not traj.success and traj.valid_len == 0
 
 
@@ -218,7 +220,7 @@ def write_records_per_array(path, magic: bytes, count: int, records):
     """The container writer as it was before it joined each record into one
     write: two writes per array, the header packed anew for every array."""
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sBI", magic, 2, count))
+        fh.write(struct.pack("<4sBI", magic, FORMAT_VERSIONS[magic], count))
         for record in records:
             fh.write(struct.pack("<I", len(record)))
             for name in sorted(record):
@@ -271,16 +273,6 @@ def test_roundtrip_is_exact(tmp_path):
     assert decoded.steps.obs.tobytes() == traj.steps.obs.tobytes()
 
 
-def test_roundtrip_keyframe_kind(tmp_path):
-    traj = make_traj(seed=9, n=2)
-    traj = Trajectory(traj.task, "keyframe", traj.steps)
-    path = tmp_path / "k.wovs"
-    write_store(path, [traj])
-    (decoded,) = read_store(path)
-    assert decoded.start_kind == "keyframe"
-    assert decoded == traj
-
-
 def test_decode_rejects_truncation_and_flags_offset(tmp_path):
     path = tmp_path / "s.wovs"
     write_store(path, [make_traj(seed=4, n=3)])
@@ -307,8 +299,7 @@ def test_decode_rejects_corrupt_reward_byte(tmp_path):
 
 def test_store_roundtrip(tmp_path):
     trajs = [make_traj(seed=i, n=3 + i, succeed_at=i if i % 2 else None) for i in range(1, 5)]
-    trajs.append(Trajectory(TaskSpec(2), "initial", Steps(np.zeros((0, 8)),
-                                                          np.zeros((0, 8, 3)), [], [])))
+    trajs.append(Trajectory(TaskSpec(2), Steps(np.zeros((0, 8)), np.zeros((0, 8, 3)), [], [])))
     path = tmp_path / "demos.wovs"
     for batch in (trajs, []):
         write_store(path, batch)
@@ -417,6 +408,29 @@ def test_params_hash_orders_keys_and_sees_values():
     assert params_hash(p) == params_hash(q)
     q["w"] = q["w"] + 1e-12
     assert params_hash(p) != params_hash(q)
+
+
+def test_config_types_follow_the_defaults():
+    """An int default takes only an int, a float default an int or a float;
+    neither takes a bool, a str or null, and the error names the key."""
+    numbers = [(f"{section}.{key}", default)
+               for section, values in DEFAULTS.items() if isinstance(values, dict)
+               for key, default in values.items() if type(default) in (int, float)]
+    assert ("run.gamma", 1.0) in numbers and ("rl.lr", 3e-4) in numbers
+    assert ("run.chunk", 8) in numbers and ("eval.task", 0) in numbers
+    for name, default in numbers:
+        section, key = name.split(".")
+        bad = (2.5, 2.0, True, "3") if type(default) is int else (True, False, "1e-3", None)
+        for value in bad:
+            with pytest.raises(ConfigError, match=re.escape(name)):
+                make_config({section: {key: value}})
+        if type(default) is float:
+            assert make_config({section: {key: 1}})[section][key] == 1
+    # YAML 1.1 reads 1e-3 as a string
+    with pytest.raises(ConfigError, match=r"^rl\.lr must be a number, got '1e-3'$"):
+        make_config({"rl": {"lr": "1e-3"}})
+    # a non-number default states no type rule of its own here
+    make_config({"reward": {"pos_weight": 2}}, {"reward": {"pos_weight": None}})
 
 
 def test_run_config_validation():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from wovr.core import ENV_NAMES, FrameEpisode, Steps, TaskSpec, Trajectory, derive_rng
-from wovr.envs import (CountingEnv, PickPlace2D, ReachPoint, get_env, replay_episodes,
-                       replay_frames, scripted_demo, step_chunks)
+from wovr.envs import (ACTION_BOUND, CountingEnv, PickPlace2D, ReachPoint, get_env,
+                       replay_episodes, replay_frames, scripted_demo, step_chunks)
 
 
 @pytest.fixture
@@ -115,9 +115,20 @@ def test_step_rejects_bad_actions(env):
         ReachPoint().step(np.zeros(4), [0.0, -np.inf])
 
 
-# Per-state reference kernels on numpy arrays (np.clip, np.linalg.norm); the
-# kernels in wovr.envs must reproduce them byte for byte, on one state and on
-# every row of a batch.
+# Per-state reference kernels on numpy arrays (np.clip, np.linalg.norm), kept
+# from when an action's motion entries were position deltas, capped at
+# +-step_cap. The kernels in wovr.envs read a motion entry in steps, so at
+# action a they must reproduce a reference at reference_units(env, a) byte for
+# byte, on one state and on every row of a batch, for |a| beyond the action
+# bound too.
+
+
+def reference_units(env, action):
+    """The action in the reference's units: motion entries times step_cap,
+    pickplace's grip command as it is."""
+    out = np.array(action, dtype=np.float64)
+    out[..., :2] *= env.step_cap
+    return out
 
 
 def check_action_reference(action, dim):
@@ -242,7 +253,7 @@ def test_pickplace_kernels_match_numpy_reference(env):
         assert type(success) is bool
         assert success == pickplace_is_success_reference(env, state)
         nxt = env.step(state, action)
-        assert_same_bytes(nxt, pickplace_step_reference(env, state, action))
+        assert_same_bytes(nxt, pickplace_step_reference(env, state, reference_units(env, action)))
         outcomes.add((state[7], nxt[7], env.is_success(nxt)))
     # the sweep reached grasps, releases, held carries and successes
     assert {(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.0, 0.0)} <= {o[:2] for o in outcomes}
@@ -254,7 +265,8 @@ def test_reachpoint_kernels_match_numpy_reference():
     pairs = reachpoint_sweep(env)
     hits = 0
     for k, (state, action) in enumerate(pairs):
-        assert_same_bytes(env.step(state, action), reachpoint_step_reference(env, state, action))
+        assert_same_bytes(env.step(state, action), reachpoint_step_reference(
+            env, state, reference_units(env, action)))
         if k % 2 == 0:  # each state comes with two actions
             success = env.is_success(state)
             assert type(success) is bool
@@ -285,7 +297,7 @@ def test_batched_kernels_match_reference_row_by_row(name, batch):
     assert success.dtype == bool
     nxt, success = nxt.reshape(len(pairs), -1), success.reshape(-1)
     for row, (state, action) in enumerate(pairs):
-        assert_same_bytes(nxt[row], step_ref(env, state, action))
+        assert_same_bytes(nxt[row], step_ref(env, state, reference_units(env, action)))
         assert success[row] == success_ref(env, state)
     next_success = env.is_success(nxt)
     assert next_success.any() and not next_success.all()
@@ -319,10 +331,9 @@ def test_kernels_match_numpy_reference_along_episodes(name):
         state = env.reset_state(TaskSpec(episode % env.n_tasks), rng)
         noise = (0.0, 0.3, 1.5, 4.0)[episode % 4]
         for _ in range(64):
-            action = np.clip(env.expert_action(state) + noise * rng.normal(size=env.action_dim),
-                             env.action_low, env.action_high)
+            action = env.expert_action(state) + noise * rng.normal(size=env.action_dim)
             nxt = env.step(state, action)
-            assert_same_bytes(nxt, step_ref(env, state, action))
+            assert_same_bytes(nxt, step_ref(env, state, reference_units(env, action)))
             assert env.is_success(nxt) is success_ref(env, nxt)
             state = nxt
 
@@ -343,14 +354,36 @@ def test_demo_deterministic(env):
 
 
 def test_demo_noise_changes_outcome_distribution(env):
-    outcomes = [scripted_demo(env, TaskSpec(0), s, noise_level=0.6).success for s in range(30)]
+    outcomes = [scripted_demo(env, TaskSpec(0), s, noise_level=2.0).success for s in range(30)]
     assert not all(outcomes)  # heavy noise breaks the controller sometimes
 
 
 def test_demo_actions_respect_box(env):
+    """A demo records its noisy actions as sent, beyond the action bound too,
+    and the env executes each within the bound: a step moves the gripper at
+    most step_cap per axis."""
     traj = scripted_demo(env, TaskSpec(2), 11, noise_level=1.0)
-    assert np.all(traj.steps.chunk >= env.action_low)
-    assert np.all(traj.steps.chunk <= env.action_high)
+    assert np.abs(traj.steps.chunk[..., :2]).max() > ACTION_BOUND
+    states = replay_frames(env, traj).states
+    assert np.abs(np.diff(states[:, 0:2], axis=0)).max() <= env.step_cap * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("name", ENV_NAMES)
+def test_step_reads_actions_in_steps_clamped_to_the_bound(name):
+    """An action a moves by step_cap * clip(a, -ACTION_BOUND, ACTION_BOUND):
+    a step and its clip give the same bytes, and a full step reaches
+    step_cap exactly."""
+    env = get_env(name)
+    rng = np.random.default_rng(23)
+    states = np.stack([env.reset_state(TaskSpec(t % env.n_tasks), rng) for t in range(64)])
+    actions = rng.normal(scale=3.0, size=(64, env.action_dim))
+    assert (np.abs(actions) > ACTION_BOUND).any() and (np.abs(actions) < ACTION_BOUND).any()
+    assert_same_bytes(env.step(states, actions),
+                      env.step(states, np.clip(actions, -ACTION_BOUND, ACTION_BOUND)))
+    full = np.zeros(env.action_dim)
+    full[0] = ACTION_BOUND
+    start = np.full(env.state_dim, 0.5)
+    assert env.step(start, full)[0] == 0.5 + env.step_cap
 
 
 def test_demo_valid_len_matches_first_success(env):
@@ -418,10 +451,12 @@ def test_replay_frames_matches_recorded_rollout(env):
     from wovr.grpo import ChunkPolicy
     from wovr.rollout import rollout_real
 
-    policy = ChunkPolicy(env.state_dim, env.n_tasks, 8, env.action_dim)
+    # a wide policy, so the stored chunks hold raw actions beyond the bound
+    policy = ChunkPolicy(env.state_dim, env.n_tasks, 8, env.action_dim, init_log_std=0.5)
     params = policy.init(derive_rng(21))
     trajs, eps = rollout_real(policy, params, env, TaskSpec(1), 4, 64, 8,
                               seed=9, record_frames=True)
+    assert max(np.abs(ep.actions).max() for ep in eps) > ACTION_BOUND
     for traj, recorded in zip(trajs, eps):
         replayed = replay_frames(env, traj)
         np.testing.assert_array_equal(replayed.states, recorded.states)
@@ -430,10 +465,10 @@ def test_replay_frames_matches_recorded_rollout(env):
 
 def test_replay_frames_rejects_empty_trajectory(env):
     with pytest.raises(ValueError):
-        replay_frames(env, Trajectory(TaskSpec(0), "initial", []))
+        replay_frames(env, Trajectory(TaskSpec(0), []))
     with pytest.raises(ValueError):
         replay_episodes(env, [scripted_demo(env, TaskSpec(0), 0),
-                              Trajectory(TaskSpec(0), "initial", [])])
+                              Trajectory(TaskSpec(0), [])])
     assert replay_episodes(env, []) == []
 
 
@@ -454,8 +489,8 @@ def held_at_target():
     there, a success."""
     env = PickPlace2D()
     start = mk_state((0.3, 0.3), 0.0, (0.3, 0.3), (0.25, 0.25), 0.0)
-    chunk = np.array([[0.0, 0.0, 1.0], [-0.05, -0.05, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
-    traj = Trajectory(TaskSpec(0), "initial", Steps(start[None], chunk[None], [0], [0.0]))
+    chunk = np.array([[0.0, 0.0, 1.0], [-1.0, -1.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]])
+    traj = Trajectory(TaskSpec(0), Steps(start[None], chunk[None], [0], [0.0]))
     last = replay_reference(env, traj).states[-1]
     assert not env.is_success(last) and env.is_success(env.step(last, np.zeros(3)))
     return traj
@@ -470,9 +505,12 @@ def test_replay_episodes_match_the_per_state_loop(name):
     target."""
     env = get_env(name)
     seen = set()
-    for noise in (0.0, 0.3):
+    for noise in (0.0, 1.0):
         demos = [scripted_demo(env, TaskSpec(i % env.n_tasks), i, noise, chunk=4,
                                max_len=(8, 16, 64)[i % 3]) for i in range(16)]
+        # the noisy demos hold raw actions beyond the bound, as sent
+        assert (max(np.abs(d.steps.chunk[..., :2]).max() for d in demos) > ACTION_BOUND) == (
+            noise > 0)
         if name == "pickplace2d":
             demos.append(held_at_target())
         assert len({len(d.steps) for d in demos}) > 1

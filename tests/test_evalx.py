@@ -122,7 +122,7 @@ def test_hallucination_replays_only_the_imagined_frames():
     env = ReachPoint()
 
     class SlowExpert:
-        """Heads straight for the target, 0.02 per step."""
+        """Heads straight for the target, 0.02 per step (0.4 of a step)."""
 
         flat = H * env.action_dim
 
@@ -133,7 +133,7 @@ def test_hallucination_replays_only_the_imagined_frames():
                 for _ in range(H):
                     delta = state[2:4] - state[0:2]
                     dist = np.linalg.norm(delta)
-                    action = delta if dist <= 0.02 else 0.02 * delta / dist
+                    action = (delta if dist <= 0.02 else 0.02 * delta / dist) / env.step_cap
                     state = env.step(state, action)
                     chunk.append(action)
                 chunks.append(chunk)
@@ -169,7 +169,7 @@ def test_hallucination_reads_no_frame_past_an_episode():
                                as_scorer(held_at_target),
                                _members(TaskSpec(2), [env.reset_state(TaskSpec(2),
                                                                       derive_rng(9, i, 0))
-                                                      for i in range(12)], "initial", 9),
+                                                      for i in range(12)], 9),
                                64, H)
     assert len({len(h) for h in histories}) > 2  # the batch replay pads
     stats = hallucination_rate(NoRelease(env, H), {}, wm, held_at_target, env, TaskSpec(2),

@@ -19,8 +19,8 @@ from wovr.rollout import GroupSpec, rollout_imagined
 from wovr.worldmodel import OracleWorldModel
 
 H = 4
-STORE_SHA256 = "6b603f31347570438a6702518f0638c82d3a36405f7f11315e1a1032b6452c6b"
-FRAMES_SHA256 = "b00c554faa7569c62d088ba73280373472f3f73996fa872acfaeb714dd9d8f9e"
+STORE_SHA256 = "66e86371726534b779b200d3fa51ed0a6b70bcad44673c4d9bb70934583cc0e9"
+FRAMES_SHA256 = "de7a1727a102b5755de14ef92a9b98e514a95b18c3d4b317d5a00dad0d1483c7"
 CHECKPOINT_SHA256 = "75709edb588e7ec0693efdfdbb17274627c97b0adfa0541be5c8e04dd73ef920"
 
 
@@ -32,22 +32,21 @@ def golden_trajectories(env):
     success = scripted_demo(env, TaskSpec(0), 24, noise_level=0.02, chunk=H, max_len=32)
     # one chunk of four capped moves cannot reach the target
     failure = scripted_demo(env, TaskSpec(1), 22, noise_level=0.02, chunk=H, max_len=H)
-    keyframe = Trajectory(TaskSpec(3), "keyframe", failure.steps)
+    other_task = Trajectory(TaskSpec(3), failure.steps)
     # a zero-length rollout records no step
     policy = ChunkPolicy(env.state_dim, env.n_tasks, H, env.action_dim, hidden=(4,))
     (empty,) = rollout_imagined(policy, policy.init(derive_rng(0)), OracleWorldModel(env),
                                 lambda _frame, _task: 0,
                                 GroupSpec(TaskSpec(2), np.full(env.state_dim, 0.5),
                                           "initial", 1), 0, H, 0)
-    return [success, failure, keyframe, empty]
+    return [success, failure, other_task, empty]
 
 
 def test_written_bytes_match_their_pinned_digests(tmp_path):
     env = ReachPoint()
     trajs = golden_trajectories(env)
-    assert [(t.success, len(t.steps), t.start_kind) for t in trajs] == [
-        (True, 2, "initial"), (False, 1, "initial"), (False, 1, "keyframe"),
-        (False, 0, "initial")]
+    assert [(t.success, len(t.steps)) for t in trajs] == [
+        (True, 2), (False, 1), (False, 1), (False, 0)]
     store, frames, checkpoint = (tmp_path / name for name in ("s.wovs", "f.wovf", "c.wovc"))
     write_store(store, trajs)
     assert read_store(store) == trajs

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from wovr.core import (ConfigError, FrameEpisode, InvariantViolation,
-                       TaskSpec, derive_rng, derive_seed, make_config, params_hash)
+                       TaskSpec, derive_rng, derive_seed, derive_seeds, make_config,
+                       params_hash)
 from wovr.envs import CountingEnv, get_env, scripted_demo
 from wovr.grpo import ChunkPolicy, grpo_update
 from wovr.pace import (LearnedReward, PaceArtifacts, StageFailure, _rl_stage,
-                       clone_base_policy, refine_wm, run_iteration, run_pipeline)
+                       clone_base_policy, refine_wm, run_iteration, run_pipeline, start_key)
 from wovr.rollout import KEYFRAME_CAPACITY, harvest_keyframes, rollout_real, sample_start
 from wovr.reward import RewardNet, train_classifier
 from wovr.worldmodel import (LearnedWorldModel, OracleWorldModel, WmNet,
@@ -340,7 +341,7 @@ def test_rl_stage_oracle_rung_scores_real_outcomes(reach_env, base_policy):
     assert counter.steps == 0
     assert counter.resets == plan["groups_per_update"]
 
-    start_rng = derive_rng(seed, tag, 3)
+    start_rng = derive_rng(*start_key(seed, tag))
     outcomes, expected = [], deque(maxlen=KEYFRAME_CAPACITY)
     for g in range(plan["groups_per_update"]):
         task = TaskSpec(g % reach_env.n_tasks)
@@ -357,6 +358,17 @@ def test_rl_stage_oracle_rung_scores_real_outcomes(reach_env, base_policy):
     for (state, task), (state_r, task_r) in zip(list(keyframes), list(expected)):
         assert np.array_equal(state, state_r)
         assert task == task_r
+
+
+@pytest.mark.parametrize("tag", [14, 17, 76])
+def test_start_stream_shares_no_pool_with_a_group_seed(tag):
+    """SeedSequence pads a short key with zeros, so a three-word start key
+    (seed, tag, 3) seeded the same stream as group 0 of update 3; the start
+    key pads to no group key (seed, tag, u, g)."""
+    for seed in range(3):
+        groups = set(derive_seeds([(seed, tag, u, g) for u in range(40) for g in range(8)]))
+        assert derive_seed(*start_key(seed, tag)) not in groups
+        assert derive_seed(seed, tag, 3) in groups  # the collision it replaces
 
 
 def rl_stage_inputs(reach_env, base_policy, *overrides):

@@ -43,8 +43,8 @@ def originals(tmp_path_factory):
         return Steps(np.array([obs for obs, _ in rows]), np.array([chunk for _, chunk in rows]),
                      rewards, [-1.0] * len(rewards))
 
-    trajs = [Trajectory(TaskSpec(1), "initial", steps((0, 0, 1))),
-             Trajectory(TaskSpec(2), "keyframe", steps((0, 0)))]
+    trajs = [Trajectory(TaskSpec(1), steps((0, 0, 1))),
+             Trajectory(TaskSpec(2), steps((0, 0)))]
     write_store(base / "store.wovs", trajs)
     nn.save_params(base / "params.wovc",
                    {"a": rng.normal(size=(2, 3)), "b": np.zeros(2), "s": np.array(0.5)})

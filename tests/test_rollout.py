@@ -5,7 +5,7 @@ import pytest
 
 from wovr.core import (InvariantViolation, MalformedHeader, Steps, TaskSpec, Trajectory,
                        derive_rng, derive_seed, task_features)
-from wovr.envs import CountingEnv, PickPlace2D, ReachPoint
+from wovr.envs import ACTION_BOUND, CountingEnv, PickPlace2D, ReachPoint
 from wovr.evalx import hallucination_rate
 from wovr.grpo import ChunkPolicy
 from wovr.pace import LearnedReward
@@ -43,7 +43,7 @@ def counting_traj(task_id, rewards, d=3):
     """Step i observes the state (i, ..., i) and emits a zero chunk."""
     n = len(rewards)
     obs = np.repeat(np.arange(n, dtype=float)[:, None], d, axis=1)
-    return Trajectory(TaskSpec(task_id), "initial",
+    return Trajectory(TaskSpec(task_id),
                       Steps(obs, np.zeros((n, H, 2)), rewards, np.full(n, -1.0)))
 
 
@@ -231,7 +231,6 @@ def test_rollout_imagined_group_homogeneity():
     assert len(trajs) == 4
     for t in trajs:
         assert t.task.task_id == group.task.task_id
-        assert t.start_kind == "initial"
         assert np.array_equal(t.steps.obs[0], group.start_state)
     # members draw independent streams: their first chunks differ
     assert not np.array_equal(trajs[0].steps.chunk[0], trajs[1].steps.chunk[0])
@@ -254,7 +253,7 @@ def test_rollout_imagined_mid_chunk_success_truncates():
     env = ReachPoint()
     policy, params = make_policy(env)
     group, wm, _ = oracle_setup(env)
-    members = _members(group.task, [group.start_state], "initial", 12)
+    members = _members(group.task, [group.start_state], 12)
     never = lambda frames, _tasks: np.zeros(len(frames), dtype=bool)
     _, (free,) = _roll_group(policy, params, _imagined_dynamics(wm), never, members, T, H)
     sixth = lambda frame, task: int(np.array_equal(frame, free[6]))
@@ -374,7 +373,7 @@ def roll_member_reference(policy, params, wm, reward_fn, task, start, T, H, seed
         success = reward == 1
         records.append((obs, chunks[0], reward, float(logps[0])))
     obs, chunks, rewards, logps = zip(*records)
-    return Trajectory(task, "initial", Steps(np.array(obs), np.array(chunks), rewards, logps))
+    return Trajectory(task, Steps(np.array(obs), np.array(chunks), rewards, logps))
 
 
 def test_group_member_matches_member_rolled_alone():
@@ -432,8 +431,7 @@ def test_update_batch_equals_per_group_rollouts():
             alone = rollout_imagined(policy, params, wm, reward, spec, depth, H, seed)
             got = batched[g * G:(g + 1) * G]
             for a, b in zip(got, alone, strict=True):
-                assert (a.task, a.start_kind) == (b.task, b.start_kind) == (spec.task,
-                                                                            spec.start_kind)
+                assert a.task == b.task == spec.task
                 assert a.steps.reward.tolist() == b.steps.reward.tolist()
                 for x, y in ((a.steps.obs, b.steps.obs), (a.steps.chunk, b.steps.chunk),
                              (a.steps.logp_old, b.steps.logp_old)):
@@ -468,7 +466,7 @@ class PoisonedWm(OracleWorldModel):
 @pytest.mark.parametrize("poison", [[(2, 1)], [(0, 0), (3, 1)]])
 def test_abort_stays_with_its_member(caplog, poison):
     env = ReachPoint()
-    expert = NoisyExpertPolicy(env, H, noise=2.0)
+    expert = NoisyExpertPolicy(env, H, noise=4.5)
     reward = lambda frame, task: int(env.is_success(frame))
     task = TaskSpec(1)
     start = env.reset_state(task, derive_rng(25))
@@ -515,7 +513,7 @@ def test_batched_reward_rolls_like_its_per_frame_form(caplog):
     """One batch call per chunk step cuts members where per-frame calls do."""
     env = ReachPoint()
     reward = x_past_reward(env, 0.72)
-    expert = NoisyExpertPolicy(env, H, noise=2.0)
+    expert = NoisyExpertPolicy(env, H, noise=4.5)
     task = TaskSpec(1)
     seen = set()
     for seed in range(4):
@@ -525,7 +523,7 @@ def test_batched_reward_rolls_like_its_per_frame_form(caplog):
             wm = PoisonedWm(env, [(1, 1)])
             with caplog.at_level("WARNING"):
                 runs.append(_roll_group(expert, {}, _imagined_dynamics(wm), fn,
-                                        _members(task, [start] * 6, "initial", seed), 64, H))
+                                        _members(task, [start] * 6, seed), 64, H))
         (trajs, histories), (ref_trajs, ref_histories) = runs
         assert trajs == ref_trajs
         assert len(histories) == len(ref_histories)
@@ -653,7 +651,7 @@ def test_collect_real_round_robin_streams():
     it bit for bit."""
     for env, policy, params in (
             (ReachPoint(), *make_policy(ReachPoint(), init_log_std=2.0)),
-            (PickPlace2D(), NoisyExpertPolicy(PickPlace2D(), H, noise=0.3), {})):
+            (PickPlace2D(), NoisyExpertPolicy(PickPlace2D(), H, noise=1.0), {})):
         counter, n = CountingEnv(env), 24
         tasks, keys = round_robin(env.n_tasks, n, 5, 73)
         assert [task.task_id for task in tasks] == [i % 4 for i in range(n)]
@@ -666,8 +664,7 @@ def test_collect_real_round_robin_streams():
         for i, (traj, ep) in enumerate(zip(trajs, frames, strict=True)):
             [want], [want_ep] = rollout_real(policy, params, env, TaskSpec(i % 4), 1, 64, H,
                                              derive_seed(5, 73, i), record_frames=True)
-            assert (traj.task, traj.start_kind) == (want.task, want.start_kind) == (
-                TaskSpec(i % 4), "initial")
+            assert traj.task == want.task == TaskSpec(i % 4)
             assert traj.steps.reward.tolist() == want.steps.reward.tolist()
             assert (ep.task, ep.states.shape) == (want_ep.task, want_ep.states.shape)
             for x, y in ((traj.steps.obs, want.steps.obs), (traj.steps.chunk, want.steps.chunk),
@@ -699,7 +696,7 @@ def test_rollout_real_needs_one_task_and_seed_per_episode():
 
 
 def test_oracle_substitution_bit_identical():
-    for env, noise in ((PickPlace2D(), 0.3), (ReachPoint(), 2.0)):
+    for env, noise in ((PickPlace2D(), 1.0), (ReachPoint(), 2.0)):
         learned, params = make_policy(env, init_log_std=-0.5)
         for policy in (learned, NoisyExpertPolicy(env, H, noise)):
             for size in (1, 4):
@@ -709,7 +706,7 @@ def test_oracle_substitution_bit_identical():
 def check_oracle_substitution(env, policy, params, size):
     wm = OracleWorldModel(env, context=4)
     reward = lambda frame, task: int(env.is_success(frame))
-    lengths, mixed = set(), False
+    lengths, mixed, beyond = set(), False, False
     for seed in range(6):
         task = TaskSpec(seed % env.n_tasks)
         start = env.reset_state(task, derive_rng(seed, 0, 0))
@@ -720,8 +717,11 @@ def check_oracle_substitution(env, policy, params, size):
         assert imagined == real
         lengths.update(len(t.steps) for t in real)
         mixed |= len({len(t.steps) for t in real}) > 1
+        beyond |= any((np.abs(t.steps.chunk) > ACTION_BOUND).any() for t in real)
         if size == 1:  # default starts reset from derive_rng(seed, 0, 0)
             assert rollout_real(policy, params, env, task, 1, 64, H, seed=seed) == real
+    # both paths were fed raw chunks beyond the bound, as the policy sent them
+    assert beyond
     if isinstance(policy, NoisyExpertPolicy):
         # episodes end at different chunk steps, by success or at T; with
         # G=4, the members of one group do

@@ -1,7 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
 from wovr.core import FrameEpisode, TaskSpec, derive_rng, make_config, one_hot
+from wovr.envs import ACTION_BOUND
 from wovr.nn import Mlp, Tensor, tsum, value_and_grad
 from wovr.worldmodel import (
     OracleWorldModel,
@@ -273,6 +276,30 @@ def test_tape_and_numpy_forwards_agree():
                              batch.memories[i:i + 1], batch.tasks[i:i + 1],
                              batch.chunks[i:i + 1], batch.t)
         np.testing.assert_allclose(single[0], numpy_out[i], rtol=0, atol=1e-12)
+
+
+def test_u_apply_reads_a_chunk_clamped_to_the_action_bound():
+    """The model reads a chunk as the env executes it: a chunk and its clip
+    give the same velocities bit for bit, in sampling and in the training
+    loss and its gradient; within the bound the chunk still matters."""
+    net = small_net()
+    params = net.init(derive_rng(16))
+    batch = random_batch(net, np.random.default_rng(17), b=5)
+    batch.chunks = 3.0 * batch.chunks
+    assert (np.abs(batch.chunks) > ACTION_BOUND).any()
+    clipped = copy.copy(batch)
+    clipped.chunks = np.clip(batch.chunks, -ACTION_BOUND, ACTION_BOUND)
+    xt, _ = rf_interpolate(batch.x0, batch.x1, batch.t)
+    raw_out, clip_out = (net.u_apply(params, xt, b.anchors, b.memories, b.tasks, b.chunks, b.t)
+                         for b in (batch, clipped))
+    assert raw_out.tobytes() == clip_out.tobytes()
+    (raw_loss, raw_grads), (clip_loss, clip_grads) = (
+        value_and_grad(lambda p, b=b: rf_loss(net, p, b), params) for b in (batch, clipped))
+    assert raw_loss == clip_loss
+    assert all(raw_grads[k].tobytes() == clip_grads[k].tobytes() for k in params)
+    inside = net.u_apply(params, xt, batch.anchors, batch.memories, batch.tasks,
+                         0.5 * clipped.chunks, batch.t)
+    assert not np.array_equal(inside, clip_out)
 
 
 # -- sampling ------------------------------------------------------------------
