@@ -56,7 +56,7 @@ def hallucination_rate(policy, params, wm, reward_fn, env, task: TaskSpec,
     starts = reset_starts(env, [task] * n, [(seed, i) for i in range(n)])
     trajectories, histories = _roll_group(policy, params, _imagined_dynamics(wm),
                                           as_scorer(reward_fn),
-                                          _members(task, starts, seed), T, H)
+                                          _members(task, starts, seed), T, H, wm.noise_width)
     _, real = replay_actions(env, starts, [traj.steps.actions[:len(history) - 1]
                                            for traj, history in zip(trajectories, histories)])
     imagined = np.array([traj.success for traj in trajectories])
@@ -82,8 +82,8 @@ def horizon_error(wm, policy, params, env, task: TaskSpec, horizons,
     d) frame array. Episode i draws from derive_rng(seed, i, ·): its start
     from stream 0 (reset_starts), its policy from 1 and the model from 2,
     each derived for all n episodes in one derive_rngs call, and the model
-    stream draws the episode's whole replay noise, (depth/H, H * d), in one
-    call (draw_noise). The curve pairs each horizon L with the mean over
+    stream draws the episode's whole replay noise, (depth/H, wm.noise_width),
+    in one call (draw_noise). The curve pairs each horizon L with the mean over
     episodes of the state MSE at frame L. The horizons obey
     core.validate_config's eval.horizons rule (H is run.chunk, T
     run.max_episode_len).
@@ -95,10 +95,10 @@ def horizon_error(wm, policy, params, env, task: TaskSpec, horizons,
     trajectories, real_states = _roll_group(policy, params, _real_dynamics(env),
                                             lambda frames, _tasks: np.zeros(len(frames), bool),
                                             _members(task, starts, seed),
-                                            depth, H, model_stream=False)
+                                            depth, H, 0)
     # model replay of the same chunks, closed loop on its own frames
     model_noise = draw_noise(derive_rngs([(seed, i, 2) for i in range(n)]), depth // H,
-                             H * env.state_dim)
+                             wm.noise_width)
     model_states = np.empty((n, depth + 1, env.state_dim))
     model_states[:, 0] = starts
     dynamics, rows = _imagined_dynamics(wm), np.arange(n)

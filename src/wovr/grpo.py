@@ -59,8 +59,14 @@ class ChunkPolicy:
         return np.clip(params[f"{self.name}.log_std"], LOG_STD_MIN, LOG_STD_MAX)
 
     def _density(self, log_sigma, mu, flat_chunks):
-        z = (flat_chunks - mu) * np.exp(-log_sigma)
-        return -0.5 * np.sum(z * z, axis=-1) - np.sum(log_sigma) - 0.5 * self.flat * LOG_2PI
+        z = flat_chunks - mu
+        z *= np.exp(-log_sigma)
+        z *= z
+        logp = np.sum(z, axis=-1)
+        logp *= -0.5
+        logp -= np.sum(log_sigma)
+        logp -= 0.5 * self.flat * LOG_2PI
+        return logp
 
     def sample(self, params: dict, obs, task, noise):
         """One chunk per row of obs (B, d), row i from the standard-normal
@@ -74,7 +80,8 @@ class ChunkPolicy:
             raise ValueError(f"noise must be (B, {self.flat}) for {b} rows, got {noise.shape}")
         mu = self.mean(params, obs, task)
         log_sigma = self.log_std(params)
-        flat = mu + np.exp(log_sigma) * noise
+        flat = np.exp(log_sigma) * noise
+        flat += mu
         return flat.reshape(b, self.horizon, self.a_dim), self._density(log_sigma, mu, flat)
 
     def logprob(self, params: dict, feats: np.ndarray, chunks: np.ndarray):
@@ -140,25 +147,26 @@ def step_batch(policy: ChunkPolicy, groups: list[GroupBatch]) -> StepBatch | Non
 
     Steps beyond valid_len are excluded entirely, which realizes the mask:
     they cannot contribute to the objective or its gradient. n_traj counts
-    every member, including those with no valid step.
+    every member, including those with no valid step. The kept steps' obs,
+    chunks and log-densities are gathered in one concatenation each, the
+    features in one task_features call over per-row task ids, and each row's
+    weight and advantage are its trajectory's, repeated.
     """
-    n_traj = sum(len(g.trajectories) for g in groups)
-    parts = []
-    for group in groups:
-        for traj, adv in zip(group.trajectories, group.advantages):
-            t_valid, steps = traj.valid_len, traj.steps
-            if not t_valid:
-                continue
-            parts.append((
-                task_features(steps.obs[:t_valid], traj.task, policy.n_tasks),
-                steps.chunk[:t_valid].reshape(t_valid, policy.flat),
-                steps.logp_old[:t_valid],
-                np.full(t_valid, 1.0 / (n_traj * t_valid)),
-                np.full(t_valid, adv),
-            ))
-    if not parts:
+    trajs = [traj for group in groups for traj in group.trajectories]
+    lens = np.array([traj.valid_len for traj in trajs], dtype=np.int64)
+    kept = np.flatnonzero(lens)
+    if not kept.size:
         return None
-    batch = StepBatch(*(np.concatenate(cols) for cols in zip(*parts)))
+    steps = [trajs[i].steps for i in kept]
+    lens, task_ids = lens[kept], np.array([trajs[i].task.task_id for i in kept])
+    obs = np.concatenate([s.obs[:n] for s, n in zip(steps, lens)])
+    batch = StepBatch(
+        task_features(obs, np.repeat(task_ids, lens), policy.n_tasks),
+        np.concatenate([s.chunk[:n] for s, n in zip(steps, lens)]).reshape(-1, policy.flat),
+        np.concatenate([s.logp_old[:n] for s, n in zip(steps, lens)]),
+        np.repeat(1.0 / (len(trajs) * lens), lens),
+        np.repeat(np.concatenate([g.advantages for g in groups])[kept], lens),
+    )
     if not np.all(np.isfinite(batch.logp_old)):
         raise ValueError("missing or non-finite behavior log-density")
     return batch
@@ -193,17 +201,21 @@ def grpo_update(policy: ChunkPolicy, params: dict, groups: list[GroupBatch],
     """Gradient-ascent epochs on the clipped surrogate of the groups' StepBatch.
 
     Returns (params', opt_state, per-epoch stats). A non-finite objective or
-    gradient aborts the whole update and hands back the original parameters.
-    When no member has a valid step (each aborted on its first chunk step)
+    gradient aborts the whole update: it hands back the original parameters
+    and rolls opt_state back to its entry step count and moments. When no
+    member has a valid step (each aborted on its first chunk step)
     the objective is 0 with a zero gradient, on which Adam still steps, so
     its momentum from earlier updates carries on.
     """
     if not groups:
         raise ValueError("no groups to update on")
     batch = step_batch(policy, groups)
-    original = {k: v.copy() for k, v in params.items()}
     if opt_state is None:
         opt_state = nn.adam_init(params)
+    # adam_step writes none of its input arrays (params, m, v), so the entry
+    # dicts, shallow-copied, are the whole state to roll back to
+    original = params
+    entry = {"step": opt_state["step"], "m": dict(opt_state["m"]), "v": dict(opt_state["v"])}
     if batch is None:
         zero = {k: np.zeros_like(v) for k, v in params.items()}
         for _ in range(inner_epochs):
@@ -216,6 +228,7 @@ def grpo_update(policy: ChunkPolicy, params: dict, groups: list[GroupBatch],
             lambda leaves: -grpo_objective(policy, leaves, batch, clip_eps), params
         )
         if not np.isfinite(value) or any(not np.all(np.isfinite(g)) for g in grads.values()):
+            opt_state.update(entry)
             return original, opt_state, logs + [{"aborted": True}]
         params = policy.clamp(nn.adam_step(params, grads, opt_state, lr=lr))
         stats = ratio_stats(policy, params, batch, clip_eps)

@@ -12,6 +12,15 @@ and Tensor takes numpy's dispatch (NEP 13 `__array_ufunc__`, NEP 18
 the tables below do not map, such as `np.sin(t)`, raises TypeError instead of
 silently dropping the tape. There is no global state.
 
+A forward may update an array in place, by augmented assignment (`a *= b`),
+only if it created that array itself, such as a matmul's output or a
+difference it took; it never writes its inputs or params, so they may be
+read-only. `linear` adds its bias into its matmul's fresh output, and
+`tanh_` runs in place on the fresh output of a layer. Tensor defines no
+in-place operator, so on the tape `a *= b` rebinds a to `a * b`: the same
+node, with the same operand order, that the out-of-place expression records,
+so values and gradients keep their bits.
+
 The tape is kept small: a linear layer is one node, a node records vjps only
 for parents that require grad, and backward walks only those, dropping each
 interior node's vjps and grad once they are propagated. Every gradient is
@@ -168,14 +177,19 @@ def matmul(a, b) -> Tensor:
 
 
 def linear(x, w, b):
-    """x @ w + b. Plain arrays give a plain array; a Tensor operand records
-    one tape node with one vjp per operand."""
+    """x @ w + b, the bias added into the matmul's fresh output. Plain arrays
+    give a plain array; a Tensor operand records one tape node with one vjp
+    per operand."""
     if type(x) is not Tensor and type(w) is not Tensor and type(b) is not Tensor:
-        return x @ w + b
+        out = x @ w
+        out += b
+        return out
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     xd, wd = x.data, w.data
+    out = xd @ wd
+    out += b.data
     back_w = (lambda g: np.outer(xd, g)) if xd.ndim == 1 else (lambda g: xd.T @ g)
-    return _make(xd @ wd + b.data, [(x, lambda g: g @ wd.T), (w, back_w), (b, lambda g: g)])
+    return _make(out, [(x, lambda g: g @ wd.T), (w, back_w), (b, lambda g: g)])
 
 
 def exp(a) -> Tensor:
@@ -190,11 +204,26 @@ def tanh(a) -> Tensor:
     return _make(out, [(a, lambda g: g * (1.0 - out * out))])
 
 
+def tanh_(a):
+    """tanh of an array the caller created, such as a layer's output: in
+    place on a plain array, the tanh node on a Tensor."""
+    if type(a) is Tensor:
+        return tanh(a)
+    return np.tanh(a, out=a)
+
+
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """The logistic function on a plain array, in the overflow-free form:
-    1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below. x is not written."""
+    x = np.asarray(x)
+    e = np.array(x, dtype=np.float64)
+    np.abs(e, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    den = e + 1.0
+    np.copyto(e, 1.0, where=x >= 0)
+    e /= den
+    return e
 
 
 def softplus(a) -> Tensor:
@@ -369,7 +398,7 @@ class Mlp:
         for i, (w, b) in enumerate(self.keys):
             x = linear(x, params[w], params[b])
             if i < last:
-                x = np.tanh(x)
+                x = tanh_(x)
         return x
 
 

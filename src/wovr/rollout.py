@@ -9,7 +9,8 @@ histories and their trajectories' core.Steps are views of these arrays.
 The randomness is drawn before the loop: each member's policy stream
 derive_rng(*key, 1) draws its whole episode's standard-normal action noise,
 (T/H, H * a_dim), in one call (draw_noise), and its model stream
-derive_rng(*key, 2) the flow's start noise, (T/H, H * d), in another; one
+derive_rng(*key, 2) the flow's start noise, (T/H, H * d), in another (a
+model that reads no noise, such as the true dynamics, derives none); one
 normal call of k rows gives the values of k one-row calls on the same
 stream, so a member's chunk step k reads exactly the draw a per-step loop
 would have made. The policy (grpo.ChunkPolicy.sample) and the dynamics then
@@ -188,27 +189,28 @@ def as_scorer(reward):
         dtype=bool)
 
 
-def _roll_group(policy, params, dynamics, score, members, T, H,
-                model_stream: bool = True):
+def _roll_group(policy, params, dynamics, score, members, T, H, noise_width: int):
     """Closed-loop episodes of the members, advanced in lockstep.
 
     Every member's frames live in one preallocated (n, T + 1, d) array, and
     its steps in preallocated (n, T/H, ...) columns, each written in place a
     chunk step at a time. Before the loop, every member's policy stream
-    derive_rng(*key, 1) and, with model_stream, its model stream
+    derive_rng(*key, 1) and, for a nonzero noise_width, its model stream
     derive_rng(*key, 2) come from one derive_rngs call over the whole batch,
     and each stream draws its member's whole episode in one call
     (draw_noise): policy noise (T/H, policy.flat), drawn into the chunk
     column itself, whose row k each step reads and then overwrites with the
-    chunk drawn from it, and model noise (T/H, H * d). Each chunk step makes
+    chunk drawn from it, and model noise (T/H, noise_width), the width the
+    dynamics read (a world model's noise_width). Each chunk step makes
     one batched policy.sample(params, obs, task ids, noise rows) over the
     active members, from their newest frames, and one batched
     dynamics(frames, rows, length, task ids, chunks, noise rows) -> (B, H, d)
     call: rows are the B active members, all of whose histories are
     frames[row, :length], since a member leaves the batch at its success
-    frame. Dynamics that draw nothing (the real env) run with model_stream
-    False; their noise rows are then (B, 0). One score(frames (N, d), task
-    ids (N,)) -> (N,) bool call then scores every finite member's H frames,
+    frame. Dynamics that read no noise (the real env, an OracleWorldModel)
+    run with noise_width 0: then no model stream is derived or drawn, and
+    their noise rows are (B, 0). One score(frames (N, d), task ids (N,)) ->
+    (N,) bool call then scores every finite member's H frames,
     and each member is cut at its first hit (envs.first_hits). Members may
     differ in task and start. A member whose predicted frames are not all
     finite stops alone, with one warning, keeping the steps it recorded
@@ -229,9 +231,9 @@ def _roll_group(policy, params, dynamics, score, members, T, H,
     frames = np.empty((n, T + 1, starts.shape[1]))
     frames[:, 0] = starts
     streams = derive_rngs([(*m.key, 1) for m in members]
-                          + [(*m.key, 2) for m in members if model_stream])
+                          + [(*m.key, 2) for m in members if noise_width])
     chunk = draw_noise(streams[:n], n_chunks, policy.flat)
-    model_noise = (draw_noise(streams[n:], n_chunks, H * starts.shape[1]) if model_stream
+    model_noise = (draw_noise(streams[n:], n_chunks, noise_width) if noise_width
                    else np.empty((n, n_chunks, 0)))
     reward = np.zeros((n, n_chunks), dtype=np.uint8)
     logp = np.empty((n, n_chunks))
@@ -283,7 +285,7 @@ def _imagined_dynamics(wm):
 
 def _real_dynamics(env):
     """_roll_group dynamics that step every active member in env from its
-    newest frame; they read no noise, so run them with model_stream False."""
+    newest frame; they read no noise, so run them with noise_width 0."""
 
     def dynamics(frames, rows, length, _tasks, chunks, _noise):
         return step_chunks(env, frames[rows, length - 1], chunks)
@@ -299,13 +301,14 @@ def rollout_imagined(policy, params, wm, reward_fn, groups, T: int, H: int,
     per group; the result lists every member, group by group. Member i of the
     group with seed s starts from its group's start and draws from
     derive_rng(s, i, 1) for the policy and derive_rng(s, i, 2) for the model,
-    each stream's whole episode drawn before the first step (_roll_group),
+    the latter only if the model reads noise (wm.noise_width > 0), each
+    stream's whole episode drawn before the first step (_roll_group),
     so members are independent and reproducible in isolation up to the
     rounding of batched rows (a batch that shrinks to one row takes another
-    matmul kernel). wm provides context/anchor_mode and the batched
-    predict_chunk(anchors, memories, task ids, chunks, noise) -> (B, H, d),
-    one row per active member with its (B, H * d) noise rows, fed by one
-    build_context gather per chunk step.
+    matmul kernel). wm provides context/anchor_mode, noise_width and the
+    batched predict_chunk(anchors, memories, task ids, chunks, noise) -> (B,
+    H, d), one row per active member with its (B, noise_width) noise rows,
+    fed by one build_context gather per chunk step.
     reward_fn is the thresholded learned reward (pace.LearnedReward), or the
     true predicate in oracle tests, turned into _roll_group's scorer once
     (as_scorer). It scores all active members' frames in one call per chunk
@@ -317,7 +320,7 @@ def rollout_imagined(policy, params, wm, reward_fn, groups, T: int, H: int,
     members = [member for group, s in zip(groups, seed, strict=True)
                for member in _members(group.task, [group.start_state] * group.size, s)]
     trajectories, _ = _roll_group(policy, params, _imagined_dynamics(wm),
-                                  as_scorer(reward_fn), members, T, H)
+                                  as_scorer(reward_fn), members, T, H, wm.noise_width)
     return trajectories
 
 
@@ -355,7 +358,7 @@ def rollout_real(policy, params, env, task, n: int, T: int, H: int, seed,
     members = [Member(t, start, key) for t, start, key in zip(tasks, starts, keys)]
     trajectories, histories = _roll_group(policy, params, _real_dynamics(env),
                                           lambda frames, _tasks: env.is_success(frames),
-                                          members, T, H, model_stream=False)
+                                          members, T, H, 0)
     if not record_frames:
         return trajectories
     # every chunk but the last runs whole; a success frame cuts the last

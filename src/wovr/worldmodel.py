@@ -141,16 +141,25 @@ class WmNet:
         return params
 
     def condition(self, params: dict, features, act_emb, time_emb, block=0):
-        """Feature-wise scale/shift from the fused (action, time) embedding.
+        """Feature-wise scale/shift from the fused (action, time) embedding:
+        features * (1 + scale) + shift, with (scale, shift) the head's output.
 
-        Zero-initialized head: identity on features until trained. The fused
-        concat is built in each block, not once per forward: a shared concat
-        gives the same loss but sums act_emb's gradient in another order,
-        which moves trained params in the last bits.
+        features must be an intermediate of the caller's forward: a plain
+        array is updated in place and returned, as is the head's own output
+        (nn's in-place rule); on the tape the nodes are those of the
+        expression above. Zero-initialized head: identity on features until
+        trained. The fused concat is built in each block, not once per
+        forward: a shared concat gives the same loss but sums act_emb's
+        gradient in another order, which moves trained params in the last
+        bits.
         """
         fused = np.concatenate([act_emb, time_emb], axis=-1)
         ss = self.mods[block](params, fused)
-        return features * (1.0 + ss[..., : self.width]) + ss[..., self.width:]
+        scale = ss[..., : self.width]
+        scale += 1.0
+        features *= scale
+        features += ss[..., self.width:]
+        return features
 
     def u_apply(self, params: dict, x, anchors, memories, tasks, chunks, t: float):
         """Velocity field over B rows; the one forward for sampling and training.
@@ -165,9 +174,9 @@ class WmNet:
         tfeat = np.broadcast_to(time_features(t), (b, N_TIME_FEATS))
         trunk_in = np.concatenate([x, anchors, memories.reshape(b, self.context * self.d),
                                    tasks, act_emb], axis=1)
-        h = np.tanh(self.layer_in(params, trunk_in))
+        h = nn.tanh_(self.layer_in(params, trunk_in))
         h = self.condition(params, h, act_emb, tfeat, 0)
-        h = np.tanh(self.layer_mid(params, h))
+        h = nn.tanh_(self.layer_mid(params, h))
         h = self.condition(params, h, act_emb, tfeat, 1)
         return self.layer_out(params, h)
 
@@ -195,15 +204,17 @@ def sample_chunk(net: WmNet, params: dict, anchors, memories, task, chunks,
     them) and chunks[i] (H, a_dim), and starts from the standard-normal row
     noise[i] (B, out_dim = H * d); a noise width other than out_dim (a model
     whose horizon is not the caller's chunk) is a ValueError. Every Euler
-    step is one batched u_apply. A row that turns non-finite stays so; the
-    caller drops it, the sampler does not raise.
+    step is one batched u_apply, whose velocities update a private copy of
+    the noise in place (x += dt * v), so noise itself is never written. A row
+    that turns non-finite stays so; the caller drops it, the sampler does not
+    raise.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     anchors = np.asarray(anchors, dtype=np.float64)
     memories = np.asarray(memories, dtype=np.float64)
     b = anchors.shape[0]
-    x = np.asarray(noise, dtype=np.float64)
+    x = np.array(noise, dtype=np.float64)
     if x.shape != (b, net.out_dim):
         raise ValueError(f"noise must be (B, {net.out_dim}) for {b} rows, got {x.shape}")
     tasks = task_tokens(task, net.n_tasks, (b,))
@@ -211,7 +222,9 @@ def sample_chunk(net: WmNet, params: dict, anchors, memories, task, chunks,
     dt = 1.0 / steps
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps):
-            x = x + dt * net.u_apply(params, x, anchors, memories, tasks, chunks, k * dt)
+            v = net.u_apply(params, x, anchors, memories, tasks, chunks, k * dt)
+            v *= dt
+            x += v
     return x.reshape(b, net.horizon, net.d)
 
 
@@ -220,9 +233,12 @@ class LearnedWorldModel:
 
     predict_chunk(anchors, memories, tasks, chunks, noise) -> (B, H, d)
     frames, one row per build_context row, tasks one TaskSpec or per-row task
-    ids, noise one standard-normal row (B, H * d) per row, drawn by the caller
-    from the member's model stream; every world model (OracleWorldModel, test
-    doubles) keeps this contract and is a pure function of its inputs. params
+    ids, noise one standard-normal row (B, noise_width) per row, drawn by the
+    caller from the member's model stream; noise_width is H * d here, the
+    width the sampler reads. Every world model (OracleWorldModel, test
+    doubles) keeps this contract, states the noise width it reads (0 for one
+    that reads none, whose members then derive no model stream) and is a
+    pure function of its inputs. params
     holds read-only views of the given arrays (nn.read_only), so a rollout
     cannot write to the model.
     """
@@ -233,6 +249,7 @@ class LearnedWorldModel:
         self.steps = steps
         self.anchor_mode = net.anchor_mode
         self.context = net.context
+        self.noise_width = net.out_dim
 
     def predict_chunk(self, anchors, memories, tasks, chunks, noise) -> np.ndarray:
         return sample_chunk(self.net, self.params, anchors, memories, tasks, chunks,
@@ -242,10 +259,13 @@ class LearnedWorldModel:
 class OracleWorldModel:
     """True-dynamics stand-in: steps the real environment from memories[:, -1].
 
-    Ignores its noise rows, so oracle-backed imagined rollouts execute exactly
-    what real rollouts under the same policy streams execute. It needs that
-    frame, so its context must be at least 1.
+    It reads no noise (noise_width 0), so its members derive no model stream,
+    and oracle-backed imagined rollouts execute exactly what real rollouts
+    under the same policy streams execute. It needs that frame, so its
+    context must be at least 1.
     """
+
+    noise_width = 0
 
     def __init__(self, env, context: int = 4):
         if context < 1:

@@ -41,6 +41,8 @@ class ExpertPolicy:
 class FrozenWm:
     """Degenerate model: every predicted frame repeats the last context frame."""
 
+    noise_width = 0
+
     def __init__(self, context=4):
         self.context = context
         self.anchor_mode = "first"
@@ -170,7 +172,7 @@ def test_hallucination_reads_no_frame_past_an_episode():
                                _members(TaskSpec(2), [env.reset_state(TaskSpec(2),
                                                                       derive_rng(9, i, 0))
                                                       for i in range(12)], 9),
-                               64, H)
+                               64, H, wm.noise_width)
     assert len({len(h) for h in histories}) > 2  # the batch replay pads
     stats = hallucination_rate(NoRelease(env, H), {}, wm, held_at_target, env, TaskSpec(2),
                                12, 64, H, seed=9)

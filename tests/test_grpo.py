@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wovr import nn
+from wovr import grpo, nn
 from wovr.core import Steps, TaskSpec, Trajectory, derive_rng, task_features
 from wovr.envs import ACTION_BOUND
 from wovr.grpo import (
@@ -318,6 +318,37 @@ def test_update_aborts_on_nonfinite_and_restores():
     assert logs[-1].get("aborted")
     for k in params:
         np.testing.assert_array_equal(new_params[k], params[k])
+
+
+def test_update_abort_in_a_later_epoch_rolls_back_the_optimizer(monkeypatch):
+    """An abort in inner epoch 2 hands back the entry params and the entry
+    optimizer state: its step count and every m and v array, though epoch 1
+    had already stepped Adam."""
+    pol = ChunkPolicy(obs_dim=2, n_tasks=1, horizon=1, a_dim=1, hidden=(4,))
+    params = pol.init(np.random.default_rng(14))
+    winner = bandit_group(pol, params, [(0.5, 1), (-0.5, 0)])
+    warm_params, warm, _ = grpo_update(pol, params, [winner], 0.2, inner_epochs=1, lr=1e-2)
+    entry = {"step": warm["step"], "m": {k: v.copy() for k, v in warm["m"].items()},
+             "v": {k: v.copy() for k, v in warm["v"].items()}}
+    calls = []
+
+    def second_nan(*args):
+        calls.append(1)
+        obj = grpo_objective(*args)
+        return obj * np.nan if len(calls) == 2 else obj
+
+    monkeypatch.setattr(grpo, "grpo_objective", second_nan)
+    group = bandit_group(pol, warm_params, [(0.4, 1), (-0.3, 0)])
+    new_params, state, logs = grpo_update(pol, warm_params, [group], 0.2, inner_epochs=2,
+                                          lr=1e-2, opt_state=warm)
+    assert len(calls) == 2 and "objective" in logs[0] and logs[-1] == {"aborted": True}
+    for k in params:
+        np.testing.assert_array_equal(new_params[k], warm_params[k])
+    assert state["step"] == entry["step"]
+    for moment in ("m", "v"):
+        assert state[moment].keys() == entry[moment].keys()
+        for k in entry[moment]:
+            np.testing.assert_array_equal(state[moment][k], entry[moment][k])
 
 
 def test_step_batch_rows_match_per_step_reference():

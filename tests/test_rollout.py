@@ -3,8 +3,9 @@ from collections import deque
 import numpy as np
 import pytest
 
+from wovr import rollout
 from wovr.core import (InvariantViolation, MalformedHeader, Steps, TaskSpec, Trajectory,
-                       derive_rng, derive_seed, task_features)
+                       derive_rng, derive_rngs, derive_seed, task_features)
 from wovr.envs import ACTION_BOUND, CountingEnv, PickPlace2D, ReachPoint
 from wovr.evalx import hallucination_rate
 from wovr.grpo import ChunkPolicy
@@ -255,10 +256,11 @@ def test_rollout_imagined_mid_chunk_success_truncates():
     group, wm, _ = oracle_setup(env)
     members = _members(group.task, [group.start_state], 12)
     never = lambda frames, _tasks: np.zeros(len(frames), dtype=bool)
-    _, (free,) = _roll_group(policy, params, _imagined_dynamics(wm), never, members, T, H)
+    _, (free,) = _roll_group(policy, params, _imagined_dynamics(wm), never, members, T, H,
+                             wm.noise_width)
     sixth = lambda frame, task: int(np.array_equal(frame, free[6]))
     (traj,), (history,) = _roll_group(policy, params, _imagined_dynamics(wm),
-                                      as_scorer(sixth), members, T, H)
+                                      as_scorer(sixth), members, T, H, wm.noise_width)
     assert traj.success and len(traj.steps) == 2
     assert traj.steps.reward.tolist() == [0, 1]
     assert len(history) == 7 and np.array_equal(history, free[:7])
@@ -276,6 +278,7 @@ def test_rollout_imagined_aborts_on_nonfinite(caplog):
     class BrokenWm:
         context = 4
         anchor_mode = "first"
+        noise_width = 0
 
         def predict_chunk(self, anchors, memories, task, chunks, noise):
             return np.full((len(anchors), H, env.state_dim), np.nan)
@@ -323,6 +326,7 @@ def test_non_finite_policy_output_on_a_recorded_step_raises():
         """Every frame of a chunk is the zero state, whatever the chunk."""
         context = 2
         anchor_mode = "first"
+        noise_width = 0
 
         def predict_chunk(self, anchors, memories, task, chunks, noise):
             return np.zeros((len(anchors), H, env.state_dim))
@@ -523,7 +527,8 @@ def test_batched_reward_rolls_like_its_per_frame_form(caplog):
             wm = PoisonedWm(env, [(1, 1)])
             with caplog.at_level("WARNING"):
                 runs.append(_roll_group(expert, {}, _imagined_dynamics(wm), fn,
-                                        _members(task, [start] * 6, seed), 64, H))
+                                        _members(task, [start] * 6, seed), 64, H,
+                                        wm.noise_width))
         (trajs, histories), (ref_trajs, ref_histories) = runs
         assert trajs == ref_trajs
         assert len(histories) == len(ref_histories)
@@ -701,6 +706,30 @@ def test_oracle_substitution_bit_identical():
         for policy in (learned, NoisyExpertPolicy(env, H, noise)):
             for size in (1, 4):
                 check_oracle_substitution(env, policy, params, size)
+
+
+def test_a_model_derives_only_the_streams_it_reads(monkeypatch):
+    """An oracle rollout of n members derives their n policy streams and no
+    model stream; a learned model's derives n of each."""
+    env = ReachPoint()
+    policy, params = make_policy(env)
+    keys = []
+
+    def counting(batch):
+        keys.extend(batch)
+        return derive_rngs(batch)
+
+    monkeypatch.setattr(rollout, "derive_rngs", counting)
+    group, oracle, reward = oracle_setup(env, size=5)
+    net = WmNet(env.state_dim, env.action_dim, env.n_tasks, horizon=H, context=2,
+                width=8, act_emb_dim=4)
+    learned = LearnedWorldModel(net, net.init(derive_rng(20)), steps=2)
+    assert (oracle.noise_width, learned.noise_width) == (0, H * env.state_dim)
+    for wm, roles in ((oracle, [1] * 5), (learned, [1] * 5 + [2] * 5)):
+        keys.clear()
+        rollout_imagined(policy, params, wm, reward, group, T, H, seed=31)
+        assert [key[-1] for key in keys] == roles
+        assert [key[:2] for key in keys] == [(31, i) for i in range(5)] * (len(roles) // 5)
 
 
 def check_oracle_substitution(env, policy, params, size):

@@ -1,0 +1,20 @@
+"""Smoke test of tools/kernels.py, the kernel microbenchmark."""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+KERNELS = Path(__file__).resolve().parent.parent / "tools" / "kernels.py"
+
+
+def test_kernels_prints_one_json_line_of_positive_times():
+    out = subprocess.run([sys.executable, str(KERNELS), "--repeat", "1", "--number", "1"],
+                         capture_output=True, text=True, check=True, timeout=120).stdout
+    lines = out.strip().splitlines()
+    assert len(lines) == 1
+    times = json.loads(lines[0])
+    assert set(times) == {"env_step_b1", "env_step_b500", "policy_sample_b1",
+                          "policy_sample_b64", "wm_euler_step_b1", "wm_euler_step_b64",
+                          "reward_logit_b512", "make_rf_batch_b64", "rf_loss_fwd_bwd_b64",
+                          "adam_step_wm"}
+    assert all(isinstance(t, float) and t > 0 for t in times.values())
