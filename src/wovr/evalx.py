@@ -83,9 +83,10 @@ def horizon_error(wm, policy, params, env, task: TaskSpec, horizons,
     from stream 0 (reset_starts), its policy from 1 and the model from 2,
     each derived for all n episodes in one derive_rngs call, and the model
     stream draws the episode's whole replay noise, (depth/H, wm.noise_width),
-    in one call (draw_noise). The curve pairs each horizon L with the mean over
-    episodes of the state MSE at frame L. The horizons obey
-    core.validate_config's eval.horizons rule (H is run.chunk, T
+    in one call (draw_noise); a model of noise_width 0 (an OracleWorldModel)
+    derives no model stream and draws nothing. The curve pairs each horizon
+    L with the mean over episodes of the state MSE at frame L. The horizons
+    obey core.validate_config's eval.horizons rule (H is run.chunk, T
     run.max_episode_len).
     """
     if n < 1:
@@ -97,8 +98,9 @@ def horizon_error(wm, policy, params, env, task: TaskSpec, horizons,
                                             _members(task, starts, seed),
                                             depth, H, 0)
     # model replay of the same chunks, closed loop on its own frames
-    model_noise = draw_noise(derive_rngs([(seed, i, 2) for i in range(n)]), depth // H,
-                             wm.noise_width)
+    model_noise = (draw_noise(derive_rngs([(seed, i, 2) for i in range(n)]), depth // H,
+                              wm.noise_width) if wm.noise_width
+                   else np.empty((n, depth // H, 0)))
     model_states = np.empty((n, depth + 1, env.state_dim))
     model_states[:, 0] = starts
     dynamics, rows = _imagined_dynamics(wm), np.arange(n)

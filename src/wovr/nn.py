@@ -214,16 +214,9 @@ def tanh_(a):
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """The logistic function on a plain array, in the overflow-free form:
-    1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below. x is not written."""
-    x = np.asarray(x)
-    e = np.array(x, dtype=np.float64)
-    np.abs(e, out=e)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    den = e + 1.0
-    np.copyto(e, 1.0, where=x >= 0)
-    e /= den
-    return e
+    1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below, one division."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def softplus(a) -> Tensor:

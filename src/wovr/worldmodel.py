@@ -145,19 +145,18 @@ class WmNet:
         features * (1 + scale) + shift, with (scale, shift) the head's output.
 
         features must be an intermediate of the caller's forward: a plain
-        array is updated in place and returned, as is the head's own output
-        (nn's in-place rule); on the tape the nodes are those of the
-        expression above. Zero-initialized head: identity on features until
-        trained. The fused concat is built in each block, not once per
+        array is updated in place and returned (nn's in-place rule); on the
+        tape the nodes are those of the expression above. 1 + scale is a
+        fresh contiguous array, so the product does not read a strided half
+        of the head's output. Zero-initialized head: identity on features
+        until trained. The fused concat is built in each block, not once per
         forward: a shared concat gives the same loss but sums act_emb's
         gradient in another order, which moves trained params in the last
         bits.
         """
         fused = np.concatenate([act_emb, time_emb], axis=-1)
         ss = self.mods[block](params, fused)
-        scale = ss[..., : self.width]
-        scale += 1.0
-        features *= scale
+        features *= ss[..., : self.width] + 1.0
         features += ss[..., self.width:]
         return features
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from wovr.core import TaskSpec, derive_rng
+from wovr import evalx, rollout
+from wovr.core import TaskSpec, derive_rng, derive_rngs
 from wovr.envs import PickPlace2D, ReachPoint, step_chunks
 from wovr.evalx import EvalReport, hallucination_rate, horizon_error, success_rate
 from wovr.grpo import ChunkPolicy
@@ -219,6 +220,24 @@ def test_horizon_error_oracle_exactly_zero():
                           4, T, H, seed=9)
     assert [h for h, _ in curve] == [8, 16, 32]
     assert all(e == 0.0 for _, e in curve)
+
+
+def test_horizon_error_oracle_derives_no_model_stream(monkeypatch):
+    """An oracle reads no noise, so its replay derives no (seed, i, 2)
+    stream: only the real rollout's n start and n policy streams."""
+    env = PickPlace2D()
+    policy, params = make_policy(env)
+    keys = []
+
+    def counting(batch):
+        keys.extend(batch)
+        return derive_rngs(batch)
+
+    monkeypatch.setattr(evalx, "derive_rngs", counting)
+    monkeypatch.setattr(rollout, "derive_rngs", counting)
+    horizon_error(OracleWorldModel(env, context=4), policy, params, env, TaskSpec(0),
+                  [8, 16], 3, T, H, seed=9)
+    assert keys == [(9, i, 0) for i in range(3)] + [(9, i, 1) for i in range(3)]
 
 
 def test_horizon_error_frozen_model_grows():

@@ -1,11 +1,11 @@
 """Microbenchmark of wovr's hot kernels; prints one JSON line of median µs per call.
 
-    python3 tools/kernels.py [--repeat R] [--number N] [--env pickplace2d|reachpoint]
+    python3 tools/kernels.py [--repeat R] [--number N]
 
 Each kernel runs R timed repetitions of N calls, after one untimed call, and
 reports the median over repetitions of the time per call, in microseconds.
-The models have the default config's sizes (core.DEFAULTS) on the chosen env,
-at their initial params. The kernels are the layers of the benchmark's
+The env is the default config's (core.DEFAULTS), and the models have its
+sizes, at their initial params. The kernels are the layers of the benchmark's
 per-layer list:
 
     env_step_b1, env_step_b500        env.step on 1 and 500 states
@@ -47,9 +47,9 @@ from wovr.worldmodel import (T_CTX_MAX, make_rf_batch, rf_corpus, rf_loss,  # no
                              sample_chunk)
 
 
-def kernels(env_name: str) -> dict:
+def kernels() -> dict:
     """Each kernel's name and a no-argument call of it, on fixed inputs."""
-    env, cfg, rng = get_env(env_name), DEFAULTS, derive_rng(0)
+    env, cfg, rng = get_env(DEFAULTS["env"]), DEFAULTS, derive_rng(0)
     d, n_tasks = env.state_dim, env.n_tasks
 
     def states(b):
@@ -115,12 +115,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=15)
     parser.add_argument("--number", type=int, default=20)
-    parser.add_argument("--env", default=DEFAULTS["env"], choices=["pickplace2d", "reachpoint"])
     args = parser.parse_args(argv)
     if args.repeat < 1 or args.number < 1:
         parser.error("--repeat and --number must be >= 1")
     result = {name: round(time_call(fn, args.repeat, args.number), 2)
-              for name, fn in kernels(args.env).items()}
+              for name, fn in kernels().items()}
     print(json.dumps(result))
     return 0
 
