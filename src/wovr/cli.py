@@ -8,10 +8,10 @@ missing input flag exits 2 without leaving a directory behind. Every command
 that produces artifacts gets a fresh run directory under the run root
 (--run-root, else $WOVR_RUN_ROOT, else ./runs) named by the resolved-config
 hash plus a timestamp, and the resolved config is written there verbatim
-before any work starts. The demo and frame inputs are read before the run
-directory is made too, and one made in another env is a configuration
-error. Exit codes: 0 success, 2 configuration error, 3 runtime error, 4
-invariant violation.
+before any work starts. The inputs are read before the run directory is
+made too, and one made in another env, or a checkpoint that does not fit the
+resolved config, is a configuration error. Exit codes: 0 success, 2
+configuration error, 3 runtime error, 4 invariant violation.
 """
 
 from __future__ import annotations
@@ -150,18 +150,17 @@ def clone_demos(demos, policy, cfg) -> tuple[dict, list[float]]:
     return clone_base_policy(demos, policy, derive_rng(cfg["seed"], 72), cfg["clone"])
 
 
-def check_input_env(cfg, path, env_name):
-    """ConfigError unless the input at path was made in the resolved env."""
-    if env_name != cfg["env"]:
-        raise ConfigError(f"{path} holds {env_name!r} data, the resolved env is {cfg['env']!r}")
+CHECKPOINT_NETS = {"policy": build_policy, "wm": build_wm_net, "reward": build_reward_net}
 
 
 def check_inputs(args, cfg):
     """ConfigError unless the input flags that the resolved config needs are
-    given (the parser requires every flag that a command always needs) and
-    each demo and frame input was made in the resolved env. Those inputs are
-    read here, before the run directory is made, into args.inputs: "demos"
-    holds the demo trajectories and "frames" the frame episodes, when given."""
+    given (the parser requires every flag that a command always needs), each
+    demo and frame input was made in the resolved env, and each checkpoint
+    has the keys and shapes of its CHECKPOINT_NETS net under the resolved
+    config (else the error names its flag and first differing key). The
+    inputs given are read here, before the run directory is made, into
+    args.inputs by flag name."""
     if args.command == "pace" and not (args.policy or args.demos):
         raise ConfigError("pace needs --policy or --demos")
     if args.command == "eval":
@@ -169,13 +168,25 @@ def check_inputs(args, cfg):
         for name in {"halluc": ("wm", "reward"), "horizon": ("wm",)}.get(metric, ()):
             if getattr(args, name) is None:
                 raise ConfigError(f"eval --metric {metric} needs --{name}")
-    args.inputs = {}
+    args.inputs, made_in = {}, {}  # made_in: each data input's path -> its env
     if getattr(args, "frames", None):
-        args.inputs["frames"], env_name = read_frames(args.frames)
-        check_input_env(cfg, args.frames, env_name)
+        args.inputs["frames"], made_in[args.frames] = read_frames(args.frames)
     if getattr(args, "demos", None):
         args.inputs["demos"], manifest = read_batch(args.demos)
-        check_input_env(cfg, args.demos, manifest.get("env"))
+        made_in[args.demos] = manifest.get("env")
+    for path, env_name in made_in.items():
+        if env_name != cfg["env"]:
+            raise ConfigError(f"{path} holds {env_name!r} data, the resolved env is {cfg['env']!r}")
+    for flag, build in CHECKPOINT_NETS.items():
+        path = getattr(args, flag, None)
+        if path:
+            params = args.inputs[flag] = nn.load_params(path)
+            want = build(get_env(cfg["env"]), cfg).init(derive_rng(0))
+            for key in sorted(want.keys() | params.keys()):
+                got, need = (d[key].shape if key in d else "absent" for d in (params, want))
+                if got != need:
+                    raise ConfigError(f"--{flag} {path} does not fit the resolved config: "
+                                      f"{key!r} is {got} in it, {need} in the config's net")
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +226,7 @@ def cmd_clone(cfg, run_dir, args):
 
 
 def cmd_collect(cfg, run_dir, args):
-    params = nn.load_params(args.policy)
+    params = args.inputs["policy"]
     env = CountingEnv(get_env(cfg["env"]))
     policy = build_policy(env, cfg)
     run = cfg["run"]
@@ -272,12 +283,11 @@ def cmd_train_reward(cfg, run_dir, args):
 def cmd_rl(cfg, run_dir, args):
     env = CountingEnv(get_env(cfg["env"]))
     policy = build_policy(env, cfg)
-    params = nn.load_params(args.policy)
-    wm = LearnedWorldModel(build_wm_net(env, cfg), nn.load_params(args.wm),
+    wm = LearnedWorldModel(build_wm_net(env, cfg), args.inputs["wm"],
                            cfg["run"]["diffusion_steps"])
-    reward_fn = LearnedReward(build_reward_net(env, cfg), nn.load_params(args.reward),
+    reward_fn = LearnedReward(build_reward_net(env, cfg), args.inputs["reward"],
                               cfg["rl"]["reward_threshold"])
-    new_params, logs = _rl_stage(policy, params, wm, reward_fn, env, cfg,
+    new_params, logs = _rl_stage(policy, args.inputs["policy"], wm, reward_fn, env, cfg,
                                  deque(maxlen=KEYFRAME_CAPACITY), tag=76)
     if env.steps != 0:
         raise InvariantViolation("imagined RL consumed real env steps")
@@ -293,10 +303,8 @@ def cmd_pace(cfg, run_dir, args):
     env = get_env(cfg["env"])
     policy = build_policy(env, cfg)
     demos = args.inputs.get("demos")
-    if args.policy:
-        base_params = nn.load_params(args.policy)
-    else:
-        base_params, _ = clone_demos(demos, policy, cfg)
+    base_params = (args.inputs["policy"] if args.policy
+                   else clone_demos(demos, policy, cfg)[0])
     try:
         artifacts = run_pipeline(env, policy, base_params,
                                  build_wm_net(env, cfg),
@@ -317,19 +325,14 @@ def cmd_pace(cfg, run_dir, args):
 def cmd_eval(cfg, run_dir, args):
     env = get_env(cfg["env"])
     policy = build_policy(env, cfg)
-    params = nn.load_params(args.policy)
+    params = args.inputs["policy"]
     T, H = cfg["run"]["max_episode_len"], cfg["run"]["chunk"]
     e = cfg["eval"]
     metric, n, task_id = e["metric"], e["n"], e["task"]
-    report = EvalReport(seeds=[cfg["seed"]],
-                        checkpoint_hashes={"policy": params_hash(params)})
-
-    def learned_wm():
-        wm_params = nn.load_params(args.wm)
-        report.checkpoint_hashes["wm"] = params_hash(wm_params)
-        return LearnedWorldModel(build_wm_net(env, cfg), wm_params,
-                                 cfg["run"]["diffusion_steps"])
-
+    report = EvalReport(seeds=[cfg["seed"]], checkpoint_hashes={
+        flag: params_hash(checkpoint) for flag, checkpoint in args.inputs.items()})
+    wm = (LearnedWorldModel(build_wm_net(env, cfg), args.inputs["wm"],
+                            cfg["run"]["diffusion_steps"]) if "wm" in args.inputs else None)
     if metric == "sr":
         # one rollout of every task's n episodes: episode i of task t has the
         # key (seed_t, i) and each task's rate the form of
@@ -342,18 +345,14 @@ def cmd_eval(cfg, run_dir, args):
         report.success_rate = float(np.mean(per_task))
         report.sr_trials = n * env.n_tasks
     elif metric == "halluc":
-        wm = learned_wm()
-        reward_params = nn.load_params(args.reward)
-        report.checkpoint_hashes["reward"] = params_hash(reward_params)
         # the reward of imagined RL, so the rate is the one of the simulator
         # the policy trained in
-        reward_fn = LearnedReward(build_reward_net(env, cfg), reward_params,
+        reward_fn = LearnedReward(build_reward_net(env, cfg), args.inputs["reward"],
                                   cfg["rl"]["reward_threshold"])
         report.hallucination = hallucination_rate(
             policy, params, wm, reward_fn, env, TaskSpec(task_id), n, T, H,
             derive_seed(cfg["seed"], 82))
     else:  # "horizon", the last of core.EVAL_METRICS
-        wm = learned_wm()
         report.horizon_curve = horizon_error(
             wm, policy, params, env, TaskSpec(task_id), e["horizons"], n, T,
             H, derive_seed(cfg["seed"], 83))

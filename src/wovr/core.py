@@ -516,35 +516,42 @@ _FILE = struct.Struct("<4sBI")   # magic, format version, record count
 _COUNT = struct.Struct("<I")     # a record's array count
 _ARRAY = struct.Struct("<HBB")   # name length, dtype code, ndim
 _DTYPES = ("<f8", "<i8", "|u1")  # dtype code -> dtype
+_FLUSH_BYTES = 1 << 18           # array bytes that write_records joins into one write
 
 
 @functools.lru_cache(maxsize=256)
-def _array_head(name: str, dtype: str, ndim: int) -> tuple[bytes, struct.Struct]:
+def _array_head(name: str, dtype: np.dtype, ndim: int) -> tuple[bytes, struct.Struct]:
     """An array header's fixed part (name length, dtype code, ndim, name) and
     the Struct of its shape. An unknown dtype is ValueError."""
     encoded = name.encode()
-    return (_ARRAY.pack(len(encoded), _DTYPES.index(dtype), ndim) + encoded,
+    return (_ARRAY.pack(len(encoded), _DTYPES.index(dtype.str), ndim) + encoded,
             struct.Struct(f"<{ndim}I"))
 
 
 def write_records(path, magic: bytes, count: int, records):
     """Write count records, each a dict of arrays, in sorted-name order.
 
-    records may be a generator: each record is written as it comes, in one
-    write of its joined parts, so the caller never holds more than one and
-    the file is never held whole. Equal input gives equal bytes. count must
-    be the number of records.
+    records may be a generator, taken as it yields: consecutive records'
+    parts are joined into one write once their arrays hold _FLUSH_BYTES, so
+    neither the records nor the file need be held whole. Equal input gives
+    equal bytes. More or fewer records than count are ValueError.
     """
     with open(path, "wb") as fh:
-        fh.write(_FILE.pack(magic, FORMAT_VERSIONS[magic], count))
-        for record in records:
-            parts = [_COUNT.pack(len(record))]
+        parts, size, n = [_FILE.pack(magic, FORMAT_VERSIONS[magic], count)], 0, 0
+        for n, record in enumerate(records, 1):
+            parts.append(_COUNT.pack(len(record)))
             for name in sorted(record):
                 # asarray, not ascontiguousarray: the latter promotes 0-d to 1-d
                 arr = np.asarray(record[name], order="C")
-                head, shape = _array_head(name, arr.dtype.str, arr.ndim)
-                parts += (head, shape.pack(*arr.shape), arr.data)
-            fh.write(b"".join(parts))
+                head, shape = _array_head(name, arr.dtype, arr.ndim)
+                parts += (head, shape.pack(*arr.shape), arr)  # join reads its buffer
+                size += arr.nbytes
+            if size >= _FLUSH_BYTES:
+                fh.write(b"".join(parts))
+                parts, size = [], 0
+        if n != count:
+            raise ValueError(f"{n} records written under a count of {count}")
+        fh.write(b"".join(parts))
 
 
 def read_records(path, magic: bytes) -> list[dict[str, np.ndarray]]:
@@ -618,14 +625,6 @@ _STORE_SCHEMA = {"chunk": ("<f8", ("n", "H", "a")), "flags": ("|u1", ("n", 2)),
                  "obs": ("<f8", ("n", "d"))}
 
 
-def _trajectory_record(traj: Trajectory) -> dict[str, np.ndarray]:
-    steps = traj.steps
-    return {"head": np.array([traj.task.task_id, int(traj.success), traj.valid_len],
-                             dtype=np.int64),
-            "obs": steps.obs, "chunk": steps.chunk, "logp_old": steps.logp_old,
-            "flags": np.stack([steps.reward, steps.reward], axis=1)}
-
-
 def _trajectory(record: dict) -> Trajectory:
     chunk, flags, head, logp_old, obs = _fields(record, _STORE_SCHEMA)
     task_id, success, valid_len = head.tolist()
@@ -643,8 +642,20 @@ def _trajectory(record: dict) -> Trajectory:
 
 
 def write_store(path, trajectories: list[Trajectory]):
-    write_records(path, STORE_MAGIC, len(trajectories),
-                  (_trajectory_record(t) for t in trajectories))
+    """One record per trajectory. Every head and flags array is read from the
+    batch's concatenated rewards, by the rule of Trajectory.success/valid_len."""
+    steps = [traj.steps for traj in trajectories]
+    bounds = np.cumsum([0] + [len(s) for s in steps])  # trajectory i's rows: bounds[i:i + 2]
+    reward = np.concatenate([np.zeros(0, np.uint8)] + [s.reward for s in steps])
+    # each trajectory's first reward step; the sentinel, the batch's end, stands for none
+    hits = np.append(np.flatnonzero(reward), len(reward))
+    first, ends = hits[np.searchsorted(hits, bounds[:-1])], bounds[1:]
+    heads = np.stack([[traj.task.task_id for traj in trajectories], first < ends,
+                      np.minimum(first + 1, ends) - bounds[:-1]], axis=1).astype(np.int64)
+    flags, bounds = np.stack([reward, reward], axis=1), bounds.tolist()
+    write_records(path, STORE_MAGIC, len(trajectories), (
+        {"head": head, "obs": s.obs, "chunk": s.chunk, "logp_old": s.logp_old,
+         "flags": flags[a:b]} for head, s, a, b in zip(heads, steps, bounds, bounds[1:])))
 
 
 def read_store(path) -> list[Trajectory]:

@@ -6,9 +6,9 @@ is_success(state); step never evaluates it, so a caller that needs the sparse
 reward asks for it once, on the frames it keeps. Both kernels take one state
 (d,) or a batch (..., d), so a caller with many states (a lockstep rollout,
 a frame set to label) makes one call for all of them; step_chunks steps B
-states through their chunks one action column at a time. PickPlace2D
-deliberately contains a contact discontinuity (the grasp) because that is
-where learned dynamics models go wrong in interesting ways.
+states through their chunks one action column at a time, and reset_states
+resets n states from n streams at once (reset_state resets one). PickPlace2D
+deliberately has a contact discontinuity (the grasp), where learned models go wrong.
 
 An action's motion entries are fractions of the per-step reach step_cap,
 clamped to +-ACTION_BOUND only where an action is executed: here and in the
@@ -60,6 +60,28 @@ def _result(flags: np.ndarray):
     return flags if flags.ndim else bool(flags)
 
 
+def _reset_states(env, task_ids, rngs) -> np.ndarray:
+    """Fresh states (n, d), row i on task_ids[i] from rngs[i]: columns reset_cols
+    are 0.5 + uniform(-reset_half, reset_half) bit for bit, one random() call per
+    stream mapped as uniform maps it; target_cols hold the task's target."""
+    ids = np.asarray(task_ids, dtype=np.int64)
+    if len(ids) != len(rngs) or not ((ids >= 0) & (ids < env.n_tasks)).all():
+        raise ValueError(f"need one stream per task id, each registered for {env.name}")
+    u = np.empty((len(ids), len(env.reset_cols)))
+    for row, rng in zip(u, rngs):
+        rng.random(out=row)
+    low, high = -env.reset_half, env.reset_half
+    out = np.zeros((len(ids), env.state_dim))
+    out[:, env.reset_cols] = 0.5 + (low + (high - low) * u)
+    out[:, env.target_cols] = _TARGETS[ids]
+    return out
+
+
+def _reset_state(env, task: TaskSpec, rng: np.random.Generator) -> np.ndarray:
+    """reset_states of one task and stream, (d,)."""
+    return env.reset_states([task.task_id], [rng])[0]
+
+
 class PickPlace2D:
     """Gripper, object, target in the unit square.
 
@@ -79,13 +101,9 @@ class PickPlace2D:
     grasp_radius = 0.04
     success_radius = 0.05
 
-    def reset_state(self, task: TaskSpec, rng: np.random.Generator) -> np.ndarray:
-        if task.task_id >= self.n_tasks:
-            raise ValueError(f"task {task.task_id} not registered for {self.name}")
-        gripper = 0.5 + rng.uniform(-0.05, 0.05, size=2)
-        obj = 0.5 + rng.uniform(-0.12, 0.12, size=2)
-        target = _TARGETS[task.task_id]
-        return np.array([*gripper, 0.0, *obj, *target, 0.0])
+    reset_cols, target_cols = [0, 1, 3, 4], slice(5, 7)
+    reset_half = np.array([0.05, 0.05, 0.12, 0.12])
+    reset_states, reset_state = _reset_states, _reset_state
 
     def step(self, state: np.ndarray, action) -> np.ndarray:
         state = np.asarray(state, dtype=np.float64)
@@ -139,11 +157,8 @@ class ReachPoint:
     step_cap = 0.05
     success_radius = 0.05
 
-    def reset_state(self, task: TaskSpec, rng: np.random.Generator) -> np.ndarray:
-        if task.task_id >= self.n_tasks:
-            raise ValueError(f"task {task.task_id} not registered for {self.name}")
-        agent = 0.5 + rng.uniform(-0.12, 0.12, size=2)
-        return np.array([*agent, *_TARGETS[task.task_id]])
+    reset_cols, reset_half, target_cols = [0, 1], np.array([0.12, 0.12]), slice(2, 4)
+    reset_states, reset_state = _reset_states, _reset_state
 
     def step(self, state: np.ndarray, action) -> np.ndarray:
         state = np.asarray(state, dtype=np.float64)
@@ -200,6 +215,11 @@ class CountingEnv:
     def reset_state(self, task, rng):
         self.resets += 1
         return self.env.reset_state(task, rng)
+
+    def reset_states(self, task_ids, rngs):
+        """env.reset_states, counting one reset per row."""
+        self.resets += len(rngs)
+        return self.env.reset_states(task_ids, rngs)
 
     def step(self, state, action):
         """env.step, counting one step per state: a batch (B, d) counts B."""

@@ -37,12 +37,12 @@ member draws from its own derive_rng(*key, ·) streams, so swapping the
 learned model for the true dynamics (and the learned reward for the true
 success predicate) reproduces real rollouts bit for bit under the same
 seeds; a batch derives all its members' streams in one core.derive_rngs
-call, which gives each stream bit for bit as derive_rng would. A fresh
-episode resets from its key's stream 0 (reset_starts). Keyframe initialized
-rollouts restart a fraction of groups from the (state, task) pairs of recent
-failures, kept in a deque(maxlen=KEYFRAME_CAPACITY), instead of the episode
-start; imagined RL harvests an update's failures only after the whole
-update rolled out (pace._rl_stage).
+call, which gives each stream bit for bit as derive_rng would. Fresh
+episodes reset from their keys' stream 0, all in one call (reset_starts).
+Keyframe initialized rollouts restart a fraction of groups from the (state,
+task) pairs of recent failures, kept in a deque(maxlen=KEYFRAME_CAPACITY),
+instead of the episode start; imagined RL harvests an update's failures only
+after the whole update rolled out (pace._rl_stage).
 """
 from __future__ import annotations
 
@@ -147,12 +147,12 @@ def _members(task: TaskSpec, starts, seed: int) -> list[Member]:
     return [Member(task, start, (seed, i)) for i, start in enumerate(starts)]
 
 
-def reset_starts(env, tasks, keys) -> list[np.ndarray]:
+def reset_starts(env, tasks, keys) -> np.ndarray:
     """The reset rule of a fresh episode: episode i starts at
-    env.reset_state(tasks[i], derive_rng(*keys[i], 0)); the streams of all
-    episodes come from one derive_rngs call."""
-    return [env.reset_state(task, rng)
-            for task, rng in zip(tasks, derive_rngs([(*key, 0) for key in keys]))]
+    env.reset_state(tasks[i], derive_rng(*keys[i], 0)); the starts (n, d)
+    come from one derive_rngs call and one env.reset_states call."""
+    return env.reset_states([task.task_id for task in tasks],
+                            derive_rngs([(*key, 0) for key in keys]))
 
 
 def round_robin(n_tasks: int, n: int, seed: int, tag: int):

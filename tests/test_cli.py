@@ -511,6 +511,32 @@ def test_train_reward_rejects_inputs_of_another_env(workflow, capsys, tmp_path):
                         "--demos", str(demo_dir / "demos.wovs"))
 
 
+def test_a_checkpoint_that_does_not_fit_the_config_exits_before_run_dir(workflow, capsys):
+    """A checkpoint whose keys or shapes differ from the net the resolved
+    config builds exits 2, naming its flag and the first differing key, and
+    leaves no run directory behind; before, each ran into a numpy or key
+    error mid-run and exited 3 after making one."""
+    root = workflow["base"] / "runs" / "misfit"
+    cfg, policy, wm, reward = (str(workflow[k]) for k in ("cfg", "policy", "wm", "reward"))
+    for argv, flag, key in (
+            # a reachpoint policy's chunk has 4 * 2 entries, pickplace2d's 4 * 3
+            (["collect", "--env", "pickplace2d", "--policy", policy], "--policy", "pi.b1"),
+            (["eval", "--env", "pickplace2d", "--metric", "sr", "--policy", policy],
+             "--policy", "pi.b1"),
+            (["collect", "--set", "policy.hidden=[32]", "--policy", policy], "--policy",
+             "pi.b0"),
+            (["rl", "--set", "wm.width=64", "--policy", policy, "--wm", wm, "--reward", reward],
+             "--wm", "wm_in.b0"),
+            (["rl", "--policy", policy, "--wm", reward, "--reward", wm], "--wm", "rw.b0"),
+            (["eval", "--metric", "halluc", "--policy", policy, "--wm", wm, "--reward", wm],
+             "--reward", "rw.b0")):
+        code = parse_and_dispatch([*argv, "--config", cfg, "--run-root", str(root)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG, (argv, err)
+        assert f"config error: {flag} " in err and repr(key) in err, (argv, err)
+        assert not root.exists(), argv
+
+
 def test_workflow_halluc_thresholds_at_rl_reward_threshold(workflow, capsys):
     root = workflow["base"] / "halluc"
     argv = ["eval", "--config", str(workflow["cfg"]), "--run-root", str(root),

@@ -255,6 +255,76 @@ def test_write_records_bytes_equal_the_per_array_writer(tmp_path):
         write_records(got, b"WOVR", 1, [{"a": np.zeros(2, dtype=np.float32)}])
 
 
+def test_write_records_rejects_a_count_the_records_do_not_match(tmp_path):
+    path, record = tmp_path / "r.bin", {"a": np.zeros(2)}
+    with pytest.raises(ValueError, match="2 records written under a count of 1"):
+        write_records(path, b"WOVR", 1, iter([record, record]))
+    with pytest.raises(ValueError, match="2 records written under a count of 3"):
+        write_records(path, b"WOVR", 3, (record for _ in range(2)))
+    with pytest.raises(ValueError, match="0 records written under a count of 1"):
+        write_records(path, b"WOVR", 1, [])
+
+
+def per_record_store(path, trajectories):
+    """The store writer as it was before it read its heads from the batch's
+    columns: each record built from one trajectory's own rewards, each
+    written alone."""
+    records = []
+    for traj in trajectories:
+        hits = np.flatnonzero(traj.steps.reward)
+        valid_len = int(hits[0]) + 1 if hits.size else len(traj.steps)
+        records.append({"head": np.array([traj.task.task_id, int(bool(hits.size)), valid_len],
+                                         dtype=np.int64),
+                        "obs": traj.steps.obs, "chunk": traj.steps.chunk,
+                        "logp_old": traj.steps.logp_old,
+                        "flags": np.stack([traj.steps.reward, traj.steps.reward], axis=1)})
+    write_records_per_array(path, b"WOVR", len(records), records)
+
+
+def per_record_frames(path, episodes, env_name):
+    records = [{"env": np.frombuffer(env_name.encode(), dtype=np.uint8)}]
+    records += [{"actions": ep.actions, "states": ep.states, "task": np.int64(ep.task.task_id)}
+                for ep in episodes]
+    write_records_per_array(path, b"WOVF", len(records), records)
+
+
+def test_store_and_frames_bytes_equal_the_per_record_writers(tmp_path):
+    """A rollout-shaped batch (strided obs views of shared columns) mixing
+    successes at every chunk step, failures and aborted zero-step members,
+    plus trajectories with a reward before their last step or several
+    rewards, large enough that the joined writes flush more than once."""
+    rng = np.random.default_rng(11)
+    n, n_chunks, H, d, a = 240, 8, 8, 8, 3
+    frames = rng.normal(size=(n, n_chunks * H + 1, d))
+    chunk = rng.normal(size=(n, n_chunks, H, a))
+    n_steps = rng.integers(0, n_chunks + 1, size=n)
+    n_steps[:3] = 0
+    reward = np.zeros((n, n_chunks), dtype=np.uint8)
+    success = (rng.random(n) < 0.5) & (n_steps > 0)
+    reward[success, n_steps[success] - 1] = 1
+    assert len(set(n_steps[success].tolist())) == n_chunks
+    steps = episode_steps(frames[:, 0:n_chunks * H:H], chunk, reward,
+                          rng.normal(size=(n, n_chunks)), n_steps)
+    trajs = [Trajectory(TaskSpec(i % 4), s) for i, s in enumerate(steps)]
+    trajs[5:5] = [make_traj(seed=1, n=5, succeed_at=1), make_traj(seed=2, n=3),
+                  Trajectory(TaskSpec(3), Steps(rng.normal(size=(4, d)),
+                                                rng.normal(size=(4, H, a)), [0, 1, 0, 1],
+                                                rng.normal(size=4)))]
+    want, got = tmp_path / "want.wovs", tmp_path / "got.wovs"
+    per_record_store(want, trajs)
+    write_store(got, trajs)
+    assert got.stat().st_size > 1 << 18
+    assert got.read_bytes() == want.read_bytes()
+    assert read_store(got) == trajs
+    episodes = [FrameEpisode(TaskSpec(i % 4), frames[i, :k * H + 1], chunk[i, :k].reshape(-1, a))
+                for i, k in enumerate(n_steps.tolist())]
+    want, got = tmp_path / "want.wovf", tmp_path / "got.wovf"
+    per_record_frames(want, episodes, "pickplace2d")
+    write_frames(got, episodes, "pickplace2d")
+    assert got.stat().st_size > 1 << 18
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_read_store_rejects_nan_obs(tmp_path):
     traj = make_traj(n=2)
     traj.steps.obs[0, 0] = 1.5  # float64 bytes 00 .. 00 f8 3f

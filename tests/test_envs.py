@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from wovr.core import ENV_NAMES, FrameEpisode, Steps, TaskSpec, Trajectory, derive_rng
+from wovr.core import (ENV_NAMES, FrameEpisode, Steps, TaskSpec, Trajectory, derive_rng,
+                       derive_rngs)
 from wovr.envs import (ACTION_BOUND, CountingEnv, PickPlace2D, ReachPoint, get_env,
                        replay_episodes, replay_frames, scripted_demo, step_chunks)
 
@@ -31,6 +32,61 @@ def test_reset_rejects_unknown_task(env):
         env.reset_state(TaskSpec(4), derive_rng(0))
     with pytest.raises(KeyError):
         get_env("nonexistent")
+
+
+# each task's target, as the envs place it
+TARGETS = [[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]]
+
+
+def per_episode_reset(env, task_id: int, rng) -> np.ndarray:
+    """The reset of one episode as it was written before resets ran over a
+    batch: one uniform call per drawn position, in state order."""
+    if env.name == "pickplace2d":
+        gripper = 0.5 + rng.uniform(-0.05, 0.05, size=2)
+        obj = 0.5 + rng.uniform(-0.12, 0.12, size=2)
+        return np.array([*gripper, 0.0, *obj, *TARGETS[task_id], 0.0])
+    agent = 0.5 + rng.uniform(-0.12, 0.12, size=2)
+    return np.array([*agent, *TARGETS[task_id]])
+
+
+@pytest.mark.parametrize("name", ENV_NAMES)
+def test_reset_states_equal_the_per_episode_reset_bit_for_bit(name):
+    env = get_env(name)
+    n = 1500
+    task_ids = np.random.default_rng(4).permutation(np.arange(n) % env.n_tasks)
+    keys = [(seed, 0) for seed in range(n)]
+    want = np.array([per_episode_reset(env, t, rng)
+                     for t, rng in zip(task_ids.tolist(), derive_rngs(keys))])
+    got = env.reset_states(task_ids, derive_rngs(keys))
+    assert got.shape == (n, env.state_dim) and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    for t in range(env.n_tasks):  # B = 1, as a batch and as reset_state
+        one = env.reset_states([t], [derive_rng(t, 9)])
+        assert one.shape == (1, env.state_dim)
+        assert one.tobytes() == per_episode_reset(env, t, derive_rng(t, 9)).tobytes()
+        assert (env.reset_state(TaskSpec(t), derive_rng(t, 9)).tobytes()
+                == one[0].tobytes())
+
+
+@pytest.mark.parametrize("name", ENV_NAMES)
+def test_reset_states_rejects_a_bad_task_anywhere_in_the_batch(name):
+    env = get_env(name)
+    for ids in ([4, 0, 1], [0, 1, env.n_tasks], [2, -1, 3], [7]):
+        with pytest.raises(ValueError, match="registered for"):
+            env.reset_states(ids, derive_rngs([(i,) for i in range(len(ids))]))
+    with pytest.raises(ValueError):  # one stream per task id
+        env.reset_states([0, 1], [derive_rng(0)])
+
+
+def test_counting_env_counts_one_reset_per_batch_row():
+    env = CountingEnv(ReachPoint())
+    keys = [(k,) for k in range(5)]
+    states = env.reset_states(np.arange(5) % 4, derive_rngs(keys))
+    assert env.resets == 5 and env.steps == 0
+    assert np.array_equal(states, ReachPoint().reset_states(np.arange(5) % 4,
+                                                            derive_rngs(keys)))
+    env.reset_state(TaskSpec(1), derive_rng(0))
+    assert env.resets == 6
 
 
 def test_zero_action_is_fixed_point(env):

@@ -276,6 +276,16 @@ def test_pipeline_budget_audit(pipeline_run):
         r["env_steps"] for r in pipeline_run.audit["stages"])
 
 
+def test_pipeline_counts_one_reset_per_fresh_episode(pipeline_run):
+    """A collection resets all its episodes in one reset_states call, and the
+    audit still counts one reset per episode."""
+    rows = {r["stage"]: r for r in pipeline_run.audit["stages"]}
+    assert rows["collect_base"]["env_resets"] == 12
+    assert rows["collect_evo"]["env_resets"] == 8
+    assert pipeline_run.audit["env_resets_total"] == sum(
+        r["env_resets"] for r in pipeline_run.audit["stages"])
+
+
 def test_pipeline_artifact_completeness(pipeline_run):
     art = pipeline_run
     assert set(art.policy_stages) == {"base", "stage1", "stage2"}

@@ -18,6 +18,10 @@ per-layer list:
     make_rf_batch_b64                 one world-model training minibatch
     rf_loss_fwd_bwd_b64               rf_loss's tape forward and backward
     adam_step_wm                      one Adam step on the world-model params
+    env_reset_b500                    rollout.reset_starts of 500 fresh episodes:
+                                      their streams and their starts
+    write_store_b500                  core.write_store of 500 real trajectories,
+                                      into a temporary directory removed after
 
 It imports wovr from the src/ next to this file, so a copy of another
 checkout measures that checkout. BLAS and OpenMP get one thread unless the
@@ -32,6 +36,7 @@ import argparse  # noqa: E402
 import json  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -41,14 +46,17 @@ import numpy as np  # noqa: E402
 
 from wovr import nn  # noqa: E402
 from wovr.cli import build_policy, build_reward_net, build_wm_net  # noqa: E402
-from wovr.core import DEFAULTS, FrameEpisode, TaskSpec, derive_rng, task_features  # noqa: E402
+from wovr.core import (DEFAULTS, FrameEpisode, TaskSpec, derive_rng, task_features,  # noqa: E402
+                       write_store)
 from wovr.envs import get_env  # noqa: E402
+from wovr.rollout import reset_starts, rollout_real, round_robin  # noqa: E402
 from wovr.worldmodel import (T_CTX_MAX, make_rf_batch, rf_corpus, rf_loss,  # noqa: E402
                              sample_chunk)
 
 
-def kernels() -> dict:
-    """Each kernel's name and a no-argument call of it, on fixed inputs."""
+def kernels(tmp: str) -> dict:
+    """Each kernel's name and a no-argument call of it, on fixed inputs; the
+    ones that write files write them under the directory tmp."""
     env, cfg, rng = get_env(DEFAULTS["env"]), DEFAULTS, derive_rng(0)
     d, n_tasks = env.state_dim, env.n_tasks
 
@@ -96,6 +104,13 @@ def kernels() -> dict:
     calls["rf_loss_fwd_bwd_b64"] = lambda: nn.value_and_grad(
         lambda p: rf_loss(net, p, batch), wm)
     calls["adam_step_wm"] = lambda: nn.adam_step(wm, grads, opt, lr=1e-3)
+    tasks, keys = round_robin(n_tasks, 500, 0, 73)
+    calls["env_reset_b500"] = lambda: reset_starts(env, tasks, keys)
+    run = cfg["run"]
+    trajectories = rollout_real(policy, pi, env, tasks, 500, run["max_episode_len"],
+                                run["chunk"], keys)
+    store = os.path.join(tmp, "store.wovs")
+    calls["write_store_b500"] = lambda: write_store(store, trajectories)
     return calls
 
 
@@ -118,8 +133,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1 or args.number < 1:
         parser.error("--repeat and --number must be >= 1")
-    result = {name: round(time_call(fn, args.repeat, args.number), 2)
-              for name, fn in kernels().items()}
+    with tempfile.TemporaryDirectory() as tmp:
+        result = {name: round(time_call(fn, args.repeat, args.number), 2)
+                  for name, fn in kernels(tmp).items()}
     print(json.dumps(result))
     return 0
 
