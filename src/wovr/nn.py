@@ -21,11 +21,15 @@ in-place operator, so on the tape `a *= b` rebinds a to `a * b`: the same
 node, with the same operand order, that the out-of-place expression records,
 so values and gradients keep their bits.
 
-The tape is kept small: a linear layer is one node, a node records vjps only
-for parents that require grad, and backward walks only those, dropping each
-interior node's vjps and grad once they are propagated. Every gradient is
-bit-identical to the one the `x @ w` then `+ b` nodes gave, and adam_step
-keeps the reference order of operations, so trained params do not move.
+The tape is kept small: a linear layer is one node, and so is a FiLM
+modulation (`modulate`); a node records vjps only for parents that require
+grad, and backward walks only those. Backward releases each interior node
+once its vjps have run: its vjps, grad and data (data becomes None), so
+later vjps reuse the memory of activations already used. Leaves and the root
+keep their data. Every gradient is bit-identical to the one the `x @ w` then
+`+ b` nodes, and the five nodes of the modulation expression, gave (up to the
+sign of a zero, see `modulate`), and adam_step keeps the reference order of
+operations, so trained params do not move.
 """
 from __future__ import annotations
 
@@ -62,9 +66,12 @@ class Tensor:
         """Fill the grad of every leaf that requires it.
 
         The walk visits the nodes in reverse depth-first post-order, which
-        fixes the order a node's gradients are summed in. Interior
-        nodes drop their vjps and grad once propagated, so the tape is freed
-        as the walk goes.
+        fixes the order a node's gradients are summed in. Every consumer of
+        a node comes before it in that order, and a vjp reads only its
+        parents' data or arrays it captured, so once an interior node's vjps
+        have run nothing reads it again: it drops its vjps, grad and data
+        (data becomes None), and the walk reuses their memory. Leaves and
+        the root keep their data.
         """
         if self.data.size != 1:
             raise ValueError("backward() needs a scalar output")
@@ -93,6 +100,8 @@ class Tensor:
             for parent, fn in vjps:
                 pg = _unbroadcast(fn(g), parent.data.shape)
                 parent.grad = pg if parent.grad is None else parent.grad + pg
+            if node is not self:
+                node.data = None
 
     # -- operator sugar ----------------------------------------------------
     def __add__(self, other):
@@ -134,7 +143,8 @@ class Tensor:
         raise TypeError("a Tensor does not convert to an array; read .data")
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
+        shape = "released" if self.data is None else self.data.shape
+        return f"Tensor(shape={shape}, requires_grad={self.requires_grad})"
 
 
 def as_tensor(x) -> Tensor:
@@ -190,6 +200,33 @@ def linear(x, w, b):
     out += b.data
     back_w = (lambda g: np.outer(xd, g)) if xd.ndim == 1 else (lambda g: xd.T @ g)
     return _make(out, [(x, lambda g: g @ wd.T), (w, back_w), (b, lambda g: g)])
+
+
+def modulate(features, ss):
+    """FiLM: features * (ss[..., :w] + 1.0) + ss[..., w:], with w features'
+    width and ss a head's (scale, shift) output.
+
+    features must be an intermediate of the caller's forward: given plain
+    arrays, it is updated in place and returned. On the tape this is one
+    node with the values and gradients of the expression's five nodes (two
+    takes, + 1.0, * and +), except that ss's gradient is one concatenation
+    [g * features, g] instead of two zero-padded scatters and their sum. The
+    sum turned a -0.0 entry into +0.0; the concatenation keeps it, and no
+    other bit differs.
+    """
+    if type(features) is not Tensor and type(ss) is not Tensor:
+        w = features.shape[-1]
+        features *= ss[..., :w] + 1.0
+        features += ss[..., w:]
+        return features
+    features, ss = as_tensor(features), as_tensor(ss)
+    fd = features.data
+    w = fd.shape[-1]
+    scale = ss.data[..., :w] + 1.0
+    out = fd * scale
+    out += ss.data[..., w:]
+    return _make(out, [(features, lambda g: g * scale),
+                       (ss, lambda g: np.concatenate([g * fd, g], axis=-1))])
 
 
 def exp(a) -> Tensor:

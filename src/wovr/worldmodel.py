@@ -142,23 +142,21 @@ class WmNet:
 
     def condition(self, params: dict, features, act_emb, time_emb, block=0):
         """Feature-wise scale/shift from the fused (action, time) embedding:
-        features * (1 + scale) + shift, with (scale, shift) the head's output.
+        features * (1 + scale) + shift, with (scale, shift) the head's output,
+        through nn.modulate.
 
         features must be an intermediate of the caller's forward: a plain
         array is updated in place and returned (nn's in-place rule); on the
-        tape the nodes are those of the expression above. 1 + scale is a
-        fresh contiguous array, so the product does not read a strided half
-        of the head's output. Zero-initialized head: identity on features
-        until trained. The fused concat is built in each block, not once per
-        forward: a shared concat gives the same loss but sums act_emb's
-        gradient in another order, which moves trained params in the last
-        bits.
+        tape the modulation is one node, whose gradient for the head's output
+        is one concatenation. 1 + scale is a fresh contiguous array, so the
+        product does not read a strided half of the head's output.
+        Zero-initialized head: identity on features until trained. The fused
+        concat is built in each block, not once per forward: a shared concat
+        gives the same loss but sums act_emb's gradient in another order,
+        which moves trained params in the last bits.
         """
         fused = np.concatenate([act_emb, time_emb], axis=-1)
-        ss = self.mods[block](params, fused)
-        features *= ss[..., : self.width] + 1.0
-        features += ss[..., self.width:]
-        return features
+        return nn.modulate(features, self.mods[block](params, fused))
 
     def u_apply(self, params: dict, x, anchors, memories, tasks, chunks, t: float):
         """Velocity field over B rows; the one forward for sampling and training.

@@ -13,10 +13,11 @@ from wovr import nn
 from wovr.core import TaskSpec, task_features, task_tokens
 from wovr.envs import ACTION_BOUND
 from wovr.grpo import LOG_2PI, ChunkPolicy
-from wovr.nn import Mlp, tmean, value_and_grad
+from wovr.nn import Mlp, Tensor, tmean, tsum, value_and_grad
 from wovr.pace import LearnedReward
 from wovr.reward import RewardNet, success_probs
-from wovr.worldmodel import N_TIME_FEATS, WmNet, sample_chunk, time_features
+from wovr.worldmodel import (N_TIME_FEATS, RfBatch, WmNet, rf_loss, sample_chunk,
+                             time_features)
 
 
 def frozen(a):
@@ -70,6 +71,20 @@ def u_apply_ref(net, params, x, anchors, memories, tasks, chunks, t):
     return mlp_ref(net.layer_out, params, h)
 
 
+def modulate_ref(features, ss, w):
+    """The FiLM modulation as the expression it replaced; on Tensors it
+    records five nodes: two takes of ss, + 1.0, * and +."""
+    return features * (ss[..., :w] + 1.0) + ss[..., w:]
+
+
+class FiveNodeWmNet(WmNet):
+    """WmNet with its modulation recorded as modulate_ref's five nodes."""
+
+    def condition(self, params, features, act_emb, time_emb, block=0):
+        fused = np.concatenate([act_emb, time_emb], axis=-1)
+        return modulate_ref(features, self.mods[block](params, fused), self.width)
+
+
 def density_ref(policy, log_sigma, mu, flat):
     z = (flat - mu) * np.exp(-log_sigma)
     return -0.5 * np.sum(z * z, axis=-1) - np.sum(log_sigma) - 0.5 * policy.flat * LOG_2PI
@@ -99,7 +114,18 @@ def test_mlp_writes_no_input(shape):
     same_bytes(mlp(params, x), mlp_ref(mlp, params, x))
 
 
-@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("b", [1, 6, 64])
+def test_modulate_plain_path_writes_only_features(b):
+    rng = np.random.default_rng(7)
+    ss = frozen(rng.normal(size=(b, 256)))
+    features = rng.normal(size=(b, 128))
+    want = modulate_ref(frozen(features), ss, 128)
+    out = nn.modulate(features, ss)
+    assert out is features
+    same_bytes(out, want)
+
+
+@pytest.mark.parametrize("b", [1, 3, 64])
 def test_u_apply_writes_no_input(b):
     rng = np.random.default_rng(2)
     net = WmNet(**WM)
@@ -208,3 +234,63 @@ def test_tape_gradients_equal_the_old_expressions():
     assert new_value == old_value
     for k in pparams:
         same_bytes(new_grads[k], old_grads[k])
+
+
+def modulate_grads(modulate, features, ss, r):
+    """Forward bytes and the (features, ss) gradients of sum(modulate * r)."""
+    f, h = Tensor(features, requires_grad=True), Tensor(ss, requires_grad=True)
+    out = modulate(f, h)
+    forward = out.data.copy()
+    tsum(out * r).backward()
+    return forward, f.grad, h.grad
+
+
+@pytest.mark.parametrize("b", [1, 6, 64])
+def test_modulate_node_equals_the_five_node_expression(b):
+    rng = np.random.default_rng(8)
+    features, ss = rng.normal(size=(b, 128)), rng.normal(size=(b, 256))
+    r = rng.normal(size=(b, 128))
+    node = nn.modulate(Tensor(features, requires_grad=True), Tensor(ss, requires_grad=True))
+    assert len(node._vjps) == 2  # one node, straight onto features and ss
+    got = modulate_grads(nn.modulate, features, ss, r)
+    want = modulate_grads(lambda f, h: modulate_ref(f, h, 128), features, ss, r)
+    for g, w in zip(got, want):
+        same_bytes(g, w)
+
+
+def test_modulate_keeps_the_sign_of_a_zero_gradient():
+    """The one difference: the five nodes sum two zero-padded scatters into
+    ss's gradient, which turns a -0.0 entry into +0.0; the concatenation
+    keeps it. Elsewhere the bytes are equal, and the values are equal."""
+    features = np.array([[0.5, -0.0, 2.0]])
+    ss = np.array([[0.1, 0.2, 0.3, 0.4, 0.5, 0.6]])
+    # g * features is -0.0 at columns 1 and 2 of the scale half; g is -0.0
+    # at column 2 of the shift half
+    r = np.array([[1.5, 2.0, -0.0]])
+    _, f_new, ss_new = modulate_grads(nn.modulate, features, ss, r)
+    _, f_old, ss_old = modulate_grads(lambda f, h: modulate_ref(f, h, 3), features, ss, r)
+    same_bytes(f_new, f_old)
+    assert np.array_equal(ss_new, ss_old)
+    signed = np.zeros((1, 6), dtype=bool)
+    signed[0, [1, 2, 5]] = True
+    assert np.array_equal(np.signbit(ss_new), signed)
+    assert not np.signbit(ss_old).any()
+    same_bytes(ss_new[~signed], ss_old[~signed])
+
+
+def test_rf_loss_grads_equal_the_five_node_modulation():
+    """Every WmNet param's gradient through rf_loss keeps its bytes; act_emb
+    feeds the trunk and both heads, so the bytes also pin the order its three
+    gradients are summed in."""
+    rng = np.random.default_rng(9)
+    net, ref = WmNet(**WM), FiveNodeWmNet(**WM)
+    params = frozen_params(net.init(rng), rng)
+    x0, anchors, memories, tasks, chunks = wm_inputs(net, 6, rng)
+    batch = RfBatch(x0=x0, x1=frozen(rng.normal(size=x0.shape)), anchors=anchors,
+                    memories=memories, tasks=tasks, chunks=chunks, t=0.4)
+    value, grads = value_and_grad(lambda p: rf_loss(net, p, batch), params)
+    ref_value, ref_grads = value_and_grad(lambda p: rf_loss(ref, p, batch), params)
+    assert value == ref_value
+    assert grads.keys() == ref_grads.keys() == params.keys()
+    for k in params:
+        same_bytes(grads[k], ref_grads[k])

@@ -224,6 +224,75 @@ def test_backward_requires_scalar():
         (t * 2.0).backward()
 
 
+def test_backward_releases_interior_values_only():
+    x = Tensor(RNG.normal(size=(5, 3)), requires_grad=True)
+    w = Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
+    c = Tensor(RNG.normal(size=4))
+    x0, w0, c0 = x.data.copy(), w.data.copy(), c.data.copy()
+    h = tanh(x @ w)
+    err = h - c
+    sq_err = err * err
+    loss = tmean(sq_err)
+    value = loss.data.copy()
+    loss.backward()
+    assert all(node.data is None for node in (h, err, sq_err))
+    assert loss.data.tobytes() == value.tobytes()
+    for leaf, before in ((x, x0), (w, w0), (c, c0)):
+        assert leaf.data.tobytes() == before.tobytes()
+    assert x.grad.shape == x0.shape and w.grad.shape == w0.shape and c.grad is None
+
+
+def test_value_and_grad_keeps_leaves_and_root():
+    mlp = Mlp("f", [3, 6, 2])
+    params = mlp.init(np.random.default_rng(3))
+    x = RNG.normal(size=(4, 3))
+    seen = {}
+
+    def loss(p):
+        seen["leaves"] = p
+        seen["hidden"] = hidden = mlp(p, x)
+        seen["root"] = root = tmean(hidden * hidden)
+        return root
+
+    value, grads = value_and_grad(loss, params)
+    assert seen["hidden"].data is None
+    assert seen["root"].data.item() == value
+    for k, leaf in seen["leaves"].items():
+        assert leaf.data.tobytes() == params[k].tobytes()
+        assert leaf.grad is grads[k]
+
+
+def test_diamond_graph_gradients_survive_release():
+    """u is read one level and three levels below it, and err * err squares
+    one node: each vjp still finds its parents' values while backward
+    releases the nodes behind it."""
+    x = RNG.normal(size=(3, 2))
+
+    def f_tape(t):
+        u = t * 1.7 + 0.3
+        deep = exp(tanh(u) * 0.5) * u
+        err = deep + u - 1.0
+        return tsum(err * err)
+
+    def f_np(a):
+        u = a * 1.7 + 0.3
+        err = np.exp(np.tanh(u) * 0.5) * u + u - 1.0
+        return (err * err).sum()
+
+    check(f_tape, f_np, x)
+    first, second = tape_grad(f_tape, x), tape_grad(f_tape, x)
+    assert first.tobytes() == second.tobytes()
+
+
+def test_repr_of_a_released_node():
+    t = Tensor(np.ones(3), requires_grad=True)
+    mid = t * 2.0
+    tsum(mid).backward()
+    assert mid.data is None
+    assert "released" in repr(mid)
+    assert "(3,)" in repr(t)
+
+
 def test_constant_graph_not_tracked():
     out = Tensor(np.ones(3)) * 2.0
     assert not out.requires_grad

@@ -4,6 +4,8 @@
 
 Each kernel runs R timed repetitions of N calls, after one untimed call, and
 reports the median over repetitions of the time per call, in microseconds.
+Each kernel's inputs are built just before it is timed and dropped after, so
+one kernel's allocations do not shift another's timing.
 The env is the default config's (core.DEFAULTS), and the models have its
 sizes, at their initial params. The kernels are the layers of the benchmark's
 per-layer list:
@@ -18,6 +20,9 @@ per-layer list:
     make_rf_batch_b64                 one world-model training minibatch
     rf_loss_fwd_bwd_b64               rf_loss's tape forward and backward
     adam_step_wm                      one Adam step on the world-model params
+    train_step_wm_b64                 one step of train_wm: make_rf_batch, rf_loss's
+                                      forward and backward, then Adam on the params
+                                      the previous step made
     env_reset_b500                    rollout.reset_starts of 500 fresh episodes:
                                       their streams and their starts
     write_store_b500                  core.write_store of 500 real trajectories,
@@ -55,8 +60,10 @@ from wovr.worldmodel import (T_CTX_MAX, make_rf_batch, rf_corpus, rf_loss,  # no
 
 
 def kernels(tmp: str) -> dict:
-    """Each kernel's name and a no-argument call of it, on fixed inputs; the
-    ones that write files write them under the directory tmp."""
+    """Each kernel's name and a builder of its inputs, which returns a
+    no-argument call of the kernel on them; the ones that write files write
+    them under the directory tmp. Only the models are built here, so each
+    kernel's inputs exist only while it is timed."""
     env, cfg, rng = get_env(DEFAULTS["env"]), DEFAULTS, derive_rng(0)
     d, n_tasks = env.state_dim, env.n_tasks
 
@@ -70,48 +77,91 @@ def kernels(tmp: str) -> dict:
     reward_net = build_reward_net(env, cfg)
     rw = nn.read_only(reward_net.init(rng))
     h, c = net.horizon, net.context
+    p_noisy = cfg["wm"]["p_noisy"]
 
-    episodes = [FrameEpisode(TaskSpec(i % n_tasks), rng.uniform(size=(65, d)),
-                             rng.uniform(-1.0, 1.0, size=(64, env.action_dim)))
-                for i in range(32)]
-    corpus = rf_corpus(episodes, net)
-    picks = corpus.windows[rng.choice(len(corpus.windows), size=64, replace=False)]
-    batch_rng = derive_rng(1)
-    batch = make_rf_batch(net, corpus, picks, batch_rng, cfg["wm"]["p_noisy"], T_CTX_MAX)
-    _, grads = nn.value_and_grad(lambda p: rf_loss(net, p, batch), wm)
-    opt = nn.adam_init(wm)
+    def corpus_and_picks():
+        episodes = [FrameEpisode(TaskSpec(i % n_tasks), rng.uniform(size=(65, d)),
+                                 rng.uniform(-1.0, 1.0, size=(64, env.action_dim)))
+                    for i in range(32)]
+        corpus = rf_corpus(episodes, net)
+        return corpus, corpus.windows[rng.choice(len(corpus.windows), size=64, replace=False)]
 
-    calls = {}
-    for b in (1, 500):
+    def env_step(b):
         s, a = states(b), rng.uniform(-1.0, 1.0, size=(b, env.action_dim))
-        calls[f"env_step_b{b}"] = lambda s=s, a=a: env.step(s, a)
-    for b in (1, 64):
+        return lambda: env.step(s, a)
+
+    def policy_sample(b):
         obs, ids = states(b), np.arange(b) % n_tasks
         noise = rng.normal(size=(b, policy.flat))
-        calls[f"policy_sample_b{b}"] = (
-            lambda obs=obs, ids=ids, noise=noise: policy.sample(pi, obs, ids, noise))
-    for b in (1, 64):
+        return lambda: policy.sample(pi, obs, ids, noise)
+
+    def wm_euler_step(b):
         anchors, memories = rng.uniform(size=(b, d)), rng.uniform(size=(b, c, d))
         ids, chunks = np.arange(b) % n_tasks, rng.uniform(-1.0, 1.0, size=(b, h, env.action_dim))
         noise = rng.normal(size=(b, net.out_dim))
-        calls[f"wm_euler_step_b{b}"] = (
-            lambda anchors=anchors, memories=memories, ids=ids, chunks=chunks, noise=noise:
-            sample_chunk(net, wm, anchors, memories, ids, chunks, 1, noise))
-    feats = task_features(states(512), np.arange(512) % n_tasks, n_tasks)
-    calls["reward_logit_b512"] = lambda: reward_net.logit(rw, feats)
-    calls["make_rf_batch_b64"] = lambda: make_rf_batch(net, corpus, picks, batch_rng,
-                                                       cfg["wm"]["p_noisy"], T_CTX_MAX)
-    calls["rf_loss_fwd_bwd_b64"] = lambda: nn.value_and_grad(
-        lambda p: rf_loss(net, p, batch), wm)
-    calls["adam_step_wm"] = lambda: nn.adam_step(wm, grads, opt, lr=1e-3)
+        return lambda: sample_chunk(net, wm, anchors, memories, ids, chunks, 1, noise)
+
+    def reward_logit():
+        feats = task_features(states(512), np.arange(512) % n_tasks, n_tasks)
+        return lambda: reward_net.logit(rw, feats)
+
+    def make_batch():
+        corpus, picks = corpus_and_picks()
+        batch_rng = derive_rng(1)
+        return lambda: make_rf_batch(net, corpus, picks, batch_rng, p_noisy, T_CTX_MAX)
+
+    def rf_batch():
+        corpus, picks = corpus_and_picks()
+        return make_rf_batch(net, corpus, picks, derive_rng(1), p_noisy, T_CTX_MAX)
+
+    def rf_loss_fwd_bwd():
+        batch = rf_batch()
+        return lambda: nn.value_and_grad(lambda p: rf_loss(net, p, batch), wm)
+
+    def adam_step_wm():
+        batch = rf_batch()
+        _, grads = nn.value_and_grad(lambda p: rf_loss(net, p, batch), wm)
+        opt = nn.adam_init(wm)
+        return lambda: nn.adam_step(wm, grads, opt, lr=1e-3)
+
+    def train_step_wm():
+        corpus, picks = corpus_and_picks()
+        batch_rng, opt, params = derive_rng(1), nn.adam_init(wm), wm
+
+        def step():
+            nonlocal params
+            batch = make_rf_batch(net, corpus, picks, batch_rng, p_noisy, T_CTX_MAX)
+            _, grads = nn.value_and_grad(lambda p: rf_loss(net, p, batch), params)
+            params = nn.adam_step(params, grads, opt, lr=1e-3)
+        return step
+
     tasks, keys = round_robin(n_tasks, 500, 0, 73)
-    calls["env_reset_b500"] = lambda: reset_starts(env, tasks, keys)
-    run = cfg["run"]
-    trajectories = rollout_real(policy, pi, env, tasks, 500, run["max_episode_len"],
-                                run["chunk"], keys)
-    store = os.path.join(tmp, "store.wovs")
-    calls["write_store_b500"] = lambda: write_store(store, trajectories)
-    return calls
+
+    def env_reset():
+        return lambda: reset_starts(env, tasks, keys)
+
+    def write_store_b500():
+        run = cfg["run"]
+        trajectories = rollout_real(policy, pi, env, tasks, 500, run["max_episode_len"],
+                                    run["chunk"], keys)
+        store = os.path.join(tmp, "store.wovs")
+        return lambda: write_store(store, trajectories)
+
+    return {
+        "env_step_b1": lambda: env_step(1),
+        "env_step_b500": lambda: env_step(500),
+        "policy_sample_b1": lambda: policy_sample(1),
+        "policy_sample_b64": lambda: policy_sample(64),
+        "wm_euler_step_b1": lambda: wm_euler_step(1),
+        "wm_euler_step_b64": lambda: wm_euler_step(64),
+        "reward_logit_b512": reward_logit,
+        "make_rf_batch_b64": make_batch,
+        "rf_loss_fwd_bwd_b64": rf_loss_fwd_bwd,
+        "adam_step_wm": adam_step_wm,
+        "train_step_wm_b64": train_step_wm,
+        "env_reset_b500": env_reset,
+        "write_store_b500": write_store_b500,
+    }
 
 
 def time_call(fn, repeat: int, number: int) -> float:
@@ -134,8 +184,8 @@ def main(argv=None) -> int:
     if args.repeat < 1 or args.number < 1:
         parser.error("--repeat and --number must be >= 1")
     with tempfile.TemporaryDirectory() as tmp:
-        result = {name: round(time_call(fn, args.repeat, args.number), 2)
-                  for name, fn in kernels(tmp).items()}
+        result = {name: round(time_call(build(), args.repeat, args.number), 2)
+                  for name, build in kernels(tmp).items()}
     print(json.dumps(result))
     return 0
 
