@@ -95,11 +95,13 @@ class TaskSpec:
 def check_steps(obs, chunk, reward, logp_old, recorded=None):
     """The rule of Steps columns, over any leading batch shape B: obs B + (n,
     d), chunk B + (n, H, a), reward and logp_old B + (n,). recorded, a bool
-    array of shape B + (n,), marks the rows that hold steps; the others are
-    never read. Without it the columns are one episode's, every row recorded.
-    A bad shape is ValueError, a reward outside {0, 1} or a non-finite entry
-    in a recorded row InvariantViolation. Returns the columns, obs, chunk and
-    logp_old as float64 and the reward as given."""
+    array of shape B + (n,), marks the rows that hold steps, each episode's
+    first ones; the others are never read. Without it the columns are one
+    episode's, every row recorded. A bad shape is ValueError; a reward
+    outside {0, 1}, a non-finite entry in a recorded row, or a recorded row
+    after a rewarded one (an episode ends at its reward step) is
+    InvariantViolation. Returns the columns, obs, chunk and logp_old as
+    float64 and the reward as given."""
     obs, chunk, logp_old = (np.asarray(a, dtype=np.float64) for a in (obs, chunk, logp_old))
     reward = np.asarray(reward)
     rows = reward.shape[:1] if recorded is None else recorded.shape
@@ -112,11 +114,15 @@ def check_steps(obs, chunk, reward, logp_old, recorded=None):
     finite = (np.isfinite(obs).all(axis=-1) & np.isfinite(logp_old)
               & np.isfinite(chunk).all(axis=(-2, -1)))
     bad_reward = reward.astype(bool) != reward  # each reward is 0 or 1
+    past_end = reward[..., :-1].astype(bool)  # a reward with a row after it
     if recorded is not None:
         finite |= ~recorded
         bad_reward &= recorded
+        past_end &= recorded[..., 1:]
     if bad_reward.any():
         raise InvariantViolation(f"rewards must be 0 or 1, got {np.unique(reward[bad_reward])}")
+    if past_end.any():
+        raise InvariantViolation("a step is recorded after its episode's reward step")
     if not finite.all():
         raise InvariantViolation("non-finite entries in steps")
     return obs, chunk, reward, logp_old
@@ -125,11 +131,12 @@ def check_steps(obs, chunk, reward, logp_old, recorded=None):
 @dataclass(eq=False)
 class Steps:
     """One episode's chunk-level records, a row per policy call; the reward is
-    1 on the step whose frames first reach success, which ends the episode.
-    Every Steps passes check_steps once: a Steps made directly or read from a
-    record is checked alone, and a rollout batch's are checked together over
-    its columns (episode_steps). Without rows, obs is (0, 0) and chunk
-    (0, 0, 0), as stored."""
+    1 on the step whose frames first reach success, which ends the episode:
+    no step follows a rewarded one (check_steps' end rule), so only the last
+    step can carry a reward. Every Steps passes check_steps once: a Steps
+    made directly or read from a record is checked alone, and a rollout
+    batch's are checked together over its columns (episode_steps). Without
+    rows, obs is (0, 0) and chunk (0, 0, 0), as stored."""
 
     obs: np.ndarray       # (n, d)
     chunk: np.ndarray     # (n, H, a_dim), as the policy sent it, never clipped
@@ -180,8 +187,8 @@ def episode_steps(obs, chunk, reward, logp_old, n_steps) -> list[Steps]:
 class Trajectory:
     """Unit of RL data: the chunk-level steps of one episode.
 
-    success and valid_len are read from the step rewards, never stored
-    beside them, so they cannot disagree with the rewards.
+    success is read from the step rewards, never stored beside them, so it
+    cannot disagree with them.
     """
 
     task: TaskSpec
@@ -190,12 +197,6 @@ class Trajectory:
     @property
     def success(self) -> bool:
         return bool(self.steps.reward.any())
-
-    @property
-    def valid_len(self) -> int:
-        """Steps through the first reward step (GRPO's mask), else every step."""
-        hits = np.flatnonzero(self.steps.reward)
-        return int(hits[0]) + 1 if hits.size else len(self.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +221,9 @@ EVAL_METRICS = ("sr", "halluc", "horizon")
 DEFAULTS = {
     "seed": 0,
     "env": "pickplace2d",
-    "run": {"gamma": 1.0, "group_size": 8, "clip_eps": 0.2, "chunk": 8,
-            "context": 4, "max_episode_len": 64, "kir_fraction": 0.5,
-            "diffusion_steps": 5, "n_base": 150, "n_evo": 100},
+    "run": {"group_size": 8, "clip_eps": 0.2, "chunk": 8, "context": 4,
+            "max_episode_len": 64, "kir_fraction": 0.5, "diffusion_steps": 5,
+            "n_base": 150, "n_evo": 100},
     "plan": {"refinements": 1, "rl_updates_per_stage": 20,
              "groups_per_update": 4, "refine_mix_new": 0.7},
     "policy": {"hidden": [64, 64], "init_log_std": -1.5},
@@ -291,7 +292,6 @@ def validate_config(cfg: dict) -> dict:
         # non-negative integers
         (cfg["seed"] >= 0, "seed must be a non-negative integer"),
         (cfg["env"] in ENV_NAMES, f"env must be one of {ENV_NAMES}"),
-        (0.0 < run["gamma"] <= 1.0, "run.gamma must lie in (0, 1]"),
         (run["group_size"] >= 2, "run.group_size must be >= 2"),
         (run["clip_eps"] > 0, "run.clip_eps must be positive"),
         (0.0 <= run["kir_fraction"] <= 1.0, "run.kir_fraction must lie in [0, 1]"),
@@ -619,7 +619,8 @@ def _fields(record: dict, schema: dict) -> list[np.ndarray]:
 
 # head is (task, success, valid_len) and flags is (reward, done) per step.
 # success, valid_len and done are copies the reader checks against the
-# rewards: done is the step's reward, since an episode ends at its reward step.
+# steps: an episode ends at its reward step, so valid_len is the step count
+# and done is the step's reward.
 _STORE_SCHEMA = {"chunk": ("<f8", ("n", "H", "a")), "flags": ("|u1", ("n", 2)),
                  "head": ("<i8", (3,)), "logp_old": ("<f8", ("n",)),
                  "obs": ("<f8", ("n", "d"))}
@@ -633,25 +634,25 @@ def _trajectory(record: dict) -> Trajectory:
     rewards, done = flags.T
     if np.any(done != rewards):
         raise InvariantViolation("a done flag differs from its step's reward")
-    # Steps rejects a reward outside {0, 1} and a non-finite entry
+    # Steps rejects a reward outside {0, 1}, a step after the reward step and
+    # a non-finite entry
     traj = Trajectory(TaskSpec(task_id), Steps(obs, chunk, rewards, logp_old))
-    if (success, valid_len) != (traj.success, traj.valid_len):
+    if (success, valid_len) != (traj.success, len(traj.steps)):
         raise InvariantViolation(f"head gives success {success}, valid_len {valid_len}; "
-                                 f"the rewards give {traj.success}, {traj.valid_len}")
+                                 f"the steps give {traj.success}, {len(traj.steps)}")
     return traj
 
 
 def write_store(path, trajectories: list[Trajectory]):
     """One record per trajectory. Every head and flags array is read from the
-    batch's concatenated rewards, by the rule of Trajectory.success/valid_len."""
+    batch's concatenated rewards: an episode holds at most one reward, so a
+    head's success is its reward sum, and its valid_len its step count."""
     steps = [traj.steps for traj in trajectories]
     bounds = np.cumsum([0] + [len(s) for s in steps])  # trajectory i's rows: bounds[i:i + 2]
     reward = np.concatenate([np.zeros(0, np.uint8)] + [s.reward for s in steps])
-    # each trajectory's first reward step; the sentinel, the batch's end, stands for none
-    hits = np.append(np.flatnonzero(reward), len(reward))
-    first, ends = hits[np.searchsorted(hits, bounds[:-1])], bounds[1:]
-    heads = np.stack([[traj.task.task_id for traj in trajectories], first < ends,
-                      np.minimum(first + 1, ends) - bounds[:-1]], axis=1).astype(np.int64)
+    won = np.append(0, np.cumsum(reward, dtype=np.int64))[bounds]  # rewards before each bound
+    heads = np.stack([[traj.task.task_id for traj in trajectories], np.diff(won),
+                      np.diff(bounds)], axis=1).astype(np.int64)
     flags, bounds = np.stack([reward, reward], axis=1), bounds.tolist()
     write_records(path, STORE_MAGIC, len(trajectories), (
         {"head": head, "obs": s.obs, "chunk": s.chunk, "logp_old": s.logp_old,

@@ -21,7 +21,6 @@ from .core import MalformedHeader, TaskSpec, derive_rngs
 from .envs import replay_actions
 from .rollout import (
     _imagined_dynamics,
-    _members,
     _real_dynamics,
     _roll_group,
     as_scorer,
@@ -53,10 +52,11 @@ def hallucination_rate(policy, params, wm, reward_fn, env, task: TaskSpec,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    starts = reset_starts(env, [task] * n, [(seed, i) for i in range(n)])
+    tasks, keys = [task] * n, [(seed, i) for i in range(n)]
+    starts = reset_starts(env, tasks, keys)
     trajectories, histories = _roll_group(policy, params, _imagined_dynamics(wm),
-                                          as_scorer(reward_fn),
-                                          _members(task, starts, seed), T, H, wm.noise_width)
+                                          as_scorer(reward_fn), tasks, starts, keys, T, H,
+                                          wm.noise_width)
     _, real = replay_actions(env, starts, [traj.steps.actions[:len(history) - 1]
                                            for traj, history in zip(trajectories, histories)])
     imagined = np.array([traj.success for traj in trajectories])
@@ -92,11 +92,11 @@ def horizon_error(wm, policy, params, env, task: TaskSpec, horizons,
     if n < 1:
         raise ValueError("n must be >= 1")
     depth = horizons[-1]
-    starts = reset_starts(env, [task] * n, [(seed, i) for i in range(n)])
+    tasks, keys = [task] * n, [(seed, i) for i in range(n)]
+    starts = reset_starts(env, tasks, keys)
     trajectories, real_states = _roll_group(policy, params, _real_dynamics(env),
                                             lambda frames, _tasks: np.zeros(len(frames), bool),
-                                            _members(task, starts, seed),
-                                            depth, H, 0)
+                                            tasks, starts, keys, depth, H, 0)
     # model replay of the same chunks, closed loop on its own frames
     model_noise = (draw_noise(derive_rngs([(seed, i, 2) for i in range(n)]), depth // H,
                               wm.noise_width) if wm.noise_width

@@ -1,10 +1,13 @@
 """Group-relative policy optimization over imagined trajectories.
 
 The policy emits an action chunk (H low-level actions) per call, so there is
-exactly one importance ratio per recorded step. Advantages are group returns
+exactly one importance ratio per recorded step. A return is the episode's
+outcome, 1.0 for success and 0.0 otherwise, and advantages are group returns
 minus the group mean, nothing else: no std normalization, no KL penalty, no
-value baseline. Each update stacks its groups' in-mask steps into one
-StepBatch, once; every inner epoch's objective and ratio stats read it.
+value baseline. An episode ends at its reward step (core.check_steps), so
+every recorded step is in the mask: each update stacks every step of its
+groups into one StepBatch, once; every inner epoch's objective and ratio
+stats read it.
 """
 from __future__ import annotations
 
@@ -97,12 +100,6 @@ class ChunkPolicy:
         return params
 
 
-def discounted_return(traj: Trajectory, gamma: float) -> float:
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must lie in (0, 1]")
-    return float(sum(r * gamma**t for t, r in enumerate(traj.steps.reward.tolist())))
-
-
 def group_advantages(returns) -> np.ndarray:
     returns = np.asarray(returns, dtype=np.float64)
     if returns.size < 2:
@@ -127,43 +124,43 @@ class GroupBatch:
             raise ValueError("advantages must sum to zero within rounding")
 
 
-def build_group(trajectories: list[Trajectory], gamma: float) -> GroupBatch:
-    returns = np.array([discounted_return(t, gamma) for t in trajectories])
+def build_group(trajectories: list[Trajectory]) -> GroupBatch:
+    returns = np.array([float(t.success) for t in trajectories])
     return GroupBatch(trajectories, returns, group_advantages(returns))
 
 
 class StepBatch(NamedTuple):
-    """One row per in-mask step of an update's groups, in trajectory order."""
+    """One row per recorded step of an update's groups, in trajectory order."""
 
     feats: np.ndarray       # (N, obs+tasks) policy inputs
     chunks: np.ndarray      # (N, H*a_dim) stored flat chunks
     logp_old: np.ndarray    # (N,) behavior log-densities
-    weights: np.ndarray     # (N,) 1 / (n_traj * T_valid) of the row's trajectory
+    weights: np.ndarray     # (N,) 1 / (n_traj * T) of the row's trajectory
     advantages: np.ndarray  # (N,) the row's trajectory advantage
 
 
 def step_batch(policy: ChunkPolicy, groups: list[GroupBatch]) -> StepBatch | None:
-    """Stack every in-mask step of every trajectory; None if there is none.
+    """Stack every recorded step of every trajectory; None if there is none.
 
-    Steps beyond valid_len are excluded entirely, which realizes the mask:
-    they cannot contribute to the objective or its gradient. n_traj counts
-    every member, including those with no valid step. The kept steps' obs,
-    chunks and log-densities are gathered in one concatenation each, the
-    features in one task_features call over per-row task ids, and each row's
-    weight and advantage are its trajectory's, repeated.
+    An episode ends at its reward step, so its recorded steps are exactly
+    the ones that GRPO's mask keeps: no step after termination exists to be
+    excluded. n_traj counts every member, including those with no step. The
+    steps' obs, chunks and log-densities are gathered in one concatenation
+    each, the features in one task_features call over per-row task ids, and
+    each row's weight and advantage are its trajectory's, repeated.
     """
     trajs = [traj for group in groups for traj in group.trajectories]
-    lens = np.array([traj.valid_len for traj in trajs], dtype=np.int64)
-    kept = np.flatnonzero(lens)
+    lens = np.array([len(traj.steps) for traj in trajs], dtype=np.int64)
+    kept = np.flatnonzero(lens)  # a member without steps has no (n, d) columns to join
     if not kept.size:
         return None
     steps = [trajs[i].steps for i in kept]
     lens, task_ids = lens[kept], np.array([trajs[i].task.task_id for i in kept])
-    obs = np.concatenate([s.obs[:n] for s, n in zip(steps, lens)])
     batch = StepBatch(
-        task_features(obs, np.repeat(task_ids, lens), policy.n_tasks),
-        np.concatenate([s.chunk[:n] for s, n in zip(steps, lens)]).reshape(-1, policy.flat),
-        np.concatenate([s.logp_old[:n] for s, n in zip(steps, lens)]),
+        task_features(np.concatenate([s.obs for s in steps]), np.repeat(task_ids, lens),
+                      policy.n_tasks),
+        np.concatenate([s.chunk for s in steps]).reshape(-1, policy.flat),
+        np.concatenate([s.logp_old for s in steps]),
         np.repeat(1.0 / (len(trajs) * lens), lens),
         np.repeat(np.concatenate([g.advantages for g in groups])[kept], lens),
     )
@@ -173,10 +170,13 @@ def step_batch(policy: ChunkPolicy, groups: list[GroupBatch]) -> StepBatch | Non
 
 
 def grpo_objective(policy: ChunkPolicy, params: dict, batch: StepBatch, clip_eps: float):
-    """Masked, length-normalized clipped surrogate, as a tape scalar.
+    """Length-normalized clipped surrogate, as a tape scalar.
 
-    (1 / n_traj) * sum_i (1 / T_i_valid) * sum_{t <= T_i_valid}
+    (1 / n_traj) * sum_i (1 / T_i) * sum_{t <= T_i}
         min(rho_t * A_i, clip(rho_t, 1-eps, 1+eps) * A_i)
+
+    over the T_i recorded steps of trajectory i: an episode ends at its
+    reward step, so these are the steps that GRPO's termination mask keeps.
     """
     rho = exp(policy.logprob(params, batch.feats, batch.chunks) - batch.logp_old)
     advs = batch.advantages
@@ -203,7 +203,7 @@ def grpo_update(policy: ChunkPolicy, params: dict, groups: list[GroupBatch],
     Returns (params', opt_state, per-epoch stats). A non-finite objective or
     gradient aborts the whole update: it hands back the original parameters
     and rolls opt_state back to its entry step count and moments. When no
-    member has a valid step (each aborted on its first chunk step)
+    member has a step (each aborted on its first chunk step)
     the objective is 0 with a zero gradient, on which Adam still steps, so
     its momentum from earlier updates carries on.
     """

@@ -415,7 +415,7 @@ def _rl_stage(policy, params, wm, reward_fn, env, cfg, keyframes, tag):
             for g in range(groups_per_update):
                 members = trajs[g * G:(g + 1) * G]
                 harvest_keyframes(members, rl["keyframe_k"], keyframes)
-                groups.append(build_group(members, run["gamma"]))
+                groups.append(build_group(members))
             return groups, [spec.start_kind for spec in specs]
 
         def trainer_fn(rollouts, _u=u):
@@ -425,7 +425,6 @@ def _rl_stage(policy, params, wm, reward_fn, env, cfg, keyframes, tag):
                 rl["inner_epochs"], rl["lr"], state["opt"])
             state["params"], state["opt"] = new_params, new_opt
             record = {"update": _u,
-                      "mean_return": float(np.mean([g.returns.mean() for g in groups])),
                       "imagined_success": float(np.mean(
                           [t.success for g in groups for t in g.trajectories])),
                       "kir_groups": kinds.count("keyframe"),

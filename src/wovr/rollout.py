@@ -50,7 +50,6 @@ import json
 import logging
 from collections import deque
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -133,20 +132,6 @@ class GroupSpecs(tuple):
         return sum(group.size for group in self)
 
 
-class Member(NamedTuple):
-    """One lockstep member: it draws from derive_rng(*key, 1) for the policy
-    and derive_rng(*key, 2) for the dynamics."""
-
-    task: TaskSpec
-    start: np.ndarray
-    key: tuple
-
-
-def _members(task: TaskSpec, starts, seed: int) -> list[Member]:
-    """One group's members: member i starts at starts[i] with key (seed, i)."""
-    return [Member(task, start, (seed, i)) for i, start in enumerate(starts)]
-
-
 def reset_starts(env, tasks, keys) -> np.ndarray:
     """The reset rule of a fresh episode: episode i starts at
     env.reset_state(tasks[i], derive_rng(*keys[i], 0)); the starts (n, d)
@@ -189,8 +174,11 @@ def as_scorer(reward):
         dtype=bool)
 
 
-def _roll_group(policy, params, dynamics, score, members, T, H, noise_width: int):
-    """Closed-loop episodes of the members, advanced in lockstep.
+def _roll_group(policy, params, dynamics, score, tasks, starts, keys, T, H,
+                noise_width: int):
+    """Closed-loop episodes of n members, advanced in lockstep: member i runs
+    task tasks[i] from starts[i] (starts is (n, d)) under the stream key
+    keys[i].
 
     Every member's frames live in one preallocated (n, T + 1, d) array, and
     its steps in preallocated (n, T/H, ...) columns, each written in place a
@@ -225,13 +213,12 @@ def _roll_group(policy, params, dynamics, score, members, T, H, noise_width: int
     """
     if T % H != 0:
         raise ValueError("T must be a multiple of the chunk horizon")
-    n, n_chunks = len(members), T // H
-    task_ids = np.array([m.task.task_id for m in members])
-    starts = np.array([m.start for m in members], dtype=np.float64)
-    frames = np.empty((n, T + 1, starts.shape[1]))
+    n, n_chunks = len(tasks), T // H
+    task_ids = np.array([task.task_id for task in tasks])
+    frames = np.empty((n, T + 1, np.shape(starts)[1]))
     frames[:, 0] = starts
-    streams = derive_rngs([(*m.key, 1) for m in members]
-                          + [(*m.key, 2) for m in members if noise_width])
+    streams = derive_rngs([(*key, 1) for key in keys]
+                          + [(*key, 2) for key in keys if noise_width])
     chunk = draw_noise(streams[:n], n_chunks, policy.flat)
     model_noise = (draw_noise(streams[n:], n_chunks, noise_width) if noise_width
                    else np.empty((n, n_chunks, 0)))
@@ -268,7 +255,7 @@ def _roll_group(policy, params, dynamics, score, members, T, H, noise_width: int
     # chunk step k starts from frame k * H, so the obs column is a strided view
     obs = frames[:, 0:T:H]
     steps = episode_steps(obs, chunk, reward, logp, n_steps)
-    trajectories = [Trajectory(m.task, s) for m, s in zip(members, steps)]
+    trajectories = [Trajectory(task, s) for task, s in zip(tasks, steps)]
     return trajectories, [frames[i, :size] for i, size in enumerate(length)]
 
 
@@ -298,8 +285,8 @@ def rollout_imagined(policy, params, wm, reward_fn, groups, T: int, H: int,
     """Imagined trajectories of every member of groups, in one lockstep batch.
 
     groups is one GroupSpec with an int seed, or a GroupSpecs with one seed
-    per group; the result lists every member, group by group. Member i of the
-    group with seed s starts from its group's start and draws from
+    per group; the result lists every member, group by group. Of the group
+    with seed s, member i < size starts from the group's start and draws from
     derive_rng(s, i, 1) for the policy and derive_rng(s, i, 2) for the model,
     the latter only if the model reads noise (wm.noise_width > 0), each
     stream's whole episode drawn before the first step (_roll_group),
@@ -317,10 +304,12 @@ def rollout_imagined(policy, params, wm, reward_fn, groups, T: int, H: int,
     """
     if isinstance(groups, GroupSpec):
         groups, seed = (groups,), (seed,)
-    members = [member for group, s in zip(groups, seed, strict=True)
-               for member in _members(group.task, [group.start_state] * group.size, s)]
-    trajectories, _ = _roll_group(policy, params, _imagined_dynamics(wm),
-                                  as_scorer(reward_fn), members, T, H, wm.noise_width)
+    tasks = [group.task for group in groups for _ in range(group.size)]
+    keys = [(s, i) for group, s in zip(groups, seed, strict=True) for i in range(group.size)]
+    starts = np.repeat([group.start_state for group in groups],
+                       [group.size for group in groups], axis=0)
+    trajectories, _ = _roll_group(policy, params, _imagined_dynamics(wm), as_scorer(reward_fn),
+                                  tasks, starts, keys, T, H, wm.noise_width)
     return trajectories
 
 
@@ -355,10 +344,9 @@ def rollout_real(policy, params, env, task, n: int, T: int, H: int, seed,
         starts = reset_starts(env, tasks, keys)
     elif len(starts) != n:
         raise ValueError(f"need one start per episode, {n}, got {len(starts)}")
-    members = [Member(t, start, key) for t, start, key in zip(tasks, starts, keys)]
     trajectories, histories = _roll_group(policy, params, _real_dynamics(env),
                                           lambda frames, _tasks: env.is_success(frames),
-                                          members, T, H, 0)
+                                          tasks, starts, keys, T, H, 0)
     if not record_frames:
         return trajectories
     # every chunk but the last runs whole; a success frame cuts the last

@@ -111,6 +111,7 @@ def test_bad_set_value_rejected(tmp_path, capsys):
     # section, an unknown key inside a section's mapping, and malformed YAML
     for item, key in (("wm.nope=1", "'wm.nope'"), ("run.chunk.x=1", "'run.chunk'"),
                       ("run.chunk={x: 1}", "'run.chunk'"), ("run=5", "'run'"),
+                      ("run.gamma=1.0", "unknown config key 'run.gamma'"),
                       ("plan={refinements: 0, n_evo: 0}", "'plan.n_evo'"),
                       ("plan={", "--set plan")):
         code = parse_and_dispatch(["demo-gen", "--set", item,
@@ -124,7 +125,7 @@ def test_out_of_range_config_exits_before_run_dir(tmp_path, capsys):
     root = tmp_path / "runs"
     missing = str(tmp_path / "missing.wovc")
     for key, argv in (
-            ("run.gamma", ["demo-gen", "--set", "run.gamma=0"]),
+            ("run.clip_eps", ["demo-gen", "--set", "run.clip_eps=0"]),
             ("demo.n", ["demo-gen", "--n", "-1"]),
             ("demo.n", ["demo-gen", "--n", "0"]),
             ("demo.noise", ["demo-gen", "--set", "demo.noise=-1"]),
@@ -163,7 +164,7 @@ def test_set_of_a_mistyped_number_exits_naming_its_key(tmp_path, capsys):
     missing = str(tmp_path / "missing.wovc")
     for key, argv in (("rl.lr", ["rl", "--policy", missing, "--wm", missing,
                                  "--reward", missing, "--set", "rl.lr=1e-3"]),
-                      ("run.gamma", ["demo-gen", "--set", "run.gamma=true"])):
+                      ("run.clip_eps", ["demo-gen", "--set", "run.clip_eps=true"])):
         code = parse_and_dispatch([*argv, "--run-root", str(root)])
         assert code == EXIT_CONFIG
         assert key in capsys.readouterr().err

@@ -40,7 +40,10 @@ from wovr.core import (
 
 
 def make_traj(seed=0, n=4, succeed_at=None, d=8, horizon=8, a_dim=3):
+    """n failed steps, or with succeed_at an episode that ends at that step,
+    its reward step."""
     rng = np.random.default_rng(seed)
+    n = n if succeed_at is None else succeed_at + 1
     reward = [int(i == succeed_at) for i in range(n)]
     return Trajectory(TaskSpec(1),
                       Steps(rng.normal(size=(n, d)), rng.normal(size=(n, horizon, a_dim)),
@@ -87,13 +90,13 @@ def test_task_features_per_row_ids_equal_per_task_rows():
 def test_valid_len_failure_covers_all_steps():
     traj = make_traj(n=5)
     assert not traj.success
-    assert traj.valid_len == 5
+    assert len(traj.steps) == 5
 
 
 def test_valid_len_stops_at_first_success():
     traj = make_traj(n=6, succeed_at=2)
     assert traj.success
-    assert traj.valid_len == 3
+    assert len(traj.steps) == 3
 
 
 # a store head is four int64s: task, start kind, success, valid_len
@@ -116,9 +119,23 @@ def test_trajectory_rejects_mid_sequence_done(tmp_path):
         read_patched(tmp_path, make_traj(n=2), "flags", 2, 1, old=0, new=1)
 
 
+def test_read_store_rejects_a_step_after_the_reward_step(tmp_path):
+    """A record whose head and flags agree with each other and with the
+    first reward step, but which records a step after it."""
+    rng, path = np.random.default_rng(5), tmp_path / "s.wovs"
+    reward = np.array([0, 1, 0], dtype=np.uint8)
+    write_records(path, b"WOVR", 1, [{
+        "head": np.array([1, 1, 2], dtype=np.int64), "obs": rng.normal(size=(3, 4)),
+        "chunk": rng.normal(size=(3, 2, 2)), "logp_old": rng.normal(size=3),
+        "flags": np.stack([reward, reward], axis=1)}])
+    with pytest.raises(InvariantViolation):
+        read_store(path)
+
+
 def test_steps_rejects_nonbinary_reward():
     rng = np.random.default_rng(2)
-    for reward in ([2], [0, 2], [0.5], [-1]):
+    # the last two are 0/1, but an episode ends at its reward step
+    for reward in ([2], [0, 2], [0.5], [-1], [1, 0], [0, 1, 0, 1]):
         n = len(reward)
         with pytest.raises(InvariantViolation):
             Steps(rng.normal(size=(n, 4)), rng.normal(size=(n, 2, 2)), reward, np.zeros(n))
@@ -156,7 +173,7 @@ def test_steps_without_rows_take_the_stored_empty_shapes():
     empty = Steps(np.zeros((0, 5)), np.zeros((0, 4, 2)), [], [])
     assert len(empty) == 0 and empty.obs.shape == (0, 0) and empty.chunk.shape == (0, 0, 0)
     traj = Trajectory(TaskSpec(0), empty)
-    assert not traj.success and traj.valid_len == 0
+    assert not traj.success and len(traj.steps) == 0
 
 
 def batch_columns(rng, n=5, rows=4, d=3, horizon=2, a_dim=2):
@@ -193,8 +210,9 @@ def test_batched_check_keeps_the_error_types_of_one_episode():
     """A non-finite entry or a reward outside {0, 1} on a recorded row is
     InvariantViolation; a bad shape is ValueError, as for one Steps."""
     rng = np.random.default_rng(8)
+    # the last is a reward before member 0's last recorded row
     for column, index, bad in ((0, (2, 1, 0), np.nan), (1, (0, 3, 1, 1), np.inf),
-                               (3, (4, 0), -np.inf), (2, (3, 0), 2)):
+                               (3, (4, 0), -np.inf), (2, (3, 0), 2), (2, (0, 1), 1)):
         columns = list(batch_columns(rng))
         columns[column][index] = bad
         with pytest.raises(InvariantViolation):
@@ -291,8 +309,8 @@ def per_record_frames(path, episodes, env_name):
 def test_store_and_frames_bytes_equal_the_per_record_writers(tmp_path):
     """A rollout-shaped batch (strided obs views of shared columns) mixing
     successes at every chunk step, failures and aborted zero-step members,
-    plus trajectories with a reward before their last step or several
-    rewards, large enough that the joined writes flush more than once."""
+    plus directly made Steps, large enough that the joined writes flush more
+    than once."""
     rng = np.random.default_rng(11)
     n, n_chunks, H, d, a = 240, 8, 8, 8, 3
     frames = rng.normal(size=(n, n_chunks * H + 1, d))
@@ -306,10 +324,7 @@ def test_store_and_frames_bytes_equal_the_per_record_writers(tmp_path):
     steps = episode_steps(frames[:, 0:n_chunks * H:H], chunk, reward,
                           rng.normal(size=(n, n_chunks)), n_steps)
     trajs = [Trajectory(TaskSpec(i % 4), s) for i, s in enumerate(steps)]
-    trajs[5:5] = [make_traj(seed=1, n=5, succeed_at=1), make_traj(seed=2, n=3),
-                  Trajectory(TaskSpec(3), Steps(rng.normal(size=(4, d)),
-                                                rng.normal(size=(4, H, a)), [0, 1, 0, 1],
-                                                rng.normal(size=4)))]
+    trajs[5:5] = [make_traj(seed=1, succeed_at=1), make_traj(seed=2, n=3)]
     want, got = tmp_path / "want.wovs", tmp_path / "got.wovs"
     per_record_store(want, trajs)
     write_store(got, trajs)
@@ -486,7 +501,7 @@ def test_config_types_follow_the_defaults():
     numbers = [(f"{section}.{key}", default)
                for section, values in DEFAULTS.items() if isinstance(values, dict)
                for key, default in values.items() if type(default) in (int, float)]
-    assert ("run.gamma", 1.0) in numbers and ("rl.lr", 3e-4) in numbers
+    assert ("run.clip_eps", 0.2) in numbers and ("rl.lr", 3e-4) in numbers
     assert ("run.chunk", 8) in numbers and ("eval.task", 0) in numbers
     for name, default in numbers:
         section, key = name.split(".")
@@ -505,11 +520,11 @@ def test_config_types_follow_the_defaults():
 
 def test_run_config_validation():
     assert make_config() == DEFAULTS
-    for bad in ({"gamma": 0.0}, {"gamma": 1.2}, {"group_size": 1},
+    for bad in ({"clip_eps": -0.2}, {"kir_fraction": -0.1}, {"group_size": 1},
                 {"clip_eps": 0.0}, {"kir_fraction": 1.5},
                 {"diffusion_steps": 0}, {"max_episode_len": 63}, {"chunk": 0},
                 {"max_episode_len": 0}, {"max_episode_len": 4}, {"max_episode_len": -8},
-                {"gamma": "high"}):
+                {"clip_eps": "high"}):
         with pytest.raises(ConfigError):
             make_config({"run": bad})
     for bad in ({"collect": {"n": -3}}, {"eval": {"n": 0}}, {"rl": {"keyframe_k": 0}},

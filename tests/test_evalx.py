@@ -6,7 +6,7 @@ from wovr.core import TaskSpec, derive_rng, derive_rngs
 from wovr.envs import PickPlace2D, ReachPoint, step_chunks
 from wovr.evalx import EvalReport, hallucination_rate, horizon_error, success_rate
 from wovr.grpo import ChunkPolicy
-from wovr.rollout import _imagined_dynamics, _members, _roll_group, as_scorer
+from wovr.rollout import _imagined_dynamics, _roll_group, as_scorer
 from wovr.worldmodel import LearnedWorldModel, OracleWorldModel, WmNet, build_context
 
 H = 4
@@ -168,11 +168,10 @@ def test_hallucination_reads_no_frame_past_an_episode():
     held_at_target = lambda frame, task: int(
         frame[7] > 0.5 and np.linalg.norm(frame[3:5] - frame[5:7]) <= env.success_radius)
     wm = OracleWorldModel(env, context=4)
+    keys = [(9, i) for i in range(12)]
+    starts = np.array([env.reset_state(TaskSpec(2), derive_rng(*key, 0)) for key in keys])
     _, histories = _roll_group(NoRelease(env, H), {}, _imagined_dynamics(wm),
-                               as_scorer(held_at_target),
-                               _members(TaskSpec(2), [env.reset_state(TaskSpec(2),
-                                                                      derive_rng(9, i, 0))
-                                                      for i in range(12)], 9),
+                               as_scorer(held_at_target), [TaskSpec(2)] * 12, starts, keys,
                                64, H, wm.noise_width)
     assert len({len(h) for h in histories}) > 2  # the batch replay pads
     stats = hallucination_rate(NoRelease(env, H), {}, wm, held_at_target, env, TaskSpec(2),

@@ -8,7 +8,6 @@ from wovr.grpo import (
     ChunkPolicy,
     GroupBatch,
     build_group,
-    discounted_return,
     group_advantages,
     grpo_objective,
     grpo_update,
@@ -108,16 +107,14 @@ def test_log_std_clamped():
     assert np.all(params["pi.log_std"] == 2.0)
 
 
-def test_discounted_return_examples():
+def test_build_group_returns_are_episode_outcomes():
+    """A return is 1.0 for an episode that ends at its reward step, whatever
+    the step, and 0.0 for one without a reward."""
     t1 = one_step_traj([0.0, 0.0], [[0.1]], reward=1, logp=0.0)
-    assert discounted_return(t1, 1.0) == 1.0
     rows = [(np.zeros(2), np.zeros((1, 1)), r, 0.0) for r in (0, 0, 1)]
-    t3 = traj_of(rows)
-    assert discounted_return(t3, 0.99) == pytest.approx(0.9801, abs=1e-12)
-    t0 = traj_of(rows[:2])
-    assert discounted_return(t0, 0.5) == 0.0
-    with pytest.raises(ValueError):
-        discounted_return(t1, 0.0)
+    group = build_group([t1, traj_of(rows), traj_of(rows[:2])])
+    assert group.returns.tolist() == [1.0, 1.0, 0.0]
+    np.testing.assert_allclose(group.advantages, [1 / 3, 1 / 3, -2 / 3], atol=1e-15)
 
 
 def test_group_advantages_mean_subtraction():
@@ -189,7 +186,7 @@ def bandit_group(pol, params, chunks_rewards):
     for chunk, reward in chunks_rewards:
         lp = logprob1(pol, params, obs, np.array([[chunk]]))
         trajs.append(one_step_traj(obs, [[chunk]], reward, lp))
-    return build_group(trajs, gamma=1.0)
+    return build_group(trajs)
 
 
 def test_objective_collapses_to_mean_advantage_at_rho_one():
@@ -198,41 +195,6 @@ def test_objective_collapses_to_mean_advantage_at_rho_one():
     group = bandit_group(pol, params, [(0.5, 1), (-0.5, 0), (0.2, 0), (-0.1, 1)])
     obj = grpo_objective(pol, params, step_batch(pol, [group]), clip_eps=0.2)
     assert float(obj.data) == pytest.approx(group.advantages.mean(), abs=1e-12)
-
-
-def test_mask_completeness_objective_and_gradient():
-    pol = ChunkPolicy(obs_dim=2, n_tasks=1, horizon=1, a_dim=1, hidden=(6,))
-    params = pol.init(np.random.default_rng(4))
-    obs = np.array([0.3, 0.7])
-    rng = np.random.default_rng(8)
-
-    def traj_with_tail(n_tail):
-        rows = [
-            (obs, [[0.4]], 0, logprob1(pol, params, obs, [[0.4]])),
-            (obs, [[-0.2]], 1, logprob1(pol, params, obs, [[-0.2]])),
-        ]
-        for _ in range(n_tail):  # junk beyond valid_len
-            junk_obs = rng.normal(size=2)
-            junk_chunk = rng.normal(size=(1, 1))
-            rows.append((junk_obs, junk_chunk, 0, float(rng.normal())))
-        return traj_of(rows)
-
-    def failed():
-        return one_step_traj(obs, [[0.9]], 0, logprob1(pol, params, obs, [[0.9]]))
-
-    g_clean = build_group([traj_with_tail(0), failed()], 1.0)
-    g_tail = build_group([traj_with_tail(3), failed()], 1.0)
-    assert g_clean.trajectories[0].valid_len == g_tail.trajectories[0].valid_len == 2
-
-    def objective_and_grads(groups):
-        batch = step_batch(pol, groups)
-        return value_and_grad(lambda p: grpo_objective(pol, p, batch, 0.2), params)
-
-    v1, grads1 = objective_and_grads([g_clean])
-    v2, grads2 = objective_and_grads([g_tail])
-    assert v1 == v2
-    for k in grads1:
-        np.testing.assert_array_equal(grads1[k], grads2[k])
 
 
 def test_length_normalization_constant_per_step():
@@ -245,8 +207,8 @@ def test_length_normalization_constant_per_step():
         return traj_of([(obs, [[0.3]], 0, logprob1(pol, params, obs, [[0.3]]))] * n)
 
     win = one_step_traj(obs, [[0.2]], 1, logprob1(pol, params, obs, [[0.2]]))
-    short = build_group([win, fail_traj(1)], 1.0)
-    long = build_group([win, fail_traj(6)], 1.0)
+    short = build_group([win, fail_traj(1)])
+    long = build_group([win, fail_traj(6)])
     # identical per-step terms, so length normalization makes contributions equal
     o_short = float(grpo_objective(pol, params, step_batch(pol, [short]), 0.2).data)
     o_long = float(grpo_objective(pol, params, step_batch(pol, [long]), 0.2).data)
@@ -267,7 +229,7 @@ def test_objective_gradcheck_vs_finite_differences():
             rows.append((obs, chunk, r, lp))
         return traj_of(rows)
 
-    group = build_group([two_step_traj([0, 1]), two_step_traj([0, 0])], 0.97)
+    group = build_group([two_step_traj([0, 1]), two_step_traj([0, 0])])
     batch = step_batch(pol, [group])
     _, grads = value_and_grad(lambda p: grpo_objective(pol, p, batch, 0.2), params)
 
@@ -312,7 +274,7 @@ def test_update_aborts_on_nonfinite_and_restores():
     # ratio up to +inf, and its negative advantage drags the objective to -inf
     broken = one_step_traj([0.0, 0.0], [[0.3]], 0, -1e308)
     ok = one_step_traj([0.0, 0.0], [[0.1]], 1, 0.0)
-    group = build_group([broken, ok], 1.0)
+    group = build_group([broken, ok])
     with np.errstate(over="ignore", invalid="ignore"):
         new_params, _, logs = grpo_update(pol, params, [group], 0.2, inner_epochs=1, lr=3e-4)
     assert logs[-1].get("aborted")
@@ -361,18 +323,18 @@ def test_step_batch_rows_match_per_step_reference():
                           Steps(rng.normal(size=(n, 2)), rng.normal(size=(n, 2, 1)), rewards,
                                 rng.normal(size=n)))
 
-    groups = [build_group([traj(0, [0, 1, 0, 0]), traj(0, [0, 0, 0]), traj(0, [])], 1.0),
-              build_group([traj(1, [1, 0]), traj(1, [0, 0, 1])], 1.0)]
-    # one row per step through valid_len, in trajectory order
+    groups = [build_group([traj(0, [0, 1]), traj(0, [0, 0, 0]), traj(0, [])]),
+              build_group([traj(1, [1]), traj(1, [0, 0, 1])])]
+    # one row per recorded step, in trajectory order
     rows = [(t, adv, j) for g in groups for t, adv in zip(g.trajectories, g.advantages)
-            for j in range(t.valid_len)]
+            for j in range(len(t.steps))]
     assert len(rows) == 2 + 3 + 0 + 1 + 3
     n_traj = 5
     reference = (
         [task_features(t.steps.obs[j], t.task, pol.n_tasks) for t, _, j in rows],
         [t.steps.chunk[j].reshape(-1) for t, _, j in rows],
         [t.steps.logp_old[j] for t, _, j in rows],
-        [1.0 / (n_traj * t.valid_len) for t, _, _ in rows],
+        [1.0 / (n_traj * len(t.steps)) for t, _, _ in rows],
         [adv for _, adv, _ in rows],
     )
     batch = step_batch(pol, groups)
@@ -387,7 +349,7 @@ def test_update_without_valid_steps_only_steps_adam():
     pol = ChunkPolicy(obs_dim=2, n_tasks=1, horizon=1, a_dim=1, hidden=(4,))
     params = pol.init(np.random.default_rng(12))
     none = Steps(np.zeros((0, 2)), np.zeros((0, 1, 1)), [], [])
-    empty = [build_group([Trajectory(TaskSpec(0), none) for _ in range(3)], 1.0)
+    empty = [build_group([Trajectory(TaskSpec(0), none) for _ in range(3)])
              for _ in range(2)]
     assert step_batch(pol, empty) is None
     new_params, opt, logs = grpo_update(pol, params, empty, 0.2, inner_epochs=3, lr=3e-4)

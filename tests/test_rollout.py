@@ -16,7 +16,6 @@ from wovr.rollout import (
     GroupSpec,
     GroupSpecs,
     _imagined_dynamics,
-    _members,
     _roll_group,
     as_scorer,
     harvest_keyframes,
@@ -220,7 +219,7 @@ def test_rollout_imagined_reward_always_one():
     always = lambda frame, task: 1
     trajs = rollout_imagined(policy, params, wm, always, group, T, H, seed=9)
     for t in trajs:
-        assert t.success and t.valid_len == 1 and len(t.steps) == 1
+        assert t.success and len(t.steps) == 1
         assert t.steps.reward[0] == 1
 
 
@@ -254,13 +253,13 @@ def test_rollout_imagined_mid_chunk_success_truncates():
     env = ReachPoint()
     policy, params = make_policy(env)
     group, wm, _ = oracle_setup(env)
-    members = _members(group.task, [group.start_state], 12)
+    member = ([group.task], group.start_state[None], [(12, 0)])  # tasks, starts, keys
     never = lambda frames, _tasks: np.zeros(len(frames), dtype=bool)
-    _, (free,) = _roll_group(policy, params, _imagined_dynamics(wm), never, members, T, H,
+    _, (free,) = _roll_group(policy, params, _imagined_dynamics(wm), never, *member, T, H,
                              wm.noise_width)
     sixth = lambda frame, task: int(np.array_equal(frame, free[6]))
     (traj,), (history,) = _roll_group(policy, params, _imagined_dynamics(wm),
-                                      as_scorer(sixth), members, T, H, wm.noise_width)
+                                      as_scorer(sixth), *member, T, H, wm.noise_width)
     assert traj.success and len(traj.steps) == 2
     assert traj.steps.reward.tolist() == [0, 1]
     assert len(history) == 7 and np.array_equal(history, free[:7])
@@ -526,8 +525,9 @@ def test_batched_reward_rolls_like_its_per_frame_form(caplog):
         for fn in (reward.batch, as_scorer(per_frame_form(reward))):
             wm = PoisonedWm(env, [(1, 1)])
             with caplog.at_level("WARNING"):
-                runs.append(_roll_group(expert, {}, _imagined_dynamics(wm), fn,
-                                        _members(task, [start] * 6, seed), 64, H,
+                runs.append(_roll_group(expert, {}, _imagined_dynamics(wm), fn, [task] * 6,
+                                        np.repeat(start[None], 6, axis=0),
+                                        [(seed, i) for i in range(6)], 64, H,
                                         wm.noise_width))
         (trajs, histories), (ref_trajs, ref_histories) = runs
         assert trajs == ref_trajs

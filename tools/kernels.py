@@ -27,6 +27,10 @@ per-layer list:
                                       their streams and their starts
     write_store_b500                  core.write_store of 500 real trajectories,
                                       into a temporary directory removed after
+    grpo_step_batch_b64               grpo.step_batch over 8 groups of G = 8
+                                      reachpoint trajectories of one lockstep
+                                      imagined rollout, as each update of
+                                      imagine-reachpoint gathers them
 
 It imports wovr from the src/ next to this file, so a copy of another
 checkout measures that checkout. BLAS and OpenMP get one thread unless the
@@ -43,6 +47,7 @@ import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+from types import SimpleNamespace  # noqa: E402
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "src"))
@@ -51,12 +56,14 @@ import numpy as np  # noqa: E402
 
 from wovr import nn  # noqa: E402
 from wovr.cli import build_policy, build_reward_net, build_wm_net  # noqa: E402
-from wovr.core import (DEFAULTS, FrameEpisode, TaskSpec, derive_rng, task_features,  # noqa: E402
-                       write_store)
+from wovr.core import (DEFAULTS, FrameEpisode, TaskSpec, derive_rng, derive_seeds,  # noqa: E402
+                       task_features, write_store)
 from wovr.envs import get_env  # noqa: E402
-from wovr.rollout import reset_starts, rollout_real, round_robin  # noqa: E402
-from wovr.worldmodel import (T_CTX_MAX, make_rf_batch, rf_corpus, rf_loss,  # noqa: E402
-                             sample_chunk)
+from wovr.grpo import GroupBatch, step_batch  # noqa: E402
+from wovr.rollout import (GroupSpec, GroupSpecs, reset_starts, rollout_imagined,  # noqa: E402
+                          rollout_real, round_robin)
+from wovr.worldmodel import (T_CTX_MAX, OracleWorldModel, make_rf_batch, rf_corpus,  # noqa: E402
+                             rf_loss, sample_chunk)
 
 
 def kernels(tmp: str) -> dict:
@@ -147,6 +154,26 @@ def kernels(tmp: str) -> dict:
         store = os.path.join(tmp, "store.wovs")
         return lambda: write_store(store, trajectories)
 
+    def grpo_step_batch():
+        # one imagined update's rollout: group g runs G members of task g % 4
+        # from one start, under a reward that fires within 0.25 of the target,
+        # so members average 6.7 of 8 chunk steps, as imagine-reachpoint's do
+        reach, run = get_env("reachpoint"), cfg["run"]
+        reach_policy, g = build_policy(reach, cfg), run["group_size"]
+        specs = GroupSpecs([GroupSpec(TaskSpec(i % reach.n_tasks),
+                                      reach.reset_state(TaskSpec(i % reach.n_tasks), rng),
+                                      "initial", g) for i in range(8)])
+        near = SimpleNamespace(batch=lambda frames, _ids: np.sqrt(
+            np.sum((frames[:, 0:2] - frames[:, 2:4]) ** 2, axis=1)) <= 0.25)
+        trajs = rollout_imagined(reach_policy, nn.read_only(reach_policy.init(rng)),
+                                 OracleWorldModel(reach), near, specs, run["max_episode_len"],
+                                 run["chunk"], derive_seeds([(0, i) for i in range(8)]))
+        groups = []
+        for i in range(0, 8 * g, g):
+            returns = np.array([float(t.success) for t in trajs[i:i + g]])
+            groups.append(GroupBatch(trajs[i:i + g], returns, returns - returns.mean()))
+        return lambda: step_batch(reach_policy, groups)
+
     return {
         "env_step_b1": lambda: env_step(1),
         "env_step_b500": lambda: env_step(500),
@@ -161,6 +188,7 @@ def kernels(tmp: str) -> dict:
         "train_step_wm_b64": train_step_wm,
         "env_reset_b500": env_reset,
         "write_store_b500": write_store_b500,
+        "grpo_step_batch_b64": grpo_step_batch,
     }
 
 
