@@ -11,7 +11,12 @@ hash plus a timestamp, and the resolved config is written there verbatim
 before any work starts. The inputs are read before the run directory is
 made too, and one made in another env, or a checkpoint that does not fit the
 resolved config, is a configuration error. Exit codes: 0 success, 2
-configuration error, 3 runtime error, 4 invariant violation.
+configuration error, 3 runtime error, 4 invariant violation. Every JSON file
+a command writes goes through core.write_json. A pace run writes each
+artifact as the stage that makes it ends, so after an abort its directory
+holds resolved.json, the checkpoints of every finished stage, and
+manifests.json, logs.json and an audit.json whose last row is the failed
+stage, marked "failed".
 """
 
 from __future__ import annotations
@@ -30,12 +35,11 @@ import yaml
 from . import nn
 from .core import (ENV_NAMES, EVAL_METRICS, ConfigError, InvariantViolation,
                    TaskSpec, config_hash, derive_rng, derive_seed, derive_seeds,
-                   make_config, params_hash, read_frames, write_frames)
+                   make_config, params_hash, read_frames, write_frames, write_json)
 from .envs import CountingEnv, get_env, replay_episodes, scripted_demo
 from .evalx import EvalReport, hallucination_rate, horizon_error
 from .grpo import ChunkPolicy
-from .pace import (LearnedReward, StageFailure, _rl_stage, clone_base_policy,
-                   run_pipeline)
+from .pace import LearnedReward, _rl_stage, clone_base_policy, run_pipeline
 from .reward import RewardNet, label_episode_frames, train_classifier
 from .rollout import (KEYFRAME_CAPACITY, read_batch, rollout_real, round_robin,
                       write_batch)
@@ -114,11 +118,6 @@ def make_run_dir(root: Path, command: str, resolved: dict) -> Path:
             continue
         return candidate
     raise RuntimeError("could not allocate a fresh run directory")
-
-
-def write_resolved(run_dir: Path, resolved: dict):
-    with open(run_dir / "resolved.json", "w") as fh:
-        json.dump(resolved, fh, indent=1, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +212,10 @@ def cmd_clone(cfg, run_dir, args):
     env = get_env(cfg["env"])
     params, losses = clone_demos(demos, build_policy(env, cfg), cfg)
     nn.save_params(run_dir / "policy.wovc", params)
-    with open(run_dir / "manifest.json", "w") as fh:
-        json.dump({"params": params_hash(params), "demos": str(args.demos),
-                   "env": env.name, "config": config_hash(cfg)},
-                  fh, indent=1, sort_keys=True)
-    with open(run_dir / "bc_losses.json", "w") as fh:
-        json.dump(losses, fh)
+    write_json(run_dir / "manifest.json", {"params": params_hash(params),
+                                           "demos": str(args.demos), "env": env.name,
+                                           "config": config_hash(cfg)})
+    write_json(run_dir / "bc_losses.json", losses)
     print(f"cloned policy from {len(demos)} demos "
           f"(final loss {losses[-1]:.3f}) to {run_dir}" if losses
           else f"cloned policy (zero epochs) to {run_dir}")
@@ -250,12 +247,10 @@ def cmd_train_wm(cfg, run_dir, args):
     net = build_wm_net(env, cfg)
     params, losses = train_wm(episodes, net, derive_rng(cfg["seed"], 74), cfg["wm"])
     nn.save_params(run_dir / "wm.wovc", params)
-    with open(run_dir / "manifest.json", "w") as fh:
-        json.dump({"params": params_hash(params), "frames": str(args.frames),
-                   "env": env.name, "config": config_hash(cfg)},
-                  fh, indent=1, sort_keys=True)
-    with open(run_dir / "wm_losses.json", "w") as fh:
-        json.dump(losses, fh)
+    write_json(run_dir / "manifest.json", {"params": params_hash(params),
+                                           "frames": str(args.frames), "env": env.name,
+                                           "config": config_hash(cfg)})
+    write_json(run_dir / "wm_losses.json", losses)
     print(f"trained world model on {len(episodes)} episodes "
           f"(loss {losses[0]:.4f} -> {losses[-1]:.4f}) to {run_dir}" if losses
           else f"initialized world model (zero epochs) to {run_dir}")
@@ -272,10 +267,10 @@ def cmd_train_reward(cfg, run_dir, args):
     params, losses = train_classifier((states, task_ids, labels), net,
                                       derive_rng(cfg["seed"], 75), cfg["reward"])
     nn.save_params(run_dir / "reward.wovc", params)
-    with open(run_dir / "manifest.json", "w") as fh:
-        json.dump({"params": params_hash(params), "frames": str(args.frames),
-                   "env": env.name, "n_examples": len(labels),
-                   "config": config_hash(cfg)}, fh, indent=1, sort_keys=True)
+    write_json(run_dir / "manifest.json", {"params": params_hash(params),
+                                           "frames": str(args.frames), "env": env.name,
+                                           "n_examples": len(labels),
+                                           "config": config_hash(cfg)})
     print(f"trained reward classifier on {len(labels)} frames to {run_dir}")
     return EXIT_OK
 
@@ -292,8 +287,7 @@ def cmd_rl(cfg, run_dir, args):
     if env.steps != 0:
         raise InvariantViolation("imagined RL consumed real env steps")
     nn.save_params(run_dir / "policy.wovc", new_params)
-    with open(run_dir / "rl_log.json", "w") as fh:
-        json.dump(logs, fh, indent=1, default=float)
+    write_json(run_dir / "rl_log.json", logs)
     print(f"ran {cfg['plan']['rl_updates_per_stage']} imagined updates "
           f"(0 real steps) to {run_dir}")
     return EXIT_OK
@@ -305,17 +299,8 @@ def cmd_pace(cfg, run_dir, args):
     demos = args.inputs.get("demos")
     base_params = (args.inputs["policy"] if args.policy
                    else clone_demos(demos, policy, cfg)[0])
-    try:
-        artifacts = run_pipeline(env, policy, base_params,
-                                 build_wm_net(env, cfg),
-                                 build_reward_net(env, cfg), cfg, demos=demos)
-    except StageFailure as exc:
-        exc.artifacts.write(run_dir)
-        print(f"pipeline aborted in stage {exc.stage!r}; "
-              f"partial artifacts in {run_dir}", file=sys.stderr)
-        raise
-    artifacts.write(run_dir)
-    audit = artifacts.audit
+    audit = run_pipeline(env, policy, base_params, build_wm_net(env, cfg),
+                         build_reward_net(env, cfg), cfg, run_dir, demos=demos)
     print(f"pipeline complete: {audit['trajectories_total']} real episodes "
           f"({audit['env_steps_total']} steps) within budget "
           f"{audit['budget']}; artifacts in {run_dir}")
@@ -419,8 +404,7 @@ def summary_csv(summary: dict) -> str:
 def cmd_report(cfg, run_dir, args):
     summary = report(args.run_dir)
     out_dir = Path(args.out) if args.out else Path(args.run_dir)
-    with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
+    write_json(out_dir / "summary.json", summary)
     with open(out_dir / "summary.csv", "w") as fh:
         fh.write(summary_csv(summary))
     print(json.dumps(summary, indent=1, sort_keys=True))
@@ -546,16 +530,11 @@ def parse_and_dispatch(argv) -> int:
         resolved = resolve_config(args, flag_paths[args.command])
         check_inputs(args, resolved)
         run_dir = make_run_dir(run_root(args), args.command, resolved)
-        write_resolved(run_dir, resolved)
+        write_json(run_dir / "resolved.json", resolved)
         return COMMANDS[args.command](resolved, run_dir, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except StageFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        cause = exc.__cause__
-        return (EXIT_INVARIANT if isinstance(cause, InvariantViolation)
-                else EXIT_RUNTIME)
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -17,7 +17,7 @@ A store (.wovs) holds one record per trajectory, a frame set (.wovf) an
 env-name record then one per episode, a checkpoint (.wovc) one record. Each
 kind has its own magic and format version (FORMAT_VERSIONS). On a corrupt
 file every reader fails only with MalformedHeader, TruncatedPayload or
-InvariantViolation.
+InvariantViolation. Every JSON file beside them is written by write_json.
 """
 from __future__ import annotations
 
@@ -719,6 +719,13 @@ def read_frames(path) -> tuple[list[FrameEpisode], str]:
             raise MalformedHeader("frame episode needs task >= 0 and one more state than actions")
         episodes.append(FrameEpisode(TaskSpec(int(task)), states, actions))
     return episodes, env_name
+
+
+def write_json(path, obj) -> None:
+    """Write obj to path as JSON with indent 1 and sorted keys, the form of
+    every JSON file a command leaves (configs, manifests, logs, reports)."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import MalformedHeader, TaskSpec, derive_rngs
+from .core import MalformedHeader, TaskSpec, derive_rngs, write_json
 from .envs import replay_actions
 from .rollout import (
     _imagined_dynamics,
@@ -151,9 +151,6 @@ class EvalReport:
                 raise ValueError(message)
         return self
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=1)
-
     @classmethod
     def from_json(cls, text: str | bytes) -> "EvalReport":
         """Parse an eval.json; anything but a well-formed report is MalformedHeader."""
@@ -191,8 +188,7 @@ class EvalReport:
             raise MalformedHeader(f"eval report: {exc}") from exc
 
     def write(self, json_path, csv_path=None):
-        with open(json_path, "w") as fh:
-            fh.write(self.to_json())
+        write_json(json_path, asdict(self))
         if csv_path is not None and self.horizon_curve is not None:
             lines = ["horizon,mse"]
             lines += [f"{h},{e!r}" for h, e in self.horizon_curve]

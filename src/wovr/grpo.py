@@ -147,7 +147,8 @@ def step_batch(policy: ChunkPolicy, groups: list[GroupBatch]) -> StepBatch | Non
     excluded. n_traj counts every member, including those with no step. The
     steps' obs, chunks and log-densities are gathered in one concatenation
     each, the features in one task_features call over per-row task ids, and
-    each row's weight and advantage are its trajectory's, repeated.
+    each row's weight and advantage are its trajectory's, repeated. Every
+    log-density is finite: core.check_steps rejected the steps otherwise.
     """
     trajs = [traj for group in groups for traj in group.trajectories]
     lens = np.array([len(traj.steps) for traj in trajs], dtype=np.int64)
@@ -156,7 +157,7 @@ def step_batch(policy: ChunkPolicy, groups: list[GroupBatch]) -> StepBatch | Non
         return None
     steps = [trajs[i].steps for i in kept]
     lens, task_ids = lens[kept], np.array([trajs[i].task.task_id for i in kept])
-    batch = StepBatch(
+    return StepBatch(
         task_features(np.concatenate([s.obs for s in steps]), np.repeat(task_ids, lens),
                       policy.n_tasks),
         np.concatenate([s.chunk for s in steps]).reshape(-1, policy.flat),
@@ -164,9 +165,6 @@ def step_batch(policy: ChunkPolicy, groups: list[GroupBatch]) -> StepBatch | Non
         np.repeat(1.0 / (len(trajs) * lens), lens),
         np.repeat(np.concatenate([g.advantages for g in groups])[kept], lens),
     )
-    if not np.all(np.isfinite(batch.logp_old)):
-        raise ValueError("missing or non-finite behavior log-density")
-    return batch
 
 
 def grpo_objective(policy: ChunkPolicy, params: dict, batch: StepBatch, clip_eps: float):

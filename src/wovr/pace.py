@@ -6,22 +6,26 @@ budgeted collection stages) and consuming it only through the learned world
 model (the RL stages). A step-counting wrapper audits that separation: the
 audit records the rollout budget and every stage's real env steps, and a run
 in which a stage other than a collection steps the real env aborts.
+
+run_pipeline writes each checkpoint to its run directory as the stage that
+makes it ends, and rewrites manifests.json, logs.json and audit.json after
+every stage. A run that aborts, on an error or an interrupt, leaves the
+checkpoints and records of every stage that finished, and an audit whose
+last row is the stage that failed, marked "failed".
 """
 
 from __future__ import annotations
 
-import json
 import logging
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import nn
 from .core import (InvariantViolation, TaskSpec, config_hash, derive_rng,
-                   derive_seeds, params_hash, task_features)
+                   derive_seeds, params_hash, task_features, write_json)
 from .envs import CountingEnv, replay_episodes
 from .grpo import ChunkPolicy, build_group, grpo_update
 from .nn import tmean, value_and_grad
@@ -33,59 +37,6 @@ from .rollout import (KEYFRAME_CAPACITY, GroupSpec, GroupSpecs, harvest_keyframe
 from .worldmodel import LearnedWorldModel, WmNet, train_wm, window_counts
 
 log = logging.getLogger(__name__)
-
-@dataclass
-class PaceArtifacts:
-    """Everything a finished (or aborted) run leaves behind.
-
-    policy is the final checkpoint; policy_stages keeps the per-stage ones.
-    All manifests carry the hash of the producing config, so any artifact can
-    be traced back to the exact run that made it.
-    """
-
-    policy: dict | None = None
-    policy_stages: dict = field(default_factory=dict)
-    wm_base: dict | None = None
-    wm_evo: dict | None = None
-    reward: dict | None = None
-    manifests: dict = field(default_factory=dict)
-    logs: dict = field(default_factory=dict)
-    audit: dict = field(default_factory=dict)
-
-    def write(self, out_dir) -> None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        checkpoints = {"wm_base": self.wm_base, "wm_evo": self.wm_evo,
-                       "reward": self.reward, "policy": self.policy}
-        for name, params in self.policy_stages.items():
-            checkpoints[f"policy_{name}"] = params
-        for name, params in checkpoints.items():
-            if params is not None:
-                nn.save_params(out / f"{name}.wovc", params)
-        for name, blob in (("manifests", self.manifests), ("logs", self.logs),
-                           ("audit", self.audit)):
-            with open(out / f"{name}.json", "w") as f:
-                json.dump(blob, f, indent=1, sort_keys=True, default=_to_py)
-
-
-def _to_py(obj):
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
-
-
-class StageFailure(RuntimeError):
-    """A pipeline stage raised; partial artifacts are preserved on it."""
-
-    def __init__(self, stage: str, artifacts: PaceArtifacts, cause: Exception):
-        super().__init__(f"stage {stage!r} failed: {cause}")
-        self.stage = stage
-        self.artifacts = artifacts
-
 
 # ---------------------------------------------------------------------------
 # Behavior cloning
@@ -182,9 +133,10 @@ def refine_wm(net: WmNet, base_params: dict, new_episodes, retained_episodes,
 
 
 def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
-                 reward_net: RewardNet, cfg: dict, *,
-                 demos: list | None = None) -> PaceArtifacts:
-    """Run the staged pipeline end to end and return its artifacts.
+                 reward_net: RewardNet, cfg: dict, out_dir, *,
+                 demos: list | None = None) -> dict:
+    """Run the staged pipeline end to end, writing its artifacts into out_dir,
+    an existing directory, as each stage ends; return the audit.
 
     cfg is a validated config dict (see core.DEFAULTS): the stage structure
     and budgets come from its run and plan sections, the training
@@ -202,16 +154,27 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
     fixed. The audit records the rollout budget, run.n_base + run.n_evo * K,
     and each stage's real env steps and resets. Real env steps may occur
     only in the K + 1 collections: a run in which any other stage steps the
-    real env fails at that stage with InvariantViolation. A stage that raises
-    is wrapped in StageFailure carrying the artifacts produced so far, its
-    audit row marked failed.
+    real env fails at that stage with InvariantViolation.
+
+    Each checkpoint is saved once the stage that makes it ends:
+    policy_base.wovc, reward.wovc, wm_base.wovc, policy_stage<k>.wovc,
+    wm_evo.wovc, and last policy.wovc. After each stage's audit row,
+    manifests.json, logs.json and audit.json are rewritten. A stage that
+    raises anything, KeyboardInterrupt included, gets a row marked failed;
+    the records are written and the exception propagates unchanged. So an
+    aborted run's directory holds every earlier stage's checkpoints and
+    records, and an audit whose last row names the stage that failed.
 
     When the cloning demos are passed in, their frames (reconstructed by
     replaying the stored actions, so no counted interaction happens) are
     added to the classifier and base-model corpora. Success frames are a
-    sliver of what a weak base policy collects, so the demos carry most of
-    the positive class and nearly all of the carry-and-release dynamics.
+    sliver of what a weak base policy collects, so the demos feed mainly the
+    classifier's positives. They give the model few windows: a window needs
+    run.chunk actions after its frame, and a demo is cut at its success
+    frame. At seeds 0-2 the 16 default demos give no window on reachpoint,
+    and 20-23 on pickplace2d, where 4-6 of them give none.
     """
+    out = Path(out_dir)
     counter = env if isinstance(env, CountingEnv) else CountingEnv(env)
     seed, run, plan, rl = cfg["seed"], cfg["run"], cfg["plan"], cfg["rl"]
     T, H = run["max_episode_len"], run["chunk"]
@@ -220,9 +183,16 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
     # replay against the unwrapped env: stored data, not new interaction
     demo_eps = replay_episodes(counter.env, demos) if demos else []
 
-    art = PaceArtifacts()
-    art.manifests["run"] = {"config": cfg_hash, "env": counter.name}
-    art.audit = {"budget": n_base + n_evo * plan["refinements"], "stages": []}
+    manifests = {"run": {"config": cfg_hash, "env": counter.name}}
+    logs, rows = {}, []
+    audit = {"budget": n_base + n_evo * plan["refinements"], "stages": rows}
+
+    def write_records():
+        audit.update(trajectories_total=sum(row.get("trajectories", 0) for row in rows),
+                     env_steps_total=sum(row["env_steps"] for row in rows),
+                     env_resets_total=sum(row["env_resets"] for row in rows))
+        for name, blob in (("manifests", manifests), ("logs", logs), ("audit", audit)):
+            write_json(out / f"{name}.json", blob)
 
     @contextmanager
     def stage(name):
@@ -232,13 +202,14 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
             yield row
             if name not in ("collect_base", "collect_evo") and counter.steps != s0:
                 raise InvariantViolation(f"real env steps leaked into stage {name!r}")
-        except Exception as exc:
-            row.update(env_steps=counter.steps - s0,
-                       env_resets=counter.resets - r0, failed=True)
-            art.audit["stages"].append(row)
-            raise StageFailure(name, art, exc) from exc
-        row.update(env_steps=counter.steps - s0, env_resets=counter.resets - r0)
-        art.audit["stages"].append(row)
+        except BaseException:
+            row["failed"] = True
+            log.error("stage %r failed; %s holds the stages before it", name, out)
+            raise
+        finally:
+            row.update(env_steps=counter.steps - s0, env_resets=counter.resets - r0)
+            rows.append(row)
+            write_records()
 
     keyframes = deque(maxlen=KEYFRAME_CAPACITY)
 
@@ -251,23 +222,23 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
             keyframes.clear()
             harvest_keyframes(trajs, rl["keyframe_k"], keyframes)
             row["trajectories"] = n
-        art.manifests[name] = {"policy": params_hash(params), "n": n, "config": cfg_hash}
+        manifests[name] = {"policy": params_hash(params), "n": n, "config": cfg_hash}
         return frames
 
     frames_base = collect("collect_base", base_params, n_base, 11)
-    art.policy_stages["base"] = base_params
+    nn.save_params(out / "policy_base.wovc", base_params)
 
     with stage("train_reward"):
         states, task_ids, labels = label_episode_frames(frames_base + demo_eps, counter)
         reward_params, reward_losses = train_classifier(
             (states, task_ids, labels), reward_net, derive_rng(seed, 12), cfg["reward"])
-    art.reward = reward_params
-    art.logs["reward"] = reward_losses
-    art.manifests["reward"] = {"params": params_hash(reward_params),
-                               "trained_on": "collect_base",
-                               "n_examples": len(labels),
-                               "n_demo_episodes": len(demo_eps),
-                               "config": cfg_hash}
+    nn.save_params(out / "reward.wovc", reward_params)
+    logs["reward"] = reward_losses
+    manifests["reward"] = {"params": params_hash(reward_params),
+                           "trained_on": "collect_base",
+                           "n_examples": len(labels),
+                           "n_demo_episodes": len(demo_eps),
+                           "config": cfg_hash}
 
     reward_fn = LearnedReward(reward_net, reward_params, rl["reward_threshold"])
 
@@ -275,23 +246,23 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
     with stage("train_wm_base"):
         wm_base_params, wm_base_losses = train_wm(
             wm_corpus, wm_net, derive_rng(seed, 13), cfg["wm"])
-    art.wm_base = wm_base_params
-    art.logs["wm_base"] = wm_base_losses
-    art.manifests["wm_base"] = {"params": params_hash(wm_base_params),
-                                "n_episodes": len(wm_corpus),
-                                "n_demo_episodes": len(demo_eps),
-                                "config": cfg_hash}
+    nn.save_params(out / "wm_base.wovc", wm_base_params)
+    logs["wm_base"] = wm_base_losses
+    manifests["wm_base"] = {"params": params_hash(wm_base_params),
+                            "n_episodes": len(wm_corpus),
+                            "n_demo_episodes": len(demo_eps),
+                            "config": cfg_hash}
 
     def imagined_rl(name, label, params, wm_params, tag):
         with stage(name):
             wm = LearnedWorldModel(wm_net, wm_params, run["diffusion_steps"])
-            params, logs = _rl_stage(policy, params, wm, reward_fn, counter, cfg,
-                                     keyframes, tag=tag)
-        art.policy_stages[label] = params
-        art.logs.setdefault("rl", []).append(logs)
-        art.manifests[f"policy_{label}"] = {"params": params_hash(params),
-                                            "wm": params_hash(wm_params),
-                                            "config": cfg_hash}
+            params, rl_logs = _rl_stage(policy, params, wm, reward_fn, counter, cfg,
+                                        keyframes, tag=tag)
+        nn.save_params(out / f"policy_{label}.wovc", params)
+        logs.setdefault("rl", []).append(rl_logs)
+        manifests[f"policy_{label}"] = {"params": params_hash(params),
+                                        "wm": params_hash(wm_params),
+                                        "config": cfg_hash}
         return params
 
     params = imagined_rl("rl_base", "stage1", base_params, wm_base_params, 14)
@@ -303,23 +274,20 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
         with stage("refine_wm"):
             wm_evo_params, wm_evo_losses, refine_info = refine_wm(
                 wm_net, wm_params, frames_evo, retained, derive_rng(seed, 16 + shift), cfg)
-        art.wm_evo = wm_evo_params
-        art.logs["wm_evo"] = wm_evo_losses
-        art.logs["refine"] = refine_info
-        art.manifests["wm_evo"] = {"params": params_hash(wm_evo_params),
-                                   "base": params_hash(wm_params),
-                                   "mix_new": refine_info["mix_new_realized"],
-                                   "param_distance": refine_info["param_distance"],
-                                   "config": cfg_hash}
+        nn.save_params(out / "wm_evo.wovc", wm_evo_params)
+        logs["wm_evo"] = wm_evo_losses
+        logs["refine"] = refine_info
+        manifests["wm_evo"] = {"params": params_hash(wm_evo_params),
+                               "base": params_hash(wm_params),
+                               "mix_new": refine_info["mix_new_realized"],
+                               "param_distance": refine_info["param_distance"],
+                               "config": cfg_hash}
         params = imagined_rl("rl_evo", f"stage{r + 1}", params, wm_evo_params, 17 + shift)
         wm_params, retained = wm_evo_params, retained + frames_evo
 
-    art.policy = params
-    rows = art.audit["stages"]
-    art.audit["trajectories_total"] = sum(row.get("trajectories", 0) for row in rows)
-    art.audit["env_steps_total"] = sum(row["env_steps"] for row in rows)
-    art.audit["env_resets_total"] = sum(row["env_resets"] for row in rows)
-    return art
+    nn.save_params(out / "policy.wovc", params)
+    write_records()
+    return audit
 
 
 class LearnedReward:
@@ -392,47 +360,44 @@ def _rl_stage(policy, params, wm, reward_fn, env, cfg, keyframes, tag):
     advantages are all zero and they carry no gradient.
     """
     seed, run, plan, rl = cfg["seed"], cfg["run"], cfg["plan"], cfg["rl"]
-    state = {"params": params, "opt": None}
     start_rng = derive_rng(*start_key(seed, tag))
     n_tasks = env.n_tasks
     T, H, G = run["max_episode_len"], run["chunk"], run["group_size"]
     groups_per_update = plan["groups_per_update"]
-    logs = []
+    opt, logs = None, []
+
+    def rollout_fn(pol_params, wm, reward_fn):
+        specs = []
+        for g in range(groups_per_update):
+            task = TaskSpec((u * groups_per_update + g) % n_tasks)
+            start, kind = sample_start(
+                keyframes, task, run["kir_fraction"],
+                lambda r: env.reset_state(task, r), start_rng)
+            specs.append(GroupSpec(task, start, kind, G))
+        trajs = rollout_imagined(policy, pol_params, wm, reward_fn, GroupSpecs(specs), T, H,
+                                 derive_seeds([(seed, tag, u, g)
+                                               for g in range(groups_per_update)]))
+        groups = []
+        for g in range(groups_per_update):
+            members = trajs[g * G:(g + 1) * G]
+            harvest_keyframes(members, rl["keyframe_k"], keyframes)
+            groups.append(build_group(members))
+        return groups, [spec.start_kind for spec in specs]
+
+    def trainer_fn(rollouts):
+        nonlocal params, opt
+        groups, kinds = rollouts
+        params, opt, glogs = grpo_update(policy, params, groups, run["clip_eps"],
+                                         rl["inner_epochs"], rl["lr"], opt)
+        record = {"update": u,
+                  "imagined_success": float(np.mean(
+                      [t.success for g in groups for t in g.trajectories])),
+                  "kir_groups": kinds.count("keyframe"),
+                  "zero_adv_groups": sum(not np.any(g.advantages) for g in groups)}
+        if glogs:
+            record.update(glogs[-1])
+        return record
 
     for u in range(plan["rl_updates_per_stage"]):
-        def rollout_fn(pol_params, wm, reward_fn, _u=u):
-            specs = []
-            for g in range(groups_per_update):
-                task = TaskSpec((_u * groups_per_update + g) % n_tasks)
-                start, kind = sample_start(
-                    keyframes, task, run["kir_fraction"],
-                    lambda r: env.reset_state(task, r), start_rng)
-                specs.append(GroupSpec(task, start, kind, G))
-            trajs = rollout_imagined(policy, pol_params, wm, reward_fn, GroupSpecs(specs),
-                                     T, H, derive_seeds([(seed, tag, _u, g)
-                                                         for g in range(groups_per_update)]))
-            groups = []
-            for g in range(groups_per_update):
-                members = trajs[g * G:(g + 1) * G]
-                harvest_keyframes(members, rl["keyframe_k"], keyframes)
-                groups.append(build_group(members))
-            return groups, [spec.start_kind for spec in specs]
-
-        def trainer_fn(rollouts, _u=u):
-            groups, kinds = rollouts
-            new_params, new_opt, glogs = grpo_update(
-                policy, state["params"], groups, run["clip_eps"],
-                rl["inner_epochs"], rl["lr"], state["opt"])
-            state["params"], state["opt"] = new_params, new_opt
-            record = {"update": _u,
-                      "imagined_success": float(np.mean(
-                          [t.success for g in groups for t in g.trajectories])),
-                      "kir_groups": kinds.count("keyframe"),
-                      "zero_adv_groups": sum(not np.any(g.advantages) for g in groups)}
-            if glogs:
-                record.update(glogs[-1])
-            return record
-
-        logs.append(run_iteration(state["params"], wm, reward_fn, rollout_fn, trainer_fn))
-    return state["params"], logs
-
+        logs.append(run_iteration(params, wm, reward_fn, rollout_fn, trainer_fn))
+    return params, logs

@@ -62,6 +62,7 @@ from .core import (
     derive_seeds,
     episode_steps,
     read_store,
+    write_json,
     write_store,
 )
 from .envs import first_hits, step_chunks
@@ -358,8 +359,7 @@ def rollout_real(policy, params, env, task, n: int, T: int, H: int, seed,
 def write_batch(path, trajectories, manifest: dict):
     """Persist a rollout batch next to a JSON manifest (sorted keys)."""
     write_store(path, trajectories)
-    with open(str(path) + ".manifest.json", "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=1)
+    write_json(str(path) + ".manifest.json", manifest)
 
 
 def read_batch(path):

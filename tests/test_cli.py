@@ -8,10 +8,9 @@ from wovr.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_RUNTIME,
                       aggregate_reports, build_parser, parse_and_dispatch, report,
                       resolve_config)
 from wovr.core import (DEFAULTS, InvariantViolation, TaskSpec, derive_rng, derive_seed,
-                       make_config, read_frames)
+                       make_config, params_hash, read_frames)
 from wovr.envs import get_env
 from wovr.evalx import EvalReport, success_rate
-from wovr.pace import PaceArtifacts, StageFailure
 
 CFG_YAML = """\
 seed: 3
@@ -202,23 +201,63 @@ def test_invariant_violation_exit_code(tmp_path, monkeypatch, capsys):
     assert code == EXIT_INVARIANT
 
 
-def test_stage_failure_exit_code_tracks_cause(tmp_path, monkeypatch, capsys):
-    def fail_with(cause):
-        def cmd(cfg, run_dir, args):
-            try:
-                raise cause
-            except type(cause) as exc:
-                raise StageFailure("collect_base", PaceArtifacts(), exc) from exc
-        return cmd
+@pytest.fixture(scope="module")
+def tiny_pace(tmp_path_factory):
+    """The argv of a small `wovr pace` on reachpoint from 4 scripted demos,
+    without its --run-root."""
+    tiny = ["--env", "reachpoint", "--seed", "1", "--set", "run.max_episode_len=32"]
+    demo_root = tmp_path_factory.mktemp("demos")
+    assert parse_and_dispatch(["demo-gen", "--n", "4", *tiny,
+                               "--run-root", str(demo_root)]) == EXIT_OK
+    (demo_dir,) = demo_root.iterdir()
+    sets = ("run.n_base=8", "run.n_evo=4", "clone.epochs=1", "wm.epochs=1",
+            "refine.epochs=1", "reward.epochs=1", "plan.rl_updates_per_stage=1")
+    return ["pace", "--demos", str(demo_dir / "demos.wovs"), *tiny,
+            *(arg for s in sets for arg in ("--set", s))]
 
-    monkeypatch.setitem(cli.COMMANDS, "demo-gen",
-                        fail_with(InvariantViolation("planted")))
-    assert parse_and_dispatch(["demo-gen", "--run-root", str(tmp_path)]) \
-        == EXIT_INVARIANT
-    monkeypatch.setitem(cli.COMMANDS, "demo-gen",
-                        fail_with(ValueError("planted")))
-    assert parse_and_dispatch(["demo-gen", "--run-root", str(tmp_path)]) \
-        == EXIT_RUNTIME
+
+def test_stage_failure_exit_code_tracks_cause(tmp_path, monkeypatch, caplog, tiny_pace):
+    """A pace stage that raises exits 4 on an InvariantViolation and 3 on
+    anything else, and the failed stage is named in the log and the audit."""
+    for cause, code in ((InvariantViolation("planted"), EXIT_INVARIANT),
+                        (ValueError("planted"), EXIT_RUNTIME)):
+        def failing(*args):
+            raise cause
+
+        monkeypatch.setattr(pace, "train_classifier", failing)
+        root = tmp_path / type(cause).__name__
+        caplog.clear()
+        assert parse_and_dispatch([*tiny_pace, "--run-root", str(root)]) == code
+        assert "stage 'train_reward' failed" in caplog.text
+        (run_dir,) = root.iterdir()
+        rows = json.loads((run_dir / "audit.json").read_text())["stages"]
+        assert [(row["stage"], row.get("failed", False)) for row in rows] == [
+            ("collect_base", False), ("train_reward", True)]
+
+
+def test_interrupted_pace_keeps_every_finished_stage(tmp_path, monkeypatch, tiny_pace):
+    """A pace run interrupted inside rl_base leaves the checkpoints and
+    records of the stages before it, and an audit whose last row is rl_base,
+    marked failed; the interrupt itself propagates."""
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pace, "_rl_stage", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        parse_and_dispatch([*tiny_pace, "--run-root", str(tmp_path)])
+    (run_dir,) = tmp_path.iterdir()
+    manifests = json.loads((run_dir / "manifests.json").read_text())
+    for name in ("reward", "wm_base"):
+        assert params_hash(nn.load_params(run_dir / f"{name}.wovc")) == \
+            manifests[name]["params"]
+    assert params_hash(nn.load_params(run_dir / "policy_base.wovc")) == \
+        manifests["collect_base"]["policy"]
+    assert not (run_dir / "policy.wovc").exists()
+    rows = json.loads((run_dir / "audit.json").read_text())["stages"]
+    assert [row["stage"] for row in rows] == ["collect_base", "train_reward",
+                                              "train_wm_base", "rl_base"]
+    assert rows[-1]["failed"] and not any("failed" in row for row in rows[:-1])
+    assert set(json.loads((run_dir / "logs.json").read_text())) == {"reward", "wm_base"}
 
 
 # ---------------------------------------------------------------------------

@@ -317,8 +317,6 @@ def test_report_roundtrip(tmp_path):
         hallucination={"rate": 0.1, "spurious": 0.1, "missed": 0.0, "n": 10},
         horizon_curve=[(8, 0.01), (16, 0.04)],
     ).validate()
-    loaded = EvalReport.from_json(report.to_json())
-    assert loaded == report
     json_path = tmp_path / "report.json"
     csv_path = tmp_path / "curve.csv"
     report.write(json_path, csv_path)

@@ -10,8 +10,8 @@ from wovr.core import (ConfigError, FrameEpisode, InvariantViolation,
                        params_hash)
 from wovr.envs import CountingEnv, get_env, scripted_demo
 from wovr.grpo import ChunkPolicy, grpo_update
-from wovr.pace import (LearnedReward, PaceArtifacts, StageFailure, _rl_stage,
-                       clone_base_policy, refine_wm, run_iteration, run_pipeline, start_key)
+from wovr.pace import (LearnedReward, _rl_stage, clone_base_policy, refine_wm, run_iteration,
+                       run_pipeline, start_key)
 from wovr.rollout import KEYFRAME_CAPACITY, harvest_keyframes, rollout_real, sample_start
 from wovr.reward import RewardNet, train_classifier
 from wovr.worldmodel import (LearnedWorldModel, OracleWorldModel, WmNet,
@@ -239,19 +239,40 @@ SMALL = {"run": {"group_size": 4, "chunk": H, "context": 2,
          "reward": {"epochs": 15}, "rl": {"inner_epochs": 1}}
 
 
-def small_run(env, policy, params, n_base, n_evo, *overrides, seed=3,
+class PaceRun:
+    """The run directory run_pipeline wrote, read back: its three records
+    and its checkpoints by name."""
+
+    def __init__(self, out):
+        self.out = out
+        self.audit, self.manifests, self.logs = (
+            json.loads((out / f"{name}.json").read_text())
+            for name in ("audit", "manifests", "logs"))
+
+    def params(self, name):
+        return nn.load_params(self.out / f"{name}.wovc")
+
+    def checkpoints(self):
+        return {path.stem for path in self.out.glob("*.wovc")}
+
+
+def small_run(out, env, policy, params, n_base, n_evo, *overrides, seed=3,
               demos=None):
     cfg = make_config(SMALL, {"seed": seed,
                               "run": {"n_base": n_base, "n_evo": n_evo}},
                       *overrides)
     wm_net, rew_net = small_nets(env)
-    return run_pipeline(env, policy, params, wm_net, rew_net, cfg, demos=demos)
+    out.mkdir()
+    audit = run_pipeline(env, policy, params, wm_net, rew_net, cfg, out, demos=demos)
+    run = PaceRun(out)
+    assert run.audit == audit
+    return run
 
 
 @pytest.fixture(scope="module")
-def pipeline_run(reach_env, base_policy):
+def pipeline_run(reach_env, base_policy, tmp_path_factory):
     policy, params = base_policy
-    return small_run(reach_env, policy, params, 12, 8)
+    return small_run(tmp_path_factory.mktemp("pace") / "run", reach_env, policy, params, 12, 8)
 
 
 def test_pipeline_stage_order(pipeline_run):
@@ -287,30 +308,30 @@ def test_pipeline_counts_one_reset_per_fresh_episode(pipeline_run):
 
 
 def test_pipeline_artifact_completeness(pipeline_run):
-    art = pipeline_run
-    assert set(art.policy_stages) == {"base", "stage1", "stage2"}
-    assert art.wm_base is not None and art.wm_evo is not None
-    assert art.reward is not None
-    assert art.policy is art.policy_stages["stage2"]
-    assert len(art.logs["wm_base"]) == 3
-    assert [len(stage) for stage in art.logs["rl"]] == [2, 2]
+    run = pipeline_run
+    assert run.checkpoints() == {"policy_base", "policy_stage1", "policy_stage2",
+                                 "wm_base", "wm_evo", "reward", "policy"}
+    assert params_hash(run.params("policy")) == params_hash(run.params("policy_stage2"))
+    assert len(run.logs["wm_base"]) == 3
+    assert [len(stage) for stage in run.logs["rl"]] == [2, 2]
 
 
 def test_pipeline_manifest_linkage(pipeline_run):
-    art = pipeline_run
-    assert art.manifests["wm_evo"]["base"] == params_hash(art.wm_base)
-    assert art.manifests["collect_evo"]["policy"] == params_hash(
-        art.policy_stages["stage1"])
-    cfg_hashes = {m["config"] for m in art.manifests.values()}
+    run = pipeline_run
+    assert run.manifests["wm_evo"]["base"] == params_hash(run.params("wm_base"))
+    assert run.manifests["collect_evo"]["policy"] == params_hash(
+        run.params("policy_stage1"))
+    cfg_hashes = {m["config"] for m in run.manifests.values()}
     assert len(cfg_hashes) == 1
 
 
-def test_pipeline_zero_rl_updates_keeps_base(reach_env, base_policy):
+def test_pipeline_zero_rl_updates_keeps_base(tmp_path, reach_env, base_policy):
     policy, params = base_policy
-    art = small_run(reach_env, policy, params, 8, 4,
+    run = small_run(tmp_path / "run", reach_env, policy, params, 8, 4,
                     {"plan": {"rl_updates_per_stage": 0}})
-    assert all(np.array_equal(art.policy[k], params[k]) for k in params)
-    assert art.logs["rl"] == [[], []]
+    final = run.params("policy")
+    assert all(np.array_equal(final[k], params[k]) for k in params)
+    assert run.logs["rl"] == [[], []]
 
 
 @pytest.mark.parametrize("logit_bias", [-1e3, 1e3])
@@ -497,69 +518,70 @@ def test_model_params_are_read_only(reach_env):
             assert given[k].flags.writeable and np.shares_memory(v, given[k])
 
 
-def test_pipeline_without_refinement(reach_env, base_policy):
+def test_pipeline_without_refinement(tmp_path, reach_env, base_policy):
     policy, params = base_policy
-    art = small_run(reach_env, policy, params, 12, 0,
+    run = small_run(tmp_path / "run", reach_env, policy, params, 12, 0,
                     {"plan": {"refinements": 0}})
-    assert [r["stage"] for r in art.audit["stages"]] == list(STAGES[:4])
-    assert art.wm_evo is None
-    assert art.audit["trajectories_total"] == 12
-    assert art.policy is art.policy_stages["stage1"]
-    assert "stage2" not in art.policy_stages
-    assert [len(stage) for stage in art.logs["rl"]] == [2]
+    assert [r["stage"] for r in run.audit["stages"]] == list(STAGES[:4])
+    assert run.checkpoints() == {"policy_base", "policy_stage1", "wm_base", "reward",
+                                 "policy"}
+    assert run.audit["trajectories_total"] == 12
+    assert params_hash(run.params("policy")) == params_hash(run.params("policy_stage1"))
+    assert [len(stage) for stage in run.logs["rl"]] == [2]
 
 
-def test_pipeline_two_rounds(reach_env, base_policy):
+def test_pipeline_two_rounds(tmp_path, reach_env, base_policy):
     # round 2 collects under the stage-2 policy, refines round 1's model on
     # the new episodes and trains stage 3 in the result
     policy, params = base_policy
-    a, b = (small_run(reach_env, policy, params, 8, 4, {"plan": {"refinements": 2}})
-            for _ in range(2))
+    a, b = (small_run(tmp_path / name, reach_env, policy, params, 8, 4,
+                      {"plan": {"refinements": 2}})
+            for name in "ab")
     assert [r["stage"] for r in a.audit["stages"]] == list(STAGES[:4] + 2 * STAGES[4:])
     assert a.audit["budget"] == a.audit["trajectories_total"] == 8 + 2 * 4
-    assert set(a.policy_stages) == {"base", "stage1", "stage2", "stage3"}
-    assert a.policy is a.policy_stages["stage3"]
+    assert a.checkpoints() == {"policy_base", "policy_stage1", "policy_stage2",
+                               "policy_stage3", "wm_base", "wm_evo", "reward", "policy"}
+    assert params_hash(a.params("policy")) == params_hash(a.params("policy_stage3"))
     assert a.manifests["wm_evo"]["base"] == a.manifests["policy_stage2"]["wm"]
-    assert a.manifests["collect_evo"]["policy"] == params_hash(a.policy_stages["stage2"])
+    assert a.manifests["collect_evo"]["policy"] == params_hash(a.params("policy_stage2"))
     assert a.manifests == b.manifests
-    assert params_hash(a.policy) == params_hash(b.policy)
+    assert params_hash(a.params("policy")) == params_hash(b.params("policy"))
 
 
-def test_pipeline_stage_failure_preserves_artifacts(reach_env):
+def test_pipeline_stage_failure_preserves_artifacts(tmp_path, reach_env):
     # a fresh random policy never reaches a target, so every frame is a
     # negative and the classifier stage must fail on single-class data
     policy = ChunkPolicy(reach_env.state_dim, 4, H, reach_env.action_dim,
                          hidden=(24,))
     params = policy.init(derive_rng(40))
-    with pytest.raises(StageFailure) as info:
-        small_run(reach_env, policy, params, 10, 5, seed=5)
-    err = info.value
-    assert err.stage == "train_reward"
-    assert isinstance(err.artifacts, PaceArtifacts)
-    assert "base" in err.artifacts.policy_stages
-    rows = err.artifacts.audit["stages"]
+    out = tmp_path / "run"
+    with pytest.raises(ValueError, match="both classes"):
+        small_run(out, reach_env, policy, params, 10, 5, seed=5)
+    run = PaceRun(out)
+    assert run.checkpoints() == {"policy_base"}
+    assert params_hash(run.params("policy_base")) == params_hash(params)
+    rows = run.audit["stages"]
     assert rows[0]["stage"] == "collect_base" and rows[0]["trajectories"] == 10
     assert rows[-1]["stage"] == "train_reward" and rows[-1]["failed"]
+    assert run.manifests["collect_base"]["policy"] == params_hash(params)
 
 
-def test_pipeline_deterministic(reach_env, base_policy):
+def test_pipeline_deterministic(tmp_path, reach_env, base_policy):
     policy, params = base_policy
-    a = small_run(reach_env, policy, params, 8, 4)
-    b = small_run(reach_env, policy, params, 8, 4)
-    assert params_hash(a.policy) == params_hash(b.policy)
-    assert params_hash(a.wm_base) == params_hash(b.wm_base)
-    assert params_hash(a.wm_evo) == params_hash(b.wm_evo)
+    a, b = (small_run(tmp_path / name, reach_env, policy, params, 8, 4) for name in "ab")
+    for name in ("policy", "wm_base", "wm_evo"):
+        assert params_hash(a.params(name)) == params_hash(b.params(name))
 
 
-def test_pipeline_counts_on_external_counter(reach_env, base_policy):
+def test_pipeline_counts_on_external_counter(tmp_path, reach_env, base_policy):
     policy, params = base_policy
     counter = CountingEnv(reach_env)
-    art = small_run(counter, policy, params, 8, 4)
-    assert counter.steps == art.audit["env_steps_total"]
-    assert art.audit["trajectories_total"] == 12
+    run = small_run(tmp_path / "run", counter, policy, params, 8, 4)
+    assert counter.steps == run.audit["env_steps_total"]
+    assert run.audit["trajectories_total"] == 12
 
 
-def test_pipeline_aborts_on_real_steps_outside_collection(reach_env, base_policy,
+def test_pipeline_aborts_on_real_steps_outside_collection(tmp_path, reach_env, base_policy,
                                                          monkeypatch):
     # the reward stage takes one real step on the counted env: the run must
     # abort at that stage, naming it, before any later stage runs
@@ -572,30 +594,27 @@ def test_pipeline_aborts_on_real_steps_outside_collection(reach_env, base_policy
         return train_classifier(examples, *args, **kwargs)
 
     monkeypatch.setattr(pace, "train_classifier", leaking_train_classifier)
-    with pytest.raises(StageFailure) as failure:
-        small_run(counter, policy, params, 8, 4, {"plan": {"rl_updates_per_stage": 0}})
-    assert failure.value.stage == "train_reward"
-    cause = failure.value.__cause__
-    assert isinstance(cause, InvariantViolation) and "'train_reward'" in str(cause)
-    rows = failure.value.artifacts.audit["stages"]
+    out = tmp_path / "run"
+    with pytest.raises(InvariantViolation, match="'train_reward'"):
+        small_run(out, counter, policy, params, 8, 4, {"plan": {"rl_updates_per_stage": 0}})
+    rows = PaceRun(out).audit["stages"]
     # the leaking stage is the last that ran
     assert [row["stage"] for row in rows] == ["collect_base", "train_reward"]
     assert rows[-1]["failed"] and rows[-1]["env_steps"] == 1
 
 
-def test_artifacts_write(tmp_path, pipeline_run):
-    out = tmp_path / "run"
-    pipeline_run.write(out)
-    loaded = nn.load_params(out / "policy.wovc")
-    assert params_hash(loaded) == params_hash(pipeline_run.policy)
-    for name in ("manifests", "logs", "audit"):
-        with open(out / f"{name}.json") as f:
-            json.load(f)
+def test_artifacts_write(pipeline_run):
+    # each checkpoint on disk is the one its manifest names
+    run = pipeline_run
+    for name in ("reward", "wm_base", "wm_evo", "policy_stage1", "policy_stage2"):
+        assert params_hash(run.params(name)) == run.manifests[name]["params"], name
+    assert params_hash(run.params("policy")) == run.manifests["policy_stage2"]["params"]
+    assert params_hash(run.params("policy_base")) == run.manifests["collect_base"]["policy"]
 
 
-def test_pipeline_demo_enrichment(reach_env, reach_demos, base_policy):
+def test_pipeline_demo_enrichment(tmp_path, reach_env, reach_demos, base_policy):
     policy, params = base_policy
-    art = small_run(reach_env, policy, params, 8, 4, demos=reach_demos)
+    art = small_run(tmp_path / "demos", reach_env, policy, params, 8, 4, demos=reach_demos)
     n_demo = art.manifests["reward"]["n_demo_episodes"]
     assert n_demo == len(reach_demos)
     assert art.manifests["wm_base"]["n_demo_episodes"] == n_demo
@@ -604,6 +623,6 @@ def test_pipeline_demo_enrichment(reach_env, reach_demos, base_policy):
     rows = {r["stage"]: r for r in art.audit["stages"]}
     assert rows["train_reward"]["env_steps"] == 0
     assert rows["train_wm_base"]["env_steps"] == 0
-    bare = small_run(reach_env, policy, params, 8, 4)
+    bare = small_run(tmp_path / "bare", reach_env, policy, params, 8, 4)
     assert (art.manifests["reward"]["n_examples"]
             > bare.manifests["reward"]["n_examples"])

@@ -1,9 +1,14 @@
-"""Microbenchmark of wovr's hot kernels; prints one JSON line of median µs per call.
+"""Microbenchmark of wovr's hot kernels; prints one JSON line of µs and page faults per call.
 
     python3 tools/kernels.py [--repeat R] [--number N]
 
 Each kernel runs R timed repetitions of N calls, after one untimed call, and
-reports the median over repetitions of the time per call, in microseconds.
+reports [µs, faults]: the median over repetitions of the time per call, in
+microseconds, and the minor page faults per call over all R * N timed calls
+(ru_minflt of getrusage). A kernel whose arrays come from fresh pages in
+some processes and from reused ones in others (wm_euler_step_b64 reads 0 or
+about 89 faults per call) can change its time with them, so compare two
+runs' times at like fault counts.
 Each kernel's inputs are built just before it is timed and dropped after, so
 one kernel's allocations do not shift another's timing.
 The env is the default config's (core.DEFAULTS), and the models have its
@@ -43,6 +48,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import resource  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -192,16 +198,19 @@ def kernels(tmp: str) -> dict:
     }
 
 
-def time_call(fn, repeat: int, number: int) -> float:
-    """Median over repeat repetitions of the µs per call of number calls."""
+def time_call(fn, repeat: int, number: int) -> list[float]:
+    """[median over repeat repetitions of the µs per call of number calls,
+    minor page faults per call over the repeat * number calls]."""
     fn()
     per_call = []
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(repeat):
         start = time.perf_counter()
         for _ in range(number):
             fn()
         per_call.append((time.perf_counter() - start) / number * 1e6)
-    return statistics.median(per_call)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return [round(statistics.median(per_call), 2), round(faults / (repeat * number), 2)]
 
 
 def main(argv=None) -> int:
@@ -212,7 +221,7 @@ def main(argv=None) -> int:
     if args.repeat < 1 or args.number < 1:
         parser.error("--repeat and --number must be >= 1")
     with tempfile.TemporaryDirectory() as tmp:
-        result = {name: round(time_call(build(), args.repeat, args.number), 2)
+        result = {name: time_call(build(), args.repeat, args.number)
                   for name, build in kernels(tmp).items()}
     print(json.dumps(result))
     return 0
