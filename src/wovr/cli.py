@@ -16,7 +16,7 @@ a command writes goes through core.write_json. A pace run writes each
 artifact as the stage that makes it ends, so after an abort its directory
 holds resolved.json, the checkpoints of every finished stage, and
 manifests.json, logs.json and an audit.json whose last row is the failed
-stage, marked "failed".
+stage, marked "failed" with its error.
 """
 
 from __future__ import annotations

@@ -19,15 +19,8 @@ import numpy as np
 
 from .core import MalformedHeader, TaskSpec, derive_rngs, write_json
 from .envs import replay_actions
-from .rollout import (
-    _imagined_dynamics,
-    _real_dynamics,
-    _roll_group,
-    as_scorer,
-    draw_noise,
-    reset_starts,
-    rollout_real,
-)
+from .rollout import _roll_group, as_scorer, draw_noise, reset_starts, rollout_real
+from .worldmodel import OracleWorldModel
 
 
 def success_rate(policy, params, env, task: TaskSpec, n: int, T: int, H: int,
@@ -54,9 +47,8 @@ def hallucination_rate(policy, params, wm, reward_fn, env, task: TaskSpec,
         raise ValueError("n must be >= 1")
     tasks, keys = [task] * n, [(seed, i) for i in range(n)]
     starts = reset_starts(env, tasks, keys)
-    trajectories, histories = _roll_group(policy, params, _imagined_dynamics(wm),
-                                          as_scorer(reward_fn), tasks, starts, keys, T, H,
-                                          wm.noise_width)
+    trajectories, histories = _roll_group(policy, params, wm, as_scorer(reward_fn),
+                                          tasks, starts, keys, T, H)
     _, real = replay_actions(env, starts, [traj.steps.actions[:len(history) - 1]
                                            for traj, history in zip(trajectories, histories)])
     imagined = np.array([traj.success for traj in trajectories])
@@ -74,40 +66,40 @@ def horizon_error(wm, policy, params, env, task: TaskSpec, horizons,
                   n: int, T: int, H: int, seed: int) -> list[tuple[int, float]]:
     """Mean squared state error of closed-loop model replay at each horizon.
 
-    The n episodes run through rollout's lockstep loop in the real env for
-    max(horizons) frames, under a reward that never fires (success does not
-    stop the recording; every horizon needs a state). The chunk each step
-    recorded is then replayed through the model closed-loop from the same
-    starts, one batched dynamics call per chunk step over one (n, depth + 1,
-    d) frame array. Episode i draws from derive_rng(seed, i, ·): its start
-    from stream 0 (reset_starts), its policy from 1 and the model from 2,
-    each derived for all n episodes in one derive_rngs call, and the model
-    stream draws the episode's whole replay noise, (depth/H, wm.noise_width),
-    in one call (draw_noise); a model of noise_width 0 (an OracleWorldModel)
-    derives no model stream and draws nothing. The curve pairs each horizon
-    L with the mean over episodes of the state MSE at frame L. The horizons
-    obey core.validate_config's eval.horizons rule (H is run.chunk, T
-    run.max_episode_len).
+    The n episodes run through rollout's lockstep loop in the real env (an
+    OracleWorldModel) for max(horizons) frames, under a reward that never
+    fires (success does not stop the recording; every horizon needs a state).
+    The chunk each step recorded is then replayed through the model
+    closed-loop from the same starts, one wm.predict_chunk call per chunk step
+    over one (n, depth + 1, d) frame array. Episode i draws from
+    derive_rng(seed, i, ·): its start from stream 0 (reset_starts), its policy
+    from 1 and the model from 2, each derived for all n episodes in one
+    derive_rngs call, and the model stream draws the episode's whole replay
+    noise, (depth/H, wm.noise_width), in one call (draw_noise); a model of
+    noise_width 0 (an OracleWorldModel) derives no model stream and draws
+    nothing. The curve pairs each horizon L with the mean over episodes of the
+    state MSE at frame L. The horizons obey core.validate_config's
+    eval.horizons rule (H is run.chunk, T run.max_episode_len).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     depth = horizons[-1]
     tasks, keys = [task] * n, [(seed, i) for i in range(n)]
     starts = reset_starts(env, tasks, keys)
-    trajectories, real_states = _roll_group(policy, params, _real_dynamics(env),
+    trajectories, real_states = _roll_group(policy, params, OracleWorldModel(env),
                                             lambda frames, _tasks: np.zeros(len(frames), bool),
-                                            tasks, starts, keys, depth, H, 0)
+                                            tasks, starts, keys, depth, H)
     # model replay of the same chunks, closed loop on its own frames
     model_noise = (draw_noise(derive_rngs([(seed, i, 2) for i in range(n)]), depth // H,
                               wm.noise_width) if wm.noise_width
                    else np.empty((n, depth // H, 0)))
     model_states = np.empty((n, depth + 1, env.state_dim))
     model_states[:, 0] = starts
-    dynamics, rows = _imagined_dynamics(wm), np.arange(n)
+    rows = np.arange(n)
     # each chunk step's chunks of every episode, (n, H, a_dim), in step order
     for k, chunks in enumerate(np.stack([traj.steps.chunk for traj in trajectories], axis=1)):
-        model_states[:, k * H + 1:(k + 1) * H + 1] = dynamics(model_states, rows, k * H + 1,
-                                                             task, chunks, model_noise[:, k])
+        model_states[:, k * H + 1:(k + 1) * H + 1] = wm.predict_chunk(
+            model_states, rows, k * H + 1, task, chunks, model_noise[:, k])
     return [(h, float(np.mean([np.mean((real[h] - model[h]) ** 2)
                                for real, model in zip(real_states, model_states)])))
             for h in horizons]

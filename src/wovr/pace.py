@@ -11,7 +11,7 @@ run_pipeline writes each checkpoint to its run directory as the stage that
 makes it ends, and rewrites manifests.json, logs.json and audit.json after
 every stage. A run that aborts, on an error or an interrupt, leaves the
 checkpoints and records of every stage that finished, and an audit whose
-last row is the stage that failed, marked "failed".
+last row is the stage that failed, marked "failed" with its error.
 """
 
 from __future__ import annotations
@@ -160,8 +160,9 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
     policy_base.wovc, reward.wovc, wm_base.wovc, policy_stage<k>.wovc,
     wm_evo.wovc, and last policy.wovc. After each stage's audit row,
     manifests.json, logs.json and audit.json are rewritten. A stage that
-    raises anything, KeyboardInterrupt included, gets a row marked failed;
-    the records are written and the exception propagates unchanged. So an
+    raises anything, KeyboardInterrupt included, gets a row marked failed,
+    whose error names the exception's type and message; the records are
+    written and the exception propagates unchanged. So an
     aborted run's directory holds every earlier stage's checkpoints and
     records, and an audit whose last row names the stage that failed.
 
@@ -202,8 +203,8 @@ def run_pipeline(env, policy: ChunkPolicy, base_params: dict, wm_net: WmNet,
             yield row
             if name not in ("collect_base", "collect_evo") and counter.steps != s0:
                 raise InvariantViolation(f"real env steps leaked into stage {name!r}")
-        except BaseException:
-            row["failed"] = True
+        except BaseException as exc:
+            row.update(failed=True, error=f"{type(exc).__name__}: {exc}")
             log.error("stage %r failed; %s holds the stages before it", name, out)
             raise
         finally:

@@ -1,29 +1,28 @@
-"""Closed-loop rollouts: policy against world model (imagined) or env (real).
+"""Closed-loop rollouts: policy against a simulator, learned (imagined) or real.
 
-One lockstep loop, _roll_group, serves both. It advances every member it is
-given together: per chunk step one batched policy sample over the members
-still running, then one batched dynamics call. Every member's frames live
-in one preallocated (n, T + 1, d) array and its steps in preallocated
-(n, T/H, ...) columns that each chunk step writes in place; the members'
-histories and their trajectories' core.Steps are views of these arrays.
-The randomness is drawn before the loop: each member's policy stream
-derive_rng(*key, 1) draws its whole episode's standard-normal action noise,
-(T/H, H * a_dim), in one call (draw_noise), and its model stream
-derive_rng(*key, 2) the flow's start noise, (T/H, H * d), in another (a
-model that reads no noise, such as the true dynamics, derives none); one
-normal call of k rows gives the values of k one-row calls on the same
-stream, so a member's chunk step k reads exactly the draw a per-step loop
-would have made. The policy (grpo.ChunkPolicy.sample) and the dynamics then
-take noise rows and are pure functions of their inputs. Dynamics read only
-the rows they need: imagined, one build_context gather of the active
-members' context rows feeds the world model's predict_chunk(anchors,
-memories, tasks, chunks, noise) -> (B, H, d); real, the env steps every
-active member from its newest frame, one action column per call
-(envs.step_chunks), and draws nothing. A member is cut at its first reward
-frame. The reward is one scorer, score(frames (N, d), task ids (N,)) -> (N,)
-bool (the learned reward's pace.LearnedReward.batch, or the env's success
-predicate in real rollouts), that scores every running member's H frames in
-one call per chunk step, so it must be a pure function of the frame.
+A simulator has one contract, predict_chunk(frames, rows, length, task ids,
+chunks, noise) -> (B, H, d): the next H frames of the histories frames[rows,
+:length]. A LearnedWorldModel gathers its own context from them; the real env
+is an OracleWorldModel, which steps each row's newest frame. One lockstep
+loop, _roll_group, serves both. It advances every member it is given together:
+per chunk step one batched policy sample over the members still running, then
+one batched predict_chunk call. Every member's frames live in one preallocated
+(n, T + 1, d) array and its steps in preallocated (n, T/H, ...) columns that
+each chunk step writes in place; the members' histories and their
+trajectories' core.Steps are views of these arrays. The randomness is drawn
+before the loop: each member's policy stream derive_rng(*key, 1) draws its
+whole episode's standard-normal action noise, (T/H, H * a_dim), in one call
+(draw_noise), and its model stream derive_rng(*key, 2) the flow's start noise,
+(T/H, H * d), in another (a model that reads no noise, such as the true
+dynamics, derives none); one normal call of k rows gives the values of k
+one-row calls on the same stream, so a member's chunk step k reads exactly the
+draw a per-step loop would have made. The policy (grpo.ChunkPolicy.sample) and
+the simulator then take noise rows and are pure functions of their inputs. A
+member is cut at its first reward frame. The reward is one scorer,
+score(frames (N, d), task ids (N,)) -> (N,) bool (the learned reward's
+pace.LearnedReward.batch, or the env's success predicate in real rollouts),
+that scores every running member's H frames in one call per chunk step, so it
+must be a pure function of the frame.
 Members need not share a task: each carries its own task, start and stream
 key, and per-row task ids reach the policy, the model and the
 reward through core's one one-hot rule (task_tokens). A key is a tuple of
@@ -65,8 +64,9 @@ from .core import (
     write_json,
     write_store,
 )
-from .envs import first_hits, step_chunks
-from .worldmodel import build_context
+from .envs import first_hits
+# imported by name only: the benchmark's tracer wraps wovr.rollout.build_context
+from .worldmodel import OracleWorldModel, build_context  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -175,31 +175,28 @@ def as_scorer(reward):
         dtype=bool)
 
 
-def _roll_group(policy, params, dynamics, score, tasks, starts, keys, T, H,
-                noise_width: int):
-    """Closed-loop episodes of n members, advanced in lockstep: member i runs
-    task tasks[i] from starts[i] (starts is (n, d)) under the stream key
-    keys[i].
+def _roll_group(policy, params, sim, score, tasks, starts, keys, T, H):
+    """Closed-loop episodes of n members in the simulator sim, advanced in
+    lockstep: member i runs task tasks[i] from starts[i] (starts is (n, d))
+    under the stream key keys[i].
 
     Every member's frames live in one preallocated (n, T + 1, d) array, and
     its steps in preallocated (n, T/H, ...) columns, each written in place a
     chunk step at a time. Before the loop, every member's policy stream
-    derive_rng(*key, 1) and, for a nonzero noise_width, its model stream
+    derive_rng(*key, 1) and, if sim.noise_width is nonzero, its model stream
     derive_rng(*key, 2) come from one derive_rngs call over the whole batch,
     and each stream draws its member's whole episode in one call
     (draw_noise): policy noise (T/H, policy.flat), drawn into the chunk
     column itself, whose row k each step reads and then overwrites with the
-    chunk drawn from it, and model noise (T/H, noise_width), the width the
-    dynamics read (a world model's noise_width). Each chunk step makes
-    one batched policy.sample(params, obs, task ids, noise rows) over the
-    active members, from their newest frames, and one batched
-    dynamics(frames, rows, length, task ids, chunks, noise rows) -> (B, H, d)
-    call: rows are the B active members, all of whose histories are
-    frames[row, :length], since a member leaves the batch at its success
-    frame. Dynamics that read no noise (the real env, an OracleWorldModel)
-    run with noise_width 0: then no model stream is derived or drawn, and
-    their noise rows are (B, 0). One score(frames (N, d), task ids (N,)) ->
-    (N,) bool call then scores every finite member's H frames,
+    chunk drawn from it, and model noise (T/H, sim.noise_width). A simulator
+    that reads no noise (an OracleWorldModel) derives no model stream and
+    gets (B, 0) noise rows. Each chunk step makes one batched
+    policy.sample(params, obs, task ids, noise rows) over the active members,
+    from their newest frames, and one sim.predict_chunk(frames, rows, length,
+    task ids, chunks, noise rows) -> (B, H, d) call: rows are the B active
+    members, all of whose histories are frames[row, :length], since a member
+    leaves the batch at its success frame. One score(frames (N, d), task ids
+    (N,)) -> (N,) bool call then scores every finite member's H frames,
     and each member is cut at its first hit (envs.first_hits). Members may
     differ in task and start. A member whose predicted frames are not all
     finite stops alone, with one warning, keeping the steps it recorded
@@ -218,6 +215,7 @@ def _roll_group(policy, params, dynamics, score, tasks, starts, keys, T, H,
     task_ids = np.array([task.task_id for task in tasks])
     frames = np.empty((n, T + 1, np.shape(starts)[1]))
     frames[:, 0] = starts
+    noise_width = sim.noise_width
     streams = derive_rngs([(*key, 1) for key in keys]
                           + [(*key, 2) for key in keys if noise_width])
     chunk = draw_noise(streams[:n], n_chunks, policy.flat)
@@ -233,8 +231,8 @@ def _roll_group(policy, params, dynamics, score, tasks, starts, keys, T, H,
             break
         now, ids = k * H, task_ids[active]  # every active member's newest frame is row now
         chunks, logps = policy.sample(params, frames[active, now], ids, chunk[active, k])
-        predicted = np.asarray(dynamics(frames, active, now + 1, ids, chunks,
-                                        model_noise[active, k]), dtype=np.float64)
+        predicted = np.asarray(sim.predict_chunk(frames, active, now + 1, ids, chunks,
+                                                 model_noise[active, k]), dtype=np.float64)
         frames[active, now + 1:now + H + 1] = predicted
         chunk[active, k] = np.reshape(chunks, (len(active), policy.flat))
         logp[active, k] = logps
@@ -260,27 +258,6 @@ def _roll_group(policy, params, dynamics, score, tasks, starts, keys, T, H,
     return trajectories, [frames[i, :size] for i, size in enumerate(length)]
 
 
-def _imagined_dynamics(wm):
-    """_roll_group dynamics that step every active member through wm, from
-    the context rows of their histories."""
-
-    def dynamics(frames, rows, length, tasks, chunks, noise):
-        anchors, memories = build_context(frames[:, :length], wm.context, wm.anchor_mode, rows)
-        return wm.predict_chunk(anchors, memories, tasks, chunks, noise)
-
-    return dynamics
-
-
-def _real_dynamics(env):
-    """_roll_group dynamics that step every active member in env from its
-    newest frame; they read no noise, so run them with noise_width 0."""
-
-    def dynamics(frames, rows, length, _tasks, chunks, _noise):
-        return step_chunks(env, frames[rows, length - 1], chunks)
-
-    return dynamics
-
-
 def rollout_imagined(policy, params, wm, reward_fn, groups, T: int, H: int,
                      seed) -> list[Trajectory]:
     """Imagined trajectories of every member of groups, in one lockstep batch.
@@ -293,10 +270,8 @@ def rollout_imagined(policy, params, wm, reward_fn, groups, T: int, H: int,
     stream's whole episode drawn before the first step (_roll_group),
     so members are independent and reproducible in isolation up to the
     rounding of batched rows (a batch that shrinks to one row takes another
-    matmul kernel). wm provides context/anchor_mode, noise_width and the
-    batched predict_chunk(anchors, memories, task ids, chunks, noise) -> (B,
-    H, d), one row per active member with its (B, noise_width) noise rows,
-    fed by one build_context gather per chunk step.
+    matmul kernel). wm is the simulator, stepped through its predict_chunk
+    once per chunk step over every active member.
     reward_fn is the thresholded learned reward (pace.LearnedReward), or the
     true predicate in oracle tests, turned into _roll_group's scorer once
     (as_scorer). It scores all active members' frames in one call per chunk
@@ -309,8 +284,8 @@ def rollout_imagined(policy, params, wm, reward_fn, groups, T: int, H: int,
     keys = [(s, i) for group, s in zip(groups, seed, strict=True) for i in range(group.size)]
     starts = np.repeat([group.start_state for group in groups],
                        [group.size for group in groups], axis=0)
-    trajectories, _ = _roll_group(policy, params, _imagined_dynamics(wm), as_scorer(reward_fn),
-                                  tasks, starts, keys, T, H, wm.noise_width)
+    trajectories, _ = _roll_group(policy, params, wm, as_scorer(reward_fn),
+                                  tasks, starts, keys, T, H)
     return trajectories
 
 
@@ -319,20 +294,20 @@ def rollout_real(policy, params, env, task, n: int, T: int, H: int, seed,
     """n real-env trajectories; evaluation and data collection only.
 
     The n episodes run as one batch through rollout_imagined's lockstep loop,
-    with the env as the dynamics and env.is_success, over every running
-    episode's frames once per chunk step, as the reward, so an
-    OracleWorldModel group reproduces them bit for bit. task is one TaskSpec
-    or a list of n, one per episode, and seed one int or a list of n stream
-    keys. Under one seed, episode i has key (seed, i); under a list, episode
-    i has key seed[i]. So a key (s, 0) runs as the one episode of a call at
-    seed s would, and the keys (s, i) of several seeds run the episodes of
-    several one-seed calls in one batch. Unless explicit starts are given, an
-    episode resets from stream 0 of its key (reset_starts), and its policy
-    stream is stream 1, mirroring rollout_imagined member streams. A real
-    collection passes the tasks and keys of round_robin; `wovr eval --metric
-    sr` passes every task's episodes, each keyed as its one-task call keys it.
-    With record_frames, also returns one (states, actions) frame episode per
-    trajectory for model training.
+    with OracleWorldModel(env) as the simulator and env.is_success, over every
+    running episode's frames once per chunk step, as the reward, so an
+    oracle-backed imagined group reproduces them bit for bit. task is one
+    TaskSpec or a list of n, one per episode, and seed one int or a list of n
+    stream keys. Under one seed, episode i has key (seed, i); under a list,
+    episode i has key seed[i]. So a key (s, 0) runs as the one episode of a
+    call at seed s would, and the keys (s, i) of several seeds run the
+    episodes of several one-seed calls in one batch. Unless explicit starts
+    are given, an episode resets from stream 0 of its key (reset_starts), and
+    its policy stream is stream 1, mirroring rollout_imagined member streams.
+    A real collection passes the tasks and keys of round_robin; `wovr eval
+    --metric sr` passes every task's episodes, each keyed as its one-task call
+    keys it. With record_frames, also returns one (states, actions) frame
+    episode per trajectory for model training.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -345,9 +320,9 @@ def rollout_real(policy, params, env, task, n: int, T: int, H: int, seed,
         starts = reset_starts(env, tasks, keys)
     elif len(starts) != n:
         raise ValueError(f"need one start per episode, {n}, got {len(starts)}")
-    trajectories, histories = _roll_group(policy, params, _real_dynamics(env),
+    trajectories, histories = _roll_group(policy, params, OracleWorldModel(env),
                                           lambda frames, _tasks: env.is_success(frames),
-                                          tasks, starts, keys, T, H, 0)
+                                          tasks, starts, keys, T, H)
     if not record_frames:
         return trajectories
     # every chunk but the last runs whole; a success frame cuts the last

@@ -10,9 +10,9 @@ init.
 
 The context rule is stated once, in context_rows: the anchor, then the last
 c frames left-padded with the anchor. Training gathers each minibatch with
-it from an RfCorpus, the episodes flattened once; rollout gathers every
-active member's context at once with build_context. Training blends the
-memory of a random share of rows toward noise (never the anchor), so the
+it from an RfCorpus, the episodes flattened once; LearnedWorldModel gathers
+every active member's context at once with build_context. Training blends
+the memory of a random share of rows toward noise (never the anchor), so the
 model learns to tolerate its own drifting predictions in the memory.
 """
 from __future__ import annotations
@@ -228,51 +228,49 @@ def sample_chunk(net: WmNet, params: dict, anchors, memories, task, chunks,
 class LearnedWorldModel:
     """Inference bundle used by rollout: net + params + sampler step count.
 
-    predict_chunk(anchors, memories, tasks, chunks, noise) -> (B, H, d)
-    frames, one row per build_context row, tasks one TaskSpec or per-row task
-    ids, noise one standard-normal row (B, noise_width) per row, drawn by the
-    caller from the member's model stream; noise_width is H * d here, the
-    width the sampler reads. Every world model (OracleWorldModel, test
-    doubles) keeps this contract, states the noise width it reads (0 for one
-    that reads none, whose members then derive no model stream) and is a
-    pure function of its inputs. params
-    holds read-only views of the given arrays (nn.read_only), so a rollout
-    cannot write to the model.
+    Every simulator (OracleWorldModel, test doubles) keeps one contract:
+    predict_chunk(frames, rows, length, tasks, chunks, noise) -> (B, H, d),
+    the next H frames of the B histories frames[rows, :length] of a rollout's
+    frame array, tasks one TaskSpec or per-row task ids, noise one
+    standard-normal row (B, noise_width) per row from the member's model
+    stream. A simulator states the noise width it reads (0 for none: its
+    members derive no model stream) and is a pure function of its inputs.
+    Here one build_context gather of the rows feeds sample_chunk, which reads
+    noise_width H * d. params holds read-only views (nn.read_only), so a
+    rollout cannot write to the model.
     """
 
     def __init__(self, net: WmNet, params: dict, steps: int = 5):
         self.net = net
         self.params = nn.read_only(params)
         self.steps = steps
-        self.anchor_mode = net.anchor_mode
-        self.context = net.context
         self.noise_width = net.out_dim
 
-    def predict_chunk(self, anchors, memories, tasks, chunks, noise) -> np.ndarray:
+    def predict_chunk(self, frames, rows, length, tasks, chunks, noise) -> np.ndarray:
+        anchors, memories = build_context(frames[:, :length], self.net.context,
+                                          self.net.anchor_mode, rows)
         return sample_chunk(self.net, self.params, anchors, memories, tasks, chunks,
                             self.steps, noise)
 
 
 class OracleWorldModel:
-    """True-dynamics stand-in: steps the real environment from memories[:, -1].
+    """The real env as a simulator: predict_chunk steps each row's newest
+    frame, frames[rows, length - 1], at any context length.
 
-    It reads no noise (noise_width 0), so its members derive no model stream,
-    and oracle-backed imagined rollouts execute exactly what real rollouts
-    under the same policy streams execute. It needs that frame, so its
-    context must be at least 1.
+    It reads no noise (noise_width 0), so its members derive no model stream.
+    rollout_real steps through it, so an oracle-backed imagined rollout
+    executes exactly what a real rollout under the same streams does.
     """
 
     noise_width = 0
 
-    def __init__(self, env, context: int = 4):
-        if context < 1:
-            raise ValueError("OracleWorldModel needs context >= 1 to step from memory")
+    def __init__(self, env, context=None):
+        # context is read by nothing; bench/checks.py's oracle_identity still
+        # passes run.context, so the parameter stays until the benchmark drops it
         self.env = env
-        self.anchor_mode = "first"
-        self.context = context
 
-    def predict_chunk(self, anchors, memories, tasks, chunks, noise) -> np.ndarray:
-        return step_chunks(self.env, memories[:, -1], chunks)
+    def predict_chunk(self, frames, rows, length, tasks, chunks, noise) -> np.ndarray:
+        return step_chunks(self.env, frames[rows, length - 1], chunks)
 
 
 # ---------------------------------------------------------------------------

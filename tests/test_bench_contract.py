@@ -205,3 +205,14 @@ def test_rl_run_passes_the_benchmark_gate(tmp_path):
     gate = load_bench("checks").check_rl(runs, 1, inputs)
     assert gate["checks"] and all(gate["checks"].values()), gate["checks"]
     assert gate["work_items"] == 2 * 2 * DEFAULTS["run"]["group_size"]
+
+
+def test_oracle_identity_gate_holds_at_context_zero():
+    """bench/checks.py's oracle_identity gate, oracle-backed rollout_imagined
+    against rollout_real, holds bit for bit at run.context=0: the oracle
+    steps each member's current frame and reads no context."""
+    env = ReachPoint()
+    cfg = make_config({"run": {"context": 0, "max_episode_len": 32}})
+    policy = ChunkPolicy(env.state_dim, env.n_tasks, cfg["run"]["chunk"], env.action_dim,
+                         hidden=(8,))
+    assert load_bench("checks").oracle_identity(env, policy, policy.init(derive_rng(6)), cfg, 3)

@@ -218,7 +218,8 @@ def tiny_pace(tmp_path_factory):
 
 def test_stage_failure_exit_code_tracks_cause(tmp_path, monkeypatch, caplog, tiny_pace):
     """A pace stage that raises exits 4 on an InvariantViolation and 3 on
-    anything else, and the failed stage is named in the log and the audit."""
+    anything else, and the failed stage is named in the log and the audit,
+    whose row records the exception's type and message."""
     for cause, code in ((InvariantViolation("planted"), EXIT_INVARIANT),
                         (ValueError("planted"), EXIT_RUNTIME)):
         def failing(*args):
@@ -233,6 +234,8 @@ def test_stage_failure_exit_code_tracks_cause(tmp_path, monkeypatch, caplog, tin
         rows = json.loads((run_dir / "audit.json").read_text())["stages"]
         assert [(row["stage"], row.get("failed", False)) for row in rows] == [
             ("collect_base", False), ("train_reward", True)]
+        assert rows[-1]["error"] == f"{type(cause).__name__}: planted"
+        assert "error" not in rows[0]
 
 
 def test_interrupted_pace_keeps_every_finished_stage(tmp_path, monkeypatch, tiny_pace):

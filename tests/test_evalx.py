@@ -6,8 +6,8 @@ from wovr.core import TaskSpec, derive_rng, derive_rngs
 from wovr.envs import PickPlace2D, ReachPoint, step_chunks
 from wovr.evalx import EvalReport, hallucination_rate, horizon_error, success_rate
 from wovr.grpo import ChunkPolicy
-from wovr.rollout import _imagined_dynamics, _roll_group, as_scorer
-from wovr.worldmodel import LearnedWorldModel, OracleWorldModel, WmNet, build_context
+from wovr.rollout import _roll_group, as_scorer
+from wovr.worldmodel import LearnedWorldModel, OracleWorldModel, WmNet
 
 H = 4
 T = 32
@@ -40,17 +40,13 @@ class ExpertPolicy:
 
 
 class FrozenWm:
-    """Degenerate model: every predicted frame repeats the last context frame."""
+    """Degenerate model: every predicted frame repeats the row's newest frame."""
 
     noise_width = 0
 
-    def __init__(self, context=4):
-        self.context = context
-        self.anchor_mode = "first"
-
-    def predict_chunk(self, anchors, memories, task, chunks, noise):
-        return np.array([np.tile(memory[-1], (len(chunk), 1))
-                         for memory, chunk in zip(memories, chunks)])
+    def predict_chunk(self, frames, rows, length, task, chunks, noise):
+        return np.array([np.tile(frame, (len(chunk), 1))
+                         for frame, chunk in zip(frames[rows, length - 1], chunks)])
 
 
 # -- success rate -----------------------------------------------------------------
@@ -92,7 +88,7 @@ def test_success_rate_seed_deterministic():
 def test_hallucination_zero_under_oracle():
     env = PickPlace2D()
     policy, params = make_policy(env, init_log_std=-0.5)
-    wm = OracleWorldModel(env, context=4)
+    wm = OracleWorldModel(env)
     truth = lambda frame, task: int(env.is_success(frame))
     stats = hallucination_rate(policy, params, wm, truth, env, TaskSpec(0),
                                10, T, H, seed=4)
@@ -102,7 +98,7 @@ def test_hallucination_zero_under_oracle():
 def test_hallucination_reward_always_one_matches_replay_failure():
     env = PickPlace2D()
     policy, params = make_policy(env, init_log_std=-0.5)
-    wm = OracleWorldModel(env, context=4)
+    wm = OracleWorldModel(env)
     always = lambda frame, task: 1
     n, seed = 12, 5
     stats = hallucination_rate(policy, params, wm, always, env, TaskSpec(0),
@@ -145,7 +141,7 @@ def test_hallucination_replays_only_the_imagined_frames():
     # fires at distance <= 0.08; the first such frame is over 0.06 away, so
     # never within the env's 0.05 success radius
     near = lambda frame, task: int(np.linalg.norm(frame[0:2] - frame[2:4]) <= 0.08)
-    stats = hallucination_rate(SlowExpert(), {}, OracleWorldModel(env, context=4), near,
+    stats = hallucination_rate(SlowExpert(), {}, OracleWorldModel(env), near,
                                env, TaskSpec(0), 20, T, H, seed=3)
     assert stats == {"rate": 1.0, "spurious": 1.0, "missed": 0.0, "n": 20}
 
@@ -167,12 +163,11 @@ def test_hallucination_reads_no_frame_past_an_episode():
 
     held_at_target = lambda frame, task: int(
         frame[7] > 0.5 and np.linalg.norm(frame[3:5] - frame[5:7]) <= env.success_radius)
-    wm = OracleWorldModel(env, context=4)
+    wm = OracleWorldModel(env)
     keys = [(9, i) for i in range(12)]
     starts = np.array([env.reset_state(TaskSpec(2), derive_rng(*key, 0)) for key in keys])
-    _, histories = _roll_group(NoRelease(env, H), {}, _imagined_dynamics(wm),
-                               as_scorer(held_at_target), [TaskSpec(2)] * 12, starts, keys,
-                               64, H, wm.noise_width)
+    _, histories = _roll_group(NoRelease(env, H), {}, wm, as_scorer(held_at_target),
+                               [TaskSpec(2)] * 12, starts, keys, 64, H)
     assert len({len(h) for h in histories}) > 2  # the batch replay pads
     stats = hallucination_rate(NoRelease(env, H), {}, wm, held_at_target, env, TaskSpec(2),
                                12, 64, H, seed=9)
@@ -214,7 +209,7 @@ def test_hallucination_seed_deterministic():
 def test_horizon_error_oracle_exactly_zero():
     env = PickPlace2D()
     policy, params = make_policy(env, init_log_std=-0.5)
-    wm = OracleWorldModel(env, context=4)
+    wm = OracleWorldModel(env)
     curve = horizon_error(wm, policy, params, env, TaskSpec(0), [8, 16, 32],
                           4, T, H, seed=9)
     assert [h for h, _ in curve] == [8, 16, 32]
@@ -234,7 +229,7 @@ def test_horizon_error_oracle_derives_no_model_stream(monkeypatch):
 
     monkeypatch.setattr(evalx, "derive_rngs", counting)
     monkeypatch.setattr(rollout, "derive_rngs", counting)
-    horizon_error(OracleWorldModel(env, context=4), policy, params, env, TaskSpec(0),
+    horizon_error(OracleWorldModel(env), policy, params, env, TaskSpec(0),
                   [8, 16], 3, T, H, seed=9)
     assert keys == [(9, i, 0) for i in range(3)] + [(9, i, 1) for i in range(3)]
 
@@ -273,10 +268,9 @@ def horizon_reference(wm, policy, params, env, task, horizons, n, seed):
         chunks, _ = policy.sample(params, real[:, now], np.full(n, task.task_id),
                                   np.array([rng.normal(size=policy.flat) for rng in policy_rngs]))
         real[:, now + 1:now + H + 1] = step_chunks(env, real[:, now], chunks)
-        anchors, memories = build_context(model[:, :now + 1], wm.context, wm.anchor_mode)
         model[:, now + 1:now + H + 1] = wm.predict_chunk(
-            anchors, memories, task, chunks, np.array([rng.normal(size=H * d)
-                                                       for rng in model_rngs]))
+            model, np.arange(n), now + 1, task, chunks, np.array([rng.normal(size=H * d)
+                                                                  for rng in model_rngs]))
     return [(h, float(np.mean([np.mean((r[h] - m[h]) ** 2) for r, m in zip(real, model)])))
             for h in horizons]
 

@@ -55,7 +55,7 @@ def oracle_rung(seed: int) -> tuple[float, float, float]:
              for i, s in enumerate(derive_seeds([(seed, 71, i) for i in range(n)]))]
     policy = build_policy(env, cfg)
     base, _ = clone_demos(demos, policy, cfg)
-    final, _ = _rl_stage(policy, base, OracleWorldModel(env, run["context"]), TrueReward(env),
+    final, _ = _rl_stage(policy, base, OracleWorldModel(env), TrueReward(env),
                          env, cfg, deque(maxlen=KEYFRAME_CAPACITY), tag=14)
     feats = np.concatenate([task_features(d.steps.obs, d.task, env.n_tasks) for d in demos])
     max_mu = float(np.abs(policy.trunk(final, feats)).max())

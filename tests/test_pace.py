@@ -366,7 +366,7 @@ def test_rl_stage_oracle_rung_scores_real_outcomes(reach_env, base_policy):
     def true_reward(frame, _task):
         return int(reach_env.is_success(frame))
 
-    wm = OracleWorldModel(reach_env, run["context"])
+    wm = OracleWorldModel(reach_env)
     _, logs = _rl_stage(policy, params, wm, true_reward, counter, cfg, keyframes, tag)
     assert len(logs) == plan["rl_updates_per_stage"]
     assert counter.steps == 0
@@ -452,7 +452,7 @@ def test_rl_update_harvests_after_its_rollouts(reach_env, base_policy, monkeypat
 
     monkeypatch.setattr(pace, "sample_start", recording)
     keyframes = deque(maxlen=KEYFRAME_CAPACITY)
-    wm = OracleWorldModel(reach_env, cfg["run"]["context"])
+    wm = OracleWorldModel(reach_env)
     _, logs = _rl_stage(policy, params, wm, lambda frame, task: 0, reach_env, cfg,
                         keyframes, tag=88)
     per_update = 8 * cfg["run"]["group_size"] * cfg["rl"]["keyframe_k"]
@@ -563,6 +563,7 @@ def test_pipeline_stage_failure_preserves_artifacts(tmp_path, reach_env):
     rows = run.audit["stages"]
     assert rows[0]["stage"] == "collect_base" and rows[0]["trajectories"] == 10
     assert rows[-1]["stage"] == "train_reward" and rows[-1]["failed"]
+    assert rows[-1]["error"].startswith("ValueError: ") and "both classes" in rows[-1]["error"]
     assert run.manifests["collect_base"]["policy"] == params_hash(params)
 
 

@@ -15,7 +15,6 @@ from wovr.rollout import (
     KEYFRAME_CAPACITY,
     GroupSpec,
     GroupSpecs,
-    _imagined_dynamics,
     _roll_group,
     as_scorer,
     harvest_keyframes,
@@ -26,7 +25,7 @@ from wovr.rollout import (
     sample_start,
     write_batch,
 )
-from wovr.worldmodel import LearnedWorldModel, OracleWorldModel, WmNet, build_context
+from wovr.worldmodel import LearnedWorldModel, OracleWorldModel, WmNet
 
 H = 4
 T = 16
@@ -190,7 +189,7 @@ def test_sample_start_matching_by_task_id_picks_the_reference_keyframe():
 def oracle_setup(env, task_id=0, size=3, seed=7):
     start = env.reset_state(TaskSpec(task_id), derive_rng(seed))
     group = GroupSpec(TaskSpec(task_id), start, "initial", size)
-    wm = OracleWorldModel(env, context=4)
+    wm = OracleWorldModel(env)
     reward = lambda frame, task: int(env.is_success(frame))
     return group, wm, reward
 
@@ -255,11 +254,9 @@ def test_rollout_imagined_mid_chunk_success_truncates():
     group, wm, _ = oracle_setup(env)
     member = ([group.task], group.start_state[None], [(12, 0)])  # tasks, starts, keys
     never = lambda frames, _tasks: np.zeros(len(frames), dtype=bool)
-    _, (free,) = _roll_group(policy, params, _imagined_dynamics(wm), never, *member, T, H,
-                             wm.noise_width)
+    _, (free,) = _roll_group(policy, params, wm, never, *member, T, H)
     sixth = lambda frame, task: int(np.array_equal(frame, free[6]))
-    (traj,), (history,) = _roll_group(policy, params, _imagined_dynamics(wm),
-                                      as_scorer(sixth), *member, T, H, wm.noise_width)
+    (traj,), (history,) = _roll_group(policy, params, wm, as_scorer(sixth), *member, T, H)
     assert traj.success and len(traj.steps) == 2
     assert traj.steps.reward.tolist() == [0, 1]
     assert len(history) == 7 and np.array_equal(history, free[:7])
@@ -275,12 +272,10 @@ def test_rollout_imagined_aborts_on_nonfinite(caplog):
     start = env.reset_state(task, derive_rng(13))
 
     class BrokenWm:
-        context = 4
-        anchor_mode = "first"
         noise_width = 0
 
-        def predict_chunk(self, anchors, memories, task, chunks, noise):
-            return np.full((len(anchors), H, env.state_dim), np.nan)
+        def predict_chunk(self, frames, rows, length, task, chunks, noise):
+            return np.full((len(rows), H, env.state_dim), np.nan)
 
     group = GroupSpec(task, start, "initial", 2)
     with caplog.at_level("WARNING"):
@@ -323,12 +318,10 @@ def test_non_finite_policy_output_on_a_recorded_step_raises():
 
     class StillWm:
         """Every frame of a chunk is the zero state, whatever the chunk."""
-        context = 2
-        anchor_mode = "first"
         noise_width = 0
 
-        def predict_chunk(self, anchors, memories, task, chunks, noise):
-            return np.zeros((len(anchors), H, env.state_dim))
+        def predict_chunk(self, frames, rows, length, task, chunks, noise):
+            return np.zeros((len(rows), H, env.state_dim))
 
     for bad in (np.nan, np.inf):
         for column in ("chunk", "logp"):
@@ -362,8 +355,7 @@ def roll_member_reference(policy, params, wm, reward_fn, task, start, T, H, seed
         obs = history[-1]
         chunks, logps = policy.sample(params, obs[None], task,
                                       policy_rng.normal(size=(1, policy.flat)))
-        anchors, memories = build_context([history], wm.context, wm.anchor_mode)
-        frames = wm.predict_chunk(anchors, memories, task, chunks,
+        frames = wm.predict_chunk(np.array(history)[None], [0], len(history), task, chunks,
                                   model_rng.normal(size=(1, H * len(obs))))[0]
         if not np.all(np.isfinite(frames)):
             break
@@ -453,17 +445,17 @@ class PoisonedWm(OracleWorldModel):
     """Oracle dynamics, except that the given (call, row) pairs come back NaN."""
 
     def __init__(self, env, poison):
-        super().__init__(env, context=4)
+        super().__init__(env)
         self.poison = poison
         self.calls = 0
 
-    def predict_chunk(self, anchors, memories, task, chunks, noise):
-        frames = super().predict_chunk(anchors, memories, task, chunks, noise)
+    def predict_chunk(self, frames, rows, length, task, chunks, noise):
+        predicted = super().predict_chunk(frames, rows, length, task, chunks, noise)
         for call, row in self.poison:
             if call == self.calls:
-                frames[row] = np.nan
+                predicted[row] = np.nan
         self.calls += 1
-        return frames
+        return predicted
 
 
 @pytest.mark.parametrize("poison", [[(2, 1)], [(0, 0), (3, 1)]])
@@ -474,7 +466,7 @@ def test_abort_stays_with_its_member(caplog, poison):
     task = TaskSpec(1)
     start = env.reset_state(task, derive_rng(25))
     group = GroupSpec(task, start, "initial", 4)
-    clean = rollout_imagined(expert, {}, OracleWorldModel(env, context=4), reward, group,
+    clean = rollout_imagined(expert, {}, OracleWorldModel(env), reward, group,
                              64, H, seed=22)
     # the member behind each poisoned row: the row-th member still running
     aborted = {}
@@ -525,10 +517,9 @@ def test_batched_reward_rolls_like_its_per_frame_form(caplog):
         for fn in (reward.batch, as_scorer(per_frame_form(reward))):
             wm = PoisonedWm(env, [(1, 1)])
             with caplog.at_level("WARNING"):
-                runs.append(_roll_group(expert, {}, _imagined_dynamics(wm), fn, [task] * 6,
+                runs.append(_roll_group(expert, {}, wm, fn, [task] * 6,
                                         np.repeat(start[None], 6, axis=0),
-                                        [(seed, i) for i in range(6)], 64, H,
-                                        wm.noise_width))
+                                        [(seed, i) for i in range(6)], 64, H))
         (trajs, histories), (ref_trajs, ref_histories) = runs
         assert trajs == ref_trajs
         assert len(histories) == len(ref_histories)
@@ -548,7 +539,7 @@ def test_hallucination_rate_same_for_batched_and_per_frame_reward():
     env = ReachPoint()
     reward = x_past_reward(env, 0.72)
     expert = NoisyExpertPolicy(env, H, noise=2.0)
-    wm = OracleWorldModel(env, context=4)
+    wm = OracleWorldModel(env)
     for task_id in range(2):
         task = TaskSpec(task_id)
         batched = hallucination_rate(expert, {}, wm, reward, env, task, 12, 64, H, seed=26)
@@ -733,7 +724,7 @@ def test_a_model_derives_only_the_streams_it_reads(monkeypatch):
 
 
 def check_oracle_substitution(env, policy, params, size):
-    wm = OracleWorldModel(env, context=4)
+    wm = OracleWorldModel(env)
     reward = lambda frame, task: int(env.is_success(frame))
     lengths, mixed, beyond = set(), False, False
     for seed in range(6):

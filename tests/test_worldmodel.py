@@ -7,6 +7,7 @@ from wovr.core import FrameEpisode, TaskSpec, derive_rng, make_config, one_hot
 from wovr.envs import ACTION_BOUND
 from wovr.nn import Mlp, Tensor, tsum, value_and_grad
 from wovr.worldmodel import (
+    LearnedWorldModel,
     OracleWorldModel,
     RfBatch,
     WmNet,
@@ -363,29 +364,45 @@ def test_sample_chunk_does_not_mutate_context():
     assert (anchors.tobytes(), memories.tobytes()) == before
 
 
+def test_learned_predict_chunk_is_build_context_then_sample_chunk():
+    """predict_chunk(frames, rows, length, ...) gathers the context of the
+    histories frames[rows, :length] under the net's context length and
+    anchor mode, and samples from it: equal, bit for bit, to build_context
+    over those histories and sample_chunk done by hand, for histories
+    shorter and longer than the context."""
+    rng = derive_rng(18)
+    frames, rows = rng.normal(size=(5, 9, D)), np.array([0, 2, 3])
+    chunks = rng.uniform(-1.0, 1.0, size=(3, H, A_DIM))
+    for anchor_mode in ("first", "last"):
+        net = small_net(anchor_mode=anchor_mode)
+        params = net.init(derive_rng(19))
+        wm = LearnedWorldModel(net, params, steps=3)
+        for length in (1, 6, 9):
+            noise = rng.normal(size=(3, wm.noise_width))
+            anchors, memories = build_context(frames[rows, :length], C, anchor_mode)
+            want = sample_chunk(net, params, anchors, memories, TaskSpec(0), chunks, 3, noise)
+            got = wm.predict_chunk(frames, rows, length, TaskSpec(0), chunks, noise)
+            assert np.array_equal(got, want), (anchor_mode, length)
+
+
 def test_oracle_world_model_steps_real_dynamics():
+    """The oracle steps each row's newest frame, frames[row, length - 1],
+    whatever the frames before it, a history of one frame included."""
     from wovr.envs import PickPlace2D
     env = PickPlace2D()
-    oracle = OracleWorldModel(env, context=4)
-    state = env.reset_state(TaskSpec(0), derive_rng(18))
-    anchors, memories = build_context([[state], [state]], 4)
+    oracle = OracleWorldModel(env)
+    assert oracle.noise_width == 0
+    rng = derive_rng(18)
+    frames = np.array([[env.reset_state(TaskSpec(0), rng) for _ in range(3)] for _ in range(2)])
     chunk = np.tile([0.05, 0.0, -1.0], (8, 1))
-    frames = oracle.predict_chunk(anchors, memories, TaskSpec(0), [chunk, -chunk],
-                                  derive_rng(19).normal(size=(2, 8 * env.state_dim)))
-    assert frames.shape == (2, 8, env.state_dim)
-    for row, sign in zip(frames, (1, -1)):
-        ref = state
-        for a in sign * chunk:
-            ref = env.step(ref, a)
-        assert np.array_equal(row[-1], ref)
-
-
-def test_oracle_world_model_rejects_empty_memory():
-    from wovr.envs import ReachPoint
-    OracleWorldModel(ReachPoint(), context=1)
-    for context in (0, -1):
-        with pytest.raises(ValueError):
-            OracleWorldModel(ReachPoint(), context=context)
+    for length in (1, 3):
+        got = oracle.predict_chunk(frames, [1, 0], length, TaskSpec(0), [chunk, -chunk],
+                                   np.empty((2, 0)))
+        assert got.shape == (2, 8, env.state_dim)
+        for row, state, sign in zip(got, frames[[1, 0], length - 1], (1, -1)):
+            for a, frame in zip(sign * chunk, row):
+                state = env.step(state, a)
+                assert np.array_equal(frame, state)
 
 
 # -- training ------------------------------------------------------------------

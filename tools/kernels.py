@@ -36,6 +36,10 @@ per-layer list:
                                       reachpoint trajectories of one lockstep
                                       imagined rollout, as each update of
                                       imagine-reachpoint gathers them
+    build_context_b48                 worldmodel.build_context of 48 of 64
+                                      members' 33-frame reachpoint histories,
+                                      the context gather of one mid-episode
+                                      chunk step of an imagine-reachpoint update
 
 It imports wovr from the src/ next to this file, so a copy of another
 checkout measures that checkout. BLAS and OpenMP get one thread unless the
@@ -68,8 +72,8 @@ from wovr.envs import get_env  # noqa: E402
 from wovr.grpo import GroupBatch, step_batch  # noqa: E402
 from wovr.rollout import (GroupSpec, GroupSpecs, reset_starts, rollout_imagined,  # noqa: E402
                           rollout_real, round_robin)
-from wovr.worldmodel import (T_CTX_MAX, OracleWorldModel, make_rf_batch, rf_corpus,  # noqa: E402
-                             rf_loss, sample_chunk)
+from wovr.worldmodel import (T_CTX_MAX, OracleWorldModel, build_context,  # noqa: E402
+                             make_rf_batch, rf_corpus, rf_loss, sample_chunk)
 
 
 def kernels(tmp: str) -> dict:
@@ -180,6 +184,14 @@ def kernels(tmp: str) -> dict:
             groups.append(GroupBatch(trajs[i:i + g], returns, returns - returns.mean()))
         return lambda: step_batch(reach_policy, groups)
 
+    def build_context_b48():
+        # a LearnedWorldModel's gather at chunk step 4 of T = 64, H = 8: the
+        # histories are frames[:, :33] of the rollout's (64, 65, d) frame array
+        reach = get_env("reachpoint")
+        frames = rng.uniform(size=(64, cfg["run"]["max_episode_len"] + 1, reach.state_dim))
+        members = np.sort(rng.choice(64, size=48, replace=False))
+        return lambda: build_context(frames[:, :33], c, "first", members)
+
     return {
         "env_step_b1": lambda: env_step(1),
         "env_step_b500": lambda: env_step(500),
@@ -195,6 +207,7 @@ def kernels(tmp: str) -> dict:
         "env_reset_b500": env_reset,
         "write_store_b500": write_store_b500,
         "grpo_step_batch_b64": grpo_step_batch,
+        "build_context_b48": build_context_b48,
     }
 
 
