@@ -37,7 +37,7 @@ from .core import (ENV_NAMES, EVAL_METRICS, ConfigError, InvariantViolation,
                    TaskSpec, config_hash, derive_rng, derive_seed, derive_seeds,
                    make_config, params_hash, read_frames, write_frames, write_json)
 from .envs import CountingEnv, get_env, replay_episodes, scripted_demo
-from .evalx import EvalReport, hallucination_rate, horizon_error
+from .evalx import EvalReport, hallucination_rate, horizon_error, success_rate
 from .grpo import ChunkPolicy
 from .pace import LearnedReward, _rl_stage, clone_base_policy, run_pipeline
 from .reward import RewardNet, label_episode_frames, train_classifier
@@ -287,6 +287,10 @@ def cmd_rl(cfg, run_dir, args):
     if env.steps != 0:
         raise InvariantViolation("imagined RL consumed real env steps")
     nn.save_params(run_dir / "policy.wovc", new_params)
+    write_json(run_dir / "manifest.json", {
+        "params": params_hash(new_params), "env": cfg["env"], "config": config_hash(cfg),
+        **{flag: {"path": str(getattr(args, flag)), "params": params_hash(args.inputs[flag])}
+           for flag in ("policy", "wm", "reward")}})
     write_json(run_dir / "rl_log.json", logs)
     print(f"ran {cfg['plan']['rl_updates_per_stage']} imagined updates "
           f"(0 real steps) to {run_dir}")
@@ -319,15 +323,10 @@ def cmd_eval(cfg, run_dir, args):
     wm = (LearnedWorldModel(build_wm_net(env, cfg), args.inputs["wm"],
                             cfg["run"]["diffusion_steps"]) if "wm" in args.inputs else None)
     if metric == "sr":
-        # one rollout of every task's n episodes: episode i of task t has the
-        # key (seed_t, i) and each task's rate the form of
-        # success_rate(..., seed_t), so the report equals per-task calls
-        seeds = derive_seeds([(cfg["seed"], 81, t) for t in range(env.n_tasks)])
-        tasks = [TaskSpec(t) for t in range(env.n_tasks) for _ in range(n)]
-        trajs = rollout_real(policy, params, env, tasks, len(tasks), T, H,
-                             [(seed, i) for seed in seeds for i in range(n)])
-        per_task = [sum(t.success for t in trajs[k:k + n]) / n for k in range(0, len(trajs), n)]
-        report.success_rate = float(np.mean(per_task))
+        # every task's n episodes in one rollout, task t at seed_t
+        report.success_rate = success_rate(
+            policy, params, env, [TaskSpec(t) for t in range(env.n_tasks)], n, T, H,
+            derive_seeds([(cfg["seed"], 81, t) for t in range(env.n_tasks)]))
         report.sr_trials = n * env.n_tasks
     elif metric == "halluc":
         # the reward of imagined RL, so the rate is the one of the simulator

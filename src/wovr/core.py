@@ -728,6 +728,18 @@ def write_json(path, obj) -> None:
         json.dump(obj, fh, indent=1, sort_keys=True)
 
 
+def read_json(data: str | bytes, what: str) -> dict:
+    """The JSON object in data (text or UTF-8 bytes); anything else is
+    MalformedHeader, naming what was read."""
+    try:
+        obj = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
+        raise MalformedHeader(f"{what} is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise MalformedHeader(f"{what} is a {type(obj).__name__}, not an object")
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # Hashing helpers for manifests
 

@@ -12,22 +12,30 @@ noise in one call (draw_noise).
 """
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import MalformedHeader, TaskSpec, derive_rngs, write_json
+from .core import MalformedHeader, TaskSpec, derive_rngs, read_json, write_json
 from .envs import replay_actions
 from .rollout import _roll_group, as_scorer, draw_noise, reset_starts, rollout_real
 from .worldmodel import OracleWorldModel
 
 
-def success_rate(policy, params, env, task: TaskSpec, n: int, T: int, H: int,
-                 seed: int) -> float:
-    """Fraction of n independent real episodes that reach success."""
-    trajs = rollout_real(policy, params, env, task, n, T, H, seed)
-    return sum(t.success for t in trajs) / n
+def success_rate(policy, params, env, task, n: int, T: int, H: int, seed) -> float:
+    """Mean over tasks of the fraction of n real episodes that reach success.
+
+    task is one TaskSpec and seed one int, or both are lists, one seed per
+    task; episode i of a task at seed s has the key (s, i). All episodes run
+    in one rollout_real call, and a list's rate is, bit for bit, the mean of
+    one-task calls.
+    """
+    tasks = [task] if isinstance(task, TaskSpec) else list(task)
+    seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+    trajs = rollout_real(policy, params, env, [t for t in tasks for _ in range(n)],
+                         n * len(tasks), T, H, [(s, i) for s in seeds for i in range(n)])
+    return float(np.mean([sum(t.success for t in trajs[k:k + n]) / n
+                          for k in range(0, len(trajs), n)]))
 
 
 def hallucination_rate(policy, params, wm, reward_fn, env, task: TaskSpec,
@@ -146,12 +154,7 @@ class EvalReport:
     @classmethod
     def from_json(cls, text: str | bytes) -> "EvalReport":
         """Parse an eval.json; anything but a well-formed report is MalformedHeader."""
-        try:
-            raw = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
-            raise MalformedHeader(f"eval report is not UTF-8 JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise MalformedHeader(f"eval report is a {type(raw).__name__}, not an object")
+        raw = read_json(text, "eval report")
         halluc, curve = raw.get("hallucination"), raw.get("horizon_curve")
         for name, ok in (
                 ("seeds", isinstance(raw.get("seeds", []), list)),

@@ -6,8 +6,9 @@ outcome, 1.0 for success and 0.0 otherwise, and advantages are group returns
 minus the group mean, nothing else: no std normalization, no KL penalty, no
 value baseline. An episode ends at its reward step (core.check_steps), so
 every recorded step is in the mask: each update stacks every step of its
-groups into one StepBatch, once; every inner epoch's objective and ratio
-stats read it.
+groups into one StepBatch, once, and every inner epoch's objective reads it.
+The surrogate is plain numpy over `ratios` that records the tape on Tensor
+leaves, so the ratio stats, taken once per update, share its one formula.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import nn
 from .core import Trajectory, task_features
-from .nn import Mlp, clip, exp, minimum, tsum, value_and_grad
+from .nn import Mlp, value_and_grad
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 2.0
@@ -167,8 +168,13 @@ def step_batch(policy: ChunkPolicy, groups: list[GroupBatch]) -> StepBatch | Non
     )
 
 
+def ratios(policy: ChunkPolicy, params: dict, batch: StepBatch):
+    """Importance ratios pi / pi_old of the batch's rows, (N,)."""
+    return np.exp(policy.logprob(params, batch.feats, batch.chunks) - batch.logp_old)
+
+
 def grpo_objective(policy: ChunkPolicy, params: dict, batch: StepBatch, clip_eps: float):
-    """Length-normalized clipped surrogate, as a tape scalar.
+    """Length-normalized clipped surrogate, a scalar (a tape scalar on Tensor leaves).
 
     (1 / n_traj) * sum_i (1 / T_i) * sum_{t <= T_i}
         min(rho_t * A_i, clip(rho_t, 1-eps, 1+eps) * A_i)
@@ -176,34 +182,25 @@ def grpo_objective(policy: ChunkPolicy, params: dict, batch: StepBatch, clip_eps
     over the T_i recorded steps of trajectory i: an episode ends at its
     reward step, so these are the steps that GRPO's termination mask keeps.
     """
-    rho = exp(policy.logprob(params, batch.feats, batch.chunks) - batch.logp_old)
+    rho = ratios(policy, params, batch)
     advs = batch.advantages
-    surrogate = minimum(rho * advs, clip(rho, 1.0 - clip_eps, 1.0 + clip_eps) * advs)
-    return tsum(surrogate * batch.weights)
-
-
-def ratio_stats(policy: ChunkPolicy, params: dict, batch: StepBatch,
-                clip_eps: float) -> dict:
-    rho = np.exp(policy.logprob(params, batch.feats, batch.chunks) - batch.logp_old)
-    outside = (rho < 1.0 - clip_eps) | (rho > 1.0 + clip_eps)
-    return {
-        "mean_ratio": float(rho.mean()),
-        "clip_fraction": float(outside.mean()),
-        "n_steps": int(rho.size),
-    }
+    surrogate = np.minimum(rho * advs, np.clip(rho, 1.0 - clip_eps, 1.0 + clip_eps) * advs)
+    return np.sum(surrogate * batch.weights)
 
 
 def grpo_update(policy: ChunkPolicy, params: dict, groups: list[GroupBatch],
                 clip_eps: float, inner_epochs: int, lr: float,
-                opt_state: dict | None = None) -> tuple[dict, dict, list[dict]]:
+                opt_state: dict | None = None) -> tuple[dict, dict, dict]:
     """Gradient-ascent epochs on the clipped surrogate of the groups' StepBatch.
 
-    Returns (params', opt_state, per-epoch stats). A non-finite objective or
-    gradient aborts the whole update: it hands back the original parameters
-    and rolls opt_state back to its entry step count and moments. When no
-    member has a step (each aborted on its first chunk step)
-    the objective is 0 with a zero gradient, on which Adam still steps, so
-    its momentum from earlier updates carries on.
+    Returns (params', opt_state, record): the ratio stats at params'
+    (mean_ratio, clip_fraction, n_steps), taken once after the last epoch,
+    and that epoch's objective, so E epochs run E + 1 policy forwards. A
+    non-finite objective or gradient aborts the whole update: it hands back
+    the original parameters, rolls opt_state back to its entry step count
+    and moments, and records {"aborted": True}. When no member has a step
+    (each aborted on its first chunk step) the objective is 0 with a zero
+    gradient, on which Adam still steps, so its momentum carries on.
     """
     if not groups:
         raise ValueError("no groups to update on")
@@ -218,18 +215,18 @@ def grpo_update(policy: ChunkPolicy, params: dict, groups: list[GroupBatch],
         zero = {k: np.zeros_like(v) for k, v in params.items()}
         for _ in range(inner_epochs):
             params = policy.clamp(nn.adam_step(params, zero, opt_state, lr=lr))
-        empty = {"mean_ratio": 1.0, "clip_fraction": 0.0, "n_steps": 0, "objective": 0.0}
-        return params, opt_state, [dict(empty) for _ in range(inner_epochs)]
-    logs = []
+        return params, opt_state, {"mean_ratio": 1.0, "clip_fraction": 0.0, "n_steps": 0,
+                                   "objective": 0.0}
     for _ in range(inner_epochs):
         value, grads = value_and_grad(
             lambda leaves: -grpo_objective(policy, leaves, batch, clip_eps), params
         )
         if not np.isfinite(value) or any(not np.all(np.isfinite(g)) for g in grads.values()):
             opt_state.update(entry)
-            return original, opt_state, logs + [{"aborted": True}]
+            return original, opt_state, {"aborted": True}
         params = policy.clamp(nn.adam_step(params, grads, opt_state, lr=lr))
-        stats = ratio_stats(policy, params, batch, clip_eps)
-        stats["objective"] = -value
-        logs.append(stats)
-    return params, opt_state, logs
+    rho = ratios(policy, params, batch)
+    outside = (rho < 1.0 - clip_eps) | (rho > 1.0 + clip_eps)
+    return params, opt_state, {"mean_ratio": float(rho.mean()),
+                               "clip_fraction": float(outside.mean()),
+                               "n_steps": int(rho.size), "objective": -value}

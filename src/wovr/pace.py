@@ -31,7 +31,7 @@ from .grpo import ChunkPolicy, build_group, grpo_update
 from .nn import tmean, value_and_grad
 # predict_success is not called here: bench/tracing.py wraps it (test_trace_targets_resolve)
 from .reward import (RewardNet, label_episode_frames, predict_success,  # noqa: F401
-                     success_probs, train_classifier)
+                     sparse_reward, success_probs, train_classifier)
 from .rollout import (KEYFRAME_CAPACITY, GroupSpec, GroupSpecs, harvest_keyframes,
                       rollout_imagined, rollout_real, round_robin, sample_start)
 from .worldmodel import LearnedWorldModel, WmNet, train_wm, window_counts
@@ -311,11 +311,9 @@ class LearnedReward:
         self.threshold = threshold
 
     def batch(self, frames, tasks) -> np.ndarray:
-        probs = success_probs(self.net, self.params,
-                              task_features(frames, tasks, self.net.n_tasks))
-        if not np.all((probs >= 0.0) & (probs <= 1.0)):
-            raise ValueError("probability must lie in [0, 1]")
-        return probs >= self.threshold
+        return sparse_reward(success_probs(self.net, self.params,
+                                           task_features(frames, tasks, self.net.n_tasks)),
+                             self.threshold)
 
 
 def run_iteration(params, wm, reward_fn, rollout_fn, trainer_fn):
@@ -388,15 +386,14 @@ def _rl_stage(policy, params, wm, reward_fn, env, cfg, keyframes, tag):
     def trainer_fn(rollouts):
         nonlocal params, opt
         groups, kinds = rollouts
-        params, opt, glogs = grpo_update(policy, params, groups, run["clip_eps"],
+        params, opt, stats = grpo_update(policy, params, groups, run["clip_eps"],
                                          rl["inner_epochs"], rl["lr"], opt)
         record = {"update": u,
                   "imagined_success": float(np.mean(
                       [t.success for g in groups for t in g.trajectories])),
                   "kir_groups": kinds.count("keyframe"),
                   "zero_adv_groups": sum(not np.any(g.advantages) for g in groups)}
-        if glogs:
-            record.update(glogs[-1])
+        record.update(stats)
         return record
 
     for u in range(plan["rl_updates_per_stage"]):

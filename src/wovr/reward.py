@@ -55,11 +55,15 @@ def predict_success(net: RewardNet, params: dict, obs, task: TaskSpec) -> float:
     return float(success_probs(net, params, task_features(obs, task, net.n_tasks)[None])[0])
 
 
-def sparse_reward(prob: float, threshold: float = 0.5) -> int:
-    """Indicator reward: 1 iff the success probability reaches the threshold."""
-    if not 0.0 <= prob <= 1.0:
+def sparse_reward(prob, threshold: float):
+    """Indicator reward: 1 iff the success probability reaches the threshold;
+    an array of probabilities gives a bool array. ValueError unless each lies
+    in [0, 1] (NaN does not)."""
+    prob = np.asarray(prob)
+    if not np.all((prob >= 0.0) & (prob <= 1.0)):
         raise ValueError("probability must lie in [0, 1]")
-    return 1 if prob >= threshold else 0
+    hits = prob >= threshold
+    return int(hits) if hits.ndim == 0 else hits
 
 
 def label_episode_frames(episodes: list[FrameEpisode], env) -> tuple:

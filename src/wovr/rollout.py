@@ -45,7 +45,6 @@ after the whole update rolled out (pace._rl_stage).
 """
 from __future__ import annotations
 
-import json
 import logging
 from collections import deque
 from dataclasses import dataclass
@@ -54,12 +53,12 @@ import numpy as np
 
 from .core import (
     FrameEpisode,
-    MalformedHeader,
     TaskSpec,
     Trajectory,
     derive_rngs,
     derive_seeds,
     episode_steps,
+    read_json,
     read_store,
     write_json,
     write_store,
@@ -304,9 +303,9 @@ def rollout_real(policy, params, env, task, n: int, T: int, H: int, seed,
     episodes of several one-seed calls in one batch. Unless explicit starts
     are given, an episode resets from stream 0 of its key (reset_starts), and
     its policy stream is stream 1, mirroring rollout_imagined member streams.
-    A real collection passes the tasks and keys of round_robin; `wovr eval
-    --metric sr` passes every task's episodes, each keyed as its one-task call
-    keys it. With record_frames, also returns one (states, actions) frame
+    A real collection passes the tasks and keys of round_robin;
+    evalx.success_rate passes every task's episodes, each keyed as its
+    one-task call keys it. With record_frames, also returns one (states, actions) frame
     episode per trajectory for model training.
     """
     if n < 1:
@@ -341,11 +340,4 @@ def read_batch(path):
     """The batch's trajectories and manifest; a corrupt manifest is MalformedHeader."""
     trajectories = read_store(path)
     with open(str(path) + ".manifest.json", "rb") as fh:
-        raw = fh.read()
-    try:
-        manifest = json.loads(raw.decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, deep nesting
-        raise MalformedHeader(f"batch manifest is not UTF-8 JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise MalformedHeader(f"batch manifest is a {type(manifest).__name__}, not an object")
-    return trajectories, manifest
+        return trajectories, read_json(fh.read(), "batch manifest")

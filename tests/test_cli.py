@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from wovr import cli, nn, pace
+from wovr import cli, evalx, nn, pace
 from wovr.cli import (EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_RUNTIME,
                       aggregate_reports, build_parser, parse_and_dispatch, report,
                       resolve_config)
-from wovr.core import (DEFAULTS, InvariantViolation, TaskSpec, derive_rng, derive_seed,
-                       make_config, params_hash, read_frames)
+from wovr.core import (DEFAULTS, InvariantViolation, TaskSpec, config_hash, derive_rng,
+                       derive_seed, make_config, params_hash, read_frames)
 from wovr.envs import get_env
 from wovr.evalx import EvalReport, success_rate
 
@@ -367,6 +367,20 @@ def test_workflow_artifacts_exist(workflow):
     assert (workflow["eval_h_dir"] / "horizon.csv").exists()
 
 
+def test_workflow_rl_manifest_names_its_inputs(workflow):
+    """`wovr rl` records the trained params' hash, each input checkpoint's
+    path and params hash, the env and the resolved config's hash."""
+    d = workflow["rl_dir"]
+    manifest = json.loads((d / "manifest.json").read_text())
+    resolved = json.loads((d / "resolved.json").read_text())
+    assert manifest == {
+        "params": params_hash(nn.load_params(d / "policy.wovc")),
+        "env": "reachpoint", "config": config_hash(resolved),
+        **{flag: {"path": str(workflow[flag]),
+                  "params": params_hash(nn.load_params(workflow[flag]))}
+           for flag in ("policy", "wm", "reward")}}
+
+
 def test_workflow_resolved_config_recorded(workflow):
     resolved = json.loads((workflow["pace_dir"] / "resolved.json").read_text())
     assert resolved["run"]["n_base"] == 10
@@ -454,13 +468,13 @@ def test_sr_eval_is_one_rollout_equal_to_per_task_success_rates(tmp_path, monkey
     envs, for a scripted and a learned (batched matmul) policy."""
     n, seed = 12, 5
     calls = []
-    real_rollout, build_policy = cli.rollout_real, cli.build_policy
+    real_rollout, build_policy = evalx.rollout_real, cli.build_policy
 
     def counted(*args, **kwargs):
         calls.append(args[4])
         return real_rollout(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "rollout_real", counted)
+    monkeypatch.setattr(evalx, "rollout_real", counted)
     for env_name, scale in (("pickplace2d", 0.6), ("reachpoint", 3.0), ("reachpoint", None)):
         env = get_env(env_name)
         cfg = make_config({"env": env_name, "policy": {"init_log_std": 1.0}})

@@ -161,7 +161,7 @@ def test_objective_clips_each_member_term():
 
     def objective(rho_pos, rho_neg):
         group = pinned_ratio_group(pol, params, rho_pos, rho_neg)
-        return float(grpo_objective(pol, params, step_batch(pol, [group]), clip_eps=0.2).data)
+        return float(grpo_objective(pol, params, step_batch(pol, [group]), clip_eps=0.2))
 
     # the objective is the two terms averaged over the group's trajectories
     for (rho_pos, rho_neg), (term_pos, term_neg) in [
@@ -194,7 +194,7 @@ def test_objective_collapses_to_mean_advantage_at_rho_one():
     params = pol.init(np.random.default_rng(2))
     group = bandit_group(pol, params, [(0.5, 1), (-0.5, 0), (0.2, 0), (-0.1, 1)])
     obj = grpo_objective(pol, params, step_batch(pol, [group]), clip_eps=0.2)
-    assert float(obj.data) == pytest.approx(group.advantages.mean(), abs=1e-12)
+    assert float(obj) == pytest.approx(group.advantages.mean(), abs=1e-12)
 
 
 def test_length_normalization_constant_per_step():
@@ -210,8 +210,8 @@ def test_length_normalization_constant_per_step():
     short = build_group([win, fail_traj(1)])
     long = build_group([win, fail_traj(6)])
     # identical per-step terms, so length normalization makes contributions equal
-    o_short = float(grpo_objective(pol, params, step_batch(pol, [short]), 0.2).data)
-    o_long = float(grpo_objective(pol, params, step_batch(pol, [long]), 0.2).data)
+    o_short = float(grpo_objective(pol, params, step_batch(pol, [short]), 0.2))
+    o_long = float(grpo_objective(pol, params, step_batch(pol, [long]), 0.2))
     assert o_short == pytest.approx(o_long, abs=1e-12)
 
 
@@ -242,7 +242,7 @@ def test_objective_gradcheck_vs_finite_differences():
             for sign in (1, -1):
                 shifted = {kk: vv.copy() for kk, vv in params.items()}
                 shifted[k][idx] += sign * eps
-                val = float(grpo_objective(pol, shifted, batch, 0.2).data)
+                val = float(grpo_objective(pol, shifted, batch, 0.2))
                 fd[idx] += sign * val / (2 * eps)
         np.testing.assert_allclose(grads[k], fd, rtol=1e-4, atol=1e-8)
 
@@ -252,10 +252,10 @@ def test_update_increases_winning_chunk_probability():
     group = bandit_group(pol, params, [(0.5, 1), (-0.5, 0)])
     obs = np.array([0.0, 0.0])
     before = logprob1(pol, params, obs, [[0.5]])
-    new_params, _, logs = grpo_update(pol, params, [group], 0.2, inner_epochs=1, lr=1e-2)
+    new_params, _, record = grpo_update(pol, params, [group], 0.2, inner_epochs=1, lr=1e-2)
     after = logprob1(pol, new_params, obs, [[0.5]])
     assert after > before
-    assert logs and "objective" in logs[0]
+    assert record and "objective" in record
 
 
 def test_update_zero_advantages_is_identity():
@@ -276,8 +276,8 @@ def test_update_aborts_on_nonfinite_and_restores():
     ok = one_step_traj([0.0, 0.0], [[0.1]], 1, 0.0)
     group = build_group([broken, ok])
     with np.errstate(over="ignore", invalid="ignore"):
-        new_params, _, logs = grpo_update(pol, params, [group], 0.2, inner_epochs=1, lr=3e-4)
-    assert logs[-1].get("aborted")
+        new_params, _, record = grpo_update(pol, params, [group], 0.2, inner_epochs=1, lr=3e-4)
+    assert record.get("aborted")
     for k in params:
         np.testing.assert_array_equal(new_params[k], params[k])
 
@@ -301,9 +301,10 @@ def test_update_abort_in_a_later_epoch_rolls_back_the_optimizer(monkeypatch):
 
     monkeypatch.setattr(grpo, "grpo_objective", second_nan)
     group = bandit_group(pol, warm_params, [(0.4, 1), (-0.3, 0)])
-    new_params, state, logs = grpo_update(pol, warm_params, [group], 0.2, inner_epochs=2,
-                                          lr=1e-2, opt_state=warm)
-    assert len(calls) == 2 and "objective" in logs[0] and logs[-1] == {"aborted": True}
+    new_params, state, record = grpo_update(pol, warm_params, [group], 0.2, inner_epochs=2,
+                                            lr=1e-2, opt_state=warm)
+    # a second objective call means epoch 1 ran to its Adam step
+    assert len(calls) == 2 and record == {"aborted": True}
     for k in params:
         np.testing.assert_array_equal(new_params[k], warm_params[k])
     assert state["step"] == entry["step"]
@@ -352,12 +353,12 @@ def test_update_without_valid_steps_only_steps_adam():
     empty = [build_group([Trajectory(TaskSpec(0), none) for _ in range(3)])
              for _ in range(2)]
     assert step_batch(pol, empty) is None
-    new_params, opt, logs = grpo_update(pol, params, empty, 0.2, inner_epochs=3, lr=3e-4)
+    new_params, opt, record = grpo_update(pol, params, empty, 0.2, inner_epochs=3, lr=3e-4)
     for k in params:
         np.testing.assert_array_equal(new_params[k], params[k])
     assert opt["step"] == 3
-    assert logs == [{"mean_ratio": 1.0, "clip_fraction": 0.0, "n_steps": 0,
-                     "objective": 0.0}] * 3
+    assert record == {"mean_ratio": 1.0, "clip_fraction": 0.0, "n_steps": 0,
+                      "objective": 0.0}
     # a warm optimizer steps on a zero gradient, so its momentum carries on
     winner = bandit_group(pol, params, [(0.5, 1), (-0.5, 0)])
     warm_params, warm, _ = grpo_update(pol, params, [winner], 0.2, inner_epochs=1, lr=1e-2)
@@ -372,3 +373,154 @@ def test_update_without_valid_steps_only_steps_adam():
     for k in params:
         np.testing.assert_array_equal(moved[k], ref[k])
     assert any(not np.array_equal(moved[k], warm_params[k]) for k in params)
+
+
+# -- the update against the per-epoch reference --------------------------------
+
+
+def reference_objective(policy, params, batch, clip_eps):
+    """The surrogate written with nn's tape ops, as a reference."""
+    rho = nn.exp(policy.logprob(params, batch.feats, batch.chunks) - batch.logp_old)
+    advs = batch.advantages
+    surrogate = nn.minimum(rho * advs, nn.clip(rho, 1.0 - clip_eps, 1.0 + clip_eps) * advs)
+    return nn.tsum(surrogate * batch.weights)
+
+
+def reference_update(policy, params, groups, clip_eps, inner_epochs, lr, opt_state,
+                     objective=reference_objective):
+    """The per-epoch loop: ratio stats after every inner epoch, one log each;
+    (params', opt_state, per-epoch logs)."""
+    batch = step_batch(policy, groups)
+    original = params
+    entry = {"step": opt_state["step"], "m": dict(opt_state["m"]), "v": dict(opt_state["v"])}
+    if batch is None:
+        zero = {k: np.zeros_like(v) for k, v in params.items()}
+        for _ in range(inner_epochs):
+            params = policy.clamp(nn.adam_step(params, zero, opt_state, lr=lr))
+        empty = {"mean_ratio": 1.0, "clip_fraction": 0.0, "n_steps": 0, "objective": 0.0}
+        return params, opt_state, [dict(empty) for _ in range(inner_epochs)]
+    logs = []
+    for _ in range(inner_epochs):
+        value, grads = value_and_grad(lambda p: -objective(policy, p, batch, clip_eps), params)
+        if not np.isfinite(value) or any(not np.all(np.isfinite(g)) for g in grads.values()):
+            opt_state.update(entry)
+            return original, opt_state, logs + [{"aborted": True}]
+        params = policy.clamp(nn.adam_step(params, grads, opt_state, lr=lr))
+        rho = np.exp(policy.logprob(params, batch.feats, batch.chunks) - batch.logp_old)
+        outside = (rho < 1.0 - clip_eps) | (rho > 1.0 + clip_eps)
+        logs.append({"mean_ratio": float(rho.mean()), "clip_fraction": float(outside.mean()),
+                     "n_steps": int(rho.size), "objective": -value})
+    return params, opt_state, logs
+
+
+def random_groups(pol, params, rng, n_groups=3, size=4):
+    """Groups of multi-step trajectories of mixed outcomes and lengths whose
+    stored densities are off the policy's, so ratios leave 1 and some clip."""
+    groups = []
+    for g in range(n_groups):
+        trajs = []
+        for i in range(size):
+            n = int(rng.integers(1, 5))
+            obs, chunks = rng.normal(size=(n, pol.obs_dim)), rng.normal(size=(n, pol.horizon,
+                                                                              pol.a_dim))
+            logp = pol.logprob(params, task_features(obs, TaskSpec(g % pol.n_tasks),
+                                                     pol.n_tasks), chunks.reshape(n, -1))
+            rewards = [0] * (n - 1) + [int((g + i) % 3 == 0)]
+            trajs.append(Trajectory(TaskSpec(g % pol.n_tasks),
+                                    Steps(obs, chunks, rewards, logp + rng.normal(0, 0.3, n))))
+        groups.append(build_group(trajs))
+    return groups
+
+
+def copied_state(state):
+    return {"step": state["step"], "m": {k: v.copy() for k, v in state["m"].items()},
+            "v": {k: v.copy() for k, v in state["v"].items()}}
+
+
+def assert_same_update(got, want):
+    (params, state, record), (ref_params, ref_state, ref_logs) = got, want
+    assert params.keys() == ref_params.keys()
+    for k in ref_params:
+        assert params[k].tobytes() == ref_params[k].tobytes(), k
+    assert state["step"] == ref_state["step"]
+    for moment in ("m", "v"):
+        assert state[moment].keys() == ref_state[moment].keys()
+        for k in ref_state[moment]:
+            assert state[moment][k].tobytes() == ref_state[moment][k].tobytes(), (moment, k)
+    assert record == ref_logs[-1]
+
+
+@pytest.mark.parametrize("epochs", [1, 2, 3])
+def test_update_equals_the_per_epoch_reference_bit_for_bit(epochs):
+    """Params, Adam state and the record equal the per-epoch loop's params,
+    state and last log, over two chained updates from a cold optimizer."""
+    pol = ChunkPolicy(obs_dim=3, n_tasks=2, horizon=2, a_dim=2, hidden=(8,))
+    params = pol.init(np.random.default_rng(20))
+    rng = np.random.default_rng(21)
+    state, ref_state, ref_params = nn.adam_init(params), nn.adam_init(params), params
+    clipped = 0.0
+    for _ in range(2):
+        groups = random_groups(pol, params, rng)
+        got = grpo_update(pol, params, groups, 0.2, epochs, 5e-2, state)
+        want = reference_update(pol, ref_params, groups, 0.2, epochs, 5e-2, ref_state)
+        assert_same_update(got, want)
+        params, state, record = got
+        ref_params, ref_state = want[0], copied_state(want[1])
+        assert record["n_steps"] > 0 and record["mean_ratio"] != 1.0
+        clipped = max(clipped, record["clip_fraction"])
+    assert clipped > 0.0
+
+
+def test_update_abort_in_a_later_epoch_equals_the_reference(monkeypatch):
+    pol = ChunkPolicy(obs_dim=3, n_tasks=2, horizon=2, a_dim=2, hidden=(8,))
+    params = pol.init(np.random.default_rng(22))
+    rng = np.random.default_rng(23)
+    warm_params, warm, _ = grpo_update(pol, params, random_groups(pol, params, rng), 0.2, 2, 5e-2)
+    groups = random_groups(pol, warm_params, rng)
+
+    def nan_on_call(n, objective):
+        calls = []
+
+        def wrapped(*args):
+            calls.append(1)
+            obj = objective(*args)
+            return obj * np.nan if len(calls) == n else obj
+        return wrapped
+
+    for epochs, bad in ((2, 2), (3, 2), (3, 3)):
+        ref = reference_update(pol, warm_params, groups, 0.2, epochs, 5e-2, copied_state(warm),
+                               nan_on_call(bad, reference_objective))
+        monkeypatch.setattr(grpo, "grpo_objective", nan_on_call(bad, grpo_objective))
+        got = grpo_update(pol, warm_params, groups, 0.2, epochs, 5e-2, copied_state(warm))
+        assert_same_update(got, ref)
+        assert got[2] == {"aborted": True} and got[0] is warm_params
+
+
+def test_update_without_valid_steps_equals_the_reference():
+    pol = ChunkPolicy(obs_dim=3, n_tasks=2, horizon=2, a_dim=2, hidden=(8,))
+    params = pol.init(np.random.default_rng(24))
+    rng = np.random.default_rng(25)
+    warm_params, warm, _ = grpo_update(pol, params, random_groups(pol, params, rng), 0.2, 1, 5e-2)
+    none = Steps(np.zeros((0, 3)), np.zeros((0, 2, 2)), [], [])
+    empty = [build_group([Trajectory(TaskSpec(0), none) for _ in range(3)])]
+    for epochs in (1, 2, 3):
+        assert_same_update(
+            grpo_update(pol, warm_params, empty, 0.2, epochs, 5e-2, copied_state(warm)),
+            reference_update(pol, warm_params, empty, 0.2, epochs, 5e-2, copied_state(warm)))
+
+
+@pytest.mark.parametrize("epochs", [1, 2, 3])
+def test_update_runs_the_policy_forward_epochs_plus_one_times(epochs):
+    """One forward per inner epoch's objective and one for the ratio stats."""
+    pol = ChunkPolicy(obs_dim=3, n_tasks=2, horizon=2, a_dim=2, hidden=(8,))
+    params = pol.init(np.random.default_rng(26))
+    groups = random_groups(pol, params, np.random.default_rng(27))
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return ChunkPolicy.logprob(pol, *args)
+
+    pol.logprob = counted
+    grpo_update(pol, params, groups, 0.2, epochs, 5e-2)
+    assert len(calls) == epochs + 1

@@ -17,8 +17,9 @@ import pytest
 from wovr.cli import build_policy, clone_demos
 from wovr.core import TaskSpec, derive_seeds, make_config, task_features
 from wovr.envs import get_env, scripted_demo
+from wovr.evalx import success_rate
 from wovr.pace import _rl_stage
-from wovr.rollout import KEYFRAME_CAPACITY, rollout_real
+from wovr.rollout import KEYFRAME_CAPACITY
 from wovr.worldmodel import OracleWorldModel
 
 SEEDS = (0, 1, 2)
@@ -35,12 +36,10 @@ class TrueReward:
         return self.env.is_success(frames)
 
 
-def success_rate(env, policy, params, cfg) -> float:
+def mean_sr(env, policy, params, cfg) -> float:
     run = cfg["run"]
-    return float(np.mean([t.success for task_id in range(env.n_tasks)
-                          for t in rollout_real(policy, params, env, TaskSpec(task_id), EVAL_N,
-                                                run["max_episode_len"], run["chunk"],
-                                                99 + task_id)]))
+    return success_rate(policy, params, env, [TaskSpec(t) for t in range(env.n_tasks)], EVAL_N,
+                        run["max_episode_len"], run["chunk"], [99 + t for t in range(env.n_tasks)])
 
 
 def oracle_rung(seed: int) -> tuple[float, float, float]:
@@ -59,7 +58,7 @@ def oracle_rung(seed: int) -> tuple[float, float, float]:
                          env, cfg, deque(maxlen=KEYFRAME_CAPACITY), tag=14)
     feats = np.concatenate([task_features(d.steps.obs, d.task, env.n_tasks) for d in demos])
     max_mu = float(np.abs(policy.trunk(final, feats)).max())
-    return success_rate(env, policy, base, cfg), success_rate(env, policy, final, cfg), max_mu
+    return mean_sr(env, policy, base, cfg), mean_sr(env, policy, final, cfg), max_mu
 
 
 @pytest.mark.slow

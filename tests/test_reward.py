@@ -224,15 +224,28 @@ def test_learned_reward_batch_rejects_non_finite_probability():
 
 
 def test_sparse_reward_threshold():
-    assert sparse_reward(0.5) == 1
-    assert sparse_reward(0.4999) == 0
-    assert sparse_reward(0.9) == 1
-    assert sparse_reward(0.0) == 0
-    assert sparse_reward(1.0) == 1
+    assert sparse_reward(0.5, 0.5) == 1
+    assert sparse_reward(0.4999, 0.5) == 0
+    assert sparse_reward(0.9, 0.5) == 1
+    assert sparse_reward(0.0, 0.5) == 0
+    assert sparse_reward(1.0, 0.5) == 1
     assert sparse_reward(0.4, threshold=0.3) == 1
     assert sparse_reward(0.96, threshold=0.97) == 0
     with pytest.raises(ValueError):
-        sparse_reward(1.2)
+        sparse_reward(1.2, 0.5)
+
+
+def test_sparse_reward_of_an_array_is_its_elementwise_rule():
+    """An array of probabilities gives a bool array, each entry the int
+    that its one probability gives; one bad entry rejects the array."""
+    probs = np.array([0.0, 0.4999, 0.9, 0.8999, 1.0, 0.95])
+    hits = sparse_reward(probs, 0.9)
+    assert hits.dtype == bool and hits.shape == probs.shape
+    assert hits.astype(int).tolist() == [sparse_reward(float(p), 0.9) for p in probs]
+    assert type(sparse_reward(np.float64(0.95), 0.9)) is int
+    for bad in (1.2, -0.1, np.nan):
+        with pytest.raises(ValueError):
+            sparse_reward(np.append(probs, bad), 0.9)
 
 
 # -- data prep -------------------------------------------------------------------

@@ -17,7 +17,8 @@ def test_kernels_prints_one_json_line_of_positive_times():
                           "policy_sample_b64", "wm_euler_step_b1", "wm_euler_step_b64",
                           "reward_logit_b512", "make_rf_batch_b64", "rf_loss_fwd_bwd_b64",
                           "adam_step_wm", "train_step_wm_b64", "env_reset_b500",
-                          "write_store_b500", "grpo_step_batch_b64", "build_context_b48"}
+                          "write_store_b500", "grpo_step_batch_b64", "grpo_update_b64",
+                          "build_context_b48"}
     for us, faults in times.values():
         assert isinstance(us, float) and us > 0
         assert isinstance(faults, float) and faults >= 0

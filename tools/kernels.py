@@ -36,6 +36,9 @@ per-layer list:
                                       reachpoint trajectories of one lockstep
                                       imagined rollout, as each update of
                                       imagine-reachpoint gathers them
+    grpo_update_b64                   one grpo.grpo_update at the default
+                                      rl.inner_epochs on those 8 groups, at
+                                      the params that rolled them out
     build_context_b48                 worldmodel.build_context of 48 of 64
                                       members' 33-frame reachpoint histories,
                                       the context gather of one mid-episode
@@ -69,7 +72,7 @@ from wovr.cli import build_policy, build_reward_net, build_wm_net  # noqa: E402
 from wovr.core import (DEFAULTS, FrameEpisode, TaskSpec, derive_rng, derive_seeds,  # noqa: E402
                        task_features, write_store)
 from wovr.envs import get_env  # noqa: E402
-from wovr.grpo import GroupBatch, step_batch  # noqa: E402
+from wovr.grpo import GroupBatch, grpo_update, step_batch  # noqa: E402
 from wovr.rollout import (GroupSpec, GroupSpecs, reset_starts, rollout_imagined,  # noqa: E402
                           rollout_real, round_robin)
 from wovr.worldmodel import (T_CTX_MAX, OracleWorldModel, build_context,  # noqa: E402
@@ -164,7 +167,7 @@ def kernels(tmp: str) -> dict:
         store = os.path.join(tmp, "store.wovs")
         return lambda: write_store(store, trajectories)
 
-    def grpo_step_batch():
+    def reach_groups():
         # one imagined update's rollout: group g runs G members of task g % 4
         # from one start, under a reward that fires within 0.25 of the target,
         # so members average 6.7 of 8 chunk steps, as imagine-reachpoint's do
@@ -173,16 +176,28 @@ def kernels(tmp: str) -> dict:
         specs = GroupSpecs([GroupSpec(TaskSpec(i % reach.n_tasks),
                                       reach.reset_state(TaskSpec(i % reach.n_tasks), rng),
                                       "initial", g) for i in range(8)])
+        reach_pi = nn.read_only(reach_policy.init(rng))
         near = SimpleNamespace(batch=lambda frames, _ids: np.sqrt(
             np.sum((frames[:, 0:2] - frames[:, 2:4]) ** 2, axis=1)) <= 0.25)
-        trajs = rollout_imagined(reach_policy, nn.read_only(reach_policy.init(rng)),
-                                 OracleWorldModel(reach), near, specs, run["max_episode_len"],
-                                 run["chunk"], derive_seeds([(0, i) for i in range(8)]))
+        trajs = rollout_imagined(reach_policy, reach_pi, OracleWorldModel(reach), near, specs,
+                                 run["max_episode_len"], run["chunk"],
+                                 derive_seeds([(0, i) for i in range(8)]))
         groups = []
         for i in range(0, 8 * g, g):
             returns = np.array([float(t.success) for t in trajs[i:i + g]])
             groups.append(GroupBatch(trajs[i:i + g], returns, returns - returns.mean()))
+        return reach_policy, reach_pi, groups
+
+    def grpo_step_batch():
+        reach_policy, _, groups = reach_groups()
         return lambda: step_batch(reach_policy, groups)
+
+    def grpo_update_b64():
+        # every call updates the rollout's params, so each does the same work
+        reach_policy, reach_pi, groups = reach_groups()
+        run, rl, opt = cfg["run"], cfg["rl"], nn.adam_init(reach_pi)
+        return lambda: grpo_update(reach_policy, reach_pi, groups, run["clip_eps"],
+                                   rl["inner_epochs"], rl["lr"], opt)
 
     def build_context_b48():
         # a LearnedWorldModel's gather at chunk step 4 of T = 64, H = 8: the
@@ -207,6 +222,7 @@ def kernels(tmp: str) -> dict:
         "env_reset_b500": env_reset,
         "write_store_b500": write_store_b500,
         "grpo_step_batch_b64": grpo_step_batch,
+        "grpo_update_b64": grpo_update_b64,
         "build_context_b48": build_context_b48,
     }
 
